@@ -26,8 +26,9 @@ Two entry points share the interpreter:
 * :func:`analyze_module` — compile-time summary with parameters kept
   symbolic. Registered as the ``"memeffects"`` analysis (cached by the
   pass manager's :class:`~repro.core.passmgr.AnalysisManager`) and
-  surfaced on ``CompileReport.memory_effects`` by the ``mem-effects``
-  pass. Computed addresses degrade to the explicit top ``"unknown"``.
+  surfaced on ``CompileReport.memory_effects``, computed there on first
+  read or eagerly by a pipeline that names the ``mem-effects`` pass.
+  Computed addresses degrade to the explicit top ``"unknown"``.
 * :func:`classify_launch` — launch-time classification with concrete
   kernel arguments substituted for parameters, returning ``"disjoint"``
   when *no* two threads of *different* warps can touch a common address

@@ -10,12 +10,15 @@ pass-manager protocol (shared :class:`~repro.core.primitives.BarrierNamer`,
 
 Mode pipelines (see :data:`repro.core.pipeline.MODE_PIPELINES`)::
 
-    baseline  pdom-sync,strip-directives,mem-effects[,allocate,verify]
+    baseline  pdom-sync,strip-directives[,allocate,verify]
     sr        collect-predictions,pdom-sync,sr-insert,deconflict,
-              strip-directives,mem-effects[,allocate,verify]
+              strip-directives[,allocate,verify]
     auto      autodetect,collect-predictions,pdom-sync,sr-insert,
-              deconflict,strip-directives,mem-effects[,allocate,verify]
-    none      strip-directives,mem-effects[,allocate,verify]
+              deconflict,strip-directives[,allocate,verify]
+    none      strip-directives[,allocate,verify]
+
+No mode pipeline runs ``mem-effects``: ``CompileReport.memory_effects``
+is computed on first read. The pass runs only where a pipeline names it.
 """
 
 from __future__ import annotations
@@ -404,10 +407,14 @@ class MemEffectsPass(Pass):
     """Per-kernel memory-effect summaries (read-only): which
     parameter-rooted ``GlobalMemory`` regions every kernel reads, writes,
     or ``atom_add``s, with ``"unknown"`` as the explicit top for computed
-    addresses. Cached as the ``"memeffects"`` analysis; the summaries land
-    on ``report.memory_effects`` (and a region-count line in
-    ``report.pass_stats``) for the warp batcher's documentation trail —
-    the batcher itself re-resolves against concrete launch arguments."""
+    addresses. Cached as the ``"memeffects"`` analysis.
+
+    Runs only when a pipeline names it; no mode pipeline does, because
+    ``report.memory_effects`` computes the same summary lazily on first
+    read. Naming the pass pins the summary at its pipeline position and
+    adds a per-kernel site-count line to ``report.pass_stats``. No
+    engine reads the summary: the warp batcher re-resolves against
+    concrete launch arguments."""
 
     name = "mem-effects"
     description = "summarize per-kernel GlobalMemory reads/writes/atomics"

@@ -493,7 +493,8 @@ class PassManager:
     * ``stop_after`` / ``REPRO_STOP_AFTER`` — halt the pipeline after the
       named pass (first occurrence), leaving the module mid-compilation;
     * ``after_pass`` — callback ``(spec, pass_obj, module)`` run after
-      each pass (the bisector and snapshot tools hook in here).
+      each pass (the bisector and snapshot tools hook in here); it must
+      not mutate the module.
     """
 
     def __init__(
@@ -525,7 +526,9 @@ class PassManager:
 
         The context's span recorder gets one span per pass (named after
         the pass), and the analysis manager is invalidated after each
-        pass according to its ``preserves()`` declaration.
+        pass according to its ``preserves()`` declaration. Nothing
+        touches the module between passes, so each span's before-stats
+        are the previous span's after-stats.
         """
         ctx = ctx or PassContext()
         if ctx.spans is None:
@@ -534,10 +537,12 @@ class PassManager:
             ctx.analyses = AnalysisManager(module, spans=ctx.spans)
         import repro.core.passes  # noqa: F401  (registers the standard suite)
 
+        stats = None
         for spec in self.specs:
             pass_obj = PASS_REGISTRY.create(spec.name, spec.options_dict())
-            with ctx.spans.span(spec.name, module):
+            with ctx.spans.span(spec.name, module, before=stats) as record:
                 pass_obj.run(module, ctx)
+            stats = record.after
             ctx.analyses.invalidate(pass_obj.preserves())
             if self.verify_each:
                 try:

@@ -25,7 +25,7 @@ Soft barriers are configured through prediction thresholds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.deconfliction import DYNAMIC
 from repro.core.passmgr import (
@@ -38,6 +38,7 @@ from repro.core.passmgr import (
 )
 from repro.core.primitives import BarrierNamer
 from repro.errors import TransformError
+from repro.ir.function import structure_token
 from repro.obs.spans import SpanRecorder
 
 MODES = ("baseline", "sr", "auto", "none")
@@ -45,14 +46,13 @@ MODES = ("baseline", "sr", "auto", "none")
 #: The registered pipeline description for each compile mode (before the
 #: optional ``optimize`` prefix and ``allocate``/``verify`` suffix).
 MODE_PIPELINES = {
-    "baseline": ("pdom-sync", "strip-directives", "mem-effects"),
+    "baseline": ("pdom-sync", "strip-directives"),
     "sr": (
         "collect-predictions",
         "pdom-sync",
         "sr-insert",
         "deconflict",
         "strip-directives",
-        "mem-effects",
     ),
     "auto": (
         "autodetect",
@@ -61,9 +61,8 @@ MODE_PIPELINES = {
         "sr-insert",
         "deconflict",
         "strip-directives",
-        "mem-effects",
     ),
-    "none": ("strip-directives", "mem-effects"),
+    "none": ("strip-directives",),
 }
 
 
@@ -98,7 +97,51 @@ class CompileReport:
     spans: list = field(default_factory=list)             # obs.spans.Span per pass
     analysis_stats: dict = field(default_factory=dict)    # AnalysisManager.stats()
     pass_stats: dict = field(default_factory=dict)        # per-pass extras
-    memory_effects: dict = field(default_factory=dict)    # kernel -> mem summary
+    # The compiled module; the lazy ``memory_effects`` summary reads it.
+    module: object = field(default=None, repr=False, compare=False)
+    # (structure token, summary); token None when a pass set it eagerly.
+    _memory_effects: tuple = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def memory_effects(self):
+        """``{kernel: summary dict}``: the parameter-rooted ``GlobalMemory``
+        regions each kernel reads, writes, or ``atom_add``s.
+
+        No mode pipeline computes it: the first read runs
+        :func:`~repro.analysis.memeffects.analyze_module` on ``module`` and
+        memoizes the result with the module's structure token. A pipeline
+        that names the ``mem-effects`` pass sets it eagerly instead, and
+        that value stands.
+        """
+        cached = self._memory_effects
+        if cached is not None and cached[0] is None:
+            return cached[1]
+        if self.module is None:
+            return {}
+        token = structure_token(self.module)
+        if cached is None or cached[0] != token:
+            from repro.analysis.memeffects import analyze_module
+
+            effects = analyze_module(self.module)
+            cached = (token, {
+                kernel: summary.describe() for kernel, summary in effects.items()
+            })
+            self._memory_effects = cached
+        return cached[1]
+
+    @memory_effects.setter
+    def memory_effects(self, value):
+        self._memory_effects = (None, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.compare
+        ) and self.memory_effects == other.memory_effects
 
     def describe(self, with_spans=False):
         lines = [f"mode={self.mode}"]
@@ -189,7 +232,9 @@ class ReconvergenceCompiler:
         """Compile a clone of ``module``; the input is never mutated."""
         specs = self.resolve_pipeline(mode, pipeline)
         clone = module.clone()
-        report = CompileReport(mode=mode, pipeline=format_pipeline(specs))
+        report = CompileReport(
+            mode=mode, pipeline=format_pipeline(specs), module=clone
+        )
         # Every pass runs under a timed span recording wall time and the
         # module's blocks/instructions/barriers before -> after.
         spans = SpanRecorder()

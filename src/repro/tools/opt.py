@@ -194,7 +194,16 @@ def main(argv=None):
             f"{stats.get('misses', 0)} miss(es), "
             f"{stats.get('invalidated', 0)} invalidated"
         )
-        for name, value in sorted(report.pass_stats.items()):
+        pass_stats = dict(report.pass_stats)
+        if args.pipeline is None:
+            # Mode pipelines leave the memory-effect summary to the
+            # report's lazy field; print its per-kernel site counts, the
+            # line the ``mem-effects`` pass adds when a pipeline names it.
+            pass_stats["mem-effects"] = {
+                kernel: len(summary["sites"])
+                for kernel, summary in report.memory_effects.items()
+            }
+        for name, value in sorted(pass_stats.items()):
             print(f"  {name}: {value}")
 
     text = format_module(program.module)

@@ -243,8 +243,6 @@ class TestSpans:
             "sr-insert",
             "deconflict",
             "strip-directives",
-            "analysis:memeffects",
-            "mem-effects",
             "allocate",
             "verify",
         ]
@@ -259,6 +257,29 @@ class TestSpans:
         assert by_name["sr-insert"].ir_delta["barrier_instructions"] > 0
         assert by_name["verify"].ir_delta["instructions"] == 0
 
+    def test_pass_span_stats_match_fresh_walks(self):
+        # Each pass span reuses the previous pass span's after-stats as
+        # its before-stats; both must equal a fresh walk of the module.
+        from repro.core import PassContext, PassManager, pipeline_for_mode
+
+        module = compile_kernel_source(DIVERGENT).clone()
+        walks = [module_stats(module)]
+        manager = PassManager(
+            pipeline_for_mode("sr"),
+            after_pass=lambda spec, pass_obj, mod: walks.append(
+                module_stats(mod)
+            ),
+        )
+        ctx = PassContext(mode="sr")
+        manager.run(module, ctx)
+        spans = [s for s in ctx.spans.spans if s.before is not None]
+        assert [s.name for s in spans] == pipeline_for_mode("sr").split(",")
+        assert [s.before for s in spans] == walks[:-1]
+        assert [s.after for s in spans] == walks[1:]
+        assert [s.ir_delta for s in spans] == [
+            before.delta(after) for before, after in zip(walks, walks[1:])
+        ]
+
     def test_mode_none_spans(self):
         from repro.core.pipeline import ReconvergenceCompiler
 
@@ -268,8 +289,6 @@ class TestSpans:
         names = [span.name for span in program.report.spans]
         assert names == [
             "strip-directives",
-            "analysis:memeffects",
-            "mem-effects",
             "allocate",
             "verify",
         ]

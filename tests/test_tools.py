@@ -187,6 +187,23 @@ class TestOptCLI:
         assert "span: pdom-sync" in out
         assert "analysis cache:" in out
 
+    def test_stats_memory_effects_line(self, kernel_file, capsys):
+        # The mode pipeline no longer runs mem-effects; --stats prints the
+        # same per-kernel line from the report's lazy summary.
+        from repro.tools.opt import main as opt_main
+
+        assert opt_main([kernel_file, "--mode", "baseline", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "span: mem-effects" not in out
+        assert "  mem-effects: {'axpy': 1}" in out
+        assert opt_main(
+            [kernel_file, "--stats", "--pipeline",
+             "pdom-sync,strip-directives,mem-effects,allocate,verify"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "span: mem-effects" in out
+        assert "  mem-effects: {'axpy': 1}" in out
+
     def test_record_and_bisect(self, divergent_file, tmp_path, capsys):
         from repro.tools.opt import main as opt_main
 
