@@ -257,150 +257,6 @@ def test_multiwarp_corpus_sweep_speedup(benchmark):
     )
 
 
-#: The divergence-heavy half of the Table 2 corpus: loop-carried data
-#: divergence (mc-gpu, pathtracer), irregular traversals (mummer, optix),
-#: and the lookup kernels (rsbench, xsbench). These are the workloads
-#: whose multi-warp phases spend the most slots on non-forced picks —
-#: the region speculative rounds exist to absorb.
-_DIVERGENT_SLICE = (
-    "mc-gpu", "mummer", "optix", "pathtracer", "rsbench", "xsbench",
-)
-
-#: The scheduling-ablation policies. Non-forced picks arise differently
-#: under each (size ties, program-order racing, rotation), so the spec
-#: sweep runs all three rather than only the default.
-_SPEC_SCHEDULERS = ("convergence", "oldest-first", "round-robin")
-
-
-def _spec_sweep_point(name, scheduler, n_threads=128, seed=_SEED):
-    """One sr-mode compile-and-launch of a divergent workload at four
-    warps under the given scheduler, same fixed-point record as
-    :func:`_sweep_point`."""
-    workload = get_workload(name)
-    workload.n_threads = n_threads
-    result = workload.run(mode="sr", seed=seed, scheduler=scheduler)
-    traces = {
-        str(tid): trace
-        for tid, trace in sorted(result.launch.store_traces().items())
-    }
-    digest = hashlib.sha256(
-        json.dumps(traces, sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "workload": name,
-        "scheduler": scheduler,
-        "n_threads": n_threads,
-        "simt_efficiency": result.simt_efficiency,
-        "cycles": result.cycles,
-        "trace_sha256": digest,
-    }
-
-
-def _spec_sweep():
-    """The divergent slice x every scheduler, serial in-process."""
-    return [
-        _spec_sweep_point(name, scheduler)
-        for name in _DIVERGENT_SLICE
-        for scheduler in _SPEC_SCHEDULERS
-    ]
-
-
-def test_spec_corpus_sweep_speedup(benchmark):
-    """PR-level acceptance for speculative rounds: the divergent
-    multi-warp corpus slice across every scheduler must run no slower
-    with speculation on than with it off, with bit-identical results
-    and the `spec.*` counters proving the rounds actually engaged.
-
-    Every launch runs 128 threads in sr mode under each of the three
-    scheduling-ablation policies — the configurations where the warp
-    batcher's forced-pick precondition fails and multi-warp phases fall
-    back to the serial per-slot loop. Both sides run serial in-process
-    with fast path, segments, batching, and caches warm, so the ratio
-    isolates exactly what the speculative layer adds on top of the
-    eight below it and is core-count independent (CI-gated like the
-    segment sweep). The honest aggregate is near parity: rounds absorb
-    a minority of slots (the committed record's counters show the
-    committed/absorbed split) at roughly half the per-slot cost, and
-    per-workload wins (mummer under oldest-first) are offset by
-    attempt overhead where rounds stay short — so like the SoA gate,
-    this floor's real job is proving speculation never makes a
-    divergent sweep *slower* than the serial non-forced-pick path it
-    replaces. The floor is tunable via
-    ``REPRO_BENCH_MIN_SPEC_SPEEDUP``; the measured value is written to
-    ``BENCH_spec_sweep.json``.
-    """
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_MIN_SPEC_SPEEDUP", "0.95")
-    )
-
-    from repro.simt.spec import spec_disabled
-
-    # Warm module/program/decode caches; also the reference results. The
-    # counter delta over this serial sweep ships with the record and
-    # carries the engagement proof.
-    counters_before = obs_counters.snapshot()
-    reference = _spec_sweep()
-    sweep_counters = obs_counters.delta(
-        obs_counters.snapshot(), counters_before
-    )
-    assert sweep_counters.get("spec.rounds", 0) > 0, (
-        "speculative rounds never engaged on the divergent slice"
-    )
-    assert sweep_counters.get("spec.committed", 0) > 0, (
-        "speculative rounds engaged but never committed a warp"
-    )
-    # The two sides sit near parity, so slow ambient drift over the
-    # measurement window would bias whichever side runs last by more
-    # than the margin under test. Interleave them: pedantic calls the
-    # setup hook before every measured round, so the schedule is
-    # serial/spec alternating and min-of-3 per side sees the same
-    # machine.
-    serial_times = []
-    serial_results = []
-
-    def _serial_round():
-        with spec_disabled():
-            start = time.perf_counter()
-            serial_results.append(_spec_sweep())
-            serial_times.append(time.perf_counter() - start)
-
-    spec_results = benchmark.pedantic(
-        _spec_sweep, setup=_serial_round, rounds=3, iterations=1
-    )
-    spec_time = benchmark.stats.stats.min
-    serial_time = min(serial_times)
-
-    assert spec_results == reference
-    assert all(r == reference for r in serial_results)
-
-    speedup = serial_time / spec_time
-    record = {
-        "benchmark": "spec_corpus_sweep",
-        "corpus": sorted(_DIVERGENT_SLICE),
-        "schedulers": sorted(_SPEC_SCHEDULERS),
-        "modes": ["sr"],
-        "n_threads": 128,
-        "seed": _SEED,
-        "jobs": 1,
-        "fast_seconds": round(spec_time, 4),
-        "fast_seconds_mean": round(benchmark.stats.stats.mean, 4),
-        "slow_seconds": round(serial_time, 4),
-        "speedup": round(speedup, 3),
-        "min_speedup_required": min_speedup,
-        "bit_identical": True,
-        "counters": sweep_counters,
-    }
-    (_REPO_ROOT / "BENCH_spec_sweep.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
-    print(f"\nspec sweep: spec={spec_time:.2f}s serial={serial_time:.2f}s "
-          f"speedup={speedup:.2f}x (required {min_speedup:.2f}x)")
-    assert speedup >= min_speedup, (
-        f"spec sweep speedup {speedup:.2f}x below the "
-        f"{min_speedup:.2f}x floor"
-    )
-
-
 def test_segment_corpus_sweep_speedup(benchmark):
     """PR-level acceptance for segment fusion: >= 1.5x wall-clock on the
     serial corpus sweep against the same engine with fusion off, with

@@ -15,7 +15,7 @@ scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. The pool is keyed by the worker count and a
 fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
 environment and the in-process engine toggles (fastpath, segments, warp
-batching, compile cache) — and is transparently torn down and reforked
+batching, compile cache, JIT, SoA) — and is transparently torn down and reforked
 when any of them changes, since forked workers snapshot that state at
 creation. :func:`shutdown_pool` retires it explicitly (also registered
 ``atexit``), and a worker exception terminates the pool before
@@ -100,6 +100,7 @@ def _knob_fingerprint():
         if key.startswith("REPRO_")
     ))
     from repro.core.program_cache import CACHE_ENABLED
+    from repro.simt import jit
     from repro.simt.batch import WARP_BATCH_ENABLED
     from repro.simt.fastpath import FASTPATH_ENABLED
     from repro.simt.segments import SEGMENTS_ENABLED
@@ -110,6 +111,10 @@ def _knob_fingerprint():
         SEGMENTS_ENABLED,
         WARP_BATCH_ENABLED,
         CACHE_ENABLED,
+        jit.JIT_ENABLED,
+        jit.JIT_THRESHOLD,
+        # Covers the SoA toggles (SOA_ENABLED, MIN_SOA_LANES, ...).
+        jit.knob_fingerprint(),
     )
 
 

@@ -9,7 +9,8 @@ int attribute** on one shared object, so a hot-site increment is a single
 ``+= 1`` with no allocation, no dict lookup, and no string hashing.
 
 Counters are namespaced ``layer.name`` (see :data:`COUNTERS` for the
-registry with descriptions) and are *cumulative per process*. Consumers
+registry with descriptions) and are *cumulative per process*, except
+the :data:`HIGH_WATER` peaks, which hold the largest value seen. Consumers
 snapshot and diff::
 
     from repro.obs.counters import ENGINE_COUNTERS, snapshot, delta
@@ -20,7 +21,8 @@ snapshot and diff::
 
 Per-launch values (segment fusion coverage, batch epochs/rollbacks) come
 from the launch's own profiler via ``Profiler.engine_counters()`` and are
-folded into the global registry when the launch returns, so both views —
+folded into the global registry with :meth:`EngineCounters.merge` when
+the launch returns, so both views —
 "this launch" and "this process so far" — stay consistent.
 
 Cross-process aggregation (``repro.harness.parallel`` workers) serializes
@@ -40,6 +42,7 @@ __all__ = [
     "COUNTERS",
     "ENGINE_COUNTERS",
     "EngineCounters",
+    "HIGH_WATER",
     "counter_layers",
     "delta",
     "merge",
@@ -95,28 +98,12 @@ COUNTERS = {
         "slots replayed per-slot after a conflicted lockstep epoch",
     "batch.peak_footprint":
         "largest single-burst guarded footprint in words (max, not sum)",
-    # --- spec: speculative round scheduling (repro.simt.spec) ---------
-    "spec.rounds":
-        "speculative rounds attempted beyond forced picks",
-    "spec.committed":
-        "warp bursts committed by speculative rounds",
-    "spec.rolled_back":
-        "warp bursts rolled back by round conflicts",
-    "spec.retries":
-        "rounds aborted on conflict and re-run through the serial loop",
-    "spec.backoffs":
-        "adaptive round-size halvings after conflict streaks",
-    "spec.disables":
-        "launches where speculation switched off at the minimum round size",
-    "spec.replayed_slots":
-        "speculative slots discarded by rollbacks and re-run serially",
-    "spec.peak_footprint":
-        "largest per-warp speculative footprint in words (max, not sum)",
-    "spec.nonforced_tie":
+    # --- sched: why serial picks were not forced (repro.simt.machine) --
+    "sched.nonforced_tie":
         "serial slots whose pick tied under the convergence policy",
-    "spec.nonforced_multi_group":
+    "sched.nonforced_multi_group":
         "serial slots with multiple groups under a singleton-only policy",
-    "spec.nonforced_observed":
+    "sched.nonforced_observed":
         "serial slots issued with no segment engine (observers attached)",
     # --- program_cache: compile memoization (repro.core.program_cache)
     "program_cache.hit":
@@ -151,9 +138,14 @@ COUNTERS = {
         "CTAs executed on the persistent worker pool",
 }
 
+#: High-water-mark counters: the registry keeps the largest value seen,
+#: so :func:`delta` reports the absolute ``after`` value and both merges
+#: take the max instead of the sum.
+HIGH_WATER = frozenset({"batch.peak_footprint", "grid.sm_occupancy"})
+
 #: Layer prefixes in display order (the per-layer tables follow this).
 LAYERS = (
-    "fastpath", "segments", "soa", "jit", "batch", "spec", "program_cache",
+    "fastpath", "segments", "soa", "jit", "batch", "sched", "program_cache",
     "passmgr", "pool", "launch", "grid",
 )
 
@@ -199,13 +191,21 @@ class EngineCounters:
     def merge(self, snap):
         """Fold a snapshot (e.g. from a worker process) into this registry.
 
-        Unknown keys are ignored so snapshots from newer/older processes
-        merge without raising.
+        Counters add up, except :data:`HIGH_WATER` ones, which keep the
+        max. Unknown keys (and derived ratios such as
+        ``segments.coverage``) are ignored so snapshots from newer/older
+        processes merge without raising.
         """
         for name, value in snap.items():
             attr = _attr(name)
             if attr in self.__slots__:
-                setattr(self, attr, getattr(self, attr) + int(_numeric(value)))
+                value = int(_numeric(value))
+                current = getattr(self, attr)
+                if name in HIGH_WATER:
+                    if value > current:
+                        setattr(self, attr, value)
+                else:
+                    setattr(self, attr, current + value)
 
 
 #: The process-global registry every engine layer increments.
@@ -225,23 +225,31 @@ def reset():
 def delta(after, before):
     """``after - before`` per counter over the union of keys.
 
-    Keys missing from either side count as 0 (a layer that did not exist
-    when the older snapshot was saved still diffs cleanly), and
-    non-numeric values are treated as 0 rather than raising.
+    :data:`HIGH_WATER` counters report ``after`` itself: a peak is read
+    as an absolute value, never as a difference. Keys missing from either
+    side count as 0 (a layer that did not exist when the older snapshot
+    was saved still diffs cleanly), and non-numeric values are treated as
+    0 rather than raising.
     """
     keys = set(after) | set(before)
     return {
-        name: _numeric(after.get(name, 0)) - _numeric(before.get(name, 0))
+        name: _numeric(after.get(name, 0)) if name in HIGH_WATER
+        else _numeric(after.get(name, 0)) - _numeric(before.get(name, 0))
         for name in sorted(keys)
     }
 
 
 def merge(snapshots):
-    """Sum an iterable of snapshots into one aggregate dict."""
+    """Sum an iterable of snapshots into one aggregate dict
+    (:data:`HIGH_WATER` counters take the max)."""
     total = {}
     for snap in snapshots:
         for name, value in snap.items():
-            total[name] = total.get(name, 0) + _numeric(value)
+            value = _numeric(value)
+            if name in HIGH_WATER:
+                total[name] = max(total.get(name, 0), value)
+            else:
+                total[name] = total.get(name, 0) + value
     return total
 
 

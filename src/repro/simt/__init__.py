@@ -27,12 +27,6 @@ from repro.simt.segments import (
     segments_enabled,
     set_segments,
 )
-from repro.simt.spec import (
-    SpecRounds,
-    set_spec,
-    spec_disabled,
-    spec_enabled,
-)
 from repro.simt.soa import (
     classify_slots,
     set_soa,
@@ -82,7 +76,6 @@ __all__ = [
     "Segment",
     "SegmentTable",
     "SharedMemory",
-    "SpecRounds",
     "StackGPUMachine",
     "Thread",
     "ThreadState",
@@ -103,13 +96,10 @@ __all__ = [
     "set_segments",
     "set_soa",
     "set_soa_lanes",
-    "set_spec",
     "set_warp_batch",
     "soa_available",
     "soa_disabled",
     "soa_enabled",
-    "spec_disabled",
-    "spec_enabled",
     "warp_batch_disabled",
     "warp_batch_enabled",
     "run_reference_launch",

@@ -33,43 +33,6 @@ DEFAULT_MAX_ISSUES = 20_000_000
 _by_lane = operator.attrgetter("lane")
 
 
-def _fold_launch_counters(counters):
-    """Fold one launch's profiler-derived counters into the process-global
-    registry (launch end only — never on the per-issue path)."""
-    ENGINE_COUNTERS.segments_fused_instrs += counters["segments.fused_instrs"]
-    ENGINE_COUNTERS.segments_fallback_instrs += (
-        counters["segments.fallback_instrs"]
-    )
-    ENGINE_COUNTERS.segments_fused_segments += (
-        counters["segments.fused_segments"]
-    )
-    ENGINE_COUNTERS.batch_epochs += counters["batch.epochs"]
-    ENGINE_COUNTERS.batch_rollbacks += counters["batch.rollbacks"]
-    ENGINE_COUNTERS.batch_replayed_slots += counters["batch.replayed_slots"]
-    if counters["batch.peak_footprint"] > ENGINE_COUNTERS.batch_peak_footprint:
-        ENGINE_COUNTERS.batch_peak_footprint = counters["batch.peak_footprint"]
-    ENGINE_COUNTERS.spec_rounds += counters["spec.rounds"]
-    ENGINE_COUNTERS.spec_committed += counters["spec.committed"]
-    ENGINE_COUNTERS.spec_rolled_back += counters["spec.rolled_back"]
-    ENGINE_COUNTERS.spec_retries += counters["spec.retries"]
-    ENGINE_COUNTERS.spec_backoffs += counters["spec.backoffs"]
-    ENGINE_COUNTERS.spec_replayed_slots += counters["spec.replayed_slots"]
-    if counters["spec.peak_footprint"] > ENGINE_COUNTERS.spec_peak_footprint:
-        ENGINE_COUNTERS.spec_peak_footprint = counters["spec.peak_footprint"]
-    ENGINE_COUNTERS.spec_nonforced_tie += counters["spec.nonforced_tie"]
-    ENGINE_COUNTERS.spec_nonforced_multi_group += (
-        counters["spec.nonforced_multi_group"]
-    )
-    ENGINE_COUNTERS.spec_nonforced_observed += (
-        counters["spec.nonforced_observed"]
-    )
-    ENGINE_COUNTERS.soa_vector_chunks += counters["soa.vector_chunks"]
-    ENGINE_COUNTERS.soa_fallback_chunks += counters["soa.fallback_chunks"]
-    ENGINE_COUNTERS.jit_executed_segments += counters["jit.executed_segments"]
-    ENGINE_COUNTERS.jit_tierups += counters["jit.tierups"]
-    ENGINE_COUNTERS.jit_deopts += counters["jit.deopts"]
-
-
 @dataclass
 class LaunchResult:
     """Everything observable about one kernel launch."""
@@ -126,7 +89,6 @@ class GPUMachine:
         warp_batch=None,
         soa=None,
         jit=None,
-        spec=None,
         flight_recorder=None,
     ):
         self.module = module
@@ -144,8 +106,6 @@ class GPUMachine:
         self.soa = soa
         # None defers to the global repro.simt.jit default (REPRO_JIT).
         self.jit = jit
-        # None defers to the global repro.simt.spec default (REPRO_SPEC).
-        self.spec = spec
         # Observability, all off by default (the fast path stays
         # allocation-free): ``trace`` records cycle-stamped IssueEvents for
         # timeline rendering, ``sink`` streams every event kind to a
@@ -223,15 +183,10 @@ class GPUMachine:
             )
 
         batcher = None
-        spec = None
         if len(warps) > 1:
             from repro.simt.batch import make_batcher
-            from repro.simt.spec import make_spec
 
             batcher = make_batcher(
-                self, executor, scheduler, kernel_name, args, n_threads
-            )
-            spec = make_spec(
                 self, executor, scheduler, kernel_name, args, n_threads
             )
 
@@ -262,17 +217,6 @@ class GPUMachine:
                         # is unchanged.
                         issues = advanced
                         continue
-                if spec is not None:
-                    # The forced-pick precondition failed (or batching is
-                    # off): try a speculative round — snapshot the pick
-                    # order, execute optimistically under the footprint
-                    # guard, commit in serial-schedule order or roll back
-                    # exactly. Fusable ops cannot exit or park, so the
-                    # live set is unchanged here too.
-                    advanced = spec.try_round(live_warps, issues)
-                    if advanced is not None:
-                        issues = advanced
-                        continue
                 progressed = []
                 for warp in live_warps:
                     if self._step(warp, executor, scheduler):
@@ -292,7 +236,7 @@ class GPUMachine:
             self._recorder = None
 
         counters = profiler.engine_counters()
-        _fold_launch_counters(counters)
+        ENGINE_COUNTERS.merge(counters)
         ENGINE_COUNTERS.launch_count += 1
         if recorder is not None:
             recorder.record(

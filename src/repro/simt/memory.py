@@ -163,8 +163,8 @@ class FootprintMemory:
         self._undo = []
         self._limit = limit
         #: largest single-burst footprint drained so far (distinct words
-        #: read + written between two ``take()`` calls) — round-size
-        #: tuning telemetry, surfaced as ``batch.*``/``spec.*`` counters.
+        #: read + written between two ``take()`` calls), surfaced as the
+        #: ``batch.peak_footprint`` counter.
         self.peak = 0
 
     def take(self):

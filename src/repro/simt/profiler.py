@@ -54,27 +54,14 @@ class Profiler:
         #: single-burst footprint (words) any guarded epoch touched.
         self.batch_replayed_slots = 0
         self.batch_peak_footprint = 0
-        #: speculative-round diagnostics (repro.simt.spec): rounds
-        #: attempted, warp bursts committed/rolled back, conflicted
-        #: rounds retried serially, adaptive round-size backoffs, slots
-        #: discarded by rollbacks, and the largest per-warp speculative
-        #: footprint. Engine-only, excluded from the invariant part of
-        #: summary() like the other layer counters.
-        self.spec_rounds = 0
-        self.spec_committed = 0
-        self.spec_rolled_back = 0
-        self.spec_retries = 0
-        self.spec_backoffs = 0
-        self.spec_replayed_slots = 0
-        self.spec_peak_footprint = 0
-        #: non-forced-pick attribution: why serial slots could not take
-        #: the forced-pick fast lanes (segment fusion, batching) — the
-        #: denominator for spec.* coverage. ``tie`` counts convergence
-        #: size ties (non-strict-largest), ``multi_group`` counts
-        #: divergent warps under singleton-only policies, ``observed``
-        #: counts slots issued with no segment engine at all (metrics,
-        #: sink, or trace attached, or fastpath/segments off). Engine
-        #: telemetry: varies with knobs while results stay identical.
+        #: non-forced-pick attribution (``sched.*`` counters): why serial
+        #: slots could not take the forced-pick fast lanes (segment
+        #: fusion, batching). ``tie`` counts convergence size ties
+        #: (non-strict-largest), ``multi_group`` counts divergent warps
+        #: under singleton-only policies, ``observed`` counts slots
+        #: issued with no segment engine at all (metrics, sink, or trace
+        #: attached, or fastpath/segments off). Engine telemetry: varies
+        #: with knobs while results stay identical.
         self.nonforced_tie = 0
         self.nonforced_multi_group = 0
         self.nonforced_observed = 0
@@ -215,16 +202,9 @@ class Profiler:
             "batch.rollbacks": self.batch_rollbacks,
             "batch.replayed_slots": self.batch_replayed_slots,
             "batch.peak_footprint": self.batch_peak_footprint,
-            "spec.rounds": self.spec_rounds,
-            "spec.committed": self.spec_committed,
-            "spec.rolled_back": self.spec_rolled_back,
-            "spec.retries": self.spec_retries,
-            "spec.backoffs": self.spec_backoffs,
-            "spec.replayed_slots": self.spec_replayed_slots,
-            "spec.peak_footprint": self.spec_peak_footprint,
-            "spec.nonforced_tie": self.nonforced_tie,
-            "spec.nonforced_multi_group": self.nonforced_multi_group,
-            "spec.nonforced_observed": self.nonforced_observed,
+            "sched.nonforced_tie": self.nonforced_tie,
+            "sched.nonforced_multi_group": self.nonforced_multi_group,
+            "sched.nonforced_observed": self.nonforced_observed,
             "soa.vector_chunks": self.soa_chunks,
             "soa.fallback_chunks": self.soa_fallback_chunks,
             "jit.executed_segments": self.jit_segments,

@@ -52,50 +52,11 @@ class SchedulerBase:
         run ``n`` times.
         """
 
-    def spec_cursor(self, n_warps, warp_index):
-        """A *stateless* pick function over virtual groups, or None.
-
-        The speculative round engine (:mod:`repro.simt.spec`) plans each
-        warp's next slots without executing anything and without touching
-        scheduler state. It needs the policy's pick sequence as a pure
-        function of the evolving group *structure*: the returned callable
-        takes ``(vgroups, program_order, slot)`` — where ``vgroups`` maps
-        pc to a tuple whose first two fields are ``(size, min_lane)`` and
-        ``slot`` is the warp's 0-based slot within the round — and
-        returns the pc the real ``pick`` would choose at that slot, given
-        that all ``n_warps`` live warps issue one slot per rotation and
-        this warp is at position ``warp_index``.
-
-        The base answer is None: a policy that cannot be modelled without
-        execution cannot be speculated over. Like ``forced_pick``, a
-        wrong non-None answer changes issue order, so implementations
-        must mirror ``pick`` exactly.
-        """
-        return None
-
-    def spec_plan_token(self, n_warps, warp_index):
-        """A value classifying this warp's plan among plans for the same
-        group structure. Two calls whose tokens are congruent modulo the
-        lcm of the group counts along a planned trajectory must yield
-        identical pick sequences from identical structures, so the spec
-        engine caches plans keyed by ``(structure, n_warps, token % lcm)``.
-        Stateless policies pick from structure alone: constant token.
-        """
-        return 0
-
-    #: True when ``spec_cursor`` is a pure function of the group
-    #: structure alone — no internal counters, no slot dependence — so
-    #: every plan for a structure is interchangeable (``spec_plan_token``
-    #: is constant). Stateful policies (round-robin) leave this False and
-    #: return their counter phase from ``spec_plan_token`` instead.
-    spec_stateless = False
-
 
 class ConvergenceScheduler(SchedulerBase):
     """Largest group first; ties broken by program order then lowest lane."""
 
     name = "convergence"
-    spec_stateless = True
 
     def pick(self, groups, program_order):
         if len(groups) == 1:
@@ -129,45 +90,16 @@ class ConvergenceScheduler(SchedulerBase):
                 tie = True
         return None if tie else best
 
-    def spec_cursor(self, n_warps, warp_index):
-        # pick() reads only the group structure: size, program order, and
-        # the lowest lane of the bucket (buckets are lane-sorted, so
-        # threads[0].lane is the minimum). All three live in the virtual
-        # groups, making the policy fully replayable without execution.
-        def cursor(vgroups, program_order, slot):
-            if len(vgroups) == 1:
-                return next(iter(vgroups))
-            return min(
-                vgroups,
-                key=lambda pc: (
-                    -vgroups[pc][0], program_order(pc), vgroups[pc][1]
-                ),
-            )
-
-        return cursor
-
 
 class OldestFirstScheduler(SchedulerBase):
     """Earliest program position first (depth-first serialization)."""
 
     name = "oldest-first"
-    spec_stateless = True
 
     def pick(self, groups, program_order):
         if len(groups) == 1:
             return next(iter(groups))
         return min(groups, key=lambda pc: (program_order(pc), -len(groups[pc])))
-
-    def spec_cursor(self, n_warps, warp_index):
-        def cursor(vgroups, program_order, slot):
-            if len(vgroups) == 1:
-                return next(iter(vgroups))
-            return min(
-                vgroups,
-                key=lambda pc: (program_order(pc), -vgroups[pc][0]),
-            )
-
-        return cursor
 
 
 class RoundRobinScheduler(SchedulerBase):
@@ -196,43 +128,6 @@ class RoundRobinScheduler(SchedulerBase):
         # once per issue; a fused run of n slots must advance it by n so
         # the rotation phase matches the per-instruction schedule.
         self._counter += n
-
-    def spec_cursor(self, n_warps, warp_index):
-        # The counter is shared across warps and advances once per pick.
-        # In the serial rotation every live warp issues exactly one slot
-        # per round, so this warp's pick at round-relative ``slot`` sees
-        # counter value ``base + slot * n_warps`` — a pure function of
-        # the counter snapshot taken here. The spec engine advances the
-        # real counter via consume() only at commit.
-        base = self._counter + warp_index
-        lens = set()
-        memo = {}
-
-        def cursor(vgroups, program_order, slot):
-            # Loop-resident structures revisit the same key sets many
-            # times per plan; memoize the sorted order per key tuple so
-            # the steady state pays a dict hit, not a sort plus
-            # program_order calls.
-            keys = tuple(vgroups)
-            ordered = memo.get(keys)
-            if ordered is None:
-                ordered = sorted(keys, key=program_order)
-                memo[keys] = ordered
-                # Record every group count the trajectory visits: the
-                # spec engine caches this plan keyed by ``base`` modulo
-                # their lcm (two congruent bases index every ordered list
-                # identically, so by induction they walk the same
-                # trajectory).
-                lens.add(len(ordered))
-            return ordered[(base + slot * n_warps) % len(ordered)]
-
-        cursor.lens = lens
-        return cursor
-
-    def spec_plan_token(self, n_warps, warp_index):
-        # The same base the cursor snapshots: the plan's identity is the
-        # counter phase, not the absolute counter value.
-        return self._counter + warp_index
 
 
 SCHEDULERS = {

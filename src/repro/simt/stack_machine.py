@@ -29,11 +29,7 @@ from repro.obs.metrics import LaunchMetrics
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.executor import Executor
-from repro.simt.machine import (
-    DEFAULT_MAX_ISSUES,
-    LaunchResult,
-    _fold_launch_counters,
-)
+from repro.simt.machine import DEFAULT_MAX_ISSUES, LaunchResult
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.warp import WARP_SIZE, Thread, Warp
@@ -143,7 +139,7 @@ class StackGPUMachine:
             raise
 
         counters = profiler.engine_counters()
-        _fold_launch_counters(counters)
+        ENGINE_COUNTERS.merge(counters)
         ENGINE_COUNTERS.launch_count += 1
         return LaunchResult(
             kernel=kernel_name,

@@ -22,10 +22,6 @@ snapshots, "which layer moved")::
     # jit.* counters plus per-segment code-cache telemetry
     python -m repro.tools.stats --jit --json jit-counters.json
 
-    # speculative rounds: the corpus multi-warp under every scheduler,
-    # reporting where rounds engaged, committed, and conflicted
-    python -m repro.tools.stats --spec --workloads mc-gpu mummer
-
     # which layer moved between two saved snapshots? (BENCH_*.json grid
     # records also diff their per-app sm_occupancy)
     python -m repro.tools.stats --diff before.json after.json
@@ -99,12 +95,6 @@ def build_parser():
         help="run the corpus in sr mode with JIT tier-up forced "
              "(threshold 0) and report the jit.* counter layer plus the "
              "compiled-segment telemetry from the tiered code cache",
-    )
-    parser.add_argument(
-        "--spec", action="store_true",
-        help="run the corpus multi-warp (128 threads) in sr mode under "
-             "every scheduler with speculative rounds on and report the "
-             "spec.* counter layer per workload",
     )
     parser.add_argument(
         "--jit-source", action="store_true",
@@ -360,57 +350,6 @@ def _run_jit(args):
     return 0
 
 
-def _run_spec(args):
-    """Spec-corpus sweep: every workload at a multi-warp width in sr mode
-    under every scheduler, speculative rounds on. Reports per-(workload,
-    scheduler) round telemetry — where speculation engaged, how much it
-    committed, and what conflicted — plus the process counter delta."""
-    names = args.workloads or workload_names()
-    unknown = sorted(set(names) - set(workload_names()))
-    if unknown:
-        raise SystemExit(f"error: unknown workloads {unknown}")
-    n_threads = args.threads or 128
-    before = obs_counters.snapshot()
-    rows = []
-    for name in names:
-        for scheduler in sorted(SCHEDULERS):
-            workload = get_workload(name)
-            workload.n_threads = n_threads
-            result = workload.run(
-                mode="sr", scheduler=scheduler, seed=args.seed,
-            )
-            counters = result.launch.counters
-            rows.append((
-                name,
-                scheduler,
-                result.cycles,
-                counters.get("spec.rounds", 0),
-                counters.get("spec.committed", 0),
-                counters.get("spec.retries", 0),
-                counters.get("spec.backoffs", 0),
-                counters.get("spec.peak_footprint", 0),
-            ))
-    moved = obs_counters.delta(obs_counters.snapshot(), before)
-
-    print(format_table(
-        ["workload", "scheduler", "cycles", "rounds", "committed",
-         "retries", "backoffs", "peak fp"],
-        rows,
-        title=(
-            f"Speculative round sweep ({len(names)} workloads, "
-            f"{n_threads} threads)"
-        ),
-    ))
-    print()
-    print(counters_table(moved, title="Process counter delta (spec sweep)"))
-    if args.json:
-        _save_snapshot(args.json, moved, {
-            "spec": names, "n_threads": n_threads, "seed": args.seed,
-            "schedulers": sorted(SCHEDULERS),
-        })
-    return 0
-
-
 def _sweep_point(name, mode, seed):
     """Module-level sweep task (workers import it by reference)."""
     result = get_workload(name).run(mode=mode, seed=seed)
@@ -494,14 +433,11 @@ def main(argv=None):
         return _run_grid(args)
     if args.jit:
         return _run_jit(args)
-    if args.spec:
-        return _run_spec(args)
     if args.sweep:
         return _run_sweep(args)
     if args.workload is None:
         build_parser().error(
-            "give a WORKLOAD, --sweep, --grid, --jit, --spec, or "
-            "--diff A B"
+            "give a WORKLOAD, --sweep, --grid, --jit, or --diff A B"
         )
     return _run_single(args)
 

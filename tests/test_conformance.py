@@ -105,7 +105,7 @@ def _fingerprint(launch):
     # not.
     summary.pop("counters", None)
     # Non-forced-pick attribution counts serial-loop scheduler decisions,
-    # which move between engine configurations (speculation absorbs slots).
+    # which move between engine configurations (batching absorbs slots).
     summary.pop("nonforced_picks", None)
     return (
         launch.store_traces(),
@@ -346,96 +346,6 @@ class TestWarpBatchConformance:
         reference = _launch(
             workload, compiled, GPUMachine, True, metrics=True,
             n_threads=self.N_THREADS, warp_batch=False,
-        )
-        assert _fingerprint(observed) == _fingerprint(reference), name
-        assert (
-            observed.metrics.stall_cycles()
-            == reference.metrics.stall_cycles()
-        )
-
-
-@pytest.mark.parametrize("name", sorted(CORPUS))
-class TestSpecConformance:
-    """Speculative rounds vs the serial interleaving, per mode × scheduler.
-
-    Speculation fires exactly where batching cannot — slots whose pick
-    is not forced — so every corpus workload launches with three warps
-    and batching left on: the speculative engine must reproduce the
-    plain serial schedule bit-for-bit while actually planning, executing
-    and committing optimistic rounds. ``spec=False`` is the exact
-    pre-speculation engine and the reference.
-    """
-
-    N_THREADS = 96
-
-    def test_spec_bit_identical_and_engaged(self, name, monkeypatch):
-        # Pin the attempt pacing eager: no post-failure cooldown and no
-        # profitability floors, so a round is attempted (and run) at
-        # every non-forced slot and the bit-identity check covers as
-        # many speculative commits as the launch can produce. Pacing
-        # economics are a perf concern (benchmarks), not a conformance
-        # one.
-        from repro.simt import spec as spec_mod
-        monkeypatch.setattr(spec_mod, "_PLAN_COOLDOWN", 0)
-        monkeypatch.setattr(spec_mod, "_MIN_COMMIT_SLOTS", 2)
-        monkeypatch.setattr(spec_mod, "_MIN_GUARDED_SLOTS", 2)
-        monkeypatch.setattr(spec_mod, "_PER_SLOT_WEIGHT", 0)
-        workload = get_workload(name, **CORPUS[name])
-        for mode in MODES:
-            compiled = _compiled(workload, mode)
-            rounds = committed = 0
-            for scheduler in sorted(SCHEDULERS):
-                serial = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    n_threads=self.N_THREADS, spec=False,
-                )
-                speculative = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    n_threads=self.N_THREADS, spec=True,
-                )
-                assert _fingerprint(speculative) == _fingerprint(serial), (
-                    name, mode, scheduler,
-                )
-                assert serial.profiler.spec_rounds == 0
-                rounds += speculative.profiler.spec_rounds
-                committed += speculative.profiler.spec_committed
-            # Every (workload, mode) point must really speculate under at
-            # least one scheduler — otherwise this axis silently tests
-            # nothing. (Individual schedulers may find no eligible round
-            # on near-uniform workloads.)
-            assert rounds > 0, (name, mode)
-            assert committed > 0, (name, mode)
-
-    def test_spec_inert_without_segments(self, name):
-        """Round planning prices candidate bursts with bounded fused
-        segments; with fusion off the spec knob must change nothing."""
-        workload = get_workload(name, **CORPUS[name])
-        compiled = _compiled(workload, "sr")
-        unfused_spec = _launch(
-            workload, compiled, GPUMachine, True, segments=False,
-            n_threads=self.N_THREADS, spec=True,
-        )
-        assert unfused_spec.profiler.spec_rounds == 0
-        reference = _launch(
-            workload, compiled, GPUMachine, True, segments=False,
-            n_threads=self.N_THREADS, spec=False,
-        )
-        assert _fingerprint(unfused_spec) == _fingerprint(reference), name
-
-    def test_spec_inert_under_observability(self, name):
-        """Metrics observe every issue slot, so speculation (like fusion
-        and batching) must disable itself rather than reorder what
-        metrics see."""
-        workload = get_workload(name, **CORPUS[name])
-        compiled = _compiled(workload, "sr")
-        observed = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            n_threads=self.N_THREADS, spec=True,
-        )
-        assert observed.profiler.spec_rounds == 0
-        reference = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            n_threads=self.N_THREADS, spec=False,
         )
         assert _fingerprint(observed) == _fingerprint(reference), name
         assert (
@@ -932,38 +842,6 @@ class TestRandomKernelConformance:
             ).launch("k", 96)
             assert _fingerprint(batched) == _fingerprint(serial), scheduler
             assert serial.profiler.batch_epochs == 0
-
-    @settings(max_examples=8, deadline=None)
-    @given(random_kernel(allow_atomics=True))
-    def test_spec_multiwarp_atomics_matches_serial(self, program):
-        """Speculative rounds × warp batching × shared-cell atomics at 96
-        threads. The reference is the plain serial engine (no batching,
-        no speculation); the full optimistic stack must reproduce it
-        bit-for-bit — atomics force real round conflicts and exact
-        rollbacks — and when the random ticket-dependent barrier
-        membership genuinely deadlocks, deadlock *identically* (same
-        warp, same parked lanes)."""
-        module = lower_program(program)
-        compiled = compile_sr(module)
-        try:
-            serial = GPUMachine(
-                compiled.module, warp_batch=False, spec=False
-            ).launch("k", 96)
-        except DeadlockError as serial_exc:
-            with pytest.raises(DeadlockError) as spec_exc:
-                GPUMachine(
-                    compiled.module, warp_batch=True, spec=True
-                ).launch("k", 96)
-            assert spec_exc.value.warp_id == serial_exc.warp_id
-            assert sorted(spec_exc.value.waiting) == sorted(
-                serial_exc.waiting
-            )
-            return
-        speculative = GPUMachine(
-            compiled.module, warp_batch=True, spec=True
-        ).launch("k", 96)
-        assert _fingerprint(speculative) == _fingerprint(serial)
-        assert serial.profiler.spec_rounds == 0
 
     @settings(max_examples=12, deadline=None)
     @given(random_kernel())

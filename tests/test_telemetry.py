@@ -2,16 +2,17 @@
 
 Pins the observability PR's contracts:
 
-* the counter registry (snapshot/delta/merge/layers) and the hot-site
-  increments each engine layer owes it;
-* launches return their own counter view and fold it into the process
-  registry;
+* the counter registry (snapshot/delta/merge/layers, high-water marks
+  merged by max) and the hot-site increments each engine layer owes it;
+* launches return their own counter view, including the ``sched.*``
+  non-forced-pick attribution, and fold it into the process registry;
 * the flight recorder is a bounded ring whose post-mortem rides on
   launch failures, and recording never perturbs results;
 * sinks are finalized on the error path so partial traces survive;
 * Chrome-trace edge cases: empty traces, unclosed spans, and merged
   multi-worker streams with colliding warp tids;
-* ``run_tasks_observed`` brings worker counters and events home;
+* ``run_tasks_observed`` brings worker counters and events home, and
+  the pool reforks when an in-process JIT toggle changes;
 * the ``tools.stats`` / ``tools.trace`` CLIs surface all of it.
 """
 
@@ -83,6 +84,30 @@ class TestCounterRegistry:
         assert total["launch.count"] == 14
         assert total["pool.tasks"] == 5
 
+    def test_high_water_counters_merge_by_max(self):
+        a = {"batch.peak_footprint": 289, "grid.sm_occupancy": 4,
+             "launch.count": 1}
+        b = {"batch.peak_footprint": 120, "grid.sm_occupancy": 7,
+             "launch.count": 1}
+        assert obs_counters.merge([a, b]) == {
+            "batch.peak_footprint": 289, "grid.sm_occupancy": 7,
+            "launch.count": 2,
+        }
+        counters = EngineCounters()
+        counters.merge(a)
+        counters.merge(b)
+        assert counters.batch_peak_footprint == 289
+        assert counters.grid_sm_occupancy == 7
+        assert counters.launch_count == 2
+        # A peak diffs to its absolute value, never to a difference.
+        moved = obs_counters.delta(a, b)
+        assert moved["batch.peak_footprint"] == 289
+        assert moved["grid.sm_occupancy"] == 4
+        assert moved["launch.count"] == 0
+        assert obs_counters.HIGH_WATER == {
+            "batch.peak_footprint", "grid.sm_occupancy",
+        }
+
     def test_registry_merge_ignores_unknown_keys(self):
         counters = EngineCounters()
         counters.merge({"launch.count": 2, "future.layer_thing": 9})
@@ -146,6 +171,49 @@ class TestLaunchCounters:
     def test_workload_run_exposes_counters(self):
         result = get_workload("mcb", steps=8).run(mode="sr")
         assert result.launch.counters["segments.fused_instrs"] >= 0
+
+
+def _xsbench_launch(n_threads, scheduler="convergence", metrics=False):
+    workload = get_workload("xsbench")
+    workload.n_threads = n_threads
+    return workload.run(
+        mode="sr", scheduler=scheduler, metrics=metrics
+    ).launch
+
+
+class TestNonForcedPickCounters:
+    """``sched.*``: why a multi-warp launch's serial slots were not forced."""
+
+    def test_convergence_counts_size_ties(self):
+        counters = _xsbench_launch(96).counters
+        assert counters["sched.nonforced_tie"] > 0
+        assert counters["sched.nonforced_multi_group"] == 0
+
+    def test_round_robin_counts_multi_group_slots(self):
+        counters = _xsbench_launch(96, "round-robin").counters
+        assert counters["sched.nonforced_multi_group"] > 0
+        assert counters["sched.nonforced_tie"] == 0
+
+    def test_observed_slots_bounded_by_issued(self):
+        launch = _xsbench_launch(96, metrics=True)
+        observed = launch.counters["sched.nonforced_observed"]
+        assert 0 < observed <= launch.profiler.issued
+        assert launch.profiler.summary()["nonforced_picks"]["observed"] == (
+            observed
+        )
+
+    def test_launch_counters_fold_into_registry(self):
+        before = obs_counters.snapshot()
+        launch = _xsbench_launch(96, "round-robin")
+        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        assert moved["sched.nonforced_multi_group"] > 0
+        for name, value in launch.counters.items():
+            if name not in COUNTERS:
+                continue  # derived (segments.coverage)
+            if name in obs_counters.HIGH_WATER:
+                assert ENGINE_COUNTERS.snapshot()[name] >= value, name
+            else:
+                assert moved[name] == value, name
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +411,10 @@ def _tiny_run(mode):
     return result.cycles
 
 
+def _xsbench_counters():
+    return _xsbench_launch(128).counters
+
+
 class TestObservedRunner:
     def test_serial_reports_counters(self):
         from repro.harness.parallel import run_tasks_observed, task
@@ -377,6 +449,51 @@ class TestObservedRunner:
         # Worker-side launches came home into the parent registry.
         assert moved["launch.count"] >= 4
         assert moved["pool.tasks"] >= 4
+
+    def test_pool_merges_high_water_counters_by_max(self, monkeypatch):
+        from repro.harness.parallel import (
+            run_tasks_observed,
+            shutdown_pool,
+            task,
+        )
+
+        shutdown_pool()
+        # Fork the workers from a zero peak, so the merged registry value
+        # is exactly the max over this sweep's launches.
+        monkeypatch.setattr(ENGINE_COUNTERS, "batch_peak_footprint", 0)
+        try:
+            results, _ = run_tasks_observed(
+                [task(_xsbench_counters) for _ in range(4)], jobs=2
+            )
+        finally:
+            shutdown_pool()
+        peaks = [counters["batch.peak_footprint"] for counters in results]
+        assert max(peaks) > 0
+        assert ENGINE_COUNTERS.batch_peak_footprint == max(peaks)
+
+    def test_pool_reforks_on_in_process_jit_toggle(self):
+        from repro.harness.parallel import (
+            run_tasks_observed,
+            shutdown_pool,
+            task,
+        )
+        from repro.simt.jit import jit_disabled, set_jit
+
+        tasks = [task(_xsbench_counters) for _ in range(2)]
+        previous = set_jit(True)
+        try:
+            _, warm = run_tasks_observed(tasks, jobs=2)
+            assert all(
+                rep["counters"]["jit.executed_segments"] > 0 for rep in warm
+            )
+            with jit_disabled():
+                _, cold = run_tasks_observed(tasks, jobs=2)
+        finally:
+            set_jit(previous)
+            shutdown_pool()
+        assert [rep["counters"]["jit.executed_segments"] for rep in cold] == [
+            0, 0,
+        ]
 
     def test_events_capture_rides_the_report(self):
         from repro.harness.parallel import run_tasks_observed, task
