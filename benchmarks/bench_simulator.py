@@ -461,81 +461,14 @@ def test_grid_corpus_sweep_speedup(benchmark):
     )
 
 
-def test_soa_corpus_sweep_speedup(benchmark):
-    """PR-level acceptance for SoA vector execution: the serial corpus
-    sweep must be no slower (and is typically ~1.1x faster) with the
-    numpy column engine on than with it off, with bit-identical results.
-
-    Both sides run serial with fastpath, segment fusion, and all caches
-    warm, so the ratio isolates exactly what the SoA layer adds: masked
-    column arithmetic plus compile-time constant folding, minus the
-    gather/scatter tax the cost gate is supposed to price correctly. A
-    regression below 1.0x means the gate is mispricing chunks. The floor
-    is tunable via ``REPRO_BENCH_MIN_SOA_SPEEDUP``; the measured value is
-    written to ``BENCH_soa_sweep.json``.
-    """
-    pytest.importorskip("numpy")
-    min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SOA_SPEEDUP", "1.0"))
-
-    from repro.simt.soa import soa_disabled
-
-    # Warm module/program/decode caches; also the reference results. The
-    # counter delta over this serial sweep ships with the record so
-    # compare.py can see how many chunks vectorized vs fell back.
-    counters_before = obs_counters.snapshot()
-    reference = _corpus_sweep()
-    sweep_counters = obs_counters.delta(
-        obs_counters.snapshot(), counters_before
-    )
-    vector_results = benchmark.pedantic(_corpus_sweep, rounds=3, iterations=1)
-    vector_time = benchmark.stats.stats.min
-
-    with soa_disabled():
-        scalar_times = []
-        scalar_results = None
-        for _ in range(3):
-            start = time.perf_counter()
-            scalar_results = _corpus_sweep()
-            scalar_times.append(time.perf_counter() - start)
-        scalar_time = min(scalar_times)
-
-    assert vector_results == reference
-    assert scalar_results == reference
-
-    speedup = scalar_time / vector_time
-    record = {
-        "benchmark": "soa_corpus_sweep",
-        "corpus": sorted(workload_names()),
-        "modes": ["baseline", "sr"],
-        "seed": _SEED,
-        "jobs": 1,
-        "fast_seconds": round(vector_time, 4),
-        "fast_seconds_mean": round(benchmark.stats.stats.mean, 4),
-        "slow_seconds": round(scalar_time, 4),
-        "speedup": round(speedup, 3),
-        "min_speedup_required": min_speedup,
-        "bit_identical": True,
-        "counters": sweep_counters,
-    }
-    (_REPO_ROOT / "BENCH_soa_sweep.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
-    print(f"\nsoa sweep: vector={vector_time:.2f}s scalar={scalar_time:.2f}s "
-          f"speedup={speedup:.2f}x (required {min_speedup:.1f}x)")
-    assert speedup >= min_speedup, (
-        f"soa sweep speedup {speedup:.2f}x below the "
-        f"{min_speedup:.1f}x floor"
-    )
-
-
 def test_jit_corpus_sweep_speedup(benchmark):
     """PR-level acceptance for the tiered segment JIT: the serial corpus
     sweep must be >= 1.3x faster with hot segments compiled to
     specialized Python than with them interpreted, with bit-identical
     results.
 
-    Both sides run serial with fastpath, segment fusion, SoA, and all
-    caches warm; the slow side runs under ``jit_disabled()`` — the exact
+    Both sides run serial with fastpath, segment fusion, and all caches
+    warm; the slow side runs under ``jit_disabled()`` — the exact
     pre-JIT engine — so the ratio isolates what compiled segment
     execution adds: no per-op dispatch, no closure calls, constants
     folded into the generated source. The tier-up threshold is forced to
@@ -554,7 +487,7 @@ def test_jit_corpus_sweep_speedup(benchmark):
     try:
         # Warm module/program/decode caches and tier every segment up;
         # the counter delta over this sweep ships with the record so
-        # compare.py can see compiles, cache hits, and deopts.
+        # compare.py can see compiles and deopts.
         counters_before = obs_counters.snapshot()
         reference = _corpus_sweep()
         sweep_counters = obs_counters.delta(

@@ -321,8 +321,8 @@ _MEMORY_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.ATOMADD})
 #: Per-CTA shared-memory ops. CTA-private by construction: they are
 #: summarized (region ``<shared>``) but excluded from cross-warp conflict
 #: classification — no two CTAs share a scratchpad, and within a CTA the
-#: engine never reorders them (shared ops are not fusable, so segments,
-#: lockstep epochs and SoA chunks never contain one).
+#: engine never reorders them (shared ops are not fusable, so segments
+#: and lockstep epochs never contain one).
 _SHARED_MEMORY_OPS = frozenset({Opcode.SHLD, Opcode.SHST, Opcode.SHATOM})
 
 _SITE_KINDS = {

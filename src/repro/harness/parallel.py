@@ -14,12 +14,13 @@ it, later calls reuse it, so a session of many small sweeps (threshold
 scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. The pool is keyed by the worker count and a
 fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
-environment and the in-process engine toggles (fastpath, segments, warp
-batching, compile cache, JIT, SoA) — and is transparently torn down and reforked
-when any of them changes, since forked workers snapshot that state at
-creation. :func:`shutdown_pool` retires it explicitly (also registered
-``atexit``), and a worker exception terminates the pool before
-propagating so no half-poisoned workers outlive the error.
+environment, the in-process engine toggles (fastpath, segments, warp
+batching, compile cache, JIT) and the flight-recorder level — and is
+transparently torn down and reforked when any of them changes, since
+forked workers snapshot that state at creation. :func:`shutdown_pool`
+retires it explicitly (also registered ``atexit``), and a worker
+exception terminates the pool before propagating so no half-poisoned
+workers outlive the error.
 
 Tasks are ``(fn, args, kwargs)`` triples with ``fn`` a module-level
 function (workers import it by reference under the fork start method, and
@@ -91,15 +92,16 @@ _POOL_KEY = None
 
 def _knob_fingerprint():
     """Everything a forked worker snapshots that a later sweep may have
-    changed: REPRO_* environment variables and the in-process engine
+    changed: REPRO_* environment variables, the in-process engine
     toggles (which ``set_fastpath``-style helpers flip without touching
-    the environment)."""
+    the environment) and the flight-recorder level."""
     env = tuple(sorted(
         (key, value)
         for key, value in os.environ.items()
         if key.startswith("REPRO_")
     ))
     from repro.core.program_cache import CACHE_ENABLED
+    from repro.obs import recorder
     from repro.simt import jit
     from repro.simt.batch import WARP_BATCH_ENABLED
     from repro.simt.fastpath import FASTPATH_ENABLED
@@ -113,8 +115,7 @@ def _knob_fingerprint():
         CACHE_ENABLED,
         jit.JIT_ENABLED,
         jit.JIT_THRESHOLD,
-        # Covers the SoA toggles (SOA_ENABLED, MIN_SOA_LANES, ...).
-        jit.knob_fingerprint(),
+        recorder.RECORDER_LEVEL,
     )
 
 

@@ -67,16 +67,9 @@ COUNTERS = {
         "issue slots retired one instruction at a time",
     "segments.fused_segments":
         "fused segment executions (bursts)",
-    # --- soa: vectorized chunk execution (repro.simt.soa) -------------
-    "soa.vector_chunks":
-        "pure chunks executed as numpy SoA vector columns",
-    "soa.fallback_chunks":
-        "pure chunks run thread-major while SoA was enabled",
     # --- jit: tiered segment codegen (repro.simt.jit) -----------------
     "jit.compiled_segments":
-        "segment variants lowered to Python and compiled",
-    "jit.cache_hits":
-        "tier-ups served by the SegmentCodeCache (no codegen)",
+        "hot segments lowered to Python and compiled",
     "jit.tierups":
         "hot segments promoted from interpreted steps to compiled code",
     "jit.deopts":
@@ -145,7 +138,7 @@ HIGH_WATER = frozenset({"batch.peak_footprint", "grid.sm_occupancy"})
 
 #: Layer prefixes in display order (the per-layer tables follow this).
 LAYERS = (
-    "fastpath", "segments", "soa", "jit", "batch", "sched", "program_cache",
+    "fastpath", "segments", "jit", "batch", "sched", "program_cache",
     "passmgr", "pool", "launch", "grid",
 )
 

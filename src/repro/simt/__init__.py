@@ -27,14 +27,6 @@ from repro.simt.segments import (
     segments_enabled,
     set_segments,
 )
-from repro.simt.soa import (
-    classify_slots,
-    set_soa,
-    set_soa_lanes,
-    soa_available,
-    soa_disabled,
-    soa_enabled,
-)
 from repro.simt.memory import GlobalMemory, SharedMemory
 from repro.simt.profiler import BlockProfile, Profiler
 from repro.simt.rng import XorShift32, mix_seed
@@ -83,7 +75,6 @@ __all__ = [
     "Warp",
     "WarpBatcher",
     "XorShift32",
-    "classify_slots",
     "decode_program",
     "fastpath_disabled",
     "fastpath_enabled",
@@ -94,12 +85,7 @@ __all__ = [
     "segments_enabled",
     "set_fastpath",
     "set_segments",
-    "set_soa",
-    "set_soa_lanes",
     "set_warp_batch",
-    "soa_available",
-    "soa_disabled",
-    "soa_enabled",
     "warp_batch_disabled",
     "warp_batch_enabled",
     "run_reference_launch",

@@ -94,8 +94,8 @@ class Executor:
     """Executes instructions for thread groups of one launch."""
 
     def __init__(self, module, memory, cost_model, profiler, sink=None,
-                 metrics=None, fastpath=None, segments=None, soa=None,
-                 jit=None, cta=None):
+                 metrics=None, fastpath=None, segments=None, jit=None,
+                 cta=None):
         self.module = module
         self.memory = memory
         self.cost_model = cost_model
@@ -141,17 +141,6 @@ class Executor:
             and profiler.trace is None
             else None
         )
-        # SoA vectorized chunks (repro.simt.soa): ``soa=None`` defers to
-        # the global REPRO_SOA default. ``soa_lanes`` is the minimum group
-        # width for vector execution, or None when SoA is off for this
-        # launch (numpy missing, disabled, or no segment path to ride on).
-        from repro.simt import soa as _soa
-
-        if soa is None:
-            soa = _soa.SOA_ENABLED
-        self.soa_lanes = (
-            _soa.MIN_SOA_LANES if soa and _soa.soa_available() else None
-        )
         # Segment JIT (repro.simt.jit): ``jit=None`` defers to the global
         # REPRO_JIT default. ``jit_threshold`` is the per-segment hotness
         # gate, or None when the JIT is off for this launch (disabled, or
@@ -164,12 +153,6 @@ class Executor:
             _jit.JIT_THRESHOLD
             if jit and self.segment_at is not None
             else None
-        )
-        # The engine-knob fingerprint compiled segments are keyed under,
-        # computed once per launch (knob changes take effect for
-        # executors built afterwards, exactly like the threshold).
-        self.jit_fingerprint = (
-            _jit.knob_fingerprint() if self.jit_threshold is not None else None
         )
         # The launch's FlightRecorder; the machine attaches it so tier-up
         # can record jit-compile events at the verbose level.

@@ -59,7 +59,6 @@ from repro.simt.executor import (
     _UNIFORM_OPS,
     _WARPSYNC_BARRIER,
 )
-from repro.simt import soa as _soa
 from repro.simt.segments import SegmentTable
 from repro.simt.warp import Frame
 
@@ -855,7 +854,6 @@ class DecodedProgram:
         self.token = structure_token(module)
         self._blocks = {}    # (function name, block name) -> tuple of decoded
         self._segments = {}  # (function name, block name) -> SegmentTable
-        self._slot_kinds = {}  # function name -> soa.classify_slots result
 
     def entry(self, pc):
         """The :class:`DecodedInstruction` at ``pc``."""
@@ -893,21 +891,9 @@ class DecodedProgram:
                 block,
                 entries,
                 self.module.function(function).reg_slots(),
-                self._function_slot_kinds(function),
             )
             self._segments[(function, block)] = table
         return table
-
-    def _function_slot_kinds(self, function):
-        """Cached :func:`repro.simt.soa.classify_slots` kinds, or None when
-        numpy is unavailable (segments then skip SoA chunk compilation)."""
-        if not _soa.soa_available():
-            return None
-        kinds = self._slot_kinds.get(function)
-        if kinds is None:
-            kinds = _soa.classify_slots(self.module.function(function))
-            self._slot_kinds[function] = kinds
-        return kinds
 
     def _decode_block(self, function, block):
         fn = self.module.function(function)
@@ -955,9 +941,8 @@ def decode_program(module, cost_model):
 def clear_decode_cache():
     """Drop every cached decode (tests and long-lived servers).
 
-    Compiled JIT code is keyed (weakly) by the segments the decode cache
-    owns, so it is dropped in the same breath — a fresh decode must
-    never resurrect stale generated code."""
+    Compiled JIT code lives on the segments the decode cache owns, so
+    the JIT's registry of it is dropped in the same breath."""
     _DECODE_CACHE.clear()
     from repro.simt.jit import clear_code_cache
 

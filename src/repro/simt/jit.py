@@ -17,23 +17,21 @@ expression is a textual specialization of the corresponding
 exactly (UNDEF raises at the same instruction, ``DIV``/``REM``/``SQRT``/
 ``LOG`` guards short-circuit identically, NaN and signed zeros flow
 through untouched). Statically-known values (``CONST`` results and
-anything computable from them) are folded at codegen time with the same
-veto-on-any-exception rule as :func:`repro.simt.soa._fold_scalar`; folded
-slots are written once at the end of their chunk, which is the same
-"virtual constant" containment the SoA chunk compiler already pinned as
-bit-identical. Memory ops, barriers, and the terminating branch keep
-their decoded handlers — the generated function calls them at exactly the
+anything computable from them) are folded at codegen time, vetoing the
+fold on any exception or non-numeric result; folded slots are written
+once at the end of their chunk ("virtual constants": readers inside the
+chunk use the folded literal, so deferring the write is bit-identical).
+Memory ops, barriers, and the terminating branch keep their decoded
+handlers — the generated function calls them at exactly the
 interpreter's split points.
 
 **Tiering.** Codegen costs real time, so cold segments never pay it:
 every segment execution below :data:`JIT_THRESHOLD` runs the interpreted
 steps while a per-segment hit counter climbs; crossing the threshold
-tiers the segment up through a two-level code cache. Level 1 is the
-segment object itself (``Segment.jit_fns``); level 2 is the process-wide
-:class:`SegmentCodeCache`, keyed like ``ProgramCache`` by segment
-identity (weak) x engine-knob fingerprint x lane-width variant, so a
-knob flip invalidates compiled code and flipping it back is a cache hit,
-not a recompile. Any codegen failure **deopts** the segment — it runs
+compiles the segment once and memoizes the result on the segment itself
+(``Segment.jit_fn``). The process-wide :class:`SegmentCodeCache` holds
+every compiled segment (weakly) with its generated source, for telemetry
+and post-mortems. Any codegen failure **deopts** the segment — it runs
 interpreted forever after, counted in ``jit.deopts``, never wrong.
 
 Escape hatches mirror every prior layer: ``REPRO_JIT=0``,
@@ -49,11 +47,9 @@ import os
 import weakref
 from contextlib import contextmanager
 
-from repro.core.program_cache import freeze_options
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.spans import SpanRecorder
-from repro.simt import soa as _soa
 from repro.simt.executor import _BINARY_EVAL, _UNARY_EVAL
 
 __all__ = [
@@ -67,7 +63,6 @@ __all__ = [
     "jit_enabled",
     "jit_post_mortem",
     "jit_threshold",
-    "knob_fingerprint",
     "last_executed_source",
     "set_jit",
     "set_jit_threshold",
@@ -87,18 +82,6 @@ JIT_ENABLED = os.environ.get("REPRO_JIT", "1").lower() not in (
 #: while anything sweep-shaped tiers up almost immediately. Override with
 #: ``REPRO_JIT_THRESHOLD`` or :func:`set_jit_threshold`.
 JIT_THRESHOLD = int(os.environ.get("REPRO_JIT_THRESHOLD", "50"))
-
-#: Bumped whenever generated-code shape changes; part of every cache key
-#: so stale compiled code can never outlive its codegen.
-_CODEGEN_VERSION = 2
-
-#: Modelled cost of one generated straight-line op, in the SoA cost
-#: model's units. ``soa._COST_TM`` (17) prices the *interpreted* micro-op
-#: the SoA election displaced; compiled code has no per-op dispatch, so
-#: the break-even for calling a vector closure from generated code is
-#: re-run against this cheaper thread-major baseline (see
-#: :func:`_vector_still_wins`).
-_JIT_COST_TM = 5
 
 
 def jit_enabled():
@@ -141,76 +124,38 @@ def set_jit_threshold(n):
     return previous
 
 
-def knob_fingerprint():
-    """The engine-knob fingerprint compiled code is keyed under.
-
-    The SoA knobs participate because the lane-width variant choice and
-    the vector chunks baked into a segment's ``soa_steps`` depend on
-    them; a knob change makes previously-compiled code stale (flipping
-    the knob back is a :data:`CODE_CACHE` hit, not a recompile).
-    """
-    return freeze_options(
-        {
-            "codegen": _CODEGEN_VERSION,
-            "soa": _soa.SOA_ENABLED,
-            "soa_lanes": _soa.MIN_SOA_LANES,
-            "soa_min_gain": _soa.MIN_VECTOR_GAIN,
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
-# The tiered code cache
+# The compiled-segment registry
 # ---------------------------------------------------------------------------
 class SegmentCodeCache:
-    """Process-wide compiled-code cache, keyed like ``ProgramCache``.
+    """Process-wide registry of compiled segments and their source.
 
-    Outer key: the :class:`~repro.simt.segments.Segment` itself, held
+    Keyed by the :class:`~repro.simt.segments.Segment` itself, held
     weakly — segments live on the (weak) decode cache, so dead modules
-    free their compiled code. Inner key: ``(variant, knob fingerprint)``.
-    Values are ``(fn, source)`` pairs; ``fn`` is ``False`` for a segment
-    codegen vetoed (a deopt is cached too — vetoes are deterministic, so
-    retrying would only burn time).
+    free their compiled code. Values are ``(fn, source)`` pairs; ``fn``
+    is ``False`` for a segment codegen vetoed. Dispatch never reads this
+    registry: each segment memoizes its own tier-up result.
     """
 
     def __init__(self):
         self._cache = weakref.WeakKeyDictionary()
-        self.hits = 0
-        self.misses = 0
 
-    def lookup(self, segment, key):
-        per_segment = self._cache.get(segment)
-        if per_segment is None:
-            return None
-        return per_segment.get(key)
-
-    def store(self, segment, key, fn, source):
-        try:
-            per_segment = self._cache.setdefault(segment, {})
-        except TypeError:  # pragma: no cover - segments are weakref-able
-            return
-        per_segment[key] = (fn, source)
+    def store(self, segment, fn, source):
+        self._cache[segment] = (fn, source)
 
     def clear(self):
         """Drop every compiled segment (tests and long-lived servers)."""
         self._cache.clear()
-        self.hits = 0
-        self.misses = 0
 
     def stats(self):
-        return {
-            "segments": len(self._cache),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        return {"segments": len(self._cache)}
 
     def entries(self):
-        """Live ``(segment, variant, fn, source)`` records (telemetry)."""
-        records = []
-        for segment, per_segment in self._cache.items():
-            for (variant, _fingerprint), (fn, source) in per_segment.items():
-                records.append((segment, variant, fn, source))
-        return records
+        """Live ``(segment, fn, source)`` records (telemetry)."""
+        return [
+            (segment, fn, source)
+            for segment, (fn, source) in self._cache.items()
+        ]
 
 
 #: The process-global compiled-segment cache.
@@ -264,26 +209,28 @@ def compiled_segments():
     ``deopt: True`` and no source.
     """
     records = []
-    for segment, variant, fn, source in CODE_CACHE.entries():
+    for segment, fn, source in CODE_CACHE.entries():
         records.append(
             {
-                "segment": (
-                    f"@{segment.fname}/{segment.bname}:{segment.start}"
-                ),
+                "segment": f"@{_where(segment)}",
                 "slots": segment.n,
-                "variant": "soa" if variant else "tm",
                 "hits": segment.jit_hits,
                 "deopt": fn is False,
                 "source": source if fn is not False else None,
             }
         )
-    records.sort(key=lambda r: (-r["hits"], r["segment"], r["variant"]))
+    records.sort(key=lambda r: (-r["hits"], r["segment"]))
     return records
 
 
 # ---------------------------------------------------------------------------
 # Lowering: segment -> specialized Python source
 # ---------------------------------------------------------------------------
+def _where(segment):
+    """``function/block:index`` of a segment's first instruction."""
+    return f"{segment.fname}/{segment.bname}:{segment.start}"
+
+
 class CodegenVeto(Exception):
     """Raised when a segment cannot be lowered bit-identically; the
     segment deopts (runs interpreted forever) instead of risking drift."""
@@ -343,8 +290,8 @@ _NO_FOLD = object()
 class _Namespace:
     """The generated function's global namespace builder: the math
     functions bound directly (no per-call attribute lookup), decoded
-    handlers, SoA vector chunks, and interned constants for values with
-    no exact literal form."""
+    handlers, and interned constants for values with no exact literal
+    form."""
 
     def __init__(self):
         self.bindings = {
@@ -386,8 +333,8 @@ class _Namespace:
 def _fold(instr, known, slots):
     """Statically evaluate an instruction whose operands are all known
     scalars, via the executor's own eval tables; :data:`_NO_FOLD` (and a
-    runtime statement) otherwise. Mirrors ``soa._fold_scalar``: lazy SEL,
-    ``a * b + c`` FMA, veto on any exception or non-int/float result."""
+    runtime statement) otherwise: lazy SEL, ``a * b + c`` FMA, veto on
+    any exception or non-int/float result."""
     opcode = instr.opcode
 
     def value_of(operand):
@@ -430,12 +377,12 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
 
     Statements write ``_r`` (the thread's regs list) in program order;
     statically-known slots are folded at codegen time and written once at
-    the end of the chunk (the SoA chunk compiler's pinned "virtual
-    constant" containment), then the frame index advances once. A value
-    re-read later in its chunk is additionally bound to a local (``_s<n>``)
-    so those reads are LOAD_FASTs instead of list subscripts — the regs
-    write still happens in program order, so register state (and UNDEF
-    raising, which only happens on *use*) is untouched.
+    the end of the chunk ("virtual constant" containment), then the frame
+    index advances once. A value re-read later in its chunk is
+    additionally bound to a local (``_s<n>``) so those reads are
+    LOAD_FASTs instead of list subscripts — the regs write still happens
+    in program order, so register state (and UNDEF raising, which only
+    happens on *use*) is untouched.
     """
     # Plan pass: resolve folding and operands. Each runtime op becomes
     # (instr, dst slot, operand descriptors) with descriptors already
@@ -543,137 +490,70 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     lines.append(f"{indent}    _f.index = {end_index}")
 
 
-def _vector_still_wins(vector):
-    """Does this SoA closure still beat *generated* thread-major code?
-
-    The SoA election priced the vector strategy against interpreted
-    micro-ops (``soa._COST_TM`` per op). Generated straight-line code is
-    several times cheaper per op, which moves the break-even: a chunk
-    that barely cleared ``MIN_VECTOR_GAIN`` against the interpreter (lane
-    phases, scatters, narrow vector runs) loses to compiled scalar code.
-    Re-run the same inequality with the JIT's per-op cost; the register
-    effects are bit-identical either way (both strategies are pinned
-    against the interpreter by the conformance matrix), and the chunk's
-    static cycles and SoA accounting do not depend on the election.
-    """
-    covered = getattr(vector, "covered", None)
-    if covered is None:
-        return True  # no recorded verdict: trust the SoA election
-    return (
-        covered * _JIT_COST_TM - vector.vector_cost >= _soa.MIN_VECTOR_GAIN
-    )
-
-
-def _lower_segment(segment, variant):
-    """Generate ``(fn, source)`` for one segment variant.
-
-    ``variant`` 0 is the thread-major step list; 1 is the SoA list, where
-    chunks whose vector closure still wins against generated code call it
-    directly (the closure already owns the gather/compute/scatter plan
-    and the index write) and the rest inline exactly as variant 0.
-    """
+def _lower_segment(segment):
+    """Generate ``(fn, source)`` for one segment."""
     ir = segment.jit_ir
     if ir is None:
         raise CodegenVeto("segment retained no lowering IR")
     records, slots = ir
-    steps = segment.steps
-    soa_steps = segment.soa_steps
-    if variant and soa_steps is None:
-        raise CodegenVeto("segment has no SoA variant")
+    where = _where(segment)
 
     ns = _Namespace()
-    static_total = sum(cycles for _is_chunk, _payload, cycles in steps)
+    static_total = sum(cycles for _is_chunk, _payload, cycles in segment.steps)
     lines = [
-        f"# jit: segment @{segment.fname}/{segment.bname}:{segment.start}"
-        f" n={segment.n} variant={'soa' if variant else 'tm'}",
+        f"# jit: segment @{where} n={segment.n}",
         "def _jit_segment(executor, warp, group):",
         f"    _total = {static_total}",
     ]
-    for position, record in enumerate(records):
+    for record in records:
         if record[0]:  # pure chunk
-            _entries, end_index = record[1], record[2]
-            vector = soa_steps[position][1] if variant else None
-            if (
-                vector is not None
-                and vector is not steps[position][1]
-                and _vector_still_wins(vector)
-            ):
-                # This chunk compiled a vector closure that still beats
-                # generated thread-major code; call it.
-                name = ns.bind("_v", vector)
-                lines.append(f"    {name}(group)")
-            else:
-                _lower_chunk(record[1], end_index, slots, ns, lines, "    ")
+            _lower_chunk(record[1], record[2], slots, ns, lines, "    ")
         else:  # decoded handler step (memory op or terminating branch)
             name = ns.bind("_h", record[1])
             lines.append(f"    _total += {name}(executor, warp, group)")
     lines.append("    return _total")
     source = "\n".join(lines) + "\n"
 
-    filename = (
-        f"<jit:{segment.fname}/{segment.bname}:{segment.start}"
-        f"#{'soa' if variant else 'tm'}>"
-    )
     namespace = dict(ns.bindings)
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    exec(compile(source, f"<jit:{where}>", "exec"), namespace)  # noqa: S102
     fn = namespace["_jit_segment"]
     fn.__jit_source__ = source
-    fn.__jit_segment__ = (
-        f"@{segment.fname}/{segment.bname}:{segment.start}"
-        f" n={segment.n} variant={'soa' if variant else 'tm'}"
-    )
+    fn.__jit_segment__ = f"@{where} n={segment.n}"
     return fn, source
 
 
 # ---------------------------------------------------------------------------
 # Tier-up
 # ---------------------------------------------------------------------------
-def tier_up(segment, variant, fingerprint, executor):
-    """Compile (or fetch) ``segment``'s JIT function for ``variant``.
+def tier_up(segment, executor):
+    """Compile ``segment``'s JIT function and memoize it on the segment.
 
     Returns the compiled function, or ``False`` when codegen vetoed (the
     segment deopts: it runs interpreted from now on). Either way the
-    result is memoized on the segment under ``fingerprint``, so the
-    per-execution dispatch never calls back here until a knob changes.
+    result is memoized in ``segment.jit_fn``, so the per-execution
+    dispatch never calls back here for this segment (vetoes are
+    deterministic, so retrying would only burn time).
     """
     profiler = executor.profiler
     profiler.jit_tierups += 1
-    key = (variant, fingerprint)
-    cached = CODE_CACHE.lookup(segment, key)
-    if cached is not None:
-        CODE_CACHE.hits += 1
-        ENGINE_COUNTERS.jit_cache_hits += 1
-        fn = cached[0]
-    else:
-        CODE_CACHE.misses += 1
-        with _CODEGEN_SPANS.span(
-            f"jit:{segment.fname}/{segment.bname}:{segment.start}"
-            f"#{'soa' if variant else 'tm'}"
-        ):
-            try:
-                fn, source = _lower_segment(segment, variant)
-            except CodegenVeto as veto:
-                fn, source = False, str(veto)
-            except Exception as error:  # pragma: no cover - defensive
-                fn, source = False, f"{type(error).__name__}: {error}"
-        CODE_CACHE.store(segment, key, fn, source)
-        if fn is not False:
-            ENGINE_COUNTERS.jit_compiled_segments += 1
+    where = _where(segment)
+    with _CODEGEN_SPANS.span(f"jit:{where}"):
+        try:
+            fn, source = _lower_segment(segment)
+        except CodegenVeto as veto:
+            fn, source = False, str(veto)
+        except Exception as error:  # pragma: no cover - defensive
+            fn, source = False, f"{type(error).__name__}: {error}"
+    CODE_CACHE.store(segment, fn, source)
     if fn is False:
         profiler.jit_deopts += 1
+    else:
+        ENGINE_COUNTERS.jit_compiled_segments += 1
     recorder = executor.recorder
     if recorder is not None and recorder.verbose:
         recorder.record(
             "jit-compile",
-            {
-                "segment": (
-                    f"@{segment.fname}/{segment.bname}:{segment.start}"
-                ),
-                "slots": segment.n,
-                "variant": "soa" if variant else "tm",
-                "deopt": fn is False,
-                "cached": cached is not None,
-            },
+            {"segment": f"@{where}", "slots": segment.n, "deopt": fn is False},
         )
-    segment.jit_fns[variant] = (fingerprint, fn)
+    segment.jit_fn = fn
     return fn

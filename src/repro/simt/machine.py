@@ -87,7 +87,6 @@ class GPUMachine:
         fastpath=None,
         segments=None,
         warp_batch=None,
-        soa=None,
         jit=None,
         flight_recorder=None,
     ):
@@ -102,8 +101,6 @@ class GPUMachine:
         self.segments = segments
         # None defers to the global repro.simt.batch default.
         self.warp_batch = warp_batch
-        # None defers to the global repro.simt.soa default (REPRO_SOA).
-        self.soa = soa
         # None defers to the global repro.simt.jit default (REPRO_JIT).
         self.jit = jit
         # Observability, all off by default (the fast path stays
@@ -149,7 +146,7 @@ class GPUMachine:
         executor = Executor(
             self.module, memory, self.cost_model, profiler,
             sink=sink, metrics=metrics, fastpath=self.fastpath,
-            segments=self.segments, soa=self.soa, jit=self.jit, cta=cta,
+            segments=self.segments, jit=self.jit, cta=cta,
         )
         scheduler = make_scheduler(self.scheduler_name)
 

@@ -65,12 +65,6 @@ class Profiler:
         self.nonforced_tie = 0
         self.nonforced_multi_group = 0
         self.nonforced_observed = 0
-        #: SoA diagnostics (repro.simt.soa): pure chunks executed as numpy
-        #: vector columns vs thread-major while SoA was enabled (narrow
-        #: group or no bit-identical vector form). Engine-only, excluded
-        #: from summary() like the other layer counters.
-        self.soa_chunks = 0
-        self.soa_fallback_chunks = 0
         #: segment-JIT diagnostics (repro.simt.jit): fused segments
         #: executed through compiled code, tier-up attempts, and codegen
         #: deopts during this launch. Engine-only, excluded from
@@ -205,8 +199,6 @@ class Profiler:
             "sched.nonforced_tie": self.nonforced_tie,
             "sched.nonforced_multi_group": self.nonforced_multi_group,
             "sched.nonforced_observed": self.nonforced_observed,
-            "soa.vector_chunks": self.soa_chunks,
-            "soa.fallback_chunks": self.soa_fallback_chunks,
             "jit.executed_segments": self.jit_segments,
             "jit.tierups": self.jit_tierups,
             "jit.deopts": self.jit_deopts,

@@ -38,7 +38,6 @@ from contextlib import contextmanager
 
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.simt import jit as _jit
-from repro.simt import soa as _soa
 from repro.simt.executor import _BINARY_EVAL, _UNARY_EVAL, _UNIFORM_OPS
 
 __all__ = [
@@ -310,12 +309,11 @@ class Segment:
     of the group sits after execution.
     """
 
-    __slots__ = ("fname", "bname", "start", "n", "steps", "soa_steps",
-                 "n_chunks", "n_soa_chunks", "end_pc", "opcode_counts",
-                 "touches_memory", "jit_ir", "jit_hits", "jit_fns",
-                 "__weakref__")
+    __slots__ = ("fname", "bname", "start", "n", "steps", "end_pc",
+                 "opcode_counts", "touches_memory", "jit_ir", "jit_hits",
+                 "jit_fn", "__weakref__")
 
-    def __init__(self, fname, bname, start, entries, slots, kinds=None):
+    def __init__(self, fname, bname, start, entries, slots):
         self.fname = fname
         self.bname = bname
         self.start = start
@@ -326,52 +324,36 @@ class Segment:
         )
 
         steps = []
-        soa_steps = []  # same shape, vector chunks substituted where compiled
         jit_records = []  # per-step lowering IR for the segment JIT
-        n_chunks = 0
-        n_soa_chunks = 0
         micro = []
-        items = []  # (entry, micro-op) pairs for the SoA chunk compiler
+        pure = []  # decoded entries of the pending chunk (JIT lowering IR)
         static = 0
-        pending = 0  # pure instructions accumulated since the last flush
         index = start
 
         def flush_chunk():
-            nonlocal n_chunks, n_soa_chunks
-            chunk = _make_chunk(micro, index)
-            steps.append((True, chunk, static))
-            vector = _soa.compile_chunk(items, slots, kinds, index)
-            soa_steps.append((True, vector if vector is not None else chunk,
-                              static))
-            jit_records.append((True, tuple(e for e, _op in items), index))
-            n_chunks += 1
-            if vector is not None:
-                n_soa_chunks += 1
+            steps.append((True, _make_chunk(micro, index), static))
+            jit_records.append((True, tuple(pure), index))
 
         for entry in entries:
             if entry.opcode in _PURE_OPS:
                 op = _pure_micro(entry, slots)
                 if op is not None:
                     micro.append(op)
-                items.append((entry, op))
+                pure.append(entry)
                 static += _static_cycles(entry)
-                pending += 1
                 index += 1
             else:
-                if pending:
+                if pure:
                     # Even an op-free chunk (all NOPs) must advance the
-                    # frame index, so flush on pending count, not on ops.
+                    # frame index, so flush on pending entries, not ops.
                     flush_chunk()
                     micro = []
-                    items = []
+                    pure = []
                     static = 0
-                    pending = 0
-                step = (False, entry.run, 0)
-                steps.append(step)
-                soa_steps.append(step)
+                steps.append((False, entry.run, 0))
                 jit_records.append((False, entry.run))
                 index += 1
-        if pending:
+        if pure:
             flush_chunk()
         self.steps = tuple(steps)
         # Lowering IR for the segment JIT (repro.simt.jit): the decoded
@@ -379,12 +361,9 @@ class Segment:
         # one-to-one with ``steps``, and the function's slot map.
         self.jit_ir = (tuple(jit_records), slots)
         self.jit_hits = 0
-        self.jit_fns = {}  # variant -> (knob fingerprint, fn or False)
-        # None when no chunk compiled a vector variant: execute() then
-        # skips the SoA dispatch entirely for this segment.
-        self.soa_steps = tuple(soa_steps) if n_soa_chunks else None
-        self.n_chunks = n_chunks
-        self.n_soa_chunks = n_soa_chunks
+        # Tier-up memo: None until the segment crosses the threshold, then
+        # the compiled function, or False when codegen vetoed (deopt).
+        self.jit_fn = None
 
         last = entries[-1]
         if last.opcode is Opcode.BRA:
@@ -399,53 +378,22 @@ class Segment:
 
     def execute(self, executor, warp, group):
         """Apply the whole segment to ``group``; returns total cycles."""
-        # SoA dispatch happens per segment, never per chunk: the vector
-        # variants were substituted into ``soa_steps`` at build time, so
-        # the execution loop below stays identical either way.
-        steps = self.steps
-        variant = 0
-        lanes = executor.soa_lanes
-        if lanes is not None:
-            if self.soa_steps is not None and len(group) >= lanes:
-                steps = self.soa_steps
-                variant = 1
-                executor.profiler.soa_chunks += self.n_soa_chunks
-                executor.profiler.soa_fallback_chunks += (
-                    self.n_chunks - self.n_soa_chunks
-                )
-            else:
-                executor.profiler.soa_fallback_chunks += self.n_chunks
         # Tiered JIT dispatch (repro.simt.jit): below the hotness
         # threshold (or after a deopt) the interpreted step loop runs;
-        # past it, the generated function replaces the whole loop. The
-        # knob fingerprint is computed once at launch setup (like the
-        # threshold) and checked against the segment's memo here, so
-        # compiled code can never outlive the engine configuration it
-        # was built for while the steady state pays one tuple compare.
+        # past it, the generated function replaces the whole loop.
         threshold = executor.jit_threshold
         if threshold is not None:
-            cached = self.jit_fns.get(variant)
-            fingerprint = executor.jit_fingerprint
-            if cached is not None and cached[0] == fingerprint:
-                fn = cached[1]
-            else:
-                fn = None
-                if cached is not None:
-                    # Knobs changed under previously-compiled code: the
-                    # segment is already proven hot, re-tier immediately.
-                    fn = _jit.tier_up(self, variant, fingerprint, executor)
-                else:
-                    self.jit_hits += 1
-                    if self.jit_hits > threshold:
-                        fn = _jit.tier_up(
-                            self, variant, fingerprint, executor
-                        )
+            fn = self.jit_fn
+            if fn is None:
+                self.jit_hits += 1
+                if self.jit_hits > threshold:
+                    fn = _jit.tier_up(self, executor)
             if fn:
                 executor.profiler.jit_segments += 1
                 _jit.LAST_EXECUTED = fn
                 return fn(executor, warp, group)
         total = 0
-        for is_chunk, payload, cycles in steps:
+        for is_chunk, payload, cycles in self.steps:
             if is_chunk:
                 payload(group)
                 total += cycles
@@ -491,14 +439,11 @@ class SegmentTable:
     instructions are not worth a fused dispatch and return None.
     """
 
-    def __init__(self, fname, bname, entries, slots, kinds=None):
+    def __init__(self, fname, bname, entries, slots):
         self.fname = fname
         self.bname = bname
         self.entries = entries
         self.slots = slots
-        # Per-slot value kinds from repro.simt.soa.classify_slots; None
-        # disables SoA chunk compilation for this table's segments.
-        self.kinds = kinds
         # _run_end[i]: end index (exclusive) of the maximal fusable run
         # containing i, or -1 when entries[i] is not fusable.
         n = len(entries)
@@ -528,7 +473,6 @@ class SegmentTable:
             index,
             self.entries[index:end],
             self.slots,
-            self.kinds,
         )
         self._cache[index] = segment
         return segment
@@ -559,7 +503,6 @@ class SegmentTable:
             index,
             self.entries[index:index + length],
             self.slots,
-            self.kinds,
         )
         self._cache[key] = segment
         return segment

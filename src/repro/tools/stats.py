@@ -286,8 +286,8 @@ def _run_grid(args):
 def _run_jit(args):
     """JIT-corpus sweep: every workload in sr mode with tier-up forced
     (threshold 0). Reports per-workload ``jit.*`` launch counters, the
-    tiered code cache's per-segment telemetry (hotness, variant, deopt
-    status), and the process counter delta."""
+    code cache's per-segment telemetry (hotness, deopt status), and the
+    process counter delta."""
     from repro.simt import jit as jit_mod
 
     names = args.workloads or workload_names()
@@ -322,9 +322,9 @@ def _run_jit(args):
     if segments:
         print()
         print(format_table(
-            ["segment", "variant", "slots", "hits", "status"],
+            ["segment", "slots", "hits", "status"],
             [
-                (r["segment"], r["variant"], r["slots"], r["hits"],
+                (r["segment"], r["slots"], r["hits"],
                  "deopt" if r["deopt"] else "compiled")
                 for r in segments
             ],

@@ -10,13 +10,9 @@ profiler counters across:
 * observability (metrics) on vs off — the PR-1 invariant,
 * multi-warp batched lockstep epochs vs the serial warp interleaving
   (``warp_batch`` on vs off at 96 threads),
-* numpy SoA vector chunks vs thread-major chunk execution (``soa`` on
-  vs off, with the width/gain gate forced so the vector path really
-  runs — single-warp, batched multi-warp, and fuzzed),
 * the tiered segment JIT vs interpreted segment steps (``jit`` on vs
   off with the tier-up threshold forced to 0 so every segment runs
-  compiled — single-warp, batched multi-warp, SoA-composed, and
-  fuzzed),
+  compiled — single-warp, batched multi-warp, and fuzzed),
 
 over a scaled-down Table 2 corpus and the hypothesis ``random_kernel``
 fuzzer. The interpreted (fastpath-off) executor is the reference
@@ -47,10 +43,8 @@ from repro.simt import (
     GridLaunch,
     SCHEDULERS,
     StackGPUMachine,
-    soa_available,
 )
 from repro.simt import jit as jit_module
-from repro.simt import soa as soa_module
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
@@ -121,23 +115,6 @@ def _compiled(workload, mode):
     if mode == "baseline":
         return compile_baseline(module)
     return compile_sr(module, threshold=workload.sr_threshold)
-
-
-@contextmanager
-def _forced_soa_gate():
-    """Force the SoA gate wide open: any group width, any modelled gain.
-
-    Vector chunks are compiled into each freshly decoded segment table, so
-    this must wrap *compilation and launch* (every test here compiles its
-    module inside the block).
-    """
-    prev_lanes = soa_module.set_soa_lanes(1)
-    prev_gain = soa_module.set_soa_min_gain(-(10 ** 9))
-    try:
-        yield
-    finally:
-        soa_module.set_soa_lanes(prev_lanes)
-        soa_module.set_soa_min_gain(prev_gain)
 
 
 @contextmanager
@@ -354,82 +331,6 @@ class TestWarpBatchConformance:
         )
 
 
-@pytest.mark.skipif(not soa_available(), reason="numpy not installed")
-@pytest.mark.parametrize("name", sorted(CORPUS))
-class TestSoAConformance:
-    """SoA vector chunks vs thread-major chunks, per mode × scheduler.
-
-    The thread-major (``soa=False``) engine is the exact pre-SoA path and
-    the reference; with the width/gain gate forced open the vector path
-    must be bit-identical while actually executing vector chunks on every
-    corpus point (pinned, or the axis silently tests nothing). Composition
-    with batched multi-warp lockstep epochs gets its own 96-thread leg.
-    """
-
-    N_THREADS = 96
-
-    def test_soa_bit_identical_and_engaged(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_soa_gate():
-            for mode in MODES:
-                compiled = _compiled(workload, mode)
-                for scheduler in sorted(SCHEDULERS):
-                    thread_major = _launch(
-                        workload, compiled, GPUMachine, True, scheduler,
-                        soa=False,
-                    )
-                    vector = _launch(
-                        workload, compiled, GPUMachine, True, scheduler,
-                        soa=True,
-                    )
-                    assert _fingerprint(vector) == _fingerprint(
-                        thread_major
-                    ), (name, mode, scheduler)
-                    assert thread_major.profiler.soa_chunks == 0
-                    assert vector.profiler.soa_chunks > 0, (
-                        name, mode, scheduler,
-                    )
-
-    def test_soa_batched_multiwarp_bit_identical(self, name):
-        """SoA must compose with lockstep multi-warp epochs: columns are
-        chunk-contained, so batch checkpoints and rollbacks always see
-        canonical list-backed frames."""
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_soa_gate():
-            for mode in MODES:
-                compiled = _compiled(workload, mode)
-                serial = _launch(
-                    workload, compiled, GPUMachine, True,
-                    n_threads=self.N_THREADS, warp_batch=False, soa=False,
-                )
-                vector_batched = _launch(
-                    workload, compiled, GPUMachine, True,
-                    n_threads=self.N_THREADS, warp_batch=True, soa=True,
-                )
-                assert _fingerprint(vector_batched) == _fingerprint(
-                    serial
-                ), (name, mode)
-                assert vector_batched.profiler.soa_chunks > 0, (name, mode)
-
-    def test_soa_inert_without_segments(self, name):
-        """Vector chunks only exist inside fused segments; with fusion off
-        the SoA knob must change nothing at all."""
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_soa_gate():
-            compiled = _compiled(workload, "sr")
-            unfused_soa = _launch(
-                workload, compiled, GPUMachine, True, segments=False,
-                soa=True,
-            )
-            assert unfused_soa.profiler.soa_chunks == 0
-            assert unfused_soa.profiler.soa_fallback_chunks == 0
-            reference = _launch(
-                workload, compiled, GPUMachine, True, segments=False,
-                soa=False,
-            )
-            assert _fingerprint(unfused_soa) == _fingerprint(reference), name
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestJITConformance:
     """Compiled segment execution vs interpreted steps, per mode ×
@@ -440,7 +341,7 @@ class TestJITConformance:
     through compiled code from its first execution and stay bit-identical
     — and must actually engage on every corpus point (pinned, or the
     axis silently tests nothing). Composition with batched multi-warp
-    lockstep epochs and the forced-open SoA gate get their own legs.
+    lockstep epochs gets its own leg.
     """
 
     N_THREADS = 96
@@ -490,27 +391,6 @@ class TestJITConformance:
                     name, mode,
                 )
                 assert jit_batched.profiler.jit_segments > 0, (name, mode)
-
-    def test_jit_composes_with_soa_vector_chunks(self, name):
-        """The SoA variant's compiled form calls the segment's own vector
-        closures at the interpreter's exact positions; with both gates
-        forced the full stack must match the plain engine."""
-        if not soa_available():
-            pytest.skip("numpy not installed")
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_soa_gate(), _forced_jit():
-            compiled = _compiled(workload, "sr")
-            reference = _launch(
-                workload, compiled, GPUMachine, True,
-                n_threads=self.N_THREADS, soa=False, jit=False,
-            )
-            jit_vector = _launch(
-                workload, compiled, GPUMachine, True,
-                n_threads=self.N_THREADS, soa=True, jit=True,
-            )
-            assert _fingerprint(jit_vector) == _fingerprint(reference), name
-            assert jit_vector.profiler.jit_segments > 0, name
-            assert jit_vector.profiler.soa_chunks > 0, name
 
     def test_jit_inert_without_segments(self, name):
         """Compiled code only exists for fused segments; with fusion off
@@ -842,57 +722,6 @@ class TestRandomKernelConformance:
             ).launch("k", 96)
             assert _fingerprint(batched) == _fingerprint(serial), scheduler
             assert serial.profiler.batch_epochs == 0
-
-    @settings(max_examples=12, deadline=None)
-    @given(random_kernel())
-    def test_soa_vector_matches_thread_major(self, program):
-        """Random kernels through the forced-open SoA gate: every chunk
-        the classifier can vectorize (including on narrow divergent
-        groups, width 1 up) must match the thread-major engine
-        bit-for-bit — masked partial-group scatters, UNDEF raising,
-        constant folding and all."""
-        if not soa_available():
-            pytest.skip("numpy not installed")
-        module = lower_program(program)
-        with _forced_soa_gate():
-            compiled = compile_sr(module)
-            thread_major = GPUMachine(compiled.module, soa=False).launch(
-                "k", 32
-            )
-            vector = GPUMachine(compiled.module, soa=True).launch("k", 32)
-        assert _fingerprint(vector) == _fingerprint(thread_major)
-
-    @settings(max_examples=8, deadline=None)
-    @given(random_kernel(allow_atomics=True))
-    def test_soa_multiwarp_atomics_matches_serial(self, program):
-        """SoA × warp batching × shared-cell atomics at 96 threads. The
-        reference is the plain serial engine (no batching, no SoA); the
-        full stack must reproduce it bit-for-bit — and when the random
-        ticket-dependent barrier membership genuinely deadlocks, deadlock
-        *identically* (same warp, same parked lanes)."""
-        if not soa_available():
-            pytest.skip("numpy not installed")
-        module = lower_program(program)
-        with _forced_soa_gate():
-            compiled = compile_sr(module)
-            try:
-                serial = GPUMachine(
-                    compiled.module, warp_batch=False, soa=False
-                ).launch("k", 96)
-            except DeadlockError as serial_exc:
-                with pytest.raises(DeadlockError) as vector_exc:
-                    GPUMachine(
-                        compiled.module, warp_batch=True, soa=True
-                    ).launch("k", 96)
-                assert vector_exc.value.warp_id == serial_exc.warp_id
-                assert sorted(vector_exc.value.waiting) == sorted(
-                    serial_exc.waiting
-                )
-                return
-            vector_batched = GPUMachine(
-                compiled.module, warp_batch=True, soa=True
-            ).launch("k", 96)
-        assert _fingerprint(vector_batched) == _fingerprint(serial)
 
     @settings(max_examples=12, deadline=None)
     @given(random_kernel())

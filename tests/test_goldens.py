@@ -20,15 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.test_conformance import (
-    CORPUS,
-    MODES,
-    _compiled,
-    _forced_soa_gate,
-    _launch,
-)
-from repro.obs.counters import snapshot as counters_snapshot
-from repro.simt import GPUMachine, set_soa, soa_available, soa_disabled
+from tests.test_conformance import CORPUS, MODES, _compiled, _launch
+from repro.simt import GPUMachine
 from repro.workloads import get_workload
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -87,30 +80,6 @@ def test_golden_traces(name, update_goldens):
         f"{name} drifted from its golden trace; if the change is intended, "
         f"rerun with --update-goldens and review the diff"
     )
-
-
-@pytest.mark.skipif(not soa_available(), reason="numpy not installed")
-@pytest.mark.parametrize("name", sorted(CORPUS)[:3])
-def test_golden_generation_soa_invariant(name):
-    """``--update-goldens`` must produce byte-identical files whether or
-    not the SoA vector layer is active — otherwise a contributor's local
-    numpy install would silently rewrite the frozen corpus."""
-    previous = set_soa(True)  # independent of any ambient REPRO_SOA=0
-    try:
-        with _forced_soa_gate():
-            before = counters_snapshot()["soa.vector_chunks"]
-            vector_record = _capture(name)
-            engaged = counters_snapshot()["soa.vector_chunks"] - before
-            with soa_disabled():
-                scalar_record = _capture(name)
-    finally:
-        set_soa(previous)
-    assert engaged > 0, "SoA never engaged; the invariance check is vacuous"
-
-    def dump(record):
-        return json.dumps(record, indent=2, sort_keys=True)
-
-    assert dump(vector_record) == dump(scalar_record)
 
 
 def test_goldens_cover_full_corpus():

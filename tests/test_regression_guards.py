@@ -4,6 +4,11 @@ Each test pins a failure mode that once existed, so refactors cannot
 silently reintroduce it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import DeadlockError
@@ -221,3 +226,28 @@ class TestTicketDependentDeadlock:
                 (exc_info.value.warp_id, tuple(sorted(exc_info.value.waiting)))
             )
         assert len(outcomes) == 1
+
+
+class TestNoNumpyImport:
+    """The package is pure Python: importing it and running a launch must
+    not pull numpy in (it once did, through a vectorized execution layer,
+    at a measurable start-up and memory cost)."""
+
+    def test_import_and_launch_leave_numpy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH")))
+        )
+        script = (
+            "import sys\n"
+            "import repro, repro.harness, repro.tools.stats\n"
+            "from repro.workloads import get_workload\n"
+            "get_workload('mcb', steps=4).run(mode='sr')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "False"

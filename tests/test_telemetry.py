@@ -120,7 +120,7 @@ class TestCounterRegistry:
         snap["segments.fused_instrs"] = 75
         snap["segments.fallback_instrs"] = 25
         layers = obs_counters.counter_layers(snap)
-        assert list(layers)[:5] == ["fastpath", "segments", "soa", "jit", "batch"]
+        assert list(layers)[:4] == ["fastpath", "segments", "jit", "batch"]
         assert layers["segments"]["segments.coverage"] == pytest.approx(0.75)
         # Derived, never stored: raw snapshots stay integer-valued.
         assert "segments.coverage" not in obs_counters.snapshot()
@@ -494,6 +494,19 @@ class TestObservedRunner:
         assert [rep["counters"]["jit.executed_segments"] for rep in cold] == [
             0, 0,
         ]
+
+    def test_pool_reforks_on_recorder_level_change(self):
+        from repro.harness.parallel import run_tasks, shutdown_pool, task
+
+        tasks = [task(recorder_level) for _ in range(2)]
+        previous = set_recorder_level("on")
+        try:
+            assert run_tasks(tasks, jobs=2) == ["on", "on"]
+            set_recorder_level("off")
+            assert run_tasks(tasks, jobs=2) == ["off", "off"]
+        finally:
+            set_recorder_level(previous)
+            shutdown_pool()
 
     def test_events_capture_rides_the_report(self):
         from repro.harness.parallel import run_tasks_observed, task
