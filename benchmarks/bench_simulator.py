@@ -14,13 +14,12 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.core import ReconvergenceCompiler
-from repro.core.program_cache import PROGRAM_CACHE, cache_disabled
+from repro.core.program_cache import PROGRAM_CACHE
+from repro.engine import engine_config
 from repro.harness.parallel import run_tasks, task
 from repro.obs import counters as obs_counters
-from repro.simt.fastpath import clear_decode_cache, fastpath_disabled
+from repro.simt.fastpath import clear_decode_cache
 from repro.workloads import get_workload, workload_names
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,7 +114,7 @@ def test_fastpath_corpus_sweep_speedup(benchmark):
     )
     fast_time = benchmark.stats.stats.min
 
-    with fastpath_disabled(), cache_disabled():
+    with engine_config(fastpath=False, compile_cache=False):
         clear_decode_cache()
         PROGRAM_CACHE.clear()
         start = time.perf_counter()
@@ -203,8 +202,6 @@ def test_multiwarp_corpus_sweep_speedup(benchmark):
         os.environ.get("REPRO_BENCH_MIN_MULTIWARP_SPEEDUP", "1.3")
     )
 
-    from repro.simt.batch import warp_batch_disabled
-
     # Warm module/program/decode caches; also the reference results. The
     # counter delta over this serial sweep ships with the record.
     counters_before = obs_counters.snapshot()
@@ -217,7 +214,7 @@ def test_multiwarp_corpus_sweep_speedup(benchmark):
     )
     batched_time = benchmark.stats.stats.min
 
-    with warp_batch_disabled():
+    with engine_config(warp_batch=False):
         serial_times = []
         serial_results = None
         for _ in range(3):
@@ -274,8 +271,6 @@ def test_segment_corpus_sweep_speedup(benchmark):
         os.environ.get("REPRO_BENCH_MIN_SEGMENT_SPEEDUP", "1.5")
     )
 
-    from repro.simt.segments import segments_disabled
-
     # Warm module/program/decode caches; also the reference results. The
     # counter delta over this serial sweep ships with the record.
     counters_before = obs_counters.snapshot()
@@ -286,7 +281,7 @@ def test_segment_corpus_sweep_speedup(benchmark):
     fused_results = benchmark.pedantic(_corpus_sweep, rounds=3, iterations=1)
     fused_time = benchmark.stats.stats.min
 
-    with segments_disabled():
+    with engine_config(segments=False):
         unfused_times = []
         unfused_results = None
         for _ in range(3):
@@ -468,7 +463,7 @@ def test_jit_corpus_sweep_speedup(benchmark):
     results.
 
     Both sides run serial with fastpath, segment fusion, and all caches
-    warm; the slow side runs under ``jit_disabled()`` — the exact
+    warm; the slow side runs under ``engine_config(jit=False)`` — the exact
     pre-JIT engine — so the ratio isolates what compiled segment
     execution adds: no per-op dispatch, no closure calls, constants
     folded into the generated source. The tier-up threshold is forced to
@@ -480,11 +475,7 @@ def test_jit_corpus_sweep_speedup(benchmark):
     """
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_JIT_SPEEDUP", "1.3"))
 
-    from repro.simt.jit import jit_disabled, set_jit, set_jit_threshold
-
-    was_enabled = set_jit(True)
-    was_threshold = set_jit_threshold(0)
-    try:
+    with engine_config(jit=True, jit_threshold=0):
         # Warm module/program/decode caches and tier every segment up;
         # the counter delta over this sweep ships with the record so
         # compare.py can see compiles and deopts.
@@ -498,7 +489,7 @@ def test_jit_corpus_sweep_speedup(benchmark):
         )
         jit_time = benchmark.stats.stats.min
 
-        with jit_disabled():
+        with engine_config(jit=False):
             interpreted_times = []
             interpreted_results = None
             for _ in range(3):
@@ -506,9 +497,6 @@ def test_jit_corpus_sweep_speedup(benchmark):
                 interpreted_results = _corpus_sweep()
                 interpreted_times.append(time.perf_counter() - start)
             interpreted_time = min(interpreted_times)
-    finally:
-        set_jit_threshold(was_threshold)
-        set_jit(was_enabled)
 
     assert jit_results == reference
     assert interpreted_results == reference

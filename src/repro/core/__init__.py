@@ -72,10 +72,7 @@ from repro.core.pipeline import (
 from repro.core.program_cache import (
     PROGRAM_CACHE,
     ProgramCache,
-    cache_disabled,
-    compile_cache_enabled,
     compile_cached,
-    set_compile_cache,
 )
 from repro.core.primitives import (
     BarrierNamer,
@@ -139,15 +136,12 @@ __all__ = [
     "allocate_barriers",
     "allocate_module",
     "annotate",
-    "cache_disabled",
     "cancel_barrier",
     "collect_predictions",
     "color_barriers",
     "compile_baseline",
-    "compile_cache_enabled",
     "compile_cached",
     "compile_sr",
-    "set_compile_cache",
     "compute_region",
     "deconflict",
     "detect_and_annotate",

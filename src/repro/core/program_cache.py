@@ -22,61 +22,28 @@ compiler clones its input, the machines never mutate a compiled module,
 and launches carry their own memory/threads, so sharing is safe. Anything
 that intends to mutate a compiled module must compile uncached (or clone).
 
-``REPRO_COMPILE_CACHE=0`` (or :func:`cache_disabled` /
-:func:`set_compile_cache`) turns the cache off globally; benchmarks use
-that to measure the uncached path.
+``REPRO_COMPILE_CACHE=0`` (or ``engine_config(compile_cache=False)``,
+:mod:`repro.engine`) turns the cache off; benchmarks use that to measure
+the uncached path.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from contextlib import contextmanager
 
 from repro.core.passmgr import default_pipeline
 from repro.core.pipeline import ReconvergenceCompiler
+from repro.engine import current_engine
 from repro.ir.function import structure_token
 from repro.obs.counters import ENGINE_COUNTERS
 
 __all__ = [
     "PROGRAM_CACHE",
     "ProgramCache",
-    "cache_disabled",
     "compile_cached",
-    "compile_cache_enabled",
     "freeze_options",
-    "set_compile_cache",
 ]
-
-#: Global default, mirrored by the ``REPRO_COMPILE_CACHE`` env variable.
-CACHE_ENABLED = os.environ.get("REPRO_COMPILE_CACHE", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def compile_cache_enabled():
-    """The current global compile-cache default."""
-    return CACHE_ENABLED
-
-
-def set_compile_cache(enabled):
-    """Set the global compile-cache default; returns the previous value."""
-    global CACHE_ENABLED
-    previous = CACHE_ENABLED
-    CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def cache_disabled():
-    """Run a block with compile caching off (every compile runs the pipeline)."""
-    previous = set_compile_cache(False)
-    try:
-        yield
-    finally:
-        set_compile_cache(previous)
 
 
 def _freeze(value):
@@ -170,7 +137,7 @@ PROGRAM_CACHE = ProgramCache()
 def compile_cached(module, mode="sr", threshold=None, auto_options=None,
                    pipeline=None, **compiler_options):
     """Compile through :data:`PROGRAM_CACHE` (or directly when disabled)."""
-    if not CACHE_ENABLED:
+    if not current_engine().compile_cache:
         ENGINE_COUNTERS.program_cache_miss += 1
         return ProgramCache._compile(
             module, mode, threshold, auto_options, pipeline, compiler_options

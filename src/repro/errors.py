@@ -9,6 +9,10 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A setting (environment variable or override) has an invalid value."""
+
+
 class IRError(ReproError):
     """Malformed IR: bad operands, missing terminators, dangling refs."""
 

@@ -9,18 +9,22 @@ one: ``pool.map`` preserves ordering, each worker runs with its own
 process-private caches, and all randomness is derived from the explicit
 seed, never from worker identity or scheduling.
 
-The pool is **persistent**: the first parallel ``run_tasks`` call forks
+The pool is **persistent**: the first parallel ``run_tasks`` call starts
 it, later calls reuse it, so a session of many small sweeps (threshold
 scans especially) pays pool spin-up and per-process cache warming once
-instead of per sweep. The pool is keyed by the worker count and a
-fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
-environment, the in-process engine toggles (fastpath, segments, warp
-batching, compile cache, JIT) and the flight-recorder level — and is
-transparently torn down and reforked when any of them changes, since
-forked workers snapshot that state at creation. :func:`shutdown_pool`
-retires it explicitly (also registered ``atexit``), and a worker
-exception terminates the pool before propagating so no half-poisoned
-workers outlive the error.
+instead of per sweep. Workers snapshot their settings when they start,
+so the pool is keyed by everything that shapes worker behaviour: the
+worker count, the ``REPRO_*`` environment, the process-wide
+:class:`~repro.engine.EngineConfig` (one frozen, hashable value, so a
+field added to it is in the key automatically) and the flight-recorder
+level. When the key changes, the pool is transparently torn down and
+restarted. The pool initializer installs the parent's engine config and
+recorder level in every worker, so an ``engine_config(...)`` override
+reaches the workers under both the ``fork`` and the ``spawn`` start
+method (spawned workers would otherwise re-parse the environment).
+:func:`shutdown_pool` retires the pool explicitly (also registered
+``atexit``), and a worker exception terminates the pool before
+propagating so no half-poisoned workers outlive the error.
 
 Tasks are ``(fn, args, kwargs)`` triples with ``fn`` a module-level
 function (workers import it by reference under the fork start method, and
@@ -47,7 +51,10 @@ import atexit
 import multiprocessing
 import os
 
+from repro import engine as _engine
+from repro.engine import current_engine, parse_int
 from repro.obs import counters as _counters
+from repro.obs import recorder as _recorder
 from repro.obs.counters import ENGINE_COUNTERS
 
 __all__ = [
@@ -65,10 +72,10 @@ def resolve_jobs(jobs=None):
     An explicit negative value means "one worker per CPU".
     """
     if jobs is None or jobs == 0:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
+        env = os.environ.get("REPRO_JOBS", "")
+        if not env.strip():
             return 1
-        jobs = int(env)
+        jobs = parse_int("REPRO_JOBS", env)
     jobs = int(jobs)
     if jobs < 0:
         return max(1, os.cpu_count() or 1)
@@ -85,38 +92,27 @@ def _call(packed):
     return fn(*args, **kwargs)
 
 
-#: The live pool and the (jobs, fingerprint) key it was forked under.
+#: The live pool and the key it was started under (see _pool_key).
 _POOL = None
 _POOL_KEY = None
 
 
-def _knob_fingerprint():
-    """Everything a forked worker snapshots that a later sweep may have
-    changed: REPRO_* environment variables, the in-process engine
-    toggles (which ``set_fastpath``-style helpers flip without touching
-    the environment) and the flight-recorder level."""
+def _pool_key(jobs):
+    """Everything a worker snapshots that a later sweep may have changed:
+    the worker count, REPRO_* environment variables, the engine config
+    and the flight-recorder level."""
     env = tuple(sorted(
         (key, value)
         for key, value in os.environ.items()
         if key.startswith("REPRO_")
     ))
-    from repro.core.program_cache import CACHE_ENABLED
-    from repro.obs import recorder
-    from repro.simt import jit
-    from repro.simt.batch import WARP_BATCH_ENABLED
-    from repro.simt.fastpath import FASTPATH_ENABLED
-    from repro.simt.segments import SEGMENTS_ENABLED
+    return (jobs, env, current_engine(), _recorder.RECORDER_LEVEL)
 
-    return (
-        env,
-        FASTPATH_ENABLED,
-        SEGMENTS_ENABLED,
-        WARP_BATCH_ENABLED,
-        CACHE_ENABLED,
-        jit.JIT_ENABLED,
-        jit.JIT_THRESHOLD,
-        recorder.RECORDER_LEVEL,
-    )
+
+def _init_worker(config, recorder_level):
+    """Pool initializer: give the worker the parent's settings."""
+    _engine._install(config)
+    _recorder.set_recorder_level(recorder_level)
 
 
 def shutdown_pool():
@@ -135,10 +131,10 @@ atexit.register(shutdown_pool)
 
 
 def _acquire_pool(jobs):
-    """The persistent pool for ``jobs`` workers under the current knobs,
-    reforking if either changed since the last call."""
+    """The persistent pool for ``jobs`` workers under the current
+    settings, restarting it if any changed since the last call."""
     global _POOL, _POOL_KEY
-    key = (jobs, _knob_fingerprint())
+    key = _pool_key(jobs)
     if _POOL is not None and _POOL_KEY == key:
         ENGINE_COUNTERS.pool_reuses += 1
         return _POOL
@@ -147,7 +143,12 @@ def _acquire_pool(jobs):
         context = multiprocessing.get_context("fork")
     except ValueError:
         context = multiprocessing.get_context("spawn")
-    _POOL = context.Pool(processes=jobs)
+    _jobs, _env, config, recorder_level = key
+    _POOL = context.Pool(
+        processes=jobs,
+        initializer=_init_worker,
+        initargs=(config, recorder_level),
+    )
     _POOL_KEY = key
     return _POOL
 

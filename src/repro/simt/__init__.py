@@ -7,26 +7,12 @@ from repro.simt.fastpath import (
     DecodedInstruction,
     DecodedProgram,
     decode_program,
-    fastpath_disabled,
-    fastpath_enabled,
-    set_fastpath,
 )
-from repro.simt.batch import (
-    WarpBatcher,
-    set_warp_batch,
-    warp_batch_disabled,
-    warp_batch_enabled,
-)
+from repro.simt.batch import WarpBatcher
 from repro.simt.cta import CTASYNC_BARRIER, CTAContext
-from repro.simt.grid import GridLaunch, GridResult, grid_sharding_enabled
+from repro.simt.grid import GridLaunch, GridResult
 from repro.simt.machine import DEFAULT_MAX_ISSUES, GPUMachine, LaunchResult
-from repro.simt.segments import (
-    Segment,
-    SegmentTable,
-    segments_disabled,
-    segments_enabled,
-    set_segments,
-)
+from repro.simt.segments import Segment, SegmentTable
 from repro.simt.memory import GlobalMemory, SharedMemory
 from repro.simt.profiler import BlockProfile, Profiler
 from repro.simt.rng import XorShift32, mix_seed
@@ -76,18 +62,8 @@ __all__ = [
     "WarpBatcher",
     "XorShift32",
     "decode_program",
-    "fastpath_disabled",
-    "fastpath_enabled",
-    "grid_sharding_enabled",
     "make_scheduler",
     "mix_seed",
-    "segments_disabled",
-    "segments_enabled",
-    "set_fastpath",
-    "set_segments",
-    "set_warp_batch",
-    "warp_batch_disabled",
-    "warp_batch_enabled",
     "run_reference_launch",
     "run_reference_thread",
 ]

@@ -39,19 +39,16 @@ only after a burst is known conflict-free, so a rollback needs to
 restore nothing but thread state (registers, RNG, frame position, store
 trace length) and memory.
 
-``REPRO_WARP_BATCH=0`` (or :func:`set_warp_batch` /
-:func:`warp_batch_disabled`, or ``GPUMachine(warp_batch=False)``)
-disables the layer and restores the exact serial path; observability
-sinks, metrics, traces, and disabled fastpath/segments disable it
-implicitly because no fused segments exist then. Repeated conflicts
+``REPRO_WARP_BATCH=0`` (or ``engine_config(warp_batch=False)``,
+:mod:`repro.engine`) disables the layer and restores the exact serial
+path; observability sinks, metrics, traces, and disabled
+fastpath/segments disable it implicitly because no fused segments exist
+then. Repeated conflicts
 (``_MAX_CONFLICT_STREAK`` epochs in a row) switch the batcher off for
 the rest of the launch — correctness never depends on the guess.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from repro.analysis.memeffects import classify_launch
 from repro.obs.counters import ENGINE_COUNTERS
@@ -62,18 +59,7 @@ from repro.simt.warp import WARP_SIZE
 __all__ = [
     "WarpBatcher",
     "make_batcher",
-    "set_warp_batch",
-    "warp_batch_disabled",
-    "warp_batch_enabled",
 ]
-
-#: Global default for new machines. Flip with ``set_warp_batch`` or the
-#: ``REPRO_WARP_BATCH`` environment variable (0/false/off disables).
-WARP_BATCH_ENABLED = os.environ.get("REPRO_WARP_BATCH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
 
 #: Consecutive conflicted epochs before the batcher gives up on a launch.
 _MAX_CONFLICT_STREAK = 8
@@ -82,38 +68,11 @@ _MAX_CONFLICT_STREAK = 8
 _FOOTPRINT_LIMIT = 4096
 
 
-def warp_batch_enabled():
-    """The current global warp-batching default."""
-    return WARP_BATCH_ENABLED
-
-
-def set_warp_batch(enabled):
-    """Set the global warp-batching default; returns the previous value."""
-    global WARP_BATCH_ENABLED
-    previous = WARP_BATCH_ENABLED
-    WARP_BATCH_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def warp_batch_disabled():
-    """Run a block with the serial multi-warp interleaving (batching off)."""
-    previous = set_warp_batch(False)
-    try:
-        yield
-    finally:
-        set_warp_batch(previous)
-
-
 def make_batcher(machine, executor, scheduler, kernel_name, args, n_threads):
     """A :class:`WarpBatcher` for this launch, or None when batching
-    cannot engage (knob off, no fused segments available, single warp)."""
-    enabled = (
-        machine.warp_batch
-        if machine.warp_batch is not None
-        else WARP_BATCH_ENABLED
-    )
-    if not enabled or n_threads <= WARP_SIZE:
+    cannot engage (``warp_batch`` off, no fused segments available,
+    single warp)."""
+    if not executor.engine.warp_batch or n_threads <= WARP_SIZE:
         return None
     if executor.segment_at is None:
         # Observability sink, metrics, issue trace, fastpath off, or

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from repro.engine import current_engine
 from repro.errors import SimulationError
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
 from repro.obs.events import (
@@ -94,8 +95,7 @@ class Executor:
     """Executes instructions for thread groups of one launch."""
 
     def __init__(self, module, memory, cost_model, profiler, sink=None,
-                 metrics=None, fastpath=None, segments=None, jit=None,
-                 cta=None):
+                 metrics=None, cta=None):
         self.module = module
         self.memory = memory
         self.cost_model = cost_model
@@ -112,46 +112,36 @@ class Executor:
         self.observing = bool(self.sink.enabled or metrics is not None)
         # True when the last executed opcode was in _UNIFORM_OPS.
         self.issued_uniform = False
-        # Pre-decoded dispatch table (repro.simt.fastpath). ``fastpath=None``
-        # defers to the global default; the decoded program is shared across
+        # The engine layers for this launch (repro.engine), read once here
+        # and never on the issue path.
+        self.engine = engine = current_engine()
+        # Pre-decoded dispatch table (repro.simt.fastpath), shared across
         # executors of the same module + cost model. Imported here rather
         # than at module level because fastpath builds on this module's
         # eval tables.
-        from repro.simt import fastpath as _fastpath
+        from repro.simt.fastpath import decode_program
 
-        if fastpath is None:
-            fastpath = _fastpath.FASTPATH_ENABLED
         self._decoded = (
-            _fastpath.decode_program(module, cost_model) if fastpath else None
+            decode_program(module, cost_model) if engine.fastpath else None
         )
         # Segment fusion (repro.simt.segments): only legal on the decoded
         # path with no per-issue observers — an attached sink, stall
         # metrics, or an issue trace all need to see every individual slot,
-        # so any of them forces per-instruction issue. ``segments=None``
-        # defers to the global REPRO_SEGMENTS default.
-        from repro.simt import segments as _segments
-
-        if segments is None:
-            segments = _segments.SEGMENTS_ENABLED
+        # so any of them forces per-instruction issue.
         self.segment_at = (
             self._decoded.segment_at
-            if segments
+            if engine.segments
             and self._decoded is not None
             and not self.observing
             and profiler.trace is None
             else None
         )
-        # Segment JIT (repro.simt.jit): ``jit=None`` defers to the global
-        # REPRO_JIT default. ``jit_threshold`` is the per-segment hotness
-        # gate, or None when the JIT is off for this launch (disabled, or
-        # no segment path to tier up from).
-        from repro.simt import jit as _jit
-
-        if jit is None:
-            jit = _jit.JIT_ENABLED
+        # Segment JIT (repro.simt.jit): ``jit_threshold`` is the
+        # per-segment hotness gate, or None when the JIT is off for this
+        # launch (disabled, or no segment path to tier up from).
         self.jit_threshold = (
-            _jit.JIT_THRESHOLD
-            if jit and self.segment_at is not None
+            engine.jit_threshold
+            if engine.jit and self.segment_at is not None
             else None
         )
         # The launch's FlightRecorder; the machine attaches it so tier-up

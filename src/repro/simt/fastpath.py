@@ -38,15 +38,13 @@ exposes the block's straight-line *segments* for the fused execution layer
 so machines that never fuse pay nothing.
 
 The fast path is on by default. ``REPRO_FASTPATH=0`` (or
-:func:`set_fastpath`/:func:`fastpath_disabled`) falls back to the
+``engine_config(fastpath=False)``, :mod:`repro.engine`) falls back to the
 interpreted path, which the conformance suite uses as its reference.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from contextlib import contextmanager
 
 from repro.errors import SimulationError
 from repro.ir.function import structure_token
@@ -66,41 +64,7 @@ __all__ = [
     "DecodedInstruction",
     "DecodedProgram",
     "decode_program",
-    "fastpath_disabled",
-    "fastpath_enabled",
-    "set_fastpath",
 ]
-
-#: Global default for new machines/executors. Flip with ``set_fastpath`` or
-#: the ``REPRO_FASTPATH`` environment variable (0/false/off disables).
-FASTPATH_ENABLED = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def fastpath_enabled():
-    """The current global fast-path default."""
-    return FASTPATH_ENABLED
-
-
-def set_fastpath(enabled):
-    """Set the global fast-path default; returns the previous value."""
-    global FASTPATH_ENABLED
-    previous = FASTPATH_ENABLED
-    FASTPATH_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fastpath_disabled():
-    """Run a block with the interpreted (pre-decode-free) execution path."""
-    previous = set_fastpath(False)
-    try:
-        yield
-    finally:
-        set_fastpath(previous)
 
 
 # ---------------------------------------------------------------------------

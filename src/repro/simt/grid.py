@@ -22,8 +22,9 @@ copy of the launch memory, and ship back per-CTA traces plus their final
 cells; the parent merges each worker's write-delta (disjoint by proof) and
 folds worker engine counters through the PR-6
 :func:`~repro.harness.parallel.run_tasks_observed` aggregation path.
-``REPRO_GRID=0`` (or ``false``/``off``) forces the serial in-process CTA
-loop, as do ``jobs<=1``, a single CTA, and a ``"guarded"`` classification.
+``REPRO_GRID=0`` (or ``engine_config(grid=False)``, :mod:`repro.engine`)
+forces the serial in-process CTA loop, as do ``jobs<=1``, a single CTA,
+and a ``"guarded"`` classification.
 
 **SM model.** CTAs issue round-robin onto ``n_sms`` simulated SMs
 (CTA ``i`` lands on SM ``i % n_sms``). Each SM is occupancy-limited: it
@@ -37,9 +38,9 @@ per-CTA cycle counts remain exact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro.engine import current_engine
 from repro.errors import LaunchError
 from repro.obs import counters as _counters
 from repro.obs.counters import ENGINE_COUNTERS
@@ -52,7 +53,6 @@ from repro.simt.warp import WARP_SIZE
 __all__ = [
     "GridLaunch",
     "GridResult",
-    "grid_sharding_enabled",
 ]
 
 #: Volta-style SM envelope (see ROADMAP): 96 kB of shared memory is
@@ -61,16 +61,6 @@ DEFAULT_N_SMS = 80
 DEFAULT_MAX_CTAS_PER_SM = 32
 DEFAULT_MAX_WARPS_PER_SM = 64
 DEFAULT_MAX_SHARED_WORDS = 12288
-
-
-def grid_sharding_enabled():
-    """Worker-pool CTA sharding knob (``REPRO_GRID``, default on).
-
-    Only sharding is gated — grid launches themselves always work; with
-    ``REPRO_GRID=0`` every CTA runs on the serial in-process loop.
-    """
-    value = os.environ.get("REPRO_GRID", "").strip().lower()
-    return value not in ("0", "false", "off")
 
 
 @dataclass
@@ -226,10 +216,12 @@ class GridLaunch:
     instance can launch many kernels (it holds no per-launch state).
 
     ``machine_kwargs`` are forwarded to every :class:`GPUMachine` built for
-    the grid — scheduler, seed, engine toggles. When the launch shards onto
-    the worker pool they cross a process boundary, so they must be plain
-    picklable values there (``sink`` is parent-only and never forwarded to
-    workers; use ``REPRO_FLIGHT_RECORDER`` rather than an object).
+    the grid — scheduler, seed, observability; engine settings come from
+    :func:`repro.engine.current_engine`, which pool workers receive from
+    the parent. When the launch shards onto the worker pool the kwargs
+    cross a process boundary, so they must be plain picklable values
+    there (``sink`` is parent-only and never forwarded to workers; use
+    ``REPRO_FLIGHT_RECORDER`` rather than an object).
     """
 
     def __init__(
@@ -347,7 +339,7 @@ class GridLaunch:
             self.grid_dim > 1
             and jobs > 1
             and classification == "disjoint"
-            and grid_sharding_enabled()
+            and current_engine().grid
         )
 
         recorder = make_recorder(

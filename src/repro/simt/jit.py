@@ -26,7 +26,8 @@ handlers — the generated function calls them at exactly the
 interpreter's split points.
 
 **Tiering.** Codegen costs real time, so cold segments never pay it:
-every segment execution below :data:`JIT_THRESHOLD` runs the interpreted
+every segment execution below the tier-up threshold
+(``EngineConfig.jit_threshold``, :mod:`repro.engine`) runs the interpreted
 steps while a per-segment hit counter climbs; crossing the threshold
 compiles the segment once and memoizes the result on the segment itself
 (``Segment.jit_fn``). The process-wide :class:`SegmentCodeCache` holds
@@ -34,18 +35,16 @@ every compiled segment (weakly) with its generated source, for telemetry
 and post-mortems. Any codegen failure **deopts** the segment — it runs
 interpreted forever after, counted in ``jit.deopts``, never wrong.
 
-Escape hatches mirror every prior layer: ``REPRO_JIT=0``,
-:func:`set_jit` / :func:`jit_disabled`, ``GPUMachine(jit=False)``. The
-conformance matrix pins jit-on (with a forced threshold of 0) against
-jit-off over the corpus, modes, schedulers, and fuzzed kernels.
+Escape hatches mirror every prior layer: ``REPRO_JIT=0`` or
+``engine_config(jit=False)``. The conformance matrix pins jit-on (with a
+forced threshold of 0) against jit-off over the corpus, modes,
+schedulers, and fuzzed kernels.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
-from contextlib import contextmanager
 
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.obs.counters import ENGINE_COUNTERS
@@ -53,75 +52,15 @@ from repro.obs.spans import SpanRecorder
 from repro.simt.executor import _BINARY_EVAL, _UNARY_EVAL
 
 __all__ = [
-    "JIT_THRESHOLD",
     "SegmentCodeCache",
     "CODE_CACHE",
     "clear_code_cache",
     "codegen_spans",
     "compiled_segments",
-    "jit_disabled",
-    "jit_enabled",
     "jit_post_mortem",
-    "jit_threshold",
     "last_executed_source",
-    "set_jit",
-    "set_jit_threshold",
     "tier_up",
 ]
-
-#: Global default for new machines/executors. Flip with ``set_jit`` or the
-#: ``REPRO_JIT`` environment variable (0/false/off disables).
-JIT_ENABLED = os.environ.get("REPRO_JIT", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-#: Segment executions before tier-up. 0 compiles on first execution
-#: (tests force this); the default keeps one-shot launches codegen-free
-#: while anything sweep-shaped tiers up almost immediately. Override with
-#: ``REPRO_JIT_THRESHOLD`` or :func:`set_jit_threshold`.
-JIT_THRESHOLD = int(os.environ.get("REPRO_JIT_THRESHOLD", "50"))
-
-
-def jit_enabled():
-    """The current global segment-JIT default."""
-    return JIT_ENABLED
-
-
-def set_jit(enabled):
-    """Set the global segment-JIT default; returns the previous value."""
-    global JIT_ENABLED
-    previous = JIT_ENABLED
-    JIT_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def jit_disabled():
-    """Run a block with interpreted segment execution (JIT off)."""
-    previous = set_jit(False)
-    try:
-        yield
-    finally:
-        set_jit(previous)
-
-
-def jit_threshold():
-    """The current tier-up threshold (segment executions before codegen)."""
-    return JIT_THRESHOLD
-
-
-def set_jit_threshold(n):
-    """Set the tier-up threshold; returns the previous value.
-
-    Takes effect for executors built afterwards (the threshold is read at
-    launch setup, never per segment execution).
-    """
-    global JIT_THRESHOLD
-    previous = JIT_THRESHOLD
-    JIT_THRESHOLD = int(n)
-    return previous
 
 
 # ---------------------------------------------------------------------------

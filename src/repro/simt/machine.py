@@ -84,10 +84,6 @@ class GPUMachine:
         trace=False,
         sink=None,
         metrics=False,
-        fastpath=None,
-        segments=None,
-        warp_batch=None,
-        jit=None,
         flight_recorder=None,
     ):
         self.module = module
@@ -95,14 +91,6 @@ class GPUMachine:
         self.scheduler_name = scheduler
         self.seed = seed
         self.max_issues = max_issues
-        # None defers to the global repro.simt.fastpath default.
-        self.fastpath = fastpath
-        # None defers to the global repro.simt.segments default.
-        self.segments = segments
-        # None defers to the global repro.simt.batch default.
-        self.warp_batch = warp_batch
-        # None defers to the global repro.simt.jit default (REPRO_JIT).
-        self.jit = jit
         # Observability, all off by default (the fast path stays
         # allocation-free): ``trace`` records cycle-stamped IssueEvents for
         # timeline rendering, ``sink`` streams every event kind to a
@@ -145,8 +133,7 @@ class GPUMachine:
         sink = self.sink if self.sink is not None else ambient_sink()
         executor = Executor(
             self.module, memory, self.cost_model, profiler,
-            sink=sink, metrics=metrics, fastpath=self.fastpath,
-            segments=self.segments, jit=self.jit, cta=cta,
+            sink=sink, metrics=metrics, cta=cta,
         )
         scheduler = make_scheduler(self.scheduler_name)
 

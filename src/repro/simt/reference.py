@@ -25,7 +25,7 @@ from repro.simt.warp import WARP_SIZE, Thread, Warp
 
 def run_reference_thread(
     module, kernel_name, tid, n_threads, args=(), memory=None, seed=2020,
-    max_issues=DEFAULT_MAX_ISSUES, fastpath=None,
+    max_issues=DEFAULT_MAX_ISSUES,
 ):
     """Execute thread ``tid`` of a launch in isolation.
 
@@ -40,9 +40,7 @@ def run_reference_thread(
         raise LaunchError(f"tid {tid} outside launch of {n_threads}")
     memory = memory if memory is not None else GlobalMemory()
     profiler = Profiler()
-    executor = Executor(
-        module, memory, DEFAULT_COST_MODEL, profiler, fastpath=fastpath
-    )
+    executor = Executor(module, memory, DEFAULT_COST_MODEL, profiler)
     warp_id = tid // WARP_SIZE
     thread = Thread(tid, tid % WARP_SIZE, warp_id, kernel, args, seed)
     # A warp containing just this thread; barrier releases are handled
@@ -81,15 +79,14 @@ def run_reference_thread(
     return thread
 
 
-def run_reference_launch(module, kernel_name, n_threads, args=(), seed=2020,
-                         fastpath=None):
+def run_reference_launch(module, kernel_name, n_threads, args=(), seed=2020):
     """Reference store traces for every thread, each run in isolation on a
     private copy of the initial memory."""
     traces = {}
     for tid in range(n_threads):
         thread = run_reference_thread(
             module, kernel_name, tid, n_threads, args=args,
-            memory=GlobalMemory(), seed=seed, fastpath=fastpath,
+            memory=GlobalMemory(), seed=seed,
         )
         traces[tid] = list(thread.store_trace)
     return traces

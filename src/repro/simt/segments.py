@@ -26,15 +26,12 @@ forced for the whole run (``SchedulerBase.forced_pick``) and no other group
 could merge into the segment's interior (``Segment.conflicts``); anything
 else — an attached sink, stall metrics, an issue trace, a disabled
 fastpath, multiple live warps — falls back to per-instruction issue with
-identical results. ``REPRO_SEGMENTS=0`` (or :func:`set_segments` /
-:func:`segments_disabled`) turns fusion off globally; the conformance suite
-pins segments-on against segments-off over the full corpus.
+identical results. ``REPRO_SEGMENTS=0`` (or ``engine_config(segments=False)``,
+:mod:`repro.engine`) turns fusion off; the conformance suite pins
+segments-on against segments-off over the full corpus.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.simt import jit as _jit
@@ -44,42 +41,7 @@ __all__ = [
     "FUSABLE_OPS",
     "Segment",
     "SegmentTable",
-    "segments_disabled",
-    "segments_enabled",
-    "set_segments",
 ]
-
-#: Global default for new machines/executors. Flip with ``set_segments`` or
-#: the ``REPRO_SEGMENTS`` environment variable (0/false/off disables).
-SEGMENTS_ENABLED = os.environ.get("REPRO_SEGMENTS", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def segments_enabled():
-    """The current global segment-fusion default."""
-    return SEGMENTS_ENABLED
-
-
-def set_segments(enabled):
-    """Set the global segment-fusion default; returns the previous value."""
-    global SEGMENTS_ENABLED
-    previous = SEGMENTS_ENABLED
-    SEGMENTS_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def segments_disabled():
-    """Run a block with per-instruction issue (fusion off)."""
-    previous = set_segments(False)
-    try:
-        yield
-    finally:
-        set_segments(previous)
-
 
 #: Opcodes legal inside a segment. Uniform ops keep the group intact and
 #: cannot park/exit/release; CALL is excluded because it pushes a frame

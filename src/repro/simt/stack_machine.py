@@ -74,7 +74,7 @@ class StackGPUMachine:
 
     def __init__(self, module, cost_model=None, seed=2020,
                  max_issues=DEFAULT_MAX_ISSUES, trace=False, sink=None,
-                 metrics=False, fastpath=None, segments=None):
+                 metrics=False):
         self.module = module
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.seed = seed
@@ -82,11 +82,6 @@ class StackGPUMachine:
         self.trace = trace
         self.sink = sink
         self.metrics = metrics
-        # None defers to the global repro.simt.fastpath default.
-        self.fastpath = fastpath
-        # Accepted for API symmetry with GPUMachine; the stack machine's
-        # lockstep loop never fuses, so this only reaches the Executor.
-        self.segments = segments
         self._rpcs = _ReconvergenceTable(module)
 
     def launch(self, kernel_name, n_threads, args=(), memory=None):
@@ -106,8 +101,7 @@ class StackGPUMachine:
         sink = self.sink if self.sink is not None else ambient_sink()
         executor = Executor(
             self.module, memory, self.cost_model, profiler,
-            sink=sink, metrics=metrics, fastpath=self.fastpath,
-            segments=self.segments,
+            sink=sink, metrics=metrics,
         )
 
         all_threads = []

@@ -288,6 +288,7 @@ def _run_jit(args):
     (threshold 0). Reports per-workload ``jit.*`` launch counters, the
     code cache's per-segment telemetry (hotness, deopt status), and the
     process counter delta."""
+    from repro.engine import engine_config
     from repro.simt import jit as jit_mod
 
     names = args.workloads or workload_names()
@@ -296,9 +297,7 @@ def _run_jit(args):
         raise SystemExit(f"error: unknown workloads {unknown}")
     before = obs_counters.snapshot()
     rows = []
-    was_enabled = jit_mod.set_jit(True)
-    was_threshold = jit_mod.set_jit_threshold(0)
-    try:
+    with engine_config(jit=True, jit_threshold=0):
         for name in names:
             result = get_workload(name).run(mode="sr", seed=args.seed)
             counters = result.launch.counters
@@ -309,9 +308,6 @@ def _run_jit(args):
                 counters.get("jit.tierups", 0),
                 counters.get("jit.deopts", 0),
             ))
-    finally:
-        jit_mod.set_jit(was_enabled)
-        jit_mod.set_jit_threshold(was_threshold)
     moved = obs_counters.delta(obs_counters.snapshot(), before)
 
     print(format_table(

@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+from repro.engine import EngineConfig
 from repro.ir import Function, IRBuilder, Module
+
+ENGINE_FIELDS = frozenset(field.name for field in fields(EngineConfig))
+
+
+def split_engine(kwargs):
+    """Split keyword arguments into ``engine_config`` overrides and the
+    rest (machine arguments)."""
+    engine = {k: v for k, v in kwargs.items() if k in ENGINE_FIELDS}
+    rest = {k: v for k, v in kwargs.items() if k not in ENGINE_FIELDS}
+    return engine, rest
 
 
 def simple_kernel(name="k", body=None):

@@ -1,37 +1,42 @@
-"""Cross-machine conformance net for the fast-path simulation engine.
+"""Cross-engine conformance net for the simulator's host engine.
 
-The differential matrix pins *bit-identical* per-thread store traces and
-profiler counters across:
+Every engine configuration must reproduce the *interpreted reference*
+(``EngineConfig(fastpath=False)``: the interpreted executor, on which
+segments, batching and the JIT cannot engage) bit-for-bit: per-thread
+store traces, retirement, profiler counters, cycles and SIMT efficiency.
+The configurations are the leave-one-out set of :data:`ENGINES` — all
+layers on, each layer off, and the JIT forced to tier up on first
+execution — checked over
 
-* ``GPUMachine`` with the pre-decoded fast path on vs off,
-* ``StackGPUMachine`` (pre-Volta) fast path on vs off,
+* ``GPUMachine`` and ``StackGPUMachine`` (pre-Volta),
 * all three schedulers,
 * ``compile_baseline`` vs ``compile_sr``,
+* one warp (32 threads) and three warps (96 threads, so batched
+  lockstep epochs engage),
 * observability (metrics) on vs off — the PR-1 invariant,
-* multi-warp batched lockstep epochs vs the serial warp interleaving
-  (``warp_batch`` on vs off at 96 threads),
-* the tiered segment JIT vs interpreted segment steps (``jit`` on vs
-  off with the tier-up threshold forced to 0 so every segment runs
-  compiled — single-warp, batched multi-warp, and fuzzed),
 
 over a scaled-down Table 2 corpus and the hypothesis ``random_kernel``
-fuzzer. The interpreted (fastpath-off) executor is the reference
-semantics; any drift in a decoded handler fails here first.
+fuzzer. Each layer must also actually engage where it should (fused
+issues, batch epochs, compiled segments), or its axis silently tests
+nothing, and stay inert without its prerequisite or under observability.
 
 The max-issues runaway-loop cap is also pinned here: every execution
 engine shares ``DEFAULT_MAX_ISSUES`` and raises :class:`LaunchError` on
 overrun.
 """
 
+import functools
 import inspect
 import json
 from contextlib import contextmanager
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_baseline, compile_sr
+from repro.engine import EngineConfig, engine_config
 from repro.errors import DeadlockError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
@@ -44,7 +49,6 @@ from repro.simt import (
     SCHEDULERS,
     StackGPUMachine,
 )
-from repro.simt import jit as jit_module
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
@@ -68,23 +72,48 @@ CORPUS = {
 
 MODES = ("baseline", "sr")
 
+#: Three warps: the multi-warp rotation loop, where batching engages.
+MULTIWARP = 96
 
-def _launch(workload, compiled, machine_cls, fastpath, scheduler=None,
-            metrics=False, seed=2020, segments=None, n_threads=None,
-            **machine_kwargs):
+ALL_ON = EngineConfig()
+
+#: Leave-one-out engine configurations. ``no-fastpath`` is the
+#: interpreted reference every other configuration is checked against.
+ENGINES = {
+    "all-on": ALL_ON,
+    "no-fastpath": replace(ALL_ON, fastpath=False),
+    "no-segments": replace(ALL_ON, segments=False),
+    "no-warp-batch": replace(ALL_ON, warp_batch=False),
+    "no-jit": replace(ALL_ON, jit=False),
+    "forced-jit": replace(ALL_ON, jit_threshold=0),
+}
+REFERENCE = ENGINES["no-fastpath"]
+
+
+@contextmanager
+def _using(engine):
+    """Run a block under exactly ``engine``, whatever the environment;
+    ``None`` keeps the process config (the goldens run that way, so each
+    CI leg's ``REPRO_*`` environment reaches them)."""
+    with engine_config(**(asdict(engine) if engine is not None else {})):
+        yield
+
+
+def _launch(workload, compiled, machine_cls, engine, scheduler=None,
+            metrics=False, seed=2020, n_threads=None):
     """One launch of a compiled workload on a fresh memory."""
     memory = GlobalMemory()
     args = workload.setup(memory)
-    kwargs = {"seed": seed, "fastpath": fastpath, "metrics": metrics,
-              "segments": segments, **machine_kwargs}
+    kwargs = {"seed": seed, "metrics": metrics}
     if scheduler is not None:
         kwargs["scheduler"] = scheduler
-    machine = machine_cls(compiled.module, **kwargs)
-    return machine.launch(
-        workload.kernel_name,
-        n_threads if n_threads is not None else workload.n_threads,
-        args=args, memory=memory,
-    )
+    with _using(engine):
+        machine = machine_cls(compiled.module, **kwargs)
+        return machine.launch(
+            workload.kernel_name,
+            n_threads if n_threads is not None else workload.n_threads,
+            args=args, memory=memory,
+        )
 
 
 def _fingerprint(launch):
@@ -117,51 +146,71 @@ def _compiled(workload, mode):
     return compile_sr(module, threshold=workload.sr_threshold)
 
 
-@contextmanager
-def _forced_jit():
-    """Force segment tier-up on first execution (JIT on, threshold 0).
+@functools.cache
+def _reference(name, mode, scheduler, n_threads, machine_cls):
+    """``(fingerprint, profiler)`` of one corpus point on the interpreted
+    reference: the oracle every configuration is checked against,
+    computed once per session."""
+    workload = get_workload(name, **CORPUS[name])
+    launch = _launch(
+        workload, _compiled(workload, mode), machine_cls, REFERENCE,
+        scheduler, n_threads=n_threads,
+    )
+    return _fingerprint(launch), launch.profiler
 
-    The threshold is read at launch setup and the per-segment hit
-    counters live on the (weakly cached) segments, so wrapping the
-    launches is enough — no decode-cache reset needed.
-    """
-    prev_enabled = jit_module.set_jit(True)
-    prev_threshold = jit_module.set_jit_threshold(0)
-    try:
-        yield
-    finally:
-        jit_module.set_jit(prev_enabled)
-        jit_module.set_jit_threshold(prev_threshold)
+
+def _check(name, engine, schedulers=tuple(sorted(SCHEDULERS)), modes=MODES,
+           n_threads=None, machine_cls=GPUMachine):
+    """Launch every (mode, scheduler) point of ``name`` under ``engine``,
+    assert each is bit-identical to the interpreted reference, and return
+    the profilers keyed by ``(mode, scheduler)`` for engagement checks."""
+    workload = get_workload(name, **CORPUS[name])
+    profilers = {}
+    for mode in modes:
+        compiled = _compiled(workload, mode)
+        for scheduler in schedulers:
+            launch = _launch(
+                workload, compiled, machine_cls, engine, scheduler,
+                n_threads=n_threads,
+            )
+            expected, _ = _reference(
+                name, mode, scheduler, n_threads, machine_cls
+            )
+            assert _fingerprint(launch) == expected, (
+                name, engine, mode, scheduler,
+            )
+            profilers[mode, scheduler] = launch.profiler
+    return profilers
+
+
+def _observed_pair(name, engine, layer_off, n_threads=None):
+    """The same ``sr`` launch with metrics attached, under ``engine`` and
+    under ``layer_off``: observers see every issue slot, so the layer must
+    disable itself and leave results and stall metrics unchanged."""
+    workload = get_workload(name, **CORPUS[name])
+    compiled = _compiled(workload, "sr")
+    observed, reference = (
+        _launch(workload, compiled, GPUMachine, config, metrics=True,
+                n_threads=n_threads)
+        for config in (engine, layer_off)
+    )
+    assert _fingerprint(observed) == _fingerprint(reference), name
+    assert (
+        observed.metrics.stall_cycles() == reference.metrics.stall_cycles()
+    )
+    return observed.profiler
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestFastpathConformance:
-    """Fast path vs interpreter, per machine × scheduler × compile mode."""
+    """The composed engine against the interpreter, per machine ×
+    scheduler × compile mode."""
 
     def test_gpu_machine_bit_identical(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        for mode in MODES:
-            compiled = _compiled(workload, mode)
-            for scheduler in sorted(SCHEDULERS):
-                slow = _fingerprint(_launch(
-                    workload, compiled, GPUMachine, False, scheduler
-                ))
-                fast = _fingerprint(_launch(
-                    workload, compiled, GPUMachine, True, scheduler
-                ))
-                assert fast == slow, (name, mode, scheduler)
+        _check(name, ALL_ON)
 
     def test_stack_machine_bit_identical(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        for mode in MODES:
-            compiled = _compiled(workload, mode)
-            slow = _fingerprint(_launch(
-                workload, compiled, StackGPUMachine, False
-            ))
-            fast = _fingerprint(_launch(
-                workload, compiled, StackGPUMachine, True
-            ))
-            assert fast == slow, (name, mode)
+        _check(name, ALL_ON, schedulers=(None,), machine_cls=StackGPUMachine)
 
     def test_observability_preserves_results(self, name):
         """Metrics on vs off never changes traces, counters, or cycles —
@@ -170,9 +219,9 @@ class TestFastpathConformance:
         workload = get_workload(name, **CORPUS[name])
         compiled = _compiled(workload, "sr")
         for machine_cls in (GPUMachine, StackGPUMachine):
-            plain = _launch(workload, compiled, machine_cls, True)
+            plain = _launch(workload, compiled, machine_cls, ALL_ON)
             observed = _launch(
-                workload, compiled, machine_cls, True, metrics=True
+                workload, compiled, machine_cls, ALL_ON, metrics=True
             )
             assert _fingerprint(observed) == _fingerprint(plain), (
                 name, machine_cls.__name__,
@@ -189,226 +238,117 @@ class TestFastpathConformance:
             pytest.skip(f"{name} uses a dynamic work queue")
         compiled = _compiled(workload, "sr")
         reference = _launch(
-            workload, compiled, GPUMachine, False, "convergence"
+            workload, compiled, GPUMachine, REFERENCE, "convergence"
         ).store_traces()
-        for scheduler in sorted(SCHEDULERS):
-            for fastpath in (False, True):
+        for engine in (REFERENCE, ALL_ON):
+            for scheduler in sorted(SCHEDULERS):
                 traces = _launch(
-                    workload, compiled, GPUMachine, fastpath, scheduler
+                    workload, compiled, GPUMachine, engine, scheduler
                 ).store_traces()
-                assert traces == reference, (name, scheduler, fastpath)
-        for fastpath in (False, True):
+                assert traces == reference, (name, scheduler, engine)
             traces = _launch(
-                workload, compiled, StackGPUMachine, fastpath
+                workload, compiled, StackGPUMachine, engine
             ).store_traces()
-            assert traces == reference, (name, "stack", fastpath)
+            assert traces == reference, (name, "stack", engine)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestSegmentConformance:
-    """Segment fusion on vs off, per compile mode × scheduler.
-
-    Fusion-off per-instruction issue is the reference; fusion must be
-    bit-identical (traces, retirement, counters, cycles) and must actually
-    fire under the convergence scheduler, or the axis tests nothing.
-    """
+    """Segment fusion on and off against the reference, per compile mode
+    × scheduler. Fusion must actually fire under the convergence
+    scheduler, or the axis tests nothing."""
 
     def test_segments_bit_identical(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        for mode in MODES:
-            compiled = _compiled(workload, mode)
-            for scheduler in sorted(SCHEDULERS):
-                unfused = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    segments=False,
-                )
-                fused = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    segments=True,
-                )
-                assert _fingerprint(fused) == _fingerprint(unfused), (
-                    name, mode, scheduler,
-                )
-                assert unfused.profiler.fused_issues == 0
-                if scheduler == "convergence":
-                    # Every corpus workload has straight-line runs; if the
-                    # engine stops fusing them the speedup silently
-                    # evaporates while results stay identical.
-                    assert fused.profiler.fused_issues > 0, (name, mode)
+        unfused = _check(name, ENGINES["no-segments"])
+        fused = _check(name, ALL_ON)
+        for (mode, scheduler), profiler in fused.items():
+            assert unfused[mode, scheduler].fused_issues == 0
+            if scheduler == "convergence":
+                # Every corpus workload has straight-line runs; if the
+                # engine stops fusing them the speedup silently
+                # evaporates while results stay identical.
+                assert profiler.fused_issues > 0, (name, mode)
 
     def test_segments_inert_without_fastpath(self, name):
-        """Fusion requires the decoded program; on the interpreted path it
-        must disable itself rather than change behavior."""
-        workload = get_workload(name, **CORPUS[name])
-        compiled = _compiled(workload, "sr")
-        interpreted = _launch(
-            workload, compiled, GPUMachine, False, segments=True
-        )
-        assert interpreted.profiler.fused_issues == 0
-        reference = _launch(
-            workload, compiled, GPUMachine, True, segments=False
-        )
-        assert _fingerprint(interpreted) == _fingerprint(reference), name
+        """Fusion, batching and the JIT all need the decoded program; the
+        reference config leaves them on, and on the interpreted path they
+        must disable themselves (its results are the reference every
+        other configuration matches)."""
+        for n_threads in (None, MULTIWARP):
+            _, interpreted = _reference(
+                name, "sr", "convergence", n_threads, GPUMachine
+            )
+            assert interpreted.fused_issues == 0
+            assert interpreted.batch_epochs == 0
+            assert interpreted.jit_segments == 0
 
     def test_segments_fall_back_under_observability(self, name):
         """An attached metrics registry observes every issue slot, so
         fusion must fall back to per-instruction issue — with results and
         metrics identical to an unfused observed run."""
-        workload = get_workload(name, **CORPUS[name])
-        compiled = _compiled(workload, "sr")
-        observed = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            segments=True,
-        )
-        assert observed.profiler.fused_issues == 0
-        reference = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            segments=False,
-        )
-        assert _fingerprint(observed) == _fingerprint(reference), name
-        assert (
-            observed.metrics.stall_cycles()
-            == reference.metrics.stall_cycles()
-        )
+        observed = _observed_pair(name, ALL_ON, ENGINES["no-segments"])
+        assert observed.fused_issues == 0
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestWarpBatchConformance:
-    """Batched multi-warp lockstep epochs vs the serial interleaving.
-
-    Every corpus workload launches with three warps (96 threads) so the
-    multi-warp rotation loop — not the single-warp exclusive path — is
-    what runs. ``warp_batch=False`` is the reference serial schedule
-    (the exact pre-batching engine); the batched engine must be
-    bit-identical across compile modes and schedulers while actually
-    advancing warps in lockstep epochs.
-    """
-
-    N_THREADS = 96
+    """Batched multi-warp lockstep epochs against the reference at three
+    warps, so the multi-warp rotation loop — not the single-warp exclusive
+    path — is what runs. The batched engine must really advance warps in
+    lockstep epochs; with batching off it must be the exact serial path."""
 
     def test_batched_bit_identical_and_engaged(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        for mode in MODES:
-            compiled = _compiled(workload, mode)
-            for scheduler in sorted(SCHEDULERS):
-                serial = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    n_threads=self.N_THREADS, warp_batch=False,
-                )
-                batched = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    n_threads=self.N_THREADS, warp_batch=True,
-                )
-                assert _fingerprint(batched) == _fingerprint(serial), (
-                    name, mode, scheduler,
-                )
-                # The serial engine must be the exact pre-batching path
-                # and the batched one must really take lockstep epochs —
-                # otherwise this axis silently tests nothing.
-                assert serial.profiler.batch_epochs == 0
-                assert batched.profiler.batch_epochs > 0, (
-                    name, mode, scheduler,
-                )
+        serial = _check(name, ENGINES["no-warp-batch"], n_threads=MULTIWARP)
+        batched = _check(name, ALL_ON, n_threads=MULTIWARP)
+        for point, profiler in batched.items():
+            assert serial[point].batch_epochs == 0
+            assert profiler.batch_epochs > 0, (name, point)
 
     def test_batching_inert_under_observability(self, name):
         """Metrics observe every issue slot, so batching (like fusion)
         must disable itself rather than change what metrics see."""
-        workload = get_workload(name, **CORPUS[name])
-        compiled = _compiled(workload, "sr")
-        observed = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            n_threads=self.N_THREADS, warp_batch=True,
+        observed = _observed_pair(
+            name, ALL_ON, ENGINES["no-warp-batch"], n_threads=MULTIWARP
         )
-        assert observed.profiler.batch_epochs == 0
-        reference = _launch(
-            workload, compiled, GPUMachine, True, metrics=True,
-            n_threads=self.N_THREADS, warp_batch=False,
-        )
-        assert _fingerprint(observed) == _fingerprint(reference), name
-        assert (
-            observed.metrics.stall_cycles()
-            == reference.metrics.stall_cycles()
-        )
+        assert observed.batch_epochs == 0
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestJITConformance:
-    """Compiled segment execution vs interpreted steps, per mode ×
-    scheduler.
-
-    ``jit=False`` is the exact pre-JIT engine and the reference; with
-    the tier-up threshold forced to 0 every fused segment must dispatch
-    through compiled code from its first execution and stay bit-identical
-    — and must actually engage on every corpus point (pinned, or the
-    axis silently tests nothing). Composition with batched multi-warp
-    lockstep epochs gets its own leg.
-    """
-
-    N_THREADS = 96
+    """Compiled segment execution against the reference, per mode ×
+    scheduler. With the tier-up threshold forced to 0 every fused segment
+    dispatches through compiled code from its first execution; it must
+    actually engage on every corpus point and never deopt. Composition
+    with batched multi-warp lockstep epochs gets its own leg."""
 
     def test_jit_bit_identical_and_engaged(self, name):
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_jit():
-            for mode in MODES:
-                compiled = _compiled(workload, mode)
-                for scheduler in sorted(SCHEDULERS):
-                    interpreted = _launch(
-                        workload, compiled, GPUMachine, True, scheduler,
-                        jit=False,
-                    )
-                    jitted = _launch(
-                        workload, compiled, GPUMachine, True, scheduler,
-                        jit=True,
-                    )
-                    assert _fingerprint(jitted) == _fingerprint(
-                        interpreted
-                    ), (name, mode, scheduler)
-                    assert interpreted.profiler.jit_segments == 0
-                    assert jitted.profiler.jit_segments > 0, (
-                        name, mode, scheduler,
-                    )
-                    assert jitted.profiler.jit_deopts == 0, (
-                        name, mode, scheduler,
-                    )
+        interpreted = _check(name, ENGINES["no-jit"])
+        jitted = _check(name, ENGINES["forced-jit"])
+        for point, profiler in jitted.items():
+            assert interpreted[point].jit_segments == 0
+            assert profiler.jit_segments > 0, (name, point)
+            assert profiler.jit_deopts == 0, (name, point)
 
     def test_jit_batched_multiwarp_bit_identical(self, name):
         """The batcher calls ``Segment.execute`` inside lockstep epochs
         (including under the optimistic write-set guard), so tier
         dispatch must compose with multi-warp batching bit-for-bit."""
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_jit():
-            for mode in MODES:
-                compiled = _compiled(workload, mode)
-                serial = _launch(
-                    workload, compiled, GPUMachine, True,
-                    n_threads=self.N_THREADS, warp_batch=False, jit=False,
-                )
-                jit_batched = _launch(
-                    workload, compiled, GPUMachine, True,
-                    n_threads=self.N_THREADS, warp_batch=True, jit=True,
-                )
-                assert _fingerprint(jit_batched) == _fingerprint(serial), (
-                    name, mode,
-                )
-                assert jit_batched.profiler.jit_segments > 0, (name, mode)
+        jit_batched = _check(
+            name, ENGINES["forced-jit"], schedulers=("convergence",),
+            n_threads=MULTIWARP,
+        )
+        for point, profiler in jit_batched.items():
+            assert profiler.jit_segments > 0, (name, point)
 
     def test_jit_inert_without_segments(self, name):
         """Compiled code only exists for fused segments; with fusion off
-        the JIT knob must change nothing at all."""
-        workload = get_workload(name, **CORPUS[name])
-        with _forced_jit():
-            compiled = _compiled(workload, "sr")
-            unfused_jit = _launch(
-                workload, compiled, GPUMachine, True, segments=False,
-                jit=True,
-            )
-            assert unfused_jit.profiler.jit_segments == 0
-            assert unfused_jit.profiler.jit_tierups == 0
-            reference = _launch(
-                workload, compiled, GPUMachine, True, segments=False,
-                jit=False,
-            )
-            assert _fingerprint(unfused_jit) == _fingerprint(reference), name
+        the JIT setting must change nothing at all."""
+        unfused_jit = _check(
+            name, replace(ENGINES["forced-jit"], segments=False),
+            schedulers=(None,), modes=("sr",),
+        )[("sr", None)]
+        assert unfused_jit.jit_segments == 0
+        assert unfused_jit.jit_tierups == 0
 
 
 def _grid_launch(workload, compiled, grid_dim, cta_dim, scheduler=None,
@@ -460,7 +400,7 @@ class TestGridConformance:
         workload = get_workload(name, **CORPUS[name])
         for mode in MODES:
             compiled = _compiled(workload, mode)
-            flat = _launch(workload, compiled, GPUMachine, True)
+            flat = _launch(workload, compiled, GPUMachine, ALL_ON)
             grid = _grid_launch(
                 workload, compiled, 1, workload.n_threads
             )
@@ -477,8 +417,8 @@ class TestGridConformance:
             compiled = _compiled(workload, mode)
             for scheduler in sorted(SCHEDULERS):
                 flat = _launch(
-                    workload, compiled, GPUMachine, True, scheduler,
-                    n_threads=96,
+                    workload, compiled, GPUMachine, ALL_ON, scheduler,
+                    n_threads=MULTIWARP,
                 )
                 grid = _grid_launch(
                     workload, compiled, 3, 32, scheduler=scheduler
@@ -661,31 +601,60 @@ class TestGridFuzzConformance:
             GridLaunch(compiled.module, 4, 32, jobs=2).launch("k")
 
 
+def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
+                reference=REFERENCE, **machine_kwargs):
+    """Launch kernel ``k`` under each of ``engines`` and under
+    ``reference``: all must complete bit-identically, or deadlock
+    *identically* (same warp, same parked lanes). Returns the profilers
+    of ``reference`` and then ``engines``, or None when the kernel
+    deadlocks."""
+
+    def launch(config):
+        with _using(config):
+            return machine_cls(module, **machine_kwargs).launch("k", n_threads)
+
+    try:
+        expected = launch(reference)
+    except DeadlockError as expected_exc:
+        for engine in engines:
+            with pytest.raises(DeadlockError) as exc:
+                launch(engine)
+            assert exc.value.warp_id == expected_exc.warp_id, engine
+            assert sorted(exc.value.waiting) == sorted(
+                expected_exc.waiting
+            ), engine
+        return None
+    profilers = [expected.profiler]
+    for engine in engines:
+        actual = launch(engine)
+        assert _fingerprint(actual) == _fingerprint(expected), engine
+        profilers.append(actual.profiler)
+    return profilers
+
+
 class TestRandomKernelConformance:
     """The fuzzer shakes the decoded handlers with shapes the Table 2
     corpus may not reach (soft thresholds, interprocedural calls)."""
 
+    @pytest.mark.parametrize(
+        "engine", sorted(set(ENGINES) - {"no-fastpath"})
+    )
+    @settings(max_examples=6, deadline=None)
+    @given(program=random_kernel(allow_atomics=True))
+    def test_engine_matches_reference(self, engine, program):
+        """Every leave-one-out configuration against the reference, on
+        three warps whose kernels may share an atomic cell."""
+        compiled = compile_sr(lower_program(program))
+        _fuzz_check(compiled.module, [ENGINES[engine]], MULTIWARP)
+
     @settings(max_examples=15, deadline=None)
     @given(random_kernel())
     def test_fastpath_matches_interpreter(self, program):
-        module = lower_program(program)
-        compiled = compile_sr(module)
-        for machine_cls in (GPUMachine, StackGPUMachine):
-            slow = machine_cls(compiled.module, fastpath=False).launch("k", 32)
-            fast = machine_cls(compiled.module, fastpath=True).launch("k", 32)
-            assert _fingerprint(fast) == _fingerprint(slow), (
-                machine_cls.__name__,
-            )
-        # Segment fusion is a third engine configuration the fuzzer can
-        # reach with shapes the corpus lacks (soft thresholds mid-block,
-        # calls splitting runs); fused must match unfused exactly.
-        fused = GPUMachine(
-            compiled.module, fastpath=True, segments=True
-        ).launch("k", 32)
-        unfused = GPUMachine(
-            compiled.module, fastpath=True, segments=False
-        ).launch("k", 32)
-        assert _fingerprint(fused) == _fingerprint(unfused)
+        compiled = compile_sr(lower_program(program))
+        _fuzz_check(compiled.module, [ALL_ON], machine_cls=StackGPUMachine)
+        # Fusion on and off: the fuzzer reaches shapes the corpus lacks
+        # (soft thresholds mid-block, calls splitting runs).
+        _fuzz_check(compiled.module, [ALL_ON, ENGINES["no-segments"]])
 
     @settings(max_examples=10, deadline=None)
     @given(random_kernel(allow_atomics=True))
@@ -695,79 +664,42 @@ class TestRandomKernelConformance:
         ticket is observable), launched across three warps. Batched
         lockstep epochs must reproduce the serial interleaving
         bit-for-bit — including the guarded rollback path whenever the
-        atomics make footprints collide."""
-        module = lower_program(program)
-        compiled = compile_sr(module)
+        atomics make footprints collide. Ticket-dependent barrier
+        membership can genuinely deadlock; the batched engine must then
+        deadlock identically. (``test_engine_matches_reference`` checks
+        both sides against the interpreter.)"""
+        compiled = compile_sr(lower_program(program))
+        serial = ENGINES["no-warp-batch"]
         for scheduler in sorted(SCHEDULERS):
-            try:
-                serial = GPUMachine(
-                    compiled.module, scheduler=scheduler, warp_batch=False
-                ).launch("k", 96)
-            except DeadlockError as serial_exc:
-                # The generator can produce kernels whose ticket-dependent
-                # barrier membership genuinely deadlocks. Conformance then
-                # means the batched engine deadlocks *identically* — same
-                # warp, same parked lanes — instead of completing.
-                with pytest.raises(DeadlockError) as batched_exc:
-                    GPUMachine(
-                        compiled.module, scheduler=scheduler, warp_batch=True
-                    ).launch("k", 96)
-                assert batched_exc.value.warp_id == serial_exc.warp_id
-                assert sorted(batched_exc.value.waiting) == sorted(
-                    serial_exc.waiting
-                ), scheduler
-                continue
-            batched = GPUMachine(
-                compiled.module, scheduler=scheduler, warp_batch=True
-            ).launch("k", 96)
-            assert _fingerprint(batched) == _fingerprint(serial), scheduler
-            assert serial.profiler.batch_epochs == 0
+            profilers = _fuzz_check(
+                compiled.module, [ALL_ON], MULTIWARP, reference=serial,
+                scheduler=scheduler,
+            )
+            if profilers is not None:
+                assert profilers[0].batch_epochs == 0
 
     @settings(max_examples=12, deadline=None)
     @given(random_kernel())
     def test_jit_matches_interpreted_segments(self, program):
         """Random kernels with tier-up forced: every compiled segment —
         whatever shapes the generator reaches (soft thresholds, calls,
-        UNDEF operands, folded constants) — must match the interpreted
-        segment engine bit-for-bit."""
-        module = lower_program(program)
-        with _forced_jit():
-            compiled = compile_sr(module)
-            interpreted = GPUMachine(compiled.module, jit=False).launch(
-                "k", 32
-            )
-            jitted = GPUMachine(compiled.module, jit=True).launch("k", 32)
-        assert _fingerprint(jitted) == _fingerprint(interpreted)
+        UNDEF operands, folded constants) — must match the reference
+        bit-for-bit."""
+        compiled = compile_sr(lower_program(program))
+        _fuzz_check(compiled.module, [ENGINES["forced-jit"]])
 
     @settings(max_examples=8, deadline=None)
     @given(random_kernel(allow_atomics=True))
     def test_jit_multiwarp_atomics_matches_serial(self, program):
-        """JIT × warp batching × shared-cell atomics at 96 threads. The
-        reference is the plain serial engine (no batching, no JIT); the
-        full stack must reproduce it bit-for-bit — and when the random
-        ticket-dependent barrier membership genuinely deadlocks, deadlock
-        *identically* (same warp, same parked lanes)."""
-        module = lower_program(program)
-        with _forced_jit():
-            compiled = compile_sr(module)
-            try:
-                serial = GPUMachine(
-                    compiled.module, warp_batch=False, jit=False
-                ).launch("k", 96)
-            except DeadlockError as serial_exc:
-                with pytest.raises(DeadlockError) as jit_exc:
-                    GPUMachine(
-                        compiled.module, warp_batch=True, jit=True
-                    ).launch("k", 96)
-                assert jit_exc.value.warp_id == serial_exc.warp_id
-                assert sorted(jit_exc.value.waiting) == sorted(
-                    serial_exc.waiting
-                )
-                return
-            jit_batched = GPUMachine(
-                compiled.module, warp_batch=True, jit=True
-            ).launch("k", 96)
-        assert _fingerprint(jit_batched) == _fingerprint(serial)
+        """JIT × warp batching × shared-cell atomics at three warps: the
+        full stack with tier-up forced must reproduce the plain serial
+        engine (no batching, no JIT) bit-for-bit, or deadlock
+        identically."""
+        compiled = compile_sr(lower_program(program))
+        _fuzz_check(
+            compiled.module, [ENGINES["forced-jit"]], MULTIWARP,
+            reference=replace(ALL_ON, warp_batch=False, jit=False),
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(random_kernel())
@@ -829,18 +761,16 @@ class TestIssueBudget:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_gpu_machine_overrun_raises_launch_error(self, fastpath):
         module = compile_kernel_source(RUNAWAY)
-        with pytest.raises(LaunchError, match="issue slots"):
-            GPUMachine(module, max_issues=1000, fastpath=fastpath).launch(
-                "k", 32
-            )
+        with engine_config(fastpath=fastpath):
+            with pytest.raises(LaunchError, match="issue slots"):
+                GPUMachine(module, max_issues=1000).launch("k", 32)
 
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_stack_machine_overrun_raises_launch_error(self, fastpath):
         module = compile_kernel_source(RUNAWAY)
-        with pytest.raises(LaunchError, match="issue slots"):
-            StackGPUMachine(module, max_issues=1000, fastpath=fastpath).launch(
-                "k", 32
-            )
+        with engine_config(fastpath=fastpath):
+            with pytest.raises(LaunchError, match="issue slots"):
+                StackGPUMachine(module, max_issues=1000).launch("k", 32)
 
     def test_reference_overrun_raises_launch_error(self):
         module = compile_kernel_source(RUNAWAY)

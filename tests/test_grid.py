@@ -11,6 +11,7 @@ that definition — and that the pool-sharded path (licensed only by a
 
 import pytest
 
+from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError, SimulationError
 from repro.frontend import compile_kernel_source
 from repro.obs import counters as obs_counters
@@ -18,10 +19,8 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.simt import (
     CTAContext,
     GPUMachine,
-    GlobalMemory,
     GridLaunch,
     SharedMemory,
-    grid_sharding_enabled,
 )
 
 DIVERGENT = """
@@ -286,14 +285,19 @@ kernel k() {
 CONFLICTING = "kernel k() { store(0, tid()); }"
 
 
+@pytest.fixture
+def grid_sharding():
+    """Own the sharding setting, so sharding tests still shard under the
+    CI REPRO_GRID=0 leg."""
+    with engine_config(grid=True):
+        yield
+
+
 class TestSharding:
-    def test_sharded_matches_serial(self, monkeypatch):
+    def test_sharded_matches_serial(self, grid_sharding):
         # The whole point of the disjointness proof: CTA ranges run on
         # pool workers must be indistinguishable from the in-process loop
-        # — traces, retirement, per-CTA cycles, and final memory. The
-        # test owns the knob so it still tests sharding under the CI
-        # REPRO_GRID=0 leg.
-        monkeypatch.delenv("REPRO_GRID", raising=False)
+        # — traces, retirement, per-CTA cycles, and final memory.
         module = compile_kernel_source(SHARED_GRID)
         serial = GridLaunch(
             module, 8, 32, jobs=1, shared_words=1, seed=11
@@ -322,11 +326,11 @@ class TestSharding:
         # thread wins cell 0.
         assert result.memory.load(0) == 4 * 32 - 1
 
-    def test_repro_grid_0_disables_sharding_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID", "0")
-        assert not grid_sharding_enabled()
+    def test_repro_grid_0_disables_sharding_only(self):
         module = compile_kernel_source(TID_ONLY)
-        result = GridLaunch(module, 4, 32, jobs=2).launch("k")
+        with engine_config(grid=False):
+            assert not current_engine().grid
+            result = GridLaunch(module, 4, 32, jobs=2).launch("k")
         assert not result.sharded
         assert result.classification == "disjoint"
         for tid in range(4 * 32):
@@ -340,8 +344,7 @@ class TestSharding:
         assert moved["grid.ctas_launched"] == 3
         assert moved["grid.pool_sharded_ctas"] == 0
 
-    def test_sharded_counters_merge_from_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRID", raising=False)
+    def test_sharded_counters_merge_from_workers(self, grid_sharding):
         module = compile_kernel_source(SHARED_GRID)
         before = obs_counters.snapshot()
         result = GridLaunch(

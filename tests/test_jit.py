@@ -3,13 +3,14 @@
 The conformance matrix (test_conformance.py) pins bit-identity over the
 corpus; this file pins the *mechanism*: tier-up threshold semantics,
 compile-once memoization and the code cache, deopt on codegen veto, the
-escape hatches, the generated-source shape, and the post-mortem
+``engine_config`` escape hatches, the generated-source shape, and the post-mortem
 integration.
 """
 
 import pytest
 
 from repro.core import compile_sr
+from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
 from repro.ir.instructions import Opcode
@@ -56,14 +57,11 @@ def forced_jit():
     """JIT on with tier-up forced (threshold 0) and fresh segments, so
     every test starts from cold per-segment hit counters and an empty
     code cache; everything is restored afterwards."""
-    prev_enabled = jit_module.set_jit(True)
-    prev_threshold = jit_module.set_jit_threshold(0)
     clear_decode_cache()
     try:
-        yield
+        with engine_config(jit=True, jit_threshold=0):
+            yield
     finally:
-        jit_module.set_jit(prev_enabled)
-        jit_module.set_jit_threshold(prev_threshold)
         clear_decode_cache()
 
 
@@ -71,12 +69,11 @@ def _compiled(source):
     return compile_sr(compile_kernel_source(source))
 
 
-def _run(compiled, jit=None, seed=2020, **machine_kwargs):
+def _run(compiled, **engine):
+    """One launch with ``engine`` overrides on the current engine config."""
     memory = GlobalMemory()
-    machine = GPUMachine(
-        compiled.module, seed=seed, jit=jit, **machine_kwargs
-    )
-    launch = machine.launch("k", 32, memory=memory)
+    with engine_config(**engine):
+        launch = GPUMachine(compiled.module).launch("k", 32, memory=memory)
     return launch, memory
 
 
@@ -85,15 +82,14 @@ class TestThreshold:
         """Threshold N means exactly N interpreted executions; the N+1st
         tiers up. The hit counter lives on the (cached) segment, so the
         boundary spans launches."""
-        jit_module.set_jit_threshold(3)
         compiled = _compiled(STRAIGHT)
         reference, ref_memory = _run(compiled, jit=False)
         for execution in (1, 2, 3):
-            launch, memory = _run(compiled, jit=True)
+            launch, memory = _run(compiled, jit_threshold=3)
             assert launch.profiler.jit_segments == 0, execution
             assert launch.profiler.jit_tierups == 0, execution
             assert memory.snapshot() == ref_memory.snapshot()
-        hot, memory = _run(compiled, jit=True)
+        hot, memory = _run(compiled, jit_threshold=3)
         assert hot.profiler.jit_tierups == 1
         assert hot.profiler.jit_segments == 1
         assert hot.profiler.jit_deopts == 0
@@ -105,11 +101,6 @@ class TestThreshold:
         launch, _ = _run(compiled, jit=True)
         assert launch.profiler.jit_segments > 0
         assert launch.counters["jit.executed_segments"] > 0
-
-    def test_set_jit_threshold_returns_previous(self, forced_jit):
-        assert jit_module.set_jit_threshold(7) == 0
-        assert jit_module.jit_threshold() == 7
-        assert jit_module.set_jit_threshold(0) == 7
 
 
 class TestCodeCache:
@@ -183,22 +174,16 @@ class TestEscapeHatches:
 
     def test_jit_disabled_context(self, forced_jit):
         compiled = _compiled(STRAIGHT)
-        with jit_module.jit_disabled():
-            assert not jit_module.jit_enabled()
-            launch, _ = _run(compiled)  # machine defers to the global
+        with engine_config(jit=False):
+            assert not current_engine().jit
+            launch, _ = _run(compiled)  # the machine reads the config
             assert launch.profiler.jit_segments == 0
-        assert jit_module.jit_enabled()
-
-    def test_set_jit_returns_previous(self):
-        previous = jit_module.set_jit(False)
-        try:
-            assert jit_module.jit_enabled() is False
-        finally:
-            jit_module.set_jit(previous)
+        assert current_engine().jit
 
     def test_machine_on_while_global_off(self, forced_jit):
+        """An inner override beats an outer one."""
         compiled = _compiled(STRAIGHT)
-        with jit_module.jit_disabled():
+        with engine_config(jit=False):
             launch, _ = _run(compiled, jit=True)
         assert launch.profiler.jit_segments > 0
 
@@ -278,7 +263,7 @@ class TestPostMortem:
         post-mortem report."""
         compiled = _compiled(RUNAWAY)
         memory = GlobalMemory()
-        machine = GPUMachine(compiled.module, max_issues=1000, jit=True)
+        machine = GPUMachine(compiled.module, max_issues=1000)
         with pytest.raises(LaunchError) as excinfo:
             machine.launch("k", 32, memory=memory)
         report = excinfo.value.post_mortem

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import engine_config
 from repro.errors import DeadlockError
 from repro.frontend import compile_kernel_source
 from repro.ir import parse_module, format_module
@@ -185,9 +186,11 @@ class TestTicketDependentDeadlock:
 
     N_THREADS = 96  # three warps contending for tickets
 
-    def _launch(self, **kwargs):
+    def _launch(self, warp_batch, **machine_kwargs):
         module = parse_module(TICKET_DEADLOCK_IR)
-        return GPUMachine(module, **kwargs).launch("k", self.N_THREADS)
+        with engine_config(warp_batch=warp_batch):
+            machine = GPUMachine(module, **machine_kwargs)
+            return machine.launch("k", self.N_THREADS)
 
     def test_serial_engine_deadlocks_with_split_membership(self):
         with pytest.raises(DeadlockError) as exc_info:

@@ -8,6 +8,7 @@ the slot-indexed register files, and the UNDEF sentinel.
 
 import pytest
 
+from repro.engine import current_engine, engine_config
 from repro.errors import SimulationError
 from repro.frontend import compile_kernel_source
 from repro.ir.instructions import Opcode
@@ -16,9 +17,6 @@ from repro.simt import (
     DEFAULT_COST_MODEL,
     GPUMachine,
     decode_program,
-    segments_disabled,
-    segments_enabled,
-    set_segments,
 )
 from repro.simt.scheduler import (
     ConvergenceScheduler,
@@ -26,6 +24,7 @@ from repro.simt.scheduler import (
     RoundRobinScheduler,
 )
 from repro.simt.warp import UNDEF
+from tests.helpers import split_engine
 
 STRAIGHT = """
 kernel k() {
@@ -71,9 +70,11 @@ def _fingerprint(result):
     )
 
 
-def _run(module, **kwargs):
-    n_threads = kwargs.pop("n_threads", 32)
-    return GPUMachine(module, **kwargs).launch("k", n_threads)
+def _run(module, n_threads=32, **kwargs):
+    """One launch; engine fields in ``kwargs`` go to ``engine_config``."""
+    engine, machine_kwargs = split_engine(kwargs)
+    with engine_config(**engine):
+        return GPUMachine(module, **machine_kwargs).launch("k", n_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +97,15 @@ class TestFusionAndFallback:
 
     def test_global_toggle_and_context_manager(self):
         module = compile_kernel_source(STRAIGHT)
-        assert segments_enabled()  # repo default
-        with segments_disabled():
-            assert not segments_enabled()
-            off = _run(module)  # segments=None defers to the global
-            assert off.profiler.fused_issues == 0
-        assert segments_enabled()
-        on = _run(module)
+        with engine_config(segments=True):
+            with engine_config(segments=False):
+                assert not current_engine().segments
+                off = _run(module)  # the machine reads the config
+                assert off.profiler.fused_issues == 0
+            assert current_engine().segments
+            on = _run(module)
         assert on.profiler.fused_issues > 0
         assert _fingerprint(on) == _fingerprint(off)
-
-    def test_set_segments_returns_previous(self):
-        previous = set_segments(False)
-        try:
-            assert previous is True
-            assert set_segments(True) is False
-        finally:
-            set_segments(previous)
 
     @staticmethod
     def _event_key(event):

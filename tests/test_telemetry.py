@@ -477,19 +477,19 @@ class TestObservedRunner:
             shutdown_pool,
             task,
         )
-        from repro.simt.jit import jit_disabled, set_jit
+        from repro.engine import engine_config
 
         tasks = [task(_xsbench_counters) for _ in range(2)]
-        previous = set_jit(True)
         try:
-            _, warm = run_tasks_observed(tasks, jobs=2)
-            assert all(
-                rep["counters"]["jit.executed_segments"] > 0 for rep in warm
-            )
-            with jit_disabled():
-                _, cold = run_tasks_observed(tasks, jobs=2)
+            with engine_config(jit=True):
+                _, warm = run_tasks_observed(tasks, jobs=2)
+                assert all(
+                    rep["counters"]["jit.executed_segments"] > 0
+                    for rep in warm
+                )
+                with engine_config(jit=False):
+                    _, cold = run_tasks_observed(tasks, jobs=2)
         finally:
-            set_jit(previous)
             shutdown_pool()
         assert [rep["counters"]["jit.executed_segments"] for rep in cold] == [
             0, 0,

@@ -11,8 +11,8 @@ corpus; this file covers the pieces in isolation:
   exact rollback, and the overflow cap;
 * the batcher's engagement/fallback behavior on real launches: per-warp
   profiler attribution, guarded rollback, the issue-budget boundary, and
-  every escape hatch (env knob, context manager, machine parameter,
-  observability, single warp);
+  every escape hatch (``engine_config`` overrides, observability, single
+  warp);
 * the persistent worker pool in :mod:`repro.harness.parallel`.
 """
 
@@ -21,23 +21,19 @@ import os
 import pytest
 
 from repro.core import compile_baseline
+from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
 from repro.harness import parallel
 from repro.harness.parallel import run_tasks, shutdown_pool, task
-from repro.simt import (
-    GPUMachine,
-    GlobalMemory,
-    set_warp_batch,
-    warp_batch_disabled,
-    warp_batch_enabled,
-)
+from repro.simt import GPUMachine, GlobalMemory
 from repro.simt.memory import FootprintMemory, FootprintOverflow
 from repro.analysis.memeffects import (
     analyze_module,
     classify_launch,
     clear_launch_cache,
 )
+from tests.helpers import split_engine
 
 # ----------------------------------------------------------------------
 # Kernels
@@ -255,14 +251,17 @@ class TestFootprintMemory:
 # Engine behavior on real launches
 # ----------------------------------------------------------------------
 
-def _run(source, args_for, n_threads, **machine_kwargs):
+def _run(source, args_for, n_threads, **kwargs):
     """Compile ``source`` and launch it on a fresh memory; ``args_for``
-    maps the memory to the kernel argument tuple."""
+    maps the memory to the kernel argument tuple. Engine fields in
+    ``kwargs`` go to ``engine_config``."""
     module = _module(source)
     memory = GlobalMemory()
     args = args_for(memory)
-    machine = GPUMachine(module, **machine_kwargs)
-    return machine.launch("k", n_threads, args=args, memory=memory)
+    engine, machine_kwargs = split_engine(kwargs)
+    with engine_config(**engine):
+        machine = GPUMachine(module, **machine_kwargs)
+        return machine.launch("k", n_threads, args=args, memory=memory)
 
 
 def _task_loop_args(n, stride):
@@ -289,7 +288,7 @@ class TestBatcherEngagement:
     def test_disjoint_launch_batches_and_matches_serial(self):
         setup = _task_loop_args(384, 128)
         serial = _run(TASK_LOOP, setup, 128, warp_batch=False)
-        batched = _run(TASK_LOOP, setup, 128)
+        batched = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert _fingerprint(batched) == _fingerprint(serial)
         assert serial.profiler.batch_epochs == 0
         assert batched.profiler.batch_epochs > 0
@@ -301,7 +300,7 @@ class TestBatcherEngagement:
             out = memory.alloc(256, name="out")
             return (queue, out, 256)
         serial = _run(WORK_QUEUE, setup, 96, warp_batch=False)
-        batched = _run(WORK_QUEUE, setup, 96)
+        batched = _run(WORK_QUEUE, setup, 96, warp_batch=True)
         assert _fingerprint(batched) == _fingerprint(serial)
         # Every epoch's bursts collide on the queue cell, so the guard
         # must actually fire (and eventually disable the batcher).
@@ -312,7 +311,7 @@ class TestBatcherEngagement:
         warp and block even when four warps advance per epoch."""
         setup = _task_loop_args(512, 128)
         serial = _run(TASK_LOOP, setup, 128, warp_batch=False)
-        batched = _run(TASK_LOOP, setup, 128)
+        batched = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert batched.profiler.batch_epochs > 0
         assert batched.profiler.warp_cycles == serial.profiler.warp_cycles
         assert set(batched.profiler.warp_cycles) == {0, 1, 2, 3}
@@ -333,7 +332,7 @@ class TestBatcherEngagement:
         with pytest.raises(LaunchError, match="issue slots") as serial_err:
             _run(TASK_LOOP, setup, 128, warp_batch=False, max_issues=cap)
         with pytest.raises(LaunchError, match="issue slots") as batched_err:
-            _run(TASK_LOOP, setup, 128, max_issues=cap)
+            _run(TASK_LOOP, setup, 128, warp_batch=True, max_issues=cap)
         assert str(batched_err.value) == str(serial_err.value)
 
 
@@ -345,26 +344,19 @@ class TestEscapeHatches:
 
     def test_context_manager_disables_default(self):
         setup = _task_loop_args(384, 128)
-        assert warp_batch_enabled()
-        with warp_batch_disabled():
-            assert not warp_batch_enabled()
-            launch = _run(TASK_LOOP, setup, 128)
-        assert warp_batch_enabled()
+        with engine_config(warp_batch=True):
+            with engine_config(warp_batch=False):
+                assert not current_engine().warp_batch
+                launch = _run(TASK_LOOP, setup, 128)
+            assert current_engine().warp_batch
         assert launch.profiler.batch_epochs == 0
 
     def test_machine_parameter_overrides_global_default(self):
+        """An inner override beats an outer one."""
         setup = _task_loop_args(384, 128)
-        with warp_batch_disabled():
+        with engine_config(warp_batch=False):
             launch = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert launch.profiler.batch_epochs > 0
-
-    def test_set_warp_batch_returns_previous(self):
-        previous = set_warp_batch(False)
-        try:
-            assert previous is True
-            assert set_warp_batch(True) is False
-        finally:
-            set_warp_batch(True)
 
     def test_single_warp_never_batches(self):
         launch = _run(TASK_LOOP, _task_loop_args(96, 32), 32)
@@ -372,7 +364,7 @@ class TestEscapeHatches:
 
     def test_observability_sinks_disable_batching(self):
         setup = _task_loop_args(384, 128)
-        observed = _run(TASK_LOOP, setup, 128, metrics=True)
+        observed = _run(TASK_LOOP, setup, 128, warp_batch=True, metrics=True)
         assert observed.profiler.batch_epochs == 0
         reference = _run(TASK_LOOP, setup, 128, warp_batch=False,
                          metrics=True)
@@ -440,7 +432,7 @@ class TestPersistentPool:
     def test_engine_knob_change_invalidates(self):
         run_tasks([task(_square, i) for i in range(4)], jobs=2)
         first = parallel._POOL
-        with warp_batch_disabled():
+        with engine_config(warp_batch=not current_engine().warp_batch):
             run_tasks([task(_square, i) for i in range(4)], jobs=2)
             assert parallel._POOL is not first
 
