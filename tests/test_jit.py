@@ -102,6 +102,12 @@ class TestThreshold:
         assert launch.profiler.jit_segments > 0
         assert launch.counters["jit.executed_segments"] > 0
 
+    def test_set_jit_threshold_returns_previous(self, forced_jit):
+        assert current_engine().jit_threshold == 0
+        with engine_config(jit_threshold=7):
+            assert current_engine().jit_threshold == 7
+        assert current_engine().jit_threshold == 0
+
 
 class TestCodeCache:
     def test_compiles_once_then_steady_state(self, forced_jit):
@@ -179,6 +185,12 @@ class TestEscapeHatches:
             launch, _ = _run(compiled)  # the machine reads the config
             assert launch.profiler.jit_segments == 0
         assert current_engine().jit
+
+    def test_set_jit_returns_previous(self):
+        previous = current_engine().jit
+        with engine_config(jit=False):
+            assert current_engine().jit is False
+        assert current_engine().jit is previous
 
     def test_machine_on_while_global_off(self, forced_jit):
         """An inner override beats an outer one."""

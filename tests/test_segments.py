@@ -107,6 +107,15 @@ class TestFusionAndFallback:
         assert on.profiler.fused_issues > 0
         assert _fingerprint(on) == _fingerprint(off)
 
+    def test_set_segments_returns_previous(self):
+        assert current_engine().segments is True
+        with engine_config(segments=False):
+            assert current_engine().segments is False
+            with engine_config(segments=True):
+                assert current_engine().segments is True
+            assert current_engine().segments is False
+        assert current_engine().segments is True
+
     @staticmethod
     def _event_key(event):
         return tuple(

@@ -358,6 +358,15 @@ class TestEscapeHatches:
             launch = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert launch.profiler.batch_epochs > 0
 
+    def test_set_warp_batch_returns_previous(self):
+        assert current_engine().warp_batch is True
+        with engine_config(warp_batch=False):
+            assert current_engine().warp_batch is False
+            with engine_config(warp_batch=True):
+                assert current_engine().warp_batch is True
+            assert current_engine().warp_batch is False
+        assert current_engine().warp_batch is True
+
     def test_single_warp_never_batches(self):
         launch = _run(TASK_LOOP, _task_loop_args(96, 32), 32)
         assert launch.profiler.batch_epochs == 0
