@@ -288,7 +288,7 @@ class WarpBatcher:
         self.scheduler.consume(n)
         for thread in group:
             thread.retired += n
-        self.profiler.record_segment(warp.warp_id, pc, segment, len(group),
+        self.profiler.record_segment(warp.warp_id, segment, len(group),
                                      cycles)
         warp.cycles += cycles
         del groups[pc]

@@ -91,6 +91,22 @@ _UNIFORM_OPS = (
 )
 
 
+class _ProgramOrder(dict):
+    """pc -> sortable program position, memoized on first lookup."""
+
+    def __init__(self, module):
+        super().__init__()
+        self._block_pos = {
+            fn.name: {block.name: pos for pos, block in enumerate(fn.blocks)}
+            for fn in module
+        }
+
+    def __missing__(self, pc):
+        function, block, index = pc
+        order = self[pc] = (function, self._block_pos[function][block], index)
+        return order
+
+
 class Executor:
     """Executes instructions for thread groups of one launch."""
 
@@ -100,6 +116,7 @@ class Executor:
         self.memory = memory
         self.cost_model = cost_model
         self.profiler = profiler
+        self._pc_stats = profiler.pc_stats
         # CTA launch context (repro.simt.cta): grid identity, per-CTA shared
         # memory, and the CTA-wide ctasync barrier. None only for executors
         # built outside a GPUMachine launch; grid opcodes then raise.
@@ -147,17 +164,11 @@ class Executor:
         # The launch's FlightRecorder; the machine attaches it so tier-up
         # can record jit-compile events at the verbose level.
         self.recorder = None
-        # Program order for scheduler tie-breaking and fetches.
-        self._block_pos = {
-            fn.name: {block.name: pos for pos, block in enumerate(fn.blocks)}
-            for fn in module
-        }
+        # Program order for scheduler tie-breaking and the batcher:
+        # pc -> (function, block position, index), built once per PC.
+        self.program_order = _ProgramOrder(module).__getitem__
 
     # ------------------------------------------------------------------
-    def program_order(self, pc):
-        function, block, index = pc
-        return (function, self._block_pos[function][block], index)
-
     def fetch(self, pc):
         function, block, index = pc
         instructions = self.module.function(function).block(block).instructions
@@ -202,37 +213,36 @@ class Executor:
         decoded = self._decoded
         if decoded is not None:
             entry = decoded.entry(pc)
-            instr = entry.instr
-            opcode = entry.opcode
             cycles = entry.run(self, warp, group)
             # Lets the machine keep a converged warp's group across issues.
             self.issued_uniform = entry.uniform
-            is_barrier_op = entry.is_barrier_op
         else:
-            instr = self.fetch(pc)
-            opcode = instr.opcode
-            cycles = self._execute_slow(warp, instr, group)
-            self.issued_uniform = opcode in _UNIFORM_OPS
-            is_barrier_op = instr.is_barrier_op
+            entry = self.fetch(pc)
+            cycles = self._execute_slow(warp, entry, group)
+            self.issued_uniform = entry.opcode in _UNIFORM_OPS
 
         for thread in group:
             thread.retired += 1
 
         if self.observing:
-            self._observe_issue(warp, pc, instr, group, cycles)
-        self.profiler.record(
-            warp.warp_id,
-            pc,
-            opcode,
-            active=len(group),
-            cycles=cycles,
-            is_barrier_op=is_barrier_op,
-            lanes=(
+            self._observe_issue(warp, pc, entry.opcode, group, cycles)
+        # Profiler.record inlined for the common case: a PC that has issued
+        # before, with no issue trace to append to.
+        profiler = self.profiler
+        stats = self._pc_stats.get(pc)
+        if stats is None or profiler.trace is not None:
+            profiler.record(
+                warp.warp_id, pc, entry.opcode, len(group), cycles,
+                entry.is_barrier_op,
                 frozenset(t.lane for t in group)
-                if self.profiler.trace is not None
-                else None
-            ),
-        )
+                if profiler.trace is not None
+                else None,
+            )
+        else:
+            stats[0] += 1
+            stats[1] += len(group)
+            stats[2] += cycles
+            profiler.derived = None
         warp.cycles += cycles
         return cycles
 
@@ -460,14 +470,13 @@ class Executor:
     # ------------------------------------------------------------------
     # Observability (cold path: only runs with a live sink or metrics)
     # ------------------------------------------------------------------
-    def _observe_issue(self, warp, pc, instr, group, cycles):
+    def _observe_issue(self, warp, pc, opcode, group, cycles):
         """Emit events / update metrics for one just-executed issue.
 
         Runs after the instruction's effects but before ``warp.cycles``
         advances, so ``warp.cycles`` is the issue's start timestamp.
         """
         ts = warp.cycles
-        opcode = instr.opcode
         function, block, index = pc
         metrics = self.metrics
         sink = self.sink

@@ -219,6 +219,7 @@ class GPUMachine:
         finally:
             self._recorder = None
 
+        profiler.finish(warps)
         counters = profiler.engine_counters()
         ENGINE_COUNTERS.merge(counters)
         ENGINE_COUNTERS.launch_count += 1
@@ -299,7 +300,7 @@ class GPUMachine:
                         for thread in group:
                             thread.retired += n
                         profiler.record_segment(
-                            warp.warp_id, pc, segment, len(group), cycles
+                            warp.warp_id, segment, len(group), cycles
                         )
                         if verbose:
                             recorder.record(
@@ -391,23 +392,28 @@ class GPUMachine:
             # fastpath/segments off): every slot is out of reach for the
             # forced-pick fast lanes, whatever the scheduler says.
             profiler.nonforced_observed += 1
-        elif len(groups) > 1 and (
-            scheduler.forced_pick(groups, executor.program_order) is None
-        ):
-            if scheduler.name == "convergence":
-                profiler.nonforced_tie += 1
-            else:
+        elif len(groups) > 1:
+            # Only the convergence policy can force a pick among several
+            # groups (a strictly largest one); the others force singletons
+            # only.
+            if scheduler.name != "convergence":
                 profiler.nonforced_multi_group += 1
+            elif scheduler.forced_pick(groups, executor.program_order) is None:
+                profiler.nonforced_tie += 1
         pc = scheduler.pick(groups, executor.program_order)
         group = groups[pc]
         executor.execute(warp, pc, group)
-        released = warp.drain_releasable(on_release)
-        if released == 0 and executor.issued_uniform:
+        if not executor.issued_uniform:
+            warp.drain_releasable(on_release)
+        else:
             # A uniform op moved every thread of ``group`` to one new PC and
-            # could not park, exit, or release anything, so the other groups
-            # are exactly as they were: patch the dict instead of rescanning
-            # the warp. (Schedulers order by injective PC keys, so dict
-            # insertion order cannot influence the pick.)
+            # could not park, exit, or touch the barrier file. Every op that
+            # can change the barrier file is non-uniform and so ends in the
+            # drain above, and fused segments hold only uniform ops: nothing
+            # can have become releasable since, so there is no drain here.
+            # The other groups are exactly as they were: patch the dict
+            # instead of rescanning the warp. (Schedulers order by injective
+            # PC keys, so dict insertion order cannot influence the pick.)
             del groups[pc]
             frame = group[0].frames[-1]
             new_pc = (frame.fname, frame.block_name, frame.index)

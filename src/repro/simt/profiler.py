@@ -27,22 +27,81 @@ class BlockProfile:
         return self.active_sum / self.issues if self.issues else 0.0
 
 
+class _Totals:
+    """Launch-wide counters derived from the per-PC and per-segment ones."""
+
+    __slots__ = ("issued", "active_sum", "cycles_sum", "barrier_issues",
+                 "fused_issues", "opcode_counts", "block_profiles")
+
+    def __init__(self, pc_stats, segment_stats):
+        issued = active_sum = cycles_sum = barrier_issues = fused = 0
+        opcodes = {}
+        blocks = {}
+        for (function, block, index), (n, active, cycles, opcode,
+                                       is_barrier_op) in pc_stats.items():
+            issued += n
+            active_sum += active
+            cycles_sum += cycles
+            if is_barrier_op:
+                barrier_issues += n
+            opcodes[opcode] = opcodes.get(opcode, 0) + n
+            profile = blocks.get((function, block))
+            if profile is None:
+                profile = blocks[(function, block)] = BlockProfile()
+            profile.issues += n
+            profile.active_sum += active
+            profile.cycles += cycles
+            if index == 0:
+                profile.visits += n
+        for segment, (runs, active, cycles) in segment_stats.items():
+            n = segment.n
+            fused += runs * n
+            active_sum += active * n
+            cycles_sum += cycles
+            for opcode, count in segment.opcode_counts:
+                opcodes[opcode] = opcodes.get(opcode, 0) + runs * count
+            key = (segment.fname, segment.bname)
+            profile = blocks.get(key)
+            if profile is None:
+                profile = blocks[key] = BlockProfile()
+            profile.issues += runs * n
+            profile.active_sum += active * n
+            profile.cycles += cycles
+            if segment.start == 0:
+                profile.visits += runs
+        self.issued = issued + fused
+        self.active_sum = active_sum
+        self.cycles_sum = cycles_sum
+        self.barrier_issues = barrier_issues
+        self.fused_issues = fused
+        self.opcode_counts = opcodes
+        self.block_profiles = blocks
+
+
 class Profiler:
-    """Aggregates issue-level counters over an entire launch."""
+    """Aggregates issue-level counters over an entire launch.
+
+    The issue path only bumps per-PC and per-segment counters; every
+    launch-wide total (``issued``, ``opcode_counts``, ``block_profiles``,
+    ...) is derived from them on first read and memoized until the next
+    record.
+    """
 
     def __init__(self, trace=False):
-        self.issued = 0
-        self.active_sum = 0
-        self.cycles_sum = 0
-        self.opcode_counts = {}
-        self.block_profiles = {}    # (function, block) -> BlockProfile
-        self.warp_cycles = {}       # warp_id -> cycles
-        self.barrier_issues = 0
-        #: issue slots retired through fused segments and the number of
-        #: segments executed (diagnostics only — deliberately NOT part of
-        #: summary(), which must be invariant under fusion).
-        self.fused_issues = 0
-        self.fused_segments = 0
+        #: pc -> [issues, active_sum, cycles, opcode, is_barrier_op]; the
+        #: executor bumps the first three in place on every issue after
+        #: the first at that PC (``record`` creates the entry).
+        self.pc_stats = {}
+        #: fused segment -> [runs, active_sum, cycles]; ``active_sum``
+        #: sums the group size once per run (each of a run's ``n`` issues
+        #: had that many lanes active).
+        self.segment_stats = {}
+        #: the memoized derived totals; every record resets it to None
+        self.derived = None
+        #: warp_id -> cycles. ``finish`` fills it from ``Warp.cycles`` at
+        #: launch end; ``record`` keeps it current per issue, which is how
+        #: an issue trace stamps ``ts``.
+        self.warp_cycles = {}
         #: warp-batching diagnostics (repro.simt.batch): lockstep epochs
         #: attempted and epochs rolled back by the write-set guard. Like
         #: the fused_* counters these describe the engine, not the
@@ -80,8 +139,13 @@ class Profiler:
 
     def record(self, warp_id, pc, opcode, active, cycles, is_barrier_op=False,
                lanes=None):
-        function, block, index = pc
+        """Account one issue of ``opcode`` at ``pc`` with ``active`` lanes.
+
+        ``Executor.execute`` inlines the common case (a PC already seen,
+        no trace) as three in-place adds on ``pc_stats``.
+        """
         if self.trace is not None:
+            function, block, index = pc
             self.trace.append(
                 IssueEvent(
                     warp_id=warp_id,
@@ -95,50 +159,82 @@ class Profiler:
                     active=active,
                 )
             )
-        self.issued += 1
-        self.active_sum += active
-        self.cycles_sum += cycles
-        self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
-        key = (function, block)
-        profile = self.block_profiles.get(key)
-        if profile is None:
-            profile = BlockProfile()
-            self.block_profiles[key] = profile
-        profile.issues += 1
-        profile.active_sum += active
-        profile.cycles += cycles
-        if index == 0:
-            profile.visits += 1
+        self.derived = None
+        stats = self.pc_stats.get(pc)
+        if stats is None:
+            self.pc_stats[pc] = [1, active, cycles, opcode, is_barrier_op]
+        else:
+            stats[0] += 1
+            stats[1] += active
+            stats[2] += cycles
         self.warp_cycles[warp_id] = self.warp_cycles.get(warp_id, 0) + cycles
-        if is_barrier_op:
-            self.barrier_issues += 1
 
-    def record_segment(self, warp_id, pc, segment, active, cycles):
-        """Batched accounting for one fused segment: exactly what ``n``
-        per-instruction ``record`` calls would have accumulated, in O(1)
-        per counter. Segments never contain barrier ops, and fusion is
-        disabled while tracing, so neither path appears here.
+    def record_segment(self, warp_id, segment, active, cycles):
+        """Account one fused run of ``segment`` by ``active`` lanes: the
+        same totals its ``segment.n`` per-instruction records would give.
+        Segments never contain barrier ops, and fusion is disabled while
+        tracing, so neither appears here.
         """
-        n = segment.n
-        self.issued += n
-        self.active_sum += active * n
-        self.cycles_sum += cycles
-        counts = self.opcode_counts
-        for opcode, count in segment.opcode_counts:
-            counts[opcode] = counts.get(opcode, 0) + count
-        key = (pc[0], pc[1])
-        profile = self.block_profiles.get(key)
-        if profile is None:
-            profile = BlockProfile()
-            self.block_profiles[key] = profile
-        profile.issues += n
-        profile.active_sum += active * n
-        profile.cycles += cycles
-        if pc[2] == 0:
-            profile.visits += 1
+        self.derived = None
+        stats = self.segment_stats.get(segment)
+        if stats is None:
+            self.segment_stats[segment] = [1, active, cycles]
+        else:
+            stats[0] += 1
+            stats[1] += active
+            stats[2] += cycles
         self.warp_cycles[warp_id] = self.warp_cycles.get(warp_id, 0) + cycles
-        self.fused_issues += n
-        self.fused_segments += 1
+
+    def finish(self, warps):
+        """Close the launch: take each warp's cycles from the warp itself
+        (the executor's inlined records do not update ``warp_cycles``)."""
+        for warp in warps:
+            self.warp_cycles[warp.warp_id] = warp.cycles
+
+    def _totals(self):
+        totals = self.derived
+        if totals is None:
+            totals = self.derived = _Totals(self.pc_stats, self.segment_stats)
+        return totals
+
+    @property
+    def issued(self):
+        return self._totals().issued
+
+    @property
+    def active_sum(self):
+        return self._totals().active_sum
+
+    @property
+    def cycles_sum(self):
+        return self._totals().cycles_sum
+
+    @property
+    def barrier_issues(self):
+        return self._totals().barrier_issues
+
+    @property
+    def opcode_counts(self):
+        """Opcode -> issue count."""
+        return self._totals().opcode_counts
+
+    @property
+    def block_profiles(self):
+        """(function, block) -> :class:`BlockProfile`."""
+        return self._totals().block_profiles
+
+    @property
+    def fused_issues(self):
+        """Issue slots retired through fused segments (engine diagnostics
+        only: deliberately NOT part of summary(), which must be invariant
+        under fusion)."""
+        return self._totals().fused_issues
+
+    @property
+    def fused_segments(self):
+        """Fused segment runs executed (engine diagnostics, like
+        ``fused_issues``)."""
+        return sum(stats[0] for stats in self.segment_stats.values())
 
     @property
     def simt_efficiency(self):

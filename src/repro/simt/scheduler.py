@@ -54,7 +54,7 @@ class SchedulerBase:
 
 
 class ConvergenceScheduler(SchedulerBase):
-    """Largest group first; ties broken by program order then lowest lane."""
+    """Largest group first; ties broken by program order."""
 
     name = "convergence"
 
@@ -62,12 +62,18 @@ class ConvergenceScheduler(SchedulerBase):
         if len(groups) == 1:
             # Fully converged warp (the common case): min of a singleton.
             return next(iter(groups))
-
-        def key(pc):
-            threads = groups[pc]
-            return (-len(threads), program_order(pc), threads[0].lane)
-
-        return min(groups, key=key)
+        # One pass, reading program order only on a size tie. Program
+        # order is injective over PCs, so the lane tiebreak never decides.
+        best = None
+        best_len = 0
+        for pc, threads in groups.items():
+            size = len(threads)
+            if size > best_len or (
+                size == best_len and program_order(pc) < program_order(best)
+            ):
+                best = pc
+                best_len = size
+        return best
 
     def forced_pick(self, groups, program_order):
         # A *strictly* largest group wins regardless of program order or
@@ -99,7 +105,8 @@ class OldestFirstScheduler(SchedulerBase):
     def pick(self, groups, program_order):
         if len(groups) == 1:
             return next(iter(groups))
-        return min(groups, key=lambda pc: (program_order(pc), -len(groups[pc])))
+        # Program order is injective over PCs, so it never ties.
+        return min(groups, key=program_order)
 
 
 class RoundRobinScheduler(SchedulerBase):

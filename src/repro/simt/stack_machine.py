@@ -105,6 +105,7 @@ class StackGPUMachine:
         )
 
         all_threads = []
+        warps = []
         issues = 0
         try:
             for base in range(0, n_threads, WARP_SIZE):
@@ -114,6 +115,7 @@ class StackGPUMachine:
                     for tid in range(base, min(base + WARP_SIZE, n_threads))
                 ]
                 warp = Warp(warp_id, threads)
+                warps.append(warp)
                 all_threads.extend(threads)
                 issues += self._run_warp(warp, executor)
                 if issues > self.max_issues:
@@ -132,6 +134,7 @@ class StackGPUMachine:
                     pass
             raise
 
+        profiler.finish(warps)
         counters = profiler.engine_counters()
         ENGINE_COUNTERS.merge(counters)
         ENGINE_COUNTERS.launch_count += 1

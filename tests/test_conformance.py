@@ -40,6 +40,7 @@ from repro.engine import EngineConfig, engine_config
 from repro.errors import DeadlockError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
+from repro.ir import parse_module
 from repro.simt import (
     CTAContext,
     DEFAULT_MAX_ISSUES,
@@ -49,6 +50,8 @@ from repro.simt import (
     SCHEDULERS,
     StackGPUMachine,
 )
+from repro.simt import machine as machine_module
+from repro.simt.executor import Executor
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
@@ -630,6 +633,123 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
         assert _fingerprint(actual) == _fingerprint(expected), engine
         profilers.append(actual.profiler)
     return profilers
+
+
+#: Lanes 0-15 park on $B0 first (the convergence scheduler issues the
+#: largest group); lanes 16-29, the other members, loop 0-3 times on
+#: uniform ops and exit group by group. Lanes 30-31 never join, and the
+#: convergence scheduler leaves them, the smallest group, for last. The
+#: barrier opens only when the last member exits. Waiters and free lanes
+#: draw tickets from one atomic counter, so the stores record whether the
+#: released waiters issued before the free lanes' first op.
+EXIT_OPENS_BARRIER = """
+func @k() kernel {
+entry:
+  %t = tid
+  %m = cmplt %t, 30
+  cbr %m, ^member, ^free
+member:
+  bssy $B0
+  %p = cmplt %t, 16
+  cbr %p, ^wait, ^work
+wait:
+  bsync $B0
+  %v = atomadd 500, 1
+  st %t, %v
+  exit
+work:
+  %n = and %t, 3
+  %i = mov 0
+  bra ^loop
+loop:
+  %q = cmplt %i, %n
+  cbr %q, ^body, ^done
+body:
+  %i = add %i, 1
+  %x = mul %i, 2
+  %y = add %x, %t
+  bra ^loop
+done:
+  st %t, %i
+  exit
+free:
+  %u = atomadd 500, 1
+  st %t, %u
+  %j = mov 0
+  bra ^spin
+spin:
+  %r = cmplt %j, 12
+  cbr %r, ^step, ^out
+step:
+  %j = add %j, 1
+  bra ^spin
+out:
+  exit
+}
+"""
+
+#: Three warps meet at ``ctasync`` after tid-dependent loops of uniform
+#: ops; the last warp to arrive releases the other two.
+CTASYNC_ACROSS_WARPS = """
+kernel k() {
+    let t = tid();
+    let x = 0.0;
+    for i in 0..(t % 7) { x = x * 1.5 + 1.0; }
+    store(t, atomadd(500, 1.0));
+    ctasync;
+    store(t + 1000, x + atomadd(501, 1.0));
+}
+"""
+
+
+class _AlwaysDrainExecutor(Executor):
+    """Drains the warp's barriers after every issue and reports it as
+    non-uniform, so the machine regroups each time: the schedule from
+    before drains were skipped after uniform ops."""
+
+    def execute(self, warp, pc, group):
+        cycles = super().execute(warp, pc, group)
+        warp.drain_releasable()
+        self.issued_uniform = False
+        return cycles
+
+
+class TestBarrierDrainConformance:
+    """Drains run only after non-uniform ops. These barriers open through
+    routes no other test pins: a member's exit, and a ``ctasync`` across
+    warps (``bbreak`` releases are pinned by the goldens). Each must
+    match the interpreted reference under every engine and scheduler,
+    and the schedule of an executor that drains after every issue."""
+
+    CASES = {
+        "exit": (lambda: parse_module(EXIT_OPENS_BARRIER), 32),
+        "ctasync": (lambda: compile_kernel_source(CTASYNC_ACROSS_WARPS),
+                    MULTIWARP),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_matches_reference_and_always_drain(
+        self, case, scheduler, monkeypatch
+    ):
+        build, n_threads = self.CASES[case]
+        module = build()
+        profilers = _fuzz_check(
+            module,
+            [ENGINES[name] for name in sorted(set(ENGINES) - {"no-fastpath"})],
+            n_threads, scheduler=scheduler,
+        )
+        assert profilers is not None, case  # completes, no deadlock
+        expected = GPUMachine(module, scheduler=scheduler).launch(
+            "k", n_threads
+        )
+        monkeypatch.setattr(machine_module, "Executor", _AlwaysDrainExecutor)
+        for config in (REFERENCE, ALL_ON):
+            with _using(config):
+                drained = GPUMachine(module, scheduler=scheduler).launch(
+                    "k", n_threads
+                )
+            assert _fingerprint(drained) == _fingerprint(expected), config
 
 
 class TestRandomKernelConformance:

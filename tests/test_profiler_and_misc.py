@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import compile_sr
+from repro.engine import engine_config
 from repro.errors import (
     AnalysisError,
     DeadlockError,
@@ -17,6 +19,7 @@ from repro.frontend import compile_kernel_source
 from repro.harness.__main__ import main as harness_main
 from repro.ir import Opcode
 from repro.simt import GPUMachine, Profiler, WARP_SIZE
+from tests.helpers import loop_merge_source
 
 
 class TestProfiler:
@@ -76,6 +79,100 @@ class TestProfiler:
     def test_warp_cycles_per_warp(self):
         result = self._run("kernel k() { store(tid(), 1.0); }", n=WARP_SIZE * 2)
         assert len(result.profiler.warp_cycles) == 2
+
+
+class _FakeSegment:
+    """The fields Profiler reads from a fused segment."""
+
+    def __init__(self, fname, bname, start, opcodes):
+        self.fname = fname
+        self.bname = bname
+        self.start = start
+        self.n = len(opcodes)
+        counts = {}
+        for opcode in opcodes:
+            counts[opcode] = counts.get(opcode, 0) + 1
+        self.opcode_counts = tuple(counts.items())
+
+
+class _Warp:
+    def __init__(self, warp_id, cycles):
+        self.warp_id = warp_id
+        self.cycles = cycles
+
+
+class TestProfilerAccounting:
+    """Per-PC and per-segment records against hand-computed totals."""
+
+    def _block(self, profiler, block):
+        profile = profiler.block_profile("k", block)
+        return (profile.issues, profile.active_sum, profile.visits,
+                profile.cycles)
+
+    def test_record_and_record_segment_totals(self):
+        profiler = Profiler()
+        profiler.record(0, ("k", "entry", 0), Opcode.TID, 32, 4)
+        profiler.record(0, ("k", "entry", 1), Opcode.BSSY, 32, 2, True)
+        profiler.record(1, ("k", "entry", 0), Opcode.TID, 16, 4)
+
+        # Read mid-sequence: this fills the memo.
+        assert profiler.issued == 3
+        assert profiler.active_sum == 80
+        assert profiler.cycles_sum == 10
+        assert profiler.barrier_issues == 1
+        assert profiler.opcode_issues() == {"tid": 2, "bssy": 1}
+        assert self._block(profiler, "entry") == (3, 80, 2, 10)
+        assert profiler.total_cycles == 6
+        assert profiler.fused_issues == 0
+
+        segment = _FakeSegment(
+            "k", "body", 0, (Opcode.ADD, Opcode.MUL, Opcode.ADD, Opcode.BRA)
+        )
+        profiler.record_segment(1, segment, 8, 9)
+        profiler.record_segment(1, segment, 4, 7)
+        profiler.record(0, ("k", "body", 3), Opcode.BRA, 8, 1)
+
+        # Every later record must invalidate the memo.
+        assert profiler.issued == 3 + 4 + 4 + 1
+        assert profiler.active_sum == 80 + 8 * 4 + 4 * 4 + 8
+        assert profiler.cycles_sum == 10 + 9 + 7 + 1
+        assert profiler.barrier_issues == 1
+        assert profiler.opcode_issues() == {
+            "add": 4, "bra": 3, "mul": 2, "tid": 2, "bssy": 1,
+        }
+        assert self._block(profiler, "entry") == (3, 80, 2, 10)
+        assert self._block(profiler, "body") == (9, 56, 2, 17)
+        assert profiler.total_cycles == 4 + 9 + 7  # warp 1
+        assert profiler.warp_cycles == {0: 7, 1: 20}
+        assert profiler.fused_issues == 8
+        assert profiler.fused_segments == 2
+        assert profiler.simt_efficiency == 136 / (12 * WARP_SIZE)
+
+        # At launch end the warps' own cycle counters are authoritative.
+        profiler.finish([_Warp(0, 7), _Warp(1, 20), _Warp(2, 3)])
+        assert profiler.warp_cycles == {0: 7, 1: 20, 2: 3}
+
+    def test_block_profiles_invariant_under_fusion(self):
+        """``summary()`` leaves block profiles out, so pin them here:
+        fused, unfused and interpreted runs of one divergent launch."""
+        module = compile_sr(compile_kernel_source(loop_merge_source())).module
+        profilers = {}
+        for name, config in (
+            ("fused", {"fastpath": True, "segments": True}),
+            ("unfused", {"fastpath": True, "segments": False}),
+            ("interpreted", {"fastpath": False}),
+        ):
+            with engine_config(**config):
+                launch = GPUMachine(module).launch("lm", 32, args=(128,))
+            profilers[name] = launch.profiler
+        fused = profilers.pop("fused")
+        assert fused.fused_issues > 0
+        assert fused.simt_efficiency < 1.0  # the launch diverges
+        for name, other in profilers.items():
+            assert other.fused_issues == 0, name
+            assert other.block_profiles == fused.block_profiles, name
+            assert other.opcode_counts == fused.opcode_counts, name
+            assert other.warp_cycles == fused.warp_cycles, name
 
 
 class TestLaunchResult:

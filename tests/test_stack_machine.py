@@ -5,7 +5,8 @@ import pytest
 from repro.core import compile_baseline, compile_sr
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
-from repro.simt import GPUMachine, StackGPUMachine
+from repro.simt import GlobalMemory, GPUMachine, StackGPUMachine
+from repro.workloads import get_workload
 from tests.helpers import listing1_module, loop_merge_source
 
 
@@ -98,3 +99,32 @@ class TestNoSpeculativeReconvergence:
         its = GPUMachine(module).launch("lm", 32, args=(128,))
         stack = StackGPUMachine(module).launch("lm", 32, args=(128,))
         assert stack.simt_efficiency == pytest.approx(its.simt_efficiency, abs=0.1)
+
+
+class TestPinnedTotals:
+    """Literal profiler totals, so an accounting change cannot zero or
+    shift the stack machine's numbers while conformance (which compares
+    the stack machine only with itself) still passes."""
+
+    def test_pathtracer_baseline(self):
+        workload = get_workload(
+            "pathtracer", samples_per_thread=2, max_bounces=8, shade_cost=8
+        )
+        compiled = compile_baseline(workload.module())
+        memory = GlobalMemory()
+        args = workload.setup(memory)
+        result = StackGPUMachine(compiled.module).launch(
+            workload.kernel_name, 32, args=args, memory=memory
+        )
+        assert result.cycles == 1072
+        assert result.profiler.issued == 1001
+        assert result.simt_efficiency == 0.4388111888111888
+        assert result.profiler.warp_cycles == {0: 1072}
+
+    def test_loop_merge_sr_two_warps(self):
+        module = compile_sr(compile_kernel_source(loop_merge_source())).module
+        result = StackGPUMachine(module).launch("lm", 40, args=(128,))
+        assert result.cycles == 3955
+        assert result.profiler.issued == 6844
+        assert result.simt_efficiency == 0.2860717416715371
+        assert result.profiler.warp_cycles == {0: 3955, 1: 2922}
