@@ -132,7 +132,7 @@ def counter_delta_rows(baseline, fresh, only=None):
     the telemetry PR). Rows are ``(benchmark, counter, base, fresh,
     delta)``; purely informational — counters attribute a timing
     regression to the layer whose behaviour moved (a decode-cache hit
-    rate collapse, a batching rollback storm), they never gate.
+    rate collapse, launches falling back to the interleave), they never gate.
 
     The key union means a counter layer present on only one side — e.g.
     fresh ``jit.*`` rows against a pre-JIT baseline record — renders as a

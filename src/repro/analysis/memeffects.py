@@ -1,11 +1,12 @@
 """Memory-effect analysis: which ``GlobalMemory`` addresses a kernel touches.
 
-The warp batcher (:mod:`repro.simt.batch`) may only advance several live
-warps a whole fused segment per rotation turn when no interleaving of
-those segments can change an observable value. The only cross-warp
-coupling channels in the simulator are global memory and the shared
-scheduler counter (which the batcher keeps honest via ``consume``), so
-the question reduces to: *can two warps' memory footprints overlap?*
+``GPUMachine`` may run the warps of a launch one at a time to completion,
+instead of interleaving them one issue slot per round, only when no warp
+can observe another. Apart from the scheduler (which must keep per-warp
+state only) and the CTA channels (``ctasync`` and shared memory, see
+:func:`cta_coupled`), the only cross-warp channel in the simulator is
+global memory, so the question reduces to: *can two warps' memory
+footprints overlap?*
 
 This module answers it with an abstract interpretation of the kernel
 over a small affine-address domain. Every abstract value is
@@ -34,7 +35,7 @@ Two entry points share the interpreter:
   when *no* two threads of *different* warps can touch a common address
   in a conflicting way, else ``"guarded"``. Results are memoized per
   module (weakly, validated by the structure token) and per
-  ``(kernel, args, n_threads)``.
+  ``(kernel, args, n_threads)``; :func:`cta_coupled` shares the memo.
 
 Soundness notes. Addresses are truncated with ``int()`` at the memory
 interface, so resolved intervals are widened to integer envelopes and
@@ -75,6 +76,7 @@ __all__ = [
     "classify_grid",
     "classify_launch",
     "clear_launch_cache",
+    "cta_coupled",
 ]
 
 #: Region name reported for per-CTA shared-memory access sites.
@@ -321,9 +323,13 @@ _MEMORY_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.ATOMADD})
 #: Per-CTA shared-memory ops. CTA-private by construction: they are
 #: summarized (region ``<shared>``) but excluded from cross-warp conflict
 #: classification — no two CTAs share a scratchpad, and within a CTA the
-#: engine never reorders them (shared ops are not fusable, so segments
-#: and lockstep epochs never contain one).
+#: engine keeps the warps of any kernel that can reach one interleaved
+#: (:func:`cta_coupled`).
 _SHARED_MEMORY_OPS = frozenset({Opcode.SHLD, Opcode.SHST, Opcode.SHATOM})
+
+#: Ops through which the warps of one CTA meet outside global memory: the
+#: CTA-wide barrier and the per-CTA scratchpad (see :func:`cta_coupled`).
+_CTA_OPS = _SHARED_MEMORY_OPS | {Opcode.CTASYNC}
 
 _SITE_KINDS = {
     Opcode.LD: "read",
@@ -471,11 +477,12 @@ def _abstract_run(fn, seed_env):
     return sites, shared_sites
 
 
-def _memory_callees(module, fn):
-    """Names of functions reachable from ``fn`` that contain memory ops."""
+def _reachable(module, fn):
+    """``fn`` followed by every function a call chain from it reaches
+    (callee names that do not resolve are skipped)."""
     seen = {fn.name}
     stack = [fn]
-    opaque = []
+    reached = [fn]
     while stack:
         current = stack.pop()
         for _block, _index, instr in current.instructions():
@@ -488,11 +495,17 @@ def _memory_callees(module, fn):
                     target = module.function(callee)
                 except KeyError:
                     continue
-                if any(i.opcode in _MEMORY_OPS
-                       for _b, _i, i in target.instructions()):
-                    opaque.append(callee)
+                reached.append(target)
                 stack.append(target)
-    return tuple(sorted(opaque))
+    return reached
+
+
+def _memory_callees(module, fn):
+    """Names of functions reachable from ``fn`` that contain memory ops."""
+    return tuple(sorted(
+        callee.name for callee in _reachable(module, fn)[1:]
+        if any(i.opcode in _MEMORY_OPS for _b, _i, i in callee.instructions())
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +726,8 @@ _LAUNCH_CACHE = weakref.WeakKeyDictionary()
 
 
 def clear_launch_cache():
-    """Drop all memoized launch classifications (test hook)."""
+    """Drop all memoized launch classifications and CTA-coupling answers
+    (test hook)."""
     _LAUNCH_CACHE.clear()
 
 
@@ -763,21 +777,29 @@ def _classify(module, kernel_name, args, n_threads):
     return "disjoint"
 
 
+def _module_entry(module):
+    """The module's memo: ``(structure token, launch classifications,
+    CTA coupling per kernel)``, rebuilt when the token moves."""
+    token = structure_token(module)
+    entry = _LAUNCH_CACHE.get(module)
+    if entry is None or entry[0] != token:
+        entry = (token, {}, {})
+        _LAUNCH_CACHE[module] = entry
+    return entry
+
+
 def classify_launch(module, kernel_name, args, n_threads):
     """``"disjoint"`` when no two warps of this launch can conflict
     through global memory, else ``"guarded"``.
 
-    ``"disjoint"`` licenses the warp batcher to run whole segments per
-    warp per rotation turn with no runtime footprint checks at all;
-    ``"guarded"`` means it must log footprints and be prepared to roll
-    back (see :class:`repro.simt.batch.WarpBatcher`). Memoized weakly
-    per module, validated by the structure token.
+    The proof covers global tids ``[0, n_threads)`` with warp ids
+    ``tid // 32``. ``"disjoint"`` (with a per-warp scheduler and no
+    :func:`cta_coupled` channel) licenses ``GPUMachine`` to run the
+    warps one at a time to completion; ``"guarded"`` keeps them
+    interleaved. Memoized weakly per module, validated by the structure
+    token.
     """
-    token = structure_token(module)
-    entry = _LAUNCH_CACHE.get(module)
-    if entry is None or entry[0] != token:
-        entry = (token, {})
-        _LAUNCH_CACHE[module] = entry
+    entry = _module_entry(module)
     try:
         key = (kernel_name, tuple(args), n_threads)
         cached = entry[1].get(key)
@@ -789,6 +811,22 @@ def classify_launch(module, kernel_name, args, n_threads):
     result = _classify(module, kernel_name, tuple(args), n_threads)
     if key is not None:
         entry[1][key] = result
+    return result
+
+
+def cta_coupled(module, kernel_name):
+    """True when the kernel, or any function it can call, contains a
+    ``ctasync`` or a shared-memory op: channels between the warps of one
+    CTA that :func:`classify_launch` does not look at. Memoized with the
+    launch classifications."""
+    coupled = _module_entry(module)[2]
+    result = coupled.get(kernel_name)
+    if result is None:
+        result = coupled[kernel_name] = any(
+            instr.opcode in _CTA_OPS
+            for fn in _reachable(module, module.function(kernel_name))
+            for _block, _index, instr in fn.instructions()
+        )
     return result
 
 

@@ -413,8 +413,8 @@ class MemEffectsPass(Pass):
     ``report.memory_effects`` computes the same summary lazily on first
     read. Naming the pass pins the summary at its pipeline position and
     adds a per-kernel site-count line to ``report.pass_stats``. No
-    engine reads the summary: the warp batcher re-resolves against
-    concrete launch arguments."""
+    engine reads the summary: ``GPUMachine`` classifies each multi-warp
+    launch against its concrete arguments instead."""
 
     name = "mem-effects"
     description = "summarize per-kernel GlobalMemory reads/writes/atomics"

@@ -1,10 +1,10 @@
 """Engine configuration: the host-side simulator settings, in one place.
 
 The simulator's host engine stacks optional layers on the interpreted
-executor — pre-decoded dispatch, fused segments, batched multi-warp
-epochs, the segment JIT — plus the compile cache and pool sharding of
-grid launches. None of them changes a simulated result; they only change
-how fast the host gets there. :class:`EngineConfig` holds all seven
+executor — pre-decoded dispatch, fused segments, independent warps run
+one at a time, the segment JIT — plus the compile cache and pool
+sharding of grid launches. None of them changes a simulated result;
+they only change how fast the host gets there. :class:`EngineConfig` holds all seven
 settings as one frozen, hashable value:
 
 ============== ======================== =======
@@ -81,7 +81,9 @@ class EngineConfig:
     fastpath: bool = True
     #: Fused straight-line segments (:mod:`repro.simt.segments`).
     segments: bool = True
-    #: Lockstep multi-warp epochs (:mod:`repro.simt.batch`).
+    #: Multi-warp launches whose warps cannot observe each other run one
+    #: warp at a time to completion (:mod:`repro.simt.machine`); off
+    #: keeps every multi-warp launch interleaved.
     warp_batch: bool = True
     #: Compiled hot segments (:mod:`repro.simt.jit`).
     jit: bool = True

@@ -96,7 +96,7 @@ def collect_results(seed=2020, sweep_workloads=("pathtracer", "xsbench"),
         "figure9": sweeps,
         "summaries": summaries,
         # What the engine did to produce this export (repro.obs.counters):
-        # cache traffic, fusion coverage, batch epochs, pool reuse.
+        # cache traffic, fusion coverage, independent warps, pool reuse.
         "engine_counters": obs_counters.delta(
             obs_counters.snapshot(), before
         ),

@@ -213,7 +213,7 @@ def run_tasks_observed(tasks, jobs=None, events=False):
     ``{"pid": worker os pid, "counters": engine-counter delta,
     "events": [simulator events]}`` (``events`` empty unless
     ``events=True`` — event capture flips launches into observing mode,
-    which disables segment fusion and warp batching, so only ask for it
+    which disables segment fusion and independent warps, so only ask for it
     when you want the timeline rather than representative counters).
 
     When the tasks ran on the pool, each worker's counter delta is merged

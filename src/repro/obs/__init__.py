@@ -13,7 +13,7 @@ The ``repro.obs`` package instruments all three layers of the stack:
   (:mod:`repro.obs.spans`) attached to ``CompileReport.spans``;
 * **engine counters** — the always-on, namespaced per-layer counter
   registry (:mod:`repro.obs.counters`): decode-cache and compile-cache
-  hits, segment-fusion coverage, batch epochs/rollbacks, analysis cache
+  hits, segment-fusion coverage, how multi-warp launches ran, analysis cache
   traffic, worker-pool reuse — snapshot/diff/merge, rendered by
   ``python -m repro.tools.stats``;
 * **flight recorder** — a bounded ring of recent engine decisions per

@@ -1,7 +1,7 @@
 """Engine-wide layered counters: always-on, near-zero-overhead telemetry.
 
-Every performance layer the engine grew since PR 1 — fastpath pre-decode,
-the pass manager, segment fusion, warp batching, the compile cache, the
+Every performance layer the engine grew — fastpath pre-decode,
+the pass manager, segment fusion, independent warps, the compile cache, the
 persistent worker pool — kept its own ad-hoc diagnostics. This module
 unifies them behind one process-global registry, :data:`ENGINE_COUNTERS`,
 in the style of hardware performance counters: each counter is a **plain
@@ -19,7 +19,7 @@ snapshot and diff::
     ...                       # run launches, sweeps, compiles
     moved = delta(snapshot(), before)
 
-Per-launch values (segment fusion coverage, batch epochs/rollbacks) come
+Per-launch values (segment fusion coverage, how the warps ran) come
 from the launch's own profiler via ``Profiler.engine_counters()`` and are
 folded into the global registry with :meth:`EngineCounters.merge` when
 the launch returns, so both views —
@@ -76,21 +76,22 @@ COUNTERS = {
         "tier-ups vetoed by codegen (segment runs interpreted forever)",
     "jit.executed_segments":
         "fused segment executions dispatched to compiled code",
-    # --- batch: lockstep multi-warp epochs (repro.simt.batch) ---------
-    "batch.epochs":
-        "lockstep epochs attempted across live warps",
-    "batch.rollbacks":
-        "epochs undone by the write-set guard and replayed per slot",
-    "batch.disjoint_launches":
-        "launches whose memory footprints were proven disjoint",
-    "batch.guarded_launches":
-        "launches batched optimistically under the write-set guard",
-    "batch.guard_disables":
-        "launches where a conflict streak switched batching off",
-    "batch.replayed_slots":
-        "slots replayed per-slot after a conflicted lockstep epoch",
-    "batch.peak_footprint":
-        "largest single-burst guarded footprint in words (max, not sum)",
+    # --- batch: how multi-warp launches ran (repro.simt.machine) ------
+    # The five counters sum to the multi-warp launches completed.
+    "batch.independent_launches":
+        "multi-warp launches run one warp at a time to completion",
+    "batch.interleaved_engine":
+        "multi-warp launches interleaved: no segment engine (observers, "
+        "or fastpath/segments/warp_batch off)",
+    "batch.interleaved_scheduler":
+        "multi-warp launches interleaved: scheduler state shared across "
+        "warps (round-robin)",
+    "batch.interleaved_cta":
+        "multi-warp launches interleaved: ctasync or shared memory "
+        "reachable from the kernel",
+    "batch.interleaved_memory":
+        "multi-warp launches interleaved: global footprints not proven "
+        "disjoint",
     # --- sched: why serial picks were not forced (repro.simt.machine) --
     "sched.nonforced_tie":
         "serial slots whose pick tied under the convergence policy",
@@ -134,7 +135,7 @@ COUNTERS = {
 #: High-water-mark counters: the registry keeps the largest value seen,
 #: so :func:`delta` reports the absolute ``after`` value and both merges
 #: take the max instead of the sum.
-HIGH_WATER = frozenset({"batch.peak_footprint", "grid.sm_occupancy"})
+HIGH_WATER = frozenset({"grid.sm_occupancy"})
 
 #: Layer prefixes in display order (the per-layer tables follow this).
 LAYERS = (

@@ -1,20 +1,19 @@
 """Launch flight recorder: a bounded ring of recent engine decisions.
 
-When a launch dies — ``LaunchError`` (issue-budget overrun),
-``DeadlockError`` (conflicting barriers), or the warp batcher's
-guard-streak disable — the profiler tells you *what* the totals were but
-not *what the engine was doing* right before. The flight recorder keeps
-the last N scheduler/segment/batch decisions in a preallocated ring
+When a launch dies — ``LaunchError`` (issue-budget overrun) or
+``DeadlockError`` (conflicting barriers) — the profiler tells you *what*
+the totals were but not *what the engine was doing* right before. The
+flight recorder keeps the last N engine decisions in a preallocated ring
 buffer, off the allocation fast path, and dumps them as a structured
 post-mortem report attached to the raised error (``exc.post_mortem``).
 
 Recording levels:
 
 * ``off`` — no recorder is created;
-* ``on`` (default) — **cold events only**: launch start/end, batch epoch
-  commits and rollbacks, guard-streak disables, launch classification,
-  and the terminal error. These sites fire at most once per epoch or per
-  launch, so the steady-state issue loop is untouched;
+* ``on`` (default) — **cold events only**: launch start (with how a
+  multi-warp launch runs) and end, and the terminal error. These sites
+  fire at most once per launch, so the steady-state issue loop is
+  untouched;
 * ``verbose`` — additionally records every fused-segment commit (one
   entry per burst, still never per instruction). Used by the CI
   conformance leg to prove recording never perturbs results.
@@ -44,8 +43,8 @@ __all__ = [
     "set_recorder_level",
 ]
 
-#: Default ring capacity (entries), chosen so a post-mortem covers several
-#: batch epochs of a wide launch without ever mattering for memory.
+#: Default ring capacity (entries), chosen so a post-mortem covers many
+#: segment bursts of a wide launch without ever mattering for memory.
 DEFAULT_CAPACITY = 256
 
 _LEVELS = ("off", "on", "verbose")
@@ -210,9 +209,8 @@ def attach_post_mortem(error, recorder, extra=None):
 
 
 def dump_post_mortem(recorder, reason):
-    """Post-mortem for a non-fatal engine event (e.g. the warp batcher's
-    guard-streak disable): returns the report, dumping it to
-    ``$REPRO_POST_MORTEM`` when set."""
+    """Post-mortem for a non-fatal engine event, tagged with ``reason``:
+    returns the report, dumping it to ``$REPRO_POST_MORTEM`` when set."""
     if recorder is None:
         return None
     report = recorder.post_mortem()

@@ -8,7 +8,6 @@ from repro.simt.fastpath import (
     DecodedProgram,
     decode_program,
 )
-from repro.simt.batch import WarpBatcher
 from repro.simt.cta import CTASYNC_BARRIER, CTAContext
 from repro.simt.grid import GridLaunch, GridResult
 from repro.simt.machine import DEFAULT_MAX_ISSUES, GPUMachine, LaunchResult
@@ -59,7 +58,6 @@ __all__ = [
     "ThreadState",
     "WARP_SIZE",
     "Warp",
-    "WarpBatcher",
     "XorShift32",
     "decode_program",
     "make_scheduler",

@@ -40,6 +40,7 @@ class CTAContext:
         "tid_base",
         "warp_base",
         "shared_words",
+        "classification",
         "warps",
         "arrived",
         "_shared",
@@ -53,6 +54,7 @@ class CTAContext:
         tid_base=0,
         warp_base=0,
         shared_words=0,
+        classification=None,
     ):
         self.cta_id = cta_id
         self.grid_dim = grid_dim
@@ -60,6 +62,10 @@ class CTAContext:
         self.tid_base = tid_base
         self.warp_base = warp_base
         self.shared_words = shared_words
+        #: the grid's global-memory proof over its whole tid range
+        #: (:func:`repro.analysis.memeffects.classify_grid`), or None for
+        #: a flat launch, which classifies its own ``[0, n_threads)``
+        self.classification = classification
         #: the CTA's warps, set by ``GPUMachine.launch`` after warp build
         self.warps = []
         #: tid -> thread, for threads parked at the CTA barrier

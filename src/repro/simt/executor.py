@@ -164,7 +164,7 @@ class Executor:
         # The launch's FlightRecorder; the machine attaches it so tier-up
         # can record jit-compile events at the verbose level.
         self.recorder = None
-        # Program order for scheduler tie-breaking and the batcher:
+        # Program order for scheduler tie-breaking and forced picks:
         # pc -> (function, block position, index), built once per PC.
         self.program_order = _ProgramOrder(module).__getitem__
 

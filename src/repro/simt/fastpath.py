@@ -838,12 +838,6 @@ class DecodedProgram:
         function, block, index = pc
         return self._segment_table(function, block).at(index)
 
-    def segment_bounded(self, pc, length):
-        """Like :meth:`segment_at`, truncated to ``length`` instructions
-        (the warp batcher's lockstep epoch length)."""
-        function, block, index = pc
-        return self._segment_table(function, block).at_bounded(index, length)
-
     def _segment_table(self, function, block):
         table = self._segments.get((function, block))
         if table is None:

@@ -24,7 +24,11 @@ folds worker engine counters through the PR-6
 :func:`~repro.harness.parallel.run_tasks_observed` aggregation path.
 ``REPRO_GRID=0`` (or ``engine_config(grid=False)``, :mod:`repro.engine`)
 forces the serial in-process CTA loop, as do ``jobs<=1``, a single CTA,
-and a ``"guarded"`` classification.
+and a ``"guarded"`` classification. Every CTA carries the grid's
+classification on its :class:`~repro.simt.cta.CTAContext`: it covers the
+CTA's global tid range, so a ``"disjoint"`` grid's CTAs may run their
+warps one at a time, and a ``"guarded"`` grid's CTAs keep them
+interleaved.
 
 **SM model.** CTAs issue round-robin onto ``n_sms`` simulated SMs
 (CTA ``i`` lands on SM ``i % n_sms``). Each SM is occupancy-limited: it
@@ -150,6 +154,20 @@ def _worker_module(text, name):
     return module
 
 
+def _cta_context(cta_id, grid_dim, cta_dim, shared_words, classification):
+    """CTA ``cta_id``'s context: global tid/warp bases, and the grid's
+    memory proof, which covers every CTA's tid range at once."""
+    return CTAContext(
+        cta_id=cta_id,
+        grid_dim=grid_dim,
+        cta_dim=cta_dim,
+        tid_base=cta_id * cta_dim,
+        warp_base=cta_id * cta_dim // WARP_SIZE,
+        shared_words=shared_words,
+        classification=classification,
+    )
+
+
 def _cta_record(cta_id, result):
     return {
         "cta_id": cta_id,
@@ -182,13 +200,9 @@ def _run_cta_range(
     machine = GPUMachine(module, **machine_kwargs)
     records = []
     for cta_id in cta_ids:
-        cta = CTAContext(
-            cta_id=cta_id,
-            grid_dim=grid_dim,
-            cta_dim=cta_dim,
-            tid_base=cta_id * cta_dim,
-            warp_base=cta_id * cta_dim // WARP_SIZE,
-            shared_words=shared_words,
+        # Only a disjoint grid shards, so its proof rides along.
+        cta = _cta_context(
+            cta_id, grid_dim, cta_dim, shared_words, "disjoint"
         )
         result = machine.launch(
             kernel_name, cta_dim, args, memory=memory, cta=cta
@@ -282,16 +296,6 @@ class GridLaunch:
         )
 
     # ------------------------------------------------------------------
-    def _cta_context(self, cta_id):
-        return CTAContext(
-            cta_id=cta_id,
-            grid_dim=self.grid_dim,
-            cta_dim=self.cta_dim,
-            tid_base=cta_id * self.cta_dim,
-            warp_base=cta_id * self.cta_dim // WARP_SIZE,
-            shared_words=self.shared_words,
-        )
-
     def _sm_schedule(self, cycles_by_cta):
         """Round-robin CTA issue over occupancy-limited SMs.
 
@@ -362,7 +366,9 @@ class GridLaunch:
         if shard:
             records = self._launch_sharded(kernel_name, args, memory, jobs)
         else:
-            records = self._launch_serial(kernel_name, args, memory)
+            records = self._launch_serial(
+                kernel_name, args, memory, classification
+            )
         ENGINE_COUNTERS.grid_ctas_launched += self.grid_dim
 
         cycles_by_cta = {r["cta_id"]: r["cycles"] for r in records}
@@ -400,15 +406,18 @@ class GridLaunch:
         )
 
     # ------------------------------------------------------------------
-    def _launch_serial(self, kernel_name, args, memory):
+    def _launch_serial(self, kernel_name, args, memory, classification):
         """The always-correct path: CTAs run atomically in cta_id order on
         the shared memory, in this process."""
         machine = GPUMachine(self.module, **self.machine_kwargs)
         records = []
         for cta_id in range(self.grid_dim):
+            cta = _cta_context(
+                cta_id, self.grid_dim, self.cta_dim, self.shared_words,
+                classification,
+            )
             result = machine.launch(
-                kernel_name, self.cta_dim, args,
-                memory=memory, cta=self._cta_context(cta_id),
+                kernel_name, self.cta_dim, args, memory=memory, cta=cta,
             )
             records.append(_cta_record(cta_id, result))
         return records

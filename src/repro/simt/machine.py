@@ -1,10 +1,15 @@
 """The GPU machine: kernel launches, warp interleaving, deadlock detection.
 
-Warps execute independently (their cycle counters advance in parallel);
-the machine interleaves them round-robin one issue at a time so that
-cross-warp atomics are deterministic. A launch returns a
-:class:`LaunchResult` with the profiler, final memory, and per-thread
-traces used by correctness tests.
+Warps execute independently (their cycle counters advance in parallel).
+The reference schedule interleaves them round-robin, one issue slot per
+warp per round, so that cross-warp memory traffic is deterministic. When
+no warp can observe another — global footprints proven disjoint, a
+scheduler without cross-warp state, no ``ctasync`` or shared memory —
+every interleaving gives the same result, and the machine runs the warps
+one at a time to completion instead (with segment fusion throughout),
+raising the error the interleave would have raised first. A launch
+returns a :class:`LaunchResult` with the profiler, final memory, and
+per-thread traces used by correctness tests.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
+from repro.analysis.memeffects import classify_launch, cta_coupled
 from repro.errors import DeadlockError, LaunchError, SimulationError
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.metrics import LaunchMetrics
@@ -101,7 +107,7 @@ class GPUMachine:
         # None defers to the global repro.obs.recorder level; True/False
         # and the level strings ("on"/"off"/"verbose") force it.
         self.flight_recorder = flight_recorder
-        #: the active launch's recorder (the batcher records into it)
+        #: the active launch's recorder (``_run_exclusive`` records into it)
         self._recorder = None
 
     def launch(self, kernel_name, n_threads, args=(), memory=None, cta=None):
@@ -157,62 +163,26 @@ class GPUMachine:
             all_threads.extend(threads)
         cta.warps = warps
 
+        if len(warps) > 1:
+            profiler.multiwarp = self._multiwarp_mode(
+                executor, scheduler, kernel_name, args, n_threads, cta
+            )
+
         recorder = make_recorder(kernel_name, n_threads, self.flight_recorder)
         self._recorder = recorder
         executor.recorder = recorder
         if recorder is not None:
             recorder.record(
                 "launch", {"kernel": kernel_name, "n_threads": n_threads,
-                           "warps": len(warps)}
+                           "warps": len(warps),
+                           "multiwarp": profiler.multiwarp}
             )
 
-        batcher = None
-        if len(warps) > 1:
-            from repro.simt.batch import make_batcher
-
-            batcher = make_batcher(
-                self, executor, scheduler, kernel_name, args, n_threads
-            )
-
-        issues = 0
-        live_warps = list(warps)
         try:
-            while live_warps:
-                if len(live_warps) == 1 and executor.segment_at is not None:
-                    # Exactly one live warp (single-warp launch, or the
-                    # tail of a multi-warp one): nothing can interleave
-                    # with it, so segment fusion cannot perturb cross-warp
-                    # memory order.
-                    self._run_exclusive(
-                        live_warps[0], executor, scheduler, issues,
-                        kernel_name
-                    )
-                    break
-                if batcher is not None:
-                    # Lockstep epoch: every live warp advances the same
-                    # number of fused slots, with memory disjointness
-                    # proven statically or enforced by the optimistic
-                    # write-set guard. Falls through to one ordinary
-                    # per-slot round when it cannot engage (non-forced
-                    # pick, no segment, drain needed, ...).
-                    advanced = batcher.try_epoch(live_warps, issues)
-                    if advanced is not None:
-                        # Segment ops cannot exit or park, so the live set
-                        # is unchanged.
-                        issues = advanced
-                        continue
-                progressed = []
-                for warp in live_warps:
-                    if self._step(warp, executor, scheduler):
-                        issues += 1
-                        if issues > self.max_issues:
-                            raise LaunchError(
-                                f"@{kernel_name} exceeded {self.max_issues} "
-                                "issue slots; likely an infinite loop"
-                            )
-                    if not warp.done:
-                        progressed.append(warp)
-                live_warps = progressed
+            if profiler.multiwarp == "independent":
+                self._run_independent(warps, executor, scheduler, kernel_name)
+            else:
+                self._run_interleaved(warps, executor, scheduler, kernel_name)
         except SimulationError as exc:
             self._abort_launch(exc, recorder, profiler, sink)
             raise
@@ -240,6 +210,103 @@ class GPUMachine:
         )
 
     # ------------------------------------------------------------------
+    def _multiwarp_mode(self, executor, scheduler, kernel_name, args,
+                        n_threads, cta):
+        """How a multi-warp launch runs: ``"independent"`` (one warp at a
+        time, :meth:`_run_independent`), or the reason it stays
+        interleaved — ``"engine"`` (no segment engine, or ``warp_batch``
+        off), ``"scheduler"`` (policy state shared across warps),
+        ``"cta"`` (``ctasync`` or shared memory reachable) or
+        ``"memory"`` (global footprints not proven disjoint)."""
+        if executor.segment_at is None or not executor.engine.warp_batch:
+            return "engine"
+        if scheduler.shares_state:
+            return "scheduler"
+        if cta_coupled(self.module, kernel_name):
+            return "cta"
+        # A grid CTA reuses the grid's proof over the whole tid range; a
+        # flat launch proves its own [0, n_threads). A hand-built context
+        # with other bases has no proof.
+        proof = cta.classification
+        if proof is None and not (cta.tid_base or cta.warp_base):
+            proof = classify_launch(
+                self.module, kernel_name, tuple(args), n_threads
+            )
+        return "independent" if proof == "disjoint" else "memory"
+
+    def _budget_error(self, kernel_name):
+        return LaunchError(
+            f"@{kernel_name} exceeded {self.max_issues} issue slots; "
+            "likely an infinite loop"
+        )
+
+    # ------------------------------------------------------------------
+    def _run_interleaved(self, warps, executor, scheduler, kernel_name):
+        """The reference schedule: every live warp issues one slot per
+        round, in warp order. The last live warp runs to completion
+        with segment fusion, since nothing can interleave with it."""
+        max_issues = self.max_issues
+        issues = 0
+        live_warps = warps
+        while live_warps:
+            if len(live_warps) == 1 and executor.segment_at is not None:
+                issues, error = self._run_exclusive(
+                    live_warps[0], executor, scheduler, issues,
+                    max_issues + 1,
+                )
+                if error is not None:
+                    raise error
+                if issues > max_issues:
+                    raise self._budget_error(kernel_name)
+                return
+            progressed = []
+            for warp in live_warps:
+                if self._step(warp, executor, scheduler):
+                    issues += 1
+                    if issues > max_issues:
+                        raise self._budget_error(kernel_name)
+                if not warp.done:
+                    progressed.append(warp)
+            live_warps = progressed
+
+    def _run_independent(self, warps, executor, scheduler, kernel_name):
+        """Run each warp to completion in warp order, then raise the
+        error the interleaved schedule would have raised first.
+
+        Without stalls (no ``ctasync``), the interleave gives a live warp
+        exactly one slot per round, so a warp's *round* is its own issue
+        count: its error falls in the round in which the failing step or
+        fused segment started, and the issue-budget error falls at the
+        first (round, warp position) where the summed count passes
+        ``max_issues``. Later-positioned warps need only run up to the
+        earliest event round found so far (a tie goes to the earlier
+        position), and no warp past ``max_issues + 1`` slots.
+        """
+        max_issues = self.max_issues
+        #: per warp position, the rounds it issues in (a lower bound for
+        #: a warp stopped at its cap)
+        rounds = []
+        first = None  # (round, position, error) of the earliest error
+        for position, warp in enumerate(warps):
+            cap = max_issues + 1
+            if first is not None:
+                cap = min(cap, first[0])
+            budget = _budget_event(rounds, max_issues)
+            if budget is not None:
+                cap = min(cap, budget[0])
+            issued, error = self._run_exclusive(
+                warp, executor, scheduler, 0, cap
+            )
+            rounds.append(issued)
+            if error is not None and (first is None or issued < first[0]):
+                first = (issued, position, error)
+        budget = _budget_event(rounds, max_issues)
+        if budget is not None and (first is None or budget < first[:2]):
+            raise self._budget_error(kernel_name)
+        if first is not None:
+            raise first[2]
+
+    # ------------------------------------------------------------------
     @staticmethod
     def _abort_launch(exc, recorder, profiler, sink):
         """Death rites for a launch that raised mid-kernel: account the
@@ -265,8 +332,11 @@ class GPUMachine:
                 pass
 
     # ------------------------------------------------------------------
-    def _run_exclusive(self, warp, executor, scheduler, issues, kernel_name):
-        """Run the last live warp to completion with segment fusion.
+    def _run_exclusive(self, warp, executor, scheduler, issues, limit):
+        """Run ``warp`` with segment fusion until it completes or
+        ``issues`` reaches ``limit``; returns ``(issues, error)``, where
+        ``error`` is the exception a step or fused segment raised (None
+        if none did) and ``issues`` the count when that step started.
 
         Fusion fires only when three proofs hold at once: the scheduler's
         pick is *forced* for the whole run (``forced_pick``), a fusable
@@ -279,68 +349,62 @@ class GPUMachine:
         segment_at = executor.segment_at
         program_order = executor.program_order
         profiler = executor.profiler
-        max_issues = self.max_issues
         recorder = self._recorder
         verbose = recorder is not None and recorder.verbose
-        while not warp.done:
-            groups = warp.groups_cache
-            if groups is None:
-                groups = warp.groups()
-            if groups:
-                pc = scheduler.forced_pick(groups, program_order)
-                if pc is not None:
-                    segment = segment_at(pc)
-                    if segment is not None and (
-                        len(groups) == 1 or not segment.conflicts(groups)
-                    ):
-                        group = groups[pc]
-                        cycles = segment.execute(executor, warp, group)
-                        n = segment.n
-                        scheduler.consume(n)
-                        for thread in group:
-                            thread.retired += n
-                        profiler.record_segment(
-                            warp.warp_id, segment, len(group), cycles
-                        )
-                        if verbose:
-                            recorder.record(
-                                "segment",
-                                {"warp": warp.warp_id, "pc": list(pc),
-                                 "slots": n},
+        try:
+            while not warp.done and issues < limit:
+                groups = warp.groups_cache
+                if groups is None:
+                    groups = warp.groups()
+                if groups:
+                    pc = scheduler.forced_pick(groups, program_order)
+                    if pc is not None:
+                        segment = segment_at(pc)
+                        if segment is not None and (
+                            len(groups) == 1 or not segment.conflicts(groups)
+                        ):
+                            group = groups[pc]
+                            cycles = segment.execute(executor, warp, group)
+                            n = segment.n
+                            scheduler.consume(n)
+                            for thread in group:
+                                thread.retired += n
+                            profiler.record_segment(
+                                warp.warp_id, segment, len(group), cycles
                             )
-                        warp.cycles += cycles
-                        issues += n
-                        if issues > max_issues:
-                            raise LaunchError(
-                                f"@{kernel_name} exceeded {max_issues} issue "
-                                "slots; likely an infinite loop"
-                            )
-                        # Segment ops cannot park, release, or split, so
-                        # the other groups are untouched: patch the issued
-                        # bucket over to end_pc exactly as _step's uniform
-                        # carry-over would have, one instruction at a time.
-                        del groups[pc]
-                        end_pc = segment.end_pc
-                        resident = groups.get(end_pc)
-                        if resident is None:
-                            groups[end_pc] = group
-                        else:
-                            resident.extend(group)
-                            resident.sort(key=_by_lane)
-                        warp.groups_cache = groups
-                        continue
-            # No fusable forced pick here: hand the grouping to _step (an
-            # empty dict still routes through its drain/done/deadlock
-            # logic) and issue one instruction the ordinary way.
-            warp.groups_cache = groups
-            if self._step(warp, executor, scheduler):
-                issues += 1
-                if issues > max_issues:
-                    raise LaunchError(
-                        f"@{kernel_name} exceeded {max_issues} issue "
-                        "slots; likely an infinite loop"
-                    )
-        return issues
+                            if verbose:
+                                recorder.record(
+                                    "segment",
+                                    {"warp": warp.warp_id, "pc": list(pc),
+                                     "slots": n},
+                                )
+                            warp.cycles += cycles
+                            issues += n
+                            # Segment ops cannot park, release, or split,
+                            # so the other groups are untouched: patch the
+                            # issued bucket over to end_pc exactly as
+                            # _step's uniform carry-over would have, one
+                            # instruction at a time.
+                            del groups[pc]
+                            end_pc = segment.end_pc
+                            resident = groups.get(end_pc)
+                            if resident is None:
+                                groups[end_pc] = group
+                            else:
+                                resident.extend(group)
+                                resident.sort(key=_by_lane)
+                            warp.groups_cache = groups
+                            continue
+                # No fusable forced pick here: hand the grouping to _step
+                # (an empty dict still routes through its drain/done/
+                # deadlock logic) and issue one instruction the ordinary
+                # way.
+                warp.groups_cache = groups
+                if self._step(warp, executor, scheduler):
+                    issues += 1
+        except Exception as exc:  # the caller decides when to raise it
+            return issues, exc
+        return issues, None
 
     # ------------------------------------------------------------------
     def _step(self, warp, executor, scheduler):
@@ -427,3 +491,22 @@ class GPUMachine:
                 resident.sort(key=_by_lane)
             warp.groups_cache = groups
         return True
+
+
+def _budget_event(rounds, max_issues):
+    """``(round, position)`` of the issue slot that takes an interleaved
+    launch past ``max_issues``, when the warp at position ``p`` issues
+    one slot in each round below ``rounds[p]``; None if none does."""
+    if sum(rounds) <= max_issues:
+        return None
+    # Rounds below r hold sum(min(a, r)) slots; bisect for the round that
+    # holds slot number max_issues + 1.
+    lo, hi = 0, max(rounds)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(min(a, mid) for a in rounds) <= max_issues:
+            lo = mid
+        else:
+            hi = mid
+    issuing = [position for position, a in enumerate(rounds) if a > lo]
+    return lo, issuing[max_issues - sum(min(a, lo) for a in rounds)]

@@ -122,103 +122,3 @@ class SharedMemory:
 
     def __len__(self):
         return len(self._cells)
-
-
-class FootprintOverflow(Exception):
-    """A guarded burst touched more addresses than the footprint cap."""
-
-
-#: Absent-cell marker for the undo log (a popped key must be removed, not
-#: restored to 0, so ``snapshot()`` stays bit-identical after rollback).
-_ABSENT = object()
-
-
-class FootprintMemory:
-    """Optimistic-execution guard wrapped around a :class:`GlobalMemory`.
-
-    While a warp runs a fused segment optimistically, the executor's
-    memory reference is swapped to one of these. It applies every access
-    to the real cells with identical semantics (so a conflict-free epoch
-    commits for free) while recording:
-
-    * per-burst **read/write address sets** (``take()`` drains them) —
-      an ``atom_add`` address lands in the write set, which the
-      batcher's conflict rule checks against both prior sets, covering
-      its read half too;
-    * an epoch-wide **undo log** of ``(addr, old value)`` pairs so a
-      conflicting epoch can be rolled back exactly (``rollback()``
-      replays it in reverse, distinguishing cells that did not exist).
-
-    The footprint is capped: a burst touching more than ``limit``
-    distinct addresses raises :class:`FootprintOverflow`, which the
-    batcher treats as a conflict (roll back, replay per-slot).
-    """
-
-    __slots__ = ("_cells", "reads", "writes", "_undo", "_limit", "peak")
-
-    def __init__(self, memory, limit=4096):
-        self._cells = memory._cells
-        self.reads = set()
-        self.writes = set()
-        self._undo = []
-        self._limit = limit
-        #: largest single-burst footprint drained so far (distinct words
-        #: read + written between two ``take()`` calls), surfaced as the
-        #: ``batch.peak_footprint`` counter.
-        self.peak = 0
-
-    def take(self):
-        """Drain and return this burst's ``(reads, writes)`` sets."""
-        reads, writes = self.reads, self.writes
-        footprint = len(reads) + len(writes)
-        if footprint > self.peak:
-            self.peak = footprint
-        self.reads, self.writes = set(), set()
-        return reads, writes
-
-    def load(self, addr):
-        key = int(addr)
-        reads = self.reads
-        if key not in reads:
-            reads.add(key)
-            if len(reads) + len(self.writes) > self._limit:
-                raise FootprintOverflow
-        return self._cells.get(key, 0)
-
-    def store(self, addr, value):
-        key = int(addr)
-        cells = self._cells
-        writes = self.writes
-        if key not in writes:
-            writes.add(key)
-            if len(writes) + len(self.reads) > self._limit:
-                raise FootprintOverflow
-        self._undo.append((key, cells.get(key, _ABSENT)))
-        cells[key] = value
-
-    def atom_add(self, addr, value):
-        key = int(addr)
-        cells = self._cells
-        writes = self.writes
-        if key not in writes:
-            writes.add(key)
-            if len(writes) + len(self.reads) > self._limit:
-                raise FootprintOverflow
-        old = cells.get(key, 0)
-        self._undo.append((key, old if key in cells else _ABSENT))
-        cells[key] = old + value
-        return old
-
-    def rollback(self):
-        """Undo every write of the epoch, newest first."""
-        cells = self._cells
-        for key, old in reversed(self._undo):
-            if old is _ABSENT:
-                cells.pop(key, None)
-            else:
-                cells[key] = old
-        self._undo.clear()
-
-    def commit(self):
-        """Accept the epoch's writes (drops the undo log)."""
-        self._undo.clear()

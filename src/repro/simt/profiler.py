@@ -13,6 +13,18 @@ from repro.obs.events import IssueEvent
 from repro.simt.warp import WARP_SIZE
 
 
+#: ``Profiler.multiwarp`` value -> the engine counter that counts it. The
+#: interleave reasons and the independent launches sum to the multi-warp
+#: launches.
+MULTIWARP_COUNTERS = {
+    "independent": "batch.independent_launches",
+    "engine": "batch.interleaved_engine",
+    "scheduler": "batch.interleaved_scheduler",
+    "cta": "batch.interleaved_cta",
+    "memory": "batch.interleaved_memory",
+}
+
+
 @dataclass
 class BlockProfile:
     """Execution profile of one basic block."""
@@ -102,20 +114,13 @@ class Profiler:
         #: launch end; ``record`` keeps it current per issue, which is how
         #: an issue trace stamps ``ts``.
         self.warp_cycles = {}
-        #: warp-batching diagnostics (repro.simt.batch): lockstep epochs
-        #: attempted and epochs rolled back by the write-set guard. Like
-        #: the fused_* counters these describe the engine, not the
-        #: simulated program, so summary() excludes them.
-        self.batch_epochs = 0
-        self.batch_rollbacks = 0
-        #: FootprintMemory diagnostics for the batcher's guarded epochs:
-        #: slots replayed per-slot after a rollback and the largest
-        #: single-burst footprint (words) any guarded epoch touched.
-        self.batch_replayed_slots = 0
-        self.batch_peak_footprint = 0
+        #: how a multi-warp launch ran (``GPUMachine._multiwarp_mode``):
+        #: "independent", or why it stayed interleaved; None for one
+        #: warp. Engine telemetry, reported through MULTIWARP_COUNTERS.
+        self.multiwarp = None
         #: non-forced-pick attribution (``sched.*`` counters): why serial
-        #: slots could not take the forced-pick fast lanes (segment
-        #: fusion, batching). ``tie`` counts convergence size ties
+        #: slots could not take the forced-pick fast lane (segment
+        #: fusion). ``tie`` counts convergence size ties
         #: (non-strict-largest), ``multi_group`` counts divergent warps
         #: under singleton-only policies, ``observed`` counts slots
         #: issued with no segment engine at all (metrics, sink, or trace
@@ -277,7 +282,7 @@ class Profiler:
     def engine_counters(self):
         """This launch's engine-layer counters, namespaced like
         :data:`repro.obs.counters.COUNTERS`. These describe how the
-        *engine* executed the launch (fusion coverage, batch epochs), not
+        *engine* executed the launch (fusion coverage, warp order), not
         the simulated program — results are identical whatever they say.
         """
         fused = self.fused_issues
@@ -288,10 +293,10 @@ class Profiler:
             "segments.fallback_instrs": fallback,
             "segments.fused_segments": self.fused_segments,
             "segments.coverage": fused / total if total else 0.0,
-            "batch.epochs": self.batch_epochs,
-            "batch.rollbacks": self.batch_rollbacks,
-            "batch.replayed_slots": self.batch_replayed_slots,
-            "batch.peak_footprint": self.batch_peak_footprint,
+            **{
+                name: int(self.multiwarp == mode)
+                for mode, name in MULTIWARP_COUNTERS.items()
+            },
             "sched.nonforced_tie": self.nonforced_tie,
             "sched.nonforced_multi_group": self.nonforced_multi_group,
             "sched.nonforced_observed": self.nonforced_observed,
@@ -304,7 +309,7 @@ class Profiler:
         """Launch digest; stall attribution appears when metrics were on.
 
         The ``counters`` and ``nonforced_picks`` entries are engine
-        telemetry (fusion coverage, batch epochs, why picks were not
+        telemetry (fusion coverage, warp order, why picks were not
         forced) and therefore *vary* with engine knobs even though every
         other field is invariant; consumers comparing summaries across
         engine configurations must drop both (as the conformance

@@ -20,6 +20,12 @@ class SchedulerBase:
 
     name = "base"
 
+    #: True when the policy keeps state that one warp's picks change and
+    #: another warp's picks read. One scheduler instance serves a whole
+    #: launch, so such a policy couples the warps' issue orders and
+    #: ``GPUMachine`` must interleave them as the reference does.
+    shares_state = False
+
     def pick(self, groups, program_order):
         """Return the chosen PC key.
 
@@ -113,6 +119,9 @@ class RoundRobinScheduler(SchedulerBase):
     """Rotates across groups; exists to stress schedule-invariance tests."""
 
     name = "round-robin"
+
+    #: The rotation counter advances on every warp's picks.
+    shares_state = True
 
     def __init__(self):
         self._counter = 0

@@ -23,12 +23,15 @@ lane-ordered memory semantics and dynamic coalescing costs bit-for-bit.
 
 Fusion only fires when the machine can *prove* the scheduler's picks were
 forced for the whole run (``SchedulerBase.forced_pick``) and no other group
-could merge into the segment's interior (``Segment.conflicts``); anything
-else — an attached sink, stall metrics, an issue trace, a disabled
-fastpath, multiple live warps — falls back to per-instruction issue with
-identical results. ``REPRO_SEGMENTS=0`` (or ``engine_config(segments=False)``,
-:mod:`repro.engine`) turns fusion off; the conformance suite pins
-segments-on against segments-off over the full corpus.
+could merge into the segment's interior (``Segment.conflicts``), and
+only on a warp nothing can interleave with: the last live warp, or any
+warp of a launch whose warps run independently (``GPUMachine``).
+Anything else — an attached sink, stall metrics, an issue trace, a
+disabled fastpath, several interleaved live warps — falls back to
+per-instruction issue with identical results. ``REPRO_SEGMENTS=0`` (or
+``engine_config(segments=False)``, :mod:`repro.engine`) turns fusion off;
+the conformance suite pins segments-on against segments-off over the full
+corpus.
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ class Segment:
     """
 
     __slots__ = ("fname", "bname", "start", "n", "steps", "end_pc",
-                 "opcode_counts", "touches_memory", "jit_ir", "jit_hits",
+                 "opcode_counts", "jit_ir", "jit_hits",
                  "jit_fn", "__weakref__")
 
     def __init__(self, fname, bname, start, entries, slots):
@@ -280,10 +283,6 @@ class Segment:
         self.bname = bname
         self.start = start
         self.n = len(entries)
-        self.touches_memory = any(
-            entry.opcode in (Opcode.LD, Opcode.ST, Opcode.ATOMADD)
-            for entry in entries
-        )
 
         steps = []
         jit_records = []  # per-step lowering IR for the segment JIT
@@ -437,34 +436,4 @@ class SegmentTable:
             self.slots,
         )
         self._cache[index] = segment
-        return segment
-
-    def at_bounded(self, index, length):
-        """Like :meth:`at`, truncated to at most ``length`` instructions.
-
-        The warp batcher runs every live warp the *same* number of slots
-        per lockstep epoch, so it needs sub-segments cut to the epoch
-        length. Lengths shorter than two are not worth fusing and return
-        None; a length covering the whole run returns the maximal
-        (shared) segment object.
-        """
-        if length < 2:
-            return None
-        end = self._run_end[index] if index < len(self._run_end) else -1
-        if end - index < 2:
-            return None
-        if length >= end - index:
-            return self.at(index)
-        key = (index, length)
-        segment = self._cache.get(key, _NO_SEGMENT)
-        if segment is not _NO_SEGMENT:
-            return segment
-        segment = Segment(
-            self.fname,
-            self.bname,
-            index,
-            self.entries[index:index + length],
-            self.slots,
-        )
-        self._cache[key] = segment
         return segment

@@ -30,8 +30,8 @@ Counters describe the engine, not the simulated program: fusion coverage
 and cache hit rates vary with knobs (``REPRO_FASTPATH``,
 ``REPRO_SEGMENTS``, ...) while results stay bit-identical. ``--events``
 flips launches into observing mode, which disables segment fusion and
-warp batching for the observed launches — use it for timelines, not for
-representative fusion/batching counters.
+independent warps for the observed launches — use it for timelines, not
+for representative fusion or ``batch.*`` counters.
 """
 
 from __future__ import annotations

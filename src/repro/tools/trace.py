@@ -148,7 +148,7 @@ def _companion_counters(args):
     """Engine-layer counters from an *un-instrumented* re-run.
 
     The traced launch runs in observing mode, which disables segment
-    fusion and warp batching — its engine counters would read zero. A
+    fusion and independent warps — its engine counters would read zero. A
     second launch without observability shows what the engine actually
     does for this kernel in production configuration (results are
     bit-identical either way; only the engine telemetry differs).

@@ -2,8 +2,9 @@
 
 Every engine configuration must reproduce the *interpreted reference*
 (``EngineConfig(fastpath=False)``: the interpreted executor, on which
-segments, batching and the JIT cannot engage) bit-for-bit: per-thread
-store traces, retirement, profiler counters, cycles and SIMT efficiency.
+segments, independent warps and the JIT cannot engage) bit-for-bit:
+per-thread store traces, retirement, profiler counters, cycles and SIMT
+efficiency.
 The configurations are the leave-one-out set of :data:`ENGINES` — all
 layers on, each layer off, and the JIT forced to tier up on first
 execution — checked over
@@ -11,13 +12,13 @@ execution — checked over
 * ``GPUMachine`` and ``StackGPUMachine`` (pre-Volta),
 * all three schedulers,
 * ``compile_baseline`` vs ``compile_sr``,
-* one warp (32 threads) and three warps (96 threads, so batched
-  lockstep epochs engage),
+* one warp (32 threads) and three warps (96 threads, so independent
+  warps run one at a time where memory allows),
 * observability (metrics) on vs off — the PR-1 invariant,
 
 over a scaled-down Table 2 corpus and the hypothesis ``random_kernel``
 fuzzer. Each layer must also actually engage where it should (fused
-issues, batch epochs, compiled segments), or its axis silently tests
+issues, independent warps, compiled segments), or its axis silently tests
 nothing, and stay inert without its prerequisite or under observability.
 
 The max-issues runaway-loop cap is also pinned here: every execution
@@ -75,8 +76,19 @@ CORPUS = {
 
 MODES = ("baseline", "sr")
 
-#: Three warps: the multi-warp rotation loop, where batching engages.
+#: Three warps: the multi-warp path, where independent warps engage.
 MULTIWARP = 96
+
+#: Corpus workloads whose warps share global memory (dynamic work
+#: queues): their multi-warp launches stay interleaved.
+GUARDED = frozenset({"rsbench", "xsbench"})
+
+
+def _expected_multiwarp(name, scheduler):
+    """How an all-on three-warp launch of ``name`` runs."""
+    if scheduler == "round-robin":
+        return "scheduler"
+    return "memory" if name in GUARDED else "independent"
 
 ALL_ON = EngineConfig()
 
@@ -126,12 +138,12 @@ def _fingerprint(launch):
     # Stall attribution only exists when metrics are on; everything else in
     # the summary must be independent of observability.
     summary.pop("stall_cycles", None)
-    # Engine telemetry (fusion coverage, batch epochs) intentionally varies
+    # Engine telemetry (fusion coverage, warp order) intentionally varies
     # with the engine configuration under test; the simulated result must
     # not.
     summary.pop("counters", None)
     # Non-forced-pick attribution counts serial-loop scheduler decisions,
-    # which move between engine configurations (batching absorbs slots).
+    # which move between engine configurations (fusion absorbs slots).
     summary.pop("nonforced_picks", None)
     return (
         launch.store_traces(),
@@ -273,7 +285,8 @@ class TestSegmentConformance:
                 assert profiler.fused_issues > 0, (name, mode)
 
     def test_segments_inert_without_fastpath(self, name):
-        """Fusion, batching and the JIT all need the decoded program; the
+        """Fusion, independent warps and the JIT all need the decoded
+        program; the
         reference config leaves them on, and on the interpreted path they
         must disable themselves (its results are the reference every
         other configuration matches)."""
@@ -282,7 +295,7 @@ class TestSegmentConformance:
                 name, "sr", "convergence", n_threads, GPUMachine
             )
             assert interpreted.fused_issues == 0
-            assert interpreted.batch_epochs == 0
+            assert interpreted.multiwarp in (None, "engine")
             assert interpreted.jit_segments == 0
 
     def test_segments_fall_back_under_observability(self, name):
@@ -295,25 +308,28 @@ class TestSegmentConformance:
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestWarpBatchConformance:
-    """Batched multi-warp lockstep epochs against the reference at three
-    warps, so the multi-warp rotation loop — not the single-warp exclusive
-    path — is what runs. The batched engine must really advance warps in
-    lockstep epochs; with batching off it must be the exact serial path."""
+    """Multi-warp launches against the reference at three warps. Where
+    the warps cannot observe each other the engine must really run them
+    one at a time; elsewhere it must say why it kept the interleave, and
+    with ``warp_batch`` off it must always interleave."""
 
     def test_batched_bit_identical_and_engaged(self, name):
         serial = _check(name, ENGINES["no-warp-batch"], n_threads=MULTIWARP)
         batched = _check(name, ALL_ON, n_threads=MULTIWARP)
-        for point, profiler in batched.items():
-            assert serial[point].batch_epochs == 0
-            assert profiler.batch_epochs > 0, (name, point)
+        for (mode, scheduler), profiler in batched.items():
+            assert serial[mode, scheduler].multiwarp == "engine"
+            assert profiler.multiwarp == _expected_multiwarp(
+                name, scheduler
+            ), (name, mode, scheduler)
 
     def test_batching_inert_under_observability(self, name):
-        """Metrics observe every issue slot, so batching (like fusion)
-        must disable itself rather than change what metrics see."""
+        """Metrics observe every issue slot in interleaved order, so
+        independent warps (like fusion) must disable themselves rather
+        than change what metrics see."""
         observed = _observed_pair(
             name, ALL_ON, ENGINES["no-warp-batch"], n_threads=MULTIWARP
         )
-        assert observed.batch_epochs == 0
+        assert observed.multiwarp == "engine"
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -322,7 +338,7 @@ class TestJITConformance:
     scheduler. With the tier-up threshold forced to 0 every fused segment
     dispatches through compiled code from its first execution; it must
     actually engage on every corpus point and never deopt. Composition
-    with batched multi-warp lockstep epochs gets its own leg."""
+    with independent multi-warp launches gets its own leg."""
 
     def test_jit_bit_identical_and_engaged(self, name):
         interpreted = _check(name, ENGINES["no-jit"])
@@ -333,15 +349,20 @@ class TestJITConformance:
             assert profiler.jit_deopts == 0, (name, point)
 
     def test_jit_batched_multiwarp_bit_identical(self, name):
-        """The batcher calls ``Segment.execute`` inside lockstep epochs
-        (including under the optimistic write-set guard), so tier
-        dispatch must compose with multi-warp batching bit-for-bit."""
+        """Independent warps run every warp through ``Segment.execute``,
+        so tier dispatch must compose with them bit-for-bit. Guarded
+        launches fuse only their last live warp, which may never reach
+        a segment."""
         jit_batched = _check(
             name, ENGINES["forced-jit"], schedulers=("convergence",),
             n_threads=MULTIWARP,
         )
         for point, profiler in jit_batched.items():
-            assert profiler.jit_segments > 0, (name, point)
+            assert profiler.multiwarp == _expected_multiwarp(
+                name, "convergence"
+            ), (name, point)
+            if profiler.multiwarp == "independent":
+                assert profiler.jit_segments > 0, (name, point)
 
     def test_jit_inert_without_segments(self, name):
         """Compiled code only exists for fused segments; with fusion off
@@ -779,15 +800,15 @@ class TestRandomKernelConformance:
     @settings(max_examples=10, deadline=None)
     @given(random_kernel(allow_atomics=True))
     def test_multiwarp_batched_matches_serial(self, program):
-        """Multi-warp fuzz for the warp batcher: random kernels whose
+        """Multi-warp fuzz for independent warps: random kernels whose
         divergent regions may fetch-and-add a *shared* cell (the fetched
-        ticket is observable), launched across three warps. Batched
-        lockstep epochs must reproduce the serial interleaving
-        bit-for-bit — including the guarded rollback path whenever the
-        atomics make footprints collide. Ticket-dependent barrier
-        membership can genuinely deadlock; the batched engine must then
-        deadlock identically. (``test_engine_matches_reference`` checks
-        both sides against the interpreter.)"""
+        ticket is observable), launched across three warps. Whether the
+        warps run one at a time (no shared cell) or stay interleaved
+        (the atomics make footprints collide), the engine must reproduce
+        the serial interleaving bit-for-bit. Ticket-dependent barrier
+        membership can genuinely deadlock; the engine must then deadlock
+        identically. (``test_engine_matches_reference`` checks both sides
+        against the interpreter.)"""
         compiled = compile_sr(lower_program(program))
         serial = ENGINES["no-warp-batch"]
         for scheduler in sorted(SCHEDULERS):
@@ -796,7 +817,7 @@ class TestRandomKernelConformance:
                 scheduler=scheduler,
             )
             if profilers is not None:
-                assert profilers[0].batch_epochs == 0
+                assert profilers[0].multiwarp == "engine"
 
     @settings(max_examples=12, deadline=None)
     @given(random_kernel())
@@ -811,9 +832,9 @@ class TestRandomKernelConformance:
     @settings(max_examples=8, deadline=None)
     @given(random_kernel(allow_atomics=True))
     def test_jit_multiwarp_atomics_matches_serial(self, program):
-        """JIT × warp batching × shared-cell atomics at three warps: the
-        full stack with tier-up forced must reproduce the plain serial
-        engine (no batching, no JIT) bit-for-bit, or deadlock
+        """JIT × independent warps × shared-cell atomics at three warps:
+        the full stack with tier-up forced must reproduce the plain serial
+        engine (always interleaved, no JIT) bit-for-bit, or deadlock
         identically."""
         compiled = compile_sr(lower_program(program))
         _fuzz_check(

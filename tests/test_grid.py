@@ -284,6 +284,18 @@ kernel k() {
 
 CONFLICTING = "kernel k() { store(0, tid()); }"
 
+#: Each thread reads 520 words above its tid and stores at twice its tid.
+#: Over tids [0, 256) alone the reads and writes never meet, but over the
+#: grid's whole range a later warp reads what an earlier warp of the same
+#: CTA stores (thread 568 reads cell 1088, which thread 544 writes).
+SHIFTED_READ = """
+kernel k() {
+    let t = tid();
+    let v = ld(t + 520);
+    store(t * 2, v + 1.0);
+}
+"""
+
 
 @pytest.fixture
 def grid_sharding():
@@ -325,6 +337,19 @@ class TestSharding:
         # cta_id order is the defined serialization: the last CTA's last
         # thread wins cell 0.
         assert result.memory.load(0) == 4 * 32 - 1
+
+    def test_guarded_grid_ctas_stay_interleaved(self):
+        # The CTAs of a guarded grid run serially, and each CTA must keep
+        # its warps interleaved: the grid's proof covers the whole tid
+        # range, and a CTA's own [0, cta_dim) would wrongly say disjoint.
+        module = compile_kernel_source(SHIFTED_READ)
+        grid = GridLaunch(module, 3, 256, jobs=1).launch("k")
+        with engine_config(fastpath=False):
+            reference = GridLaunch(module, 3, 256, jobs=1).launch("k")
+        assert grid.classification == "guarded"
+        assert _observables(grid) == _observables(reference)
+        assert grid.memory.snapshot() == reference.memory.snapshot()
+        assert not grid.counters.get("batch.independent_launches")
 
     def test_repro_grid_0_disables_sharding_only(self):
         module = compile_kernel_source(TID_ONLY)

@@ -85,28 +85,21 @@ class TestCounterRegistry:
         assert total["pool.tasks"] == 5
 
     def test_high_water_counters_merge_by_max(self):
-        a = {"batch.peak_footprint": 289, "grid.sm_occupancy": 4,
-             "launch.count": 1}
-        b = {"batch.peak_footprint": 120, "grid.sm_occupancy": 7,
-             "launch.count": 1}
+        a = {"grid.sm_occupancy": 9, "launch.count": 1}
+        b = {"grid.sm_occupancy": 7, "launch.count": 1}
         assert obs_counters.merge([a, b]) == {
-            "batch.peak_footprint": 289, "grid.sm_occupancy": 7,
-            "launch.count": 2,
+            "grid.sm_occupancy": 9, "launch.count": 2,
         }
         counters = EngineCounters()
         counters.merge(a)
         counters.merge(b)
-        assert counters.batch_peak_footprint == 289
-        assert counters.grid_sm_occupancy == 7
+        assert counters.grid_sm_occupancy == 9
         assert counters.launch_count == 2
         # A peak diffs to its absolute value, never to a difference.
-        moved = obs_counters.delta(a, b)
-        assert moved["batch.peak_footprint"] == 289
-        assert moved["grid.sm_occupancy"] == 4
+        moved = obs_counters.delta(b, a)
+        assert moved["grid.sm_occupancy"] == 7
         assert moved["launch.count"] == 0
-        assert obs_counters.HIGH_WATER == {
-            "batch.peak_footprint", "grid.sm_occupancy",
-        }
+        assert obs_counters.HIGH_WATER == {"grid.sm_occupancy"}
 
     def test_registry_merge_ignores_unknown_keys(self):
         counters = EngineCounters()
@@ -157,7 +150,8 @@ class TestLaunchCounters:
         assert isinstance(result.counters, dict)
         assert set(result.counters) >= {
             "segments.fused_instrs", "segments.fallback_instrs",
-            "segments.coverage", "batch.epochs", "batch.rollbacks",
+            "segments.coverage", "batch.independent_launches",
+            "batch.interleaved_memory",
         }
         fused = result.counters["segments.fused_instrs"]
         fallback = result.counters["segments.fallback_instrs"]
@@ -415,6 +409,15 @@ def _xsbench_counters():
     return _xsbench_launch(128).counters
 
 
+def _grid_counters(cta_dim):
+    """Counters of a two-CTA grid whose SMs each hold ``cta_dim // 32``
+    resident warps."""
+    from repro.simt import GridLaunch
+
+    module = compile_kernel_source("kernel k() { store(tid(), 1.0); }")
+    return GridLaunch(module, 2, cta_dim, jobs=1).launch("k").counters
+
+
 class TestObservedRunner:
     def test_serial_reports_counters(self):
         from repro.harness.parallel import run_tasks_observed, task
@@ -460,16 +463,17 @@ class TestObservedRunner:
         shutdown_pool()
         # Fork the workers from a zero peak, so the merged registry value
         # is exactly the max over this sweep's launches.
-        monkeypatch.setattr(ENGINE_COUNTERS, "batch_peak_footprint", 0)
+        monkeypatch.setattr(ENGINE_COUNTERS, "grid_sm_occupancy", 0)
         try:
             results, _ = run_tasks_observed(
-                [task(_xsbench_counters) for _ in range(4)], jobs=2
+                [task(_grid_counters, cta_dim) for cta_dim in (32, 128, 64)],
+                jobs=2,
             )
         finally:
             shutdown_pool()
-        peaks = [counters["batch.peak_footprint"] for counters in results]
-        assert max(peaks) > 0
-        assert ENGINE_COUNTERS.batch_peak_footprint == max(peaks)
+        peaks = [counters["grid.sm_occupancy"] for counters in results]
+        assert max(peaks) == 4
+        assert ENGINE_COUNTERS.grid_sm_occupancy == max(peaks)
 
     def test_pool_reforks_on_in_process_jit_toggle(self):
         from repro.harness.parallel import (
@@ -481,7 +485,10 @@ class TestObservedRunner:
 
         tasks = [task(_xsbench_counters) for _ in range(2)]
         try:
-            with engine_config(jit=True):
+            # Tier up on first execution: xsbench's guarded warps stay
+            # interleaved and fuse too few segments to reach the default
+            # threshold.
+            with engine_config(jit=True, jit_threshold=0):
                 _, warm = run_tasks_observed(tasks, jobs=2)
                 assert all(
                     rep["counters"]["jit.executed_segments"] > 0

@@ -1,18 +1,18 @@
-"""Warp batching: memory-effect analysis, write-set guard, escape hatches.
+"""Independent warps: memory-effect analysis, warp order, escape hatches.
 
-The conformance matrix (tests/test_conformance.py) pins the batched
-multi-warp engine bit-identical to the serial interleaving over the full
-corpus; this file covers the pieces in isolation:
+The conformance matrix (tests/test_conformance.py) pins the multi-warp
+engine bit-identical to the interleaved reference over the full corpus;
+this file covers the pieces in isolation:
 
 * :mod:`repro.analysis.memeffects` — which launches classify as
-  ``disjoint`` (no runtime checks) vs ``guarded`` (optimistic with
-  rollback), and the compile-time summaries on ``CompileReport``;
-* :class:`repro.simt.memory.FootprintMemory` — footprint tracking,
-  exact rollback, and the overflow cap;
-* the batcher's engagement/fallback behavior on real launches: per-warp
-  profiler attribution, guarded rollback, the issue-budget boundary, and
-  every escape hatch (``engine_config`` overrides, observability, single
-  warp);
+  ``disjoint`` (warps may run one at a time) vs ``guarded`` (they stay
+  interleaved), and the compile-time summaries on ``CompileReport``;
+* which path a multi-warp launch takes on real launches (the
+  ``batch.*`` counters): per-warp profiler attribution, the issue-budget
+  boundary, the reasons a launch stays interleaved, and every escape
+  hatch (``engine_config`` overrides, observability, single warp);
+* error order: a launch run warp by warp raises the error the
+  interleave raises first (deadlock identity, budget vs deadlock);
 * the persistent worker pool in :mod:`repro.harness.parallel`.
 """
 
@@ -22,12 +22,13 @@ import pytest
 
 from repro.core import compile_baseline
 from repro.engine import current_engine, engine_config
-from repro.errors import LaunchError
+from repro.errors import DeadlockError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.harness import parallel
 from repro.harness.parallel import run_tasks, shutdown_pool, task
-from repro.simt import GPUMachine, GlobalMemory
-from repro.simt.memory import FootprintMemory, FootprintOverflow
+from repro.ir import parse_module
+from repro.simt import CTAContext, GPUMachine, GlobalMemory
+from repro.simt.profiler import MULTIWARP_COUNTERS
 from repro.analysis.memeffects import (
     analyze_module,
     classify_launch,
@@ -195,59 +196,6 @@ class TestAnalyzeModule:
 
 
 # ----------------------------------------------------------------------
-# FootprintMemory
-# ----------------------------------------------------------------------
-
-class TestFootprintMemory:
-    def test_tracks_reads_and_writes(self):
-        memory = GlobalMemory()
-        memory.store(3, 7.0)
-        guard = FootprintMemory(memory)
-        assert guard.load(3) == 7.0
-        guard.store(4, 1.0)
-        assert guard.atom_add(5, 2.0) == 0
-        reads, writes = guard.take()
-        assert reads == {3}
-        assert writes == {4, 5}
-        # take() drains: the next burst starts clean.
-        assert guard.take() == (set(), set())
-        # Writes went straight through to the real cells.
-        assert memory.load(4) == 1.0
-        assert memory.load(5) == 2.0
-
-    def test_rollback_restores_exact_snapshot(self):
-        memory = GlobalMemory()
-        memory.store(0, 10.0)
-        before = memory.snapshot()
-        guard = FootprintMemory(memory)
-        guard.store(0, 99.0)     # overwrite an existing cell
-        guard.store(1, 5.0)      # create a cell
-        guard.atom_add(0, 1.0)   # stack a second undo entry on cell 0
-        guard.atom_add(2, 3.0)   # create a cell via atomic
-        guard.rollback()
-        # Bit-identical including *absence* of never-written cells.
-        assert memory.snapshot() == before
-
-    def test_commit_keeps_writes_and_drops_undo(self):
-        memory = GlobalMemory()
-        guard = FootprintMemory(memory)
-        guard.store(7, 1.5)
-        guard.commit()
-        guard.rollback()  # nothing left to undo
-        assert memory.load(7) == 1.5
-
-    def test_overflow_raises_at_the_cap(self):
-        memory = GlobalMemory()
-        guard = FootprintMemory(memory, limit=4)
-        for addr in range(4):
-            guard.store(addr, 1.0)
-        with pytest.raises(FootprintOverflow):
-            guard.load(100)
-        # Re-touching an already-counted address stays fine.
-        guard.store(0, 2.0)
-
-
-# ----------------------------------------------------------------------
 # Engine behavior on real launches
 # ----------------------------------------------------------------------
 
@@ -273,9 +221,11 @@ def _task_loop_args(n, stride):
 
 def _fingerprint(launch):
     summary = launch.profiler.summary()
-    # Engine telemetry legitimately differs between the batched and the
-    # serial configuration; results must not.
+    # Engine telemetry legitimately differs between engine
+    # configurations (the interpreter counts every slot as observed);
+    # results must not.
     summary.pop("counters", None)
+    summary.pop("nonforced_picks", None)
     return (
         launch.store_traces(),
         launch.retired_per_thread(),
@@ -284,15 +234,22 @@ def _fingerprint(launch):
     )
 
 
+def _mode(launch):
+    """The ``batch.*`` counter that counted ``launch`` (None: one warp)."""
+    moved = [name for name in MULTIWARP_COUNTERS.values()
+             if launch.counters[name]]
+    assert len(moved) <= 1, moved
+    return moved[0] if moved else None
+
+
 class TestBatcherEngagement:
     def test_disjoint_launch_batches_and_matches_serial(self):
         setup = _task_loop_args(384, 128)
         serial = _run(TASK_LOOP, setup, 128, warp_batch=False)
         batched = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert _fingerprint(batched) == _fingerprint(serial)
-        assert serial.profiler.batch_epochs == 0
-        assert batched.profiler.batch_epochs > 0
-        assert batched.profiler.batch_rollbacks == 0
+        assert _mode(serial) == "batch.interleaved_engine"
+        assert _mode(batched) == "batch.independent_launches"
 
     def test_guarded_launch_rolls_back_and_matches_serial(self):
         def setup(memory):
@@ -302,17 +259,17 @@ class TestBatcherEngagement:
         serial = _run(WORK_QUEUE, setup, 96, warp_batch=False)
         batched = _run(WORK_QUEUE, setup, 96, warp_batch=True)
         assert _fingerprint(batched) == _fingerprint(serial)
-        # Every epoch's bursts collide on the queue cell, so the guard
-        # must actually fire (and eventually disable the batcher).
-        assert batched.profiler.batch_rollbacks > 0
+        # Every warp draws tickets from the queue cell, so the footprints
+        # are not disjoint and the warps must stay interleaved.
+        assert _mode(batched) == "batch.interleaved_memory"
 
     def test_per_warp_profiler_attribution(self):
         """record_segment must charge cycles and issues to the *owning*
-        warp and block even when four warps advance per epoch."""
+        warp and block when the warps run one after another."""
         setup = _task_loop_args(512, 128)
         serial = _run(TASK_LOOP, setup, 128, warp_batch=False)
         batched = _run(TASK_LOOP, setup, 128, warp_batch=True)
-        assert batched.profiler.batch_epochs > 0
+        assert _mode(batched) == "batch.independent_launches"
         assert batched.profiler.warp_cycles == serial.profiler.warp_cycles
         assert set(batched.profiler.warp_cycles) == {0, 1, 2, 3}
         serial_blocks = serial.profiler.block_profiles
@@ -340,7 +297,7 @@ class TestEscapeHatches:
     def test_machine_parameter_disables(self):
         setup = _task_loop_args(384, 128)
         launch = _run(TASK_LOOP, setup, 128, warp_batch=False)
-        assert launch.profiler.batch_epochs == 0
+        assert _mode(launch) == "batch.interleaved_engine"
 
     def test_context_manager_disables_default(self):
         setup = _task_loop_args(384, 128)
@@ -349,35 +306,224 @@ class TestEscapeHatches:
                 assert not current_engine().warp_batch
                 launch = _run(TASK_LOOP, setup, 128)
             assert current_engine().warp_batch
-        assert launch.profiler.batch_epochs == 0
+        assert _mode(launch) == "batch.interleaved_engine"
 
     def test_machine_parameter_overrides_global_default(self):
         """An inner override beats an outer one."""
         setup = _task_loop_args(384, 128)
         with engine_config(warp_batch=False):
             launch = _run(TASK_LOOP, setup, 128, warp_batch=True)
-        assert launch.profiler.batch_epochs > 0
+        assert _mode(launch) == "batch.independent_launches"
 
     def test_set_warp_batch_returns_previous(self):
-        assert current_engine().warp_batch is True
-        with engine_config(warp_batch=False):
-            assert current_engine().warp_batch is False
-            with engine_config(warp_batch=True):
-                assert current_engine().warp_batch is True
-            assert current_engine().warp_batch is False
-        assert current_engine().warp_batch is True
+        # Starts from an explicit setting, so the REPRO_WARP_BATCH=0 CI
+        # leg runs it too.
+        process = current_engine().warp_batch
+        with engine_config(warp_batch=True):
+            assert current_engine().warp_batch is True
+            with engine_config(warp_batch=False):
+                assert current_engine().warp_batch is False
+                with engine_config(warp_batch=True):
+                    assert current_engine().warp_batch is True
+                assert current_engine().warp_batch is False
+            assert current_engine().warp_batch is True
+        assert current_engine().warp_batch is process
 
     def test_single_warp_never_batches(self):
         launch = _run(TASK_LOOP, _task_loop_args(96, 32), 32)
-        assert launch.profiler.batch_epochs == 0
+        assert _mode(launch) is None
 
     def test_observability_sinks_disable_batching(self):
         setup = _task_loop_args(384, 128)
         observed = _run(TASK_LOOP, setup, 128, warp_batch=True, metrics=True)
-        assert observed.profiler.batch_epochs == 0
+        assert _mode(observed) == "batch.interleaved_engine"
         reference = _run(TASK_LOOP, setup, 128, warp_batch=False,
                          metrics=True)
         assert _fingerprint(observed) == _fingerprint(reference)
+
+
+# ----------------------------------------------------------------------
+# Error order and the reasons a launch stays interleaved
+# ----------------------------------------------------------------------
+
+#: Warp ``w`` loops ``12 - 5w`` times, then splits its lanes across two
+#: soft barriers that can never open (the Section 4.3 deadlock). No
+#: memory is touched before the deadlock, so the warps are independent,
+#: and the later-id warp deadlocks in an earlier round.
+STAGGERED_DEADLOCK_IR = """
+func @k() kernel {
+entry:
+  %t = tid
+  %w = warpid
+  %x = mul %w, 5
+  %n = sub 12, %x
+  %i = mov 0
+  bra ^loop
+loop:
+  %q = cmplt %i, %n
+  cbr %q, ^body, ^stall
+body:
+  %i = add %i, 1
+  bra ^loop
+stall:
+  bssy $spec
+  bssy $pdom
+  %l = lane
+  %p = cmplt %l, 16
+  cbr %p, ^low, ^high
+low:
+  bsync.soft $spec, 32
+  bra ^join
+high:
+  bsync.soft $pdom, 32
+  bra ^join
+join:
+  st %t, %i
+  exit
+}
+"""
+
+#: Slots the interleaved two-warp launch issues before warp 1 deadlocks.
+STAGGERED_DEADLOCK_SLOTS = 87
+
+
+def _expected_mode(reason):
+    """``reason`` when the process engine can run warps independently,
+    else the engine-off reason (the ``REPRO_WARP_BATCH=0`` CI leg)."""
+    engine = current_engine()
+    if engine.fastpath and engine.segments and engine.warp_batch:
+        return reason
+    return "engine"
+
+
+def _outcome(module, n_threads, memory=None, cta=None, **kwargs):
+    """What one launch ends in: its results, its deadlock identity, or
+    the budget error text; plus the multi-warp mode the flight recorder
+    logged."""
+    engine, machine_kwargs = split_engine(kwargs)
+    with engine_config(**engine):
+        machine = GPUMachine(module, flight_recorder="on", **machine_kwargs)
+        try:
+            launch = machine.launch("k", n_threads, memory=memory, cta=cta)
+        except DeadlockError as exc:
+            mode = exc.post_mortem["events"][0]["data"]["multiwarp"]
+            return ("deadlock", exc.warp_id, exc.waiting), mode
+        except LaunchError as exc:
+            mode = exc.post_mortem["events"][0]["data"]["multiwarp"]
+            return ("budget", str(exc)), mode
+    return _fingerprint(launch), launch.profiler.multiwarp
+
+
+class TestErrorOrder:
+    """A launch run warp by warp must fail exactly as the interleaved
+    reference (``fastpath=False``) does. Runs under the process engine,
+    so the ``REPRO_WARP_BATCH=0`` leg checks the interleave too."""
+
+    def _pair(self, max_issues=None):
+        module = parse_module(STAGGERED_DEADLOCK_IR)
+        kwargs = {} if max_issues is None else {"max_issues": max_issues}
+        got, mode = _outcome(module, 64, **kwargs)
+        expected, _ = _outcome(module, 64, fastpath=False, **kwargs)
+        assert mode == _expected_mode("independent")
+        return got, expected
+
+    def test_later_warp_deadlocks_first(self):
+        got, expected = self._pair()
+        assert got == expected
+        kind, warp_id, waiting = got
+        assert (kind, warp_id) == ("deadlock", 1)
+        assert len(waiting) == 32
+
+    def test_budget_beats_later_deadlock(self):
+        got, expected = self._pair(STAGGERED_DEADLOCK_SLOTS - 1)
+        assert got == expected
+        assert got[0] == "budget"
+        got, expected = self._pair(STAGGERED_DEADLOCK_SLOTS)
+        assert got == expected
+        assert got[:2] == ("deadlock", 1)
+
+    def test_every_budget_matches_reference(self):
+        """Around and below the deadlock round, every issue budget ends
+        the launch the same way on both engines."""
+        for max_issues in range(0, STAGGERED_DEADLOCK_SLOTS + 8):
+            got, expected = self._pair(max_issues)
+            assert got == expected, max_issues
+
+
+#: Disjoint, with tid-dependent trip counts so the schedulers differ.
+DIVERGENT_STORE = """
+kernel k() {
+    let t = tid();
+    let trips = floor(hash01(t * 3.1) * 6.0) + 1;
+    let x = 0.0;
+    let i = 0;
+    while (i < trips) {
+        x = fma(x, 1.0001, 0.5);
+        i = i + 1;
+    }
+    store(t, x);
+}
+"""
+
+#: Guarded: every thread reads the cell another warp writes.
+SHIFTED_STORE = """
+kernel k() {
+    let t = tid();
+    let v = ld(t + 40);
+    store(t, v + 1.0);
+}
+"""
+
+#: CTA channels: a CTA-wide barrier, and a shared-memory scratchpad.
+CTASYNC_STORE = """
+kernel k() {
+    let t = tid();
+    store(t, t * 2.0);
+    ctasync;
+    store(t + 200, t * 3.0);
+}
+"""
+SHARED_STORE = """
+kernel k() {
+    let t = tid();
+    shst(t % 4, t);
+    store(t, t * 2.0);
+}
+"""
+
+
+class TestStaysInterleaved:
+    """Launches whose warps can observe each other keep the round-robin
+    interleave, with the reason counted, and match the reference."""
+
+    def _check(self, source, reason, n_threads=96, cta=None, **kwargs):
+        module = _module(source)
+
+        def outcome(**engine):
+            launch_cta = None if cta is None else cta()
+            return _outcome(module, n_threads, memory=GlobalMemory(),
+                            cta=launch_cta, **kwargs, **engine)
+
+        got, mode = outcome()
+        expected, _ = outcome(fastpath=False)
+        assert got == expected
+        assert mode == _expected_mode(reason)
+
+    def test_round_robin_scheduler(self):
+        # The same kernel runs warp by warp under a per-warp policy.
+        self._check(DIVERGENT_STORE, "independent")
+        self._check(DIVERGENT_STORE, "independent", scheduler="oldest-first")
+        self._check(DIVERGENT_STORE, "scheduler", scheduler="round-robin")
+
+    def test_guarded_memory(self):
+        self._check(SHIFTED_STORE, "memory")
+
+    def test_ctasync(self):
+        self._check(CTASYNC_STORE, "cta")
+
+    def test_shared_memory(self):
+        self._check(SHARED_STORE, "cta",
+                    cta=lambda: CTAContext(shared_words=4))
 
 
 # ----------------------------------------------------------------------
