@@ -1,10 +1,10 @@
 """Engine configuration: the host-side simulator settings, in one place.
 
 The simulator's host engine stacks optional layers on the interpreted
-executor — pre-decoded dispatch, fused segments, independent warps run
-one at a time, the segment JIT — plus the compile cache and pool
-sharding of grid launches. None of them changes a simulated result;
-they only change how fast the host gets there. :class:`EngineConfig` holds all seven
+executor — pre-decoded dispatch, compiled fused segments, independent
+warps run one at a time — plus the compile cache and pool sharding of
+grid launches. None of them changes a simulated result; they only change
+how fast the host gets there. :class:`EngineConfig` holds all five
 settings as one frozen, hashable value:
 
 ============== ======================== =======
@@ -13,11 +13,12 @@ field          environment variable     default
 fastpath       ``REPRO_FASTPATH``       on
 segments       ``REPRO_SEGMENTS``       on
 warp_batch     ``REPRO_WARP_BATCH``     on
-jit            ``REPRO_JIT``            on
-jit_threshold  ``REPRO_JIT_THRESHOLD``  50
 compile_cache  ``REPRO_COMPILE_CACHE``  on
 grid           ``REPRO_GRID``           on
 ============== ======================== =======
+
+Other ``REPRO_*`` names are ignored, among them the retired layers'
+``REPRO_SOA``, ``REPRO_SPEC``, ``REPRO_JIT`` and ``REPRO_JIT_THRESHOLD``.
 
 The process-wide config is parsed from the environment once, at import,
 and :func:`current_engine` returns it. :func:`engine_config` overrides
@@ -60,37 +61,29 @@ def parse_flag(name, raw):
     )
 
 
-def parse_int(name, raw, minimum=None):
-    """An integer setting, at least ``minimum`` when one is given."""
+def parse_int(name, raw):
+    """An integer setting."""
     try:
-        value = int(raw.strip())
+        return int(raw.strip())
     except ValueError:
         raise ConfigError(f"{name}={raw!r}: expected an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name}={raw!r}: expected an integer >= {minimum}")
-    return value
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The seven host-engine settings; every combination gives identical
+    """The five host-engine settings; every combination gives identical
     simulated results."""
 
     #: Pre-decoded table dispatch (:mod:`repro.simt.fastpath`). Off runs
     #: the interpreted executor, the reference semantics.
     fastpath: bool = True
-    #: Fused straight-line segments (:mod:`repro.simt.segments`).
+    #: Fused straight-line segments, each compiled to Python when it is
+    #: built (:mod:`repro.simt.segments`, :mod:`repro.simt.jit`).
     segments: bool = True
     #: Multi-warp launches whose warps cannot observe each other run one
     #: warp at a time to completion (:mod:`repro.simt.machine`); off
     #: keeps every multi-warp launch interleaved.
     warp_batch: bool = True
-    #: Compiled hot segments (:mod:`repro.simt.jit`).
-    jit: bool = True
-    #: Segment executions before tier-up; 0 compiles on first execution.
-    #: The default keeps one-shot launches codegen-free while anything
-    #: sweep-shaped tiers up almost immediately.
-    jit_threshold: int = 50
     #: Compile memoization (:mod:`repro.core.program_cache`).
     compile_cache: bool = True
     #: CTA sharding of grid launches over the worker pool
@@ -107,12 +100,8 @@ class EngineConfig:
         for field in fields(cls):
             name = f"REPRO_{field.name.upper()}"
             raw = environ.get(name, "")
-            if not raw.strip():
-                continue
-            if isinstance(field.default, bool):
+            if raw.strip():
                 values[field.name] = parse_flag(name, raw)
-            else:
-                values[field.name] = parse_int(name, raw, minimum=0)
         return cls(**values)
 
 

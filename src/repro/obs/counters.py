@@ -67,15 +67,15 @@ COUNTERS = {
         "issue slots retired one instruction at a time",
     "segments.fused_segments":
         "fused segment executions (bursts)",
-    # --- jit: tiered segment codegen (repro.simt.jit) -----------------
+    # --- jit: compiled segments (repro.simt.jit) ----------------------
     "jit.compiled_segments":
-        "hot segments lowered to Python and compiled",
+        "compile() calls: generated sources not yet in the code memo",
     "jit.tierups":
-        "hot segments promoted from interpreted steps to compiled code",
+        "segments lowered to generated code when built",
     "jit.deopts":
-        "tier-ups vetoed by codegen (segment runs interpreted forever)",
+        "segments vetoed by codegen (the run issues unfused)",
     "jit.executed_segments":
-        "fused segment executions dispatched to compiled code",
+        "fused segment executions (all run compiled code)",
     # --- batch: how multi-warp launches ran (repro.simt.machine) ------
     # The five counters sum to the multi-warp launches completed.
     "batch.independent_launches":

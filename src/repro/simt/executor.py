@@ -153,17 +153,6 @@ class Executor:
             and profiler.trace is None
             else None
         )
-        # Segment JIT (repro.simt.jit): ``jit_threshold`` is the
-        # per-segment hotness gate, or None when the JIT is off for this
-        # launch (disabled, or no segment path to tier up from).
-        self.jit_threshold = (
-            engine.jit_threshold
-            if engine.jit and self.segment_at is not None
-            else None
-        )
-        # The launch's FlightRecorder; the machine attaches it so tier-up
-        # can record jit-compile events at the verbose level.
-        self.recorder = None
         # Program order for scheduler tie-breaking and forced picks:
         # pc -> (function, block position, index), built once per PC.
         self.program_order = _ProgramOrder(module).__getitem__

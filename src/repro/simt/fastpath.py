@@ -813,7 +813,9 @@ class DecodedProgram:
     """
 
     def __init__(self, module, cost_model):
-        self.module = module
+        # Weak: the decode cache keys on the module, so a strong reference
+        # here would keep every decoded module alive forever.
+        self._module = weakref.ref(module)
         self.cost_model = cost_model
         self.token = structure_token(module)
         self._blocks = {}    # (function name, block name) -> tuple of decoded
@@ -848,16 +850,17 @@ class DecodedProgram:
                 function,
                 block,
                 entries,
-                self.module.function(function).reg_slots(),
+                self._module().function(function).reg_slots(),
             )
             self._segments[(function, block)] = table
         return table
 
     def _decode_block(self, function, block):
-        fn = self.module.function(function)
+        module = self._module()
+        fn = module.function(function)
         slots = fn.reg_slots()
         entries = tuple(
-            _decode_instruction(instr, self.cost_model, self.module, slots)
+            _decode_instruction(instr, self.cost_model, module, slots)
             for instr in fn.block(block).instructions
         )
         self._blocks[(function, block)] = entries
@@ -899,8 +902,8 @@ def decode_program(module, cost_model):
 def clear_decode_cache():
     """Drop every cached decode (tests and long-lived servers).
 
-    Compiled JIT code lives on the segments the decode cache owns, so
-    the JIT's registry of it is dropped in the same breath."""
+    Compiled segment code lives on the segments the decode cache owns,
+    so the code cache is dropped in the same breath."""
     _DECODE_CACHE.clear()
     from repro.simt.jit import clear_code_cache
 

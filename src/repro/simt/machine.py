@@ -170,7 +170,6 @@ class GPUMachine:
 
         recorder = make_recorder(kernel_name, n_threads, self.flight_recorder)
         self._recorder = recorder
-        executor.recorder = recorder
         if recorder is not None:
             recorder.record(
                 "launch", {"kernel": kernel_name, "n_threads": n_threads,
@@ -321,9 +320,9 @@ class GPUMachine:
             )
         from repro.simt.jit import jit_post_mortem
 
-        # The generated source of the last-executed JIT segment rides on
-        # the report, but only when this launch actually ran JIT code.
-        extra = jit_post_mortem() if profiler.jit_segments else None
+        # The generated source of the last-executed segment rides on the
+        # report, but only when this launch actually ran fused segments.
+        extra = jit_post_mortem() if profiler.segment_stats else None
         attach_post_mortem(exc, recorder, extra=extra)
         if sink is not None:
             try:

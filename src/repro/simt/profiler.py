@@ -129,13 +129,6 @@ class Profiler:
         self.nonforced_tie = 0
         self.nonforced_multi_group = 0
         self.nonforced_observed = 0
-        #: segment-JIT diagnostics (repro.simt.jit): fused segments
-        #: executed through compiled code, tier-up attempts, and codegen
-        #: deopts during this launch. Engine-only, excluded from
-        #: summary() like the other layer counters.
-        self.jit_segments = 0
-        self.jit_tierups = 0
-        self.jit_deopts = 0
         #: when tracing, every issue as a cycle-stamped IssueEvent (which
         #: unpacks as the legacy ``(warp_id, function, block, lanes)`` tuple)
         self.trace = [] if trace else None
@@ -300,9 +293,8 @@ class Profiler:
             "sched.nonforced_tie": self.nonforced_tie,
             "sched.nonforced_multi_group": self.nonforced_multi_group,
             "sched.nonforced_observed": self.nonforced_observed,
-            "jit.executed_segments": self.jit_segments,
-            "jit.tierups": self.jit_tierups,
-            "jit.deopts": self.jit_deopts,
+            # Every fused segment runs compiled code (repro.simt.jit).
+            "jit.executed_segments": self.fused_segments,
         }
 
     def summary(self):

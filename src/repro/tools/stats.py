@@ -18,8 +18,8 @@ snapshots, "which layer moved")::
     # the 10^5-thread grid corpus: per-SM occupancy + grid.* counters
     python -m repro.tools.stats --grid --jobs 4
 
-    # the tiered segment JIT: force tier-up over the corpus and report
-    # jit.* counters plus per-segment code-cache telemetry
+    # compiled segments over the corpus: jit.* counters plus
+    # per-segment code-cache telemetry
     python -m repro.tools.stats --jit --json jit-counters.json
 
     # which layer moved between two saved snapshots? (BENCH_*.json grid
@@ -92,13 +92,13 @@ def build_parser():
     )
     parser.add_argument(
         "--jit", action="store_true",
-        help="run the corpus in sr mode with JIT tier-up forced "
-             "(threshold 0) and report the jit.* counter layer plus the "
-             "compiled-segment telemetry from the tiered code cache",
+        help="run the corpus in sr mode with compiled segments on and "
+             "report the jit.* counter layer plus the compiled-segment "
+             "telemetry from the code cache",
     )
     parser.add_argument(
         "--jit-source", action="store_true",
-        help="with --jit, also print the generated source of the hottest "
+        help="with --jit, also print the generated source of the first "
              "compiled segment",
     )
     parser.add_argument(
@@ -284,10 +284,9 @@ def _run_grid(args):
 
 
 def _run_jit(args):
-    """JIT-corpus sweep: every workload in sr mode with tier-up forced
-    (threshold 0). Reports per-workload ``jit.*`` launch counters, the
-    code cache's per-segment telemetry (hotness, deopt status), and the
-    process counter delta."""
+    """Compiled-segment corpus sweep: every workload in sr mode with
+    segments on. Reports per-workload ``jit.*`` counters, the code
+    cache's per-segment telemetry, and the process counter delta."""
     from repro.engine import engine_config
     from repro.simt import jit as jit_mod
 
@@ -297,47 +296,51 @@ def _run_jit(args):
         raise SystemExit(f"error: unknown workloads {unknown}")
     before = obs_counters.snapshot()
     rows = []
-    with engine_config(jit=True, jit_threshold=0):
+    # Compiled segments die with their modules, which nothing else holds
+    # when the compile cache is off: keep every result alive until the
+    # code-cache table below has been read.
+    results = []
+    with engine_config(segments=True):
         for name in names:
+            start = obs_counters.snapshot()
             result = get_workload(name).run(mode="sr", seed=args.seed)
-            counters = result.launch.counters
+            results.append(result)
+            moved = obs_counters.delta(obs_counters.snapshot(), start)
             rows.append((
                 name,
                 result.cycles,
-                counters.get("jit.executed_segments", 0),
-                counters.get("jit.tierups", 0),
-                counters.get("jit.deopts", 0),
+                moved.get("jit.executed_segments", 0),
+                moved.get("jit.tierups", 0),
+                moved.get("jit.compiled_segments", 0),
+                moved.get("jit.deopts", 0),
             ))
     moved = obs_counters.delta(obs_counters.snapshot(), before)
 
     print(format_table(
-        ["workload", "cycles", "jit segments", "tierups", "deopts"], rows,
-        title=f"JIT corpus sweep ({len(rows)} workloads, threshold 0)",
+        ["workload", "cycles", "executed", "lowered", "compiled", "deopts"],
+        rows, title=f"Compiled-segment corpus sweep ({len(rows)} workloads)",
     ))
     segments = jit_mod.compiled_segments()
+    cache = jit_mod.CODE_CACHE.stats()
     if segments:
         print()
         print(format_table(
-            ["segment", "slots", "hits", "status"],
-            [
-                (r["segment"], r["slots"], r["hits"],
-                 "deopt" if r["deopt"] else "compiled")
-                for r in segments
-            ],
-            title="Code cache (hottest first)",
+            ["segment", "slots"],
+            [(r["segment"], r["slots"]) for r in segments],
+            title=(f"Code cache ({cache['segments']} segments, "
+                   f"{cache['sources']} distinct sources)"),
         ))
-    if args.jit_source:
-        hottest = next((r for r in segments if r["source"]), None)
-        if hottest is not None:
-            print()
-            print(f"generated source ({hottest['segment']}):")
-            print(hottest["source"])
+    if args.jit_source and segments:
+        print()
+        print(f"generated source ({segments[0]['segment']}):")
+        print(segments[0]["source"])
+    del results
     print()
     print(counters_table(moved, title="Process counter delta (JIT sweep)"))
     if args.json:
         _save_snapshot(args.json, moved, {
-            "jit": names, "threshold": 0, "seed": args.seed,
-            "code_cache": jit_mod.CODE_CACHE.stats(),
+            "jit": names, "seed": args.seed,
+            "code_cache": cache,
             "compiled_segments": [
                 {k: v for k, v in record.items() if k != "source"}
                 for record in segments

@@ -2,12 +2,11 @@
 
 Every engine configuration must reproduce the *interpreted reference*
 (``EngineConfig(fastpath=False)``: the interpreted executor, on which
-segments, independent warps and the JIT cannot engage) bit-for-bit:
+compiled segments and independent warps cannot engage) bit-for-bit:
 per-thread store traces, retirement, profiler counters, cycles and SIMT
 efficiency.
 The configurations are the leave-one-out set of :data:`ENGINES` — all
-layers on, each layer off, and the JIT forced to tier up on first
-execution — checked over
+layers on and each layer off — checked over
 
 * ``GPUMachine`` and ``StackGPUMachine`` (pre-Volta),
 * all three schedulers,
@@ -42,6 +41,7 @@ from repro.errors import DeadlockError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
 from repro.ir import parse_module
+from repro.obs import counters as obs_counters
 from repro.simt import (
     CTAContext,
     DEFAULT_MAX_ISSUES,
@@ -99,8 +99,6 @@ ENGINES = {
     "no-fastpath": replace(ALL_ON, fastpath=False),
     "no-segments": replace(ALL_ON, segments=False),
     "no-warp-batch": replace(ALL_ON, warp_batch=False),
-    "no-jit": replace(ALL_ON, jit=False),
-    "forced-jit": replace(ALL_ON, jit_threshold=0),
 }
 REFERENCE = ENGINES["no-fastpath"]
 
@@ -216,6 +214,11 @@ def _observed_pair(name, engine, layer_off, n_threads=None):
     return observed.profiler
 
 
+def _jit_segments(profiler):
+    """Fused segment executions that ran compiled code in one launch."""
+    return profiler.engine_counters()["jit.executed_segments"]
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestFastpathConformance:
     """The composed engine against the interpreter, per machine ×
@@ -285,18 +288,17 @@ class TestSegmentConformance:
                 assert profiler.fused_issues > 0, (name, mode)
 
     def test_segments_inert_without_fastpath(self, name):
-        """Fusion, independent warps and the JIT all need the decoded
-        program; the
-        reference config leaves them on, and on the interpreted path they
-        must disable themselves (its results are the reference every
-        other configuration matches)."""
+        """Compiled segments and independent warps both need the decoded
+        program; the reference config leaves them on, and on the
+        interpreted path they must disable themselves (its results are
+        the reference every other configuration matches)."""
         for n_threads in (None, MULTIWARP):
             _, interpreted = _reference(
                 name, "sr", "convergence", n_threads, GPUMachine
             )
             assert interpreted.fused_issues == 0
             assert interpreted.multiwarp in (None, "engine")
-            assert interpreted.jit_segments == 0
+            assert _jit_segments(interpreted) == 0
 
     def test_segments_fall_back_under_observability(self, name):
         """An attached metrics registry observes every issue slot, so
@@ -335,44 +337,42 @@ class TestWarpBatchConformance:
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestJITConformance:
     """Compiled segment execution against the reference, per mode ×
-    scheduler. With the tier-up threshold forced to 0 every fused segment
-    dispatches through compiled code from its first execution; it must
-    actually engage on every corpus point and never deopt. Composition
-    with independent multi-warp launches gets its own leg."""
+    scheduler. Every fused segment is compiled when it is built; it must
+    actually engage on every corpus point and never be vetoed.
+    Composition with independent multi-warp launches gets its own leg."""
 
     def test_jit_bit_identical_and_engaged(self, name):
-        interpreted = _check(name, ENGINES["no-jit"])
-        jitted = _check(name, ENGINES["forced-jit"])
+        before = obs_counters.snapshot()
+        jitted = _check(name, ALL_ON)
         for point, profiler in jitted.items():
-            assert interpreted[point].jit_segments == 0
-            assert profiler.jit_segments > 0, (name, point)
-            assert profiler.jit_deopts == 0, (name, point)
+            assert _jit_segments(profiler) > 0, (name, point)
+        assert obs_counters.delta(obs_counters.snapshot(), before)["jit.deopts"] == 0
 
     def test_jit_batched_multiwarp_bit_identical(self, name):
         """Independent warps run every warp through ``Segment.execute``,
-        so tier dispatch must compose with them bit-for-bit. Guarded
+        so compiled segments must compose with them bit-for-bit. Guarded
         launches fuse only their last live warp, which may never reach
         a segment."""
         jit_batched = _check(
-            name, ENGINES["forced-jit"], schedulers=("convergence",),
-            n_threads=MULTIWARP,
+            name, ALL_ON, schedulers=("convergence",), n_threads=MULTIWARP,
         )
         for point, profiler in jit_batched.items():
             assert profiler.multiwarp == _expected_multiwarp(
                 name, "convergence"
             ), (name, point)
             if profiler.multiwarp == "independent":
-                assert profiler.jit_segments > 0, (name, point)
+                assert _jit_segments(profiler) > 0, (name, point)
 
     def test_jit_inert_without_segments(self, name):
         """Compiled code only exists for fused segments; with fusion off
-        the JIT setting must change nothing at all."""
-        unfused_jit = _check(
-            name, replace(ENGINES["forced-jit"], segments=False),
+        no segment is built, lowered or executed."""
+        before = obs_counters.snapshot()
+        unfused = _check(
+            name, replace(ALL_ON, segments=False),
             schedulers=(None,), modes=("sr",),
         )[("sr", None)]
-        assert unfused_jit.jit_segments == 0
-        assert unfused_jit.jit_tierups == 0
+        assert _jit_segments(unfused) == 0
+        assert obs_counters.delta(obs_counters.snapshot(), before)["jit.tierups"] == 0
 
 
 def _grid_launch(workload, compiled, grid_dim, cta_dim, scheduler=None,
@@ -822,24 +822,23 @@ class TestRandomKernelConformance:
     @settings(max_examples=12, deadline=None)
     @given(random_kernel())
     def test_jit_matches_interpreted_segments(self, program):
-        """Random kernels with tier-up forced: every compiled segment —
-        whatever shapes the generator reaches (soft thresholds, calls,
-        UNDEF operands, folded constants) — must match the reference
-        bit-for-bit."""
+        """Random kernels: every compiled segment — whatever shapes the
+        generator reaches (soft thresholds, calls, UNDEF operands, folded
+        constants) — must match the reference bit-for-bit."""
         compiled = compile_sr(lower_program(program))
-        _fuzz_check(compiled.module, [ENGINES["forced-jit"]])
+        _fuzz_check(compiled.module, [ALL_ON])
 
     @settings(max_examples=8, deadline=None)
     @given(random_kernel(allow_atomics=True))
     def test_jit_multiwarp_atomics_matches_serial(self, program):
-        """JIT × independent warps × shared-cell atomics at three warps:
-        the full stack with tier-up forced must reproduce the plain serial
-        engine (always interleaved, no JIT) bit-for-bit, or deadlock
+        """Compiled segments × independent warps × shared-cell atomics at
+        three warps: the full stack must reproduce the plain serial engine
+        (always interleaved, no fused segments) bit-for-bit, or deadlock
         identically."""
         compiled = compile_sr(lower_program(program))
         _fuzz_check(
-            compiled.module, [ENGINES["forced-jit"]], MULTIWARP,
-            reference=replace(ALL_ON, warp_batch=False, jit=False),
+            compiled.module, [ALL_ON], MULTIWARP,
+            reference=replace(ALL_ON, warp_batch=False, segments=False),
         )
 
     @settings(max_examples=15, deadline=None)

@@ -21,16 +21,17 @@ FIELDS = [field.name for field in fields(EngineConfig)]
 
 
 def _flipped(value):
-    return (not value) if isinstance(value, bool) else value + 1
+    return not value
 
 
 class TestFromEnv:
     def test_defaults(self):
         assert EngineConfig.from_env({}) == EngineConfig()
         assert EngineConfig() == EngineConfig(
-            fastpath=True, segments=True, warp_batch=True, jit=True,
-            jit_threshold=50, compile_cache=True, grid=True,
+            fastpath=True, segments=True, warp_batch=True,
+            compile_cache=True, grid=True,
         )
+        assert len(FIELDS) == 5
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_each_field_reads_its_variable(self, field):
@@ -49,7 +50,7 @@ class TestFromEnv:
 
     def test_empty_value_keeps_the_default(self):
         config = EngineConfig.from_env(
-            {"REPRO_JIT": "", "REPRO_JIT_THRESHOLD": "  "}
+            {"REPRO_SEGMENTS": "", "REPRO_GRID": "  "}
         )
         assert config == EngineConfig()
 
@@ -59,9 +60,6 @@ class TestFromEnv:
         ("REPRO_WARP_BATCH", "2"),
         ("REPRO_COMPILE_CACHE", "disabled"),
         ("REPRO_GRID", "of"),
-        ("REPRO_JIT_THRESHOLD", "abc"),
-        ("REPRO_JIT_THRESHOLD", "-5"),
-        ("REPRO_JIT_THRESHOLD", "2.5"),
     ])
     def test_bad_values_name_the_variable(self, name, raw):
         with pytest.raises(ConfigError) as excinfo:
@@ -69,24 +67,33 @@ class TestFromEnv:
         assert name in str(excinfo.value)
         assert repr(raw) in str(excinfo.value)
 
-    def test_threshold_zero_is_allowed(self):
-        assert EngineConfig.from_env({"REPRO_JIT_THRESHOLD": "0"}).jit_threshold == 0
-
     def test_unknown_repro_names_are_ignored(self):
         # perfbench's leave-one-out table still sets retired layers'
         # variables.
         env = {"REPRO_SOA": "0", "REPRO_SPEC": "0", "REPRO_JOBS": "4"}
         assert EngineConfig.from_env(env) == EngineConfig()
 
+    @pytest.mark.parametrize("env", [
+        {"REPRO_JIT": "0"},
+        {"REPRO_JIT": "maybe"},
+        {"REPRO_JIT_THRESHOLD": "0"},
+        {"REPRO_JIT_THRESHOLD": "abc"},
+    ])
+    def test_retired_jit_names_are_ignored(self, env):
+        # Compiled segments are switched by REPRO_SEGMENTS alone; the old
+        # JIT variables (still set by perfbench --loo) must neither
+        # change the config nor raise.
+        assert EngineConfig.from_env(env) == EngineConfig()
+
     def test_bad_value_fails_the_import_with_a_typed_error(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), REPRO_JIT_THRESHOLD="abc")
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_SEGMENTS="abc")
         proc = subprocess.run(
             [sys.executable, "-c", "import repro.simt"], env=env,
             capture_output=True, text=True,
         )
         assert proc.returncode != 0
-        assert "repro.errors.ConfigError: REPRO_JIT_THRESHOLD='abc'" in proc.stderr
+        assert "repro.errors.ConfigError: REPRO_SEGMENTS='abc'" in proc.stderr
 
     def test_resolve_jobs_uses_the_same_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
@@ -100,7 +107,7 @@ class TestEngineConfig:
     def test_frozen_and_hashable(self):
         config = EngineConfig()
         with pytest.raises(FrozenInstanceError):
-            config.jit = False
+            config.segments = False
         assert hash(config) == hash(EngineConfig())
 
     def test_unknown_override_is_rejected(self):
@@ -110,12 +117,12 @@ class TestEngineConfig:
 
     def test_engine_config_restores_on_exit(self):
         before = current_engine()
-        with engine_config(jit=False, jit_threshold=7) as active:
+        with engine_config(segments=False, grid=False) as active:
             assert current_engine() is active
-            assert (active.jit, active.jit_threshold) == (False, 7)
-            with engine_config(jit=True):
-                assert current_engine().jit is True
-                assert current_engine().jit_threshold == 7
+            assert (active.segments, active.grid) == (False, False)
+            with engine_config(segments=True):
+                assert current_engine().segments is True
+                assert current_engine().grid is False
             assert current_engine() is active
         assert current_engine() is before
         with pytest.raises(RuntimeError):
@@ -157,10 +164,10 @@ class TestPool:
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         previous = set_recorder_level("verbose")
         try:
-            with engine_config(jit=False, jit_threshold=3):
+            with engine_config(segments=False, grid=False):
                 configs = run_tasks([task(current_engine)] * 2, jobs=2)
                 levels = run_tasks([task(recorder_level)] * 2, jobs=2)
         finally:
             set_recorder_level(previous)
-        assert [(c.jit, c.jit_threshold) for c in configs] == [(False, 3)] * 2
+        assert [(c.segments, c.grid) for c in configs] == [(False, False)] * 2
         assert levels == ["verbose", "verbose"]

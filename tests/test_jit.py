@@ -1,11 +1,14 @@
-"""Unit net for the tiered segment JIT (:mod:`repro.simt.jit`).
+"""Unit net for compiled segments (:mod:`repro.simt.jit`).
 
 The conformance matrix (test_conformance.py) pins bit-identity over the
-corpus; this file pins the *mechanism*: tier-up threshold semantics,
-compile-once memoization and the code cache, deopt on codegen veto, the
-``engine_config`` escape hatches, the generated-source shape, and the post-mortem
-integration.
+corpus; this file pins the *mechanism*: compilation when a segment is
+built, the shared code memo and the code cache, the fallback to unfused
+issue on a codegen veto, module lifetime, the ``engine_config`` escape
+hatch, the generated-source shape, and the post-mortem integration.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -15,13 +18,11 @@ from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
 from repro.ir.instructions import Opcode
 from repro.obs import counters as obs_counters
-from repro.simt import GPUMachine, GlobalMemory
+from repro.simt import DEFAULT_COST_MODEL, GPUMachine, GlobalMemory
 from repro.simt import jit as jit_module
-from repro.simt.fastpath import clear_decode_cache
+from repro.simt.fastpath import clear_decode_cache, decode_program
 
-#: Straight-line kernel: one fused segment per launch per warp, so the
-#: per-segment hit counter advances exactly once per launch (threshold
-#: boundary tests count on this).
+#: Straight-line kernel: one fused segment, executed once per launch.
 STRAIGHT = """
 kernel k() {
     let t = tid();
@@ -53,13 +54,13 @@ kernel k() {
 
 
 @pytest.fixture
-def forced_jit():
-    """JIT on with tier-up forced (threshold 0) and fresh segments, so
-    every test starts from cold per-segment hit counters and an empty
-    code cache; everything is restored afterwards."""
+def segments_on():
+    """Compiled segments on (with the fast path they build on), whatever
+    the environment, with an empty decode and code cache; everything is
+    restored afterwards."""
     clear_decode_cache()
     try:
-        with engine_config(jit=True, jit_threshold=0):
+        with engine_config(fastpath=True, segments=True):
             yield
     finally:
         clear_decode_cache()
@@ -77,149 +78,193 @@ def _run(compiled, **engine):
     return launch, memory
 
 
+def _moved(before):
+    return obs_counters.delta(obs_counters.snapshot(), before)
+
+
 class TestThreshold:
-    def test_threshold_boundary(self, forced_jit):
-        """Threshold N means exactly N interpreted executions; the N+1st
-        tiers up. The hit counter lives on the (cached) segment, so the
-        boundary spans launches."""
+    def test_threshold_zero_compiles_on_first_execution(self, segments_on):
+        """There is no hotness threshold: a segment is compiled when it is
+        built, so its very first execution runs compiled code."""
         compiled = _compiled(STRAIGHT)
-        reference, ref_memory = _run(compiled, jit=False)
-        for execution in (1, 2, 3):
-            launch, memory = _run(compiled, jit_threshold=3)
-            assert launch.profiler.jit_segments == 0, execution
-            assert launch.profiler.jit_tierups == 0, execution
-            assert memory.snapshot() == ref_memory.snapshot()
-        hot, memory = _run(compiled, jit_threshold=3)
-        assert hot.profiler.jit_tierups == 1
-        assert hot.profiler.jit_segments == 1
-        assert hot.profiler.jit_deopts == 0
-        assert memory.snapshot() == ref_memory.snapshot()
-        assert hot.store_traces() == reference.store_traces()
-
-    def test_threshold_zero_compiles_on_first_execution(self, forced_jit):
-        compiled = _compiled(STRAIGHT)
-        launch, _ = _run(compiled, jit=True)
-        assert launch.profiler.jit_segments > 0
+        before = obs_counters.snapshot()
+        launch, _ = _run(compiled)
+        moved = _moved(before)
         assert launch.counters["jit.executed_segments"] > 0
-
-    def test_set_jit_threshold_returns_previous(self, forced_jit):
-        assert current_engine().jit_threshold == 0
-        with engine_config(jit_threshold=7):
-            assert current_engine().jit_threshold == 7
-        assert current_engine().jit_threshold == 0
+        assert moved["jit.tierups"] == jit_module.CODE_CACHE.stats()["segments"]
+        assert moved["jit.tierups"] > 0
+        segment = decode_program(compiled.module, DEFAULT_COST_MODEL).segment_at(
+            ("k", compiled.module.function("k").entry.name, 0)
+        )
+        assert segment.fn is jit_module.LAST_EXECUTED
 
 
 class TestCodeCache:
-    def test_compiles_once_then_steady_state(self, forced_jit):
-        """A hot segment compiles exactly once; later launches run the
-        memoized function without re-tiering, bit-identically."""
+    def test_compiles_once_then_steady_state(self, segments_on):
+        """A segment compiles exactly once; later launches run the
+        memoized function without lowering again, bit-identically."""
         compiled = _compiled(STRAIGHT)
-        reference, ref_memory = _run(compiled, jit=False)
+        reference, ref_memory = _run(compiled, fastpath=False)
 
         before = obs_counters.snapshot()
-        _, memory_a = _run(compiled, jit=True)
-        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        _, memory_a = _run(compiled)
+        moved = _moved(before)
         assert moved["jit.compiled_segments"] == 1
         assert moved["jit.tierups"] == 1
         assert memory_a.snapshot() == ref_memory.snapshot()
 
-        # Steady state: the compiled fn is memoized on the segment, so
-        # re-running neither recompiles nor re-tiers.
+        # Steady state: the compiled fn lives on the cached segment, so
+        # re-running neither lowers nor compiles.
         before = obs_counters.snapshot()
-        launch, memory_b = _run(compiled, jit=True)
-        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        launch, memory_b = _run(compiled)
+        moved = _moved(before)
         assert moved["jit.compiled_segments"] == 0
         assert moved["jit.tierups"] == 0
-        assert launch.profiler.jit_segments > 0
+        assert launch.counters["jit.executed_segments"] > 0
         assert memory_b.snapshot() == ref_memory.snapshot()
+        assert launch.store_traces() == reference.store_traces()
 
-    def test_clear_decode_cache_clears_code_cache(self, forced_jit):
+    def test_second_copy_shares_code(self, segments_on):
+        """Two separately compiled copies of one kernel generate the same
+        source: the second lowers its own segment but adds no compile()
+        call, and runs bit-identically."""
+        first, second = _compiled(STRAIGHT), _compiled(STRAIGHT)
+        assert first.module is not second.module
+        reference, ref_memory = _run(first, fastpath=False)
+        launch_a, memory_a = _run(first)
+
+        before = obs_counters.snapshot()
+        launch_b, memory_b = _run(second)
+        moved = _moved(before)
+        assert moved["jit.tierups"] == 1
+        assert moved["jit.compiled_segments"] == 0
+        assert jit_module.CODE_CACHE.stats() == {"segments": 2, "sources": 1}
+        fn_a, fn_b = (
+            decode_program(c.module, DEFAULT_COST_MODEL).segment_at(
+                ("k", c.module.function("k").entry.name, 0)
+            ).fn
+            for c in (first, second)
+        )
+        assert fn_a is not fn_b
+        assert fn_a.__code__ is fn_b.__code__
+        for launch, memory in ((launch_a, memory_a), (launch_b, memory_b)):
+            assert launch.counters["jit.executed_segments"] > 0
+            assert memory.snapshot() == ref_memory.snapshot()
+            assert launch.store_traces() == reference.store_traces()
+            assert launch.cycles == reference.cycles
+
+    def test_clear_decode_cache_clears_code_cache(self, segments_on):
         compiled = _compiled(STRAIGHT)
-        _run(compiled, jit=True)
+        _run(compiled)
         assert jit_module.CODE_CACHE.stats()["segments"] > 0
         clear_decode_cache()
-        assert jit_module.CODE_CACHE.stats() == {"segments": 0}
+        assert jit_module.CODE_CACHE.stats() == {"segments": 0, "sources": 0}
+
+
+class TestModuleLifetime:
+    def test_dropped_module_frees_decode_and_segments(self, segments_on):
+        """The decode cache is keyed weakly by module: once the last
+        outside reference to a launched module goes, its decode and its
+        compiled segments are freed."""
+        compiled = _compiled(STRAIGHT)
+        _run(compiled)
+        module = weakref.ref(compiled.module)
+        decoded = weakref.ref(decode_program(compiled.module, DEFAULT_COST_MODEL))
+        assert jit_module.CODE_CACHE.stats()["segments"] > 0
+        del compiled
+        gc.collect()
+        assert module() is None
+        assert decoded() is None
+        assert jit_module.CODE_CACHE.stats()["segments"] == 0
 
 
 class TestDeopt:
     def test_codegen_veto_deopts_and_stays_correct(
-        self, forced_jit, monkeypatch
+        self, segments_on, monkeypatch
     ):
-        """A segment codegen cannot lower runs interpreted forever —
-        counted, cached as a deopt, and bit-identical."""
+        """A run codegen cannot lower is not fused: it issues one
+        instruction at a time, counted in ``jit.deopts``, bit-identically."""
         compiled = _compiled(WITH_SQRT)
-        reference, ref_memory = _run(compiled, jit=False)
+        reference, ref_memory = _run(compiled, fastpath=False)
         monkeypatch.delitem(jit_module._UNARY_EXPR, Opcode.SQRT)
-        launch, memory = _run(compiled, jit=True)
-        assert launch.profiler.jit_deopts > 0
-        assert launch.profiler.jit_segments == 0
+        before = obs_counters.snapshot()
+        launch, memory = _run(compiled)
+        moved = _moved(before)
+        assert moved["jit.deopts"] > 0
+        entry = ("k", compiled.module.function("k").entry.name, 0)
+        decoded = decode_program(compiled.module, DEFAULT_COST_MODEL)
+        assert decoded.segment_at(entry) is None
+        assert "@k/entry:0" not in [
+            r["segment"] for r in jit_module.compiled_segments()
+        ]
         assert memory.snapshot() == ref_memory.snapshot()
         assert launch.store_traces() == reference.store_traces()
-        records = jit_module.compiled_segments()
-        deopted = [r for r in records if r["deopt"]]
-        assert deopted
-        assert all(r["source"] is None for r in deopted)
+        assert launch.cycles == reference.cycles
         # The veto is cached: re-running neither retries codegen nor
-        # recompiles, and results stay correct.
+        # compiles, and results stay correct.
         before = obs_counters.snapshot()
-        launch2, memory2 = _run(compiled, jit=True)
-        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        _, memory2 = _run(compiled)
+        moved = _moved(before)
+        assert moved["jit.deopts"] == 0
         assert moved["jit.compiled_segments"] == 0
-        assert launch2.profiler.jit_tierups == 0
         assert memory2.snapshot() == ref_memory.snapshot()
 
 
 class TestEscapeHatches:
-    def test_machine_knob_overrides_global(self, forced_jit):
-        compiled = _compiled(STRAIGHT)
-        off, _ = _run(compiled, jit=False)
-        assert off.profiler.jit_segments == 0
-        assert off.profiler.jit_tierups == 0
-        on, _ = _run(compiled, jit=True)
-        assert on.profiler.jit_segments > 0
+    """``segments=False`` is the one switch: no segment is built, so no
+    compiled code runs."""
 
-    def test_jit_disabled_context(self, forced_jit):
+    def test_machine_knob_overrides_global(self, segments_on):
         compiled = _compiled(STRAIGHT)
-        with engine_config(jit=False):
-            assert not current_engine().jit
+        off, _ = _run(compiled, segments=False)
+        assert off.counters["jit.executed_segments"] == 0
+        on, _ = _run(compiled, segments=True)
+        assert on.counters["jit.executed_segments"] > 0
+
+    def test_jit_disabled_context(self, segments_on):
+        compiled = _compiled(STRAIGHT)
+        with engine_config(segments=False):
+            assert not current_engine().segments
             launch, _ = _run(compiled)  # the machine reads the config
-            assert launch.profiler.jit_segments == 0
-        assert current_engine().jit
+            assert launch.counters["jit.executed_segments"] == 0
+        assert current_engine().segments
 
     def test_set_jit_returns_previous(self):
-        previous = current_engine().jit
-        with engine_config(jit=False):
-            assert current_engine().jit is False
-        assert current_engine().jit is previous
+        previous = current_engine().segments
+        with engine_config(segments=False):
+            assert current_engine().segments is False
+        assert current_engine().segments is previous
 
-    def test_machine_on_while_global_off(self, forced_jit):
+    def test_machine_on_while_global_off(self, segments_on):
         """An inner override beats an outer one."""
         compiled = _compiled(STRAIGHT)
-        with engine_config(jit=False):
-            launch, _ = _run(compiled, jit=True)
-        assert launch.profiler.jit_segments > 0
+        with engine_config(segments=False):
+            launch, _ = _run(compiled, segments=True)
+        assert launch.counters["jit.executed_segments"] > 0
 
-    def test_inert_without_segments(self, forced_jit):
-        """No fused segments (segments=False) means nothing to tier up:
-        the JIT knob must change nothing at all."""
+    def test_inert_without_segments(self, segments_on):
+        """With fusion off nothing is lowered or executed, and results
+        match the interpreted reference."""
         compiled = _compiled(STRAIGHT)
-        launch, memory = _run(compiled, jit=True, segments=False)
-        assert launch.profiler.jit_segments == 0
-        assert launch.profiler.jit_tierups == 0
-        reference, ref_memory = _run(compiled, jit=False, segments=False)
+        before = obs_counters.snapshot()
+        launch, memory = _run(compiled, segments=False)
+        assert launch.counters["jit.executed_segments"] == 0
+        assert _moved(before)["jit.tierups"] == 0
+        assert jit_module.CODE_CACHE.stats()["segments"] == 0
+        reference, ref_memory = _run(compiled, fastpath=False)
         assert memory.snapshot() == ref_memory.snapshot()
         assert launch.store_traces() == reference.store_traces()
 
 
 class TestGeneratedSource:
-    def test_generated_source_golden(self, forced_jit):
+    def test_generated_source_golden(self, segments_on):
         """The exact lowering of a known segment: slot reads/writes on
         ``_r``, constants folded (the ``2.0``/``1.5`` CONST slots are
         written once at chunk end), one handler call for the store+branch
         tail, static cycles precomputed. A diff here means the codegen
         shape changed."""
         compiled = _compiled(STRAIGHT)
-        _run(compiled, jit=True)
+        _run(compiled)
         records = [
             r for r in jit_module.compiled_segments()
             if r["segment"] == "@k/entry:0"
@@ -250,26 +295,26 @@ class TestGeneratedSource:
             "    return _total\n"
         )
 
-    def test_last_executed_source(self, forced_jit):
+    def test_last_executed_source(self, segments_on):
         compiled = _compiled(STRAIGHT)
-        _run(compiled, jit=True)
+        _run(compiled)
         last = jit_module.last_executed_source()
         assert last is not None
         segment, source = last
         assert "@k/entry:0" in segment
         assert "def _jit_segment" in source
 
-    def test_codegen_spans_recorded(self, forced_jit):
+    def test_codegen_spans_recorded(self, segments_on):
         compiled = _compiled(STRAIGHT)
         before = len(jit_module.codegen_spans().spans)
-        _run(compiled, jit=True)
+        _run(compiled)
         spans = jit_module.codegen_spans().spans
         assert len(spans) > before
         assert any(span.name.startswith("jit:") for span in spans)
 
 
 class TestPostMortem:
-    def test_post_mortem_carries_jit_source(self, forced_jit):
+    def test_post_mortem_carries_jit_source(self, segments_on):
         """A launch that dies after executing JIT code attaches the
         generated source of the last-executed segment to the error's
         post-mortem report."""

@@ -485,16 +485,13 @@ class TestObservedRunner:
 
         tasks = [task(_xsbench_counters) for _ in range(2)]
         try:
-            # Tier up on first execution: xsbench's guarded warps stay
-            # interleaved and fuse too few segments to reach the default
-            # threshold.
-            with engine_config(jit=True, jit_threshold=0):
+            with engine_config(segments=True):
                 _, warm = run_tasks_observed(tasks, jobs=2)
                 assert all(
                     rep["counters"]["jit.executed_segments"] > 0
                     for rep in warm
                 )
-                with engine_config(jit=False):
+                with engine_config(segments=False):
                     _, cold = run_tasks_observed(tasks, jobs=2)
         finally:
             shutdown_pool()
