@@ -19,6 +19,7 @@ from repro.core.program_cache import PROGRAM_CACHE
 from repro.engine import engine_config
 from repro.harness.parallel import run_tasks, task
 from repro.obs import counters as obs_counters
+from repro.simt import memo as launch_memo
 from repro.simt.fastpath import clear_decode_cache
 from repro.workloads import get_workload, workload_names
 
@@ -31,6 +32,7 @@ def test_simulator_issue_throughput(benchmark):
     compiled = workload.compile(mode="baseline")
 
     def launch():
+        launch_memo.clear()  # every round simulates
         return workload.run(mode="baseline", compiled=compiled)
 
     result = benchmark.pedantic(launch, rounds=3, iterations=1)
@@ -56,8 +58,11 @@ def _sweep_point(name, mode, seed=_SEED):
     """One compile-and-launch of a Table 2 workload at its default preset.
 
     Returns everything the speedup claim must hold fixed: SIMT efficiency,
-    cycles, and a digest of every thread's ordered store trace.
+    cycles, and a digest of every thread's ordered store trace. The
+    launch memo is emptied first, so every round of a sweep simulates:
+    the sweeps time the engine layers, not memo replays.
     """
+    launch_memo.clear()
     workload = get_workload(name)
     result = workload.run(mode=mode, seed=seed)
     traces = {
@@ -153,7 +158,8 @@ def test_fastpath_corpus_sweep_speedup(benchmark):
 
 def _multiwarp_sweep_point(name, mode, n_threads=128, seed=_SEED):
     """One compile-and-launch at a multi-warp width (four warps), same
-    fixed-point record as :func:`_sweep_point`."""
+    fixed-point record as :func:`_sweep_point` (memo emptied first, too)."""
+    launch_memo.clear()
     workload = get_workload(name)
     workload.n_threads = n_threads
     result = workload.run(mode=mode, seed=seed)

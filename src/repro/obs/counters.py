@@ -121,6 +121,9 @@ COUNTERS = {
         "kernel launches completed",
     "launch.errors":
         "launches aborted by LaunchError/DeadlockError",
+    "launch.memo_hits":
+        "launches served by the launch memo (repro.simt.memo) instead of "
+        "simulated; included in launch.count",
     # --- grid: CTA hierarchy and simulated SMs (repro.simt.grid) ------
     "grid.ctas_launched":
         "CTAs executed by grid launches",

@@ -40,6 +40,7 @@ __all__ = [
     "dump_post_mortem",
     "make_recorder",
     "recorder_level",
+    "resolve_level",
     "set_recorder_level",
 ]
 
@@ -155,16 +156,24 @@ class FlightRecorder:
         return "\n".join(lines)
 
 
+def resolve_level(level=None):
+    """The level a launch records at: ``level`` with True/False read as
+    ``on``/``off``, and None deferring to the global default
+    (env/``set_recorder_level``)."""
+    level = RECORDER_LEVEL if level is None else level
+    if level is True:
+        return "on"
+    if level is False:
+        return "off"
+    return level
+
+
 def make_recorder(kernel, n_threads, level=None):
     """A :class:`FlightRecorder` for one launch, or None when ``off``.
 
-    ``level=None`` defers to the global default (env/``set_recorder_level``).
+    ``level`` is resolved by :func:`resolve_level`.
     """
-    level = RECORDER_LEVEL if level is None else level
-    if level is True:
-        level = "on"
-    elif level is False:
-        level = "off"
+    level = resolve_level(level)
     if level == "off":
         return None
     return FlightRecorder(

@@ -129,3 +129,13 @@ class CostModel:
 
 
 DEFAULT_COST_MODEL = CostModel()
+
+
+def cost_key(cost_model):
+    """Every field value of ``cost_model`` as one hashable tuple."""
+    return (
+        tuple(sorted((op.value, lat) for op, lat in cost_model.latencies.items())),
+        cost_model.segment_words,
+        cost_model.load_segment_cost,
+        cost_model.store_segment_cost,
+    )

@@ -50,7 +50,9 @@ from repro.errors import SimulationError
 from repro.ir.function import structure_token
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
+from repro.simt import memo as launch_memo
 from repro.simt.barrier_state import ALL_MEMBERS
+from repro.simt.costs import cost_key
 from repro.simt.executor import (
     _BINARY_EVAL,
     _UNARY_EVAL,
@@ -867,15 +869,6 @@ class DecodedProgram:
         return entries
 
 
-def _cost_key(cost_model):
-    return (
-        tuple(sorted((op.value, lat) for op, lat in cost_model.latencies.items())),
-        cost_model.segment_words,
-        cost_model.load_segment_cost,
-        cost_model.store_segment_cost,
-    )
-
-
 #: module -> {cost key: DecodedProgram}; weak so dead modules free decodes.
 _DECODE_CACHE = weakref.WeakKeyDictionary()
 
@@ -888,7 +881,7 @@ def decode_program(module, cost_model):
         # Module not weak-referenceable: decode without caching.
         ENGINE_COUNTERS.fastpath_decode_cache_miss += 1
         return DecodedProgram(module, cost_model)
-    key = _cost_key(cost_model)
+    key = cost_key(cost_model)
     program = per_module.get(key)
     if program is None or program.token != structure_token(module):
         ENGINE_COUNTERS.fastpath_decode_cache_miss += 1
@@ -903,8 +896,10 @@ def clear_decode_cache():
     """Drop every cached decode (tests and long-lived servers).
 
     Compiled segment code lives on the segments the decode cache owns,
-    so the code cache is dropped in the same breath."""
+    so the code cache is dropped in the same breath, and so is the
+    launch memo: after a clear, every launch simulates again."""
     _DECODE_CACHE.clear()
     from repro.simt.jit import clear_code_cache
 
     clear_code_cache()
+    launch_memo.clear()

@@ -9,7 +9,9 @@ every interleaving gives the same result, and the machine runs the warps
 one at a time to completion instead (with segment fusion throughout),
 raising the error the interleave would have raised first. A launch
 returns a :class:`LaunchResult` with the profiler, final memory, and
-per-thread traces used by correctness tests.
+per-thread traces used by correctness tests. A flat, unobserved launch
+on the fast path that this process has already simulated returns the
+recorded result instead (:mod:`repro.simt.memo`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.metrics import LaunchMetrics
 from repro.obs.recorder import attach_post_mortem, make_recorder
 from repro.obs.sinks import ambient_sink
+from repro.simt import memo as launch_memo
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.cta import CTAContext
 from repro.simt.executor import Executor
@@ -122,6 +125,15 @@ class GPUMachine:
                 f"got {len(args)}"
             )
         memory = memory if memory is not None else GlobalMemory()
+        # A flat launch this process has already simulated returns the
+        # recorded result (repro.simt.memo); grid CTAs always simulate.
+        memo = None
+        if cta is None:
+            memo = launch_memo.lookup(
+                self, kernel_name, n_threads, args, memory
+            )
+            if memo is not None and memo.entry is not None:
+                return self._replay(memo.entry, kernel_name, n_threads, memory)
         # One launch = one CTA. The default context is the degenerate
         # single-CTA grid (cta_id 0, zero tid/warp bases), which makes a
         # flat launch bit-identical to the pre-grid engine; GridLaunch
@@ -197,7 +209,7 @@ class GPUMachine:
                 "launch-end",
                 {"issued": profiler.issued, "cycles": profiler.total_cycles},
             )
-        return LaunchResult(
+        result = LaunchResult(
             kernel=kernel_name,
             n_threads=n_threads,
             profiler=profiler,
@@ -206,6 +218,28 @@ class GPUMachine:
             counters=counters,
             flight_recorder=recorder,
             cta=cta,
+        )
+        if memo is not None:
+            memo.store(result)
+        return result
+
+    @staticmethod
+    def _replay(entry, kernel_name, n_threads, memory):
+        """The result a memo hit returns: the recorded launch, with its
+        writes applied to ``memory``. It folds no engine-layer work, so
+        its counters are all zero."""
+        memory.apply(entry.writes)
+        ENGINE_COUNTERS.launch_count += 1
+        ENGINE_COUNTERS.launch_memo_hits += 1
+        return LaunchResult(
+            kernel=kernel_name,
+            n_threads=n_threads,
+            profiler=entry.profiler,
+            memory=memory,
+            threads=list(entry.threads),
+            counters=Profiler().engine_counters(),
+            flight_recorder=entry.recorder,
+            cta=entry.cta,
         )
 
     # ------------------------------------------------------------------

@@ -7,7 +7,21 @@ computed by the :class:`repro.simt.costs.CostModel`, not here.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.errors import SimulationError
+
+_ABSENT = object()
+
+
+def _same(old, new):
+    """True when a cell holding ``old`` is unchanged by holding ``new``
+    (same type and value, and the same sign for a zero)."""
+    return old is new or (
+        type(old) is type(new)
+        and old == new
+        and (old != 0 or repr(old) == repr(new))
+    )
 
 
 class GlobalMemory:
@@ -65,6 +79,25 @@ class GlobalMemory:
     def snapshot(self):
         """Copy of all written cells (for result comparison in tests)."""
         return dict(self._cells)
+
+    def digest(self):
+        """sha256 of the written cells: their addresses, values, value
+        types and order."""
+        return hashlib.sha256(repr(self._cells).encode()).digest()
+
+    def changes_since(self, before):
+        """The cells whose value differs from ``before`` (a
+        :meth:`snapshot`), in this memory's order: the writes that took
+        ``before`` to now."""
+        return {
+            addr: value
+            for addr, value in self._cells.items()
+            if not _same(before.get(addr, _ABSENT), value)
+        }
+
+    def apply(self, writes):
+        """Store every ``address -> value`` of ``writes``, in order."""
+        self._cells.update(writes)
 
     def __len__(self):
         return len(self._cells)

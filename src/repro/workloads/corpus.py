@@ -231,11 +231,16 @@ def run_funnel(
     For every app: run the PDOM baseline; if automatic detection accepts a
     candidate, compile in ``auto`` mode and rerun; an app is *significant*
     when auto-SR speeds it up by ``significance`` or better.
+
+    When detection accepts nothing, the ``auto`` program prints the same
+    IR as the baseline, so its launch is a launch-memo hit
+    (:mod:`repro.simt.memo`) as long as the baseline program is alive:
+    only detected apps simulate twice.
     """
     rows = []
     low = detected = significant = 0
     for app in apps:
-        _, baseline = app.run(mode="baseline")
+        base_program, baseline = app.run(mode="baseline")
         base_eff = baseline.simt_efficiency
         row = {
             "name": app.name,
@@ -250,6 +255,7 @@ def run_funnel(
         if base_eff < efficiency_cutoff:
             low += 1
         compiled, auto_launch = app.run(mode="auto", auto_options=auto_options)
+        del base_program  # held until the auto launch returned
         accepted = [c for c in compiled.report.auto_candidates if c.accepted]
         if accepted:
             detected += 1

@@ -7,6 +7,8 @@
 
 import pytest
 
+from repro.simt import memo as launch_memo
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -21,3 +23,11 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_goldens(request):
     return request.config.getoption("--update-goldens")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_launch_memo():
+    """Each test starts with an empty launch memo (repro.simt.memo), so a
+    launch repeated from an earlier test simulates: only repeats inside
+    one test are served from the memo."""
+    launch_memo.clear()

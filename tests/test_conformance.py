@@ -52,6 +52,7 @@ from repro.simt import (
     StackGPUMachine,
 )
 from repro.simt import machine as machine_module
+from repro.simt import memo as launch_memo
 from repro.simt.executor import Executor
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
@@ -765,6 +766,8 @@ class TestBarrierDrainConformance:
             "k", n_threads
         )
         monkeypatch.setattr(machine_module, "Executor", _AlwaysDrainExecutor)
+        # The drained launches must simulate, not replay ``expected``.
+        launch_memo.clear()
         for config in (REFERENCE, ALL_ON):
             with _using(config):
                 drained = GPUMachine(module, scheduler=scheduler).launch(
@@ -863,6 +866,10 @@ class TestRandomKernelConformance:
                 legacy.module
             ), mode
             legacy_run = GPUMachine(legacy.module).launch("k", 32)
+            # Identical IR shares launch-memo entries; the explicit
+            # module must simulate to show the printed IR is all that
+            # execution depends on.
+            launch_memo.clear()
             explicit_run = GPUMachine(explicit.module).launch("k", 32)
             assert _fingerprint(explicit_run) == _fingerprint(legacy_run), mode
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine import engine_config
 from repro.ir import verify_module
+from repro.obs import counters as obs_counters
 from repro.workloads.corpus import (
     CATEGORY_COUNTS,
     STRONG_DETECTABLE,
@@ -85,3 +87,17 @@ class TestFunnel:
 
     def test_describe(self, funnel):
         assert "->" in funnel.describe()
+
+    def test_auto_launches_simulate_only_for_detected_apps(self):
+        """Where detection accepts nothing, the auto program prints the
+        baseline's IR, so its launch replays the baseline's from the
+        launch memo: every app launches twice, and only the detected
+        ones simulate twice."""
+        apps = generate_corpus(counts=SMALL)
+        before = obs_counters.snapshot()
+        with engine_config(fastpath=True):
+            funnel = run_funnel(apps)
+        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        assert moved["launch.count"] == 2 * funnel.total
+        assert moved["launch.memo_hits"] == funnel.total - funnel.detected
+        assert funnel.detected == SMALL["detectable"]

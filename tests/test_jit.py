@@ -20,6 +20,7 @@ from repro.ir.instructions import Opcode
 from repro.obs import counters as obs_counters
 from repro.simt import DEFAULT_COST_MODEL, GPUMachine, GlobalMemory
 from repro.simt import jit as jit_module
+from repro.simt import memo as launch_memo
 from repro.simt.fastpath import clear_decode_cache, decode_program
 
 #: Straight-line kernel: one fused segment, executed once per launch.
@@ -114,7 +115,9 @@ class TestCodeCache:
         assert memory_a.snapshot() == ref_memory.snapshot()
 
         # Steady state: the compiled fn lives on the cached segment, so
-        # re-running neither lowers nor compiles.
+        # re-running neither lowers nor compiles. (Emptying the launch
+        # memo makes the re-run simulate instead of replaying.)
+        launch_memo.clear()
         before = obs_counters.snapshot()
         launch, memory_b = _run(compiled)
         moved = _moved(before)
@@ -133,6 +136,9 @@ class TestCodeCache:
         reference, ref_memory = _run(first, fastpath=False)
         launch_a, memory_a = _run(first)
 
+        # Identical IR shares launch-memo entries: empty the memo so the
+        # second copy simulates.
+        launch_memo.clear()
         before = obs_counters.snapshot()
         launch_b, memory_b = _run(second)
         moved = _moved(before)
@@ -177,6 +183,24 @@ class TestModuleLifetime:
         assert decoded() is None
         assert jit_module.CODE_CACHE.stats()["segments"] == 0
 
+    def test_memo_entry_freed_with_last_module(self, segments_on):
+        """Two copies with identical IR share one launch-memo entry. It
+        outlives the copy that recorded it and is freed with the last
+        copy, and it keeps no compiled segment alive."""
+        first, second = _compiled(STRAIGHT), _compiled(STRAIGHT)
+        _run(first)
+        _run(second)
+        assert launch_memo.stats() == {"programs": 1, "entries": 1}
+        module = weakref.ref(first.module)
+        del first
+        gc.collect()
+        assert module() is None
+        assert launch_memo.stats() == {"programs": 1, "entries": 1}
+        del second
+        gc.collect()
+        assert launch_memo.stats() == {"programs": 0, "entries": 0}
+        assert jit_module.CODE_CACHE.stats()["segments"] == 0
+
 
 class TestDeopt:
     def test_codegen_veto_deopts_and_stays_correct(
@@ -201,7 +225,9 @@ class TestDeopt:
         assert launch.store_traces() == reference.store_traces()
         assert launch.cycles == reference.cycles
         # The veto is cached: re-running neither retries codegen nor
-        # compiles, and results stay correct.
+        # compiles, and results stay correct. (Emptying the launch memo
+        # makes the re-run simulate.)
+        launch_memo.clear()
         before = obs_counters.snapshot()
         _, memory2 = _run(compiled)
         moved = _moved(before)

@@ -6,7 +6,10 @@ where the crossovers fall — not absolute numbers.
 
 import pytest
 
+from repro.engine import current_engine
 from repro.harness import compare_all, threshold_sweep
+from repro.harness.figures import deconfliction_ablation, figure10
+from repro.obs import counters as obs_counters
 from repro.workloads import FIGURE7_WORKLOADS, get_workload
 from repro.workloads.corpus import generate_corpus, run_funnel
 
@@ -135,6 +138,97 @@ class TestFunctionCallMicrobenchmark:
     def test_speedup(self, results):
         workload, baseline, optimized = results
         assert baseline.cycles / optimized.cycles > 1.3
+
+
+def _speedup(text):
+    return float(text.rstrip("x"))
+
+
+@pytest.fixture(scope="module")
+def figure10_and_ablation():
+    """Figure 10, then the Section 4.3 ablation, in this process: the
+    ablation repeats launches Figure 10 already ran (the baselines), and
+    its dynamic variant compiles to the annotated program's IR, so both
+    tables are partly served by the launch memo (counted in the delta)."""
+    before = obs_counters.snapshot()
+    fig10 = {row[0]: row for row in figure10(jobs=1).data}
+    ablation = {row[0]: row for row in deconfliction_ablation().data}
+    moved = obs_counters.delta(obs_counters.snapshot(), before)
+    return fig10, ablation, moved
+
+
+class TestFigure10:
+    """Automatically discovered candidates (EXPERIMENTS.md, Figure 10),
+    pinned within tolerance bands: efficiencies to 0.01, speedups to 3%.
+    """
+
+    #: name -> (eff base, eff auto, eff annotated, speedup auto,
+    #: speedup annotated)
+    EXPECTED = {
+        "meiyamd5": (0.247, 0.410, 0.391, 1.62, 1.52),
+        "optix": (0.324, 0.448, 0.444, 1.30, 1.29),
+        "rsbench": (0.479, 0.746, 0.745, 1.34, 1.34),
+        "pathtracer": (0.291, 0.543, 0.591, 1.78, 1.93),
+        "mcb": (0.199, 0.380, 0.377, 1.82, 1.81),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_row_in_band(self, figure10_and_ablation, name):
+        row = figure10_and_ablation[0][name]
+        base, auto, annotated, auto_speedup, annotated_speedup = (
+            self.EXPECTED[name]
+        )
+        assert row[1] == pytest.approx(base, abs=0.01)
+        assert row[2] == pytest.approx(auto, abs=0.01)
+        assert row[3] == pytest.approx(annotated, abs=0.01)
+        assert _speedup(row[4]) == pytest.approx(auto_speedup, rel=0.03)
+        assert _speedup(row[5]) == pytest.approx(annotated_speedup, rel=0.03)
+
+    def test_every_candidate_has_upside(self, figure10_and_ablation):
+        """'Figure 10 reports upside for automatically discovered
+        candidates.'"""
+        for row in figure10_and_ablation[0].values():
+            assert row[2] > row[1], row[0]
+            assert _speedup(row[4]) > 1.2, row[0]
+
+
+class TestDeconflictionAblation:
+    """Section 4.3: static deconfliction issues fewer barrier
+    instructions; speedups pinned to 3%, barrier issues to 5%."""
+
+    #: name -> (speedup dynamic, speedup static, barrier issues dynamic,
+    #: barrier issues static)
+    EXPECTED = {
+        "rsbench": (1.34, 1.43, 2667, 1025),
+        "mcb": (1.81, 1.78, 244, 42),
+        "pathtracer": (1.93, 2.01, 844, 433),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_row_in_band(self, figure10_and_ablation, name):
+        row = figure10_and_ablation[1][name]
+        dynamic, static, dynamic_issues, static_issues = self.EXPECTED[name]
+        assert _speedup(row[1]) == pytest.approx(dynamic, rel=0.03)
+        assert _speedup(row[2]) == pytest.approx(static, rel=0.03)
+        assert row[3] == pytest.approx(dynamic_issues, rel=0.05)
+        assert row[4] == pytest.approx(static_issues, rel=0.05)
+
+    def test_static_issues_fewer_barrier_instructions(
+        self, figure10_and_ablation
+    ):
+        """'Static deconfliction has an advantage over dynamic
+        deconfliction in terms of number of instructions executed.'"""
+        for row in figure10_and_ablation[1].values():
+            assert row[4] < row[3], row[0]
+
+    def test_repeated_launches_were_replayed(self, figure10_and_ablation):
+        """The pins above cover memo hits: with the fast path on, the
+        ablation's repeats of Figure 10 launches are replayed."""
+        moved = figure10_and_ablation[2]
+        if current_engine().fastpath:
+            assert moved["launch.memo_hits"] > 0
+        else:
+            assert moved["launch.memo_hits"] == 0
 
 
 class TestAutomaticMatchesAnnotated:

@@ -541,6 +541,24 @@ class TestStatsCLI:
         assert "fused_instrs" in out and "segments" in out
         assert "Process counter delta" in out
 
+    def test_repeated_sweep_reports_memo_hits(self, tmp_path, capsys):
+        """A sweep repeated in one process replays every launch from
+        the launch memo; ``launch.count`` still counts each one."""
+        from repro.engine import engine_config
+        from repro.tools.stats import main
+
+        snap = tmp_path / "again.json"
+        with engine_config(fastpath=True):
+            assert main(["--sweep", "--jobs", "1", "--workloads", "mcb"]) == 0
+            assert main(["--sweep", "--jobs", "1", "--workloads", "mcb",
+                         "--json", str(snap)]) == 0
+        out = capsys.readouterr().out
+        assert "memo_hits" in out
+        counters = json.loads(snap.read_text())["counters"]
+        assert counters["launch.count"] == 2
+        assert counters["launch.memo_hits"] == 2
+        assert counters["segments.fused_instrs"] == 0
+
     def test_sweep_json_and_diff(self, tmp_path, capsys):
         from repro.tools.stats import main
 
