@@ -398,8 +398,8 @@ def test_grid_corpus_sweep_speedup(benchmark):
     store traces.
 
     The fast side runs each app as ``GRID_GRID_DIM x GRID_CTA_DIM`` CTAs
-    sharded across ``REPRO_BENCH_JOBS`` pool workers (mem-effects proves
-    the CTAs disjoint); the slow side is today's ``GPUMachine.launch``
+    sharded across ``REPRO_BENCH_JOBS`` pool workers (``classify_launch``
+    proves the CTAs disjoint); the slow side is today's ``GPUMachine.launch``
     of all threads in one process. Unlike the in-process sweeps, this
     ratio scales with core count — CI gates it with a conservative
     floor via ``REPRO_BENCH_MIN_GRID_SPEEDUP``. The measured value is

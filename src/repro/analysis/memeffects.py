@@ -1,4 +1,4 @@
-"""Memory-effect analysis: which ``GlobalMemory`` addresses a kernel touches.
+"""Launch-time memory-effect proof: may the warps of a launch run apart?
 
 ``GPUMachine`` may run the warps of a launch one at a time to completion,
 instead of interleaving them one issue slot per round, only when no warp
@@ -6,36 +6,28 @@ can observe another. Apart from the scheduler (which must keep per-warp
 state only) and the CTA channels (``ctasync`` and shared memory, see
 :func:`cta_coupled`), the only cross-warp channel in the simulator is
 global memory, so the question reduces to: *can two warps' memory
-footprints overlap?*
+footprints overlap?* ``GridLaunch`` asks the same question over the
+grid's global thread range before it shards CTAs over the worker pool
+(warps never span CTAs, so warp disjointness implies CTA disjointness).
 
-This module answers it with an abstract interpretation of the kernel
-over a small affine-address domain. Every abstract value is
+:func:`classify_launch` answers it with an abstract interpretation of the
+kernel, seeded with the launch's concrete arguments, over a small
+affine-address domain. Every abstract value is either the explicit top
+``TOP`` ("could be anything") or
 
-    ``base + ct * tid + cw * warpid + X``
+    ``ct * tid + cw * warpid + X``
 
-where ``base`` is a kernel parameter (compile time) or a concrete number
-(launch time), ``ct``/``cw`` are non-negative coefficients, and ``X`` is
-an integer-strided interval ``{lo + k * step} ∩ [lo, hi]`` (``step == 0``
+where ``ct``/``cw`` are non-negative coefficients and ``X`` is an
+integer-strided interval ``{lo + k * step} ∩ [lo, hi]`` (``step == 0``
 means a dense, possibly fractional interval). The stride component is
 what proves the corpus' task-loop pattern safe: a counter that starts at
 ``tid`` and advances by ``n_threads`` keeps ``ct == 1`` with offsets
 strided by ``n_threads``, so distinct threads can never alias even
-though the interval itself widens to infinity.
-
-Two entry points share the interpreter:
-
-* :func:`analyze_module` — compile-time summary with parameters kept
-  symbolic. Registered as the ``"memeffects"`` analysis (cached by the
-  pass manager's :class:`~repro.core.passmgr.AnalysisManager`) and
-  surfaced on ``CompileReport.memory_effects``, computed there on first
-  read or eagerly by a pipeline that names the ``mem-effects`` pass.
-  Computed addresses degrade to the explicit top ``"unknown"``.
-* :func:`classify_launch` — launch-time classification with concrete
-  kernel arguments substituted for parameters, returning ``"disjoint"``
-  when *no* two threads of *different* warps can touch a common address
-  in a conflicting way, else ``"guarded"``. Results are memoized per
-  module (weakly, validated by the structure token) and per
-  ``(kernel, args, n_threads)``; :func:`cta_coupled` shares the memo.
+though the interval itself widens to infinity. The verdict is
+``"disjoint"`` when *no* two threads of *different* warps can touch a
+common address in a conflicting way, else ``"guarded"``. Verdicts are
+memoized per module (weakly, validated by the structure token) and per
+``(kernel, args, n_threads)``; :func:`cta_coupled` shares the memo.
 
 Soundness notes. Addresses are truncated with ``int()`` at the memory
 interface, so resolved intervals are widened to integer envelopes and
@@ -43,8 +35,9 @@ every injectivity rule additionally requires non-negative bounds (for
 ``x >= 0``, ``int`` is ``floor`` and a step of ``>= 1`` keeps truncated
 addresses distinct). ``atom_add`` sites count as both read and write.
 A call to any function that (transitively) contains a memory op makes
-the kernel *opaque*: summaries record it and classification returns
-``"guarded"``.
+the kernel opaque, and its launches classify as ``"guarded"``. Shared
+memory (``shld``/``shst``/``shatom``) is CTA-private and is left to
+:func:`cta_coupled`.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
-from dataclasses import dataclass
 
 from repro.ir.function import structure_token
 from repro.ir.instructions import Imm, Opcode, Reg
@@ -61,67 +53,39 @@ WARP_SIZE = 32
 
 _INF = math.inf
 
-# Sentinel base for "could be anything" (top of the base component).
-_TOP_BASE = object()
-
 #: Blocks are re-joined at most this many times before bounds widen to
 #: infinity (the stride component survives widening, see ``_widen``).
 _WIDEN_AFTER = 4
 
-__all__ = [
-    "AccessSite",
-    "KernelEffects",
-    "SHARED_REGION",
-    "analyze_module",
-    "classify_grid",
-    "classify_launch",
-    "clear_launch_cache",
-    "cta_coupled",
-]
-
-#: Region name reported for per-CTA shared-memory access sites.
-SHARED_REGION = "<shared>"
+__all__ = ["classify_launch", "clear_launch_cache", "cta_coupled"]
 
 
 class _AbsVal:
-    """``base + ct*tid + cw*warpid + {lo + k*step} ∩ [lo, hi]``."""
+    """``ct*tid + cw*warpid + {lo + k*step} ∩ [lo, hi]``, or any value at
+    all when ``is_top`` (set only on the :data:`TOP` singleton)."""
 
-    __slots__ = ("base", "ct", "cw", "lo", "hi", "step")
+    __slots__ = ("ct", "cw", "lo", "hi", "step", "is_top")
 
-    def __init__(self, base, ct, cw, lo, hi, step):
-        self.base = base
+    def __init__(self, ct, cw, lo, hi, step, is_top=False):
         self.ct = ct
         self.cw = cw
         self.lo = lo
         self.hi = hi
         self.step = step
+        self.is_top = is_top
 
     def __eq__(self, other):
-        if not isinstance(other, _AbsVal):
-            return NotImplemented
-        return (
-            self.base is other.base
-            or self.base == other.base
-        ) and (
-            self.ct == other.ct
-            and self.cw == other.cw
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.step == other.step
+        return isinstance(other, _AbsVal) and (
+            self.is_top == other.is_top and self.ct == other.ct
+            and self.cw == other.cw and self.lo == other.lo
+            and self.hi == other.hi and self.step == other.step
         )
 
-    def __hash__(self):
-        return hash((id(self.base) if self.base is _TOP_BASE else self.base,
-                     self.ct, self.cw, self.lo, self.hi, self.step))
-
     def __repr__(self):
-        base = "?" if self.base is _TOP_BASE else self.base
-        return (f"AbsVal(base={base}, ct={self.ct}, cw={self.cw}, "
+        if self.is_top:
+            return "AbsVal(TOP)"
+        return (f"AbsVal(ct={self.ct}, cw={self.cw}, "
                 f"[{self.lo}, {self.hi}] step {self.step})")
-
-    @property
-    def is_top(self):
-        return self.base is _TOP_BASE
 
     @property
     def is_point(self):
@@ -129,22 +93,24 @@ class _AbsVal:
 
     @property
     def pure(self):
-        """No symbolic base and no thread/warp dependence."""
-        return self.base is None and self.ct == 0 and self.cw == 0
+        """Not top, and no thread/warp dependence."""
+        return not self.is_top and self.ct == 0 and self.cw == 0
 
 
-TOP = _AbsVal(_TOP_BASE, 0, 0, -_INF, _INF, 0)
+#: Top is distinct from the pure unbounded interval: ``_sub`` and
+#: ``_floor`` (among others) treat the two differently.
+TOP = _AbsVal(0, 0, -_INF, _INF, 0, is_top=True)
 
 
 def _point(value):
     """Abstract a known numeric constant."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return TOP
-    return _AbsVal(None, 0, 0, value, value, 0)
+    return _AbsVal(0, 0, value, value, 0)
 
 
 def _interval(lo, hi, step=0):
-    return _AbsVal(None, 0, 0, lo, hi, step)
+    return _AbsVal(0, 0, lo, hi, step)
 
 
 def _is_int(x):
@@ -168,16 +134,14 @@ def _join(a, b):
         return a
     if a == b:
         return a
-    if a.is_top or b.is_top:
-        return TOP
-    if a.base != b.base or a.ct != b.ct or a.cw != b.cw:
+    if a.is_top or b.is_top or a.ct != b.ct or a.cw != b.cw:
         return TOP
     sa, sb = _residue_step(a), _residue_step(b)
     if sa is None or sb is None or not math.isfinite(a.lo) or not math.isfinite(b.lo):
         step = 0
     else:
         step = math.gcd(int(sa), int(sb), abs(int(a.lo) - int(b.lo)))
-    return _AbsVal(a.base, a.ct, a.cw, min(a.lo, b.lo), max(a.hi, b.hi), step)
+    return _AbsVal(a.ct, a.cw, min(a.lo, b.lo), max(a.hi, b.hi), step)
 
 
 def _widen(old, new):
@@ -197,19 +161,15 @@ def _widen(old, new):
     lo = old.lo if joined.lo >= old.lo else -_INF
     hi = old.hi if joined.hi <= old.hi else _INF
     step = joined.step if math.isfinite(lo) else 0
-    return _AbsVal(joined.base, joined.ct, joined.cw, lo, hi, step)
+    return _AbsVal(joined.ct, joined.cw, lo, hi, step)
 
 
 def _add(a, b):
     if a.is_top or b.is_top:
         return TOP
-    if a.base is not None and b.base is not None:
-        return TOP
-    base = a.base if a.base is not None else b.base
     sa, sb = _residue_step(a), _residue_step(b)
     step = math.gcd(int(sa), int(sb)) if sa is not None and sb is not None else 0
-    return _AbsVal(base, a.ct + b.ct, a.cw + b.cw,
-                   a.lo + b.lo, a.hi + b.hi, step)
+    return _AbsVal(a.ct + b.ct, a.cw + b.cw, a.lo + b.lo, a.hi + b.hi, step)
 
 
 def _scale(val, c):
@@ -218,10 +178,8 @@ def _scale(val, c):
         return TOP
     if c == 0:
         return _point(0)
-    if val.base is not None and c != 1:
-        return TOP
     step = val.step * c if _is_int(c) else 0
-    return _AbsVal(val.base, val.ct * c, val.cw * c,
+    return _AbsVal(val.ct * c, val.cw * c,
                    val.lo * c, val.hi * c, int(step) if _is_int(step) else 0)
 
 
@@ -256,9 +214,9 @@ def _sub(a, b):
         return TOP
     if b.pure and b.is_point:
         step = a.step if _is_int(b.lo) else 0
-        return _AbsVal(a.base, a.ct, a.cw, a.lo - b.lo, a.hi - b.lo, step)
+        return _AbsVal(a.ct, a.cw, a.lo - b.lo, a.hi - b.lo, step)
     if b.pure:
-        return _AbsVal(a.base, a.ct, a.cw, a.lo - b.hi, a.hi - b.lo, 0)
+        return _AbsVal(a.ct, a.cw, a.lo - b.hi, a.hi - b.lo, 0)
     return TOP
 
 
@@ -286,12 +244,10 @@ def _and(a, b):
 
 
 def _minmax(a, b, pick):
-    if a.is_top or b.is_top:
-        return TOP
-    if a.base != b.base or a.ct != b.ct or a.cw != b.cw:
+    if a.is_top or b.is_top or a.ct != b.ct or a.cw != b.cw:
         return TOP
     joined = _join(a, b)
-    return _AbsVal(joined.base, joined.ct, joined.cw,
+    return _AbsVal(joined.ct, joined.cw,
                    pick(a.lo, b.lo), pick(a.hi, b.hi), joined.step)
 
 
@@ -313,31 +269,20 @@ def _abs(a):
     return _interval(lo, hi, 0)
 
 
-_CMP_OPS = frozenset({
-    Opcode.CMPLT, Opcode.CMPLE, Opcode.CMPGT,
-    Opcode.CMPGE, Opcode.CMPEQ, Opcode.CMPNE,
-})
-
-_MEMORY_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.ATOMADD})
-
-#: Per-CTA shared-memory ops. CTA-private by construction: they are
-#: summarized (region ``<shared>``) but excluded from cross-warp conflict
-#: classification — no two CTAs share a scratchpad, and within a CTA the
-#: engine keeps the warps of any kernel that can reach one interleaved
-#: (:func:`cta_coupled`).
+#: Per-CTA shared-memory ops. CTA-private by construction, so they are
+#: excluded from cross-warp conflict classification: no two CTAs share a
+#: scratchpad, and within a CTA the engine keeps the warps of any kernel
+#: that can reach one interleaved (:func:`cta_coupled`).
 _SHARED_MEMORY_OPS = frozenset({Opcode.SHLD, Opcode.SHST, Opcode.SHATOM})
 
 #: Ops through which the warps of one CTA meet outside global memory: the
 #: CTA-wide barrier and the per-CTA scratchpad (see :func:`cta_coupled`).
 _CTA_OPS = _SHARED_MEMORY_OPS | {Opcode.CTASYNC}
 
-_SITE_KINDS = {
+_MEMORY_OPS = {
     Opcode.LD: "read",
     Opcode.ST: "write",
     Opcode.ATOMADD: "atom",
-    Opcode.SHLD: "read",
-    Opcode.SHST: "write",
-    Opcode.SHATOM: "atom",
 }
 
 
@@ -349,71 +294,65 @@ def _operand(env, op):
     return TOP
 
 
+def _neg(a):
+    return _interval(-a.hi, -a.lo, 0) if a.pure else TOP
+
+
+#: Transfer functions of the ops whose result depends on their operands
+#: (``const`` and ``mov`` pass their operand through).
+_UNARY = {
+    Opcode.CONST: lambda a: a,
+    Opcode.MOV: lambda a: a,
+    Opcode.FLOOR: _floor,
+    Opcode.ABS: _abs,
+    Opcode.NEG: _neg,
+}
+_BINARY = {
+    Opcode.ADD: _add,
+    Opcode.SUB: _sub,
+    Opcode.MUL: _mul,
+    Opcode.REM: _rem,
+    Opcode.AND: _and,
+    Opcode.MIN: lambda a, b: _minmax(a, b, min),
+    Opcode.MAX: lambda a, b: _minmax(a, b, max),
+}
+
+#: Results of the ops that read no operand.
+_NULLARY = {
+    **dict.fromkeys((Opcode.CMPLT, Opcode.CMPLE, Opcode.CMPGT, Opcode.CMPGE,
+                     Opcode.CMPEQ, Opcode.CMPNE), _interval(0, 1, 1)),
+    Opcode.TID: _AbsVal(1, 0, 0, 0, 0),
+    Opcode.LANE: _interval(0, WARP_SIZE - 1, 1),
+    Opcode.WARPID: _AbsVal(0, 1, 0, 0, 0),
+    Opcode.RAND: _interval(0, 1, 0),
+    Opcode.BARCNT: _interval(0, WARP_SIZE, 1),
+    # Launch-uniform but unknown at analysis time; non-negative by
+    # construction. Addresses built from it degrade to "guarded",
+    # which routes grid launches to the always-correct serial path.
+    Opcode.CTAID: _interval(0, _INF, 0),
+    Opcode.CTADIM: _interval(1, _INF, 0),
+    Opcode.NCTA: _interval(1, _INF, 0),
+    Opcode.SIN: _interval(-1, 1, 0),
+    Opcode.COS: _interval(-1, 1, 0),
+}
+
+
 def _transfer(instr, env):
-    """Abstract value written by ``instr`` (None when it has no dst)."""
+    """Abstract value written by ``instr`` (which has a dst)."""
     op = instr.opcode
-    if op is Opcode.CONST:
-        return _point(instr.operands[0].value)
-    if op is Opcode.MOV:
-        return _operand(env, instr.operands[0])
+    operands = instr.operands
+    if op in _NULLARY:
+        return _NULLARY[op]
+    if op in _UNARY:
+        return _UNARY[op](_operand(env, operands[0]))
+    if op in _BINARY:
+        return _BINARY[op](_operand(env, operands[0]),
+                           _operand(env, operands[1]))
     if op is Opcode.SEL:
-        return _join(_operand(env, instr.operands[1]),
-                     _operand(env, instr.operands[2]))
-    if op is Opcode.ADD:
-        return _add(_operand(env, instr.operands[0]),
-                    _operand(env, instr.operands[1]))
-    if op is Opcode.SUB:
-        return _sub(_operand(env, instr.operands[0]),
-                    _operand(env, instr.operands[1]))
-    if op is Opcode.MUL:
-        return _mul(_operand(env, instr.operands[0]),
-                    _operand(env, instr.operands[1]))
+        return _join(_operand(env, operands[1]), _operand(env, operands[2]))
     if op is Opcode.FMA:
-        product = _mul(_operand(env, instr.operands[0]),
-                       _operand(env, instr.operands[1]))
-        return _add(product, _operand(env, instr.operands[2]))
-    if op is Opcode.REM:
-        return _rem(_operand(env, instr.operands[0]),
-                    _operand(env, instr.operands[1]))
-    if op is Opcode.AND:
-        return _and(_operand(env, instr.operands[0]),
-                    _operand(env, instr.operands[1]))
-    if op is Opcode.MIN:
-        return _minmax(_operand(env, instr.operands[0]),
-                       _operand(env, instr.operands[1]), min)
-    if op is Opcode.MAX:
-        return _minmax(_operand(env, instr.operands[0]),
-                       _operand(env, instr.operands[1]), max)
-    if op in _CMP_OPS:
-        return _interval(0, 1, 1)
-    if op is Opcode.TID:
-        return _AbsVal(None, 1, 0, 0, 0, 0)
-    if op is Opcode.LANE:
-        return _interval(0, WARP_SIZE - 1, 1)
-    if op is Opcode.WARPID:
-        return _AbsVal(None, 0, 1, 0, 0, 0)
-    if op is Opcode.RAND:
-        return _interval(0, 1, 0)
-    if op is Opcode.BARCNT:
-        return _interval(0, WARP_SIZE, 1)
-    if op is Opcode.CTAID:
-        # Launch-uniform but unknown at analysis time; non-negative by
-        # construction. Addresses built from it degrade to "guarded",
-        # which routes grid launches to the always-correct serial path.
-        return _interval(0, _INF, 0)
-    if op in (Opcode.CTADIM, Opcode.NCTA):
-        return _interval(1, _INF, 0)
-    if op in (Opcode.SIN, Opcode.COS):
-        return _interval(-1, 1, 0)
-    if op is Opcode.FLOOR:
-        return _floor(_operand(env, instr.operands[0]))
-    if op is Opcode.ABS:
-        return _abs(_operand(env, instr.operands[0]))
-    if op is Opcode.NEG:
-        val = _operand(env, instr.operands[0])
-        if val.pure:
-            return _interval(-val.hi, -val.lo, 0)
-        return TOP
+        product = _mul(_operand(env, operands[0]), _operand(env, operands[1]))
+        return _add(product, _operand(env, operands[2]))
     # DIV, SHL, SHR, OR, XOR, NOT, SQRT, EXP, LOG, LD, ATOMADD, CALL,
     # BMOV and anything else that defines a register: unknown.
     return TOP
@@ -424,13 +363,12 @@ def _transfer(instr, env):
 # ----------------------------------------------------------------------
 
 def _abstract_run(fn, seed_env):
-    """Worklist fixpoint over ``fn``; returns ``(global sites, shared
-    sites)``, each ``{(block, index): (kind, AbsVal)}``, for every memory
-    access site at the post-fixpoint input environment of its block."""
+    """Worklist fixpoint over ``fn``; returns ``{(block, index): (kind,
+    AbsVal)}`` for every global memory access site at the post-fixpoint
+    input environment of its block."""
     in_envs = {fn.entry.name: dict(seed_env)}
     visits = {}
     sites = {}
-    shared_sites = {}
     work = deque([fn.entry.name])
     queued = {fn.entry.name}
     while work:
@@ -442,11 +380,7 @@ def _abstract_run(fn, seed_env):
             op = instr.opcode
             if op in _MEMORY_OPS:
                 sites[(bname, index)] = (
-                    _SITE_KINDS[op], _operand(env, instr.operands[0])
-                )
-            elif op in _SHARED_MEMORY_OPS:
-                shared_sites[(bname, index)] = (
-                    _SITE_KINDS[op], _operand(env, instr.operands[0])
+                    _MEMORY_OPS[op], _operand(env, instr.operands[0])
                 )
             if instr.dst is not None:
                 env[instr.dst.name] = _transfer(instr, env)
@@ -474,7 +408,7 @@ def _abstract_run(fn, seed_env):
             if succ not in queued:
                 work.append(succ)
                 queued.add(succ)
-    return sites, shared_sites
+    return sites
 
 
 def _reachable(module, fn):
@@ -500,141 +434,13 @@ def _reachable(module, fn):
     return reached
 
 
-def _memory_callees(module, fn):
-    """Names of functions reachable from ``fn`` that contain memory ops."""
-    return tuple(sorted(
-        callee.name for callee in _reachable(module, fn)[1:]
-        if any(i.opcode in _MEMORY_OPS for _b, _i, i in callee.instructions())
-    ))
-
-
-# ----------------------------------------------------------------------
-# Compile-time summary (symbolic parameters)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AccessSite:
-    """One static ``ld``/``st``/``atomadd`` with its abstract address."""
-
-    kind: str          # "read" | "write" | "atom"
-    block: str
-    index: int
-    region: str        # parameter name, "<absolute>", or "unknown"
-    form: str          # "tid-strided" | "warp-strided" | "uniform" |
-                       # "bounded" | "unknown"
-    offset: tuple      # (lo, hi) relative to the region base, or None
-
-
-class KernelEffects:
-    """Compile-time memory-effect summary of one kernel."""
-
-    def __init__(self, kernel, sites, opaque_calls):
-        self.kernel = kernel
-        self.sites = tuple(sites)
-        self.opaque_calls = tuple(opaque_calls)
-
-    def regions(self):
-        """``{region: sorted set of access kinds}`` over all sites."""
-        table = {}
-        for site in self.sites:
-            table.setdefault(site.region, set()).add(site.kind)
-        return {name: tuple(sorted(kinds)) for name, kinds in sorted(table.items())}
-
-    def describe(self):
-        return {
-            "regions": self.regions(),
-            "sites": [
-                {
-                    "kind": site.kind,
-                    "at": f"{site.block}[{site.index}]",
-                    "region": site.region,
-                    "form": site.form,
-                    "offset": list(site.offset) if site.offset else None,
-                }
-                for site in self.sites
-            ],
-            "opaque_calls": list(self.opaque_calls),
-        }
-
-    def __repr__(self):
-        return f"KernelEffects({self.kernel!r}, {self.regions()!r})"
-
-
-def _shared_site_summary(kind, bname, index, val):
-    """Summary of one shld/shst/shatom site: always region ``<shared>``
-    (the scratchpad is CTA-private; its base is not parameter-rooted)."""
-    if val.is_top:
-        return AccessSite(kind, bname, index, SHARED_REGION, "unknown", None)
-    finite = math.isfinite(val.lo) and math.isfinite(val.hi)
-    offset = (val.lo, val.hi) if finite else None
-    if val.ct >= 1:
-        form = "tid-strided"
-    elif val.cw >= 1:
-        form = "warp-strided"
-    elif val.is_point:
-        form = "uniform"
-    elif finite:
-        form = "bounded"
-    else:
-        form = "unknown"
-    return AccessSite(kind, bname, index, SHARED_REGION, form, offset)
-
-
-def _site_summary(fn, kind, bname, index, val):
-    if val.is_top:
-        return AccessSite(kind, bname, index, "unknown", "unknown", None)
-    if val.base is None:
-        region = "<absolute>"
-    else:
-        # The lowerer suffixes every register with a numeric version
-        # ("out.1"); report the source-level parameter name.
-        name = fn.params[val.base].name
-        stem, _, suffix = name.rpartition(".")
-        region = stem if stem and suffix.isdigit() else name
-    finite = math.isfinite(val.lo) and math.isfinite(val.hi)
-    offset = (val.lo, val.hi) if finite else None
-    if val.ct >= 1:
-        form = "tid-strided"
-    elif val.cw >= 1:
-        form = "warp-strided"
-    elif val.is_point:
-        form = "uniform"
-    elif finite:
-        form = "bounded"
-    else:
-        form = "unknown"
-    return AccessSite(kind, bname, index, region, form, offset)
-
-
-def analyze_module(module):
-    """Compile-time summary: ``{kernel name: KernelEffects}``.
-
-    Parameters stay symbolic (each one is an opaque region base), so the
-    summary names which parameter-rooted regions every block reads,
-    writes, or atomically updates, with ``"unknown"`` as the explicit top
-    for computed addresses. Registered as the ``"memeffects"`` analysis.
-    """
-    result = {}
-    for fn in module:
-        if not fn.is_kernel:
-            continue
-        seed = {
-            param.name: _AbsVal(i, 0, 0, 0, 0, 0)
-            for i, param in enumerate(fn.params)
-        }
-        raw, shared_raw = _abstract_run(fn, seed)
-        sites = [
-            _site_summary(fn, kind, bname, index, val)
-            for (bname, index), (kind, val) in sorted(raw.items())
-        ]
-        sites.extend(
-            _shared_site_summary(kind, bname, index, val)
-            for (bname, index), (kind, val) in sorted(shared_raw.items())
-        )
-        result[fn.name] = KernelEffects(
-            fn.name, sites, _memory_callees(module, fn)
-        )
-    return result
+def _calls_memory(module, fn):
+    """True when a function ``fn`` can call contains a memory op."""
+    return any(
+        instr.opcode in _MEMORY_OPS
+        for callee in _reachable(module, fn)[1:]
+        for _block, _index, instr in callee.instructions()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -648,16 +454,14 @@ def _envelope(val):
     An infinite upper bound is fine: the task-loop pattern widens there,
     and every injectivity rule anchors on ``lo``/``step`` (span
     disjointness simply never separates on the unbounded side)."""
-    if val.is_top or val.base is not None:
-        return None
-    if not math.isfinite(val.lo):
+    if val.is_top or not math.isfinite(val.lo):
         return None
     hi = math.ceil(val.hi) if math.isfinite(val.hi) else _INF
     return math.floor(val.lo), hi
 
 
 class _Site:
-    __slots__ = ("kind", "lo", "hi", "ct", "cw", "step", "span")
+    __slots__ = ("kind", "lo", "hi", "ct", "cw", "step", "map", "span")
 
     def __init__(self, kind, val, bounds, n_threads, max_warp):
         self.kind = kind
@@ -665,6 +469,7 @@ class _Site:
         self.ct = val.ct
         self.cw = val.cw
         self.step = val.step
+        self.map = (self.lo, self.hi, self.ct, self.cw, self.step)
         self.span = (
             self.lo,
             self.hi + self.ct * (n_threads - 1) + self.cw * max_warp,
@@ -673,11 +478,6 @@ class _Site:
     @property
     def writes(self):
         return self.kind != "read"
-
-    def same_map(self, other):
-        return (self.lo == other.lo and self.hi == other.hi
-                and self.ct == other.ct and self.cw == other.cw
-                and self.step == other.step)
 
 
 def _write_self_safe(site, n_threads):
@@ -700,15 +500,10 @@ def _pair_safe(a, b, n_threads):
     never put two threads of different warps on a common address."""
     if a.span[1] < b.span[0] or b.span[1] < a.span[0]:
         return True
-    if a.same_map(b):
+    if a.map == b.map and _write_self_safe(a, n_threads):
         # Identical address maps collide only same-tid / same-warp, and
         # intra-thread and intra-warp orders are preserved verbatim.
-        if a.lo == a.hi and a.lo >= 0:
-            if a.ct >= 1 or (a.ct == 0 and a.cw >= 1):
-                return True
-        if (a.lo >= 0 and a.step > 0 and a.ct >= 1 and a.cw == 0
-                and a.step >= a.ct * n_threads):
-            return True
+        return True
     # Congruence separation: when every component of both address maps
     # moves in multiples of g, differing base residues mod g can never
     # meet (e.g. even-strided reads vs odd-strided writes).
@@ -733,16 +528,13 @@ def clear_launch_cache():
 
 def _classify(module, kernel_name, args, n_threads):
     fn = module.function(kernel_name)
-    if _memory_callees(module, fn):
+    if _calls_memory(module, fn):
         return "guarded"
     seed = {}
     for i, param in enumerate(fn.params):
         value = args[i] if i < len(args) else None
         seed[param.name] = _point(value)
-    # Shared sites are deliberately dropped here: the scratchpad is
-    # CTA-private, so shld/shst/shatom can never couple two warps through
-    # *global* memory (nor two CTAs through anything).
-    raw, _shared = _abstract_run(fn, seed)
+    raw = _abstract_run(fn, seed)
     max_warp = max(0, (n_threads - 1) // WARP_SIZE)
     sites = []
     writes = []
@@ -796,8 +588,9 @@ def classify_launch(module, kernel_name, args, n_threads):
     ``tid // 32``. ``"disjoint"`` (with a per-warp scheduler and no
     :func:`cta_coupled` channel) licenses ``GPUMachine`` to run the
     warps one at a time to completion; ``"guarded"`` keeps them
-    interleaved. Memoized weakly per module, validated by the structure
-    token.
+    interleaved; ``GridLaunch`` shards CTAs over the worker pool only on
+    ``"disjoint"``. Memoized weakly per module, validated by the
+    structure token.
     """
     entry = _module_entry(module)
     try:
@@ -829,17 +622,3 @@ def cta_coupled(module, kernel_name):
         )
     return result
 
-
-def classify_grid(module, kernel_name, args, total_threads):
-    """``"disjoint"`` when no two *CTAs* of a grid launch can conflict
-    through global memory, else ``"guarded"``.
-
-    This reuses :func:`classify_launch` over the grid's full global thread
-    range: grid launches assign global tids/warp ids exactly as the flat
-    launch of ``total_threads`` would (warps never span CTAs), so pairwise
-    warp disjointness over the whole range implies CTA disjointness. Shared
-    memory needs no check — each CTA owns its scratchpad. ``"disjoint"``
-    licenses sharding provably-independent CTAs across the worker pool;
-    ``"guarded"`` routes the grid to the serial in-process CTA loop.
-    """
-    return classify_launch(module, kernel_name, args, total_threads)

@@ -16,9 +16,6 @@ Mode pipelines (see :data:`repro.core.pipeline.MODE_PIPELINES`)::
     auto      autodetect,collect-predictions,pdom-sync,sr-insert,
               deconflict,strip-directives[,allocate,verify]
     none      strip-directives[,allocate,verify]
-
-No mode pipeline runs ``mem-effects``: ``CompileReport.memory_effects``
-is computed on first read. The pass runs only where a pipeline names it.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "DcePass",
     "DeconflictPass",
     "LintPass",
-    "MemEffectsPass",
     "OptReport",
     "OptimizePass",
     "PdomSyncPass",
@@ -397,36 +393,6 @@ class VerifyPass(Pass):
 
     def run(self, module, ctx):
         verify_module(module)
-
-    def preserves(self):
-        return ALL_ANALYSES
-
-
-@register_pass
-class MemEffectsPass(Pass):
-    """Per-kernel memory-effect summaries (read-only): which
-    parameter-rooted ``GlobalMemory`` regions every kernel reads, writes,
-    or ``atom_add``s, with ``"unknown"`` as the explicit top for computed
-    addresses. Cached as the ``"memeffects"`` analysis.
-
-    Runs only when a pipeline names it; no mode pipeline does, because
-    ``report.memory_effects`` computes the same summary lazily on first
-    read. Naming the pass pins the summary at its pipeline position and
-    adds a per-kernel site-count line to ``report.pass_stats``. No
-    engine reads the summary: ``GPUMachine`` classifies each multi-warp
-    launch against its concrete arguments instead."""
-
-    name = "mem-effects"
-    description = "summarize per-kernel GlobalMemory reads/writes/atomics"
-
-    def run(self, module, ctx):
-        effects = ctx.analyses.get("memeffects")
-        ctx.report.memory_effects = {
-            kernel: summary.describe() for kernel, summary in effects.items()
-        }
-        ctx.report.pass_stats["mem-effects"] = {
-            kernel: len(summary.sites) for kernel, summary in effects.items()
-        }
 
     def preserves(self):
         return ALL_ANALYSES

@@ -120,18 +120,11 @@ def _compute_callgraph(module):
     return call_graph(module)
 
 
-def _compute_memeffects(module):
-    from repro.analysis.memeffects import analyze_module
-
-    return analyze_module(module)
-
-
 register_analysis("divergence", _compute_divergence)
 register_analysis("cfg", _compute_cfg)
 register_analysis("postdominators", _compute_postdominators)
 register_analysis("loops", _compute_loops)
 register_analysis("callgraph", _compute_callgraph)
-register_analysis("memeffects", _compute_memeffects)
 
 
 class AnalysisManager:

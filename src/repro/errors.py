@@ -70,3 +70,15 @@ class LaunchError(SimulationError):
 
 class WorkloadError(ReproError):
     """A workload was configured with invalid parameters."""
+
+
+class WorkerError(ReproError):
+    """A pool worker process died mid-sweep. ``task_index`` and
+    ``function`` name the first unfinished task; ``exitcode`` is the dead
+    worker's (negative: the killing signal), or None when unknown."""
+
+    def __init__(self, message, task_index=None, function=None, exitcode=None):
+        super().__init__(message)
+        self.task_index = task_index
+        self.function = function
+        self.exitcode = exitcode

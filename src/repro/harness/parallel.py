@@ -3,11 +3,12 @@
 Every figure regeneration is a bag of independent experiments — one
 ``compare_workload`` per Table 2 row, one compile-and-launch per threshold
 sweep point — that share nothing but the (deterministic) seed. This module
-farms such a bag over a ``multiprocessing`` pool and merges results in
-submission order, so a parallel sweep is *bit-identical* to the serial
-one: ``pool.map`` preserves ordering, each worker runs with its own
-process-private caches, and all randomness is derived from the explicit
-seed, never from worker identity or scheduling.
+farms such a bag over a :class:`concurrent.futures.ProcessPoolExecutor`
+and merges results in submission order, so a parallel sweep is
+*bit-identical* to the serial one: results are collected future by future
+in submission order, each worker runs with its own process-private
+caches, and all randomness is derived from the explicit seed, never from
+worker identity or scheduling.
 
 The pool is **persistent**: the first parallel ``run_tasks`` call starts
 it, later calls reuse it, so a session of many small sweeps (threshold
@@ -24,7 +25,11 @@ reaches the workers under both the ``fork`` and the ``spawn`` start
 method (spawned workers would otherwise re-parse the environment).
 :func:`shutdown_pool` retires the pool explicitly (also registered
 ``atexit``), and a worker exception terminates the pool before
-propagating so no half-poisoned workers outlive the error.
+propagating so no half-poisoned workers outlive the error. A worker that
+dies mid-sweep (``os._exit``, a signal, the OOM killer) breaks the
+executor, which fails every pending future at once: the sweep raises a
+typed :class:`~repro.errors.WorkerError` instead of waiting forever, the
+pool is retired, and the next sweep starts a fresh one.
 
 Tasks are ``(fn, args, kwargs)`` triples with ``fn`` a module-level
 function (workers import it by reference under the fork start method, and
@@ -50,9 +55,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import signal
 
 from repro import engine as _engine
 from repro.engine import current_engine, parse_int
+from repro.errors import WorkerError
 from repro.obs import counters as _counters
 from repro.obs import recorder as _recorder
 from repro.obs.counters import ENGINE_COUNTERS
@@ -115,16 +122,24 @@ def _init_worker(config, recorder_level):
     _recorder.set_recorder_level(recorder_level)
 
 
+def _workers(pool):
+    """The executor's worker processes (its private ``_processes``)."""
+    return list((pool._processes or {}).values())
+
+
 def shutdown_pool():
-    """Retire the persistent pool (no-op when none is alive)."""
+    """Retire the persistent pool (no-op when none is alive): terminate
+    the workers, busy or not, and wait until the executor has reaped
+    them all, so their exit codes are final."""
     global _POOL, _POOL_KEY
     pool = _POOL
     _POOL = None
     _POOL_KEY = None
     if pool is not None:
         ENGINE_COUNTERS.pool_teardowns += 1
-        pool.terminate()
-        pool.join()
+        for worker in _workers(pool):
+            worker.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
@@ -134,6 +149,10 @@ def _acquire_pool(jobs):
     """The persistent pool for ``jobs`` workers under the current
     settings, restarting it if any changed since the last call."""
     global _POOL, _POOL_KEY
+    # Imported on first use: concurrent.futures would add about 12 ms to
+    # the start-up of every process, most of which never start a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     key = _pool_key(jobs)
     if _POOL is not None and _POOL_KEY == key:
         ENGINE_COUNTERS.pool_reuses += 1
@@ -144,13 +163,54 @@ def _acquire_pool(jobs):
     except ValueError:
         context = multiprocessing.get_context("spawn")
     _jobs, _env, config, recorder_level = key
-    _POOL = context.Pool(
-        processes=jobs,
+    _POOL = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=context,
         initializer=_init_worker,
         initargs=(config, recorder_level),
     )
     _POOL_KEY = key
     return _POOL
+
+
+def _map(wrapper, items, jobs):
+    """``wrapper(item)`` for every item on the pool, in submission order
+    (each item starts with its task's function).
+
+    A task's own exception propagates unchanged; a dead worker raises
+    :class:`WorkerError`. Either way the pool is retired first, so no
+    worker left mid-task is handed the next sweep.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _acquire_pool(jobs)
+    ENGINE_COUNTERS.pool_tasks += len(items)
+    results = []
+    try:
+        # A worker can die while later tasks are still being submitted.
+        futures = [pool.submit(wrapper, item) for item in items]
+        for future in futures:
+            results.append(future.result())
+    except BrokenProcessPool:
+        ENGINE_COUNTERS.pool_worker_deaths += 1
+        workers = _workers(pool)
+        shutdown_pool()
+        # Every other worker was terminated (-SIGTERM) after the death.
+        exitcode = next((worker.exitcode for worker in workers
+                         if worker.exitcode not in (None, -signal.SIGTERM)),
+                        None)
+        index = len(results)
+        fn = items[index][0]
+        name = f"{fn.__module__}.{getattr(fn, '__qualname__', fn)}"
+        raise WorkerError(
+            f"a pool worker died (exit code {exitcode}) before task "
+            f"{index} of {len(items)} ({name}) returned",
+            task_index=index, function=name, exitcode=exitcode,
+        ) from None
+    except BaseException:
+        shutdown_pool()
+        raise
+    return results
 
 
 def run_tasks(tasks, jobs=None):
@@ -159,21 +219,14 @@ def run_tasks(tasks, jobs=None):
     With ``jobs`` (resolved per :func:`resolve_jobs`) greater than one and
     more than one task, the tasks run on the persistent process pool;
     otherwise serially in-process. Worker exceptions propagate to the
-    caller either way (and retire the pool first).
+    caller either way (and retire the pool first); a worker process that
+    dies raises :class:`~repro.errors.WorkerError`.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
-    pool = _acquire_pool(jobs)
-    ENGINE_COUNTERS.pool_tasks += len(tasks)
-    try:
-        return pool.map(_call, tasks)
-    except Exception:
-        # The failed map may leave workers mid-task; don't hand them the
-        # next sweep.
-        shutdown_pool()
-        raise
+    return _map(_call, tasks, jobs)
 
 
 def _call_observed(packed):
@@ -227,13 +280,7 @@ def run_tasks_observed(tasks, jobs=None, events=False):
     if jobs <= 1 or len(tasks) <= 1:
         out = [_call_observed(item) for item in packed]
         return [r for r, _ in out], [rep for _, rep in out]
-    pool = _acquire_pool(jobs)
-    ENGINE_COUNTERS.pool_tasks += len(tasks)
-    try:
-        out = pool.map(_call_observed, packed)
-    except Exception:
-        shutdown_pool()
-        raise
+    out = _map(_call_observed, packed, jobs)
     reports = [rep for _, rep in out]
     for report in reports:
         ENGINE_COUNTERS.merge(report["counters"])

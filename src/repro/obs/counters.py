@@ -116,6 +116,8 @@ COUNTERS = {
         "parallel runs that reused the live pool (no refork)",
     "pool.teardowns":
         "pool teardowns (knob change, error, or shutdown)",
+    "pool.worker_deaths":
+        "sweeps that lost a pool worker process (raised WorkerError)",
     # --- launch: top-level machine activity (repro.simt.machine) ------
     "launch.count":
         "kernel launches completed",

@@ -63,7 +63,7 @@ class CTAContext:
         self.warp_base = warp_base
         self.shared_words = shared_words
         #: the grid's global-memory proof over its whole tid range
-        #: (:func:`repro.analysis.memeffects.classify_grid`), or None for
+        #: (:func:`repro.analysis.memeffects.classify_launch`), or None for
         #: a flat launch, which classifies its own ``[0, n_threads)``
         self.classification = classification
         #: the CTA's warps, set by ``GPUMachine.launch`` after warp build

@@ -13,8 +13,9 @@ profiler numbers.
 only cross-CTA channel is global memory, and the grid defines CTA execution
 as *atomic in cta_id order* on the shared :class:`GlobalMemory`. That
 serialization is deterministic, and whenever
-:func:`repro.analysis.memeffects.classify_grid` proves the CTAs' global
-footprints pairwise disjoint it is also equal to every other order — which
+:func:`repro.analysis.memeffects.classify_launch`, run over the grid's
+whole global thread range, proves the CTAs' global footprints pairwise
+disjoint it is also equal to every other order — which
 licenses sharding CTA ranges across the persistent worker pool
 (:mod:`repro.harness.parallel`). Workers receive the module as IR text
 (re-parsed and cached per process), run their CTA range against a private
@@ -260,7 +261,7 @@ class GridLaunch:
             )
         if grid_dim > 1 and cta_dim % WARP_SIZE != 0:
             # Whole warps must not span CTAs, or the grid's warp membership
-            # (and with it the mem-effects warp envelopes and RNG-free warp
+            # (and with it the classify_launch warp envelopes and RNG-free warp
             # identity) would diverge from the flat launch of the same
             # thread range.
             raise LaunchError(
@@ -330,13 +331,16 @@ class GridLaunch:
     # ------------------------------------------------------------------
     def launch(self, kernel_name, args=(), memory=None):
         """Run the whole grid; returns a :class:`GridResult`."""
-        from repro.analysis.memeffects import classify_grid
+        from repro.analysis.memeffects import classify_launch
         from repro.harness.parallel import resolve_jobs
 
         memory = memory if memory is not None else GlobalMemory()
         total_threads = self.grid_dim * self.cta_dim
         jobs = resolve_jobs(self.jobs)
-        classification = classify_grid(
+        # Grid launches number tids and warps exactly as the flat launch
+        # of ``total_threads`` would (warps never span CTAs), so pairwise
+        # warp disjointness over the whole range implies CTA disjointness.
+        classification = classify_launch(
             self.module, kernel_name, args, total_threads
         )
         shard = (

@@ -112,7 +112,8 @@ class SharedMemory:
     land inside ``[0, shared_words)``. Out-of-bounds accesses raise
     :class:`SimulationError` immediately: shared memory is CTA-private by
     construction, so an OOB index is always a kernel bug, never an aliasing
-    question for the mem-effects analysis.
+    question for the launch-time memory proof
+    (:mod:`repro.analysis.memeffects`).
     """
 
     __slots__ = ("_words", "_cells")

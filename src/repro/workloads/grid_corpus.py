@@ -84,7 +84,8 @@ def get_grid_app(name):
 # ---------------------------------------------------------------------------
 # The corpus. hash01 keyed on the global tid keeps every app deterministic
 # and schedule-invariant; per-thread writes go to out + tid, so the
-# mem-effects analysis proves warp (hence CTA) disjointness.
+# launch-time memory proof (classify_launch) shows warp, hence CTA,
+# disjointness.
 # ---------------------------------------------------------------------------
 
 _register(GridApp(

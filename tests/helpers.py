@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import fields
 
 from repro.engine import EngineConfig
@@ -148,3 +150,23 @@ kernel lm(n_tasks) {{
     store(tid(), acc);
 }}
 """
+
+
+def die_in_worker(kind):
+    """End the calling process abruptly: ``os._exit(3)`` for ``"exit"``,
+    a self-sent ``SIGKILL`` for ``"sigkill"``. A pool task that kills
+    its worker."""
+    if kind == "exit":
+        os._exit(3)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class DiesWhenUnpickled:
+    """A task argument that kills whichever process unpickles it: passed
+    to a pool, it takes down the worker that receives the task."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def __reduce__(self):
+        return die_in_worker, (self.kind,)

@@ -6,7 +6,7 @@ defined as its CTAs run atomically in ``cta_id`` order on the shared
 global memory, each CTA being one ordinary launch under a
 :class:`CTAContext` carrying global tid/warp bases. Everything here pins
 that definition — and that the pool-sharded path (licensed only by a
-``"disjoint"`` mem-effects proof) is bit-identical to it.
+``"disjoint"`` ``classify_launch`` proof) is bit-identical to it.
 """
 
 import pytest
@@ -67,7 +67,7 @@ class TestValidation:
 
     def test_multi_cta_needs_whole_warps(self):
         # Warps must never span CTAs, or warp identity (and with it RNG
-        # streams and the mem-effects warp envelopes) would diverge from
+        # streams and the classify_launch warp envelopes) would diverge from
         # the flat launch of the same thread range.
         module = _divergent_module()
         with pytest.raises(LaunchError, match="multiple of 32"):

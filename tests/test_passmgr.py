@@ -36,9 +36,6 @@ from repro.core import (
 from repro.core.program_cache import ProgramCache
 from repro.errors import TransformError
 from repro.ir.printer import format_module
-from repro.obs.counters import ENGINE_COUNTERS
-from repro.workloads import get_workload, workload_names
-from repro.workloads.corpus import generate_corpus
 
 from .helpers import diamond_function
 
@@ -118,6 +115,16 @@ class TestRegistry:
     def test_unknown_mode(self):
         with pytest.raises(TransformError, match="unknown compile mode"):
             pipeline_for_mode("turbo")
+
+    def test_no_memory_summary_pass_or_analysis(self):
+        # The launch-time proof (repro.analysis.memeffects) is not a
+        # compiler pass: it runs against concrete launch arguments.
+        assert "mem-effects" not in PASS_REGISTRY
+        with pytest.raises(PipelineError, match="unknown pass"):
+            parse_pipeline("strip-directives,mem-effects")
+        module, _ = diamond_function()
+        with pytest.raises(PipelineError, match="unknown analysis"):
+            AnalysisManager(module).get("memeffects")
 
 
 class TestAnalysisManager:
@@ -436,78 +443,10 @@ class TestPassContext:
         assert ctx.report.allocation
 
 
-def with_mem_effects(mode):
-    """The mode's pipeline with ``mem-effects`` right after
-    ``strip-directives``, where every mode pipeline used to run it."""
-    return pipeline_for_mode(mode).replace(
-        "strip-directives", "strip-directives,mem-effects"
-    )
-
-
-class TestLazyMemoryEffects:
-    """No mode pipeline runs ``mem-effects``; ``report.memory_effects``
-    computes the same summary from the compiled module on first read."""
-
-    @pytest.mark.parametrize("mode", ["baseline", "sr", "auto"])
-    def test_lazy_summary_matches_eager_pass(self, mode):
-        subjects = [
-            (get_workload(name).module(), get_workload(name).sr_threshold)
-            for name in workload_names()
-        ]
-        subjects += [(app.module(), None) for app in generate_corpus()[::26]]
-        compiler = ReconvergenceCompiler()
-        for module, threshold in subjects:
-            lazy = compiler.compile(module, mode=mode, threshold=threshold)
-            eager = compiler.compile(
-                module, mode=mode, threshold=threshold,
-                pipeline=with_mem_effects(mode),
-            )
-            assert "mem-effects" not in lazy.report.pass_stats
-            assert "mem-effects" in eager.report.pass_stats
-            assert format_module(lazy.module) == format_module(eager.module)
-            assert lazy.report.memory_effects == eager.report.memory_effects
-
-    def test_default_compile_defers_the_analysis(self):
-        before = ENGINE_COUNTERS.passmgr_analysis_recompute
-        program = ReconvergenceCompiler().compile(predicted_module())
-        recomputes = ENGINE_COUNTERS.passmgr_analysis_recompute - before
-        names = [span.name for span in program.report.spans]
-        assert "analysis:memeffects" not in names
-        assert "mem-effects" not in names
-        # Every recompute the compile raised is one of the report's own
-        # misses, and none of those computed memeffects.
-        assert recomputes == program.report.analysis_stats["misses"]
-
-        before = ENGINE_COUNTERS.passmgr_analysis_recompute
-        eager = ReconvergenceCompiler().compile(
-            predicted_module(), pipeline=with_mem_effects("sr")
-        )
-        assert ENGINE_COUNTERS.passmgr_analysis_recompute - before == (
-            recomputes + 1
-        )
-        assert "analysis:memeffects" in [s.name for s in eager.report.spans]
-
-        summary = program.report.memory_effects
-        assert summary == eager.report.memory_effects
-        assert program.report.memory_effects is summary   # memoized
-
-    def test_named_pass_pins_the_summary_at_its_position(self):
-        # Placed before pdom-sync, the eager summary describes the module
-        # at that point; the later rewrites do not replace it.
-        pinned = ReconvergenceCompiler().compile(
-            predicted_module(),
-            pipeline="strip-directives,mem-effects,pdom-sync,allocate,verify",
-        )
-        early = ReconvergenceCompiler().compile(
-            predicted_module(), pipeline="strip-directives,mem-effects"
-        )
-        assert pinned.report.memory_effects == early.report.memory_effects
-        assert pinned.report.pass_stats["mem-effects"] == {"k": 1}
-
-    def test_report_pickles_and_compares_by_summary(self):
+class TestCompileReport:
+    def test_report_pickles_and_compares_equal(self):
         report = ReconvergenceCompiler().compile(predicted_module()).report
         copy = pickle.loads(pickle.dumps(report))
         assert copy == report
-        assert copy.memory_effects == report.memory_effects
-        copy.memory_effects = {}
+        copy.pass_stats = {"extra": 1}
         assert copy != report

@@ -4,16 +4,22 @@ convergence synchronization — PDOM, Speculative Reconvergence (any
 threshold), no sync at all, and any scheduler — never changes any thread's
 observable results. Random divergent kernels are generated as ASTs,
 compiled in every mode, and their per-thread store traces compared.
+
+The last class checks the soundness of the launch-time memory proof
+(:func:`repro.analysis.memeffects.classify_launch`) against the addresses
+each warp actually touches.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ReconvergenceCompiler
+from repro.analysis.memeffects import classify_launch
+from repro.core import ReconvergenceCompiler, compile_baseline
+from repro.engine import engine_config
 from repro.frontend import ast_nodes as A
 from repro.frontend.lower import lower_program
 from repro.ir import verify_module
-from repro.simt import GPUMachine
+from repro.simt import CTAContext, GPUMachine, GlobalMemory
 
 
 @st.composite
@@ -241,3 +247,183 @@ class TestEfficiencyBounds:
         sr = compiler.compile(module, mode="sr")
         sr_result = GPUMachine(sr.module).launch("k", 32)
         assert sr_result.profiler.barrier_issues >= base_result.profiler.barrier_issues
+
+
+# ----------------------------------------------------------------------
+# Soundness of the launch-time memory proof
+# ----------------------------------------------------------------------
+
+#: Kernel parameters of the memory-access kernels; ``n`` is positive.
+MEMORY_PARAMS = ("a", "b", "n")
+
+
+def _call(name, *args):
+    return A.CallExpr(name, list(args))
+
+
+@st.composite
+def address_expr(draw, depth=3, loop_var=None):
+    """A random integer-valued expression over ``tid() lane() warpid()``,
+    the kernel parameters, constants and (inside a loop) the loop
+    counter, built with ``+ - * % & min max floor abs`` and unary minus.
+    No loaded value ever reaches it."""
+    leaves = [
+        _call("tid"), _call("lane"), _call("warpid"),
+        *(A.Var(name) for name in MEMORY_PARAMS),
+    ]
+    if loop_var is not None:
+        leaves.append(A.Var(loop_var))
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        if draw(st.booleans()):
+            return A.Num(draw(st.integers(-8, 70)))
+        return draw(st.sampled_from(leaves))
+    op = draw(st.sampled_from(
+        ["+", "+", "-", "*", "%", "and", "min", "max", "floor", "abs", "neg"]
+    ))
+    sub = address_expr(depth - 1, loop_var)
+    if op == "neg":
+        return A.Un("-", draw(sub))
+    if op in ("floor", "abs"):
+        return A.Un(op, draw(sub))
+    return A.Bin(op, draw(sub), draw(sub))
+
+
+@st.composite
+def affine_address(draw, loop_var=None):
+    """``base + k*tid() + m*warpid() + c`` (or the loop counter in place
+    of the thread term): the shapes the proof can show disjoint."""
+    thread = A.Var(loop_var) if loop_var is not None else _call("tid")
+    address = A.Bin("*", thread, A.Num(draw(st.sampled_from([1, 1, 2, 3, 0]))))
+    if draw(st.integers(0, 2)) == 0:
+        address = A.Bin("+", address, A.Bin(
+            "*", _call("warpid"), A.Num(draw(st.integers(1, 40)))
+        ))
+    base = draw(st.sampled_from([A.Var("a"), A.Var("b"), A.Num(0)]))
+    return A.Bin("+", A.Bin("+", base, address),
+                 A.Num(draw(st.integers(-1, 40))))
+
+
+def _address(draw, loop_var=None):
+    if draw(st.integers(0, 2)):
+        return draw(affine_address(loop_var))
+    return draw(address_expr(loop_var=loop_var))
+
+
+def _access(draw, loop_var=None):
+    """One ``ld``/``store``/``atomadd`` site; loaded and fetched values
+    only ever flow into the accumulator, which is stored as a value."""
+    address = _address(draw, loop_var)
+    kind = draw(st.sampled_from(["ld", "store", "store", "atomadd"]))
+    if kind == "store":
+        return A.Store(address, A.Var("acc"))
+    if kind == "ld":
+        fetched = _call("ld", address)
+    else:
+        fetched = _call("atomadd", address, A.Num(1.0))
+    return A.Assign("acc", A.Bin("+", A.Var("acc"), fetched))
+
+
+@st.composite
+def memory_kernel(draw):
+    """``kernel k(a, b, n)`` with one to three access sites or strided
+    ``while`` loops (at most six trips per thread). A task loop is the
+    corpus' pattern: ``t = tid() + offset`` stores at ``base + t`` and
+    advances by a stride that may or may not cover the launch."""
+    statements = [A.Let("acc", A.Num(0.0))]
+    for index in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["access", "loop", "task-loop"]))
+        if shape == "access":
+            statements.append(_access(draw))
+            continue
+        t, j = f"t{index}", f"j{index}"
+        stride = draw(st.one_of(
+            st.sampled_from([1, 33, 64, 96, 97, 128, 192]).map(A.Num),
+            st.just(A.Var("n")),
+        ))
+        bound = draw(st.one_of(st.just(A.Var("n")), st.just(A.Var("b")),
+                               st.integers(0, 400).map(A.Num)))
+        if shape == "task-loop":
+            start = A.Bin("+", _call("tid"), draw(st.sampled_from(
+                [A.Num(0), A.Num(5), A.Var("a"), A.Var("b")]
+            )))
+            base = draw(st.sampled_from([A.Var("a"), A.Var("b"), A.Num(0)]))
+            body = [A.Store(A.Bin("+", base, A.Var(t)), A.Var("acc"))]
+            body += [_access(draw, t) for _ in range(draw(st.integers(0, 1)))]
+        else:
+            start = _address(draw)
+            body = [_access(draw, t) for _ in range(draw(st.integers(1, 2)))]
+        body += [
+            A.Assign(t, A.Bin("+", A.Var(t), stride)),
+            A.Assign(j, A.Bin("+", A.Var(j), A.Num(1))),
+            A.If(A.Bin(">=", A.Var(j), A.Num(6)), A.Block([A.Break()])),
+        ]
+        statements += [
+            A.Let(t, start),
+            A.Let(j, A.Num(0)),
+            A.While(A.Bin("<", A.Var(t), bound), A.Block(body)),
+        ]
+    decl = A.FuncDecl("k", list(MEMORY_PARAMS), A.Block(statements),
+                      is_kernel=True)
+    return A.Program(functions=[decl])
+
+
+class _AccessLog(GlobalMemory):
+    """Global memory that records every address read and written."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+        self.writes = set()
+
+    def load(self, addr):
+        self.reads.add(int(addr))
+        return super().load(addr)
+
+    def store(self, addr, value):
+        self.writes.add(int(addr))
+        super().store(addr, value)
+
+    def atom_add(self, addr, value):
+        self.reads.add(int(addr))
+        self.writes.add(int(addr))
+        return super().atom_add(addr, value)
+
+
+def _warp_footprints(module, args, n_threads):
+    """Per warp: ``(addresses read, addresses written)``, each warp run
+    alone on the interpreted executor with its flat-launch tids and warp
+    id. Addresses never depend on loaded values, so a lone warp touches
+    exactly what it touches inside the flat launch."""
+    footprints = []
+    with engine_config(fastpath=False):
+        for warp in range((n_threads + 31) // 32):
+            log = _AccessLog()
+            GPUMachine(module).launch(
+                "k", min(32, n_threads - 32 * warp), args, memory=log,
+                cta=CTAContext(tid_base=32 * warp, warp_base=warp),
+            )
+            footprints.append((log.reads, log.writes))
+    return footprints
+
+
+class TestLaunchProofSoundness:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        memory_kernel(),
+        st.tuples(st.integers(-8, 300), st.integers(-8, 300),
+                   st.integers(1, 200)),
+        st.sampled_from([33, 64, 96]),
+    )
+    def test_disjoint_verdict_means_no_cross_warp_conflict(
+        self, program, args, n_threads
+    ):
+        """Whenever the verdict is ``"disjoint"``, no address one warp
+        writes is read or written by another warp."""
+        module = compile_baseline(lower_program(program)).module
+        if classify_launch(module, "k", args, n_threads) != "disjoint":
+            return
+        footprints = _warp_footprints(module, args, n_threads)
+        for w, (_reads, writes) in enumerate(footprints):
+            for v, (reads, other_writes) in enumerate(footprints):
+                if v != w:
+                    assert not writes & (reads | other_writes), (w, v)

@@ -1,4 +1,4 @@
-"""Independent warps: memory-effect analysis, warp order, escape hatches.
+"""Independent warps: the launch-time memory proof, warp order, escape hatches.
 
 The conformance matrix (tests/test_conformance.py) pins the multi-warp
 engine bit-identical to the interleaved reference over the full corpus;
@@ -6,7 +6,7 @@ this file covers the pieces in isolation:
 
 * :mod:`repro.analysis.memeffects` — which launches classify as
   ``disjoint`` (warps may run one at a time) vs ``guarded`` (they stay
-  interleaved), and the compile-time summaries on ``CompileReport``;
+  interleaved);
 * which path a multi-warp launch takes on real launches (the
   ``batch.*`` counters): per-warp profiler attribution, the issue-budget
   boundary, the reasons a launch stays interleaved, and every escape
@@ -17,6 +17,9 @@ this file covers the pieces in isolation:
 """
 
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -29,11 +32,7 @@ from repro.harness.parallel import run_tasks, shutdown_pool, task
 from repro.ir import parse_module
 from repro.simt import CTAContext, GPUMachine, GlobalMemory
 from repro.simt.profiler import MULTIWARP_COUNTERS
-from repro.analysis.memeffects import (
-    analyze_module,
-    classify_launch,
-    clear_launch_cache,
-)
+from repro.analysis.memeffects import classify_launch, clear_launch_cache
 from tests.helpers import split_engine
 
 # ----------------------------------------------------------------------
@@ -155,46 +154,6 @@ class TestClassifyLaunch:
         assert classify_launch(module, "k", (0,), 96) == "disjoint"
 
 
-class TestAnalyzeModule:
-    """Summaries run on the pre-allocation module (as the ``mem-effects``
-    pass does), where parameter registers still carry their source names."""
-
-    def test_summary_names_regions_and_forms(self):
-        effects = analyze_module(compile_kernel_source(TID_STORE))["k"]
-        regions = effects.regions()
-        assert regions == {"out": ("write",)}
-        (site,) = effects.sites
-        assert site.kind == "write"
-        assert site.form == "tid-strided"
-        assert not effects.opaque_calls
-
-    def test_symbolic_stride_degrades_to_unknown(self):
-        # At compile time the loop stride is an opaque parameter, so the
-        # counter joins to top — the summary must say so rather than
-        # guess; the launch-time classification (with the concrete
-        # stride) is what proves this kernel disjoint.
-        effects = analyze_module(compile_kernel_source(TASK_LOOP))["k"]
-        assert effects.regions() == {"unknown": ("write",)}
-
-    def test_atomics_count_as_atom_sites(self):
-        effects = analyze_module(compile_kernel_source(SHARED_COUNTER))["k"]
-        regions = effects.regions()
-        assert regions["counter"] == ("atom",)
-        assert regions["out"] == ("write",)
-
-    def test_unknown_address_is_explicit_top(self):
-        effects = analyze_module(compile_kernel_source(UNKNOWN_WRITE))["k"]
-        kinds = {site.kind: site for site in effects.sites}
-        assert kinds["write"].region == "unknown"
-        assert kinds["write"].form == "unknown"
-
-    def test_compile_report_carries_memory_effects(self):
-        compiled = compile_baseline(compile_kernel_source(TID_STORE))
-        summary = compiled.report.memory_effects["k"]
-        assert summary["regions"] == {"out": ("write",)}
-        assert summary["sites"][0]["form"] == "tid-strided"
-
-
 # ----------------------------------------------------------------------
 # Engine behavior on real launches
 # ----------------------------------------------------------------------
@@ -242,8 +201,11 @@ def _mode(launch):
     return moved[0] if moved else None
 
 
-class TestBatcherEngagement:
-    def test_disjoint_launch_batches_and_matches_serial(self):
+class TestIndependentLaunches:
+    """A disjoint launch runs its warps one at a time, a guarded one stays
+    interleaved; both match the interleaved engine exactly."""
+
+    def test_disjoint_launch_runs_warps_apart_and_matches_serial(self):
         setup = _task_loop_args(384, 128)
         serial = _run(TASK_LOOP, setup, 128, warp_batch=False)
         batched = _run(TASK_LOOP, setup, 128, warp_batch=True)
@@ -251,7 +213,7 @@ class TestBatcherEngagement:
         assert _mode(serial) == "batch.interleaved_engine"
         assert _mode(batched) == "batch.independent_launches"
 
-    def test_guarded_launch_rolls_back_and_matches_serial(self):
+    def test_guarded_launch_stays_interleaved_and_matches_serial(self):
         def setup(memory):
             queue = memory.alloc(1, name="queue")
             out = memory.alloc(256, name="out")
@@ -315,7 +277,7 @@ class TestEscapeHatches:
             launch = _run(TASK_LOOP, setup, 128, warp_batch=True)
         assert _mode(launch) == "batch.independent_launches"
 
-    def test_set_warp_batch_returns_previous(self):
+    def test_nested_engine_config_overrides_restore(self):
         # Starts from an explicit setting, so the REPRO_WARP_BATCH=0 CI
         # leg runs it too.
         process = current_engine().warp_batch
@@ -329,11 +291,11 @@ class TestEscapeHatches:
             assert current_engine().warp_batch is True
         assert current_engine().warp_batch is process
 
-    def test_single_warp_never_batches(self):
+    def test_single_warp_counts_in_no_multiwarp_mode(self):
         launch = _run(TASK_LOOP, _task_loop_args(96, 32), 32)
         assert _mode(launch) is None
 
-    def test_observability_sinks_disable_batching(self):
+    def test_observability_sinks_keep_warps_interleaved(self):
         setup = _task_loop_args(384, 128)
         observed = _run(TASK_LOOP, setup, 128, warp_batch=True, metrics=True)
         assert _mode(observed) == "batch.interleaved_engine"
@@ -611,3 +573,104 @@ class TestPersistentPool:
         shutdown_pool()
         assert parallel._POOL is None
         shutdown_pool()
+
+
+#: Child-process script for TestWorkerDeath: kills a pool worker through
+#: one sweep path, expects WorkerError, then runs the path again cleanly.
+WORKER_DEATH_CHILD = """
+import multiprocessing
+import sys
+
+from repro.engine import engine_config
+from repro.errors import WorkerError
+from repro.frontend import compile_kernel_source
+from repro.harness.parallel import run_tasks, run_tasks_observed, task
+from repro.obs.counters import ENGINE_COUNTERS
+from repro.simt import GlobalMemory
+from repro.simt.grid import GridLaunch
+from tests.helpers import DiesWhenUnpickled, die_in_worker
+
+start_method, path = sys.argv[1:]
+if start_method == "spawn":
+    # As on a platform without fork: the pool falls back to spawn.
+    real_get_context = multiprocessing.get_context
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("fork is unavailable")
+        return real_get_context(method)
+
+    multiprocessing.get_context = get_context
+
+module = compile_kernel_source(
+    "kernel k(out, unused) { store(out + tid(), tid() * 2.0); }"
+)
+
+
+def sweep(kill=None):
+    if path == "grid":
+        memory = GlobalMemory()
+        out = memory.alloc(128)
+        unused = 0 if kill is None else DiesWhenUnpickled(kill)
+        with engine_config(grid=True):
+            result = GridLaunch(module, 4, 32, jobs=2).launch(
+                "k", (out, unused), memory=memory
+            )
+        return [memory.load(out + t) for t in range(128)], result
+    tasks = [task(abs, -1), task(abs, -2), task(abs, -3)]
+    if kill is not None:
+        tasks[1] = task(die_in_worker, kill)
+    if path == "observed":
+        return run_tasks_observed(tasks, jobs=2)[0]
+    return run_tasks(tasks, jobs=2)
+
+
+for kill, exitcode in (("exit", 3), ("sigkill", -9)):
+    deaths = ENGINE_COUNTERS.pool_worker_deaths
+    try:
+        sweep(kill)
+    except WorkerError as exc:
+        assert exc.exitcode == exitcode, (exc.exitcode, exitcode)
+        assert exc.task_index in (0, 1), exc.task_index
+        assert exc.function, exc
+    else:
+        raise AssertionError("the sweep survived its dead worker")
+    assert ENGINE_COUNTERS.pool_worker_deaths == deaths + 1
+    if path == "grid":
+        cells, result = sweep()
+        assert cells == [t * 2.0 for t in range(128)], cells
+        assert result.classification == "disjoint"
+    else:
+        assert sweep() == [1, 2, 3]
+print("survived")
+"""
+
+
+class TestWorkerDeath:
+    """A pool worker that dies mid-sweep raises a typed WorkerError
+    instead of hanging, and the next sweep runs on a fresh pool. Each
+    case runs in a child process with a hard timeout, so a regression
+    fails instead of hanging the suite."""
+
+    @pytest.mark.parametrize("path", ["run_tasks", "observed", "grid"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_dead_worker_raises_worker_error(self, start_method, path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", WORKER_DEATH_CHILD, start_method, path],
+            cwd=root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, start_new_session=True,
+        )
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # Take the child's pool workers down with it.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail(f"{path} under {start_method} hung on a dead worker")
+        assert child.returncode == 0, out
+        assert out.strip().endswith("survived"), out
