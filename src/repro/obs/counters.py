@@ -92,11 +92,10 @@ COUNTERS = {
     "batch.interleaved_memory":
         "multi-warp launches interleaved: global footprints not proven "
         "disjoint",
-    # --- sched: why serial picks were not forced (repro.simt.machine) --
-    "sched.nonforced_tie":
-        "serial slots whose pick tied under the convergence policy",
+    # --- sched: why serial slots did not fuse (repro.simt.machine) ----
     "sched.nonforced_multi_group":
-        "serial slots with multiple groups under a singleton-only policy",
+        "serial slots with multiple groups under a policy with shared "
+        "state (round-robin fuses lone groups only)",
     "sched.nonforced_observed":
         "serial slots issued with no segment engine (observers attached)",
     # --- program_cache: compile memoization (repro.core.program_cache)

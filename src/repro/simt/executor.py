@@ -153,7 +153,7 @@ class Executor:
             and profiler.trace is None
             else None
         )
-        # Program order for scheduler tie-breaking and forced picks:
+        # Program order for scheduler picks and tie-breaking:
         # pc -> (function, block position, index), built once per PC.
         self.program_order = _ProgramOrder(module).__getitem__
 

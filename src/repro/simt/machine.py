@@ -371,17 +371,20 @@ class GPUMachine:
         ``error`` is the exception a step or fused segment raised (None
         if none did) and ``issues`` the count when that step started.
 
-        Fusion fires only when three proofs hold at once: the scheduler's
-        pick is *forced* for the whole run (``forced_pick``), a fusable
-        segment starts at that PC (``executor.segment_at``), and no other
-        group sits inside the segment (``Segment.conflicts``). Everything
-        else falls through to the ordinary per-instruction ``_step`` —
-        including draining, deadlock detection, and warp completion — so
-        the fused schedule is pick-for-pick identical to the slow one.
+        A fusable segment (``executor.segment_at``) that starts at the
+        scheduler's pick runs as one step unless another group sits
+        inside it (``Segment.conflicts``). The pick then stays the same
+        for every slot of the segment (``SchedulerBase.pick``). A policy
+        with shared state (``shares_state``) must pick once per slot, so
+        under it only a lone group fuses. Everything else falls through
+        to the ordinary per-instruction ``_step`` — including draining,
+        deadlock detection, and warp completion — so the fused schedule
+        is pick-for-pick identical to the slow one.
         """
         segment_at = executor.segment_at
         program_order = executor.program_order
         profiler = executor.profiler
+        shares_state = scheduler.shares_state
         recorder = self._recorder
         verbose = recorder is not None and recorder.verbose
         try:
@@ -389,49 +392,42 @@ class GPUMachine:
                 groups = warp.groups_cache
                 if groups is None:
                     groups = warp.groups()
-                if groups:
-                    pc = scheduler.forced_pick(groups, program_order)
-                    if pc is not None:
-                        segment = segment_at(pc)
-                        if segment is not None and (
-                            len(groups) == 1 or not segment.conflicts(groups)
-                        ):
-                            group = groups[pc]
-                            cycles = segment.execute(executor, warp, group)
-                            n = segment.n
-                            scheduler.consume(n)
-                            for thread in group:
-                                thread.retired += n
-                            profiler.record_segment(
-                                warp.warp_id, segment, len(group), cycles
-                            )
-                            if verbose:
-                                recorder.record(
-                                    "segment",
-                                    {"warp": warp.warp_id, "pc": list(pc),
-                                     "slots": n},
-                                )
-                            warp.cycles += cycles
-                            issues += n
-                            # Segment ops cannot park, release, or split,
-                            # so the other groups are untouched: patch the
-                            # issued bucket over to end_pc exactly as
-                            # _step's uniform carry-over would have, one
-                            # instruction at a time.
-                            del groups[pc]
-                            end_pc = segment.end_pc
-                            resident = groups.get(end_pc)
-                            if resident is None:
-                                groups[end_pc] = group
-                            else:
-                                resident.extend(group)
-                                resident.sort(key=_by_lane)
-                            warp.groups_cache = groups
-                            continue
-                # No fusable forced pick here: hand the grouping to _step
-                # (an empty dict still routes through its drain/done/
-                # deadlock logic) and issue one instruction the ordinary
-                # way.
+                if len(groups) == 1:
+                    pc = next(iter(groups))
+                    segment = segment_at(pc)
+                elif groups and not shares_state:
+                    pc = scheduler.pick(groups, program_order)
+                    segment = segment_at(pc)
+                    if segment is not None and segment.conflicts(groups):
+                        segment = None
+                else:
+                    segment = None
+                if segment is not None:
+                    group = groups[pc]
+                    cycles = segment.execute(executor, warp, group)
+                    n = segment.n
+                    scheduler.consume(n)
+                    for thread in group:
+                        thread.retired += n
+                    profiler.record_segment(
+                        warp.warp_id, segment, len(group), cycles
+                    )
+                    if verbose:
+                        recorder.record(
+                            "segment",
+                            {"warp": warp.warp_id, "pc": list(pc), "slots": n},
+                        )
+                    warp.cycles += cycles
+                    issues += n
+                    # Segment ops cannot park, release, or split, so the
+                    # other groups are untouched: move the issued bucket
+                    # to end_pc as _step's carry-over would have, one
+                    # instruction at a time.
+                    _carry_over(warp, groups, pc, group, segment.end_pc)
+                    continue
+                # Nothing to fuse here: hand the grouping to _step (an
+                # empty dict still routes through its drain/done/deadlock
+                # logic) and issue one instruction the ordinary way.
                 warp.groups_cache = groups
                 if self._step(warp, executor, scheduler):
                     issues += 1
@@ -483,20 +479,13 @@ class GPUMachine:
                 warp_id=warp.warp_id,
                 waiting=waiting,
             )
-        profiler = executor.profiler
         if executor.segment_at is None:
             # No segment engine this launch (observers attached, or
-            # fastpath/segments off): every slot is out of reach for the
-            # forced-pick fast lanes, whatever the scheduler says.
-            profiler.nonforced_observed += 1
-        elif len(groups) > 1:
-            # Only the convergence policy can force a pick among several
-            # groups (a strictly largest one); the others force singletons
-            # only.
-            if scheduler.name != "convergence":
-                profiler.nonforced_multi_group += 1
-            elif scheduler.forced_pick(groups, executor.program_order) is None:
-                profiler.nonforced_tie += 1
+            # fastpath/segments off): no slot can fuse.
+            executor.profiler.nonforced_observed += 1
+        elif len(groups) > 1 and scheduler.shares_state:
+            # A policy with shared state fuses lone groups only.
+            executor.profiler.nonforced_multi_group += 1
         pc = scheduler.pick(groups, executor.program_order)
         group = groups[pc]
         executor.execute(warp, pc, group)
@@ -511,19 +500,27 @@ class GPUMachine:
             # The other groups are exactly as they were: patch the dict
             # instead of rescanning the warp. (Schedulers order by injective
             # PC keys, so dict insertion order cannot influence the pick.)
-            del groups[pc]
             frame = group[0].frames[-1]
-            new_pc = (frame.fname, frame.block_name, frame.index)
-            resident = groups.get(new_pc)
-            if resident is None:
-                groups[new_pc] = group
-            else:
-                # Landed on an already-populated PC: buckets stay in lane
-                # order, as Warp.groups() would have produced.
-                resident.extend(group)
-                resident.sort(key=_by_lane)
-            warp.groups_cache = groups
+            _carry_over(
+                warp, groups, pc, group,
+                (frame.fname, frame.block_name, frame.index),
+            )
         return True
+
+
+def _carry_over(warp, groups, pc, group, new_pc):
+    """Move ``group``, just issued at ``pc``, to ``new_pc`` in ``groups``
+    and cache the patched grouping on ``warp``. A bucket that lands on an
+    already-populated PC merges into it in lane order, as
+    ``Warp.groups()`` would have produced."""
+    del groups[pc]
+    resident = groups.get(new_pc)
+    if resident is None:
+        groups[new_pc] = group
+    else:
+        resident.extend(group)
+        resident.sort(key=_by_lane)
+    warp.groups_cache = groups
 
 
 def _budget_event(rounds, max_issues):

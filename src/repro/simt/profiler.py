@@ -118,15 +118,13 @@ class Profiler:
         #: "independent", or why it stayed interleaved; None for one
         #: warp. Engine telemetry, reported through MULTIWARP_COUNTERS.
         self.multiwarp = None
-        #: non-forced-pick attribution (``sched.*`` counters): why serial
-        #: slots could not take the forced-pick fast lane (segment
-        #: fusion). ``tie`` counts convergence size ties
-        #: (non-strict-largest), ``multi_group`` counts divergent warps
-        #: under singleton-only policies, ``observed`` counts slots
-        #: issued with no segment engine at all (metrics, sink, or trace
-        #: attached, or fastpath/segments off). Engine telemetry: varies
-        #: with knobs while results stay identical.
-        self.nonforced_tie = 0
+        #: why serial slots could not fuse (``sched.*`` counters):
+        #: ``multi_group`` counts divergent slots under a policy with
+        #: shared state (round-robin), which fuses lone groups only;
+        #: ``observed`` counts slots issued with no segment engine at all
+        #: (metrics, sink, or trace attached, or fastpath/segments off).
+        #: Engine telemetry: varies with knobs while results stay
+        #: identical.
         self.nonforced_multi_group = 0
         self.nonforced_observed = 0
         #: when tracing, every issue as a cycle-stamped IssueEvent (which
@@ -290,7 +288,6 @@ class Profiler:
                 name: int(self.multiwarp == mode)
                 for mode, name in MULTIWARP_COUNTERS.items()
             },
-            "sched.nonforced_tie": self.nonforced_tie,
             "sched.nonforced_multi_group": self.nonforced_multi_group,
             "sched.nonforced_observed": self.nonforced_observed,
             # Every fused segment runs compiled code (repro.simt.jit).
@@ -300,19 +297,13 @@ class Profiler:
     def summary(self):
         """Launch digest; stall attribution appears when metrics were on.
 
-        The ``counters`` and ``nonforced_picks`` entries are engine
-        telemetry (fusion coverage, warp order, why picks were not
-        forced) and therefore *vary* with engine knobs even though every
-        other field is invariant; consumers comparing summaries across
-        engine configurations must drop both (as the conformance
-        fingerprint does).
+        ``counters`` is the one engine-telemetry field (fusion coverage,
+        warp order, why slots did not fuse) and therefore *varies* with
+        engine knobs even though every other field is invariant;
+        consumers comparing summaries across engine configurations must
+        drop it (as the conformance fingerprint does).
         """
         return {
-            "nonforced_picks": {
-                "tie": self.nonforced_tie,
-                "multi_group": self.nonforced_multi_group,
-                "observed": self.nonforced_observed,
-            },
             "issued": self.issued,
             "cycles": self.total_cycles,
             "simt_efficiency": self.simt_efficiency,

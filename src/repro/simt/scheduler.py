@@ -23,7 +23,9 @@ class SchedulerBase:
     #: True when the policy keeps state that one warp's picks change and
     #: another warp's picks read. One scheduler instance serves a whole
     #: launch, so such a policy couples the warps' issue orders and
-    #: ``GPUMachine`` must interleave them as the reference does.
+    #: ``GPUMachine`` must interleave them as the reference does. Its
+    #: ``pick`` also runs exactly once per issued slot, so segment fusion
+    #: takes only a lone group and accounts the slots with ``consume``.
     shares_state = False
 
     def pick(self, groups, program_order):
@@ -31,25 +33,16 @@ class SchedulerBase:
 
         ``groups`` maps pc -> list of threads; ``program_order`` maps pc to a
         sortable program-position tuple.
+
+        Without shared state, the machine fuses the whole segment that
+        starts at the pick (``GPUMachine._run_exclusive``). That is sound
+        for every stateless policy here: each reads only group sizes and
+        program order and, among groups its size rule cannot separate,
+        takes the oldest. Fusable ops change no group's size and move only
+        the picked group, forward through its block past no other group,
+        so it stays the pick for every slot of the segment.
         """
         raise NotImplementedError
-
-    def forced_pick(self, groups, program_order):
-        """The PC this policy is *guaranteed* to pick for the next issue —
-        and to keep picking while that group advances through a fusable
-        segment — or None when the pick depends on state a fused run would
-        change.
-
-        The base answer is conservative: only a single group is forced
-        (there is nothing else to pick, and that stays true while the group
-        advances, since fusable ops cannot split it or wake other lanes).
-        Policies whose key cannot flip mid-segment may widen this. Used by
-        the segment-fusion engine (:mod:`repro.simt.segments`); must err on
-        the side of None — a wrong non-None answer changes issue order.
-        """
-        if len(groups) == 1:
-            return next(iter(groups))
-        return None
 
     def consume(self, n):
         """Account for ``n`` issue slots granted without calling ``pick``
@@ -81,27 +74,6 @@ class ConvergenceScheduler(SchedulerBase):
                 best_len = size
         return best
 
-    def forced_pick(self, groups, program_order):
-        # A *strictly* largest group wins regardless of program order or
-        # lane, and fusable ops can change neither its size nor any other
-        # group's, so the pick stays forced for a whole segment. A size tie
-        # is not forced: the tiebreak reads program_order(pc), which moves
-        # as the fused group advances.
-        if len(groups) == 1:
-            return next(iter(groups))
-        best = None
-        best_len = -1
-        tie = False
-        for pc, threads in groups.items():
-            size = len(threads)
-            if size > best_len:
-                best = pc
-                best_len = size
-                tie = False
-            elif size == best_len:
-                tie = True
-        return None if tie else best
-
 
 class OldestFirstScheduler(SchedulerBase):
     """Earliest program position first (depth-first serialization)."""
@@ -131,13 +103,6 @@ class RoundRobinScheduler(SchedulerBase):
         choice = ordered[self._counter % len(ordered)]
         self._counter += 1
         return choice
-
-    def forced_pick(self, groups, program_order):
-        # Only a singleton is forced (the base answer), but even then the
-        # counter must advance per slot — see consume().
-        if len(groups) == 1:
-            return next(iter(groups))
-        return None
 
     def consume(self, n):
         # pick() on a singleton group would have incremented the counter

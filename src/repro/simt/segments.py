@@ -4,9 +4,7 @@ The fast path (:mod:`repro.simt.fastpath`) removes per-issue *decode* cost,
 but a converged warp still pays the full machine loop — scheduler pick,
 release drain, profiler record, groups-cache patch — for every single
 instruction of a straight-line run. Profiling the Table 2 corpus shows that
-per-slot loop overhead, not instruction semantics, dominates runtime, and
-that ~99% of issue slots are *forced*: the scheduler's pick is uniquely
-determined before looking at the instruction.
+per-slot loop overhead, not instruction semantics, dominates runtime.
 
 This module fuses each maximal straight-line **segment** of a basic block
 into one superinstruction. A segment is a run of instructions that cannot
@@ -21,11 +19,13 @@ existing decoded handlers, preserving lane-ordered memory semantics and
 dynamic coalescing costs bit-for-bit. A run codegen vetoes is simply not
 fused.
 
-Fusion only fires when the machine can *prove* the scheduler's picks were
-forced for the whole run (``SchedulerBase.forced_pick``) and no other group
-could merge into the segment's interior (``Segment.conflicts``), and
-only on a warp nothing can interleave with: the last live warp, or any
-warp of a launch whose warps run independently (``GPUMachine``).
+Fusion runs the segment that starts at the scheduler's pick when no other
+group could merge into the segment's interior (``Segment.conflicts``): the
+pick then stays the same for the whole run (``SchedulerBase.pick``). A
+policy with state shared across slots (round-robin) fuses lone groups
+only. Fusion happens only on a warp nothing can interleave with: the last
+live warp, or any warp of a launch whose warps run independently
+(``GPUMachine``).
 Anything else — an attached sink, stall metrics, an issue trace, a
 disabled fastpath, several interleaved live warps — falls back to
 per-instruction issue with identical results. ``REPRO_SEGMENTS=0`` (or

@@ -12,7 +12,8 @@ layers on and each layer off — checked over
 * all three schedulers,
 * ``compile_baseline`` vs ``compile_sr``,
 * one warp (32 threads) and three warps (96 threads, so independent
-  warps run one at a time where memory allows),
+  warps run one at a time where memory allows); the fuzzer also draws
+  1 to 96 threads, so last warps are partial,
 * observability (metrics) on vs off — the PR-1 invariant,
 
 over a scaled-down Table 2 corpus and the hypothesis ``random_kernel``
@@ -57,6 +58,7 @@ from repro.simt.executor import Executor
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
+from tests.test_segments import DIVERGENT_ARMS
 
 #: Table 2 workloads with sizes scaled down so the full matrix stays fast.
 #: Every workload keeps its divergence pattern; only trip counts shrink.
@@ -141,9 +143,6 @@ def _fingerprint(launch):
     # with the engine configuration under test; the simulated result must
     # not.
     summary.pop("counters", None)
-    # Non-forced-pick attribution counts serial-loop scheduler decisions,
-    # which move between engine configurations (fusion absorbs slots).
-    summary.pop("nonforced_picks", None)
     return (
         launch.store_traces(),
         launch.retired_per_thread(),
@@ -776,6 +775,34 @@ class TestBarrierDrainConformance:
             assert _fingerprint(drained) == _fingerprint(expected), config
 
 
+class TestDivergentArmsFuse:
+    """A warp split into two equal arms of straight-line fusable ops:
+    under each stateless policy the picked arm is the oldest of a size
+    tie (convergence) or the oldest group (oldest-first), so every arm
+    slot fuses, and the launch still matches the interpreted reference."""
+
+    ARMS = {"low", "high"}
+
+    @pytest.mark.parametrize("scheduler", ["convergence", "oldest-first"])
+    def test_every_arm_slot_fuses(self, scheduler):
+        module = parse_module(DIVERGENT_ARMS)
+        reference, fused = _fuzz_check(module, [ALL_ON], scheduler=scheduler)
+        arm_slots = sum(
+            stats[0] for pc, stats in reference.pc_stats.items()
+            if pc[1] in self.ARMS
+        )
+        assert arm_slots == 6  # two arms of three ops, one slot each
+        assert not any(pc[1] in self.ARMS for pc in fused.pc_stats)
+        assert sum(
+            segment.n * stats[0]
+            for segment, stats in fused.segment_stats.items()
+            if segment.bname in self.ARMS
+        ) == arm_slots
+        counters = fused.engine_counters()
+        assert counters["segments.fused_instrs"] >= arm_slots
+        assert counters["sched.nonforced_multi_group"] == 0
+
+
 class TestRandomKernelConformance:
     """The fuzzer shakes the decoded handlers with shapes the Table 2
     corpus may not reach (soft thresholds, interprocedural calls)."""
@@ -784,12 +811,21 @@ class TestRandomKernelConformance:
         "engine", sorted(set(ENGINES) - {"no-fastpath"})
     )
     @settings(max_examples=6, deadline=None)
-    @given(program=random_kernel(allow_atomics=True))
-    def test_engine_matches_reference(self, engine, program):
-        """Every leave-one-out configuration against the reference, on
-        three warps whose kernels may share an atomic cell."""
+    @given(
+        program=random_kernel(allow_atomics=True),
+        scheduler=st.sampled_from(sorted(SCHEDULERS)),
+        n_threads=st.integers(1, MULTIWARP),
+    )
+    def test_engine_matches_reference(self, engine, program, scheduler,
+                                      n_threads):
+        """Every leave-one-out configuration against the reference, under
+        a drawn scheduler, on one to three warps (the last one often
+        partial) whose kernels may share an atomic cell."""
         compiled = compile_sr(lower_program(program))
-        _fuzz_check(compiled.module, [ENGINES[engine]], MULTIWARP)
+        _fuzz_check(
+            compiled.module, [ENGINES[engine]], n_threads,
+            scheduler=scheduler,
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(random_kernel())

@@ -69,7 +69,6 @@ class TestProfiler:
             "opcode_issues",
             "stall_cycles",
             "counters",
-            "nonforced_picks",
         }
         assert summary["avg_active_lanes"] == pytest.approx(32.0)
         assert summary["opcode_issues"]["st"] == 1

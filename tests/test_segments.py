@@ -2,7 +2,7 @@
 
 The conformance matrix (tests/test_conformance.py) pins fused-vs-unfused
 bit-identity over the corpus; this file tests the machinery directly:
-segment partitioning, the forced-pick contract, every fallback trigger,
+segment partitioning, the pick a fused run relies on, every fallback trigger,
 the slot-indexed register files, and the UNDEF sentinel.
 """
 
@@ -11,6 +11,7 @@ import pytest
 from repro.engine import current_engine, engine_config
 from repro.errors import SimulationError
 from repro.frontend import compile_kernel_source
+from repro.ir import parse_module
 from repro.ir.instructions import Opcode
 from repro.obs.sinks import ListSink
 from repro.simt import (
@@ -23,6 +24,7 @@ from repro.simt.scheduler import (
     OldestFirstScheduler,
     RoundRobinScheduler,
 )
+from repro.simt.segments import Segment
 from repro.simt.warp import UNDEF
 from tests.helpers import split_engine
 
@@ -56,6 +58,28 @@ kernel k() {
         x = tid() * 3 + 1;
     }
     store(tid(), x);
+}
+"""
+
+#: ``cmplt %t, 16`` splits the warp into two 16-lane arms of equal size;
+#: each arm is a straight run of fusable ops ending in ``bra`` to a join.
+DIVERGENT_ARMS = """
+func @k() kernel {
+entry:
+  %t = tid
+  %p = cmplt %t, 16
+  cbr %p, ^low, ^high
+low:
+  %x = mul %t, 2
+  %y = add %x, 1
+  bra ^join
+high:
+  %x = mul %t, 3
+  %y = add %x, 7
+  bra ^join
+join:
+  st %t, %y
+  exit
 }
 """
 
@@ -298,8 +322,29 @@ def _lanes(n, base=0):
 
 
 class TestForcedPick:
+    """A stateless policy's pick is *forced* through a fusable segment:
+    while the picked group advances index by index, with other groups
+    elsewhere, ``pick`` keeps returning that group. The machine relies on
+    this to fuse whatever such a policy picks."""
+
     def _order(self, pc):
         return pc
+
+    def _picks(self, scheduler, groups, n):
+        """The PCs ``scheduler`` picks over ``n`` slots when each slot
+        moves the picked group one index forward, as a fusable op does."""
+        groups = dict(groups)
+        picked = []
+        for _ in range(n):
+            pc = scheduler.pick(groups, self._order)
+            picked.append(pc)
+            group = groups.pop(pc)
+            groups.setdefault((pc[0], pc[1], pc[2] + 1), []).extend(group)
+        return picked
+
+    @staticmethod
+    def _walk(block, n):
+        return [("k", block, index) for index in range(n)]
 
     def test_singleton_forced_for_every_policy(self):
         groups = {("k", "bb", 0): _lanes(4)}
@@ -308,22 +353,63 @@ class TestForcedPick:
             OldestFirstScheduler(),
             RoundRobinScheduler(),
         ):
-            assert scheduler.forced_pick(groups, self._order) == ("k", "bb", 0)
+            assert self._picks(scheduler, groups, 4) == self._walk("bb", 4)
 
     def test_convergence_strict_largest_is_forced(self):
-        groups = {("k", "a", 0): _lanes(5), ("k", "b", 0): _lanes(3, base=5)}
-        scheduler = ConvergenceScheduler()
-        assert scheduler.forced_pick(groups, self._order) == ("k", "a", 0)
-        assert scheduler.pick(groups, self._order) == ("k", "a", 0)
+        """The largest group wins over an older and a younger one."""
+        groups = {
+            ("k", "a", 0): _lanes(3),
+            ("k", "b", 0): _lanes(5, base=3),
+            ("k", "c", 0): _lanes(3, base=8),
+        }
+        picks = self._picks(ConvergenceScheduler(), groups, 4)
+        assert picks == self._walk("b", 4)
 
-    def test_convergence_size_tie_is_not_forced(self):
-        groups = {("k", "a", 0): _lanes(3), ("k", "b", 0): _lanes(3, base=3)}
-        assert ConvergenceScheduler().forced_pick(groups, self._order) is None
+    def test_convergence_size_tie_is_forced(self):
+        """The oldest of the largest groups stays the oldest while it
+        advances: a tied group elsewhere, or one waiting at the end of
+        the segment, is younger than every PC the walk passes."""
+        groups = {
+            ("k", "a", 0): _lanes(2),
+            ("k", "b", 0): _lanes(3, base=2),
+            ("k", "b", 4): _lanes(3, base=5),
+            ("k", "c", 0): _lanes(3, base=8),
+        }
+        picks = self._picks(ConvergenceScheduler(), groups, 4)
+        assert picks == self._walk("b", 4)
 
-    def test_other_policies_never_force_multi_group(self):
-        groups = {("k", "a", 0): _lanes(5), ("k", "b", 0): _lanes(3, base=5)}
-        assert OldestFirstScheduler().forced_pick(groups, self._order) is None
-        assert RoundRobinScheduler().forced_pick(groups, self._order) is None
+    def test_oldest_first_multi_group_is_forced(self):
+        groups = {
+            ("k", "b", 0): _lanes(3),
+            ("k", "c", 0): _lanes(8, base=3),
+        }
+        picks = self._picks(OldestFirstScheduler(), groups, 4)
+        assert picks == self._walk("b", 4)
+
+    def test_round_robin_never_fuses_multi_group(self, monkeypatch):
+        """Round-robin's rotation moves on every pick, so a multi-group
+        pick is not forced; the machine fuses only its lone groups."""
+        groups = {
+            ("k", "b", 0): _lanes(3),
+            ("k", "c", 0): _lanes(8, base=3),
+        }
+        assert self._picks(RoundRobinScheduler(), groups, 2) == [
+            ("k", "b", 0), ("k", "c", 0),
+        ]
+        fused_group_counts = []
+        execute = Segment.execute
+
+        def spy(segment, executor, warp, group):
+            fused_group_counts.append(len(warp.groups()))
+            return execute(segment, executor, warp, group)
+
+        monkeypatch.setattr(Segment, "execute", spy)
+        module = parse_module(DIVERGENT_ARMS)
+        fused = _run(module, scheduler="round-robin")
+        assert fused.counters["sched.nonforced_multi_group"] > 0
+        assert fused_group_counts and set(fused_group_counts) == {1}
+        reference = _run(module, scheduler="round-robin", fastpath=False)
+        assert _fingerprint(fused) == _fingerprint(reference)
 
     def test_round_robin_consume_matches_repeated_picks(self):
         """A fused run of n slots must leave the rotation exactly where n

@@ -184,7 +184,6 @@ def _fingerprint(launch):
     # configurations (the interpreter counts every slot as observed);
     # results must not.
     summary.pop("counters", None)
-    summary.pop("nonforced_picks", None)
     return (
         launch.store_traces(),
         launch.retired_per_thread(),
