@@ -81,15 +81,20 @@ class DivergenceAnalysis:
         self._solve()
 
     # ------------------------------------------------------------------
-    def _instruction_result_divergent(self, instr):
+    def _result_inputs(self, instr):
+        """What makes ``instr``'s result divergent: True when it always is,
+        else the registers any one of which, if divergent, makes it so.
+        Callee summaries are fixed for the analysis, so this never
+        changes while the fixpoint runs."""
         opcode = instr.opcode
         if opcode in DIVERGENT_SOURCES:
             return True
         if opcode is Opcode.LD:
             addr = instr.operands[0]
-            return isinstance(addr, Reg) and addr in self.divergent_regs
+            return (addr,) if isinstance(addr, Reg) else ()
+        operands = instr.operands
         if opcode is Opcode.CALL:
-            callee = instr.operands[0]
+            callee = operands[0]
             summary = self.callee_summaries.get(
                 callee.name if isinstance(callee, FuncRef) else None
             )
@@ -97,55 +102,61 @@ class DivergenceAnalysis:
                 return True  # unknown callee: conservative
             if summary.get("returns_divergent", True):
                 return True
-            return any(
-                isinstance(op, Reg) and op in self.divergent_regs
-                for op in instr.operands[1:]
-            )
-        return any(
-            isinstance(op, Reg) and op in self.divergent_regs
-            for op in instr.operands
-        )
+            operands = operands[1:]
+        return tuple(op for op in operands if isinstance(op, Reg))
 
     def _solve(self):
         # Kernel parameters are uniform (launch arguments); device-function
         # parameters take the assumed divergence passed in via summaries.
+        # The CFG does not change while the fixpoint runs, so each
+        # definition's inputs and each branch's influence region are
+        # computed once.
+        divergent = self.divergent_regs
+        defs = [
+            (instr.dst, self._result_inputs(instr))
+            for block in self.function.blocks
+            for instr in block.instructions
+            if instr.dst is not None
+        ]
+        branches = []
+        for block in self.function.blocks:
+            term = block.terminator
+            if term is not None and term.opcode is Opcode.CBR:
+                branches.append((block.name, term.operands[0]))
+        regions = {}
         changed = True
         while changed:
             changed = False
             # 1. Value propagation.
-            for block in self.function.blocks:
-                for instr in block:
-                    if instr.dst is None:
-                        continue
-                    if instr.dst in self.divergent_regs:
-                        continue
-                    if self._instruction_result_divergent(instr):
-                        self.divergent_regs.add(instr.dst)
-                        changed = True
-            # 2. Divergent branches.
-            for block in self.function.blocks:
-                term = block.terminator
-                if term is None or term.opcode is not Opcode.CBR:
+            for dst, inputs in defs:
+                if dst in divergent:
                     continue
-                pred = term.operands[0]
+                if inputs is True or not divergent.isdisjoint(inputs):
+                    divergent.add(dst)
+                    changed = True
+            # 2. Divergent branches.
+            for name, pred in branches:
                 if (
                     isinstance(pred, Reg)
-                    and pred in self.divergent_regs
-                    and block.name not in self.divergent_branches
+                    and pred in divergent
+                    and name not in self.divergent_branches
                 ):
-                    self.divergent_branches.add(block.name)
+                    self.divergent_branches.add(name)
                     changed = True
             # 3. Sync dependence: defs inside divergent influence regions.
             for branch_block in list(self.divergent_branches):
-                region = influence_region(self.view, self.pdom, branch_block)
+                region = regions.get(branch_block)
+                if region is None:
+                    region = influence_region(self.view, self.pdom, branch_block)
+                    regions[branch_block] = region
                 for name in region:
                     block = self.function.block(name)
                     for instr in block:
                         if (
                             instr.dst is not None
-                            and instr.dst not in self.divergent_regs
+                            and instr.dst not in divergent
                         ):
-                            self.divergent_regs.add(instr.dst)
+                            divergent.add(instr.dst)
                             changed = True
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.conflicts import ConflictAnalysis, literal_barriers
 from repro.errors import AllocationError
-from repro.ir.instructions import BARRIER_OPS, Barrier
+from repro.ir.instructions import BARRIER_OPS, Barrier, Opcode
 
 PHYSICAL_BARRIERS = 16
 
@@ -45,12 +45,13 @@ def color_barriers(function, analysis=None, limit=PHYSICAL_BARRIERS):
 
 def apply_allocation(function, assignment):
     """Rewrite literal barrier operands to their physical names."""
-    for _, _, instr in function.instructions():
-        if instr.opcode in BARRIER_OPS or instr.opcode.value == "bmov":
-            if instr.operands and isinstance(instr.operands[0], Barrier):
-                abstract = instr.operands[0].name
-                if abstract in assignment:
-                    instr.operands[0] = Barrier(assignment[abstract])
+    for block in function.blocks:
+        for instr in block.instructions:
+            if instr.opcode in BARRIER_OPS or instr.opcode is Opcode.BMOV:
+                if instr.operands and isinstance(instr.operands[0], Barrier):
+                    abstract = instr.operands[0].name
+                    if abstract in assignment:
+                        instr.operands[0] = Barrier(assignment[abstract])
     function.attrs["barrier_allocation"] = dict(assignment)
     return assignment
 
@@ -61,8 +62,11 @@ def allocate_barriers(function, limit=PHYSICAL_BARRIERS, reserved=None):
     ``reserved`` pre-assigns abstract names to physical registers (used for
     barriers that span functions — see :func:`allocate_module`).
     """
-    analysis = ConflictAnalysis(function)
     names = literal_barriers(function)
+    # Coloring only asks whether two of the function's own barriers
+    # interfere; most functions have fewer than two and skip the
+    # joined-barrier dataflow.
+    analysis = ConflictAnalysis(function) if len(names) > 1 else None
     assignment = dict(reserved or {})
     pinned = set(assignment.values())
     for name in names:

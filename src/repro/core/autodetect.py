@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cfg_utils import CFGView
 from repro.analysis.divergence import DivergenceAnalysis
 from repro.analysis.loops import compute_loops
 from repro.ir.instructions import Imm, Instruction, Opcode, Reg
@@ -147,10 +146,14 @@ def detect_candidates(
     memory_penalty=16.0,
     efficiency_cutoff=0.8,
 ):
-    """Find and score SR candidates in one function."""
-    view = CFGView.of_function(function)
-    nest = compute_loops(view)
+    """Find and score SR candidates in one function.
+
+    ``divergence``, when given, must describe the function's current CFG:
+    its CFG view and post-dominator tree are reused.
+    """
     divergence = divergence or DivergenceAnalysis(function)
+    view = divergence.view
+    nest = compute_loops(view)
     estimator = CostEstimator(
         function, cost_model=cost_model, profiler=profiler, trip=trip
     )
@@ -200,9 +203,7 @@ def detect_candidates(
         succs = view.succs[branch_name]
         if len(succs) != 2 or any(s not in loop.body for s in succs):
             continue  # loop-exit branches belong to Loop Merge
-        from repro.analysis.dominators import compute_post_dominators
-
-        join = compute_post_dominators(view).nearest_common_post_dominator(succs)
+        join = divergence.pdom.nearest_common_post_dominator(succs)
         side_costs = []
         for succ in succs:
             region = _side_region(view, branch_name, succ, loop, join=join)
@@ -341,17 +342,36 @@ def annotate(function, candidate, name_hint=None, threshold=None):
     return label
 
 
-def detect_and_annotate(module, max_per_function=1, auto_threshold=16, **options):
+def _has_call(function):
+    return any(
+        instr.opcode is Opcode.CALL
+        for block in function.blocks
+        for instr in block.instructions
+    )
+
+
+def detect_and_annotate(module, max_per_function=1, auto_threshold=16,
+                        module_divergence=None, **options):
     """Run detection on every function; annotate the best candidates.
 
     Overlapping candidates (e.g. the conflicting levels of a triply nested
     loop, Section 4.5) are resolved best-score-first; lower-scoring
     candidates whose blocks overlap an accepted one are skipped.
     Returns every candidate considered (accepted and rejected).
+
+    Detection uses each function's own divergence analysis, without
+    callee summaries. ``module_divergence`` (function name ->
+    :class:`DivergenceAnalysis`, as the pass manager's ``divergence``
+    analysis holds it) stands in for that analysis in functions that make
+    no call: summaries matter only at call sites, so there the two are
+    the same computation.
     """
     all_candidates = []
     for function in module:
-        candidates = detect_candidates(function, **options)
+        fn_options = options
+        if module_divergence is not None and not _has_call(function):
+            fn_options = dict(options, divergence=module_divergence[function.name])
+        candidates = detect_candidates(function, **fn_options)
         accepted = 0
         claimed = set()
         for candidate in candidates:

@@ -48,13 +48,14 @@ class Conflict:
 
 def literal_barriers(function):
     """All literal barrier names referenced by barrier ops, in first-use order."""
-    seen = []
-    for _, _, instr in function.instructions():
-        if instr.opcode in BARRIER_OPS and instr.operands:
-            operand = instr.operands[0]
-            if isinstance(operand, Barrier) and operand.name not in seen:
-                seen.append(operand.name)
-    return seen
+    seen = {}
+    for block in function.blocks:
+        for instr in block.instructions:
+            if instr.opcode in BARRIER_OPS and instr.operands:
+                operand = instr.operands[0]
+                if isinstance(operand, Barrier):
+                    seen.setdefault(operand.name)
+    return list(seen)
 
 
 class ConflictAnalysis:
@@ -64,9 +65,7 @@ class ConflictAnalysis:
         self.function = function
         self.joined = joined or JoinedBarriers(function)
         self.barriers = literal_barriers(function)
-        self._ranges = {
-            name: self.joined.joined_points(name) for name in self.barriers
-        }
+        self._ranges = self.joined.joined_points_of(self.barriers)
         self.conflicts = self._find_conflicts()
 
     def live_range(self, barrier):

@@ -80,18 +80,25 @@ class JoinedBarriers:
         from the moment threads join the barrier until the barrier is
         cleared by waiting or exiting threads").
         """
-        points = set()
+        return self.joined_points_of([barrier])[barrier]
+
+    def joined_points_of(self, barriers):
+        """:meth:`joined_points` of every name in ``barriers`` from one
+        walk of the function: name -> set of points."""
+        points = {name: set() for name in barriers}
+        if not points:
+            return points
         for block in self.function.blocks:
-            joined = barrier in self.joined_in(block.name)
+            joined = {name for name in self.joined_in(block.name) if name in points}
             for index, instr in enumerate(block.instructions):
-                if joined:
-                    points.add((block.name, index))
-                if is_join(instr) and barrier_name_of(instr) == barrier:
-                    joined = True
-                elif (is_wait(instr) or is_cancel(instr)) and barrier_name_of(
-                    instr
-                ) == barrier:
-                    joined = False
-            if joined:
-                points.add((block.name, len(block.instructions)))
+                for name in joined:
+                    points[name].add((block.name, index))
+                if is_join(instr):
+                    name = barrier_name_of(instr)
+                    if name in points:
+                        joined.add(name)
+                elif is_wait(instr) or is_cancel(instr):
+                    joined.discard(barrier_name_of(instr))
+            for name in joined:
+                points[name].add((block.name, len(block.instructions)))
         return points

@@ -191,7 +191,11 @@ class AutodetectPass(Pass):
 
     Strips any user directives first (auto mode replaces the user's
     predictions with the heuristics'), then annotates the best candidates.
-    Options override the compile call's ``auto_options``.
+    Options override the compile call's ``auto_options``. Call-free
+    functions read the shared ``divergence`` analysis, taken after the
+    strip. The pass only deletes and inserts ``predict`` directives and
+    sets block labels (no CFG, register or barrier change), so every
+    cached analysis survives it.
     """
 
     name = "autodetect"
@@ -212,7 +216,14 @@ class AutodetectPass(Pass):
             strip_directives(function)
         options = dict(ctx.auto_options or {})
         options.update(self.option_values)
-        ctx.report.auto_candidates = detect_and_annotate(module, **options)
+        ctx.report.auto_candidates = detect_and_annotate(
+            module,
+            module_divergence=ctx.analyses.get("divergence"),
+            **options,
+        )
+
+    def preserves(self):
+        return ALL_ANALYSES
 
 
 @register_pass

@@ -28,6 +28,7 @@ that resolves mode → pipeline description and runs a PassManager.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -187,6 +188,8 @@ class AnalysisManager:
         re-stamped with the module's current structure token (the pass
         vouches the result is still valid even if the token moved).
         """
+        if not self._cache:
+            return
         token = structure_token(self.module)
         if preserved == ALL_ANALYSES:
             for name, (_, result) in list(self._cache.items()):
@@ -375,14 +378,24 @@ def parse_pipeline(text):
     """Parse ``"a,b[opt],c[k=v,k2=v2]"`` into a list of :class:`PassSpec`.
 
     Bare bracket tokens map onto the pass's ``positional_option`` (e.g.
-    ``deconflict[static]`` ≡ ``deconflict[strategy=static]``).
+    ``deconflict[static]`` ≡ ``deconflict[strategy=static]``). Each
+    description is parsed once; a repeat only re-checks that its pass
+    names are still registered.
     """
     import repro.core.passes  # noqa: F401  (registers the standard suite)
 
+    specs = _parse_description(text)
+    for spec in specs:
+        PASS_REGISTRY.get(spec.name)
+    return list(specs)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_description(text):
     specs = []
     text = text.strip()
     if not text:
-        return specs
+        return ()
     index = 0
     length = len(text)
     while index < length:
@@ -421,7 +434,7 @@ def parse_pipeline(text):
                     f"expected ',' after {name!r} in pipeline {text!r}"
                 )
             index += 1
-    return specs
+    return tuple(specs)
 
 
 def format_pipeline(specs):

@@ -55,19 +55,26 @@ def insert_pdom_sync(
 
     Args:
         namer: barrier name allocator shared across passes.
-        divergence: precomputed :class:`DivergenceAnalysis` (else computed).
+        divergence: precomputed :class:`DivergenceAnalysis` of the
+            function's current CFG (else computed); its CFG view and
+            post-dominator tree are reused.
         assume_all_divergent: barrier every conditional branch regardless of
             the divergence analysis (a stress mode used in tests).
     Returns a :class:`PdomSyncReport`.
     """
     namer = namer or BarrierNamer()
     report = PdomSyncReport()
-    if divergence is None and not assume_all_divergent:
-        divergence = DivergenceAnalysis(
-            function, callee_summaries=callee_summaries
-        )
-    view = CFGView.of_function(function)
-    pdom = compute_post_dominators(view)
+    if assume_all_divergent:
+        view = CFGView.of_function(function)
+        pdom = compute_post_dominators(view)
+    else:
+        if divergence is None:
+            divergence = DivergenceAnalysis(
+                function, callee_summaries=callee_summaries
+            )
+        # The analysis describes the function's current CFG and already
+        # holds its view and post-dominator tree.
+        view, pdom = divergence.view, divergence.pdom
 
     for block in list(function.blocks):
         term = block.terminator

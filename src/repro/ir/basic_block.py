@@ -104,7 +104,7 @@ class BasicBlock:
     # ------------------------------------------------------------------
     def copy_into(self, function):
         """Deep-copy this block into ``function`` (same name)."""
-        clone = BasicBlock(self.name, function=function, attrs=dict(self.attrs))
+        clone = BasicBlock(self.name, function=function, attrs=self.attrs)
         clone.instructions = [instr.copy() for instr in self.instructions]
         return clone
 

@@ -110,6 +110,11 @@ class Opcode(enum.Enum):
     NOP = "nop"
     DELAY = "delay"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality and skips Enum.__hash__, a Python-level
+    # call made on every ``opcode in SOME_SET`` test.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Reg:
@@ -286,11 +291,7 @@ class Instruction:
 
     def uses(self):
         """Registers read by this instruction."""
-        regs = [op for op in self.operands if isinstance(op, Reg)]
-        if self.opcode is Opcode.BMOV and self.dst is not None:
-            # bmov writes a barrier-valued register; dst handled separately.
-            pass
-        return regs
+        return [op for op in self.operands if isinstance(op, Reg)]
 
     def defs(self):
         """Registers written by this instruction."""
@@ -316,7 +317,8 @@ class Instruction:
         return self.operands[0]
 
     def copy(self):
-        return Instruction(self.opcode, self.dst, list(self.operands), dict(self.attrs))
+        # The constructor copies operands and attrs.
+        return Instruction(self.opcode, self.dst, self.operands, self.attrs)
 
     def __repr__(self):
         parts = []

@@ -20,6 +20,7 @@ from repro.ir.instructions import (
     BARRIER_OPS,
     BINARY_OPS,
     HAS_DST,
+    TERMINATORS,
     UNARY_OPS,
     Barrier,
     BlockRef,
@@ -72,146 +73,198 @@ def _fail(function, block, message):
     raise VerifierError(f"{where}: {message}")
 
 
-def _check_operand_shapes(function, block, instr):
-    opcode = instr.opcode
+def _check_ret(function, block, instr):
+    if len(instr.operands) > 1:
+        _fail(function, block, f"ret takes at most one operand: {instr!r}")
+
+
+def _check_call(function, block, instr):
+    if not instr.operands or not isinstance(instr.operands[0], FuncRef):
+        _fail(function, block, f"call must name a function: {instr!r}")
+
+
+def _check_bra(function, block, instr):
+    if not isinstance(instr.operands[0], BlockRef):
+        _fail(function, block, f"bra target must be a block: {instr!r}")
+
+
+def _check_cbr(function, block, instr):
+    if not isinstance(instr.operands[1], BlockRef) or not isinstance(
+        instr.operands[2], BlockRef
+    ):
+        _fail(function, block, f"cbr targets must be blocks: {instr!r}")
+
+
+def _check_barrier_operand(function, block, instr):
+    bar = instr.operands[0] if instr.operands else None
+    if not isinstance(bar, (Barrier, Reg)):
+        _fail(
+            function,
+            block,
+            f"{instr.opcode.value} needs a barrier or barrier register: "
+            f"{instr!r}",
+        )
+
+
+def _shape_rule(opcode):
+    """``(operand count or None, wants a dst or None, extra check)``."""
     if opcode in BINARY_OPS:
         expected = 2
     elif opcode in UNARY_OPS:
         expected = 1
     else:
         expected = _ARITY.get(opcode)
-    if expected is not None and len(instr.operands) != expected:
-        _fail(
-            function,
-            block,
-            f"{opcode.value} expects {expected} operands, "
-            f"got {len(instr.operands)}: {instr!r}",
-        )
-    if opcode is Opcode.RET and len(instr.operands) > 1:
-        _fail(function, block, f"ret takes at most one operand: {instr!r}")
     if opcode is Opcode.CALL:
-        if not instr.operands or not isinstance(instr.operands[0], FuncRef):
-            _fail(function, block, f"call must name a function: {instr!r}")
-    if opcode is Opcode.BRA and not isinstance(instr.operands[0], BlockRef):
-        _fail(function, block, f"bra target must be a block: {instr!r}")
-    if opcode is Opcode.CBR:
-        if not isinstance(instr.operands[1], BlockRef) or not isinstance(
-            instr.operands[2], BlockRef
-        ):
-            _fail(function, block, f"cbr targets must be blocks: {instr!r}")
+        wants_dst = None  # call dst optional
+    else:
+        wants_dst = opcode in HAS_DST or opcode is Opcode.BMOV
     if opcode in BARRIER_OPS or opcode is Opcode.BMOV:
-        bar = instr.operands[0] if instr.operands else None
-        if not isinstance(bar, (Barrier, Reg)):
+        extra = _check_barrier_operand
+    else:
+        extra = {
+            Opcode.RET: _check_ret,
+            Opcode.CALL: _check_call,
+            Opcode.BRA: _check_bra,
+            Opcode.CBR: _check_cbr,
+        }.get(opcode)
+    return expected, wants_dst, extra
+
+
+#: Opcode -> its shape rule, checked in order: operand count, the
+#: opcode's own operand check, then the destination.
+_SHAPES = {opcode: _shape_rule(opcode) for opcode in Opcode}
+
+
+def _check_operand_shapes(function):
+    for block in function.blocks:
+        for instr in block.instructions:
+            expected, wants_dst, extra = _SHAPES[instr.opcode]
+            if expected is not None and len(instr.operands) != expected:
+                _fail(
+                    function,
+                    block,
+                    f"{instr.opcode.value} expects {expected} operands, "
+                    f"got {len(instr.operands)}: {instr!r}",
+                )
+            if extra is not None:
+                extra(function, block, instr)
+            if wants_dst is None or (instr.dst is not None) is wants_dst:
+                continue
+            if wants_dst:
+                _fail(
+                    function,
+                    block,
+                    f"{instr.opcode.value} must define a register: {instr!r}",
+                )
             _fail(
-                function,
-                block,
-                f"{opcode.value} needs a barrier or barrier register: {instr!r}",
+                function, block, f"{instr.opcode.value} must not define a register"
             )
-    has_dst = instr.dst is not None
-    wants_dst = opcode in HAS_DST or opcode is Opcode.BMOV
-    if opcode is Opcode.CALL:
-        pass  # call dst optional
-    elif has_dst and not wants_dst:
-        _fail(function, block, f"{opcode.value} must not define a register")
-    elif wants_dst and not has_dst:
-        _fail(function, block, f"{opcode.value} must define a register: {instr!r}")
 
 
 def _check_terminators(function):
     for block in function.blocks:
-        if not block.instructions:
+        instrs = block.instructions
+        if not instrs:
             _fail(function, block, "empty block (no terminator)")
-        for index, instr in enumerate(block.instructions):
-            last = index == len(block.instructions) - 1
-            if instr.is_terminator and not last:
+        for instr in instrs[:-1]:
+            if instr.opcode in TERMINATORS:
                 _fail(
                     function,
                     block,
                     f"terminator {instr.opcode.value} not at block end",
                 )
-            if last and not instr.is_terminator:
-                _fail(function, block, "block does not end in a terminator")
+        if instrs[-1].opcode not in TERMINATORS:
+            _fail(function, block, "block does not end in a terminator")
 
 
 def _check_targets(function, module):
     known = {block.name for block in function.blocks}
     for block in function.blocks:
-        for instr in block:
-            for target in instr.block_targets():
-                if target not in known:
-                    _fail(function, block, f"branch to unknown block ^{target}")
+        for instr in block.instructions:
+            for operand in instr.operands:
+                if isinstance(operand, BlockRef) and operand.name not in known:
+                    _fail(
+                        function, block, f"branch to unknown block ^{operand.name}"
+                    )
             if instr.opcode is Opcode.CALL and module is not None:
                 callee = instr.operands[0].name
                 if callee not in module.functions:
                     _fail(function, block, f"call to unknown function @{callee}")
 
 
-def _must_defined_in(function):
-    """Forward must-defined analysis: IN[b] = ∩ OUT[preds], optimistic init."""
-    preds = function.predecessors()
-    params = set(function.params)
-    universe = set(function.all_registers()) | params
+def _check_defs_before_use(function):
+    """Every use must be preceded by a definition on all paths.
+
+    A forward must-defined fixpoint, ``IN[b] = ∩ OUT[preds] ∪ params``
+    from an optimistic start (every register defined everywhere), over
+    int bitsets with one bit per register. The entry block starts with
+    the parameters only; a block without predecessors is unreachable and
+    not checked. A block passes when its upward-exposed uses (read before
+    any definition in the block) all lie in its IN set; otherwise it is
+    rescanned in order to name the first offending use.
+    """
+    bits = {}
+    params = 0
+    for param in function.params:
+        params |= 1 << bits.setdefault(param, len(bits))
     gen = {}
+    exposed = []
     for block in function.blocks:
-        defs = set()
-        for instr in block:
-            defs.update(instr.defs())
-        gen[block.name] = defs
-    defined_out = {block.name: set(universe) for block in function.blocks}
-    defined_out[function.entry.name] = params | gen[function.entry.name]
+        defined = used = 0
+        for instr in block.instructions:
+            for operand in instr.operands:
+                if isinstance(operand, Reg):
+                    bit = 1 << bits.setdefault(operand, len(bits))
+                    if not defined & bit:
+                        used |= bit
+            if instr.dst is not None:
+                defined |= 1 << bits.setdefault(instr.dst, len(bits))
+        gen[block.name] = defined
+        exposed.append((block, used))
+    universe = (1 << len(bits)) - 1
+
+    preds = function.predecessors()
+    entry = function.entry.name
+
+    def live_in(name, out):
+        if name == entry:
+            return params
+        incoming = preds[name]
+        if not incoming:
+            return None
+        joined = universe
+        for pred in incoming:
+            joined &= out[pred]
+        return joined | params
+
+    out = {block.name: universe for block in function.blocks}
+    out[entry] = params | gen[entry]
     changed = True
     while changed:
         changed = False
         for block in function.blocks:
             name = block.name
-            if name == function.entry.name:
-                live_in = set(params)
-            else:
-                incoming = [defined_out[p] for p in preds[name]]
-                if incoming:
-                    live_in = set(incoming[0])
-                    for s in incoming[1:]:
-                        live_in &= s
-                    live_in |= params
-                else:
-                    live_in = set(params)  # unreachable block: be lenient
-            new_out = live_in | gen[name]
-            if new_out != defined_out[name]:
-                defined_out[name] = new_out
+            entering = live_in(name, out)
+            new_out = (params if entering is None else entering) | gen[name]
+            if new_out != out[name]:
+                out[name] = new_out
                 changed = True
-    defined_in = {}
-    for block in function.blocks:
-        name = block.name
-        if name == function.entry.name:
-            defined_in[name] = set(params)
-        else:
-            incoming = [defined_out[p] for p in preds[name]]
-            if incoming:
-                live_in = set(incoming[0])
-                for s in incoming[1:]:
-                    live_in &= s
-                defined_in[name] = live_in | params
-            else:
-                defined_in[name] = set(universe)  # unreachable: skip checking
-        defined_in[name] = defined_in[name]
-    return defined_in
 
-
-def _check_defs_before_use(function):
-    """Every use must be preceded by a definition on all paths."""
-    defined_in = _must_defined_in(function)
-    for block in function.blocks:
-        live = set(defined_in[block.name])
-        for instr in block:
-            for reg in instr.uses():
-                if reg not in live:
+    for block, used in exposed:
+        live = live_in(block.name, out)
+        if live is None or not used & ~live:
+            continue
+        for instr in block.instructions:
+            for operand in instr.operands:
+                if isinstance(operand, Reg) and not live >> bits[operand] & 1:
                     _fail(
                         function,
                         block,
-                        f"register %{reg.name} used before any definition "
+                        f"register %{operand.name} used before any definition "
                         f"in {instr!r}",
                     )
-            live.update(instr.defs())
+            if instr.dst is not None:
+                live |= 1 << bits[instr.dst]
 
 
 def verify_function(function, module=None, check_defs=True):
@@ -220,9 +273,7 @@ def verify_function(function, module=None, check_defs=True):
         _fail(function, None, "function has no blocks")
     _check_terminators(function)
     _check_targets(function, module)
-    for block in function.blocks:
-        for instr in block:
-            _check_operand_shapes(function, block, instr)
+    _check_operand_shapes(function)
     if check_defs:
         _check_defs_before_use(function)
     return True

@@ -14,6 +14,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
+
+from repro.ir.instructions import BARRIER_OPS, Opcode
 
 __all__ = ["IRStats", "Span", "SpanRecorder", "module_stats"]
 
@@ -39,17 +42,26 @@ class IRStats:
         }
 
 
+#: The opcodes ``Instruction.is_barrier_op`` is true for.
+_BARRIER_LIKE = BARRIER_OPS | {Opcode.BMOV}
+_opcode = attrgetter("opcode")
+
+
 def module_stats(module):
-    """Count functions/blocks/instructions/barrier-ops of ``module``."""
+    """Count functions/blocks/instructions/barrier-ops of ``module``.
+
+    Runs before and after every pass, so the per-instruction test is a
+    C-level ``map`` over opcodes rather than a property call each.
+    """
     functions = blocks = instructions = barrier_instructions = 0
+    is_barrier = _BARRIER_LIKE.__contains__
     for function in module:
         functions += 1
+        blocks += len(function.blocks)
         for block in function.blocks:
-            blocks += 1
-            instructions += len(block.instructions)
-            for instr in block.instructions:
-                if instr.is_barrier_op:
-                    barrier_instructions += 1
+            instrs = block.instructions
+            instructions += len(instrs)
+            barrier_instructions += sum(map(is_barrier, map(_opcode, instrs)))
     return IRStats(
         functions=functions,
         blocks=blocks,

@@ -7,7 +7,18 @@ import signal
 from dataclasses import fields
 
 from repro.engine import EngineConfig
-from repro.ir import Function, IRBuilder, Module
+from repro.ir import Function, IRBuilder, Module, verifier
+from repro.ir.instructions import (
+    BARRIER_OPS,
+    BINARY_OPS,
+    HAS_DST,
+    UNARY_OPS,
+    Barrier,
+    BlockRef,
+    FuncRef,
+    Opcode,
+    Reg,
+)
 
 ENGINE_FIELDS = frozenset(field.name for field in fields(EngineConfig))
 
@@ -170,3 +181,191 @@ class DiesWhenUnpickled:
 
     def __reduce__(self):
         return die_in_worker, (self.kind,)
+
+
+# ----------------------------------------------------------------------
+# Reference verifier: the per-instruction checks and the set-based
+# defs-before-use fixpoint that repro.ir.verifier replaced. The verifier
+# differential runs both on mutated IR and demands the same VerifierError
+# message (or none) from each.
+# ----------------------------------------------------------------------
+
+
+def _oracle_terminators(function):
+    for block in function.blocks:
+        if not block.instructions:
+            verifier._fail(function, block, "empty block (no terminator)")
+        for index, instr in enumerate(block.instructions):
+            last = index == len(block.instructions) - 1
+            if instr.is_terminator and not last:
+                verifier._fail(
+                    function,
+                    block,
+                    f"terminator {instr.opcode.value} not at block end",
+                )
+            if last and not instr.is_terminator:
+                verifier._fail(function, block, "block does not end in a terminator")
+
+
+def _oracle_targets(function, module):
+    known = {block.name for block in function.blocks}
+    for block in function.blocks:
+        for instr in block:
+            for target in instr.block_targets():
+                if target not in known:
+                    verifier._fail(function, block, f"branch to unknown block ^{target}")
+            if instr.opcode is Opcode.CALL and module is not None:
+                callee = instr.operands[0].name
+                if callee not in module.functions:
+                    verifier._fail(function, block, f"call to unknown function @{callee}")
+
+
+def _oracle_operand_shapes(function, block, instr):
+    opcode = instr.opcode
+    if opcode in BINARY_OPS:
+        expected = 2
+    elif opcode in UNARY_OPS:
+        expected = 1
+    else:
+        expected = verifier._ARITY.get(opcode)
+    if expected is not None and len(instr.operands) != expected:
+        verifier._fail(
+            function,
+            block,
+            f"{opcode.value} expects {expected} operands, "
+            f"got {len(instr.operands)}: {instr!r}",
+        )
+    if opcode is Opcode.RET and len(instr.operands) > 1:
+        verifier._fail(function, block, f"ret takes at most one operand: {instr!r}")
+    if opcode is Opcode.CALL:
+        if not instr.operands or not isinstance(instr.operands[0], FuncRef):
+            verifier._fail(function, block, f"call must name a function: {instr!r}")
+    if opcode is Opcode.BRA and not isinstance(instr.operands[0], BlockRef):
+        verifier._fail(function, block, f"bra target must be a block: {instr!r}")
+    if opcode is Opcode.CBR:
+        if not isinstance(instr.operands[1], BlockRef) or not isinstance(
+            instr.operands[2], BlockRef
+        ):
+            verifier._fail(function, block, f"cbr targets must be blocks: {instr!r}")
+    if opcode in BARRIER_OPS or opcode is Opcode.BMOV:
+        bar = instr.operands[0] if instr.operands else None
+        if not isinstance(bar, (Barrier, Reg)):
+            verifier._fail(
+                function,
+                block,
+                f"{opcode.value} needs a barrier or barrier register: {instr!r}",
+            )
+    has_dst = instr.dst is not None
+    wants_dst = opcode in HAS_DST or opcode is Opcode.BMOV
+    if opcode is Opcode.CALL:
+        pass  # call dst optional
+    elif has_dst and not wants_dst:
+        verifier._fail(function, block, f"{opcode.value} must not define a register")
+    elif wants_dst and not has_dst:
+        verifier._fail(
+            function, block, f"{opcode.value} must define a register: {instr!r}"
+        )
+
+
+def _oracle_must_defined_in(function):
+    """Forward must-defined analysis: IN[b] = ∩ OUT[preds], optimistic init."""
+    preds = function.predecessors()
+    params = set(function.params)
+    universe = set(function.all_registers()) | params
+    gen = {}
+    for block in function.blocks:
+        defs = set()
+        for instr in block:
+            defs.update(instr.defs())
+        gen[block.name] = defs
+    defined_out = {block.name: set(universe) for block in function.blocks}
+    defined_out[function.entry.name] = params | gen[function.entry.name]
+    changed = True
+    while changed:
+        changed = False
+        for block in function.blocks:
+            name = block.name
+            if name == function.entry.name:
+                live_in = set(params)
+            else:
+                incoming = [defined_out[p] for p in preds[name]]
+                if incoming:
+                    live_in = set(incoming[0])
+                    for s in incoming[1:]:
+                        live_in &= s
+                    live_in |= params
+                else:
+                    live_in = set(params)  # unreachable block: be lenient
+            new_out = live_in | gen[name]
+            if new_out != defined_out[name]:
+                defined_out[name] = new_out
+                changed = True
+    defined_in = {}
+    for block in function.blocks:
+        name = block.name
+        if name == function.entry.name:
+            defined_in[name] = set(params)
+        else:
+            incoming = [defined_out[p] for p in preds[name]]
+            if incoming:
+                live_in = set(incoming[0])
+                for s in incoming[1:]:
+                    live_in &= s
+                defined_in[name] = live_in | params
+            else:
+                defined_in[name] = set(universe)  # unreachable: skip checking
+    return defined_in
+
+
+def _oracle_defs_before_use(function):
+    defined_in = _oracle_must_defined_in(function)
+    for block in function.blocks:
+        live = set(defined_in[block.name])
+        for instr in block:
+            for reg in instr.uses():
+                if reg not in live:
+                    verifier._fail(
+                        function,
+                        block,
+                        f"register %{reg.name} used before any definition "
+                        f"in {instr!r}",
+                    )
+            live.update(instr.defs())
+
+
+def oracle_verify_module(module):
+    """The reference ``verify_module``: raises the same
+    :class:`VerifierError` messages as the verifier it replaced."""
+    for function in module:
+        if not function.blocks:
+            verifier._fail(function, None, "function has no blocks")
+        _oracle_terminators(function)
+        _oracle_targets(function, module)
+        for block in function.blocks:
+            for instr in block:
+                _oracle_operand_shapes(function, block, instr)
+        _oracle_defs_before_use(function)
+    return True
+
+
+def oracle_joined_points(joined, barrier):
+    """The reference per-barrier live-range walk that
+    ``JoinedBarriers.joined_points_of`` replaced: every (block, index)
+    point where ``barrier`` may be joined, given a ``JoinedBarriers``."""
+    from repro.core.primitives import barrier_name_of, is_cancel, is_join, is_wait
+
+    points = set()
+    for block in joined.function.blocks:
+        live = barrier in joined.joined_in(block.name)
+        for index, instr in enumerate(block.instructions):
+            if live:
+                points.add((block.name, index))
+            if is_join(instr) and barrier_name_of(instr) == barrier:
+                live = True
+            elif (is_wait(instr) or is_cancel(instr)) and barrier_name_of(
+                instr
+            ) == barrier:
+                live = False
+        if live:
+            points.add((block.name, len(block.instructions)))
+    return points

@@ -181,3 +181,69 @@ class TestAnnotation:
         a = GPUMachine(baseline.module).launch("lm", 32, args=(32 * 4,))
         b = GPUMachine(auto.module).launch("lm", 32, args=(32 * 4,))
         assert a.memory.snapshot() == b.memory.snapshot()
+
+
+#: The branch reads a call result. The callee returns a constant, so with
+#: callee summaries (the module divergence analysis) the branch is
+#: uniform; without them, as autodetect analyses each function, it is
+#: divergent and the expensive side is an Iteration Delay candidate.
+CALL_PREDICATE_SRC = """
+func pick(v) {
+    return 0.1;
+}
+
+kernel k() {
+    let x = 0.0;
+    let t = tid();
+    for i in 0..16 {
+        x = x * 0.99;
+        if (@pick(i) < 0.2) {
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+            x = fma(x, 1.01, 0.5); x = fma(x, 1.01, 0.5);
+        }
+    }
+    store(t, x);
+}
+"""
+
+
+class TestSharedDivergence:
+    """The autodetect pass reads the pass manager's module divergence
+    analysis only where it equals the per-function one."""
+
+    def test_functions_with_calls_keep_per_function_divergence(self):
+        from repro.analysis.divergence import analyze_module_divergence
+
+        module = compile_kernel_source(CALL_PREDICATE_SRC)
+        module_divergence = analyze_module_divergence(module)
+        assert not module_divergence["k"].divergent_branches
+        compiled = ReconvergenceCompiler().compile(module, mode="auto")
+        expected = detect_and_annotate(module.clone())
+        assert [c.describe() for c in compiled.report.auto_candidates] == [
+            c.describe() for c in expected
+        ]
+        assert any(
+            c.function == "k" and c.kind == KIND_ITERATION_DELAY
+            for c in expected
+        )
+
+    def test_call_free_functions_use_the_module_analysis(self, monkeypatch):
+        from repro.analysis.divergence import analyze_module_divergence
+        from repro.core import autodetect
+
+        module = compile_kernel_source(CALL_PREDICATE_SRC)
+        shared = analyze_module_divergence(module)
+        seen = {}
+        detect = autodetect.detect_candidates
+
+        def spy(function, divergence=None, **options):
+            seen[function.name] = divergence
+            return detect(function, divergence=divergence, **options)
+
+        monkeypatch.setattr(autodetect, "detect_candidates", spy)
+        detect_and_annotate(module, module_divergence=shared)
+        assert seen == {"pick": shared["pick"], "k": None}

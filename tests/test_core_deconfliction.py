@@ -20,7 +20,7 @@ from repro.core import (
 from repro.errors import DeadlockError, DeconflictionError
 from repro.ir import Opcode
 from repro.simt import GPUMachine
-from tests.helpers import listing1_module
+from tests.helpers import listing1_module, oracle_joined_points
 
 
 def _inserted(with_deconflict=None):
@@ -65,6 +65,18 @@ class TestConflictAnalysis:
         module, fn, report = _inserted()
         names = literal_barriers(fn)
         assert len(names) == len(set(names)) >= 3
+
+    @pytest.mark.parametrize("strategy", [None, "dynamic", "static"])
+    def test_one_walk_matches_per_barrier_live_ranges(self, strategy):
+        from repro.core.joined_barriers import JoinedBarriers
+
+        module, fn, report = _inserted(with_deconflict=strategy)
+        joined = JoinedBarriers(fn)
+        names = literal_barriers(fn)
+        expected = {name: oracle_joined_points(joined, name) for name in names}
+        assert joined.joined_points_of(names) == expected
+        assert {name: joined.joined_points(name) for name in names} == expected
+        assert joined.joined_points_of([]) == {}
 
     def test_conflict_record_api(self):
         module, fn, report = _inserted()

@@ -8,6 +8,12 @@ live configurations against each other), the goldens catch drift that
 affects *every* configuration at once: a cost-model tweak, a compiler
 pass reordering, an executor semantics change.
 
+``compile_digests.json`` freezes the compiler's output instead: the
+sha256 of the printed module and of the compile report for every
+Section 5.4 corpus app (``baseline`` and ``auto``) and every Figure 7
+workload (``baseline``, ``sr`` and ``auto``). A compiler change that is
+meant to be a pure speed-up must leave it untouched.
+
 Regenerate deliberately after an intended behaviour change with::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
@@ -15,16 +21,21 @@ Regenerate deliberately after an intended behaviour change with::
 and review the JSON diff like any other code change.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from tests.test_conformance import CORPUS, MODES, _compiled, _launch
+from repro.core import ReconvergenceCompiler
+from repro.ir.printer import format_module
 from repro.simt import GPUMachine
-from repro.workloads import get_workload
+from repro.workloads import FIGURE7_WORKLOADS, get_workload
+from repro.workloads.corpus import generate_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+COMPILE_DIGESTS = GOLDEN_DIR / "compile_digests.json"
 SEED = 2020
 
 
@@ -86,4 +97,67 @@ def test_goldens_cover_full_corpus():
     """Every corpus workload has a committed golden, and no stale goldens
     linger for workloads that left the corpus."""
     committed = {p.stem for p in GOLDEN_DIR.glob("*.json")}
-    assert committed == set(CORPUS)
+    assert committed - {COMPILE_DIGESTS.stem} == set(CORPUS)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _compile_record(compiled):
+    return {
+        "module": _digest(format_module(compiled.module)),
+        "report": _digest(compiled.report.describe()),
+    }
+
+
+def _capture_compile_digests():
+    """Digests of every corpus app and Figure 7 workload compile, by mode."""
+    compiler = ReconvergenceCompiler()
+    corpus = {}
+    for app in generate_corpus():
+        corpus[app.name] = {
+            mode: _compile_record(compiler.compile(app.module(), mode=mode))
+            for mode in ("baseline", "auto")
+        }
+    figure7 = {}
+    for name in FIGURE7_WORKLOADS:
+        workload = get_workload(name)
+        figure7[name] = {
+            mode: _compile_record(compiler.compile(
+                workload.module(), mode=mode,
+                threshold=workload.sr_threshold,
+            ))
+            for mode in ("baseline", "sr", "auto")
+        }
+    return {"corpus": corpus, "figure7": figure7}
+
+
+def test_compile_output_digests(update_goldens):
+    """Every compile prints the same module and report as when the golden
+    was recorded. Running this under ``REPRO_VERIFY_EACH_PASS=1`` also
+    verifies every intermediate module of every compile."""
+    record = _capture_compile_digests()
+    if update_goldens:
+        COMPILE_DIGESTS.write_text(
+            json.dumps(record, indent=1, sort_keys=True) + "\n"
+        )
+        return
+    assert COMPILE_DIGESTS.exists(), (
+        f"missing golden {COMPILE_DIGESTS.name}; regenerate with "
+        f"--update-goldens"
+    )
+    golden = json.loads(COMPILE_DIGESTS.read_text())
+    assert record.keys() == golden.keys()
+    for group in golden:
+        assert record[group].keys() == golden[group].keys()
+        drifted = sorted(
+            f"{name}/{mode}"
+            for name, modes in golden[group].items()
+            for mode, digests in modes.items()
+            if record[group][name].get(mode) != digests
+        )
+        assert not drifted, (
+            f"compile output drifted for {len(drifted)} compiles, "
+            f"first {drifted[:5]}; if intended, rerun with --update-goldens"
+        )

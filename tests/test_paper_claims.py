@@ -1,7 +1,9 @@
 """Integration tests pinning the paper's headline claims (Section 5).
 
-These assert the *shape* of the results — who wins, roughly by how much,
-where the crossovers fall — not absolute numbers.
+Most assert the *shape* of the results — who wins, roughly by how much,
+where the crossovers fall. The EXPERIMENTS.md tables for Figures 7/8, 9
+and 10 and the Section 4.3 ablation are also pinned in tolerance bands, so
+an engine or compiler change cannot move them silently.
 """
 
 import pytest
@@ -46,6 +48,35 @@ class TestFigure7:
         ) >= 6
 
 
+class TestFigure7And8Table:
+    """The Figure 7/8 table of EXPERIMENTS.md, pinned within tolerance
+    bands: efficiencies to 0.01, speedups to 3%."""
+
+    #: name -> (eff PDOM, eff SR, speedup)
+    EXPECTED = {
+        "rsbench": (0.479, 0.745, 1.34),
+        "xsbench": (0.389, 0.625, 1.20),
+        "mcb": (0.199, 0.377, 1.81),
+        "pathtracer": (0.291, 0.591, 1.93),
+        "mc-gpu": (0.227, 0.426, 1.79),
+        "mummer": (0.396, 0.590, 1.31),
+        "meiyamd5": (0.247, 0.391, 1.52),
+        "optix": (0.324, 0.444, 1.29),
+        "gpu-mcml": (0.543, 0.699, 1.28),
+    }
+
+    def test_table_covers_figure7(self):
+        assert set(self.EXPECTED) == set(FIGURE7_WORKLOADS)
+
+    @pytest.mark.parametrize("name", FIGURE7_WORKLOADS)
+    def test_row_in_band(self, figure7_rows, name):
+        row = figure7_rows[name]
+        base, sr, speedup = self.EXPECTED[name]
+        assert row.baseline_eff == pytest.approx(base, abs=0.01)
+        assert row.sr_eff == pytest.approx(sr, abs=0.01)
+        assert row.speedup == pytest.approx(speedup, rel=0.03)
+
+
 class TestFigure8:
     """Speedups track (and are bounded by) efficiency improvements."""
 
@@ -71,6 +102,32 @@ class TestFigure9:
             name: threshold_sweep(name, thresholds=thresholds)
             for name in ("pathtracer", "xsbench")
         }
+
+    #: name -> {threshold: (SIMT efficiency, speedup)}, the EXPERIMENTS.md
+    #: sweep tables at the thresholds the fixture runs.
+    EXPECTED = {
+        "pathtracer": {
+            0: (0.395, 1.31), 4: (0.424, 1.40), 8: (0.469, 1.54),
+            16: (0.541, 1.78), 24: (0.578, 1.89), 28: (0.591, 1.93),
+            32: (0.591, 1.93),
+        },
+        "xsbench": {
+            0: (0.625, 1.20), 4: (0.625, 1.20), 8: (0.623, 1.20),
+            16: (0.618, 1.19), 24: (0.583, 1.04), 28: (0.503, 0.88),
+            32: (0.218, 0.41),
+        },
+    }
+
+    @pytest.mark.parametrize("name", ["pathtracer", "xsbench"])
+    def test_sweep_in_band(self, sweeps, name):
+        """Efficiencies to 0.01, speedups to 3%."""
+        _, points = sweeps[name]
+        expected = self.EXPECTED[name]
+        assert [p.threshold for p in points] == sorted(expected)
+        for point in points:
+            efficiency, speedup = expected[point.threshold]
+            assert point.simt_efficiency == pytest.approx(efficiency, abs=0.01)
+            assert point.speedup == pytest.approx(speedup, rel=0.03)
 
     def test_pathtracer_peaks_at_full_convergence(self, sweeps):
         _, points = sweeps["pathtracer"]
