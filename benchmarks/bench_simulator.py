@@ -15,12 +15,10 @@ import time
 from pathlib import Path
 
 from repro.core import ReconvergenceCompiler
-from repro.core.program_cache import PROGRAM_CACHE
 from repro.engine import engine_config
 from repro.harness.parallel import run_tasks, task
+from repro.ir.function import clear_module_caches
 from repro.obs import counters as obs_counters
-from repro.simt import memo as launch_memo
-from repro.simt.fastpath import clear_decode_cache
 from repro.workloads import get_workload, workload_names
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +30,7 @@ def test_simulator_issue_throughput(benchmark):
     compiled = workload.compile(mode="baseline")
 
     def launch():
-        launch_memo.clear()  # every round simulates
+        clear_module_caches("launch_memo")  # every round simulates
         return workload.run(mode="baseline", compiled=compiled)
 
     result = benchmark.pedantic(launch, rounds=3, iterations=1)
@@ -62,7 +60,7 @@ def _sweep_point(name, mode, seed=_SEED):
     launch memo is emptied first, so every round of a sweep simulates:
     the sweeps time the engine layers, not memo replays.
     """
-    launch_memo.clear()
+    clear_module_caches("launch_memo")
     workload = get_workload(name)
     result = workload.run(mode=mode, seed=seed)
     traces = {
@@ -120,8 +118,7 @@ def test_fastpath_corpus_sweep_speedup(benchmark):
     fast_time = benchmark.stats.stats.min
 
     with engine_config(fastpath=False, compile_cache=False):
-        clear_decode_cache()
-        PROGRAM_CACHE.clear()
+        clear_module_caches()
         start = time.perf_counter()
         slow_results = _corpus_sweep()
         slow_time = time.perf_counter() - start
@@ -159,7 +156,7 @@ def test_fastpath_corpus_sweep_speedup(benchmark):
 def _multiwarp_sweep_point(name, mode, n_threads=128, seed=_SEED):
     """One compile-and-launch at a multi-warp width (four warps), same
     fixed-point record as :func:`_sweep_point` (memo emptied first, too)."""
-    launch_memo.clear()
+    clear_module_caches("launch_memo")
     workload = get_workload(name)
     workload.n_threads = n_threads
     result = workload.run(mode=mode, seed=seed)

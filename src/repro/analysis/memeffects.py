@@ -26,8 +26,9 @@ strided by ``n_threads``, so distinct threads can never alias even
 though the interval itself widens to infinity. The verdict is
 ``"disjoint"`` when *no* two threads of *different* warps can touch a
 common address in a conflicting way, else ``"guarded"``. Verdicts are
-memoized per module (weakly, validated by the structure token) and per
-``(kernel, args, n_threads)``; :func:`cta_coupled` shares the memo.
+memoized in the module's ``"launch_class"`` cache
+(:func:`~repro.ir.function.module_cache`) per ``(kernel, args,
+n_threads)``; :func:`cta_coupled` keeps its answers in ``"cta_coupled"``.
 
 Soundness notes. Addresses are truncated with ``int()`` at the memory
 interface, so resolved intervals are widened to integer envelopes and
@@ -43,10 +44,9 @@ memory (``shld``/``shst``/``shatom``) is CTA-private and is left to
 from __future__ import annotations
 
 import math
-import weakref
 from collections import deque
 
-from repro.ir.function import structure_token
+from repro.ir.function import module_cache
 from repro.ir.instructions import Imm, Opcode, Reg
 
 WARP_SIZE = 32
@@ -57,7 +57,7 @@ _INF = math.inf
 #: infinity (the stride component survives widening, see ``_widen``).
 _WIDEN_AFTER = 4
 
-__all__ = ["classify_launch", "clear_launch_cache", "cta_coupled"]
+__all__ = ["classify_launch", "cta_coupled"]
 
 
 class _AbsVal:
@@ -517,15 +517,6 @@ def _pair_safe(a, b, n_threads):
     return False
 
 
-_LAUNCH_CACHE = weakref.WeakKeyDictionary()
-
-
-def clear_launch_cache():
-    """Drop all memoized launch classifications and CTA-coupling answers
-    (test hook)."""
-    _LAUNCH_CACHE.clear()
-
-
 def _classify(module, kernel_name, args, n_threads):
     fn = module.function(kernel_name)
     if _calls_memory(module, fn):
@@ -569,17 +560,6 @@ def _classify(module, kernel_name, args, n_threads):
     return "disjoint"
 
 
-def _module_entry(module):
-    """The module's memo: ``(structure token, launch classifications,
-    CTA coupling per kernel)``, rebuilt when the token moves."""
-    token = structure_token(module)
-    entry = _LAUNCH_CACHE.get(module)
-    if entry is None or entry[0] != token:
-        entry = (token, {}, {})
-        _LAUNCH_CACHE[module] = entry
-    return entry
-
-
 def classify_launch(module, kernel_name, args, n_threads):
     """``"disjoint"`` when no two warps of this launch can conflict
     through global memory, else ``"guarded"``.
@@ -589,13 +569,12 @@ def classify_launch(module, kernel_name, args, n_threads):
     :func:`cta_coupled` channel) licenses ``GPUMachine`` to run the
     warps one at a time to completion; ``"guarded"`` keeps them
     interleaved; ``GridLaunch`` shards CTAs over the worker pool only on
-    ``"disjoint"``. Memoized weakly per module, validated by the
-    structure token.
+    ``"disjoint"``. Memoized in the module's cache.
     """
-    entry = _module_entry(module)
+    verdicts = module_cache(module, "launch_class")
     try:
         key = (kernel_name, tuple(args), n_threads)
-        cached = entry[1].get(key)
+        cached = verdicts.get(key)
     except TypeError:
         key = None
         cached = None
@@ -603,16 +582,16 @@ def classify_launch(module, kernel_name, args, n_threads):
         return cached
     result = _classify(module, kernel_name, tuple(args), n_threads)
     if key is not None:
-        entry[1][key] = result
+        verdicts[key] = result
     return result
 
 
 def cta_coupled(module, kernel_name):
     """True when the kernel, or any function it can call, contains a
     ``ctasync`` or a shared-memory op: channels between the warps of one
-    CTA that :func:`classify_launch` does not look at. Memoized with the
-    launch classifications."""
-    coupled = _module_entry(module)[2]
+    CTA that :func:`classify_launch` does not look at. Memoized in the
+    module's cache."""
+    coupled = module_cache(module, "cta_coupled")
     result = coupled.get(kernel_name)
     if result is None:
         result = coupled[kernel_name] = any(

@@ -69,11 +69,7 @@ from repro.core.pipeline import (
     compile_sr,
     pipeline_for_mode,
 )
-from repro.core.program_cache import (
-    PROGRAM_CACHE,
-    ProgramCache,
-    compile_cached,
-)
+from repro.core.program_cache import compile_cached
 from repro.core.primitives import (
     BarrierNamer,
     cancel_barrier,
@@ -110,7 +106,6 @@ __all__ = [
     "MODE_PIPELINES",
     "PASS_REGISTRY",
     "PHYSICAL_BARRIERS",
-    "PROGRAM_CACHE",
     "Pass",
     "PassContext",
     "PassManager",
@@ -120,7 +115,6 @@ __all__ = [
     "PipelineError",
     "Prediction",
     "PredictionRegion",
-    "ProgramCache",
     "ReconvergenceCompiler",
     "TuneResult",
     "STATIC",

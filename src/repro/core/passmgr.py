@@ -33,6 +33,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+from repro.engine import parse_flag
 from repro.errors import TransformError
 from repro.ir.function import structure_token
 from repro.ir.printer import format_module
@@ -134,7 +135,7 @@ class AnalysisManager:
     Each cache entry pairs the result with the module's
     :func:`~repro.ir.function.structure_token` at compute time. A lookup
     whose stored token no longer matches recomputes (out-of-band mutation
-    safety net, same idiom as :class:`~repro.core.program_cache.ProgramCache`).
+    safety net, same idiom as :func:`~repro.ir.function.module_cache`).
     The primary invalidation channel is :meth:`invalidate`, called by the
     :class:`PassManager` after each pass with the pass's ``preserves()``
     set: preserved entries are re-stamped with the current token, all
@@ -483,7 +484,10 @@ class PassContext:
 
 
 def _env_flag(name):
-    return os.environ.get(name, "").lower() in ("1", "true", "yes", "on")
+    """An on/off debug variable (:func:`repro.engine.parse_flag`); unset
+    or empty is off."""
+    raw = os.environ.get(name, "")
+    return parse_flag(name, raw) if raw.strip() else False
 
 
 class PassManager:

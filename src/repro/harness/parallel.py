@@ -94,11 +94,6 @@ def task(fn, *args, **kwargs):
     return (fn, args, kwargs)
 
 
-def _call(packed):
-    fn, args, kwargs = packed
-    return fn(*args, **kwargs)
-
-
 #: The live pool and the key it was started under (see _pool_key).
 _POOL = None
 _POOL_KEY = None
@@ -220,13 +215,11 @@ def run_tasks(tasks, jobs=None):
     more than one task, the tasks run on the persistent process pool;
     otherwise serially in-process. Worker exceptions propagate to the
     caller either way (and retire the pool first); a worker process that
-    dies raises :class:`~repro.errors.WorkerError`.
+    dies raises :class:`~repro.errors.WorkerError`. Pool workers' engine
+    counters are merged into the parent's, as in
+    :func:`run_tasks_observed`.
     """
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
-    return _map(_call, tasks, jobs)
+    return run_tasks_observed(tasks, jobs)[0]
 
 
 def _call_observed(packed):

@@ -7,6 +7,8 @@ called via ``call`` and return via ``ret``.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import IRError
 from repro.ir.basic_block import BasicBlock
 from repro.ir.instructions import Opcode, Reg
@@ -246,7 +248,7 @@ class Module:
 def structure_token(module):
     """A cheap structural fingerprint of a module.
 
-    Identity-keyed caches (decoded programs, compiled programs) pair the
+    :func:`module_cache` and the pass manager's analysis cache pair the
     module object with this token so rebuilding a function or adding or
     removing instructions invalidates stale entries. In-place operand
     mutation is deliberately not captured: passes run on clones, and
@@ -256,3 +258,47 @@ def structure_token(module):
         (fn.name, tuple((blk.name, len(blk.instructions)) for blk in fn.blocks))
         for fn in module
     )
+
+
+#: module -> (structure token, {layer: cache}); see module_cache.
+_MODULE_CACHES = weakref.WeakKeyDictionary()
+
+
+def module_cache(module, layer, build=dict):
+    """The ``layer`` cache of ``module``: a dict (or dict subclass) made
+    by ``build()`` on first use.
+
+    Every engine layer that memoizes work per module keeps it here:
+    compiled programs (``"compile"``), decoded programs (``"decode"``),
+    the launch memo's entry table (``"launch_memo"``), launch
+    classifications (``"launch_class"``), CTA coupling
+    (``"cta_coupled"``) and program order (``"program_order"``).
+
+    The caches are keyed weakly by module, so they die with it, and all
+    its layers are emptied together when its :func:`structure_token`
+    changes. Lifetime rule: **no entry may reference its own module**,
+    directly or through anything it holds; such an entry would keep the
+    module, and so itself, alive forever. Entries may reference
+    the module's functions, and a compiled program references its own
+    (compiled) module, never the one it was compiled from.
+    """
+    token = structure_token(module)
+    held = _MODULE_CACHES.get(module)
+    if held is None or held[0] != token:
+        held = _MODULE_CACHES[module] = (token, {})
+    layers = held[1]
+    cache = layers.get(layer)
+    if cache is None:
+        cache = layers[layer] = build()
+    return cache
+
+
+def clear_module_caches(layer=None):
+    """Drop ``layer`` from every module's cache, or every layer when
+    ``layer`` is None (tests and benchmarks; the per-process segment code
+    memo has its own :func:`repro.simt.jit.clear_code_cache`)."""
+    if layer is None:
+        _MODULE_CACHES.clear()
+        return
+    for _token, layers in list(_MODULE_CACHES.values()):
+        layers.pop(layer, None)

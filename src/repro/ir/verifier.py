@@ -272,8 +272,9 @@ def verify_function(function, module=None, check_defs=True):
     if not function.blocks:
         _fail(function, None, "function has no blocks")
     _check_terminators(function)
-    _check_targets(function, module)
+    # Shapes first: _check_targets reads a call's callee operand.
     _check_operand_shapes(function)
+    _check_targets(function, module)
     if check_defs:
         _check_defs_before_use(function)
     return True

@@ -18,8 +18,11 @@ Recording levels:
   entry per burst, still never per instruction). Used by the CI
   conformance leg to prove recording never perturbs results.
 
-Select the level with ``REPRO_FLIGHT_RECORDER`` (``0``/``off``, ``1``/
-``on``, ``verbose``) or per machine via ``GPUMachine(flight_recorder=...)``.
+Select the level with ``REPRO_FLIGHT_RECORDER`` (``0``/``false``/``off``/
+``none``, ``1``/``true``/``on``, or ``verbose``/``2``/``full``, any case;
+unset or empty is ``on``, anything else raises
+:class:`~repro.errors.ConfigError`) or per machine via
+``GPUMachine(flight_recorder=...)``.
 Set ``REPRO_POST_MORTEM=<dir>`` to also write each post-mortem report as
 a JSON file (one per failed launch) for offline inspection.
 
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 import json
 import os
+
+from repro.errors import ConfigError
 
 __all__ = [
     "FlightRecorder",
@@ -51,13 +56,25 @@ DEFAULT_CAPACITY = 256
 _LEVELS = ("off", "on", "verbose")
 
 
+#: Every spelling ``REPRO_FLIGHT_RECORDER`` accepts, and its level.
+_ENV_LEVELS = {
+    **dict.fromkeys(("0", "false", "off", "none"), "off"),
+    **dict.fromkeys(("1", "true", "on"), "on"),
+    **dict.fromkeys(("verbose", "2", "full"), "verbose"),
+}
+
+
 def _level_from_env():
-    raw = os.environ.get("REPRO_FLIGHT_RECORDER", "on").strip().lower()
-    if raw in ("0", "false", "off", "none"):
-        return "off"
-    if raw in ("verbose", "2", "full"):
-        return "verbose"
-    return "on"
+    raw = os.environ.get("REPRO_FLIGHT_RECORDER", "")
+    if not raw.strip():
+        return "on"
+    try:
+        return _ENV_LEVELS[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(
+            f"REPRO_FLIGHT_RECORDER={raw!r}: expected 0/false/off/none, "
+            "1/true/on or verbose/2/full"
+        ) from None
 
 
 #: Global default level for new machines; see :func:`set_recorder_level`.

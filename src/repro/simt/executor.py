@@ -13,6 +13,7 @@ import math
 
 from repro.engine import current_engine
 from repro.errors import SimulationError
+from repro.ir.function import module_cache
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
 from repro.obs.events import (
     BarrierArriveEvent,
@@ -154,8 +155,11 @@ class Executor:
             else None
         )
         # Program order for scheduler picks and tie-breaking:
-        # pc -> (function, block position, index), built once per PC.
-        self.program_order = _ProgramOrder(module).__getitem__
+        # pc -> (function, block position, index), built once per PC and
+        # kept in the module's cache across launches.
+        self.program_order = module_cache(
+            module, "program_order", lambda: _ProgramOrder(module)
+        ).__getitem__
 
     # ------------------------------------------------------------------
     def fetch(self, pc):

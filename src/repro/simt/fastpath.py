@@ -23,14 +23,14 @@ closure body is a line-for-line specialization of the corresponding
 order and charging the same cycle costs (``tests/test_conformance.py``
 pins this differentially over the Table 2 corpus).
 
-Decoded programs are cached per ``(module, cost model)`` so repeated
-launches of the same compiled module — threshold sweeps, scheduler
-ablations, golden-trace regeneration — decode once. The cache is keyed
-weakly by module identity and validated against a structural token
-(function/block names and instruction counts), so rebuilding a module or
-appending blocks invalidates stale entries. In-place mutation of an
-existing instruction's operands is *not* tracked; compiler passes always
-run on clones before launch, which is why this is safe.
+Decoded programs are cached per ``(module, cost model)`` in the module's
+``"decode"`` cache (:func:`~repro.ir.function.module_cache`), so
+repeated launches of the same compiled module — threshold sweeps,
+scheduler ablations, golden-trace regeneration — decode once, and
+rebuilding a module or appending blocks invalidates stale entries.
+In-place mutation of an existing instruction's operands is *not*
+tracked; compiler passes always run on clones before launch, which is
+why this is safe.
 
 On top of the per-instruction decode, :meth:`DecodedProgram.segment_at`
 exposes the block's straight-line *segments* for the fused execution layer
@@ -47,10 +47,9 @@ from __future__ import annotations
 import weakref
 
 from repro.errors import SimulationError
-from repro.ir.function import structure_token
+from repro.ir.function import module_cache
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
-from repro.simt import memo as launch_memo
 from repro.simt.barrier_state import ALL_MEMBERS
 from repro.simt.costs import cost_key
 from repro.simt.executor import (
@@ -815,11 +814,10 @@ class DecodedProgram:
     """
 
     def __init__(self, module, cost_model):
-        # Weak: the decode cache keys on the module, so a strong reference
-        # here would keep every decoded module alive forever.
+        # Weak: the program lives in its module's cache, so a strong
+        # reference here would keep the module alive forever.
         self._module = weakref.ref(module)
         self.cost_model = cost_model
-        self.token = structure_token(module)
         self._blocks = {}    # (function name, block name) -> tuple of decoded
         self._segments = {}  # (function name, block name) -> SegmentTable
 
@@ -869,37 +867,14 @@ class DecodedProgram:
         return entries
 
 
-#: module -> {cost key: DecodedProgram}; weak so dead modules free decodes.
-_DECODE_CACHE = weakref.WeakKeyDictionary()
-
-
 def decode_program(module, cost_model):
     """The (cached) :class:`DecodedProgram` for ``module``/``cost_model``."""
-    try:
-        per_module = _DECODE_CACHE.setdefault(module, {})
-    except TypeError:
-        # Module not weak-referenceable: decode without caching.
-        ENGINE_COUNTERS.fastpath_decode_cache_miss += 1
-        return DecodedProgram(module, cost_model)
+    programs = module_cache(module, "decode")
     key = cost_key(cost_model)
-    program = per_module.get(key)
-    if program is None or program.token != structure_token(module):
+    program = programs.get(key)
+    if program is None:
         ENGINE_COUNTERS.fastpath_decode_cache_miss += 1
-        program = DecodedProgram(module, cost_model)
-        per_module[key] = program
+        program = programs[key] = DecodedProgram(module, cost_model)
     else:
         ENGINE_COUNTERS.fastpath_decode_cache_hit += 1
     return program
-
-
-def clear_decode_cache():
-    """Drop every cached decode (tests and long-lived servers).
-
-    Compiled segment code lives on the segments the decode cache owns,
-    so the code cache is dropped in the same breath, and so is the
-    launch memo: after a clear, every launch simulates again."""
-    _DECODE_CACHE.clear()
-    from repro.simt.jit import clear_code_cache
-
-    clear_code_cache()
-    launch_memo.clear()

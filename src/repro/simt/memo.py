@@ -14,7 +14,8 @@ The key:
 
 * the program: sha256 of the module's printed IR
   (:func:`repro.ir.printer.format_module`), computed once per module
-  object (again only if its structure token changes), so two modules with
+  object (again only if its structure changes, see
+  :func:`~repro.ir.function.module_cache`), so two modules with
   identical IR share entries;
 * the kernel name, the thread count and the ``repr`` of the arguments;
 * the digest of the initial memory cells (:meth:`GlobalMemory.digest`);
@@ -33,12 +34,11 @@ An entry holds no copy of memory: the key holds a digest of the initial
 cells and the entry only the cells the launch changed (its write delta).
 It also holds the launch's profiler, its threads with their store
 traces, its CTA context and its flight recorder. None of these reaches
-the module (fused segments reach its functions, not the module), which
-matters because the module holds the entry table: an entry that reached
-its module would never be freed. The entries of one program digest sit
-in one table that every module with that digest holds, so they are
-freed with the last such module; :func:`clear` (called by
-:func:`repro.simt.fastpath.clear_decode_cache`) drops them all.
+the module (fused segments reach its functions, not the module), as the
+module cache's lifetime rule requires. The entries of one program
+digest sit in one table that the ``"launch_memo"`` cache of every module
+with that digest holds, so they are freed with the last such module;
+``clear_module_caches("launch_memo")`` drops them all.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ import hashlib
 import weakref
 
 from repro.engine import current_engine
-from repro.ir.function import structure_token
+from repro.ir.function import module_cache
 from repro.ir.printer import format_module
 from repro.obs.recorder import resolve_level
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import CostModel, cost_key
 from repro.simt.memory import GlobalMemory
 
-__all__ = ["Memo", "MemoEntry", "clear", "lookup", "stats"]
+__all__ = ["Memo", "MemoEntry", "lookup", "stats"]
 
 _ARG_TYPES = (int, float, bool)
 
@@ -65,10 +65,7 @@ class _Entries(dict):
     __slots__ = ("__weakref__",)
 
 
-#: module -> (structure token, the entry table of its digest); holding
-#: the table here is what keeps it alive
-_BY_MODULE = weakref.WeakKeyDictionary()
-#: program digest -> entry table, while some module holds it
+#: program digest -> entry table, while some module's cache holds it
 _BY_DIGEST = weakref.WeakValueDictionary()
 
 
@@ -95,33 +92,31 @@ class Memo:
 
     def __init__(self, entries, key, memory):
         self.entry = entries.get(key)
-        self._entries = entries
+        # Weak: only module caches may hold a table. A traceback that
+        # keeps a failed launch's frame alive would otherwise keep the
+        # table, out of reach of clear_module_caches, for the next
+        # module with the same digest to adopt.
+        self._entries = weakref.ref(entries)
         self._key = key
         # Only a miss needs the initial cells, to find its writes.
         self._before = memory.snapshot() if self.entry is None else None
 
     def store(self, result):
-        """Record the finished launch ``result``."""
-        writes = result.memory.changes_since(self._before)
+        """Record the finished launch ``result`` (unless its table was
+        dropped while it ran)."""
+        entries = self._entries()
+        if entries is not None:
+            writes = result.memory.changes_since(self._before)
+            entries[self._key] = MemoEntry(result, writes)
         self._before = None
-        self._entries[self._key] = MemoEntry(result, writes)
 
 
 def _entries(module):
-    """The entry table for ``module``'s program digest, or None when the
-    module cannot be held weakly."""
-    token = structure_token(module)
-    try:
-        cached = _BY_MODULE.get(module)
-    except TypeError:
-        return None
-    if cached is not None and cached[0] == token:
-        return cached[1]
+    """The entry table for ``module``'s program digest."""
     digest = hashlib.sha256(format_module(module).encode()).digest()
     entries = _BY_DIGEST.get(digest)
     if entries is None:
         entries = _BY_DIGEST[digest] = _Entries()
-    _BY_MODULE[module] = (token, entries)
     return entries
 
 
@@ -141,9 +136,6 @@ def lookup(machine, kernel_name, n_threads, args, memory):
     engine = current_engine()
     if not engine.fastpath:
         return None
-    entries = _entries(machine.module)
-    if entries is None:
-        return None
     key = (
         kernel_name,
         n_threads,
@@ -156,6 +148,8 @@ def lookup(machine, kernel_name, n_threads, args, memory):
         engine,
         resolve_level(machine.flight_recorder),
     )
+    module = machine.module
+    entries = module_cache(module, "launch_memo", lambda: _entries(module))
     return Memo(entries, key, memory)
 
 
@@ -166,11 +160,3 @@ def stats():
         "programs": len(tables),
         "entries": sum(len(table) for table in tables),
     }
-
-
-def clear():
-    """Drop every recorded launch and every cached program digest."""
-    for table in list(_BY_DIGEST.values()):
-        table.clear()
-    _BY_DIGEST.clear()
-    _BY_MODULE.clear()

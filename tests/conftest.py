@@ -7,7 +7,7 @@
 
 import pytest
 
-from repro.simt import memo as launch_memo
+from repro.ir.function import clear_module_caches
 
 
 def pytest_addoption(parser):
@@ -30,4 +30,4 @@ def _fresh_launch_memo():
     """Each test starts with an empty launch memo (repro.simt.memo), so a
     launch repeated from an earlier test simulates: only repeats inside
     one test are served from the memo."""
-    launch_memo.clear()
+    clear_module_caches("launch_memo")

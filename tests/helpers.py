@@ -335,15 +335,17 @@ def _oracle_defs_before_use(function):
 
 def oracle_verify_module(module):
     """The reference ``verify_module``: raises the same
-    :class:`VerifierError` messages as the verifier it replaced."""
+    :class:`VerifierError` messages as the verifier it replaced, checking
+    operand shapes before targets (a call's callee is read only once its
+    shape is known to be good)."""
     for function in module:
         if not function.blocks:
             verifier._fail(function, None, "function has no blocks")
         _oracle_terminators(function)
-        _oracle_targets(function, module)
         for block in function.blocks:
             for instr in block:
                 _oracle_operand_shapes(function, block, instr)
+        _oracle_targets(function, module)
         _oracle_defs_before_use(function)
     return True
 

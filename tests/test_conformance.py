@@ -42,6 +42,7 @@ from repro.errors import DeadlockError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
 from repro.ir import parse_module
+from repro.ir.function import clear_module_caches
 from repro.obs import counters as obs_counters
 from repro.simt import (
     CTAContext,
@@ -53,7 +54,6 @@ from repro.simt import (
     StackGPUMachine,
 )
 from repro.simt import machine as machine_module
-from repro.simt import memo as launch_memo
 from repro.simt.executor import Executor
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
@@ -766,7 +766,7 @@ class TestBarrierDrainConformance:
         )
         monkeypatch.setattr(machine_module, "Executor", _AlwaysDrainExecutor)
         # The drained launches must simulate, not replay ``expected``.
-        launch_memo.clear()
+        clear_module_caches("launch_memo")
         for config in (REFERENCE, ALL_ON):
             with _using(config):
                 drained = GPUMachine(module, scheduler=scheduler).launch(
@@ -905,7 +905,7 @@ class TestRandomKernelConformance:
             # Identical IR shares launch-memo entries; the explicit
             # module must simulate to show the printed IR is all that
             # execution depends on.
-            launch_memo.clear()
+            clear_module_caches("launch_memo")
             explicit_run = GPUMachine(explicit.module).launch("k", 32)
             assert _fingerprint(explicit_run) == _fingerprint(legacy_run), mode
 

@@ -114,6 +114,18 @@ class TestOperandShapes:
         with pytest.raises(VerifierError):
             verify_function(fn, check_defs=False)
 
+    @pytest.mark.parametrize(
+        "operands", [(), (Imm(1),)], ids=["no-operands", "imm-callee"]
+    )
+    def test_call_must_name_a_function(self, operands):
+        module = Module("m")
+        module.add(_kernel_with(
+            [Instruction(Opcode.CALL, None, list(operands)),
+             Instruction(Opcode.EXIT)]
+        ))
+        with pytest.raises(VerifierError, match="call must name a function"):
+            verify_module(module, check_defs=False)
+
     def test_call_optional_dst_ok(self):
         module = Module("m")
         helper = Function("h")

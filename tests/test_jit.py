@@ -16,12 +16,13 @@ from repro.core import compile_sr
 from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
+from repro.ir.function import clear_module_caches
 from repro.ir.instructions import Opcode
 from repro.obs import counters as obs_counters
 from repro.simt import DEFAULT_COST_MODEL, GPUMachine, GlobalMemory
 from repro.simt import jit as jit_module
 from repro.simt import memo as launch_memo
-from repro.simt.fastpath import clear_decode_cache, decode_program
+from repro.simt.fastpath import decode_program
 
 #: Straight-line kernel: one fused segment, executed once per launch.
 STRAIGHT = """
@@ -57,14 +58,16 @@ kernel k() {
 @pytest.fixture
 def segments_on():
     """Compiled segments on (with the fast path they build on), whatever
-    the environment, with an empty decode and code cache; everything is
-    restored afterwards."""
-    clear_decode_cache()
+    the environment, with empty module caches and code cache; everything
+    is restored afterwards."""
+    clear_module_caches()
+    jit_module.clear_code_cache()
     try:
         with engine_config(fastpath=True, segments=True):
             yield
     finally:
-        clear_decode_cache()
+        clear_module_caches()
+        jit_module.clear_code_cache()
 
 
 def _compiled(source):
@@ -117,7 +120,7 @@ class TestCodeCache:
         # Steady state: the compiled fn lives on the cached segment, so
         # re-running neither lowers nor compiles. (Emptying the launch
         # memo makes the re-run simulate instead of replaying.)
-        launch_memo.clear()
+        clear_module_caches("launch_memo")
         before = obs_counters.snapshot()
         launch, memory_b = _run(compiled)
         moved = _moved(before)
@@ -138,7 +141,7 @@ class TestCodeCache:
 
         # Identical IR shares launch-memo entries: empty the memo so the
         # second copy simulates.
-        launch_memo.clear()
+        clear_module_caches("launch_memo")
         before = obs_counters.snapshot()
         launch_b, memory_b = _run(second)
         moved = _moved(before)
@@ -159,11 +162,17 @@ class TestCodeCache:
             assert launch.store_traces() == reference.store_traces()
             assert launch.cycles == reference.cycles
 
-    def test_clear_decode_cache_clears_code_cache(self, segments_on):
+    def test_clearing_caches_frees_compiled_segments(self, segments_on):
+        """The compiled segments live in their module's decode cache:
+        clearing the module caches frees them, and clearing the code
+        cache drops the shared code."""
         compiled = _compiled(STRAIGHT)
         _run(compiled)
         assert jit_module.CODE_CACHE.stats()["segments"] > 0
-        clear_decode_cache()
+        clear_module_caches()
+        gc.collect()
+        assert jit_module.CODE_CACHE.stats() == {"segments": 0, "sources": 1}
+        jit_module.clear_code_cache()
         assert jit_module.CODE_CACHE.stats() == {"segments": 0, "sources": 0}
 
 
@@ -227,7 +236,7 @@ class TestDeopt:
         # The veto is cached: re-running neither retries codegen nor
         # compiles, and results stay correct. (Emptying the launch memo
         # makes the re-run simulate.)
-        launch_memo.clear()
+        clear_module_caches("launch_memo")
         before = obs_counters.snapshot()
         _, memory2 = _run(compiled)
         moved = _moved(before)

@@ -17,6 +17,7 @@ import pytest
 from repro import compile_kernel_source, compile_sr
 from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
+from repro.ir.function import clear_module_caches
 from repro.obs import ListSink
 from repro.obs import counters as obs_counters
 from repro.obs.counters import COUNTERS
@@ -121,7 +122,7 @@ class TestHit:
         first = _launch(module, n_threads)
         hit = _launch(module, n_threads)
         assert hits() == 1
-        launch_memo.clear()
+        clear_module_caches("launch_memo")
         fresh = _launch(module, n_threads)
         assert hits() == 1
         assert _fingerprint(hit) == _fingerprint(fresh)
@@ -315,13 +316,26 @@ class TestErrors:
         assert moved["launch.memo_hits"] == 0
         assert launch_memo.stats()["entries"] == 0
 
-    def test_clear_decode_cache_clears_the_memo(self, fast, hits):
-        from repro.simt.fastpath import clear_decode_cache
+    def test_failed_launch_keeps_no_table_past_a_clear(self, fast, hits):
+        """A traceback that outlives a failed launch (here held on
+        purpose, elsewhere by a cycle awaiting collection) keeps the
+        launch frame alive. It must not keep the program's entry table
+        alive too, or a later module with the same IR would adopt the
+        table and replay launches recorded after the clear."""
+        with pytest.raises(LaunchError) as failed:
+            _launch(_module(), max_issues=10)
+        clear_module_caches("launch_memo")
+        _launch(_module())
+        clear_module_caches("launch_memo")
+        _launch(_module())
+        assert hits() == 0
+        assert failed.value is not None
 
+    def test_clearing_module_caches_clears_the_memo(self, fast, hits):
         module = _module()
         _launch(module)
         assert launch_memo.stats()["entries"] == 1
-        clear_decode_cache()
+        clear_module_caches()
         assert launch_memo.stats()["entries"] == 0
         _launch(module)
         assert hits() == 0

@@ -33,8 +33,9 @@ from repro.core import (
     pipeline_for_mode,
     record_pipeline_trace,
 )
-from repro.core.program_cache import ProgramCache
-from repro.errors import TransformError
+from repro.engine import engine_config
+from repro.errors import ConfigError, TransformError
+from repro.obs import counters as obs_counters
 from repro.ir.printer import format_module
 
 from .helpers import diamond_function
@@ -375,58 +376,109 @@ class TestBisector:
         assert result.pass_index == 0
 
 
-class TestProgramCachePipelineKeys:
-    # Satellite: pipeline description / pass options are part of the key.
+@pytest.fixture
+def cache_moves():
+    """The compile cache on, whatever the environment; yields a function
+    returning the ``(hits, misses)`` counted since the test started."""
+    with engine_config(compile_cache=True):
+        before = obs_counters.snapshot()
 
-    def test_distinct_pipelines_distinct_entries(self):
-        cache = ProgramCache()
+        def moved():
+            delta = obs_counters.delta(obs_counters.snapshot(), before)
+            return delta["program_cache.hit"], delta["program_cache.miss"]
+
+        yield moved
+
+
+class TestProgramCachePipelineKeys:
+    # The pipeline description and pass options are part of the key.
+
+    def test_distinct_pipelines_distinct_entries(self, cache_moves):
         module = predicted_module()
-        a = cache.compile(module, mode="sr")
-        b = cache.compile(
+        a = compile_cached(module, mode="sr")
+        b = compile_cached(
             module, mode="sr",
             pipeline="collect-predictions,pdom-sync,sr-insert,"
                      "deconflict[static],strip-directives,allocate,verify",
         )
-        assert cache.stats() == {"hits": 0, "misses": 2}
+        assert cache_moves() == (0, 2)
         assert a is not b
 
-    def test_pass_option_changes_distinct_entries(self):
-        cache = ProgramCache()
+    def test_pass_option_changes_distinct_entries(self, cache_moves):
         module = predicted_module()
-        cache.compile(module, pipeline="strip-directives,allocate")
-        cache.compile(
-            module, pipeline="strip-directives,allocate,verify"
-        )
-        assert cache.misses == 2
+        compile_cached(module, pipeline="strip-directives,allocate")
+        compile_cached(module, pipeline="strip-directives,allocate,verify")
+        assert cache_moves() == (0, 2)
 
-    def test_repeated_compile_hits(self):
-        cache = ProgramCache()
+    def test_repeated_compile_hits(self, cache_moves):
         module = predicted_module()
         pipeline = "pdom-sync,strip-directives,allocate,verify"
-        first = cache.compile(module, mode="baseline", pipeline=pipeline)
-        second = cache.compile(module, mode="baseline", pipeline=pipeline)
+        first = compile_cached(module, mode="baseline", pipeline=pipeline)
+        second = compile_cached(module, mode="baseline", pipeline=pipeline)
         assert first is second
-        assert cache.stats() == {"hits": 1, "misses": 1}
+        assert cache_moves() == (1, 1)
 
-    def test_env_pipeline_distinguishes_entries(self, monkeypatch):
-        cache = ProgramCache()
+    def test_env_pipeline_distinguishes_entries(self, cache_moves,
+                                                monkeypatch):
         module = predicted_module()
-        cache.compile(module, mode="sr")
+        compile_cached(module, mode="sr")
         monkeypatch.setenv("REPRO_PIPELINE", "strip-directives,verify")
-        program = cache.compile(module, mode="sr")
-        assert cache.misses == 2
+        program = compile_cached(module, mode="sr")
+        assert cache_moves() == (0, 2)
         assert program.report.pipeline == "strip-directives,verify"
         monkeypatch.delenv("REPRO_PIPELINE")
-        assert cache.compile(module, mode="sr").report.pipeline != (
+        assert compile_cached(module, mode="sr").report.pipeline != (
             "strip-directives,verify"
         )
-        assert cache.hits == 1
+        assert cache_moves() == (1, 2)
 
     def test_compile_cached_forwards_pipeline(self):
         program = compile_cached(
             predicted_module(), mode="sr", pipeline="strip-directives,verify"
         )
         assert program.report.pipeline == "strip-directives,verify"
+
+
+class TestCompileCacheOff:
+    def test_each_call_compiles_afresh(self):
+        """With the compile cache off every call compiles, counts one
+        miss, and prints the same IR as the cached compile."""
+        module = predicted_module()
+        with engine_config(compile_cache=True):
+            cached = compile_cached(module, mode="sr")
+        with engine_config(compile_cache=False):
+            before = obs_counters.snapshot()
+            first = compile_cached(module, mode="sr")
+            second = compile_cached(module, mode="sr")
+            moved = obs_counters.delta(obs_counters.snapshot(), before)
+        assert moved["program_cache.miss"] == 2
+        assert moved["program_cache.hit"] == 0
+        assert len({id(cached), id(first), id(second)}) == 3
+        assert format_module(first.module) == format_module(cached.module)
+        assert format_module(second.module) == format_module(cached.module)
+
+
+class TestDebugFlags:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("", False), ("0", False), ("Off", False), ("1", True),
+         ("TRUE", True), (" on ", True)],
+    )
+    def test_spellings(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_VERIFY_EACH_PASS", raw)
+        monkeypatch.setenv("REPRO_PRINT_AFTER_ALL", raw)
+        manager = PassManager("verify")
+        assert manager.verify_each is expected
+        assert manager.print_after_all is expected
+
+    @pytest.mark.parametrize(
+        "name", ["REPRO_VERIFY_EACH_PASS", "REPRO_PRINT_AFTER_ALL"]
+    )
+    @pytest.mark.parametrize("raw", ["2", "yes", "maybe"])
+    def test_bad_values_name_the_variable(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigError, match=name):
+            PassManager("verify")
 
 
 class TestPassContext:

@@ -22,7 +22,8 @@ import json
 import pytest
 
 from repro import compile_kernel_source, compile_sr
-from repro.errors import LaunchError, SimulationError
+from repro.engine import engine_config
+from repro.errors import ConfigError, LaunchError, SimulationError
 from repro.obs import IssueEvent, ListSink
 from repro.obs import counters as obs_counters
 from repro.obs.chrome_trace import (
@@ -32,6 +33,7 @@ from repro.obs.chrome_trace import (
     span_trace_events,
 )
 from repro.obs.counters import COUNTERS, ENGINE_COUNTERS, EngineCounters
+from repro.obs import recorder as recorder_module
 from repro.obs.recorder import (
     FlightRecorder,
     dump_post_mortem,
@@ -41,7 +43,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.sinks import JsonlSink, ambient_sink, set_ambient_sink
 from repro.obs.spans import Span
-from repro.simt import GPUMachine
+from repro.simt import DEFAULT_COST_MODEL, GPUMachine
 from repro.workloads import get_workload
 
 DIVERGENT = """
@@ -120,17 +122,22 @@ class TestCounterRegistry:
         assert "segments.coverage" not in obs_counters.snapshot()
 
     def test_decode_and_program_cache_counters_move(self):
-        from repro.core.program_cache import PROGRAM_CACHE, compile_cached
+        from repro.core.program_cache import compile_cached
         from repro.frontend.parser import compile_kernel_source as cks
+        from repro.simt.fastpath import decode_program
 
         module = cks(DIVERGENT)
-        PROGRAM_CACHE.clear()
         before = obs_counters.snapshot()
-        compile_cached(module, mode="sr", threshold=8)
-        compile_cached(module, mode="sr", threshold=8)
+        with engine_config(compile_cache=True):
+            compiled = compile_cached(module, mode="sr", threshold=8)
+            assert compile_cached(module, mode="sr", threshold=8) is compiled
+        decode_program(compiled.module, DEFAULT_COST_MODEL)
+        decode_program(compiled.module, DEFAULT_COST_MODEL)
         moved = obs_counters.delta(obs_counters.snapshot(), before)
-        assert moved["program_cache.miss"] >= 1
-        assert moved["program_cache.hit"] >= 1
+        assert moved["program_cache.miss"] == 1
+        assert moved["program_cache.hit"] == 1
+        assert moved["fastpath.decode_cache_miss"] == 1
+        assert moved["fastpath.decode_cache_hit"] == 1
 
     def test_launch_increments_global_registry(self):
         machine = GPUMachine(_sr_module())
@@ -306,6 +313,28 @@ class TestFlightRecorder:
 
 # ---------------------------------------------------------------------------
 # Sinks: error-path finalization + ambient install
+
+
+class TestRecorderLevelFromEnv:
+    @pytest.mark.parametrize(
+        "raw, level",
+        [("", "on"), ("0", "off"), ("OFF", "off"), ("false", "off"),
+         ("none", "off"), ("1", "on"), ("true", "on"), ("on", "on"),
+         ("verbose", "verbose"), ("2", "verbose"), (" Full ", "verbose")],
+    )
+    def test_spellings(self, monkeypatch, raw, level):
+        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", raw)
+        assert recorder_module._level_from_env() == level
+
+    def test_unset_is_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FLIGHT_RECORDER", raising=False)
+        assert recorder_module._level_from_env() == "on"
+
+    @pytest.mark.parametrize("raw", ["yes", "loud", "3"])
+    def test_unknown_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", raw)
+        with pytest.raises(ConfigError, match="REPRO_FLIGHT_RECORDER"):
+            recorder_module._level_from_env()
 
 
 class TestSinkFinalization:
@@ -514,6 +543,26 @@ class TestObservedRunner:
         finally:
             set_recorder_level(previous)
             shutdown_pool()
+
+    def test_run_tasks_counts_pool_launches(self):
+        """``run_tasks`` folds pool workers' engine counters into the
+        parent, so a sweep moves ``launch.count`` equally at any jobs."""
+        from repro.harness.parallel import run_tasks, shutdown_pool, task
+
+        tasks = [task(_tiny_run, mode)
+                 for mode in ("baseline", "sr", "baseline", "sr")]
+        moved, results = {}, {}
+        try:
+            for jobs in (1, 2):
+                before = obs_counters.snapshot()
+                results[jobs] = run_tasks(tasks, jobs=jobs)
+                moved[jobs] = obs_counters.delta(
+                    obs_counters.snapshot(), before
+                )["launch.count"]
+        finally:
+            shutdown_pool()
+        assert results[1] == results[2]
+        assert moved[1] == moved[2] == 4
 
     def test_events_capture_rides_the_report(self):
         from repro.harness.parallel import run_tasks_observed, task

@@ -30,9 +30,10 @@ from repro.frontend import compile_kernel_source
 from repro.harness import parallel
 from repro.harness.parallel import run_tasks, shutdown_pool, task
 from repro.ir import parse_module
+from repro.ir.function import clear_module_caches
 from repro.simt import CTAContext, GPUMachine, GlobalMemory
 from repro.simt.profiler import MULTIWARP_COUNTERS
-from repro.analysis.memeffects import classify_launch, clear_launch_cache
+from repro.analysis.memeffects import classify_launch
 from tests.helpers import split_engine
 
 # ----------------------------------------------------------------------
@@ -146,11 +147,11 @@ class TestClassifyLaunch:
 
     def test_classification_is_cached_per_launch_shape(self):
         module = _module(TID_STORE)
-        clear_launch_cache()
+        clear_module_caches("launch_class")
         first = classify_launch(module, "k", (0,), 96)
         again = classify_launch(module, "k", (0,), 96)
         assert first == again == "disjoint"
-        clear_launch_cache()
+        clear_module_caches("launch_class")
         assert classify_launch(module, "k", (0,), 96) == "disjoint"
 
 
