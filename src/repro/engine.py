@@ -18,7 +18,8 @@ grid           ``REPRO_GRID``           on
 ============== ======================== =======
 
 Other ``REPRO_*`` names are ignored, among them the retired layers'
-``REPRO_SOA``, ``REPRO_SPEC``, ``REPRO_JIT`` and ``REPRO_JIT_THRESHOLD``.
+``REPRO_SOA``, ``REPRO_SPEC``, ``REPRO_JIT`` and ``REPRO_JIT_THRESHOLD``,
+and the retired flight recorder's ``REPRO_FLIGHT_RECORDER``.
 
 The process-wide config is parsed from the environment once, at import,
 and :func:`current_engine` returns it. :func:`engine_config` overrides

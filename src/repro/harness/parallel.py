@@ -15,14 +15,14 @@ it, later calls reuse it, so a session of many small sweeps (threshold
 scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. Workers snapshot their settings when they start,
 so the pool is keyed by everything that shapes worker behaviour: the
-worker count, the ``REPRO_*`` environment, the process-wide
+worker count, the ``REPRO_*`` environment and the process-wide
 :class:`~repro.engine.EngineConfig` (one frozen, hashable value, so a
-field added to it is in the key automatically) and the flight-recorder
-level. When the key changes, the pool is transparently torn down and
-restarted. The pool initializer installs the parent's engine config and
-recorder level in every worker, so an ``engine_config(...)`` override
-reaches the workers under both the ``fork`` and the ``spawn`` start
-method (spawned workers would otherwise re-parse the environment).
+field added to it is in the key automatically). When the key changes,
+the pool is transparently torn down and restarted. The pool initializer
+installs the parent's engine config in every worker, so an
+``engine_config(...)`` override reaches the workers under both the
+``fork`` and the ``spawn`` start method (spawned workers would otherwise
+re-parse the environment).
 :func:`shutdown_pool` retires the pool explicitly (also registered
 ``atexit``), and a worker exception terminates the pool before
 propagating so no half-poisoned workers outlive the error. A worker that
@@ -61,7 +61,6 @@ from repro import engine as _engine
 from repro.engine import current_engine, parse_int
 from repro.errors import WorkerError
 from repro.obs import counters as _counters
-from repro.obs import recorder as _recorder
 from repro.obs.counters import ENGINE_COUNTERS
 
 __all__ = [
@@ -101,20 +100,19 @@ _POOL_KEY = None
 
 def _pool_key(jobs):
     """Everything a worker snapshots that a later sweep may have changed:
-    the worker count, REPRO_* environment variables, the engine config
-    and the flight-recorder level."""
+    the worker count, REPRO_* environment variables and the engine
+    config."""
     env = tuple(sorted(
         (key, value)
         for key, value in os.environ.items()
         if key.startswith("REPRO_")
     ))
-    return (jobs, env, current_engine(), _recorder.RECORDER_LEVEL)
+    return (jobs, env, current_engine())
 
 
-def _init_worker(config, recorder_level):
-    """Pool initializer: give the worker the parent's settings."""
+def _init_worker(config):
+    """Pool initializer: give the worker the parent's engine config."""
     _engine._install(config)
-    _recorder.set_recorder_level(recorder_level)
 
 
 def _workers(pool):
@@ -157,12 +155,11 @@ def _acquire_pool(jobs):
         context = multiprocessing.get_context("fork")
     except ValueError:
         context = multiprocessing.get_context("spawn")
-    _jobs, _env, config, recorder_level = key
     _POOL = ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(config, recorder_level),
+        initargs=(key[2],),
     )
     _POOL_KEY = key
     return _POOL

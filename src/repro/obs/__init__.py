@@ -16,9 +16,9 @@ The ``repro.obs`` package instruments all three layers of the stack:
   hits, segment-fusion coverage, how multi-warp launches ran, analysis cache
   traffic, worker-pool reuse — snapshot/diff/merge, rendered by
   ``python -m repro.tools.stats``;
-* **flight recorder** — a bounded ring of recent engine decisions per
-  launch (:mod:`repro.obs.recorder`), dumped as a structured post-mortem
-  on ``LaunchError``/deadlock;
+* **post-mortems** — a structured report of each failed launch
+  (:mod:`repro.obs.recorder`), attached to its ``LaunchError`` or
+  ``DeadlockError``;
 * **export** — Chrome Trace Event Format for ``chrome://tracing`` /
   Perfetto (:mod:`repro.obs.chrome_trace`), including merged
   multi-worker timelines, and the ``python -m repro.tools.trace`` CLI.
@@ -40,13 +40,7 @@ from repro.obs.counters import (
     EngineCounters,
     counter_layers,
 )
-from repro.obs.recorder import (
-    FlightRecorder,
-    attach_post_mortem,
-    make_recorder,
-    recorder_level,
-    set_recorder_level,
-)
+from repro.obs.recorder import attach_post_mortem
 from repro.obs.events import (
     BarrierArriveEvent,
     BarrierReleaseEvent,
@@ -86,7 +80,6 @@ __all__ = [
     "ENGINE_COUNTERS",
     "EngineCounters",
     "EventSink",
-    "FlightRecorder",
     "Histogram",
     "IRStats",
     "IssueEvent",
@@ -107,12 +100,9 @@ __all__ = [
     "attach_post_mortem",
     "chrome_trace",
     "counter_layers",
-    "make_recorder",
     "merged_worker_trace",
     "module_stats",
-    "recorder_level",
     "set_ambient_sink",
-    "set_recorder_level",
     "simulator_trace_events",
     "span_trace_events",
     "write_chrome_trace",

@@ -19,9 +19,10 @@ disjoint it is also equal to every other order — which
 licenses sharding CTA ranges across the persistent worker pool
 (:mod:`repro.harness.parallel`). Workers receive the module as IR text
 (re-parsed and cached per process), run their CTA range against a private
-copy of the launch memory, and ship back per-CTA traces plus their final
-cells; the parent merges each worker's write-delta (disjoint by proof) and
-folds worker engine counters through the PR-6
+copy of the launch memory, and ship back per-CTA traces plus the cells
+their range changed (:meth:`GlobalMemory.changes_since`); the parent
+applies each worker's write-delta (disjoint by proof) in chunk order and
+folds worker engine counters through the
 :func:`~repro.harness.parallel.run_tasks_observed` aggregation path.
 ``REPRO_GRID=0`` (or ``engine_config(grid=False)``, :mod:`repro.engine`)
 forces the serial in-process CTA loop, as do ``jobs<=1``, a single CTA,
@@ -49,7 +50,6 @@ from repro.engine import current_engine
 from repro.errors import LaunchError
 from repro.obs import counters as _counters
 from repro.obs.counters import ENGINE_COUNTERS
-from repro.obs.recorder import make_recorder
 from repro.simt.cta import CTAContext
 from repro.simt.machine import GPUMachine
 from repro.simt.memory import GlobalMemory
@@ -92,7 +92,6 @@ class GridResult:
     jobs: int
     classification: str
     counters: dict = field(default=None, repr=False)
-    flight_recorder: object = field(default=None, repr=False)
 
     @property
     def simt_efficiency(self):
@@ -182,21 +181,20 @@ def _cta_record(cta_id, result):
 
 def _run_cta_range(
     module_text, module_name, kernel_name, args, cta_ids,
-    grid_dim, cta_dim, shared_words, memory_state, machine_kwargs,
+    grid_dim, cta_dim, shared_words, before, machine_kwargs,
 ):
-    """Run a contiguous CTA range against a private copy of the launch
-    memory; return ``(records, final_cells)``.
+    """Run a contiguous CTA range on a private memory holding ``before``,
+    the parent's pre-launch cells (a kernel never allocates, so the cells
+    are all a CTA can see); return ``(records, writes)``, where
+    ``writes`` are the cells the range changed, in the order they
+    appeared.
 
-    The worker's memory starts from the parent's pre-launch state, so a
-    disjoint-proven CTA sees exactly what it would have seen in-process
+    A disjoint-proven CTA sees exactly what it would have seen in-process
     (it never reads another CTA's writes — that is what ``"disjoint"``
-    means). The parent merges each worker's write-delta afterwards.
+    means). The parent applies each worker's writes afterwards.
     """
-    cells, next_free, regions = memory_state
     memory = GlobalMemory()
-    memory._cells = dict(cells)
-    memory._next_free = next_free
-    memory._regions = dict(regions)
+    memory.apply(before)
     module = _worker_module(module_text, module_name)
     machine = GPUMachine(module, **machine_kwargs)
     records = []
@@ -209,7 +207,7 @@ def _run_cta_range(
             kernel_name, cta_dim, args, memory=memory, cta=cta
         )
         records.append(_cta_record(cta_id, result))
-    return records, memory._cells
+    return records, memory.changes_since(before)
 
 
 def _chunk(items, parts):
@@ -235,8 +233,7 @@ class GridLaunch:
     :func:`repro.engine.current_engine`, which pool workers receive from
     the parent. When the launch shards onto the worker pool the kwargs
     cross a process boundary, so they must be plain picklable values
-    there (``sink`` is parent-only and never forwarded to workers; use
-    ``REPRO_FLIGHT_RECORDER`` rather than an object).
+    there (``sink`` is parent-only and never forwarded to workers).
     """
 
     def __init__(
@@ -350,22 +347,6 @@ class GridLaunch:
             and current_engine().grid
         )
 
-        recorder = make_recorder(
-            kernel_name, total_threads,
-            self.machine_kwargs.get("flight_recorder"),
-        )
-        if recorder is not None:
-            recorder.record("grid-launch", {
-                "kernel": kernel_name,
-                "grid_dim": self.grid_dim,
-                "cta_dim": self.cta_dim,
-                "n_sms": self.n_sms,
-                "shared_words": self.shared_words,
-                "classification": classification,
-                "sharded": shard,
-                "jobs": jobs if shard else 1,
-            })
-
         before = _counters.snapshot()
         if shard:
             records = self._launch_sharded(kernel_name, args, memory, jobs)
@@ -384,13 +365,6 @@ class GridLaunch:
         counters = _counters.delta(_counters.snapshot(), before)
         counters = {name: value for name, value in counters.items() if value}
 
-        if recorder is not None:
-            recorder.record("grid-end", {
-                "cycles": grid_cycles,
-                "ctas": self.grid_dim,
-                "peak_resident_warps": peak_warps,
-            })
-
         return GridResult(
             kernel=kernel_name,
             grid_dim=self.grid_dim,
@@ -406,7 +380,6 @@ class GridLaunch:
             jobs=jobs if shard else 1,
             classification=classification,
             counters=counters,
-            flight_recorder=recorder,
         )
 
     # ------------------------------------------------------------------
@@ -433,8 +406,7 @@ class GridLaunch:
 
         module_text = format_module(self.module)
         module_name = getattr(self.module, "name", "module")
-        base_cells = dict(memory._cells)
-        memory_state = (base_cells, memory._next_free, dict(memory._regions))
+        before = memory.snapshot()
         worker_kwargs = {
             key: value for key, value in self.machine_kwargs.items()
             if key != "sink"  # parent-local object; never crosses the fork
@@ -443,20 +415,17 @@ class GridLaunch:
             task(
                 _run_cta_range, module_text, module_name, kernel_name,
                 tuple(args), chunk, self.grid_dim, self.cta_dim,
-                self.shared_words, memory_state, worker_kwargs,
+                self.shared_words, before, worker_kwargs,
             )
             for chunk in _chunk(list(range(self.grid_dim)), jobs)
         ]
         results, _reports = run_tasks_observed(tasks, jobs=jobs)
         records = []
-        for worker_records, final_cells in results:
+        for worker_records, writes in results:
             records.extend(worker_records)
-            # Merge this worker's write-delta. Disjointness proves no two
-            # workers wrote the same cell, so last-merge-wins never fires.
-            cells = memory._cells
-            for key, value in final_cells.items():
-                if key not in base_cells or base_cells[key] != value:
-                    cells[key] = value
+            # Disjointness proves no two workers wrote the same cell, and
+            # chunk order puts new cells where the serial loop would.
+            memory.apply(writes)
         records.sort(key=lambda r: r["cta_id"])
         ENGINE_COUNTERS.grid_pool_sharded_ctas += self.grid_dim
         return records

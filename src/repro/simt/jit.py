@@ -139,14 +139,14 @@ def last_executed_source():
 
 
 def jit_post_mortem():
-    """The ``extra`` dict post-mortem reports carry for launches that ran
+    """The ``jit`` section post-mortem reports carry for launches that ran
     fused segments: the generated source of the last-executed one, or
     None."""
     last = last_executed_source()
     if last is None:
         return None
     segment, source = last
-    return {"jit": {"segment": segment, "source": source}}
+    return {"segment": segment, "source": source}
 
 
 def compiled_segments():

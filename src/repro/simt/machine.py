@@ -23,7 +23,7 @@ from repro.analysis.memeffects import classify_launch, cta_coupled
 from repro.errors import DeadlockError, LaunchError, SimulationError
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.metrics import LaunchMetrics
-from repro.obs.recorder import attach_post_mortem, make_recorder
+from repro.obs.recorder import attach_post_mortem
 from repro.obs.sinks import ambient_sink
 from repro.simt import memo as launch_memo
 from repro.simt.costs import DEFAULT_COST_MODEL
@@ -54,8 +54,6 @@ class LaunchResult:
     #: per-launch engine-layer counters (Profiler.engine_counters());
     #: telemetry only, never part of the simulated result
     counters: dict = field(default=None, repr=False)
-    #: the launch's FlightRecorder (None when recording is off)
-    flight_recorder: object = field(default=None, repr=False)
     #: the CTA context the launch ran under (grid identity, shared memory)
     cta: object = field(default=None, repr=False)
 
@@ -93,7 +91,6 @@ class GPUMachine:
         trace=False,
         sink=None,
         metrics=False,
-        flight_recorder=None,
     ):
         self.module = module
         self.cost_model = cost_model or DEFAULT_COST_MODEL
@@ -107,11 +104,6 @@ class GPUMachine:
         self.trace = trace
         self.sink = sink
         self.metrics = metrics
-        # None defers to the global repro.obs.recorder level; True/False
-        # and the level strings ("on"/"off"/"verbose") force it.
-        self.flight_recorder = flight_recorder
-        #: the active launch's recorder (``_run_exclusive`` records into it)
-        self._recorder = None
 
     def launch(self, kernel_name, n_threads, args=(), memory=None, cta=None):
         kernel = self.module.function(kernel_name)
@@ -138,6 +130,7 @@ class GPUMachine:
         # single-CTA grid (cta_id 0, zero tid/warp bases), which makes a
         # flat launch bit-identical to the pre-grid engine; GridLaunch
         # passes one context per CTA with global bases.
+        cta_id = None if cta is None else cta.cta_id
         if cta is None:
             cta = CTAContext(cta_dim=n_threads)
         elif cta.cta_dim is None:
@@ -180,35 +173,19 @@ class GPUMachine:
                 executor, scheduler, kernel_name, args, n_threads, cta
             )
 
-        recorder = make_recorder(kernel_name, n_threads, self.flight_recorder)
-        self._recorder = recorder
-        if recorder is not None:
-            recorder.record(
-                "launch", {"kernel": kernel_name, "n_threads": n_threads,
-                           "warps": len(warps),
-                           "multiwarp": profiler.multiwarp}
-            )
-
         try:
             if profiler.multiwarp == "independent":
                 self._run_independent(warps, executor, scheduler, kernel_name)
             else:
                 self._run_interleaved(warps, executor, scheduler, kernel_name)
         except SimulationError as exc:
-            self._abort_launch(exc, recorder, profiler, sink)
+            abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id)
             raise
-        finally:
-            self._recorder = None
 
         profiler.finish(warps)
         counters = profiler.engine_counters()
         ENGINE_COUNTERS.merge(counters)
         ENGINE_COUNTERS.launch_count += 1
-        if recorder is not None:
-            recorder.record(
-                "launch-end",
-                {"issued": profiler.issued, "cycles": profiler.total_cycles},
-            )
         result = LaunchResult(
             kernel=kernel_name,
             n_threads=n_threads,
@@ -216,7 +193,6 @@ class GPUMachine:
             memory=memory,
             threads=all_threads,
             counters=counters,
-            flight_recorder=recorder,
             cta=cta,
         )
         if memo is not None:
@@ -238,7 +214,6 @@ class GPUMachine:
             memory=memory,
             threads=list(entry.threads),
             counters=Profiler().engine_counters(),
-            flight_recorder=entry.recorder,
             cta=entry.cta,
         )
 
@@ -340,31 +315,6 @@ class GPUMachine:
             raise first[2]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _abort_launch(exc, recorder, profiler, sink):
-        """Death rites for a launch that raised mid-kernel: account the
-        failure, attach the flight-recorder post-mortem to the error, and
-        finalize the sink so a file-backed trace keeps the events leading
-        up to the failure instead of silently losing them."""
-        ENGINE_COUNTERS.launch_errors += 1
-        if recorder is not None:
-            recorder.record(
-                "error",
-                {"type": type(exc).__name__, "issued": profiler.issued},
-            )
-        from repro.simt.jit import jit_post_mortem
-
-        # The generated source of the last-executed segment rides on the
-        # report, but only when this launch actually ran fused segments.
-        extra = jit_post_mortem() if profiler.segment_stats else None
-        attach_post_mortem(exc, recorder, extra=extra)
-        if sink is not None:
-            try:
-                sink.close()
-            except Exception:  # pragma: no cover - must not mask the error
-                pass
-
-    # ------------------------------------------------------------------
     def _run_exclusive(self, warp, executor, scheduler, issues, limit):
         """Run ``warp`` with segment fusion until it completes or
         ``issues`` reaches ``limit``; returns ``(issues, error)``, where
@@ -385,8 +335,6 @@ class GPUMachine:
         program_order = executor.program_order
         profiler = executor.profiler
         shares_state = scheduler.shares_state
-        recorder = self._recorder
-        verbose = recorder is not None and recorder.verbose
         try:
             while not warp.done and issues < limit:
                 groups = warp.groups_cache
@@ -412,11 +360,6 @@ class GPUMachine:
                     profiler.record_segment(
                         warp.warp_id, segment, len(group), cycles
                     )
-                    if verbose:
-                        recorder.record(
-                            "segment",
-                            {"warp": warp.warp_id, "pc": list(pc), "slots": n},
-                        )
                     warp.cycles += cycles
                     issues += n
                     # Segment ops cannot park, release, or split, so the
@@ -506,6 +449,29 @@ class GPUMachine:
                 (frame.fname, frame.block_name, frame.index),
             )
         return True
+
+
+def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None):
+    """Death rites for a launch that raised mid-kernel, shared by every
+    machine: account the failure, attach the post-mortem to the error
+    (:func:`~repro.obs.recorder.attach_post_mortem`; ``cta_id`` for a
+    grid CTA), and finalize the sink so a file-backed trace keeps the
+    events leading up to the failure instead of silently losing them."""
+    ENGINE_COUNTERS.launch_errors += 1
+    from repro.simt.jit import jit_post_mortem
+
+    # The generated source of the last-executed segment rides on the
+    # report, but only when this launch actually ran fused segments.
+    jit = jit_post_mortem() if profiler.segment_stats else None
+    attach_post_mortem(
+        exc, kernel_name, n_threads, -(-n_threads // WARP_SIZE), profiler,
+        cta_id, jit,
+    )
+    if sink is not None:
+        try:
+            sink.close()
+        except Exception:  # pragma: no cover - must not mask the error
+            pass
 
 
 def _carry_over(warp, groups, pc, group, new_pc):

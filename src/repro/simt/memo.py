@@ -20,7 +20,7 @@ The key:
 * the kernel name, the thread count and the ``repr`` of the arguments;
 * the digest of the initial memory cells (:meth:`GlobalMemory.digest`);
 * the scheduler name, the seed, every cost-model field and ``max_issues``;
-* :func:`~repro.engine.current_engine` and the flight-recorder level.
+* :func:`~repro.engine.current_engine`.
 
 A launch is eligible when it is flat (no ``cta``: grid CTAs always
 simulate), unobserved (no trace, no explicit or ambient sink, no metrics)
@@ -33,7 +33,7 @@ raises again.
 An entry holds no copy of memory: the key holds a digest of the initial
 cells and the entry only the cells the launch changed (its write delta).
 It also holds the launch's profiler, its threads with their store
-traces, its CTA context and its flight recorder. None of these reaches
+traces and its CTA context. None of these reaches
 the module (fused segments reach its functions, not the module), as the
 module cache's lifetime rule requires. The entries of one program
 digest sit in one table that the ``"launch_memo"`` cache of every module
@@ -49,7 +49,6 @@ import weakref
 from repro.engine import current_engine
 from repro.ir.function import module_cache
 from repro.ir.printer import format_module
-from repro.obs.recorder import resolve_level
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import CostModel, cost_key
 from repro.simt.memory import GlobalMemory
@@ -72,13 +71,12 @@ _BY_DIGEST = weakref.WeakValueDictionary()
 class MemoEntry:
     """What a recorded launch returns on a hit."""
 
-    __slots__ = ("profiler", "threads", "cta", "recorder", "writes")
+    __slots__ = ("profiler", "threads", "cta", "writes")
 
     def __init__(self, result, writes):
         self.profiler = result.profiler
         self.threads = tuple(result.threads)
         self.cta = result.cta
-        self.recorder = result.flight_recorder
         #: address -> value of every cell the launch changed, in the
         #: order the cells appear in the final memory
         self.writes = writes
@@ -146,7 +144,6 @@ def lookup(machine, kernel_name, n_threads, args, memory):
         cost_key(machine.cost_model),
         machine.max_issues,
         engine,
-        resolve_level(machine.flight_recorder),
     )
     module = machine.module
     entries = module_cache(module, "launch_memo", lambda: _entries(module))

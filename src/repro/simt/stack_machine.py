@@ -29,7 +29,7 @@ from repro.obs.metrics import LaunchMetrics
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.executor import Executor
-from repro.simt.machine import DEFAULT_MAX_ISSUES, LaunchResult
+from repro.simt.machine import DEFAULT_MAX_ISSUES, LaunchResult, abort_launch
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.warp import WARP_SIZE, Thread, Warp
@@ -123,15 +123,8 @@ class StackGPUMachine:
                         f"@{kernel_name} exceeded {self.max_issues} issue "
                         "slots; likely an infinite loop"
                     )
-        except SimulationError:
-            # Same death rites as GPUMachine: account the failure and
-            # finalize the sink so a file-backed partial trace survives.
-            ENGINE_COUNTERS.launch_errors += 1
-            if sink is not None:
-                try:
-                    sink.close()
-                except Exception:  # pragma: no cover
-                    pass
+        except SimulationError as exc:
+            abort_launch(exc, kernel_name, n_threads, profiler, sink)
             raise
 
         profiler.finish(warps)

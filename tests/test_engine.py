@@ -15,7 +15,6 @@ from repro.engine import EngineConfig, current_engine, engine_config
 from repro.errors import ConfigError
 from repro.harness import parallel
 from repro.harness.parallel import resolve_jobs, run_tasks, shutdown_pool, task
-from repro.obs.recorder import recorder_level, set_recorder_level
 
 FIELDS = [field.name for field in fields(EngineConfig)]
 
@@ -162,12 +161,6 @@ class TestPool:
             return get_context(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        previous = set_recorder_level("verbose")
-        try:
-            with engine_config(segments=False, grid=False):
-                configs = run_tasks([task(current_engine)] * 2, jobs=2)
-                levels = run_tasks([task(recorder_level)] * 2, jobs=2)
-        finally:
-            set_recorder_level(previous)
+        with engine_config(segments=False, grid=False):
+            configs = run_tasks([task(current_engine)] * 2, jobs=2)
         assert [(c.segments, c.grid) for c in configs] == [(False, False)] * 2
-        assert levels == ["verbose", "verbose"]

@@ -18,6 +18,7 @@ from repro.obs import counters as obs_counters
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.simt import (
     CTAContext,
+    GlobalMemory,
     GPUMachine,
     GridLaunch,
     SharedMemory,
@@ -296,6 +297,16 @@ kernel k() {
 }
 """
 
+#: Every store changes its cell's type (int 2 -> 2.0) or the sign of its
+#: zero (0.0 -> -0.0) without changing its value under ``==``.
+SAME_VALUE_STORES = """
+kernel k() {
+    let t = tid();
+    store(t, t * 0.0 + 2.0);
+    store(t + 128, 0.0 * -1.0);
+}
+"""
+
 
 @pytest.fixture
 def grid_sharding():
@@ -325,6 +336,22 @@ class TestSharding:
         assert (
             sharded.memory.snapshot() == serial.memory.snapshot()
         )
+
+    def test_sharded_keeps_writes_equal_by_value(self, grid_sharding):
+        # A write is a change of the cell, not of its value under ``==``:
+        # the sharded merge must keep every one the serial loop keeps.
+        module = compile_kernel_source(SAME_VALUE_STORES)
+        final = {}
+        for jobs in (1, 2):
+            memory = GlobalMemory()
+            memory.alloc_array([2] * 128 + [0.0] * 128)
+            result = GridLaunch(module, 4, 32, jobs=jobs).launch(
+                "k", memory=memory
+            )
+            assert result.sharded == (jobs == 2)
+            final[jobs] = repr(memory.snapshot())
+        assert "2.0, 128: -0.0" in final[1]
+        assert final[2] == final[1]
 
     def test_guarded_classification_stays_serial(self):
         # All threads hammer cell 0, so CTAs conflict through global

@@ -21,7 +21,6 @@ from repro.ir.function import clear_module_caches
 from repro.obs import ListSink
 from repro.obs import counters as obs_counters
 from repro.obs.counters import COUNTERS
-from repro.obs.recorder import resolve_level
 from repro.obs.sinks import set_ambient_sink
 from repro.simt import CostModel, CTAContext, GlobalMemory, GPUMachine
 from repro.simt import memo as launch_memo
@@ -186,24 +185,14 @@ class TestHit:
     @pytest.mark.parametrize("n_threads", [32, 96])
     def test_entry_does_not_keep_its_module_alive(self, fast, n_threads):
         module = _module()
-        _launch(module, n_threads, flight_recorder="on")
-        _launch(module, n_threads, flight_recorder="verbose")
+        _launch(module, n_threads)
+        _launch(module, n_threads, seed=7)
         assert launch_memo.stats() == {"programs": 1, "entries": 2}
         ref = weakref.ref(module)
         del module
         gc.collect()
         assert ref() is None
         assert launch_memo.stats() == {"programs": 0, "entries": 0}
-
-    def test_hit_returns_the_recorded_flight_recorder(self, fast, hits):
-        module = _module()
-        first = _launch(module, flight_recorder="on")
-        hit = _launch(module, flight_recorder="on")
-        assert hits() == 1
-        assert hit.flight_recorder is first.flight_recorder
-        assert [kind for _, kind, _ in hit.flight_recorder.events()] == [
-            "launch", "launch-end",
-        ]
 
 
 def _changed(module, change):
@@ -228,16 +217,13 @@ def _changed(module, change):
         return _launch(module, cost_model=CostModel(load_segment_cost=3))
     if change == "max-issues":
         return _launch(module, max_issues=10_000_000)
-    if change == "recorder":
-        level = "off" if resolve_level() != "off" else "on"
-        return _launch(module, flight_recorder=level)
     raise AssertionError(change)
 
 
 class TestKey:
     @pytest.mark.parametrize("change", [
         "seed", "memory", "args", "int-arg", "threads", "scheduler",
-        "engine", "cost-model", "max-issues", "recorder",
+        "engine", "cost-model", "max-issues",
     ])
     def test_one_changed_component_misses(self, fast, change, hits):
         module = _module()

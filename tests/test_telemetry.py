@@ -1,4 +1,4 @@
-"""Engine telemetry: layered counters, flight recorder, trace merging.
+"""Engine telemetry: layered counters, post-mortems, trace merging.
 
 Pins the observability PR's contracts:
 
@@ -7,8 +7,9 @@ Pins the observability PR's contracts:
 * launches return their own counter view, including the ``sched.*``
   attribution of serial slots that did not fuse, and fold it into the
   process registry;
-* the flight recorder is a bounded ring whose post-mortem rides on
-  launch failures, and recording never perturbs results;
+* every failure path — deadlock, issue budget, independent and
+  interleaved warps, grid CTAs serial and sharded, the stack machine —
+  raises its typed error carrying one post-mortem report;
 * sinks are finalized on the error path so partial traces survive;
 * Chrome-trace edge cases: empty traces, unclosed spans, and merged
   multi-worker streams with colliding warp tids;
@@ -23,7 +24,8 @@ import pytest
 
 from repro import compile_kernel_source, compile_sr
 from repro.engine import engine_config
-from repro.errors import ConfigError, LaunchError, SimulationError
+from repro.errors import DeadlockError, LaunchError, SimulationError
+from repro.ir import parse_module
 from repro.obs import IssueEvent, ListSink
 from repro.obs import counters as obs_counters
 from repro.obs.chrome_trace import (
@@ -33,18 +35,12 @@ from repro.obs.chrome_trace import (
     span_trace_events,
 )
 from repro.obs.counters import COUNTERS, ENGINE_COUNTERS, EngineCounters
-from repro.obs import recorder as recorder_module
-from repro.obs.recorder import (
-    FlightRecorder,
-    dump_post_mortem,
-    make_recorder,
-    recorder_level,
-    set_recorder_level,
-)
 from repro.obs.sinks import JsonlSink, ambient_sink, set_ambient_sink
 from repro.obs.spans import Span
-from repro.simt import DEFAULT_COST_MODEL, GPUMachine
+from repro.simt import DEFAULT_COST_MODEL, GPUMachine, GridLaunch
+from repro.simt.stack_machine import StackGPUMachine
 from repro.workloads import get_workload
+from tests.test_warp_batch import STAGGERED_DEADLOCK_IR
 
 DIVERGENT = """
 kernel k() {
@@ -221,120 +217,126 @@ class TestNonForcedPickCounters:
 
 
 # ---------------------------------------------------------------------------
-# Flight recorder
+# Post-mortems
+
+#: Only CTA 1 loops (all but) forever, so only it overruns a small issue
+#: budget. Every thread stores to its own cell, so the grid is proven
+#: disjoint and may shard.
+CTA1_RUNAWAY = """
+kernel k() {
+    let i = 0;
+    while (i < ctaid() * 1000000) {
+        i = i + 1;
+    }
+    store(tid(), i);
+}
+"""
+
+#: The keys every post-mortem carries.
+REPORT_KEYS = {"kernel", "n_threads", "warps", "multiwarp", "issued", "error"}
 
 
-class TestFlightRecorder:
-    def test_ring_bounds_and_orders_entries(self):
-        recorder = FlightRecorder(kernel="k", n_threads=32, capacity=4)
-        for i in range(10):
-            recorder.record("tick", i)
-        events = recorder.events()
-        assert len(events) == 4
-        assert [data for _, _, data in events] == [6, 7, 8, 9]
-        assert [seq for seq, _, _ in events] == [6, 7, 8, 9]
-        assert recorder.dropped == 6
+def _staggered_launch(n_threads, **engine):
+    """The Section 4.3 deadlock: warp ``w`` loops, then splits its lanes
+    across two soft barriers that never open."""
+    module = parse_module(STAGGERED_DEADLOCK_IR)
+    with engine_config(**engine):
+        GPUMachine(module).launch("k", n_threads)
 
-    def test_post_mortem_structure(self):
-        recorder = FlightRecorder(kernel="k", n_threads=8, capacity=8)
-        recorder.record("launch", {"n_threads": 8})
-        report = recorder.post_mortem(error=LaunchError("boom"))
+
+def _budget_launch(machine_class=GPUMachine):
+    machine_class(_sr_module(), max_issues=20).launch("k", 32)
+
+
+def _grid_launch(jobs):
+    module = compile_kernel_source(CTA1_RUNAWAY)
+    GridLaunch(module, 2, 32, jobs=jobs, max_issues=500).launch("k")
+
+
+#: id -> (launch that fails, error type, report values, ran fused segments)
+FAILURE_PATHS = {
+    "flat-deadlock": (
+        lambda: _staggered_launch(32), DeadlockError,
+        {"n_threads": 32, "warps": 1, "multiwarp": None}, True,
+    ),
+    "flat-budget": (
+        _budget_launch, LaunchError,
+        {"n_threads": 32, "warps": 1, "multiwarp": None}, True,
+    ),
+    "independent-warps": (
+        lambda: _staggered_launch(64), DeadlockError,
+        {"n_threads": 64, "warps": 2, "multiwarp": "independent"}, True,
+    ),
+    "interleaved-warps": (
+        lambda: _staggered_launch(64, segments=False), DeadlockError,
+        {"n_threads": 64, "warps": 2, "multiwarp": "engine"}, False,
+    ),
+    "grid-serial": (
+        lambda: _grid_launch(1), LaunchError,
+        {"n_threads": 32, "warps": 1, "cta_id": 1}, True,
+    ),
+    "grid-sharded": (
+        lambda: _grid_launch(2), LaunchError,
+        {"n_threads": 32, "warps": 1, "cta_id": 1}, True,
+    ),
+    "stack-machine": (
+        lambda: _budget_launch(StackGPUMachine), LaunchError,
+        {"n_threads": 32, "warps": 1, "multiwarp": None}, False,
+    ),
+}
+
+
+class TestPostMortems:
+    @pytest.mark.parametrize("path", list(FAILURE_PATHS))
+    def test_every_failure_path_reports(self, path):
+        """Every way a launch dies raises its typed error carrying one
+        report, built from the failed launch. Every engine layer is
+        pinned on, so which launches fuse does not hang on the
+        environment."""
+        launch, error_type, values, fused = FAILURE_PATHS[path]
+        with engine_config(fastpath=True, segments=True, warp_batch=True,
+                           grid=True):
+            with pytest.raises(error_type) as excinfo:
+                launch()
+        error = excinfo.value
+        report = error.post_mortem
+        expected_keys = REPORT_KEYS | set(values)
+        if fused:
+            expected_keys.add("jit")
+        assert set(report) == expected_keys
         assert report["kernel"] == "k"
-        assert report["recorded"] == 1 and report["dropped"] == 0
-        assert report["events"][0]["kind"] == "launch"
-        assert report["error"] == {"type": "LaunchError",
-                                   "message": "boom"}
-        assert "flight recorder" in recorder.describe()
+        assert report["issued"] > 0
+        assert {key: report[key] for key in values} == values
+        assert report["error"] == {
+            "type": error_type.__name__, "message": str(error),
+        }
+        if fused:
+            assert "def _jit_segment" in report["jit"]["source"]
         json.dumps(report)  # JSON-safe
 
-    def test_make_recorder_levels(self):
-        assert make_recorder("k", 8, level="off") is None
-        assert make_recorder("k", 8, level=False) is None
-        on = make_recorder("k", 8, level=True)
-        assert on is not None and on.verbose is False
-        assert make_recorder("k", 8, level="verbose").verbose is True
-
-    def test_global_level_round_trips(self):
-        previous = set_recorder_level("verbose")
-        try:
-            assert recorder_level() == "verbose"
-            assert make_recorder("k", 8).verbose is True
-        finally:
-            set_recorder_level(previous)
-
     def test_launch_error_carries_post_mortem(self):
-        machine = GPUMachine(_sr_module(), max_issues=20,
-                             flight_recorder="on")
+        machine = GPUMachine(_sr_module(), max_issues=20)
         before = obs_counters.snapshot()
-        with pytest.raises(SimulationError) as excinfo:
+        with pytest.raises(LaunchError) as excinfo:
             machine.launch("k", 32)
         report = excinfo.value.post_mortem
         assert report["kernel"] == "k" and report["n_threads"] == 32
-        kinds = [entry["kind"] for entry in report["events"]]
-        assert kinds[0] == "launch" and kinds[-1] == "error"
         moved = obs_counters.delta(obs_counters.snapshot(), before)
         assert moved["launch.errors"] == 1
         assert moved["launch.count"] == 0
 
     def test_post_mortem_env_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_POST_MORTEM", str(tmp_path))
-        machine = GPUMachine(_sr_module(), max_issues=20,
-                             flight_recorder="on")
-        with pytest.raises(SimulationError):
+        machine = GPUMachine(_sr_module(), max_issues=20)
+        with pytest.raises(LaunchError) as excinfo:
             machine.launch("k", 32)
         dumps = list(tmp_path.glob("postmortem-*.json"))
         assert len(dumps) == 1
-        report = json.loads(dumps[0].read_text())
-        assert report["error"]["type"] in ("LaunchError", "SimulationError")
-
-    def test_dump_post_mortem_tags_reason(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_POST_MORTEM", str(tmp_path))
-        recorder = FlightRecorder(kernel="k", n_threads=8)
-        recorder.record("epoch-rollback", {"streak": 3})
-        report = dump_post_mortem(recorder, "guard-disable")
-        assert report["reason"] == "guard-disable"
-        assert list(tmp_path.glob("*guard-disable.json"))
-        assert dump_post_mortem(None, "guard-disable") is None
-
-    def test_recording_never_perturbs_results(self):
-        module = _sr_module()
-        plain = GPUMachine(module, flight_recorder=False).launch("k", 64)
-        verbose = GPUMachine(module, flight_recorder="verbose").launch(
-            "k", 64
-        )
-        assert verbose.store_traces() == plain.store_traces()
-        assert verbose.cycles == plain.cycles
-        assert verbose.simt_efficiency == plain.simt_efficiency
-        # The verbose run retained a narrative; the plain one has none.
-        assert verbose.flight_recorder is not None
-        assert verbose.flight_recorder.seq > 0
-        assert plain.flight_recorder is None
+        assert json.loads(dumps[0].read_text()) == excinfo.value.post_mortem
 
 
 # ---------------------------------------------------------------------------
 # Sinks: error-path finalization + ambient install
-
-
-class TestRecorderLevelFromEnv:
-    @pytest.mark.parametrize(
-        "raw, level",
-        [("", "on"), ("0", "off"), ("OFF", "off"), ("false", "off"),
-         ("none", "off"), ("1", "on"), ("true", "on"), ("on", "on"),
-         ("verbose", "verbose"), ("2", "verbose"), (" Full ", "verbose")],
-    )
-    def test_spellings(self, monkeypatch, raw, level):
-        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", raw)
-        assert recorder_module._level_from_env() == level
-
-    def test_unset_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHT_RECORDER", raising=False)
-        assert recorder_module._level_from_env() == "on"
-
-    @pytest.mark.parametrize("raw", ["yes", "loud", "3"])
-    def test_unknown_value_names_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", raw)
-        with pytest.raises(ConfigError, match="REPRO_FLIGHT_RECORDER"):
-            recorder_module._level_from_env()
 
 
 class TestSinkFinalization:
@@ -530,19 +532,6 @@ class TestObservedRunner:
         assert [rep["counters"]["jit.executed_segments"] for rep in cold] == [
             0, 0,
         ]
-
-    def test_pool_reforks_on_recorder_level_change(self):
-        from repro.harness.parallel import run_tasks, shutdown_pool, task
-
-        tasks = [task(recorder_level) for _ in range(2)]
-        previous = set_recorder_level("on")
-        try:
-            assert run_tasks(tasks, jobs=2) == ["on", "on"]
-            set_recorder_level("off")
-            assert run_tasks(tasks, jobs=2) == ["off", "off"]
-        finally:
-            set_recorder_level(previous)
-            shutdown_pool()
 
     def test_run_tasks_counts_pool_launches(self):
         """``run_tasks`` folds pool workers' engine counters into the

@@ -360,18 +360,18 @@ def _expected_mode(reason):
 
 def _outcome(module, n_threads, memory=None, cta=None, **kwargs):
     """What one launch ends in: its results, its deadlock identity, or
-    the budget error text; plus the multi-warp mode the flight recorder
-    logged."""
+    the budget error text; plus the multi-warp mode it ran in (on a
+    failure, as its post-mortem reports it)."""
     engine, machine_kwargs = split_engine(kwargs)
     with engine_config(**engine):
-        machine = GPUMachine(module, flight_recorder="on", **machine_kwargs)
+        machine = GPUMachine(module, **machine_kwargs)
         try:
             launch = machine.launch("k", n_threads, memory=memory, cta=cta)
         except DeadlockError as exc:
-            mode = exc.post_mortem["events"][0]["data"]["multiwarp"]
+            mode = exc.post_mortem["multiwarp"]
             return ("deadlock", exc.warp_id, exc.waiting), mode
         except LaunchError as exc:
-            mode = exc.post_mortem["events"][0]["data"]["multiwarp"]
+            mode = exc.post_mortem["multiwarp"]
             return ("budget", str(exc)), mode
     return _fingerprint(launch), launch.profiler.multiwarp
 
