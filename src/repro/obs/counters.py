@@ -67,6 +67,21 @@ COUNTERS = {
         "issue slots retired one instruction at a time",
     "segments.fused_segments":
         "fused segment executions (bursts)",
+    # Unfused issues by opcode; the seven sum to segments.fallback_instrs.
+    "segments.fallback_cbr":
+        "issue slots retired one at a time: cbr",
+    "segments.fallback_bra":
+        "issue slots retired one at a time: bra",
+    "segments.fallback_bssy":
+        "issue slots retired one at a time: bssy",
+    "segments.fallback_bbreak":
+        "issue slots retired one at a time: bbreak",
+    "segments.fallback_bsync":
+        "issue slots retired one at a time: bsync",
+    "segments.fallback_bsync_soft":
+        "issue slots retired one at a time: bsync.soft",
+    "segments.fallback_other":
+        "issue slots retired one at a time: any other opcode",
     # --- jit: compiled segments (repro.simt.jit) ----------------------
     "jit.compiled_segments":
         "compile() calls: generated sources not yet in the code memo",

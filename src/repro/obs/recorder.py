@@ -16,29 +16,45 @@ a JSON-safe dict:
   present exactly when the launch ran fused segments.
 
 Set ``REPRO_POST_MORTEM=<dir>`` to also write each report as a JSON file
-(one per failed launch) for offline inspection.
+for offline inspection, one file per failed launch:
+``postmortem-<kernel>[-cta<id>]-<pid>-<n>.json``, where ``n`` counts this
+process's reports. A name already taken in the directory (a reused pid)
+moves on to the next ``n``, so no report overwrites another — not two
+failing launches of one kernel, nor failing CTAs on different pool
+workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 __all__ = ["attach_post_mortem"]
 
 
+#: This process's report numbers (the ``<n>`` of each file name).
+_SEQUENCE = itertools.count()
+
+
 def _write_report(report, stem):
-    """Write ``report`` to ``$REPRO_POST_MORTEM/<stem>.json`` when that
-    environment variable names a directory. Never raises: a failing dump
-    must not mask the launch error it describes."""
+    """Write ``report`` to a new ``$REPRO_POST_MORTEM/<stem>-<pid>-<n>.json``
+    when that environment variable names a directory. Never raises: a
+    failing dump must not mask the launch error it describes."""
     directory = os.environ.get("REPRO_POST_MORTEM", "").strip()
     if not directory:
         return
     try:
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{stem}.json")
-        with open(path, "w") as handle:
-            json.dump(report, handle, indent=1)
+        while True:
+            name = f"{stem}-{os.getpid()}-{next(_SEQUENCE)}.json"
+            try:
+                handle = open(os.path.join(directory, name), "x")
+            except FileExistsError:
+                continue
+            with handle:
+                json.dump(report, handle, indent=1)
+            return
     except OSError:
         pass
 
@@ -62,5 +78,8 @@ def attach_post_mortem(error, kernel, n_threads, warps, profiler,
     if jit is not None:
         report["jit"] = jit
     error.post_mortem = report
-    _write_report(report, f"postmortem-{kernel or 'launch'}")
+    stem = f"postmortem-{kernel or 'launch'}"
+    if cta_id is not None:
+        stem += f"-cta{cta_id}"
+    _write_report(report, stem)
     return report

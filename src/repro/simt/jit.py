@@ -1,12 +1,12 @@
 """Compiled segments: every fused segment runs as specialized Python.
 
-Segment fusion (:mod:`repro.simt.segments`) finds the straight-line runs
-a converged warp may execute as one superinstruction. This module turns
-each run into **generated Python source** the moment the segment is
-built: straight-line slot reads and writes on the ``Frame.regs`` list,
-one statement per instruction, no closures, no dispatch. Lowering reuses
-the executor's own eval tables as its semantic reference — every
-generated expression is a textual specialization of the corresponding
+Segment fusion (:mod:`repro.simt.segments`) finds the traces a converged
+warp may execute as one superinstruction. This module turns each trace
+into **generated Python source** the moment the segment is built:
+straight-line slot reads and writes on the ``Frame.regs`` list, one
+statement per instruction, no closures, no dispatch. Lowering reuses the
+executor's own eval tables as its semantic reference — every generated
+expression is a textual specialization of the corresponding
 ``_BINARY_EVAL`` / ``_UNARY_EVAL`` lambda, preserving evaluation order
 exactly (UNDEF raises at the same instruction, ``DIV``/``REM``/``SQRT``/
 ``LOG`` guards short-circuit identically, NaN and signed zeros flow
@@ -15,8 +15,17 @@ anything computable from them) are folded at codegen time, vetoing the
 fold on any exception or non-numeric result; folded slots are written
 once at the end of their chunk ("virtual constants": readers inside the
 chunk use the folded literal, so deferring the write is bit-identical).
-Memory ops and the terminating branch keep their decoded handlers — the
-generated function calls them in program order.
+Memory ops, ``bssy``, ``bbreak`` and ``bra`` keep their decoded handlers —
+the generated function calls them in program order.
+
+**Exits.** A trace may leave early. Before a ``bbreak`` the generated code
+checks that no lane is parked on its barrier, and leaves just before the
+``bbreak`` if one is. An ending ``cbr`` tests every lane's predicate
+first: when all agree the group jumps to that target, and when they
+disagree, or a test raises (UNDEF), the trace leaves before the branch.
+Every way out returns ``(cycles, exit)``, where ``exit`` is a static
+:class:`~repro.simt.segments.SegmentExit` bound into the function's
+namespace, so the machine accounts exactly the slots that ran.
 
 **Shared code.** Most segments generate the same source as some other
 segment: the same shape at another PC, or the same kernel compiled
@@ -454,35 +463,80 @@ def _lower_segment(segment, entries, slots):
     """The compiled function of ``segment`` over its decoded ``entries``.
 
     Runs of pure entries become thread-major chunks (:func:`_lower_chunk`)
-    with their static cycles summed at codegen time; every other entry
-    (memory op or terminating branch) is one call of its decoded handler,
+    with their static cycles summed at codegen time; memory ops, barrier
+    ops and ``bra`` are one call of their decoded handler each,
     instruction-major, preserving lane-ordered memory semantics and
-    dynamic coalescing costs.
+    dynamic coalescing costs. A ``bbreak`` is guarded and an ending ``cbr``
+    checked over the group (:func:`_lower_cbr`). Each way out returns
+    ``(cycles, exit)`` with its own
+    :class:`~repro.simt.segments.SegmentExit`: ``_total`` sums the
+    handlers' cycles, and the pure ops' (and the ``cbr``'s) static cycles
+    up to that exit are a literal in the return.
     """
     ns = _Namespace()
+    fname, bname = segment.fname, segment.bname
     body = []
     static_total = 0
     pure = []
     index = segment.start
-    for entry in entries:
-        if entry.opcode in _PURE_OPS:
+
+    def leave(n, end_pc, cycles):
+        """The return statement of the exit after the first ``n``
+        entries, where the group then sits at ``end_pc``."""
+        name = ns.bind("_x", segment.exit(entries[:n], end_pc))
+        return f"return _total + {cycles}, {name}"
+
+    for position, entry in enumerate(entries):
+        opcode = entry.opcode
+        if opcode in _PURE_OPS:
             pure.append(entry)
             static_total += _static_cycles(entry)
-        else:
-            if pure:
-                # Even an all-NOP chunk must advance the frame index.
-                _lower_chunk(pure, index, slots, ns, body, "    ")
-                pure = []
-            name = ns.bind("_h", entry.run)
-            body.append(f"    _total += {name}(executor, warp, group)")
+            index += 1
+            continue
+        if pure:
+            # Even an all-NOP chunk must advance the frame index.
+            _lower_chunk(pure, index, slots, ns, body, "    ")
+            pure = []
+        if opcode in (Opcode.BRA, Opcode.CBR) and entry is not entries[-1]:
+            raise CodegenVeto(f"{opcode.value} before the end of a trace")
+        if opcode is Opcode.CBR:
+            before = leave(position, (fname, bname, index), static_total)
+            taken = [
+                leave(position + 1, (fname, target.name, 0),
+                      static_total + entry.latency)
+                for target in entry.instr.operands[1:]
+            ]
+            _lower_cbr(entry, slots, ns, body, before, taken)
+            break
+        if opcode is Opcode.BBREAK:
+            # Guard: a withdraw must not complete a release, so no lane
+            # may be parked on the barrier. The lookup creates no record
+            # (the handler creates it, as _step's issue would).
+            barrier = ns.literal(entry.instr.operands[0].name)
+            body.append(
+                f"    _b = warp.barriers.barriers_dict().get({barrier})"
+            )
+            body.append("    if _b is not None and _b.parked_mask:")
+            body.append(
+                "        "
+                + leave(position, (fname, bname, index), static_total)
+            )
+        handler = ns.bind("_h", entry.run)
+        body.append(f"    _total += {handler}(executor, warp, group)")
         index += 1
-    if pure:
-        _lower_chunk(pure, index, slots, ns, body, "    ")
+    else:
+        if pure:
+            _lower_chunk(pure, index, slots, ns, body, "    ")
+        last = entries[-1]
+        if last.opcode is Opcode.BRA:
+            end_pc = (fname, last.instr.operands[0].name, 0)
+        else:
+            end_pc = (fname, bname, index)
+        body.append("    " + leave(len(entries), end_pc, static_total))
     lines = [
         "def _jit_segment(executor, warp, group):",
-        f"    _total = {static_total}",
+        "    _total = 0",
         *body,
-        "    return _total",
     ]
     code_source = "\n".join(lines) + "\n"
     where = _where(segment)
@@ -493,6 +547,42 @@ def _lower_segment(segment, entries, slots):
     fn.__jit_source__ = f"# jit: segment @{where} n={segment.n}\n{code_source}"
     fn.__jit_segment__ = f"@{where} n={segment.n}"
     return fn
+
+
+def _lower_cbr(entry, slots, ns, body, before, taken):
+    """Emit a trace's ending ``cbr``: ``before`` and ``taken`` (one per
+    target, true first) are the return statements of its exits.
+
+    Every lane's predicate is tested first. When all agree, the group
+    jumps to that target. Otherwise, or when a test raises (an UNDEF
+    predicate), the trace leaves before the branch, so the machine issues
+    it, and raises from it, the ordinary way.
+    """
+    pred, true_target, false_target = entry.instr.operands
+    if isinstance(pred, Reg):
+        test = f"_t.frames[-1].regs[{slots[pred.name]}] != 0"
+    elif isinstance(pred, Imm):
+        test = f"{ns.literal(pred.value)} != 0"
+    else:
+        raise CodegenVeto(f"unsupported cbr predicate {pred!r}")
+    body.extend([
+        "    try:",
+        f"        _q = [{test} for _t in group]",
+        "    except Exception:",
+        f"        {before}",
+    ])
+    for target, absent, leave in zip(
+        (true_target, false_target), ("False", "True"), taken
+    ):
+        body.extend([
+            f"    if {absent} not in _q:",
+            "        for _t in group:",
+            "            _f = _t.frames[-1]",
+            f"            _f.block_name = {ns.literal(target.name)}",
+            "            _f.index = 0",
+            f"        {leave}",
+        ])
+    body.append(f"    {before}")
 
 
 def lower_segment(segment, entries, slots):

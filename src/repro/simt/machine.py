@@ -326,9 +326,11 @@ class GPUMachine:
         inside it (``Segment.conflicts``). The pick then stays the same
         for every slot of the segment (``SchedulerBase.pick``). A policy
         with shared state (``shares_state``) must pick once per slot, so
-        under it only a lone group fuses. Everything else falls through
-        to the ordinary per-instruction ``_step`` — including draining,
-        deadlock detection, and warp completion — so the fused schedule
+        under it only a lone group fuses. The segment reports the exit it
+        took, and the slots up to that exit are accounted at once.
+        Everything else — including an exit that ran no slot — falls
+        through to the ordinary per-instruction ``_step``, with the pick
+        already made when the policy is stateless, so the fused schedule
         is pick-for-pick identical to the slow one.
         """
         segment_at = executor.segment_at
@@ -340,6 +342,7 @@ class GPUMachine:
                 groups = warp.groups_cache
                 if groups is None:
                     groups = warp.groups()
+                pc = None
                 if len(groups) == 1:
                     pc = next(iter(groups))
                     segment = segment_at(pc)
@@ -352,35 +355,42 @@ class GPUMachine:
                     segment = None
                 if segment is not None:
                     group = groups[pc]
-                    cycles = segment.execute(executor, warp, group)
-                    n = segment.n
-                    scheduler.consume(n)
-                    for thread in group:
-                        thread.retired += n
-                    profiler.record_segment(
-                        warp.warp_id, segment, len(group), cycles
-                    )
-                    warp.cycles += cycles
-                    issues += n
-                    # Segment ops cannot park, release, or split, so the
-                    # other groups are untouched: move the issued bucket
-                    # to end_pc as _step's carry-over would have, one
-                    # instruction at a time.
-                    _carry_over(warp, groups, pc, group, segment.end_pc)
-                    continue
+                    cycles, out = segment.execute(executor, warp, group)
+                    n = out.n
+                    if n:
+                        scheduler.consume(n)
+                        for thread in group:
+                            thread.retired += n
+                        profiler.record_segment(
+                            warp.warp_id, out, len(group), cycles
+                        )
+                        warp.cycles += cycles
+                        issues += n
+                        # Segment ops cannot park, release, or split, so
+                        # the other groups are untouched: move the issued
+                        # bucket to the exit's PC as _step's carry-over
+                        # and regrouping would have.
+                        _carry_over(warp, groups, pc, group, out.end_pc)
+                        continue
                 # Nothing to fuse here: hand the grouping to _step (an
                 # empty dict still routes through its drain/done/deadlock
-                # logic) and issue one instruction the ordinary way.
+                # logic) and issue one instruction the ordinary way. A
+                # stateless policy's pick is passed along; round-robin
+                # picks once per slot, in _step.
                 warp.groups_cache = groups
-                if self._step(warp, executor, scheduler):
+                if self._step(warp, executor, scheduler,
+                              None if shares_state else pc):
                     issues += 1
         except Exception as exc:  # the caller decides when to raise it
             return issues, exc
         return issues, None
 
     # ------------------------------------------------------------------
-    def _step(self, warp, executor, scheduler):
-        """Issue one instruction for ``warp``; returns True if issued."""
+    def _step(self, warp, executor, scheduler, pc=None):
+        """Issue one instruction for ``warp``; returns True if issued.
+
+        ``pc`` is the scheduler's pick over the warp's cached grouping
+        when the caller already made it (a stateless policy only)."""
         on_release = None
         if executor.observing:
             on_release = (
@@ -429,7 +439,8 @@ class GPUMachine:
         elif len(groups) > 1 and scheduler.shares_state:
             # A policy with shared state fuses lone groups only.
             executor.profiler.nonforced_multi_group += 1
-        pc = scheduler.pick(groups, executor.program_order)
+        if pc is None:
+            pc = scheduler.pick(groups, executor.program_order)
         group = groups[pc]
         executor.execute(warp, pc, group)
         if not executor.issued_uniform:

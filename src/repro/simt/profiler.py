@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ir.instructions import Opcode
 from repro.obs.events import IssueEvent
 from repro.simt.warp import WARP_SIZE
 
@@ -23,6 +24,20 @@ MULTIWARP_COUNTERS = {
     "cta": "batch.interleaved_cta",
     "memory": "batch.interleaved_memory",
 }
+
+
+#: Opcode -> the ``segments.fallback_*`` counter that counts its unfused
+#: issues; every other opcode counts in ``segments.fallback_other``. The
+#: counters sum to ``segments.fallback_instrs``.
+FALLBACK_COUNTERS = {
+    Opcode.CBR: "segments.fallback_cbr",
+    Opcode.BRA: "segments.fallback_bra",
+    Opcode.BSSY: "segments.fallback_bssy",
+    Opcode.BBREAK: "segments.fallback_bbreak",
+    Opcode.BSYNC: "segments.fallback_bsync",
+    Opcode.BSYNCSOFT: "segments.fallback_bsync_soft",
+}
+_FALLBACK_OTHER = "segments.fallback_other"
 
 
 @dataclass
@@ -65,21 +80,22 @@ class _Totals:
             profile.cycles += cycles
             if index == 0:
                 profile.visits += n
-        for segment, (runs, active, cycles) in segment_stats.items():
-            n = segment.n
+        for out, (runs, active, cycles) in segment_stats.items():
+            n = out.n
             fused += runs * n
             active_sum += active * n
             cycles_sum += cycles
-            for opcode, count in segment.opcode_counts:
+            barrier_issues += runs * out.barrier_ops
+            for opcode, count in out.opcode_counts:
                 opcodes[opcode] = opcodes.get(opcode, 0) + runs * count
-            key = (segment.fname, segment.bname)
+            key = (out.fname, out.bname)
             profile = blocks.get(key)
             if profile is None:
                 profile = blocks[key] = BlockProfile()
             profile.issues += runs * n
             profile.active_sum += active * n
             profile.cycles += cycles
-            if segment.start == 0:
+            if out.start == 0:
                 profile.visits += runs
         self.issued = issued + fused
         self.active_sum = active_sum
@@ -104,9 +120,10 @@ class Profiler:
         #: executor bumps the first three in place on every issue after
         #: the first at that PC (``record`` creates the entry).
         self.pc_stats = {}
-        #: fused segment -> [runs, active_sum, cycles]; ``active_sum``
-        #: sums the group size once per run (each of a run's ``n`` issues
-        #: had that many lanes active).
+        #: segment exit -> [runs, active_sum, cycles]: the fused runs that
+        #: left their segment through that exit. ``active_sum`` sums the
+        #: group size once per run (each of a run's ``n`` issues had that
+        #: many lanes active).
         self.segment_stats = {}
         #: the memoized derived totals; every record resets it to None
         self.derived = None
@@ -165,16 +182,17 @@ class Profiler:
             stats[2] += cycles
         self.warp_cycles[warp_id] = self.warp_cycles.get(warp_id, 0) + cycles
 
-    def record_segment(self, warp_id, segment, active, cycles):
-        """Account one fused run of ``segment`` by ``active`` lanes: the
-        same totals its ``segment.n`` per-instruction records would give.
-        Segments never contain barrier ops, and fusion is disabled while
-        tracing, so neither appears here.
+    def record_segment(self, warp_id, out, active, cycles):
+        """Account one fused run by ``active`` lanes that left its segment
+        through ``out`` (a :class:`~repro.simt.segments.SegmentExit`): the
+        same totals its ``out.n`` per-instruction records would give,
+        barrier ops (``out.barrier_ops``) included. Fusion is disabled
+        while tracing, so no issue event is recorded here.
         """
         self.derived = None
-        stats = self.segment_stats.get(segment)
+        stats = self.segment_stats.get(out)
         if stats is None:
-            self.segment_stats[segment] = [1, active, cycles]
+            self.segment_stats[out] = [1, active, cycles]
         else:
             stats[0] += 1
             stats[1] += active
@@ -279,9 +297,17 @@ class Profiler:
         fused = self.fused_issues
         fallback = self.issued - fused
         total = fused + fallback
+        # Unfused issues by opcode, straight from the per-PC records (the
+        # issue path pays nothing for them).
+        by_opcode = dict.fromkeys(FALLBACK_COUNTERS.values(), 0)
+        by_opcode[_FALLBACK_OTHER] = 0
+        for n, _active, _cycles, opcode, _barrier in self.pc_stats.values():
+            name = FALLBACK_COUNTERS.get(opcode, _FALLBACK_OTHER)
+            by_opcode[name] += n
         return {
             "segments.fused_instrs": fused,
             "segments.fallback_instrs": fallback,
+            **by_opcode,
             "segments.fused_segments": self.fused_segments,
             "segments.coverage": fused / total if total else 0.0,
             **{

@@ -38,9 +38,11 @@ class SchedulerBase:
         starts at the pick (``GPUMachine._run_exclusive``). That is sound
         for every stateless policy here: each reads only group sizes and
         program order and, among groups its size rule cannot separate,
-        takes the oldest. Fusable ops change no group's size and move only
-        the picked group, forward through its block past no other group,
-        so it stays the pick for every slot of the segment.
+        takes the oldest. A segment's ops change no group's size and move
+        only the picked group, forward through its block past no other
+        group (an agreeing ``cbr`` leaves the block, but only as the
+        segment's last slot), so it stays the pick for every slot of the
+        segment.
         """
         raise NotImplementedError
 

@@ -1,4 +1,4 @@
-"""Segment-fused execution: straight-line superinstructions for converged warps.
+"""Segment-fused execution: traces through a basic block for converged warps.
 
 The fast path (:mod:`repro.simt.fastpath`) removes per-issue *decode* cost,
 but a converged warp still pays the full machine loop — scheduler pick,
@@ -6,18 +6,36 @@ release drain, profiler record, groups-cache patch — for every single
 instruction of a straight-line run. Profiling the Table 2 corpus shows that
 per-slot loop overhead, not instruction semantics, dominates runtime.
 
-This module fuses each maximal straight-line **segment** of a basic block
-into one superinstruction. A segment is a run of instructions that cannot
-park, release, diverge, call, exit, or emit per-lane observability events
-(``FUSABLE_OPS``); executing one therefore cannot change the warp's group
-structure or barrier state mid-run, so the machine may legally charge the
-whole run in one step. Each segment is compiled to specialized Python
-when it is built (:mod:`repro.simt.jit`): register-pure runs execute
-thread-major with a single frame index write per thread, while memory
-operations and the terminating branch run instruction-major through their
-existing decoded handlers, preserving lane-ordered memory semantics and
-dynamic coalescing costs bit-for-bit. A run codegen vetoes is simply not
-fused.
+This module fuses each maximal **segment** of a basic block into one
+superinstruction: a trace that may leave early. A segment is a run of
+instructions that cannot park, release, split, call, exit, or emit
+per-lane observability events, plus the paper's barrier bookkeeping
+that provably cannot either:
+
+* uniform ops (``FUSABLE_OPS``): the group moves as one, forward;
+* ``bssy`` on a literal barrier: a join. Every issue that can change the
+  barrier file ends in a drain to a fixed point, so nothing is releasable
+  when a join issues, and adding a runnable member makes nothing
+  releasable;
+* ``bbreak`` on a literal barrier, guarded at run time: the trace leaves
+  just before it unless no lane is parked on its barrier. A withdraw from
+  a barrier with no parked lane cannot complete a release;
+* a block-ending ``cbr`` checked over the whole group: when every lane
+  agrees the group jumps to one target, and that jump is the trace's last
+  slot. When lanes disagree, or the predicate raises (UNDEF), the trace
+  leaves before the ``cbr`` and the machine issues it the ordinary way.
+
+Executing a segment therefore changes no other group and never needs a
+drain, so the machine may charge the slots it ran in one step. Each way
+out is a static :class:`SegmentExit` record (slots run, where the group
+sits, their opcodes); the compiled function (:mod:`repro.simt.jit`)
+returns ``(cycles, exit)``. An exit that ran no slot (a guard that fails
+at the segment's first op) leaves the slot to the machine's ordinary
+issue. Register-pure runs execute thread-major with a single frame index
+write per thread, while memory operations and barrier ops run
+instruction-major through their existing decoded handlers, preserving
+lane-ordered memory semantics and dynamic coalescing costs bit-for-bit.
+A run codegen vetoes is simply not fused.
 
 Fusion runs the segment that starts at the scheduler's pick when no other
 group could merge into the segment's interior (``Segment.conflicts``): the
@@ -36,55 +54,96 @@ corpus.
 
 from __future__ import annotations
 
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Barrier, Opcode
 from repro.simt import jit as _jit
 from repro.simt.executor import _UNIFORM_OPS
 
 __all__ = [
     "FUSABLE_OPS",
     "Segment",
+    "SegmentExit",
     "SegmentTable",
 ]
 
-#: Opcodes legal inside a segment. Uniform ops keep the group intact and
-#: cannot park/exit/release; CALL is excluded because it pushes a frame
-#: (the callee's blocks issue at different PCs, ending the straight line).
+#: Uniform opcodes legal inside a segment. Uniform ops keep the group
+#: intact and cannot park/exit/release; CALL is excluded because it pushes
+#: a frame (the callee's blocks issue at different PCs, ending the trace).
 FUSABLE_OPS = _UNIFORM_OPS - {Opcode.CALL}
+
+#: Barrier ops a segment runs through when their barrier is a literal
+#: (``bbreak`` behind its run-time guard).
+_BARRIER_TRACE_OPS = frozenset((Opcode.BSSY, Opcode.BBREAK))
+
+
+def _traceable(entry):
+    """True if the decoded ``entry`` may sit inside a segment."""
+    opcode = entry.opcode
+    if opcode in FUSABLE_OPS or opcode is Opcode.CBR:
+        return True
+    return opcode in _BARRIER_TRACE_OPS and isinstance(
+        entry.instr.operands[0], Barrier
+    )
 
 
 # ---------------------------------------------------------------------------
 # Segments
 # ---------------------------------------------------------------------------
-class Segment:
-    """One fused straight-line run of ``n`` instructions at one PC.
-
-    ``fn`` is its compiled function (:func:`repro.simt.jit.lower_segment`);
-    ``end_pc`` is where every thread of the group sits after execution.
-    """
+class SegmentExit:
+    """One static way out of a segment: its first ``n`` instructions ran
+    and the group sits at ``end_pc``. ``opcode_counts`` and
+    ``barrier_ops`` describe those ``n`` slots; the profiler accounts a
+    fused run by its exit."""
 
     __slots__ = ("fname", "bname", "start", "n", "end_pc", "opcode_counts",
-                 "fn", "__weakref__")
+                 "barrier_ops")
 
-    def __init__(self, fname, bname, start, entries):
+    def __init__(self, fname, bname, start, entries, end_pc):
         self.fname = fname
         self.bname = bname
         self.start = start
         self.n = len(entries)
-        self.fn = None
-
-        last = entries[-1]
-        if last.opcode is Opcode.BRA:
-            self.end_pc = (fname, last.instr.operands[0].name, 0)
-        else:
-            self.end_pc = (fname, bname, start + self.n)
-
+        self.end_pc = end_pc
         counts = {}
         for entry in entries:
             counts[entry.opcode] = counts.get(entry.opcode, 0) + 1
         self.opcode_counts = tuple(counts.items())
+        self.barrier_ops = sum(1 for entry in entries if entry.is_barrier_op)
+
+    def __repr__(self):
+        return (
+            f"<SegmentExit @{self.fname}/{self.bname}:{self.start} "
+            f"n={self.n} -> {self.end_pc}>"
+        )
+
+
+class Segment:
+    """One fused trace of up to ``n`` instructions at one PC.
+
+    ``fn`` is its compiled function (:func:`repro.simt.jit.lower_segment`);
+    ``exits`` are its :class:`SegmentExit` records.
+    """
+
+    __slots__ = ("fname", "bname", "start", "n", "exits", "fn",
+                 "__weakref__")
+
+    def __init__(self, fname, bname, start, n):
+        self.fname = fname
+        self.bname = bname
+        self.start = start
+        self.n = n
+        self.exits = ()
+        self.fn = None
+
+    def exit(self, entries, end_pc):
+        """A new exit after the segment's first ``len(entries)`` decoded
+        ``entries`` (the group then sits at ``end_pc``)."""
+        record = SegmentExit(self.fname, self.bname, self.start, entries,
+                             end_pc)
+        self.exits += (record,)
+        return record
 
     def execute(self, executor, warp, group):
-        """Apply the whole segment to ``group``; returns total cycles."""
+        """Run the segment on ``group``; returns ``(cycles, exit)``."""
         fn = self.fn
         _jit.LAST_EXECUTED = fn
         return fn(executor, warp, group)
@@ -95,8 +154,8 @@ class Segment:
         The slow path would merge that group with the fused one mid-run
         (uniform carry-over lands on an already-populated PC); fusing past
         the merge point would charge the merged lanes' issues separately.
-        A group exactly at ``end_pc`` is fine — the machine's carry-over
-        patch merges there, as the slow path would.
+        A group exactly at the end of the range is fine — the machine's
+        carry-over patch merges there, as the slow path would.
         """
         fname = self.fname
         bname = self.bname
@@ -109,8 +168,8 @@ class Segment:
 
     def __repr__(self):
         return (
-            f"<Segment @{self.fname}/{self.bname}:{self.start} "
-            f"n={self.n} -> {self.end_pc}>"
+            f"<Segment @{self.fname}/{self.bname}:{self.start} n={self.n} "
+            f"exits={len(self.exits)}>"
         )
 
 
@@ -122,8 +181,8 @@ class SegmentTable:
     """Per-block segment lookup: ``at(index)`` -> Segment or None.
 
     Segments are maximal: ``at(i)`` covers from ``i`` to the end of the
-    fusable run containing ``i`` (a warp can enter a run mid-way, e.g. the
-    resume point after a barrier release). Runs shorter than two
+    traceable run containing ``i`` (a warp can enter a run mid-way, e.g.
+    the resume point after a barrier release). Runs shorter than two
     instructions are not worth a fused dispatch, and runs codegen vetoes
     cannot be fused; both return None.
     """
@@ -133,13 +192,13 @@ class SegmentTable:
         self.bname = bname
         self.entries = entries
         self.slots = slots
-        # _run_end[i]: end index (exclusive) of the maximal fusable run
-        # containing i, or -1 when entries[i] is not fusable.
+        # _run_end[i]: end index (exclusive) of the maximal traceable run
+        # containing i, or -1 when entries[i] is not traceable.
         n = len(entries)
         run_end = [-1] * n
         end = -1
         for i in range(n - 1, -1, -1):
-            if entries[i].opcode in FUSABLE_OPS:
+            if _traceable(entries[i]):
                 if end < 0:
                     end = i + 1
                 run_end[i] = end
@@ -155,9 +214,10 @@ class SegmentTable:
         end = self._run_end[index] if index < len(self._run_end) else -1
         segment = None
         if end - index >= 2:
-            entries = self.entries[index:end]
-            segment = Segment(self.fname, self.bname, index, entries)
-            segment.fn = _jit.lower_segment(segment, entries, self.slots)
+            segment = Segment(self.fname, self.bname, index, end - index)
+            segment.fn = _jit.lower_segment(
+                segment, self.entries[index:end], self.slots
+            )
             if segment.fn is None:
                 segment = None
         self._cache[index] = segment

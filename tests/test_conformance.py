@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.core import compile_baseline, compile_sr
 from repro.engine import EngineConfig, engine_config
-from repro.errors import DeadlockError, LaunchError
+from repro.errors import DeadlockError, LaunchError, SimulationError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
 from repro.ir import parse_module
@@ -46,12 +46,14 @@ from repro.ir.function import clear_module_caches
 from repro.obs import counters as obs_counters
 from repro.simt import (
     CTAContext,
+    DEFAULT_COST_MODEL,
     DEFAULT_MAX_ISSUES,
     GPUMachine,
     GlobalMemory,
     GridLaunch,
     SCHEDULERS,
     StackGPUMachine,
+    decode_program,
 )
 from repro.simt import machine as machine_module
 from repro.simt.executor import Executor
@@ -723,6 +725,85 @@ kernel k() {
 """
 
 
+#: Lanes 0-23 park on $B0 before lanes 24-31, the smaller and younger
+#: group, reach the trace ``mul; bbreak; atomadd; st``: its guard sees
+#: the parked lanes and the trace leaves before the ``bbreak``, which then
+#: releases them. The tickets record the order.
+BBREAK_WHILE_PARKED = """
+func @k() kernel {
+entry:
+  %t = tid
+  %p = cmplt %t, 24
+  bssy $B0
+  cbr %p, ^wait, ^work
+wait:
+  bsync $B0
+  %v = atomadd 500, 1
+  st %t, %v
+  exit
+work:
+  %x = mul %t, 2
+  bbreak $B0
+  %w = atomadd 500, 1
+  st %t, %w
+  exit
+}
+"""
+
+#: As above, but the ``bbreak`` is the trace's first op, so the guard
+#: fails before any slot runs.
+BBREAK_GUARD_AT_START = BBREAK_WHILE_PARKED.replace(
+    "  %x = mul %t, 2\n", ""
+)
+
+#: Per-lane trip counts 2-5: the loop header's ``cmplt; cbr`` trace ends
+#: in a ``cbr`` whose lanes disagree in some iterations and agree in
+#: others, and the entry trace runs through a ``bssy``.
+CBR_DIVERGES = """
+func @k() kernel {
+entry:
+  %t = tid
+  %m = and %t, 3
+  %n = add %m, 2
+  %i = mov 0
+  bssy $B1
+  bra ^loop
+loop:
+  %q = cmplt %i, %n
+  cbr %q, ^body, ^done
+body:
+  %i = add %i, 1
+  bra ^loop
+done:
+  bsync $B1
+  st %t, %i
+  exit
+}
+"""
+
+#: Every lane reaches ``use`` through ``skip``, so ``%u`` was never
+#: written: the predicate of the trace's ``cbr`` is UNDEF.
+CBR_READS_UNDEF = """
+func @k() kernel {
+entry:
+  %t = tid
+  %c = cmplt %t, 100
+  cbr %c, ^skip, ^def
+def:
+  %u = const 1
+  bra ^use
+skip:
+  bra ^use
+use:
+  %x = add %t, 1
+  cbr %u, ^out, ^out
+out:
+  st %t, %x
+  exit
+}
+"""
+
+
 class _AlwaysDrainExecutor(Executor):
     """Drains the warp's barriers after every issue and reports it as
     non-uniform, so the machine regroups each time: the schedule from
@@ -737,15 +818,21 @@ class _AlwaysDrainExecutor(Executor):
 
 class TestBarrierDrainConformance:
     """Drains run only after non-uniform ops. These barriers open through
-    routes no other test pins: a member's exit, and a ``ctasync`` across
-    warps (``bbreak`` releases are pinned by the goldens). Each must
-    match the interpreted reference under every engine and scheduler,
-    and the schedule of an executor that drains after every issue."""
+    routes no other test pins: a member's exit, a ``ctasync`` across
+    warps, and each way a fused trace leaves early (a ``bbreak`` whose
+    barrier has a parked lane, mid-trace or as the trace's first op, and
+    a ``cbr`` whose lanes disagree; other ``bbreak`` releases are pinned
+    by the goldens). Each must match the interpreted reference under
+    every engine and scheduler, and the schedule of an executor that
+    drains after every issue."""
 
     CASES = {
         "exit": (lambda: parse_module(EXIT_OPENS_BARRIER), 32),
         "ctasync": (lambda: compile_kernel_source(CTASYNC_ACROSS_WARPS),
                     MULTIWARP),
+        "bbreak-parked": (lambda: parse_module(BBREAK_WHILE_PARKED), 32),
+        "guard-at-start": (lambda: parse_module(BBREAK_GUARD_AT_START), 32),
+        "cbr-diverges": (lambda: parse_module(CBR_DIVERGES), 32),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -801,6 +888,81 @@ class TestDivergentArmsFuse:
         counters = fused.engine_counters()
         assert counters["segments.fused_instrs"] >= arm_slots
         assert counters["sched.nonforced_multi_group"] == 0
+
+
+def _exits_taken(profiler):
+    """``{(exit start pc, exit end pc): runs}`` of a launch's fused runs."""
+    return {
+        ((out.fname, out.bname, out.start), out.end_pc): stats[0]
+        for out, stats in profiler.segment_stats.items()
+    }
+
+
+class TestTraceExits:
+    """Each way a trace leaves early is taken (``TestBarrierDrainConformance``
+    checks these kernels against the reference), and an UNDEF ``cbr``
+    predicate fails as it does unfused."""
+
+    def _fused(self, source):
+        with _using(ALL_ON):
+            return GPUMachine(parse_module(source)).launch("k", 32).profiler
+
+    def test_bbreak_guard_leaves_before_the_bbreak(self):
+        exits = _exits_taken(self._fused(BBREAK_WHILE_PARKED))
+        assert exits[(("k", "work", 0), ("k", "work", 1))] == 1
+
+    def test_guard_failing_at_start_runs_no_slot(self):
+        profiler = self._fused(BBREAK_GUARD_AT_START)
+        # The trace exists, yet the bbreak issued one at a time.
+        assert not any(
+            out.start == 0 and out.bname == "work"
+            for out in profiler.segment_stats
+        )
+        assert profiler.pc_stats[("k", "work", 0)][0] == 1
+        module = parse_module(BBREAK_GUARD_AT_START)
+        segment = decode_program(module, DEFAULT_COST_MODEL).segment_at(
+            ("k", "work", 0)
+        )
+        assert segment is not None
+        assert segment.exits[0].n == 0
+
+    def test_cbr_exits_before_and_through(self):
+        exits = _exits_taken(self._fused(CBR_DIVERGES))
+        loop = ("k", "loop", 0)
+        assert exits.get((loop, ("k", "loop", 1)), 0) > 0  # lanes disagree
+        assert exits.get((loop, ("k", "body", 0)), 0) > 0  # all continue
+        assert exits[(("k", "entry", 0), ("k", "loop", 0))] == 1
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_undef_predicate_fails_as_unfused(self, scheduler):
+        """The trace leaves before the ``cbr`` and ``_step`` raises from
+        it: the same error and post-mortem as with segments off. The
+        interpreter words an UNDEF read differently, so against it only
+        the error type and the rest of the report must match. (One warp:
+        a multi-warp report's ``issued`` still depends on the engine.)"""
+
+        def failure(config):
+            with _using(config):
+                machine = GPUMachine(
+                    parse_module(CBR_READS_UNDEF), scheduler=scheduler
+                )
+                with pytest.raises(SimulationError) as excinfo:
+                    machine.launch("k", 32)
+            report = dict(excinfo.value.post_mortem)
+            report.pop("jit", None)
+            return type(excinfo.value), report
+
+        def without_message(outcome):
+            kind, report = outcome
+            return kind, {**report, "error": report["error"]["type"]}
+
+        expected = failure(REFERENCE)
+        unfused = failure(ENGINES["no-segments"])
+        assert unfused[1]["issued"] > 0
+        for name in sorted(set(ENGINES) - {"no-fastpath"}):
+            actual = failure(ENGINES[name])
+            assert without_message(actual) == without_message(expected)
+            assert actual == unfused, name
 
 
 class TestRandomKernelConformance:

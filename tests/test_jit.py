@@ -16,6 +16,7 @@ from repro.core import compile_sr
 from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
+from repro.ir import parse_module
 from repro.ir.function import clear_module_caches
 from repro.ir.instructions import Opcode
 from repro.obs import counters as obs_counters
@@ -31,6 +32,25 @@ kernel k() {
     let x = t * 2.0;
     let y = x + 1.5;
     store(t, y);
+}
+"""
+
+#: One block whose trace runs through ``bssy``, a ``bbreak`` and a
+#: ``cbr`` whose lanes disagree (lanes below 16 take ``^low``).
+TRACE = """
+func @k() kernel {
+entry:
+  %t = tid
+  %p = cmplt %t, 16
+  bssy $B0
+  bbreak $B0
+  cbr %p, ^low, ^high
+low:
+  st %t, 1
+  exit
+high:
+  st %t, 2
+  exit
 }
 """
 
@@ -295,9 +315,9 @@ class TestGeneratedSource:
     def test_generated_source_golden(self, segments_on):
         """The exact lowering of a known segment: slot reads/writes on
         ``_r``, constants folded (the ``2.0``/``1.5`` CONST slots are
-        written once at chunk end), one handler call for the store+branch
-        tail, static cycles precomputed. A diff here means the codegen
-        shape changed."""
+        written once at chunk end), one handler call for the store tail,
+        static cycles precomputed into the one exit's return. A diff here
+        means the codegen shape changed."""
         compiled = _compiled(STRAIGHT)
         _run(compiled)
         records = [
@@ -308,7 +328,7 @@ class TestGeneratedSource:
         assert records[0]["source"] == (
             "# jit: segment @k/entry:0 n=9\n"
             "def _jit_segment(executor, warp, group):\n"
-            "    _total = 8\n"
+            "    _total = 0\n"
             "    for _t in group:\n"
             "        _f = _t.frames[-1]\n"
             "        _r = _f.regs\n"
@@ -327,7 +347,54 @@ class TestGeneratedSource:
             "        _r[5] = 1.5\n"
             "        _f.index = 8\n"
             "    _total += _h6(executor, warp, group)\n"
-            "    return _total\n"
+            "    return _total + 8, _x7\n"
+        )
+
+    def test_trace_source_golden(self, segments_on):
+        """A trace through ``bssy``, a guarded ``bbreak`` and an ending
+        ``cbr``: the guard leaves before the ``bbreak``, and the ``cbr``
+        has one exit per target plus one before it, taken when lanes
+        disagree or a predicate test raises."""
+        module = parse_module(TRACE)
+        GPUMachine(module).launch("k", 32)
+        records = [
+            r for r in jit_module.compiled_segments()
+            if r["segment"] == "@k/entry:0"
+        ]
+        assert len(records) == 1
+        assert records[0]["source"] == (
+            "# jit: segment @k/entry:0 n=5\n"
+            "def _jit_segment(executor, warp, group):\n"
+            "    _total = 0\n"
+            "    for _t in group:\n"
+            "        _f = _t.frames[-1]\n"
+            "        _r = _f.regs\n"
+            "        _s0 = _t.tid\n"
+            "        _r[0] = _s0\n"
+            "        _r[1] = (1 if _s0 < 16 else 0)\n"
+            "        _f.index = 2\n"
+            "    _total += _h6(executor, warp, group)\n"
+            "    _b = warp.barriers.barriers_dict().get(_k7)\n"
+            "    if _b is not None and _b.parked_mask:\n"
+            "        return _total + 2, _x8\n"
+            "    _total += _h9(executor, warp, group)\n"
+            "    try:\n"
+            "        _q = [_t.frames[-1].regs[1] != 0 for _t in group]\n"
+            "    except Exception:\n"
+            "        return _total + 2, _x10\n"
+            "    if False not in _q:\n"
+            "        for _t in group:\n"
+            "            _f = _t.frames[-1]\n"
+            "            _f.block_name = _k13\n"
+            "            _f.index = 0\n"
+            "        return _total + 3, _x11\n"
+            "    if True not in _q:\n"
+            "        for _t in group:\n"
+            "            _f = _t.frames[-1]\n"
+            "            _f.block_name = _k14\n"
+            "            _f.index = 0\n"
+            "        return _total + 3, _x12\n"
+            "    return _total + 2, _x10\n"
         )
 
     def test_last_executed_source(self, segments_on):

@@ -80,18 +80,20 @@ class TestProfiler:
         assert len(result.profiler.warp_cycles) == 2
 
 
-class _FakeSegment:
-    """The fields Profiler reads from a fused segment."""
+class _FakeExit:
+    """The fields Profiler reads from a fused run's segment exit."""
 
-    def __init__(self, fname, bname, start, opcodes):
+    def __init__(self, fname, bname, start, opcodes, barrier_ops=0):
         self.fname = fname
         self.bname = bname
         self.start = start
         self.n = len(opcodes)
+        self.end_pc = (fname, bname, start + self.n)
         counts = {}
         for opcode in opcodes:
             counts[opcode] = counts.get(opcode, 0) + 1
         self.opcode_counts = tuple(counts.items())
+        self.barrier_ops = barrier_ops
 
 
 class _Warp:
@@ -124,11 +126,11 @@ class TestProfilerAccounting:
         assert profiler.total_cycles == 6
         assert profiler.fused_issues == 0
 
-        segment = _FakeSegment(
+        out = _FakeExit(
             "k", "body", 0, (Opcode.ADD, Opcode.MUL, Opcode.ADD, Opcode.BRA)
         )
-        profiler.record_segment(1, segment, 8, 9)
-        profiler.record_segment(1, segment, 4, 7)
+        profiler.record_segment(1, out, 8, 9)
+        profiler.record_segment(1, out, 4, 7)
         profiler.record(0, ("k", "body", 3), Opcode.BRA, 8, 1)
 
         # Every later record must invalidate the memo.
@@ -150,6 +152,32 @@ class TestProfilerAccounting:
         # At launch end the warps' own cycle counters are authoritative.
         profiler.finish([_Warp(0, 7), _Warp(1, 20), _Warp(2, 3)])
         assert profiler.warp_cycles == {0: 7, 1: 20, 2: 3}
+
+    def test_exits_account_their_own_slots_and_barrier_ops(self):
+        """Two exits of one trace: each run counts the slots and barrier
+        ops of the exit it took, and the unfused slots appear in the
+        per-opcode fallback counters."""
+        profiler = Profiler()
+        through = _FakeExit(
+            "k", "head", 0, (Opcode.CMPLT, Opcode.BSSY, Opcode.CBR), 1
+        )
+        before_cbr = _FakeExit("k", "head", 0, (Opcode.CMPLT, Opcode.BSSY), 1)
+        profiler.record_segment(0, through, 32, 5)
+        profiler.record_segment(0, before_cbr, 32, 4)
+        profiler.record(0, ("k", "head", 2), Opcode.CBR, 32, 1)
+        assert profiler.issued == 6
+        assert profiler.fused_issues == 5
+        assert profiler.barrier_issues == 2
+        assert profiler.opcode_issues() == {"bssy": 2, "cbr": 2, "cmplt": 2}
+        assert self._block(profiler, "head") == (6, 192, 2, 10)
+        counters = profiler.engine_counters()
+        assert counters["segments.fallback_instrs"] == 1
+        assert counters["segments.fallback_cbr"] == 1
+        assert sum(
+            value for name, value in counters.items()
+            if name.startswith("segments.fallback_")
+            and name != "segments.fallback_instrs"
+        ) == 1
 
     def test_block_profiles_invariant_under_fusion(self):
         """``summary()`` leaves block profiles out, so pin them here:

@@ -8,6 +8,7 @@ the slot-indexed register files, and the UNDEF sentinel.
 
 import pytest
 
+from repro.core import compile_sr
 from repro.engine import current_engine, engine_config
 from repro.errors import SimulationError
 from repro.frontend import compile_kernel_source
@@ -19,6 +20,7 @@ from repro.simt import (
     GPUMachine,
     decode_program,
 )
+from repro.simt import machine as machine_module
 from repro.simt.scheduler import (
     ConvergenceScheduler,
     OldestFirstScheduler,
@@ -252,7 +254,7 @@ class TestSegmentTable:
         assert suffix is not None
         assert suffix.start == 1
         assert suffix.n == whole.n - 1
-        assert suffix.end_pc == whole.end_pc
+        assert suffix.exits[-1].end_pc == whole.exits[-1].end_pc
 
     def test_short_runs_are_not_segments(self):
         module, decoded = self._decoded(STRAIGHT)
@@ -277,7 +279,7 @@ class TestSegmentTable:
                 continue
             if segment.start + segment.n == len(block.instructions):
                 target = bra.operands[0].name
-                assert segment.end_pc == ("k", target, 0)
+                assert segment.exits[-1].end_pc == ("k", target, 0)
                 found = True
         assert found, "no BRA-terminated segment found"
 
@@ -286,14 +288,14 @@ class TestSegmentTable:
         entry = module.function("k").entry
         segment = decoded.segment_at(("k", entry.name, 0))
         if entry.instructions[segment.n - 1].opcode is not Opcode.BRA:
-            assert segment.end_pc == ("k", entry.name, segment.n)
+            assert segment.exits[-1].end_pc == ("k", entry.name, segment.n)
 
     def test_conflicts_detects_interior_group(self):
         module, decoded = self._decoded(STRAIGHT)
         entry = module.function("k").entry
         segment = decoded.segment_at(("k", entry.name, 0))
         inside = ("k", entry.name, 1)
-        at_end = segment.end_pc
+        at_end = segment.exits[-1].end_pc
         elsewhere = ("k", "no.such.block", 0)
         assert segment.conflicts({inside: []})
         assert not segment.conflicts({at_end: []})
@@ -425,6 +427,48 @@ class TestForcedPick:
     def test_base_consume_is_a_noop(self):
         ConvergenceScheduler().consume(100)
         OldestFirstScheduler().consume(100)
+
+
+class TestPickOnce:
+    """The machine asks the scheduler once per slot: a slot
+    ``_run_exclusive`` picked and could not fuse is issued by ``_step``
+    with that pick, and round-robin's rotation moves once per slot."""
+
+    def _launch(self, scheduler, monkeypatch):
+        made = []
+        make = machine_module.make_scheduler
+
+        def spy(name):
+            made.append(make(name))
+            return made[-1]
+
+        monkeypatch.setattr(machine_module, "make_scheduler", spy)
+        module = compile_sr(compile_kernel_source(DIVERGENT)).module
+        return _run(module, scheduler=scheduler), made[0]
+
+    @pytest.mark.parametrize(
+        "policy", [ConvergenceScheduler, OldestFirstScheduler]
+    )
+    def test_stateless_policy_picks_each_slot_once(self, policy, monkeypatch):
+        picks = []
+        pick = policy.pick
+
+        def counted(scheduler, groups, program_order):
+            picks.append((id(groups), tuple(groups)))
+            return pick(scheduler, groups, program_order)
+
+        monkeypatch.setattr(policy, "pick", counted)
+        launch, _ = self._launch(policy.name, monkeypatch)
+        assert picks  # the warp diverged
+        # A lone group is its own pick, and no grouping is asked twice.
+        assert all(len(keys) > 1 for _, keys in picks)
+        assert all(a != b for a, b in zip(picks, picks[1:]))
+        assert launch.counters["sched.nonforced_multi_group"] == 0
+
+    def test_round_robin_rotates_once_per_slot(self, monkeypatch):
+        launch, scheduler = self._launch("round-robin", monkeypatch)
+        assert launch.counters["segments.fused_instrs"] > 0
+        assert scheduler._counter == launch.profiler.issued
 
 
 # ---------------------------------------------------------------------------

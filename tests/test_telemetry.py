@@ -58,6 +58,19 @@ kernel k() {
 """
 
 
+#: Every thread stores, then spins forever: each CTA of a grid proves
+#: disjoint and overruns its issue budget on its own.
+RUNAWAY_PER_CTA = """
+kernel k() {
+    let t = tid();
+    store(t, 1.0);
+    let i = 0;
+    while (i >= 0) { i = i + 1; }
+    store(t, 2.0);
+}
+"""
+
+
 def _sr_module():
     return compile_sr(compile_kernel_source(DIVERGENT)).module
 
@@ -169,6 +182,25 @@ class TestLaunchCounters:
     def test_workload_run_exposes_counters(self):
         result = get_workload("mcb", steps=8).run(mode="sr")
         assert result.launch.counters["segments.fused_instrs"] >= 0
+
+    @pytest.mark.parametrize("segments", [True, False])
+    def test_fallback_by_opcode_sums_to_fallback(self, segments):
+        """The ``segments.fallback_*`` opcode split covers every unfused
+        slot exactly once, and each name is a registered counter."""
+        with engine_config(segments=segments):
+            result = GPUMachine(_sr_module()).launch("k", 32)
+        counters = result.counters
+        by_opcode = {
+            name: value for name, value in counters.items()
+            if name.startswith("segments.fallback_")
+            and name != "segments.fallback_instrs"
+        }
+        assert len(by_opcode) == 7 and set(by_opcode) <= set(COUNTERS)
+        assert sum(by_opcode.values()) == counters["segments.fallback_instrs"]
+        opcodes = result.profiler.opcode_issues()
+        if not segments:
+            assert by_opcode["segments.fallback_bssy"] == opcodes["bssy"]
+            assert by_opcode["segments.fallback_cbr"] == opcodes["cbr"]
 
 
 def _xsbench_launch(n_threads, scheduler="convergence", metrics=False):
@@ -333,6 +365,38 @@ class TestPostMortems:
         dumps = list(tmp_path.glob("postmortem-*.json"))
         assert len(dumps) == 1
         assert json.loads(dumps[0].read_text()) == excinfo.value.post_mortem
+
+    def test_post_mortem_dumps_never_overwrite(self, tmp_path, monkeypatch):
+        """Two failing launches of one kernel leave two reports."""
+        monkeypatch.setenv("REPRO_POST_MORTEM", str(tmp_path))
+        module = parse_module(STAGGERED_DEADLOCK_IR)
+        reports = []
+        for n_threads in (32, 64):
+            with pytest.raises(DeadlockError) as excinfo:
+                GPUMachine(module).launch("k", n_threads)
+            reports.append(excinfo.value.post_mortem)
+        dumps = sorted(tmp_path.glob("postmortem-k-*.json"))
+        assert len(dumps) == 2
+        loaded = [json.loads(path.read_text()) for path in dumps]
+        assert sorted(r["n_threads"] for r in loaded) == [32, 64]
+        assert all(report in loaded for report in reports)
+
+    def test_sharded_grid_ctas_dump_separately(self, tmp_path, monkeypatch):
+        """Failing CTAs on different pool workers each leave a report
+        named after their CTA."""
+        monkeypatch.setenv("REPRO_POST_MORTEM", str(tmp_path))
+        module = compile_kernel_source(RUNAWAY_PER_CTA)
+        with engine_config(grid=True):
+            with pytest.raises(LaunchError):
+                GridLaunch(module, 4, 32, jobs=2, max_issues=200).launch("k")
+        dumps = sorted(tmp_path.glob("postmortem-k-cta*.json"))
+        # Two chunks of two CTAs: the first CTA of each chunk fails.
+        assert len(dumps) == 2
+        assert sorted(
+            json.loads(path.read_text())["cta_id"] for path in dumps
+        ) == [0, 2]
+        pids = {path.name.split("-")[3] for path in dumps}
+        assert len(pids) == 2  # two worker processes
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +644,7 @@ class TestStatsCLI:
         out = capsys.readouterr().out
         assert "Launch counters" in out
         assert "fused_instrs" in out and "segments" in out
+        assert "fallback_cbr" in out and "fallback_other" in out
         assert "Process counter delta" in out
 
     def test_repeated_sweep_reports_memo_hits(self, tmp_path, capsys):
