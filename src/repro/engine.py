@@ -82,8 +82,10 @@ class EngineConfig:
     #: built (:mod:`repro.simt.segments`, :mod:`repro.simt.jit`).
     segments: bool = True
     #: Multi-warp launches whose warps cannot observe each other run one
-    #: warp at a time to completion (:mod:`repro.simt.machine`); off
-    #: keeps every multi-warp launch interleaved.
+    #: warp at a time to completion, and an interleaved launch's warps run
+    #: segments no other warp can observe ahead of their rounds
+    #: (:mod:`repro.simt.machine`); off keeps every multi-warp launch
+    #: interleaved one slot per warp per round.
     warp_batch: bool = True
     #: Compile memoization (:mod:`repro.core.program_cache`).
     compile_cache: bool = True

@@ -107,6 +107,10 @@ COUNTERS = {
     "batch.interleaved_memory":
         "multi-warp launches interleaved: global footprints not proven "
         "disjoint",
+    # Not a launch count: a subset of segments.fused_instrs.
+    "batch.ahead_instrs":
+        "fused slots an interleaved launch ran ahead of their round "
+        "(a segment's slots after its first, owed to later rounds)",
     # --- sched: why serial slots did not fuse (repro.simt.machine) ----
     "sched.nonforced_multi_group":
         "serial slots with multiple groups under a policy with shared "

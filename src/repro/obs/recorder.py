@@ -9,7 +9,9 @@ a JSON-safe dict:
 * ``kernel``, ``n_threads``, ``warps`` — what was launched;
 * ``multiwarp`` — how a multi-warp launch ran (``Profiler.multiwarp``:
   ``"independent"``, or why it stayed interleaved; None for one warp);
-* ``issued`` — issue slots retired before the failure;
+* ``issued`` — issue slots the interleaved reference schedule issued
+  before the failure, under every ``GPUMachine`` engine configuration
+  (a budget overrun reads ``max_issues + 1``);
 * ``cta_id`` — which CTA failed, for grid CTAs only;
 * ``error`` — ``{"type", "message"}``;
 * ``jit`` — the generated source of the last-executed fused segment,
@@ -60,17 +62,18 @@ def _write_report(report, stem):
 
 
 def attach_post_mortem(error, kernel, n_threads, warps, profiler,
-                       cta_id=None, jit=None):
+                       cta_id=None, jit=None, issued=None):
     """Build the report of a launch that raised ``error``, attach it as
     ``error.post_mortem`` (dumping it to ``$REPRO_POST_MORTEM`` when set)
     and return it. ``jit`` is the ``{"segment", "source"}`` section of a
-    launch that ran fused segments."""
+    launch that ran fused segments; ``issued`` overrides the profiler's
+    slot count."""
     report = {
         "kernel": kernel,
         "n_threads": n_threads,
         "warps": warps,
         "multiwarp": profiler.multiwarp,
-        "issued": profiler.issued,
+        "issued": profiler.issued if issued is None else issued,
     }
     if cta_id is not None:
         report["cta_id"] = cta_id

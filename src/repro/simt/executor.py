@@ -146,14 +146,13 @@ class Executor:
         # path with no per-issue observers — an attached sink, stall
         # metrics, or an issue trace all need to see every individual slot,
         # so any of them forces per-instruction issue.
-        self.segment_at = (
-            self._decoded.segment_at
-            if engine.segments
-            and self._decoded is not None
-            and not self.observing
-            and profiler.trace is None
-            else None
-        )
+        # ``memory_free_segment_at`` is the same lookup restricted to
+        # segments with no global memory op (GPUMachine's run-ahead).
+        self.segment_at = self.memory_free_segment_at = None
+        if (engine.segments and self._decoded is not None
+                and not self.observing and profiler.trace is None):
+            self.segment_at = self._decoded.segment_at
+            self.memory_free_segment_at = self._decoded.memory_free_segment_at
         # Program order for scheduler picks and tie-breaking:
         # pc -> (function, block position, index), built once per PC and
         # kept in the module's cache across launches.

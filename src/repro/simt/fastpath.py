@@ -840,6 +840,12 @@ class DecodedProgram:
         function, block, index = pc
         return self._segment_table(function, block).at(index)
 
+    def memory_free_segment_at(self, pc):
+        """``segment_at(pc)`` when that segment touches no global memory,
+        else None (:meth:`~repro.simt.segments.SegmentTable.memory_free_at`)."""
+        function, block, index = pc
+        return self._segment_table(function, block).memory_free_at(index)
+
     def _segment_table(self, function, block):
         table = self._segments.get((function, block))
         if table is None:

@@ -30,7 +30,7 @@ and a ``"guarded"`` classification. Every CTA carries the grid's
 classification on its :class:`~repro.simt.cta.CTAContext`: it covers the
 CTA's global tid range, so a ``"disjoint"`` grid's CTAs may run their
 warps one at a time, and a ``"guarded"`` grid's CTAs keep them
-interleaved.
+interleaved (running only memory-free segments ahead).
 
 **SM model.** CTAs issue round-robin onto ``n_sms`` simulated SMs
 (CTA ``i`` lands on SM ``i % n_sms``). Each SM is occupancy-limited: it

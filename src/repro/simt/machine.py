@@ -7,7 +7,10 @@ no warp can observe another — global footprints proven disjoint, a
 scheduler without cross-warp state, no ``ctasync`` or shared memory —
 every interleaving gives the same result, and the machine runs the warps
 one at a time to completion instead (with segment fusion throughout),
-raising the error the interleave would have raised first. A launch
+raising the error the interleave would have raised first. A launch that
+stays interleaved for its scheduler or its memory still fuses: a warp
+runs a segment no other warp can observe at once and owes the rounds
+its remaining slots would have taken. A launch
 returns a :class:`LaunchResult` with the profiler, final memory, and
 per-thread traces used by correctness tests. A flat, unobserved launch
 on the fast path that this process has already simulated returns the
@@ -168,19 +171,25 @@ class GPUMachine:
             all_threads.extend(threads)
         cta.warps = warps
 
+        run_ahead = None
         if len(warps) > 1:
-            profiler.multiwarp = self._multiwarp_mode(
+            profiler.multiwarp, run_ahead = self._multiwarp_mode(
                 executor, scheduler, kernel_name, args, n_threads, cta
             )
 
-        try:
-            if profiler.multiwarp == "independent":
-                self._run_independent(warps, executor, scheduler, kernel_name)
-            else:
-                self._run_interleaved(warps, executor, scheduler, kernel_name)
-        except SimulationError as exc:
-            abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id)
-            raise
+        if profiler.multiwarp == "independent":
+            issued, error = self._run_independent(
+                warps, executor, scheduler, kernel_name
+            )
+        else:
+            issued, error = self._run_interleaved(
+                warps, executor, scheduler, kernel_name, run_ahead
+            )
+        if error is not None:
+            if isinstance(error, SimulationError):
+                abort_launch(error, kernel_name, n_threads, profiler, sink,
+                             cta_id, issued)
+            raise error
 
         profiler.finish(warps)
         counters = profiler.engine_counters()
@@ -220,18 +229,24 @@ class GPUMachine:
     # ------------------------------------------------------------------
     def _multiwarp_mode(self, executor, scheduler, kernel_name, args,
                         n_threads, cta):
-        """How a multi-warp launch runs: ``"independent"`` (one warp at a
-        time, :meth:`_run_independent`), or the reason it stays
+        """How a multi-warp launch runs, and the segment lookup its
+        interleave runs ahead through.
+
+        The mode is ``"independent"`` (one warp at a time,
+        :meth:`_run_independent`), or the reason the launch stays
         interleaved — ``"engine"`` (no segment engine, or ``warp_batch``
         off), ``"scheduler"`` (policy state shared across warps),
-        ``"cta"`` (``ctasync`` or shared memory reachable) or
-        ``"memory"`` (global footprints not proven disjoint)."""
+        ``"cta"`` (``ctasync`` or shared memory reachable) or ``"memory"``
+        (global footprints not proven disjoint). The lookup is
+        ``executor.segment_at`` when the footprints are proven disjoint,
+        ``executor.memory_free_segment_at`` when they are not, and None
+        (one slot per warp per round) for ``"engine"`` and ``"cta"``.
+        """
         if executor.segment_at is None or not executor.engine.warp_batch:
-            return "engine"
-        if scheduler.shares_state:
-            return "scheduler"
+            return "engine", None
+        shared = scheduler.shares_state
         if cta_coupled(self.module, kernel_name):
-            return "cta"
+            return ("scheduler" if shared else "cta"), None
         # A grid CTA reuses the grid's proof over the whole tid range; a
         # flat launch proves its own [0, n_threads). A hand-built context
         # with other bases has no proof.
@@ -240,7 +255,13 @@ class GPUMachine:
             proof = classify_launch(
                 self.module, kernel_name, tuple(args), n_threads
             )
-        return "independent" if proof == "disjoint" else "memory"
+        if proof != "disjoint":
+            return ("scheduler" if shared else "memory"), (
+                executor.memory_free_segment_at
+            )
+        if shared:
+            return "scheduler", executor.segment_at
+        return "independent", None
 
     def _budget_error(self, kernel_name):
         return LaunchError(
@@ -249,37 +270,74 @@ class GPUMachine:
         )
 
     # ------------------------------------------------------------------
-    def _run_interleaved(self, warps, executor, scheduler, kernel_name):
+    def _run_interleaved(self, warps, executor, scheduler, kernel_name,
+                         run_ahead):
         """The reference schedule: every live warp issues one slot per
-        round, in warp order. The last live warp runs to completion
-        with segment fusion, since nothing can interleave with it."""
+        round, in warp order. Returns ``(issued, error)``: the slots the
+        schedule issued before it ended, and the exception it ended in
+        (None when the launch completed).
+
+        With a ``run_ahead`` segment lookup (:meth:`_multiwarp_mode`), a
+        warp whose next segment no other warp can observe runs that
+        segment at once (:meth:`_issuer`) and *owes* the rest of
+        its slots. In each owed round the warp runs nothing, but it still
+        counts one slot and one ``scheduler.consume(1)`` at its own
+        position, so every other warp's pick and the issue budget see the
+        reference schedule. The last live warp settles what it owes and
+        runs to completion with segment fusion, since nothing can
+        interleave with it.
+        """
         max_issues = self.max_issues
+        profiler = executor.profiler
+        if run_ahead is not None:
+            issue = self._issuer(executor, scheduler, run_ahead)
         issues = 0
+        owed = {}
         live_warps = warps
-        while live_warps:
-            if len(live_warps) == 1 and executor.segment_at is not None:
-                issues, error = self._run_exclusive(
-                    live_warps[0], executor, scheduler, issues,
-                    max_issues + 1,
-                )
-                if error is not None:
-                    raise error
-                if issues > max_issues:
-                    raise self._budget_error(kernel_name)
-                return
-            progressed = []
-            for warp in live_warps:
-                if self._step(warp, executor, scheduler):
-                    issues += 1
+        try:
+            while live_warps:
+                if len(live_warps) == 1 and executor.segment_at is not None:
+                    warp = live_warps[0]
+                    settled = owed.get(warp, 0)
+                    if settled:
+                        scheduler.consume(settled)
+                        issues += settled
+                    issues, error = self._run_exclusive(
+                        warp, executor, scheduler, issues, max_issues + 1
+                    )
+                    if error is not None:
+                        return issues, error
                     if issues > max_issues:
-                        raise self._budget_error(kernel_name)
-                if not warp.done:
-                    progressed.append(warp)
-            live_warps = progressed
+                        return max_issues + 1, self._budget_error(kernel_name)
+                    return issues, None
+                progressed = []
+                for warp in live_warps:
+                    if owed.get(warp):
+                        owed[warp] -= 1
+                        scheduler.consume(1)
+                        issued = True
+                    elif run_ahead is not None:
+                        issued = issue(warp)
+                        if issued > 1:
+                            owed[warp] = issued - 1
+                            profiler.ahead_instrs += issued - 1
+                    else:
+                        issued = self._step(warp, executor, scheduler)
+                    if issued:
+                        issues += 1
+                        if issues > max_issues:
+                            return issues, self._budget_error(kernel_name)
+                    if not warp.done:
+                        progressed.append(warp)
+                live_warps = progressed
+        except SimulationError as exc:  # the caller decides when to raise it
+            return issues, exc
+        return issues, None
 
     def _run_independent(self, warps, executor, scheduler, kernel_name):
-        """Run each warp to completion in warp order, then raise the
-        error the interleaved schedule would have raised first.
+        """Run each warp to completion in warp order, then return the
+        error the interleaved schedule would have raised first, as
+        ``(issued, error)`` like :meth:`_run_interleaved`.
 
         Without stalls (no ``ctasync``), the interleave gives a live warp
         exactly one slot per round, so a warp's *round* is its own issue
@@ -288,7 +346,8 @@ class GPUMachine:
         first (round, warp position) where the summed count passes
         ``max_issues``. Later-positioned warps need only run up to the
         earliest event round found so far (a tie goes to the earlier
-        position), and no warp past ``max_issues + 1`` slots.
+        position), and no warp past ``max_issues + 1`` slots. ``issued``
+        is the interleave's count at that event (:func:`_slots_before`).
         """
         max_issues = self.max_issues
         #: per warp position, the rounds it issues in (a lower bound for
@@ -310,9 +369,10 @@ class GPUMachine:
                 first = (issued, position, error)
         budget = _budget_event(rounds, max_issues)
         if budget is not None and (first is None or budget < first[:2]):
-            raise self._budget_error(kernel_name)
+            return max_issues + 1, self._budget_error(kernel_name)
         if first is not None:
-            raise first[2]
+            return _slots_before(rounds, *first[:2]), first[2]
+        return sum(rounds), None
 
     # ------------------------------------------------------------------
     def _run_exclusive(self, warp, executor, scheduler, issues, limit):
@@ -320,70 +380,88 @@ class GPUMachine:
         ``issues`` reaches ``limit``; returns ``(issues, error)``, where
         ``error`` is the exception a step or fused segment raised (None
         if none did) and ``issues`` the count when that step started.
-
-        A fusable segment (``executor.segment_at``) that starts at the
-        scheduler's pick runs as one step unless another group sits
-        inside it (``Segment.conflicts``). The pick then stays the same
-        for every slot of the segment (``SchedulerBase.pick``). A policy
-        with shared state (``shares_state``) must pick once per slot, so
-        under it only a lone group fuses. The segment reports the exit it
-        took, and the slots up to that exit are accounted at once.
-        Everything else — including an exit that ran no slot — falls
-        through to the ordinary per-instruction ``_step``, with the pick
-        already made when the policy is stateless, so the fused schedule
-        is pick-for-pick identical to the slow one.
+        Nothing else runs in between, so a fused segment's slots are all
+        accounted at once.
         """
-        segment_at = executor.segment_at
-        program_order = executor.program_order
-        profiler = executor.profiler
+        issue = self._issuer(executor, scheduler, executor.segment_at)
         shares_state = scheduler.shares_state
         try:
             while not warp.done and issues < limit:
-                groups = warp.groups_cache
-                if groups is None:
-                    groups = warp.groups()
-                pc = None
-                if len(groups) == 1:
-                    pc = next(iter(groups))
-                    segment = segment_at(pc)
-                elif groups and not shares_state:
-                    pc = scheduler.pick(groups, program_order)
-                    segment = segment_at(pc)
-                    if segment is not None and segment.conflicts(groups):
-                        segment = None
-                else:
-                    segment = None
-                if segment is not None:
-                    group = groups[pc]
-                    cycles, out = segment.execute(executor, warp, group)
-                    n = out.n
-                    if n:
-                        scheduler.consume(n)
-                        for thread in group:
-                            thread.retired += n
-                        profiler.record_segment(
-                            warp.warp_id, out, len(group), cycles
-                        )
-                        warp.cycles += cycles
-                        issues += n
-                        # Segment ops cannot park, release, or split, so
-                        # the other groups are untouched: move the issued
-                        # bucket to the exit's PC as _step's carry-over
-                        # and regrouping would have.
-                        _carry_over(warp, groups, pc, group, out.end_pc)
-                        continue
-                # Nothing to fuse here: hand the grouping to _step (an
-                # empty dict still routes through its drain/done/deadlock
-                # logic) and issue one instruction the ordinary way. A
-                # stateless policy's pick is passed along; round-robin
-                # picks once per slot, in _step.
-                warp.groups_cache = groups
-                if self._step(warp, executor, scheduler,
-                              None if shares_state else pc):
-                    issues += 1
+                n = issue(warp)
+                if n > 1 and shares_state:
+                    scheduler.consume(n - 1)
+                issues += n
         except Exception as exc:  # the caller decides when to raise it
             return issues, exc
         return issues, None
+
+    def _issuer(self, executor, scheduler, segment_at):
+        """The one fusion rule, shared by :meth:`_run_exclusive` and the
+        interleave's run-ahead: returns ``issue(warp)``, which issues
+        ``warp``'s next slot, fusing the segment ``segment_at`` finds
+        there when it may, and returns the slots run (0 when ``_step``
+        issued nothing).
+
+        A segment that starts at the scheduler's pick runs as one step
+        unless another group sits inside it (``Segment.conflicts``). The
+        pick then stays the same for every slot of the segment
+        (``SchedulerBase.pick``). A policy with shared state
+        (``shares_state``) must pick once per slot, so under it only a
+        lone group fuses. The segment reports the exit it took, and the
+        slots up to that exit are accounted at once, except the
+        scheduler's: ``issue`` consumes the first slot of a policy with
+        shared state, and the caller consumes the rest at their own
+        slots. Everything else — including an exit that ran no slot —
+        falls through to the ordinary per-instruction ``_step``, with
+        the pick already made when the policy is stateless, so the fused
+        schedule is pick-for-pick identical to the slow one.
+        """
+        program_order = executor.program_order
+        record_segment = executor.profiler.record_segment
+        shares_state = scheduler.shares_state
+        step = self._step
+
+        def issue(warp):
+            groups = warp.groups_cache
+            if groups is None:
+                groups = warp.groups()
+            pc = segment = None
+            if len(groups) == 1:
+                pc = next(iter(groups))
+                segment = segment_at(pc)
+            elif groups and not shares_state:
+                pc = scheduler.pick(groups, program_order)
+                segment = segment_at(pc)
+                if segment is not None and segment.conflicts(groups):
+                    segment = None
+            if segment is not None:
+                group = groups[pc]
+                cycles, out = segment.execute(executor, warp, group)
+                n = out.n
+                if n:
+                    if shares_state:
+                        scheduler.consume(1)
+                    for thread in group:
+                        thread.retired += n
+                    record_segment(warp.warp_id, out, len(group), cycles)
+                    warp.cycles += cycles
+                    # Segment ops cannot park, release, or split, so the
+                    # other groups are untouched: move the issued bucket
+                    # to the exit's PC as _step's carry-over and
+                    # regrouping would have.
+                    _carry_over(warp, groups, pc, group, out.end_pc)
+                    return n
+            # Nothing to fuse here: hand the grouping to _step (an empty
+            # dict still routes through its drain/done/deadlock logic)
+            # and issue one instruction the ordinary way. A stateless
+            # policy's pick is passed along; round-robin picks once per
+            # slot, in _step.
+            warp.groups_cache = groups
+            if step(warp, executor, scheduler, None if shares_state else pc):
+                return 1
+            return 0
+
+        return issue
 
     # ------------------------------------------------------------------
     def _step(self, warp, executor, scheduler, pc=None):
@@ -462,12 +540,15 @@ class GPUMachine:
         return True
 
 
-def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None):
+def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None,
+                 issued=None):
     """Death rites for a launch that raised mid-kernel, shared by every
     machine: account the failure, attach the post-mortem to the error
     (:func:`~repro.obs.recorder.attach_post_mortem`; ``cta_id`` for a
     grid CTA), and finalize the sink so a file-backed trace keeps the
-    events leading up to the failure instead of silently losing them."""
+    events leading up to the failure instead of silently losing them.
+    ``issued`` is the slots the machine's schedule issued before the
+    failure (default: every slot the profiler recorded)."""
     ENGINE_COUNTERS.launch_errors += 1
     from repro.simt.jit import jit_post_mortem
 
@@ -476,7 +557,7 @@ def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None):
     jit = jit_post_mortem() if profiler.segment_stats else None
     attach_post_mortem(
         exc, kernel_name, n_threads, -(-n_threads // WARP_SIZE), profiler,
-        cta_id, jit,
+        cta_id, jit, issued,
     )
     if sink is not None:
         try:
@@ -517,3 +598,12 @@ def _budget_event(rounds, max_issues):
             hi = mid
     issuing = [position for position, a in enumerate(rounds) if a > lo]
     return lo, issuing[max_issues - sum(min(a, lo) for a in rounds)]
+
+
+def _slots_before(rounds, round_, position):
+    """Slots an interleaved launch issues before the slot at ``(round_,
+    position)``, when the warp at position ``p`` issues one slot in each
+    round below ``rounds[p]``."""
+    return sum(min(a, round_) for a in rounds) + sum(
+        1 for a in rounds[:position] if a > round_
+    )

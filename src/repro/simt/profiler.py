@@ -144,6 +144,10 @@ class Profiler:
         #: identical.
         self.nonforced_multi_group = 0
         self.nonforced_observed = 0
+        #: fused slots an interleaved launch ran ahead of their round
+        #: (``GPUMachine._run_interleaved``): the slots a run-ahead
+        #: segment owes after its first. Engine telemetry, like the above.
+        self.ahead_instrs = 0
         #: when tracing, every issue as a cycle-stamped IssueEvent (which
         #: unpacks as the legacy ``(warp_id, function, block, lanes)`` tuple)
         self.trace = [] if trace else None
@@ -314,6 +318,7 @@ class Profiler:
                 name: int(self.multiwarp == mode)
                 for mode, name in MULTIWARP_COUNTERS.items()
             },
+            "batch.ahead_instrs": self.ahead_instrs,
             "sched.nonforced_multi_group": self.nonforced_multi_group,
             "sched.nonforced_observed": self.nonforced_observed,
             # Every fused segment runs compiled code (repro.simt.jit).

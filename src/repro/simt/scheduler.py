@@ -25,7 +25,11 @@ class SchedulerBase:
     #: launch, so such a policy couples the warps' issue orders and
     #: ``GPUMachine`` must interleave them as the reference does. Its
     #: ``pick`` also runs exactly once per issued slot, so segment fusion
-    #: takes only a lone group and accounts the slots with ``consume``.
+    #: takes only a lone group (whose pick is the same whatever the
+    #: state) and accounts the slots with ``consume``. Inside the
+    #: interleave, a warp that runs such a segment ahead consumes one
+    #: slot per round at its own position, so every other warp's pick
+    #: reads the state the reference schedule gives it.
     shares_state = False
 
     def pick(self, groups, program_order):
@@ -42,15 +46,18 @@ class SchedulerBase:
         only the picked group, forward through its block past no other
         group (an agreeing ``cbr`` leaves the block, but only as the
         segment's last slot), so it stays the pick for every slot of the
-        segment.
+        segment. The pick reads only the picking warp's groups, so this
+        holds inside an interleave too, where the machine runs the
+        segment ahead of the other warps' slots.
         """
         raise NotImplementedError
 
     def consume(self, n):
         """Account for ``n`` issue slots granted without calling ``pick``
-        (a fused segment). Stateless policies ignore this; stateful ones
-        (round-robin) advance their internal position as if ``pick`` had
-        run ``n`` times.
+        (a fused segment's slots, consumed one at a time at their own
+        positions when other warps interleave). Stateless policies ignore
+        this; stateful ones (round-robin) advance their internal position
+        as if ``pick`` had run ``n`` times.
         """
 
 

@@ -41,11 +41,18 @@ Fusion runs the segment that starts at the scheduler's pick when no other
 group could merge into the segment's interior (``Segment.conflicts``): the
 pick then stays the same for the whole run (``SchedulerBase.pick``). A
 policy with state shared across slots (round-robin) fuses lone groups
-only. Fusion happens only on a warp nothing can interleave with: the last
-live warp, or any warp of a launch whose warps run independently
-(``GPUMachine``).
+only. Fusion happens wherever no other warp can see the segment run: on
+the last live warp, on every warp of a launch whose warps run
+independently, and inside the interleave of a launch that stays
+interleaved for its scheduler or its memory, where the warp runs the
+segment at once and owes its remaining rounds (``GPUMachine``). In that
+interleave a segment with a global memory op fuses only when the
+launch's footprints are proven disjoint;
+:meth:`SegmentTable.memory_free_at` rejects the others from the decoded
+entries, before lowering them.
 Anything else — an attached sink, stall metrics, an issue trace, a
-disabled fastpath, several interleaved live warps — falls back to
+disabled fastpath, several live warps with ``warp_batch`` off or in a
+CTA-coupled launch — falls back to
 per-instruction issue with identical results. ``REPRO_SEGMENTS=0`` (or
 ``engine_config(segments=False)``, :mod:`repro.engine`) turns fusion off;
 the conformance suite pins segments-on against segments-off over the full
@@ -73,6 +80,9 @@ FUSABLE_OPS = _UNIFORM_OPS - {Opcode.CALL}
 #: Barrier ops a segment runs through when their barrier is a literal
 #: (``bbreak`` behind its run-time guard).
 _BARRIER_TRACE_OPS = frozenset((Opcode.BSSY, Opcode.BBREAK))
+
+#: Segment ops another warp can observe: global memory accesses.
+_MEMORY_OPS = frozenset((Opcode.LD, Opcode.ST, Opcode.ATOMADD))
 
 
 def _traceable(entry):
@@ -206,6 +216,9 @@ class SegmentTable:
                 end = -1
         self._run_end = run_end
         self._cache = {}
+        # index -> no global memory op in entries[index:_run_end[index]],
+        # filled on first ask (only interleaved launches ask)
+        self._memory_free = {}
 
     def at(self, index):
         segment = self._cache.get(index, _NO_SEGMENT)
@@ -222,3 +235,16 @@ class SegmentTable:
                 segment = None
         self._cache[index] = segment
         return segment
+
+    def memory_free_at(self, index):
+        """``at(index)`` when that segment touches no global memory, else
+        None. The check reads the decoded entries, so a segment it
+        rejects is never lowered."""
+        free = self._memory_free.get(index)
+        if free is None:
+            end = self._run_end[index] if index < len(self._run_end) else -1
+            free = self._memory_free[index] = end - index >= 2 and not any(
+                entry.opcode in _MEMORY_OPS
+                for entry in self.entries[index:end]
+            )
+        return self.at(index) if free else None

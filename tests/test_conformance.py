@@ -631,9 +631,9 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
                 reference=REFERENCE, **machine_kwargs):
     """Launch kernel ``k`` under each of ``engines`` and under
     ``reference``: all must complete bit-identically, or deadlock
-    *identically* (same warp, same parked lanes). Returns the profilers
-    of ``reference`` and then ``engines``, or None when the kernel
-    deadlocks."""
+    *identically* (same warp, same parked lanes, same post-mortem
+    ``issued``). Returns the profilers of ``reference`` and then
+    ``engines``, or None when the kernel deadlocks."""
 
     def launch(config):
         with _using(config):
@@ -648,6 +648,9 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
             assert exc.value.warp_id == expected_exc.warp_id, engine
             assert sorted(exc.value.waiting) == sorted(
                 expected_exc.waiting
+            ), engine
+            assert exc.value.post_mortem["issued"] == (
+                expected_exc.post_mortem["issued"]
             ), engine
         return None
     profilers = [expected.profiler]

@@ -645,6 +645,7 @@ class TestStatsCLI:
         assert "Launch counters" in out
         assert "fused_instrs" in out and "segments" in out
         assert "fallback_cbr" in out and "fallback_other" in out
+        assert "ahead_instrs" in out
         assert "Process counter delta" in out
 
     def test_repeated_sweep_reports_memo_hits(self, tmp_path, capsys):

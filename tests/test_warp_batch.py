@@ -32,6 +32,10 @@ from repro.harness.parallel import run_tasks, shutdown_pool, task
 from repro.ir import parse_module
 from repro.ir.function import clear_module_caches
 from repro.simt import CTAContext, GPUMachine, GlobalMemory
+from repro.ir.instructions import Opcode
+from repro.obs.counters import COUNTERS, merge
+from repro.simt.costs import DEFAULT_COST_MODEL
+from repro.simt.fastpath import decode_program
 from repro.simt.profiler import MULTIWARP_COUNTERS
 from repro.analysis.memeffects import classify_launch
 from tests.helpers import split_engine
@@ -348,6 +352,17 @@ join:
 #: Slots the interleaved two-warp launch issues before warp 1 deadlocks.
 STAGGERED_DEADLOCK_SLOTS = 87
 
+#: Never ends: a budget overrun inside a fused loop.
+STORE_THEN_SPIN = """
+kernel k() {
+    store(tid(), 1.0);
+    let i = 0;
+    while (i >= 0) {
+        i = i + 1;
+    }
+}
+"""
+
 
 def _expected_mode(reason):
     """``reason`` when the process engine can run warps independently,
@@ -359,20 +374,22 @@ def _expected_mode(reason):
 
 
 def _outcome(module, n_threads, memory=None, cta=None, **kwargs):
-    """What one launch ends in: its results, its deadlock identity, or
-    the budget error text; plus the multi-warp mode it ran in (on a
-    failure, as its post-mortem reports it)."""
+    """What one launch ends in: its results, or its deadlock identity or
+    budget error text with the post-mortem's ``issued``; plus the
+    multi-warp mode it ran in (on a failure, as its post-mortem reports
+    it)."""
     engine, machine_kwargs = split_engine(kwargs)
     with engine_config(**engine):
         machine = GPUMachine(module, **machine_kwargs)
         try:
             launch = machine.launch("k", n_threads, memory=memory, cta=cta)
         except DeadlockError as exc:
-            mode = exc.post_mortem["multiwarp"]
-            return ("deadlock", exc.warp_id, exc.waiting), mode
+            report = exc.post_mortem
+            return ("deadlock", exc.warp_id, exc.waiting,
+                    report["issued"]), report["multiwarp"]
         except LaunchError as exc:
-            mode = exc.post_mortem["multiwarp"]
-            return ("budget", str(exc)), mode
+            report = exc.post_mortem
+            return ("budget", str(exc), report["issued"]), report["multiwarp"]
     return _fingerprint(launch), launch.profiler.multiwarp
 
 
@@ -392,9 +409,11 @@ class TestErrorOrder:
     def test_later_warp_deadlocks_first(self):
         got, expected = self._pair()
         assert got == expected
-        kind, warp_id, waiting = got
+        kind, warp_id, waiting, issued = got
         assert (kind, warp_id) == ("deadlock", 1)
         assert len(waiting) == 32
+        # The interleave's count, not the slots the warps ran apart.
+        assert issued == STAGGERED_DEADLOCK_SLOTS
 
     def test_budget_beats_later_deadlock(self):
         got, expected = self._pair(STAGGERED_DEADLOCK_SLOTS - 1)
@@ -410,6 +429,14 @@ class TestErrorOrder:
         for max_issues in range(0, STAGGERED_DEADLOCK_SLOTS + 8):
             got, expected = self._pair(max_issues)
             assert got == expected, max_issues
+
+    @pytest.mark.parametrize("segments", [True, False])
+    def test_single_warp_budget_reports_the_overrun_slot(self, segments):
+        """A fused segment may run past the budget; the post-mortem still
+        reports the slot that overran it."""
+        got, _ = _outcome(_module(STORE_THEN_SPIN), 32, max_issues=200,
+                          segments=segments)
+        assert got[:1] + got[2:] == ("budget", 201)
 
 
 #: Disjoint, with tid-dependent trip counts so the schedulers differ.
@@ -486,6 +513,209 @@ class TestStaysInterleaved:
     def test_shared_memory(self):
         self._check(SHARED_STORE, "cta",
                     cta=lambda: CTAContext(shared_words=4))
+
+
+# ----------------------------------------------------------------------
+# Run-ahead inside the interleave
+# ----------------------------------------------------------------------
+
+#: Warp 0 runs a long uniform segment (20 ``add``s, then its ``st``)
+#: while warp 1 takes STAGGERED_DEADLOCK_IR's ``stall`` arms and
+#: deadlocks in round 11. The stores are per-thread, so the footprints
+#: are disjoint and warp 0's whole segment may run ahead.
+RUN_AHEAD_DEADLOCK_IR = """
+func @k() kernel {
+entry:
+  %t = tid
+  %w = warpid
+  %c = cmplt %w, 1
+  cbr %c, ^work, ^stall
+work:
+  %i = mov 0
+""" + "  %i = add %i, 1\n" * 20 + """  st %t, %i
+  exit
+stall:
+  bssy $spec
+  bssy $pdom
+  %l = lane
+  %p = cmplt %l, 16
+  cbr %p, ^low, ^high
+low:
+  bsync.soft $spec, 32
+  bra ^join
+high:
+  bsync.soft $pdom, 32
+  bra ^join
+join:
+  st %t, %t
+  exit
+}
+"""
+
+#: Slots the interleaved reference issues before warp 1 deadlocks: 11
+#: per warp, then warp 0's slot of round 11.
+RUN_AHEAD_DEADLOCK_SLOTS = 23
+
+#: Warp 0 runs a long uniform segment while warp 1 splits three ways and
+#: every arm draws a ticket from one shared cell. Under round-robin,
+#: warp 1's multi-group picks read the rotation counter that warp 0's
+#: run-ahead slots advance, so the tickets record whether warp 0
+#: consumed each owed slot in its own round.
+RUN_AHEAD_ROTATION_IR = """
+func @k() kernel {
+entry:
+  %t = tid
+  %w = warpid
+  %c = cmplt %w, 1
+  cbr %c, ^work, ^split
+work:
+  %i = mov 0
+""" + "  %i = add %i, 1\n" * 20 + """  exit
+split:
+  %l = lane
+  %m = rem %l, 3
+  %a = cmpeq %m, 0
+  cbr %a, ^arm0, ^rest
+rest:
+  %b = cmpeq %m, 1
+  cbr %b, ^arm1, ^arm2
+arm0:
+  %v = atomadd 1000, 1
+  st %t, %v
+  exit
+arm1:
+  %v = atomadd 1000, 1
+  st %t, %v
+  exit
+arm2:
+  %v = atomadd 1000, 1
+  st %t, %v
+  exit
+}
+"""
+
+#: Guarded: every warp reads cells another warp writes, after a long
+#: memory-free loop with the same trip count in every warp.
+LOOP_THEN_SHIFTED_STORE = """
+kernel k() {
+    let t = tid();
+    let x = 0.0;
+    let i = 0;
+    while (i < 24) {
+        x = fma(x, 1.0001, 0.5);
+        x = fma(x, 1.0001, 0.5);
+        i = i + 1;
+    }
+    let v = ld(t + 40);
+    store(t, v + x);
+}
+"""
+
+_MEMORY_OPS = frozenset((Opcode.LD, Opcode.ST, Opcode.ATOMADD))
+
+
+def _compiled_segments(module):
+    """Every segment built for ``module`` under the default cost model,
+    with its decoded entries."""
+    program = decode_program(module, DEFAULT_COST_MODEL)
+    return [
+        (segment, table.entries[segment.start:segment.start + segment.n])
+        for table in program._segments.values()
+        for segment in table._cache.values()
+        if segment is not None
+    ]
+
+
+class TestRunAhead:
+    """An interleaved launch lets a warp run a segment no other warp can
+    observe at once and owe its rounds; every result, error and
+    post-mortem count matches the interpreted reference
+    (``fastpath=False``). Runs under the process engine, so the
+    ``REPRO_WARP_BATCH=0`` leg checks the per-slot interleave too."""
+
+    def _check(self, module, n_threads=96, **kwargs):
+        got, mode = _outcome(module, n_threads, memory=GlobalMemory(),
+                             **kwargs)
+        expected, _ = _outcome(module, n_threads, memory=GlobalMemory(),
+                               fastpath=False, **kwargs)
+        assert got == expected
+        return got, mode
+
+    def test_round_robin_divergent_store(self):
+        module = _module(DIVERGENT_STORE)
+        _, mode = self._check(module, scheduler="round-robin")
+        assert mode == _expected_mode("scheduler")
+
+    def test_round_robin_rotation_is_consumed_per_round(self):
+        module = parse_module(RUN_AHEAD_ROTATION_IR)
+        for scheduler in ("convergence", "oldest-first", "round-robin"):
+            _, mode = self._check(module, 64, scheduler=scheduler)
+            expected = "scheduler" if scheduler == "round-robin" else "memory"
+            assert mode == _expected_mode(expected)
+
+    def test_ahead_instrs_counter(self):
+        ahead = _run(DIVERGENT_STORE, lambda memory: (), 96,
+                     scheduler="round-robin", warp_batch=True)
+        per_slot = _run(DIVERGENT_STORE, lambda memory: (), 96,
+                        scheduler="round-robin", warp_batch=False)
+        assert per_slot.counters["batch.ahead_instrs"] == 0
+        counters = ahead.counters
+        assert 0 < counters["batch.ahead_instrs"]
+        assert counters["batch.ahead_instrs"] < counters[
+            "segments.fused_instrs"
+        ]
+        assert "batch.ahead_instrs" in COUNTERS
+        # Worker snapshots merge by the registry's rule: they add up.
+        assert merge([counters, counters])["batch.ahead_instrs"] == (
+            2 * counters["batch.ahead_instrs"]
+        )
+        assert _fingerprint(ahead) == _fingerprint(per_slot)
+
+    @pytest.mark.parametrize(
+        "scheduler", ["convergence", "oldest-first", "round-robin"]
+    )
+    def test_memory_coupled_runs_ahead_without_memory_segments(
+        self, scheduler
+    ):
+        module = _module(LOOP_THEN_SHIFTED_STORE)
+        clear_module_caches("decode")
+        _, mode = self._check(module, scheduler=scheduler)
+        expected = "scheduler" if scheduler == "round-robin" else "memory"
+        assert mode == _expected_mode(expected)
+        segments = _compiled_segments(module)
+        if _expected_mode(expected) != "engine":
+            assert segments  # the loop ran ahead, fused
+        for segment, entries in segments:
+            assert not any(e.opcode in _MEMORY_OPS for e in entries), (
+                segment
+            )
+
+    @pytest.mark.parametrize(
+        "scheduler", ["convergence", "oldest-first", "round-robin"]
+    )
+    def test_deadlock_after_run_ahead(self, scheduler):
+        module = parse_module(RUN_AHEAD_DEADLOCK_IR)
+        got, _ = self._check(module, 64, scheduler=scheduler)
+        kind, warp_id, waiting, issued = got
+        assert (kind, warp_id) == ("deadlock", 1)
+        assert len(waiting) == 32
+        assert issued == RUN_AHEAD_DEADLOCK_SLOTS
+
+    #: ``slots``: what the launch issues, to its deadlock or its end.
+    @pytest.mark.parametrize("source, slots", [
+        (RUN_AHEAD_DEADLOCK_IR, RUN_AHEAD_DEADLOCK_SLOTS),
+        # Completes: warp 1 ends while warp 0 still owes slots, which it
+        # settles as the last live warp.
+        (RUN_AHEAD_ROTATION_IR, 45),
+    ], ids=["deadlock", "rotation"])
+    def test_every_budget_matches_reference(self, source, slots):
+        """Every issue budget up to and past the launch's end ends it
+        the same way as the reference, under every scheduler."""
+        module = parse_module(source)
+        for scheduler in ("convergence", "oldest-first", "round-robin"):
+            for max_issues in range(0, slots + 8):
+                self._check(module, 64, scheduler=scheduler,
+                            max_issues=max_issues)
 
 
 # ----------------------------------------------------------------------
