@@ -75,11 +75,15 @@ class EngineConfig:
     """The five host-engine settings; every combination gives identical
     simulated results."""
 
-    #: Pre-decoded table dispatch (:mod:`repro.simt.fastpath`). Off runs
-    #: the interpreted executor, the reference semantics.
+    #: Pre-decoded table dispatch (:mod:`repro.simt.fastpath`), with pure
+    #: ops lowered to generated Python on their first issue
+    #: (:mod:`repro.simt.jit`). Off runs the interpreted executor, the
+    #: reference semantics.
     fastpath: bool = True
     #: Fused straight-line segments, each compiled to Python when it is
-    #: built (:mod:`repro.simt.segments`, :mod:`repro.simt.jit`).
+    #: built (:mod:`repro.simt.segments`, :mod:`repro.simt.jit`). Off
+    #: means no fusion: every slot issues alone, pure ops still through
+    #: generated code.
     segments: bool = True
     #: Multi-warp launches whose warps cannot observe each other run one
     #: warp at a time to completion, and an interleaved launch's warps run

@@ -24,8 +24,9 @@ installs the parent's engine config in every worker, so an
 ``fork`` and the ``spawn`` start method (spawned workers would otherwise
 re-parse the environment).
 :func:`shutdown_pool` retires the pool explicitly (also registered
-``atexit``), and a worker exception terminates the pool before
-propagating so no half-poisoned workers outlive the error. A worker that
+``atexit``). A task exception lets the sweep's other tasks finish, then
+terminates the pool before propagating so no half-poisoned workers
+outlive the error. A worker that
 dies mid-sweep (``os._exit``, a signal, the OOM killer) breaks the
 executor, which fails every pending future at once: the sweep raises a
 typed :class:`~repro.errors.WorkerError` instead of waiting forever, the
@@ -169,10 +170,13 @@ def _map(wrapper, items, jobs):
     """``wrapper(item)`` for every item on the pool, in submission order
     (each item starts with its task's function).
 
-    A task's own exception propagates unchanged; a dead worker raises
-    :class:`WorkerError`. Either way the pool is retired first, so no
-    worker left mid-task is handed the next sweep.
+    Every submitted task runs to its end, so a failing task never cuts
+    another short (its post-mortem, say); then the first error in
+    submission order is raised. A task's own exception propagates
+    unchanged; a dead worker raises :class:`WorkerError`. Either way the
+    pool is retired first.
     """
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     pool = _acquire_pool(jobs)
@@ -181,6 +185,7 @@ def _map(wrapper, items, jobs):
     try:
         # A worker can die while later tasks are still being submitted.
         futures = [pool.submit(wrapper, item) for item in items]
+        wait(futures)
         for future in futures:
             results.append(future.result())
     except BrokenProcessPool:

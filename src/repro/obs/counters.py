@@ -84,11 +84,13 @@ COUNTERS = {
         "issue slots retired one at a time: any other opcode",
     # --- jit: compiled segments (repro.simt.jit) ----------------------
     "jit.compiled_segments":
-        "compile() calls: generated sources not yet in the code memo",
+        "compile() calls: generated sources (segments and lone pure ops) "
+        "not yet in the code memo",
     "jit.tierups":
         "segments lowered to generated code when built",
     "jit.deopts":
-        "segments vetoed by codegen (the run issues unfused)",
+        "segments and lone pure ops vetoed by codegen (the run issues "
+        "unfused; the op runs interpreted)",
     "jit.executed_segments":
         "fused segment executions (all run compiled code)",
     # --- batch: how multi-warp launches ran (repro.simt.machine) ------

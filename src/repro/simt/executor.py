@@ -136,7 +136,7 @@ class Executor:
         # Pre-decoded dispatch table (repro.simt.fastpath), shared across
         # executors of the same module + cost model. Imported here rather
         # than at module level because fastpath builds on this module's
-        # eval tables.
+        # eval tables (through repro.simt.jit).
         from repro.simt.fastpath import decode_program
 
         self._decoded = (
@@ -241,8 +241,9 @@ class Executor:
     def _execute_slow(self, warp, instr, group):
         """Interpreted execution of one instruction; returns its cycles.
 
-        This is the reference semantics: the fastpath closures in
-        :mod:`repro.simt.fastpath` are specializations of these branches and
+        This is the reference semantics: the decoded handlers of
+        :mod:`repro.simt.fastpath` and the generated code of
+        :mod:`repro.simt.jit` are specializations of these branches and
         must stay bit-identical (pinned by ``tests/test_conformance.py``).
         """
         opcode = instr.opcode

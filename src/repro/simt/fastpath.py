@@ -6,22 +6,28 @@ with ``isinstance`` checks. That is robust but slow: the dispatch cost is
 paid once per issue slot, of which a single sweep point executes millions.
 
 This module flattens each basic block once into a dense tuple of
-:class:`DecodedInstruction` records. Decoding interns the operands (each
-closure captures exactly what it needs), pre-resolves branch targets and
-call entry points to plain strings and function objects, pre-binds the
-arithmetic eval function, and freezes the static issue latency from the
-cost model. Register operands resolve at decode time to *slot indices* in
-the owning function's register allocation
-(:meth:`repro.ir.function.Function.reg_slots`), so a register access in a
-decoded handler is a single C-speed list index — no name hashing at all.
-The warp issue loop then becomes a table lookup plus one specialized
-closure call per issue.
+:class:`DecodedInstruction` records, each carrying the static issue
+latency from the cost model and a ``run`` handler. Register operands
+resolve at decode time to *slot indices* in the owning function's
+register allocation (:meth:`repro.ir.function.Function.reg_slots`), so a
+register access is a single C-speed list index — no name hashing at all.
+The warp issue loop then becomes a table lookup plus one handler call
+per issue.
 
-Semantics are **bit-identical** to the slow path by construction: every
-closure body is a line-for-line specialization of the corresponding
-``Executor.execute`` branch, applying per-thread effects in the same lane
-order and charging the same cycle costs (``tests/test_conformance.py``
-pins this differentially over the Table 2 corpus).
+Pure ops (:data:`repro.simt.jit._PURE_OPS`: arithmetic, compares,
+``const``, ``sel``, ``fma``, the thread intrinsics, ``nop``/``predict``/
+``delay``) have one fast semantics, the segment compiler's templates. Their
+``run`` is lowered to generated Python on the op's first issue
+(:func:`repro.simt.jit.lower_op`), never at decode, so only ops that do
+issue alone pay for codegen; an op codegen vetoes runs the interpreter's
+``Executor._execute_slow`` instead. Every other op — memory, control,
+barrier, grid — gets a closure that interns its operands, pre-resolves
+branch targets and call entry points, and is a line-for-line
+specialization of the corresponding ``Executor._execute_slow`` branch,
+applying per-thread effects in the same lane order and charging the same
+cycle costs. Semantics are therefore **bit-identical** to the slow path
+(``tests/test_conformance.py`` pins this differentially over the Table 2
+corpus).
 
 Decoded programs are cached per ``(module, cost model)`` in the module's
 ``"decode"`` cache (:func:`~repro.ir.function.module_cache`), so
@@ -52,14 +58,10 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
 from repro.simt.barrier_state import ALL_MEMBERS
 from repro.simt.costs import cost_key
-from repro.simt.executor import (
-    _BINARY_EVAL,
-    _UNARY_EVAL,
-    _UNIFORM_OPS,
-    _WARPSYNC_BARRIER,
-)
+from repro.simt.executor import _UNIFORM_OPS, _WARPSYNC_BARRIER
+from repro.simt.jit import _PURE_OPS, lower_op
 from repro.simt.segments import SegmentTable
-from repro.simt.warp import Frame
+from repro.simt.warp import UNDEF, Frame
 
 __all__ = [
     "DecodedInstruction",
@@ -77,8 +79,12 @@ def _getter(operand, slots):
         value = operand.value
         return lambda thread: value
     if isinstance(operand, Reg):
-        def read(thread, _slot=slots[operand.name]):
-            return thread.frames[-1].regs[_slot]
+        def read(thread, _slot=slots[operand.name], _reg=operand):
+            frame = thread.frames[-1]
+            value = frame.regs[_slot]
+            if value is UNDEF:
+                frame.read(_reg)  # raises, as the interpreter's read does
+            return value
 
         return read
     if isinstance(operand, Barrier):
@@ -109,7 +115,9 @@ class DecodedInstruction:
     """One pre-decoded instruction: the original record plus its handler.
 
     ``run(executor, warp, group)`` applies the instruction to every thread
-    of ``group`` (in lane order) and returns the cycle cost of the issue.
+    of ``group`` (in lane order) and returns the cycle cost of the issue;
+    a pure op's ``run`` replaces itself with generated code on its first
+    call.
     """
 
     __slots__ = ("instr", "opcode", "latency", "run", "uniform",
@@ -129,188 +137,6 @@ class DecodedInstruction:
 # ---------------------------------------------------------------------------
 # Per-opcode specializations
 # ---------------------------------------------------------------------------
-def _decode_binary(instr, latency, slots):
-    fn = _BINARY_EVAL[instr.opcode]
-    dst = slots[instr.dst.name]
-    a, b = instr.operands
-    if isinstance(a, Reg) and isinstance(b, Reg):
-        sa, sb = slots[a.name], slots[b.name]
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = fn(regs[sa], regs[sb])
-                frame.index += 1
-            return latency
-
-    elif isinstance(a, Reg) and isinstance(b, Imm):
-        sa, bv = slots[a.name], b.value
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = fn(regs[sa], bv)
-                frame.index += 1
-            return latency
-
-    elif isinstance(a, Imm) and isinstance(b, Reg):
-        av, sb = a.value, slots[b.name]
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = fn(av, regs[sb])
-                frame.index += 1
-            return latency
-
-    else:
-        get_a, get_b = _getter(a, slots), _getter(b, slots)
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                frame.regs[dst] = fn(get_a(thread), get_b(thread))
-                frame.index += 1
-            return latency
-
-    return run
-
-
-def _decode_unary(instr, latency, slots):
-    fn = _UNARY_EVAL[instr.opcode]
-    dst = slots[instr.dst.name]
-    operand = instr.operands[0]
-    if isinstance(operand, Reg):
-        src = slots[operand.name]
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = fn(regs[src])
-                frame.index += 1
-            return latency
-
-    else:
-        get = _getter(operand, slots)
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                frame.regs[dst] = fn(get(thread))
-                frame.index += 1
-            return latency
-
-    return run
-
-
-def _decode_const(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    value = instr.operands[0].value
-
-    def run(executor, warp, group):
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = value
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_sel(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    get_pred = _getter(instr.operands[0], slots)
-    get_true = _getter(instr.operands[1], slots)
-    get_false = _getter(instr.operands[2], slots)
-
-    def run(executor, warp, group):
-        for thread in group:
-            picked = (
-                get_true(thread)
-                if get_pred(thread) != 0
-                else get_false(thread)
-            )
-            frame = thread.frames[-1]
-            frame.regs[dst] = picked
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_fma(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    a, b, c = instr.operands
-    if isinstance(a, Reg) and isinstance(b, Imm) and isinstance(c, Imm):
-        # The dominant shape in the Table 2 kernels: acc = fma(acc, k1, k2).
-        sa, bv, cv = slots[a.name], b.value, c.value
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = regs[sa] * bv + cv
-                frame.index += 1
-            return latency
-
-    elif isinstance(a, Reg) and isinstance(b, Reg) and isinstance(c, Reg):
-        sa, sb, sc = slots[a.name], slots[b.name], slots[c.name]
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                regs = frame.regs
-                regs[dst] = regs[sa] * regs[sb] + regs[sc]
-                frame.index += 1
-            return latency
-
-    else:
-        get_a = _getter(a, slots)
-        get_b = _getter(b, slots)
-        get_c = _getter(c, slots)
-
-        def run(executor, warp, group):
-            for thread in group:
-                frame = thread.frames[-1]
-                frame.regs[dst] = (
-                    get_a(thread) * get_b(thread) + get_c(thread)
-                )
-                frame.index += 1
-            return latency
-
-    return run
-
-
-def _decode_identity(instr, latency, slots, attr):
-    dst = slots[instr.dst.name]
-
-    def run(executor, warp, group):
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = getattr(thread, attr)
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_rand(instr, latency, slots):
-    dst = slots[instr.dst.name]
-
-    def run(executor, warp, group):
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = thread.rng.uniform()
-            frame.index += 1
-        return latency
-
-    return run
-
-
 def _decode_cta_value(instr, latency, slots, attr):
     # CTA identity is launch-uniform but *not* decode-time constant: the
     # decoded program is shared across every launch (and every CTA) of the
@@ -694,26 +520,6 @@ def _decode_warpsync(instr, latency):
     return run
 
 
-def _decode_advance(instr, latency):
-    def run(executor, warp, group):
-        for thread in group:
-            thread.frames[-1].index += 1
-        return latency
-
-    return run
-
-
-def _decode_delay(instr):
-    cycles = int(instr.operands[0].value)
-
-    def run(executor, warp, group):
-        for thread in group:
-            thread.frames[-1].index += 1
-        return cycles
-
-    return run
-
-
 def _decode_unhandled(instr):
     opcode = instr.opcode
 
@@ -723,33 +529,31 @@ def _decode_unhandled(instr):
     return run
 
 
-def _decode_instruction(instr, cost_model, module, slots):
-    """Build the specialized handler for one instruction.
+def _lowered_on_first_issue(entry, slots, pc):
+    """``entry.run`` of a pure op until its first issue, which lowers it
+    (:func:`~repro.simt.jit.lower_op`) and installs the result."""
+
+    def run(executor, warp, group):
+        entry.run = lower_op(entry, slots, pc)
+        return entry.run(executor, warp, group)
+
+    return run
+
+
+def _decode_instruction(instr, cost_model, module, slots, pc):
+    """Build the specialized handler for the instruction at ``pc``.
 
     ``slots`` is the owning function's register allocation; every register
-    operand is resolved to its slot index here, at decode time.
+    operand is resolved to its slot index here, at decode time. A pure op
+    is lowered from the segment compiler's templates on its first issue.
     """
     opcode = instr.opcode
     latency = cost_model.latency(opcode)
-    if opcode in _BINARY_EVAL:
-        run = _decode_binary(instr, latency, slots)
-    elif opcode in _UNARY_EVAL:
-        run = _decode_unary(instr, latency, slots)
-    elif opcode is Opcode.CONST:
-        run = _decode_const(instr, latency, slots)
-    elif opcode is Opcode.SEL:
-        run = _decode_sel(instr, latency, slots)
-    elif opcode is Opcode.FMA:
-        run = _decode_fma(instr, latency, slots)
-    elif opcode is Opcode.TID:
-        run = _decode_identity(instr, latency, slots, "tid")
-    elif opcode is Opcode.LANE:
-        run = _decode_identity(instr, latency, slots, "lane")
-    elif opcode is Opcode.WARPID:
-        run = _decode_identity(instr, latency, slots, "warp_id")
-    elif opcode is Opcode.RAND:
-        run = _decode_rand(instr, latency, slots)
-    elif opcode is Opcode.CTAID:
+    if opcode in _PURE_OPS:
+        entry = DecodedInstruction(instr, latency, None)
+        entry.run = _lowered_on_first_issue(entry, slots, pc)
+        return entry
+    if opcode is Opcode.CTAID:
         run = _decode_cta_value(instr, latency, slots, "cta_id")
     elif opcode is Opcode.CTADIM:
         run = _decode_cta_value(instr, latency, slots, "cta_dim")
@@ -793,10 +597,6 @@ def _decode_instruction(instr, cost_model, module, slots):
         run = _decode_warpsync(instr, latency)
     elif opcode is Opcode.CTASYNC:
         run = _decode_ctasync(instr, latency)
-    elif opcode in (Opcode.NOP, Opcode.PREDICT):
-        run = _decode_advance(instr, latency)
-    elif opcode is Opcode.DELAY:
-        run = _decode_delay(instr)
     else:
         run = _decode_unhandled(instr)
     return DecodedInstruction(instr, latency, run)
@@ -866,8 +666,10 @@ class DecodedProgram:
         fn = module.function(function)
         slots = fn.reg_slots()
         entries = tuple(
-            _decode_instruction(instr, self.cost_model, module, slots)
-            for instr in fn.block(block).instructions
+            _decode_instruction(
+                instr, self.cost_model, module, slots, (function, block, index)
+            )
+            for index, instr in enumerate(fn.block(block).instructions)
         )
         self._blocks[(function, block)] = entries
         return entries

@@ -1,16 +1,22 @@
-"""Compiled segments: every fused segment runs as specialized Python.
+"""Generated code: every fused segment, and every pure op issued alone,
+runs as specialized Python.
 
 Segment fusion (:mod:`repro.simt.segments`) finds the traces a converged
 warp may execute as one superinstruction. This module turns each trace
-into **generated Python source** the moment the segment is built:
+into **generated Python source** the moment the segment is built, and
+each pure op (:data:`_PURE_OPS`) on its first issue outside a segment
+(:func:`lower_op`, called by the decoded program,
+:mod:`repro.simt.fastpath`), so the templates below are the one fast
+semantics of pure ops:
 straight-line slot reads and writes on the ``Frame.regs`` list, one
 statement per instruction, no closures, no dispatch. Lowering reuses the
 executor's own eval tables as its semantic reference — every generated
 expression is a textual specialization of the corresponding
 ``_BINARY_EVAL`` / ``_UNARY_EVAL`` lambda, preserving evaluation order
-exactly (UNDEF raises at the same instruction, ``DIV``/``REM``/``SQRT``/
-``LOG`` guards short-circuit identically, NaN and signed zeros flow
-through untouched). Statically-known values (``CONST`` results and
+exactly (UNDEF raises at the same instruction — a copy checks its slot
+read, as the interpreter's read does — ``DIV``/``REM``/``SQRT``/``LOG``
+guards short-circuit identically, NaN and signed zeros flow through
+untouched). Statically-known values (``CONST`` results and
 anything computable from them) are folded at codegen time, vetoing the
 fold on any exception or non-numeric result; folded slots are written
 once at the end of their chunk ("virtual constants": readers inside the
@@ -29,22 +35,25 @@ namespace, so the machine accounts exactly the slots that ran.
 
 **Shared code.** Most segments generate the same source as some other
 segment: the same shape at another PC, or the same kernel compiled
-again. The process-wide :class:`SegmentCodeCache` maps each source
-(without its ``# jit: segment @where`` header line) to one code object,
-so every distinct source goes through :func:`compile` once. Each segment
-still runs that code (``exec``) in its own namespace, so its decoded handlers
-and interned constants stay its own. The cache also holds every live
-compiled segment (weakly) for telemetry and post-mortems.
+again; a lone op's source is the same at every PC. The process-wide
+:class:`SegmentCodeCache` maps each source (without its ``# jit: segment
+@where`` header line) to one code object, so every distinct source, op
+or segment, goes through :func:`compile` once (``jit.compiled_segments``).
+Each segment or op still runs that code (``exec``) in its own namespace,
+so its decoded handlers and interned constants stay its own. The cache
+also holds every live compiled segment (weakly) for telemetry and
+post-mortems.
 
 **Vetoes.** A run codegen cannot lower bit-identically is not fused:
 :meth:`~repro.simt.segments.SegmentTable.at` returns None and the warp
-issues it one instruction at a time, with identical results, counted in
-``jit.deopts``.
+issues it one instruction at a time, with identical results. A lone op
+codegen cannot lower runs the interpreter's ``Executor._execute_slow``
+from then on. Both are counted once in ``jit.deopts``.
 
 ``REPRO_SEGMENTS=0`` (or ``engine_config(segments=False)``,
-:mod:`repro.engine`) turns compiled segments off; the conformance matrix
-pins them against the interpreted reference over the corpus, modes,
-schedulers, and fuzzed kernels.
+:mod:`repro.engine`) turns fusion off; pure ops still run generated code.
+The conformance matrix pins both against the interpreted reference over
+the corpus, modes, schedulers, and fuzzed kernels.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from repro.ir.instructions import Imm, Opcode, Reg
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.spans import SpanRecorder
 from repro.simt.executor import _BINARY_EVAL, _UNARY_EVAL, _UNIFORM_OPS
+from repro.simt.warp import UNDEF
 
 __all__ = [
     "SegmentCodeCache",
@@ -65,6 +75,7 @@ __all__ = [
     "compiled_segments",
     "jit_post_mortem",
     "last_executed_source",
+    "lower_op",
     "lower_segment",
 ]
 
@@ -340,17 +351,21 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     Statements write ``_r`` (the thread's regs list) in program order;
     statically-known slots are folded at codegen time and written once at
     the end of the chunk ("virtual constant" containment), then the frame
-    index advances once. A value re-read later in its chunk is
-    additionally bound to a local (``_s<n>``) so those reads are
-    LOAD_FASTs instead of list subscripts — the regs write still happens
-    in program order, so register state (and UNDEF raising, which only
-    happens on *use*) is untouched.
+    index advances once, to ``end_index`` (by one when ``end_index`` is
+    None: a lone op, whose code is then the same at every PC). A value
+    re-read later in its chunk is additionally bound to a local
+    (``_s<n>``) so those reads are LOAD_FASTs instead of list subscripts
+    — the regs write still happens in program order, so register state is
+    untouched. Arithmetic on UNDEF raises by itself; a copy (``mov``, the
+    picked ``sel`` operand) of a slot read checks for it, so every op
+    raises where the interpreter's read does.
     """
     # Plan pass: resolve folding and operands. Each runtime op becomes
     # (instr, dst slot, operand descriptors) with descriptors already
     # resolved against the fold state: ("lit", value) | ("slot", n).
     known = {}
     plan = []
+    regs = {}  # slot -> its Reg operand, for the UNDEF read's diagnostic
 
     def descriptor(operand):
         if isinstance(operand, Imm):
@@ -359,6 +374,7 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
             slot = slots[operand.name]
             if slot in known:
                 return ("lit", known[slot])
+            regs[slot] = operand
             return ("slot", slot)
         raise CodegenVeto(f"unsupported operand {operand!r}")
 
@@ -395,12 +411,19 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     body = []
     bound = {}  # slot -> local name holding its current value
 
-    def operand_expr(operand):
+    def operand_expr(operand, copied=False):
         kind, payload = operand
         if kind == "lit":
             return ns.literal(payload)
         name = bound.get(payload)
-        return name if name is not None else f"_r[{payload}]"
+        if name is not None:
+            return name  # computed in this chunk, so never UNDEF
+        if not copied:
+            return f"_r[{payload}]"
+        return (
+            f"(_v if (_v := _r[{payload}]) is not {ns.literal(UNDEF)} "
+            f"else _f.read({ns.literal(regs[payload])}))"
+        )
 
     for (instr, dst, operands), live in zip(plan, reused):
         opcode = instr.opcode
@@ -410,7 +433,9 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
                 a=operand_expr(a), b=operand_expr(b)
             )
         elif opcode in _UNARY_EXPR:
-            expr = _UNARY_EXPR[opcode].format(a=operand_expr(operands[0]))
+            expr = _UNARY_EXPR[opcode].format(
+                a=operand_expr(operands[0], copied=opcode is Opcode.MOV)
+            )
         elif opcode in _THREAD_EXPR:
             expr = _THREAD_EXPR[opcode]
         elif opcode is Opcode.CONST:
@@ -418,8 +443,8 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
         elif opcode is Opcode.SEL:
             expr = "({t} if {p} != 0 else {f})".format(
                 p=operand_expr(operands[0]),
-                t=operand_expr(operands[1]),
-                f=operand_expr(operands[2]),
+                t=operand_expr(operands[1], copied=True),
+                f=operand_expr(operands[2], copied=True),
             )
         elif opcode is Opcode.FMA:
             expr = "({a} * {b} + {c})".format(
@@ -440,16 +465,17 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     for slot in sorted(known):
         body.append(f"_r[{slot}] = {ns.literal(known[slot])}")
 
+    advance = "+= 1" if end_index is None else f"= {end_index}"
     if not body:
         lines.append(f"{indent}for _t in group:")
-        lines.append(f"{indent}    _t.frames[-1].index = {end_index}")
+        lines.append(f"{indent}    _t.frames[-1].index {advance}")
         return
     lines.append(f"{indent}for _t in group:")
     lines.append(f"{indent}    _f = _t.frames[-1]")
     lines.append(f"{indent}    _r = _f.regs")
     for statement in body:
         lines.append(f"{indent}    {statement}")
-    lines.append(f"{indent}    _f.index = {end_index}")
+    lines.append(f"{indent}    _f.index {advance}")
 
 
 def _static_cycles(entry):
@@ -583,6 +609,31 @@ def _lower_cbr(entry, slots, ns, body, before, taken):
             f"        {leave}",
         ])
     body.append(f"    {before}")
+
+
+def lower_op(entry, slots, pc):
+    """The ``run`` of one pure decoded ``entry`` issued alone at ``pc``:
+    its chunk, lowered over the lone entry, returning the op's static
+    cycles. On a codegen veto, the interpreter's
+    ``Executor._execute_slow`` instead, counted in ``jit.deopts``.
+    """
+    ns = _Namespace()
+    lines = ["def _jit_op(executor, warp, group):"]
+    try:
+        _lower_chunk((entry,), None, slots, ns, lines, "    ")
+    except CodegenVeto:
+        ENGINE_COUNTERS.jit_deopts += 1
+        instr = entry.instr
+
+        def run(executor, warp, group):
+            return executor._execute_slow(warp, instr, group)
+
+        return run
+    lines.append(f"    return {_static_cycles(entry)}")
+    namespace = dict(ns.bindings)
+    where = "{}/{}:{}".format(*pc)
+    exec(CODE_CACHE.code("\n".join(lines) + "\n", where), namespace)  # noqa: S102
+    return namespace["_jit_op"]
 
 
 def lower_segment(segment, entries, slots):

@@ -366,8 +366,8 @@ class TestJITConformance:
                 assert _jit_segments(profiler) > 0, (name, point)
 
     def test_jit_inert_without_segments(self, name):
-        """Compiled code only exists for fused segments; with fusion off
-        no segment is built, lowered or executed."""
+        """With fusion off no segment is built, lowered or executed
+        (lone pure ops still run generated code)."""
         before = obs_counters.snapshot()
         unfused = _check(
             name, replace(ALL_ON, segments=False),
@@ -807,6 +807,30 @@ out:
 """
 
 
+#: The same never-written ``%u``, copied before anything computes with
+#: it; ``{copy}`` is a ``mov``, a ``sel`` that picks it, or a store.
+COPIES_UNDEF = """
+func @k() kernel {
+entry:
+  %t = tid
+  %c = cmplt %t, 100
+  cbr %c, ^skip, ^def
+def:
+  %u = const 1
+  bra ^use
+skip:
+  bra ^use
+use:
+  %x = add %t, 1
+  {copy}
+  cbr %q, ^out, ^out
+out:
+  st %t, %x
+  exit
+}
+"""
+
+
 class _AlwaysDrainExecutor(Executor):
     """Drains the warp's barriers after every issue and reports it as
     non-uniform, so the machine regroups each time: the schedule from
@@ -966,6 +990,30 @@ class TestTraceExits:
             actual = failure(ENGINES[name])
             assert without_message(actual) == without_message(expected)
             assert actual == unfused, name
+
+
+    @pytest.mark.parametrize(
+        "copy", ["%q = mov %u", "%q = sel %c, %u, 0", "st %t, %u"]
+    )
+    def test_undef_copy_fails_at_the_copy(self, copy):
+        """A copy of an UNDEF register raises at the copy, as the
+        interpreter's read does, not later where the copy is used: the
+        same error and post-mortem ``issued`` unfused as in the
+        reference."""
+
+        def failure(config):
+            with _using(config):
+                machine = GPUMachine(
+                    parse_module(COPIES_UNDEF.replace("{copy}", copy))
+                )
+                with pytest.raises(SimulationError) as excinfo:
+                    machine.launch("k", 32)
+            error = excinfo.value
+            return type(error), str(error), error.post_mortem["issued"]
+
+        expected = failure(REFERENCE)
+        assert expected[2] == 5
+        assert failure(ENGINES["no-segments"]) == expected
 
 
 class TestRandomKernelConformance:

@@ -1,13 +1,16 @@
-"""Unit net for compiled segments (:mod:`repro.simt.jit`).
+"""Unit net for generated code (:mod:`repro.simt.jit`).
 
 The conformance matrix (test_conformance.py) pins bit-identity over the
 corpus; this file pins the *mechanism*: compilation when a segment is
 built, the shared code memo and the code cache, the fallback to unfused
-issue on a codegen veto, module lifetime, the ``engine_config`` escape
-hatch, the generated-source shape, and the post-mortem integration.
+issue on a codegen veto, every pure op issued alone against the
+interpreter, module lifetime, the ``engine_config`` escape hatch, the
+generated-source shape, and the post-mortem integration.
 """
 
 import gc
+import itertools
+import math
 import weakref
 
 import pytest
@@ -18,7 +21,7 @@ from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
 from repro.ir import parse_module
 from repro.ir.function import clear_module_caches
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Barrier, Imm, Instruction, Opcode, Reg
 from repro.obs import counters as obs_counters
 from repro.simt import DEFAULT_COST_MODEL, GPUMachine, GlobalMemory
 from repro.simt import jit as jit_module
@@ -73,6 +76,40 @@ kernel k() {
     store(tid(), i);
 }
 """
+
+
+#: The op at ``LONE_PC`` issues alone whatever the engine: the ``bsync``s
+#: on a barrier no lane joined pass through, and end every fusable run.
+#: Ops with no destination leave ``%d`` holding ``%a``.
+LONE = """
+func @k(%a, %b, %c) kernel {
+entry:
+  %t = tid
+  %d = mov %a
+  bsync $F
+  %d = mov %a
+  bsync $F
+  st %t, %d
+  exit
+}
+"""
+LONE_PC = ("k", "entry", 3)
+
+#: Operand values: ints, a float, and floats with no exact ``repr``
+#: literal (signed zero, infinity, NaN), which reach the guards of
+#: ``div``/``rem``/``sqrt``/``log`` and the ``int()`` coercions.
+VALUES = (3, -2, 0, -0.0, 2.5, math.inf, math.nan)
+
+#: Three-operand ops draw from fewer values (every shape, every value).
+VALUES_3 = (0, -0.0, 2.5, math.nan)
+
+#: Operand count of every pure opcode that reads operands.
+_ARITY = {
+    **dict.fromkeys(jit_module._BINARY_EXPR, 2),
+    **dict.fromkeys(jit_module._UNARY_EXPR, 1),
+    Opcode.SEL: 3,
+    Opcode.FMA: 3,
+}
 
 
 @pytest.fixture
@@ -265,9 +302,119 @@ class TestDeopt:
         assert memory2.snapshot() == ref_memory.snapshot()
 
 
+def _lone_instruction(opcode, shape, values):
+    """The pure ``opcode`` with its operands in ``shape`` (``R`` reads
+    param ``%a``/``%b``/``%c``, ``I`` is the literal from ``values``)."""
+    if opcode is Opcode.CONST:
+        return Instruction(opcode, Reg("d"), [Imm(values[0])])
+    if opcode is Opcode.DELAY:
+        return Instruction(opcode, None, [Imm(7)])
+    if opcode in (Opcode.NOP, Opcode.PREDICT):
+        return Instruction(opcode)
+    operands = [
+        Reg(param) if kind == "R" else Imm(value)
+        for param, kind, value in zip("abc", shape, values)
+    ]
+    return Instruction(opcode, Reg("d"), operands)
+
+
+def _lone_cases(opcode):
+    """``(shape, values)`` for every operand shape and value of
+    ``opcode``."""
+    arity = _ARITY.get(opcode, 0)
+    if opcode is Opcode.CONST:
+        return [("I", (value,)) for value in VALUES]
+    values = VALUES_3 if arity == 3 else VALUES
+    return [
+        ("".join(shape), combo)
+        for shape in itertools.product("RI", repeat=arity)
+        for combo in itertools.product(values, repeat=arity)
+    ]
+
+
+def _lone_outcome(module, args, **engine):
+    """Stored values (type and ``repr``, so signed zeros and NaNs
+    compare), cycles, and the lone op's unfused issues of one launch, or
+    the error it raised."""
+    try:
+        launch, memory = _run_lone(module, args, **engine)
+    except Exception as error:  # the reference raises these too
+        return type(error), str(error)
+    stored = [memory.load(tid) for tid in range(4)]
+    issues = launch.profiler.pc_stats[LONE_PC][0]
+    return [(type(v), repr(v)) for v in stored], launch.cycles, issues
+
+
+def _run_lone(module, args, **engine):
+    memory = GlobalMemory()
+    with engine_config(**engine):
+        launch = GPUMachine(module).launch("k", 4, args=args, memory=memory)
+    return launch, memory
+
+
+def _lone_module(instr):
+    module = parse_module(LONE)
+    module.function("k").block("entry").instructions[LONE_PC[2]] = instr
+    return module
+
+
+class TestLoneOps:
+    """Every pure op issued alone runs code lowered from the segment
+    templates; it must match the interpreter bit for bit."""
+
+    @pytest.mark.parametrize(
+        "opcode", sorted(jit_module._PURE_OPS, key=lambda op: op.value),
+        ids=lambda op: op.value,
+    )
+    def test_lone_op_matches_interpreter(self, segments_on, opcode):
+        before = obs_counters.snapshot()
+        for shape, values in _lone_cases(opcode):
+            instr = _lone_instruction(opcode, shape, values)
+            # One module per engine, so no launch reuses another's code.
+            modules = [_lone_module(instr) for _ in range(3)]
+            args = tuple(
+                value if kind == "R" else 0
+                for kind, value in zip(shape, values)
+            ) + (0,) * (3 - len(shape))
+            expected = _lone_outcome(modules[0], args, fastpath=False)
+            for module, segments in zip(modules[1:], (False, True)):
+                actual = _lone_outcome(module, args, segments=segments)
+                assert actual == expected, (shape, values, segments)
+        # Every case lowered: none fell back to the interpreter.
+        assert _moved(before)["jit.deopts"] == 0
+
+    def test_every_pure_op_has_a_lowering(self, segments_on):
+        """A new pure opcode without a template fails here, instead of
+        silently running interpreted."""
+        for opcode in jit_module._PURE_OPS:
+            shape = "R" * _ARITY.get(opcode, 0)
+            instr = _lone_instruction(opcode, shape, (1, 2, 3))
+            module = _lone_module(instr)
+            entry = decode_program(module, DEFAULT_COST_MODEL).entry(LONE_PC)
+            fn = jit_module.lower_op(
+                entry, module.function("k").reg_slots(), LONE_PC
+            )
+            assert fn.__name__ == "_jit_op", opcode
+
+    def test_veto_runs_interpreted_once_counted(self, segments_on):
+        """A lone op codegen vetoes (here a barrier operand) runs the
+        interpreter, counted once in ``jit.deopts``, never retried."""
+        instr = Instruction(Opcode.MOV, Reg("d"), [Barrier("F")])
+        module = _lone_module(instr)
+        reference = _lone_outcome(_lone_module(instr), (1, 2, 3),
+                                  fastpath=False)
+        before = obs_counters.snapshot()
+        assert _lone_outcome(module, (1, 2, 3), segments=False) == reference
+        assert _moved(before)["jit.deopts"] == 1
+        clear_module_caches("launch_memo")
+        before = obs_counters.snapshot()
+        assert _lone_outcome(module, (1, 2, 3), segments=False) == reference
+        assert _moved(before)["jit.deopts"] == 0
+
+
 class TestEscapeHatches:
-    """``segments=False`` is the one switch: no segment is built, so no
-    compiled code runs."""
+    """``segments=False`` is the one switch: no segment is built (lone
+    pure ops still run generated code)."""
 
     def test_machine_knob_overrides_global(self, segments_on):
         compiled = _compiled(STRAIGHT)
@@ -298,7 +445,7 @@ class TestEscapeHatches:
         assert launch.counters["jit.executed_segments"] > 0
 
     def test_inert_without_segments(self, segments_on):
-        """With fusion off nothing is lowered or executed, and results
+        """With fusion off no segment is lowered or executed, and results
         match the interpreted reference."""
         compiled = _compiled(STRAIGHT)
         before = obs_counters.snapshot()

@@ -19,6 +19,7 @@ Pins the observability PR's contracts:
 """
 
 import json
+import os
 
 import pytest
 
@@ -382,8 +383,8 @@ class TestPostMortems:
         assert all(report in loaded for report in reports)
 
     def test_sharded_grid_ctas_dump_separately(self, tmp_path, monkeypatch):
-        """Failing CTAs on different pool workers each leave a report
-        named after their CTA."""
+        """Failing CTAs on pool workers each leave a report named after
+        their CTA: the pool lets every task finish before raising."""
         monkeypatch.setenv("REPRO_POST_MORTEM", str(tmp_path))
         module = compile_kernel_source(RUNAWAY_PER_CTA)
         with engine_config(grid=True):
@@ -395,8 +396,9 @@ class TestPostMortems:
         assert sorted(
             json.loads(path.read_text())["cta_id"] for path in dumps
         ) == [0, 2]
-        pids = {path.name.split("-")[3] for path in dumps}
-        assert len(pids) == 2  # two worker processes
+        # Either worker may take either chunk, but each dump is a worker's.
+        pids = {int(path.name.split("-")[3]) for path in dumps}
+        assert os.getpid() not in pids
 
 
 # ---------------------------------------------------------------------------
