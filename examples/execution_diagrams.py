@@ -2,7 +2,7 @@
 """Regenerate the Figure 1 execution cartoons from real traces.
 
 Runs the Listing 1 kernel under PDOM synchronization and under Speculative
-Reconvergence with tracing on, then draws lane x time diagrams: the
+Reconvergence with an event sink attached, then draws lane x time diagrams: the
 expensive block ('#') appears as scattered narrow slots under PDOM
 (serialized duplicate execution, Figure 1a) and as wide vertical bands
 under SR (converged waves, Figure 1b).
@@ -12,6 +12,7 @@ Run: ``python examples/execution_diagrams.py``
 
 from repro import GPUMachine, compile_baseline, compile_kernel_source, compile_sr
 from repro.harness.timeline import convergence_series, render_timeline
+from repro.obs import ListSink
 
 KERNEL = """
 kernel listing1(n_iters) {
@@ -45,14 +46,17 @@ def main():
         ("(a) PDOM synchronization — Expensive() serialized", compile_baseline(module)),
         ("(b) Speculative Reconvergence — Expensive() in converged waves", compile_sr(module)),
     ):
-        launch = GPUMachine(program.module, trace=True).launch(
+        sink = ListSink()
+        launch = GPUMachine(program.module, sink=sink).launch(
             "listing1", 32, args=(40,)
         )
         print(f"=== {title}")
         print(f"    SIMT efficiency {launch.simt_efficiency:.1%}, "
               f"cycles {launch.cycles}")
-        print(render_timeline(launch, width=90, highlight="L.L1", legend=False))
-        waves = convergence_series(launch, "L.L1")
+        print(render_timeline(
+            sink.events, width=90, highlight="L.L1", legend=False
+        ))
+        waves = convergence_series(sink.events, "L.L1")
         first = [w for i, w in enumerate(waves) if i % 9 == 0][:12]
         print(f"    active lanes at the Expensive() block (sampled): {first}")
         print()

@@ -13,6 +13,7 @@ from repro.harness.experiment import compare_all, threshold_sweep
 from repro.harness.parallel import run_tasks, task
 from repro.harness.report import efficiency_chart, format_table
 from repro.harness.timeline import render_timeline
+from repro.obs.sinks import ListSink
 from repro.workloads import FIGURE7_WORKLOADS, get_workload
 from repro.workloads.corpus import (
     CATEGORY_COUNTS,
@@ -213,31 +214,35 @@ def corpus_funnel(counts=None, seed=520, efficiency_cutoff=0.8, significance=1.1
 # ---------------------------------------------------------------------------
 # Figure 1 — execution timelines, PDOM vs Speculative Reconvergence
 # ---------------------------------------------------------------------------
-def _hot_block(launch, function):
-    """The most-issued block of ``function`` in warp 0's trace."""
+def _hot_block(events, function):
+    """The most-issued block of ``function`` in warp 0's issue events."""
     counts = {}
-    for event in launch.profiler.trace:
-        if event[0] == 0 and event[1] == function:
-            counts[event[2]] = counts.get(event[2], 0) + 1
+    for event in events:
+        if (event.kind == "issue" and event.warp_id == 0
+                and event.function == function):
+            counts[event.block] = counts.get(event.block, 0) + 1
     return max(counts, key=counts.get) if counts else None
 
 
 def figure1(seed=2020, width=72):
-    """Regenerate the paper's Figure 1 cartoons from cycle-stamped traces:
-    the shared ``shade`` body serializes under PDOM (diagonal staircase)
-    and converges into wide waves under interprocedural SR."""
+    """Regenerate the paper's Figure 1 cartoons from cycle-stamped issue
+    events: the shared ``shade`` body serializes under PDOM (diagonal
+    staircase) and converges into wide waves under interprocedural SR."""
     workload = get_workload("funccall", iterations=10)
-    baseline = workload.run(mode="baseline", seed=seed, trace=True)
-    optimized = workload.run(mode="sr", seed=seed, trace=True)
-    highlight = _hot_block(baseline.launch, "shade")
+    baseline_sink, sr_sink = ListSink(), ListSink()
+    baseline = workload.run(mode="baseline", seed=seed, sink=baseline_sink)
+    optimized = workload.run(mode="sr", seed=seed, sink=sr_sink)
+    highlight = _hot_block(baseline_sink.events, "shade")
     sections = []
-    for label, result in (("PDOM baseline", baseline),
-                          ("speculative reconvergence", optimized)):
+    for label, result, sink in (
+        ("PDOM baseline", baseline, baseline_sink),
+        ("speculative reconvergence", optimized, sr_sink),
+    ):
         sections.append(
             f"Figure 1 [{label}]: '#' = {highlight} (the shared shade "
             f"body), SIMT efficiency {result.simt_efficiency:.1%}\n"
             + render_timeline(
-                result.launch, width=width, highlight=highlight, legend=False
+                sink.events, width=width, highlight=highlight, legend=False
             )
         )
     return FigureResult(

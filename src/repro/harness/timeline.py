@@ -8,14 +8,12 @@ forms a diagonal staircase (serialized execution, Figure 1a); under
 Speculative Reconvergence it forms solid vertical bands (converged waves,
 Figure 1b).
 
-Traces made of cycle-stamped :class:`repro.obs.events.IssueEvent` records
-(any modern tracing launch) are rendered *time-accurately*: columns are
-slices of warp cycles, so variable-cost instructions (``simt/costs.py`` —
-a 20-cycle load vs a 1-cycle add) occupy proportional width. Legacy
-``(warp_id, function, block, lanes)`` tuples fall back to the historical
-issue-index bucketing, where every instruction is one slot wide.
-
-Requires a launch made with ``GPUMachine(module, trace=True)``.
+The input is a launch's event stream, e.g. the ``events`` of a
+:class:`repro.obs.sinks.ListSink` attached with ``GPUMachine(module,
+sink=sink)``. Only the ``kind == "issue"`` events of the requested warp
+count, so a full stream can be passed as it is. Columns are slices of
+warp cycles, so variable-cost instructions (``simt/costs.py`` — a
+20-cycle load vs a 1-cycle add) occupy proportional width.
 """
 
 from __future__ import annotations
@@ -29,37 +27,29 @@ from repro.simt.warp import WARP_SIZE
 _SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def assign_symbols(trace, warp_id=0, highlight=None):
+def _warp_issues(events, warp_id):
+    """The issue events of one warp, in stream order."""
+    return [
+        e for e in events if e.kind == "issue" and e.warp_id == warp_id
+    ]
+
+
+def assign_symbols(events, warp_id=0, highlight=None):
     """Map block names to single characters, highlighted block first."""
     symbols = {}
     if highlight is not None:
         symbols[highlight] = "#"
     assigned = 0
-    for wid, _function, block, _lanes in trace:
-        if wid == warp_id and block not in symbols:
-            symbols[block] = _SYMBOLS[assigned % len(_SYMBOLS)]
+    for event in _warp_issues(events, warp_id):
+        if event.block not in symbols:
+            symbols[event.block] = _SYMBOLS[assigned % len(_SYMBOLS)]
             assigned += 1
     return symbols
 
 
-def _issue_grid(events, columns, lanes):
-    """Legacy bucketing: columns are equal counts of issue slots."""
-    per_column = len(events) / columns
-    tallies = [[{} for _ in range(columns)] for _ in range(lanes)]
-    for column in range(columns):
-        start = int(column * per_column)
-        stop = max(start + 1, int((column + 1) * per_column))
-        for _wid, _function, block, active in events[start:stop]:
-            for lane in active:
-                if lane < lanes:
-                    tally = tallies[lane][column]
-                    tally[block] = tally.get(block, 0) + 1
-    return tallies, per_column, "issue slots"
-
-
 def _cycle_grid(events, columns, lanes):
-    """Time-accurate bucketing: columns are equal slices of warp cycles,
-    and each issue is weighted by its overlap with the column."""
+    """Columns are equal slices of warp cycles, and each issue is weighted
+    by its overlap with the column."""
     t0 = events[0].ts
     t1 = max(e.ts + e.dur for e in events)
     total = max(t1 - t0, 1)
@@ -80,52 +70,31 @@ def _cycle_grid(events, columns, lanes):
                 if lane < lanes:
                     tally = tallies[lane][column]
                     tally[event.block] = tally.get(event.block, 0) + weight
-    return tallies, per_column, "cycles"
+    return tallies, per_column
 
 
 def render_timeline(
-    launch,
+    events,
     warp_id=0,
     width=96,
     lanes=WARP_SIZE,
     highlight=None,
     legend=True,
-    by_cycles="auto",
 ):
     """Render a lane-by-time ASCII diagram for one warp.
 
     Args:
-        launch: a LaunchResult from a tracing machine.
+        events: a launch's event stream (e.g. ``ListSink.events``).
         width: number of time columns.
         highlight: block name drawn as ``#`` (e.g. the Expensive() block).
-        by_cycles: True for time-accurate columns (needs cycle-stamped
-            events), False for legacy issue-index bucketing, "auto"
-            (default) picks time-accurate whenever the trace supports it.
     """
-    trace = launch.profiler.trace
-    if trace is None:
-        raise ReproError(
-            "timeline needs a trace; launch with GPUMachine(..., trace=True)"
-        )
-    events = [e for e in trace if e[0] == warp_id]
+    events = _warp_issues(events, warp_id)
     if not events:
-        raise ReproError(f"no trace events for warp {warp_id}")
-    cycle_stamped = hasattr(events[0], "ts")
-    if by_cycles == "auto":
-        by_cycles = cycle_stamped
-    elif by_cycles and not cycle_stamped:
-        raise ReproError(
-            "by_cycles=True needs cycle-stamped IssueEvents; this trace "
-            "holds legacy tuples"
-        )
+        raise ReproError(f"no issue events for warp {warp_id}")
     symbols = assign_symbols(events, warp_id=warp_id, highlight=highlight)
-    if by_cycles:
-        total = max(e.ts + e.dur for e in events) - events[0].ts
-        columns = min(width, max(total, 1))
-        tallies, per_column, unit = _cycle_grid(events, columns, lanes)
-    else:
-        columns = min(width, len(events))
-        tallies, per_column, unit = _issue_grid(events, columns, lanes)
+    total = max(e.ts + e.dur for e in events) - events[0].ts
+    columns = min(width, max(total, 1))
+    tallies, per_column = _cycle_grid(events, columns, lanes)
 
     grid = [["." for _ in range(columns)] for _ in range(lanes)]
     for lane in range(lanes):
@@ -142,20 +111,16 @@ def render_timeline(
     if legend:
         lines.append("")
         lines.append("time ->  (each column ~ "
-                     f"{per_column:.1f} {unit}; '.' = idle/waiting)")
+                     f"{per_column:.1f} cycles; '.' = idle/waiting)")
         for block, symbol in symbols.items():
             lines.append(f"  {symbol} = {block}")
     return "\n".join(lines)
 
 
-def convergence_series(launch, block, function=None, warp_id=0):
+def convergence_series(events, block, function=None, warp_id=0):
     """Active-lane counts of every visit to ``block`` (a numeric view of
     the same story: PDOM gives small numbers, SR gives wide waves)."""
-    trace = launch.profiler.trace
-    if trace is None:
-        raise ReproError("convergence_series needs a tracing launch")
-    series = []
-    for wid, fn, blk, lanes in trace:
-        if wid == warp_id and blk == block and (function is None or fn == function):
-            series.append(len(lanes))
-    return series
+    return [
+        len(e.lanes) for e in _warp_issues(events, warp_id)
+        if e.block == block and (function is None or e.function == function)
+    ]

@@ -177,19 +177,14 @@ def span_trace_events(spans, pid=COMPILER_PID):
     return out
 
 
-def chrome_trace(launch=None, events=None, report=None, counters=True):
+def chrome_trace(events=None, report=None, counters=True):
     """Build the Chrome Trace Event JSON object.
 
     Args:
-        launch: a LaunchResult; its ``profiler.trace`` issue events are
-            exported (ignored when ``events`` is given, which is the
-            superset a sink collected).
         events: an iterable of simulator events (e.g. ``ListSink.events``).
         report: a CompileReport; its ``spans`` become the compiler track.
     """
     trace_events = []
-    if events is None and launch is not None:
-        events = launch.profiler.trace or []
     if events is not None:
         trace_events.extend(simulator_trace_events(events, counters=counters))
     spans = getattr(report, "spans", None) or []
@@ -202,12 +197,9 @@ def chrome_trace(launch=None, events=None, report=None, counters=True):
     }
 
 
-def write_chrome_trace(path, launch=None, events=None, report=None,
-                       counters=True):
+def write_chrome_trace(path, events=None, report=None, counters=True):
     """Serialize :func:`chrome_trace` to ``path``; returns the dict."""
-    data = chrome_trace(
-        launch=launch, events=events, report=report, counters=counters
-    )
+    data = chrome_trace(events=events, report=report, counters=counters)
     with open(path, "w") as handle:
         json.dump(data, handle, indent=1)
     return data

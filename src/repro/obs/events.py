@@ -1,11 +1,9 @@
 """Typed, cycle-stamped simulator events.
 
-The simulator historically traced raw ``(warp_id, function, block, lanes)``
-tuples. These classes replace the tuples with self-describing, cycle-stamped
-records while staying *unpack-compatible*: iterating an :class:`IssueEvent`
-yields exactly the legacy 4-tuple, so existing consumers
-(``harness/timeline.py``, tests) keep working, while new consumers read the
-richer named fields (``ts``, ``dur``, ``opcode``...).
+A launch emits these into its :mod:`repro.obs.sinks` sink, the one source
+of issue events: the timeline (``harness/timeline.py``), Figure 1 and the
+Chrome exporter all read a sink's events by their named fields (``ts``,
+``dur``, ``lanes``, ``block``...).
 
 Timestamps are warp-local cycles: ``ts`` is the warp's cycle counter when
 the event happened, ``dur`` (issue events only) is the issue's latency.
@@ -13,9 +11,8 @@ Warps run in parallel, so timestamps are comparable *within* one warp and
 compose into a launch-wide picture the way ``nvprof`` presents per-SM
 streams.
 
-Events are only ever constructed when observability is on (a tracing
-launch, a live sink, or metrics); the ``trace=False`` fast path allocates
-none of them — ``tests/test_obs.py`` pins that down.
+Events are only ever constructed when a live sink is attached; a launch
+without one allocates none of them — ``tests/test_obs.py`` pins that down.
 """
 
 from __future__ import annotations
@@ -59,10 +56,7 @@ class TraceEvent:
 
 
 class IssueEvent(TraceEvent):
-    """One issued instruction: who ran, where, when, and for how long.
-
-    Iterates as the legacy ``(warp_id, function, block, lanes)`` tuple.
-    """
+    """One issued instruction: who ran, where, when, and for how long."""
 
     __slots__ = ("function", "block", "index", "opcode", "lanes", "dur",
                  "active")
@@ -78,16 +72,6 @@ class IssueEvent(TraceEvent):
         self.lanes = lanes
         self.dur = dur
         self.active = active
-
-    # Legacy tuple view -------------------------------------------------
-    def __iter__(self):
-        return iter((self.warp_id, self.function, self.block, self.lanes))
-
-    def __getitem__(self, i):
-        return (self.warp_id, self.function, self.block, self.lanes)[i]
-
-    def __len__(self):
-        return 4
 
 
 class DivergeEvent(TraceEvent):

@@ -6,8 +6,8 @@ site guards on that flag, so a disabled launch allocates no event objects
 and pays one attribute check per issue.
 
 Sinks receive *every* event kind (issues, divergence, barrier traffic,
-reconvergence); the profiler's ``trace`` list, by contrast, keeps only
-issue events for the legacy timeline API.
+reconvergence) and are the only source of them: the timeline and the
+Chrome exporter read ``ListSink.events``.
 
 Sinks are **finalized** (``close()``) by the machine when a launch dies
 mid-kernel, so file-backed sinks like :class:`JsonlSink` never lose the

@@ -143,14 +143,14 @@ class Executor:
             decode_program(module, cost_model) if engine.fastpath else None
         )
         # Segment fusion (repro.simt.segments): only legal on the decoded
-        # path with no per-issue observers — an attached sink, stall
-        # metrics, or an issue trace all need to see every individual slot,
-        # so any of them forces per-instruction issue.
+        # path with no per-issue observers — an attached sink or stall
+        # metrics both need to see every individual slot, so either forces
+        # per-instruction issue.
         # ``memory_free_segment_at`` is the same lookup restricted to
         # segments with no global memory op (GPUMachine's run-ahead).
         self.segment_at = self.memory_free_segment_at = None
         if (engine.segments and self._decoded is not None
-                and not self.observing and profiler.trace is None):
+                and not self.observing):
             self.segment_at = self._decoded.segment_at
             self.memory_free_segment_at = self._decoded.memory_free_segment_at
         # Program order for scheduler picks and tie-breaking:
@@ -219,22 +219,17 @@ class Executor:
         if self.observing:
             self._observe_issue(warp, pc, entry.opcode, group, cycles)
         # Profiler.record inlined for the common case: a PC that has issued
-        # before, with no issue trace to append to.
-        profiler = self.profiler
+        # before.
         stats = self._pc_stats.get(pc)
-        if stats is None or profiler.trace is not None:
-            profiler.record(
-                warp.warp_id, pc, entry.opcode, len(group), cycles,
-                entry.is_barrier_op,
-                frozenset(t.lane for t in group)
-                if profiler.trace is not None
-                else None,
+        if stats is None:
+            self.profiler.record(
+                pc, entry.opcode, len(group), cycles, entry.is_barrier_op
             )
         else:
             stats[0] += 1
             stats[1] += len(group)
             stats[2] += cycles
-            profiler.derived = None
+            self.profiler.derived = None
         warp.cycles += cycles
         return cycles
 

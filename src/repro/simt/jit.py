@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 import weakref
 
+from repro.errors import SimulationError
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.spans import SpanRecorder
@@ -611,16 +612,35 @@ def _lower_cbr(entry, slots, ns, body, before, taken):
     body.append(f"    {before}")
 
 
+def _read_operands(instr, frame):
+    """Read ``instr``'s register operands through ``frame`` in the order
+    the interpreter reads them (``sel``: its predicate, then the picked
+    operand), so the first UNDEF raises the interpreter's error."""
+    operands = instr.operands
+    if instr.opcode is Opcode.SEL:
+        pred = operands[0]
+        value = frame.read(pred) if isinstance(pred, Reg) else pred.value
+        operands = (operands[1] if value != 0 else operands[2],)
+    for operand in operands:
+        if isinstance(operand, Reg):
+            frame.read(operand)
+
+
 def lower_op(entry, slots, pc):
     """The ``run`` of one pure decoded ``entry`` issued alone at ``pc``:
     its chunk, lowered over the lone entry, returning the op's static
     cycles. On a codegen veto, the interpreter's
     ``Executor._execute_slow`` instead, counted in ``jit.deopts``.
+
+    Arithmetic on an UNDEF operand raises the sentinel's error; only then
+    does the failing thread re-read the op's operands
+    (:func:`_read_operands`), so the op fails with the interpreter's
+    message at no cost to the issue path.
     """
     ns = _Namespace()
-    lines = ["def _jit_op(executor, warp, group):"]
+    lines = ["def _jit_op(executor, warp, group):", "    try:"]
     try:
-        _lower_chunk((entry,), None, slots, ns, lines, "    ")
+        _lower_chunk((entry,), None, slots, ns, lines, "        ")
     except CodegenVeto:
         ENGINE_COUNTERS.jit_deopts += 1
         instr = entry.instr
@@ -629,8 +649,16 @@ def lower_op(entry, slots, pc):
             return executor._execute_slow(warp, instr, group)
 
         return run
-    lines.append(f"    return {_static_cycles(entry)}")
-    namespace = dict(ns.bindings)
+    lines += [
+        "    except _SimulationError:",
+        "        _read_operands(_op, _t.frames[-1])",
+        "        raise",
+        f"    return {_static_cycles(entry)}",
+    ]
+    namespace = dict(
+        ns.bindings, _SimulationError=SimulationError,
+        _read_operands=_read_operands, _op=entry.instr,
+    )
     where = "{}/{}:{}".format(*pc)
     exec(CODE_CACHE.code("\n".join(lines) + "\n", where), namespace)  # noqa: S102
     return namespace["_jit_op"]

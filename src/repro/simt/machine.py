@@ -91,7 +91,6 @@ class GPUMachine:
         scheduler="convergence",
         seed=2020,
         max_issues=DEFAULT_MAX_ISSUES,
-        trace=False,
         sink=None,
         metrics=False,
     ):
@@ -100,11 +99,9 @@ class GPUMachine:
         self.scheduler_name = scheduler
         self.seed = seed
         self.max_issues = max_issues
-        # Observability, all off by default (the fast path stays
-        # allocation-free): ``trace`` records cycle-stamped IssueEvents for
-        # timeline rendering, ``sink`` streams every event kind to a
+        # Observability, both off by default (the fast path stays
+        # allocation-free): ``sink`` streams every event kind to a
         # repro.obs sink, ``metrics`` enables stall-reason attribution.
-        self.trace = trace
         self.sink = sink
         self.metrics = metrics
 
@@ -138,7 +135,7 @@ class GPUMachine:
             cta = CTAContext(cta_dim=n_threads)
         elif cta.cta_dim is None:
             cta.cta_dim = n_threads
-        profiler = Profiler(trace=self.trace)
+        profiler = Profiler()
         metrics = LaunchMetrics() if self.metrics else None
         profiler.metrics = metrics
         # Machines built without an explicit sink pick up the ambient one
@@ -443,7 +440,7 @@ class GPUMachine:
                         scheduler.consume(1)
                     for thread in group:
                         thread.retired += n
-                    record_segment(warp.warp_id, out, len(group), cycles)
+                    record_segment(out, len(group), cycles)
                     warp.cycles += cycles
                     # Segment ops cannot park, release, or split, so the
                     # other groups are untouched: move the issued bucket

@@ -23,7 +23,7 @@ The key:
 * :func:`~repro.engine.current_engine`.
 
 A launch is eligible when it is flat (no ``cta``: grid CTAs always
-simulate), unobserved (no trace, no explicit or ambient sink, no metrics)
+simulate), unobserved (no explicit or ambient sink, no metrics)
 and on the fast path (``fastpath=False`` is the interpreted reference,
 which always simulates), with a plain
 :class:`~repro.simt.costs.CostModel`, a plain ``GlobalMemory`` and
@@ -122,8 +122,7 @@ def lookup(machine, kernel_name, n_threads, args, memory):
     """The :class:`Memo` of a flat launch of ``machine``, or None when
     the launch is not eligible."""
     if (
-        machine.trace
-        or machine.metrics
+        machine.metrics
         or machine.sink is not None
         or ambient_sink() is not None
         or type(memory) is not GlobalMemory

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.instructions import Opcode
-from repro.obs.events import IssueEvent
 from repro.simt.warp import WARP_SIZE
 
 
@@ -115,7 +114,7 @@ class Profiler:
     record.
     """
 
-    def __init__(self, trace=False):
+    def __init__(self):
         #: pc -> [issues, active_sum, cycles, opcode, is_barrier_op]; the
         #: executor bumps the first three in place on every issue after
         #: the first at that PC (``record`` creates the entry).
@@ -127,9 +126,8 @@ class Profiler:
         self.segment_stats = {}
         #: the memoized derived totals; every record resets it to None
         self.derived = None
-        #: warp_id -> cycles. ``finish`` fills it from ``Warp.cycles`` at
-        #: launch end; ``record`` keeps it current per issue, which is how
-        #: an issue trace stamps ``ts``.
+        #: warp_id -> cycles, filled by ``finish`` from ``Warp.cycles`` at
+        #: launch end.
         self.warp_cycles = {}
         #: how a multi-warp launch ran (``GPUMachine._multiwarp_mode``):
         #: "independent", or why it stayed interleaved; None for one
@@ -139,7 +137,7 @@ class Profiler:
         #: ``multi_group`` counts divergent slots under a policy with
         #: shared state (round-robin), which fuses lone groups only;
         #: ``observed`` counts slots issued with no segment engine at all
-        #: (metrics, sink, or trace attached, or fastpath/segments off).
+        #: (metrics or a sink attached, or fastpath/segments off).
         #: Engine telemetry: varies with knobs while results stay
         #: identical.
         self.nonforced_multi_group = 0
@@ -148,34 +146,15 @@ class Profiler:
         #: (``GPUMachine._run_interleaved``): the slots a run-ahead
         #: segment owes after its first. Engine telemetry, like the above.
         self.ahead_instrs = 0
-        #: when tracing, every issue as a cycle-stamped IssueEvent (which
-        #: unpacks as the legacy ``(warp_id, function, block, lanes)`` tuple)
-        self.trace = [] if trace else None
         #: LaunchMetrics attached by the machine when metrics are enabled
         self.metrics = None
 
-    def record(self, warp_id, pc, opcode, active, cycles, is_barrier_op=False,
-               lanes=None):
+    def record(self, pc, opcode, active, cycles, is_barrier_op=False):
         """Account one issue of ``opcode`` at ``pc`` with ``active`` lanes.
 
-        ``Executor.execute`` inlines the common case (a PC already seen,
-        no trace) as three in-place adds on ``pc_stats``.
+        ``Executor.execute`` inlines the common case (a PC already seen)
+        as three in-place adds on ``pc_stats``.
         """
-        if self.trace is not None:
-            function, block, index = pc
-            self.trace.append(
-                IssueEvent(
-                    warp_id=warp_id,
-                    function=function,
-                    block=block,
-                    index=index,
-                    opcode=opcode,
-                    lanes=lanes or frozenset(),
-                    ts=self.warp_cycles.get(warp_id, 0),
-                    dur=cycles,
-                    active=active,
-                )
-            )
         self.derived = None
         stats = self.pc_stats.get(pc)
         if stats is None:
@@ -184,14 +163,12 @@ class Profiler:
             stats[0] += 1
             stats[1] += active
             stats[2] += cycles
-        self.warp_cycles[warp_id] = self.warp_cycles.get(warp_id, 0) + cycles
 
-    def record_segment(self, warp_id, out, active, cycles):
+    def record_segment(self, out, active, cycles):
         """Account one fused run by ``active`` lanes that left its segment
         through ``out`` (a :class:`~repro.simt.segments.SegmentExit`): the
         same totals its ``out.n`` per-instruction records would give,
-        barrier ops (``out.barrier_ops``) included. Fusion is disabled
-        while tracing, so no issue event is recorded here.
+        barrier ops (``out.barrier_ops``) included.
         """
         self.derived = None
         stats = self.segment_stats.get(out)
@@ -201,11 +178,9 @@ class Profiler:
             stats[0] += 1
             stats[1] += active
             stats[2] += cycles
-        self.warp_cycles[warp_id] = self.warp_cycles.get(warp_id, 0) + cycles
 
     def finish(self, warps):
-        """Close the launch: take each warp's cycles from the warp itself
-        (the executor's inlined records do not update ``warp_cycles``)."""
+        """Close the launch: take each warp's cycles from the warp."""
         for warp in warps:
             self.warp_cycles[warp.warp_id] = warp.cycles
 

@@ -50,13 +50,12 @@ interleave a segment with a global memory op fuses only when the
 launch's footprints are proven disjoint;
 :meth:`SegmentTable.memory_free_at` rejects the others from the decoded
 entries, before lowering them.
-Anything else — an attached sink, stall metrics, an issue trace, a
-disabled fastpath, several live warps with ``warp_batch`` off or in a
-CTA-coupled launch — falls back to
-per-instruction issue with identical results. ``REPRO_SEGMENTS=0`` (or
-``engine_config(segments=False)``, :mod:`repro.engine`) turns fusion off;
-the conformance suite pins segments-on against segments-off over the full
-corpus.
+Anything else — an attached sink, stall metrics, a disabled fastpath,
+several live warps with ``warp_batch`` off or in a CTA-coupled launch —
+falls back to per-instruction issue with identical results.
+``REPRO_SEGMENTS=0`` (or ``engine_config(segments=False)``,
+:mod:`repro.engine`) turns fusion off; the conformance suite pins
+segments-on against segments-off over the full corpus.
 """
 
 from __future__ import annotations

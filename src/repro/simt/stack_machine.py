@@ -73,13 +73,11 @@ class StackGPUMachine:
     """Executes kernels with stack-based (pre-Volta) reconvergence."""
 
     def __init__(self, module, cost_model=None, seed=2020,
-                 max_issues=DEFAULT_MAX_ISSUES, trace=False, sink=None,
-                 metrics=False):
+                 max_issues=DEFAULT_MAX_ISSUES, sink=None, metrics=False):
         self.module = module
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.seed = seed
         self.max_issues = max_issues
-        self.trace = trace
         self.sink = sink
         self.metrics = metrics
         self._rpcs = _ReconvergenceTable(module)
@@ -95,7 +93,7 @@ class StackGPUMachine:
                 f"@{kernel_name} takes {len(kernel.params)} arguments"
             )
         memory = memory if memory is not None else GlobalMemory()
-        profiler = Profiler(trace=self.trace)
+        profiler = Profiler()
         metrics = LaunchMetrics() if self.metrics else None
         profiler.metrics = metrics
         sink = self.sink if self.sink is not None else ambient_sink()

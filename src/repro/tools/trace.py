@@ -114,7 +114,6 @@ def _run_workload(args, sink):
         scheduler=args.scheduler,
         seed=args.seed,
         compiled=compiled,
-        trace=True,
         sink=sink,
         metrics=True,
     )
@@ -133,7 +132,7 @@ def _run_source(args, sink):
         raise SystemExit("error: no kernel in module")
     machine = GPUMachine(
         compiled.module, scheduler=args.scheduler, seed=args.seed,
-        trace=True, sink=sink, metrics=True,
+        sink=sink, metrics=True,
     )
     launch = machine.launch(
         kernels[0].name,
@@ -249,7 +248,7 @@ def main(argv=None):
     if args.timeline:
         print()
         print(render_timeline(
-            launch,
+            sink.events,
             warp_id=args.warp,
             width=args.width,
             highlight=args.highlight,

@@ -180,7 +180,6 @@ class Workload:
         compiled=None,
         auto_options=None,
         pipeline=None,
-        trace=False,
         sink=None,
         metrics=False,
         **compiler_options,
@@ -190,8 +189,8 @@ class Workload:
         ``threshold="default"`` uses the workload's ``sr_threshold``;
         ``None`` forces a hard barrier; an int sets a soft threshold.
         ``pipeline`` overrides the mode's registered pass pipeline.
-        ``trace``/``sink``/``metrics`` enable repro.obs observability on
-        the launch (all off by default).
+        ``sink``/``metrics`` enable repro.obs observability on the launch
+        (both off by default).
         """
         if threshold == "default":
             threshold = self.sr_threshold
@@ -208,7 +207,7 @@ class Workload:
         args = self.setup(memory)
         machine = GPUMachine(
             compiled.module, scheduler=scheduler, seed=seed,
-            trace=trace, sink=sink, metrics=metrics,
+            sink=sink, metrics=metrics,
         )
         launch = machine.launch(
             self.kernel_name, self.n_threads, args=args, memory=memory

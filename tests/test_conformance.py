@@ -631,9 +631,16 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
                 reference=REFERENCE, **machine_kwargs):
     """Launch kernel ``k`` under each of ``engines`` and under
     ``reference``: all must complete bit-identically, or deadlock
-    *identically* (same warp, same parked lanes, same post-mortem
-    ``issued``). Returns the profilers of ``reference`` and then
-    ``engines``, or None when the kernel deadlocks."""
+    *identically* (same warp, same parked lanes, same post-mortem but for
+    the engine's own ``multiwarp`` and ``jit`` keys). Returns the
+    profilers of ``reference`` and then ``engines``, or None when the
+    kernel deadlocks."""
+
+    def post_mortem(exc):
+        return {
+            key: value for key, value in exc.post_mortem.items()
+            if key not in ("multiwarp", "jit")
+        }
 
     def launch(config):
         with _using(config):
@@ -649,9 +656,7 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
             assert sorted(exc.value.waiting) == sorted(
                 expected_exc.waiting
             ), engine
-            assert exc.value.post_mortem["issued"] == (
-                expected_exc.post_mortem["issued"]
-            ), engine
+            assert post_mortem(exc.value) == post_mortem(expected_exc), engine
         return None
     profilers = [expected.profiler]
     for engine in engines:
@@ -826,6 +831,18 @@ use:
   cbr %q, ^out, ^out
 out:
   st %t, %x
+  exit
+}
+"""
+
+#: A pure op that computes with the never-written ``%u``; ``{op}`` is an
+#: arithmetic op, a compare, ``fma`` or a ``sel`` predicate.
+COMPUTES_UNDEF = """
+func @k() kernel {
+entry:
+  %t = tid
+  {op}
+  st %t, %y
   exit
 }
 """
@@ -1013,6 +1030,29 @@ class TestTraceExits:
 
         expected = failure(REFERENCE)
         assert expected[2] == 5
+        assert failure(ENGINES["no-segments"]) == expected
+
+    @pytest.mark.parametrize("op", [
+        "%y = add %u, 1", "%y = sel %u, 1, 2", "%y = fma %t, %u, 1",
+        "%y = cmplt 1, %u",
+    ])
+    def test_undef_operand_fails_as_the_reference(self, op):
+        """A lone pure op computing with an UNDEF register fails with the
+        interpreter's error: same type, message and post-mortem."""
+
+        def failure(config):
+            with _using(config):
+                machine = GPUMachine(
+                    parse_module(COMPUTES_UNDEF.replace("{op}", op))
+                )
+                with pytest.raises(SimulationError) as excinfo:
+                    machine.launch("k", 32)
+            return type(excinfo.value), excinfo.value.post_mortem
+
+        expected = failure(REFERENCE)
+        assert expected[1]["error"]["message"] == (
+            "read of undefined register %u in @k/entry"
+        )
         assert failure(ENGINES["no-segments"]) == expected
 
 

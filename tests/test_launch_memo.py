@@ -241,11 +241,10 @@ class TestKey:
 
 
 class TestAlwaysSimulates:
-    @pytest.mark.parametrize("observer", ["trace", "sink", "metrics"])
+    @pytest.mark.parametrize("observer", ["sink", "metrics"])
     def test_observed_launches(self, fast, observer, hits):
         module = _module()
         kwargs = {
-            "trace": {"trace": True},
             "sink": {"sink": ListSink()},
             "metrics": {"metrics": True},
         }[observer]

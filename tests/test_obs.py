@@ -2,7 +2,8 @@
 
 Also pins the two observability invariants the subsystem guarantees:
 
-* the ``trace=False`` fast path allocates **no** event objects, and
+* a launch with no sink and no metrics allocates **no** event objects,
+  and
 * results (per-thread stores, cycles, SIMT efficiency) are bit-identical
   with observability on vs. off, across all three schedulers.
 """
@@ -53,17 +54,6 @@ def _sr_module():
 
 
 class TestEvents:
-    def test_issue_event_unpacks_as_legacy_tuple(self):
-        event = IssueEvent(
-            warp_id=3, function="f", block="b", index=2, opcode=Opcode.ADD,
-            lanes=frozenset({0, 1}), ts=10, dur=4, active=2,
-        )
-        wid, fn, blk, lanes = event
-        assert (wid, fn, blk, lanes) == (3, "f", "b", frozenset({0, 1}))
-        assert event[0] == 3 and event[2] == "b"
-        assert len(event) == 4
-        assert event.ts == 10 and event.dur == 4
-
     def test_to_dict_sorts_lanes(self):
         event = IssueEvent(
             warp_id=0, function="f", block="b", index=0, opcode=Opcode.ADD,
@@ -72,6 +62,9 @@ class TestEvents:
         data = event.to_dict()
         assert data["kind"] == "issue"
         assert data["lanes"] == [1, 5]
+        # Named fields are the only view: an event is not a tuple.
+        with pytest.raises(TypeError):
+            iter(event)
 
 
 class TestSinks:
@@ -106,27 +99,24 @@ class TestSinks:
 
 class TestFastPathAllocationFree:
     def test_no_event_objects_without_observability(self, monkeypatch):
-        """trace=False + no sink + no metrics must never build an event."""
+        """No sink and no metrics: no launch may build an event."""
         def boom(*args, **kwargs):
             raise AssertionError("event allocated on the fast path")
 
         import repro.simt.executor as executor_mod
-        import repro.simt.profiler as profiler_mod
         import repro.simt.stack_machine as stack_mod
 
         for name in ("IssueEvent", "DivergeEvent", "BarrierArriveEvent",
                      "BarrierReleaseEvent", "ReconvergeEvent"):
             if hasattr(executor_mod, name):
                 monkeypatch.setattr(executor_mod, name, boom)
-        monkeypatch.setattr(profiler_mod, "IssueEvent", boom)
         monkeypatch.setattr(stack_mod, "ReconvergeEvent", boom)
 
         module = _sr_module()
         launch = GPUMachine(module).launch("k", 32)
-        assert launch.profiler.trace is None
         assert launch.metrics is None
         stack = StackGPUMachine(module).launch("k", 32)
-        assert stack.profiler.trace is None
+        assert stack.metrics is None
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
     def test_results_bit_identical_with_observability(self, scheduler):
@@ -137,7 +127,7 @@ class TestFastPathAllocationFree:
         )
         observed = workload.run(
             mode="sr", compiled=compiled, scheduler=scheduler,
-            trace=True, metrics=True, sink=ListSink(),
+            metrics=True, sink=ListSink(),
         )
         assert plain.cycles == observed.cycles
         assert plain.simt_efficiency == observed.simt_efficiency
@@ -341,13 +331,6 @@ class TestChromeTrace:
         phases = {e["ph"] for e in events}
         assert {"X", "M", "i", "C"} <= phases
 
-    def test_launch_trace_fallback(self):
-        program = compile_baseline(compile_kernel_source(DIVERGENT))
-        launch = GPUMachine(program.module, trace=True).launch("k", 32)
-        data = chrome_trace(launch=launch)
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        assert len(slices) == launch.profiler.issued
-
     def test_write_round_trips(self, tmp_path):
         sink, report = self._traced()
         path = tmp_path / "trace.json"
@@ -360,8 +343,8 @@ class TestStackMachineObservability:
     def test_trace_and_reconverge_events(self):
         module = compile_baseline(compile_kernel_source(DIVERGENT)).module
         sink = ListSink()
-        launch = StackGPUMachine(module, trace=True, sink=sink).launch("k", 32)
-        assert launch.profiler.trace  # cycle-stamped issues
+        launch = StackGPUMachine(module, sink=sink).launch("k", 32)
+        assert len(sink.of_kind("issue")) == launch.profiler.issued
         assert sink.of_kind("reconverge")  # structural pops
         assert sink.of_kind("diverge")
         # No convergence barriers exist pre-Volta.

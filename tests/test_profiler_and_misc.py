@@ -112,9 +112,9 @@ class TestProfilerAccounting:
 
     def test_record_and_record_segment_totals(self):
         profiler = Profiler()
-        profiler.record(0, ("k", "entry", 0), Opcode.TID, 32, 4)
-        profiler.record(0, ("k", "entry", 1), Opcode.BSSY, 32, 2, True)
-        profiler.record(1, ("k", "entry", 0), Opcode.TID, 16, 4)
+        profiler.record(("k", "entry", 0), Opcode.TID, 32, 4)
+        profiler.record(("k", "entry", 1), Opcode.BSSY, 32, 2, True)
+        profiler.record(("k", "entry", 0), Opcode.TID, 16, 4)
 
         # Read mid-sequence: this fills the memo.
         assert profiler.issued == 3
@@ -123,15 +123,14 @@ class TestProfilerAccounting:
         assert profiler.barrier_issues == 1
         assert profiler.opcode_issues() == {"tid": 2, "bssy": 1}
         assert self._block(profiler, "entry") == (3, 80, 2, 10)
-        assert profiler.total_cycles == 6
         assert profiler.fused_issues == 0
 
         out = _FakeExit(
             "k", "body", 0, (Opcode.ADD, Opcode.MUL, Opcode.ADD, Opcode.BRA)
         )
-        profiler.record_segment(1, out, 8, 9)
-        profiler.record_segment(1, out, 4, 7)
-        profiler.record(0, ("k", "body", 3), Opcode.BRA, 8, 1)
+        profiler.record_segment(out, 8, 9)
+        profiler.record_segment(out, 4, 7)
+        profiler.record(("k", "body", 3), Opcode.BRA, 8, 1)
 
         # Every later record must invalidate the memo.
         assert profiler.issued == 3 + 4 + 4 + 1
@@ -143,15 +142,16 @@ class TestProfilerAccounting:
         }
         assert self._block(profiler, "entry") == (3, 80, 2, 10)
         assert self._block(profiler, "body") == (9, 56, 2, 17)
-        assert profiler.total_cycles == 4 + 9 + 7  # warp 1
-        assert profiler.warp_cycles == {0: 7, 1: 20}
         assert profiler.fused_issues == 8
         assert profiler.fused_segments == 2
         assert profiler.simt_efficiency == 136 / (12 * WARP_SIZE)
 
-        # At launch end the warps' own cycle counters are authoritative.
+        # Warp cycles come from the warps' own counters at launch end.
+        assert profiler.warp_cycles == {}
+        assert profiler.total_cycles == 0
         profiler.finish([_Warp(0, 7), _Warp(1, 20), _Warp(2, 3)])
         assert profiler.warp_cycles == {0: 7, 1: 20, 2: 3}
+        assert profiler.total_cycles == 20
 
     def test_exits_account_their_own_slots_and_barrier_ops(self):
         """Two exits of one trace: each run counts the slots and barrier
@@ -162,9 +162,9 @@ class TestProfilerAccounting:
             "k", "head", 0, (Opcode.CMPLT, Opcode.BSSY, Opcode.CBR), 1
         )
         before_cbr = _FakeExit("k", "head", 0, (Opcode.CMPLT, Opcode.BSSY), 1)
-        profiler.record_segment(0, through, 32, 5)
-        profiler.record_segment(0, before_cbr, 32, 4)
-        profiler.record(0, ("k", "head", 2), Opcode.CBR, 32, 1)
+        profiler.record_segment(through, 32, 5)
+        profiler.record_segment(before_cbr, 32, 4)
+        profiler.record(("k", "head", 2), Opcode.CBR, 32, 1)
         assert profiler.issued == 6
         assert profiler.fused_issues == 5
         assert profiler.barrier_issues == 2
