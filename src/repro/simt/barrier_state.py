@@ -1,26 +1,27 @@
 """Warp convergence-barrier state (Volta BSSY / BSYNC / BREAK semantics).
 
 Each warp owns a :class:`BarrierFile` mapping barrier names to
-:class:`ConvergenceBarrier` records. Semantics (Section 2 of the paper):
+:class:`ConvergenceBarrier` records. Every op takes a *lane mask* (bit
+``i`` is lane ``i``), so a whole issued group joins, parks, withdraws or
+is released in one call. Semantics (Section 2 of the paper):
 
-* ``join`` (BSSY): the thread becomes a member. Re-joining is idempotent.
-* ``park`` (BSYNC): the thread waits. A *hard* wait releases the full
-  membership when every member is parked.
+* ``join`` (BSSY): the lanes become members. Re-joining is idempotent.
+* ``park`` (BSYNC): the member lanes wait; non-members pass through. A
+  *hard* wait releases the full membership when every member is parked.
 * ``park`` with a threshold (``bsync.soft``, Section 4.6): the parked pool
   releases as soon as it reaches the threshold, or when the whole
   membership is parked (threshold unsatisfiable by more arrivals).
-* ``withdraw`` (BREAK): removes a thread from the membership; removal can
+* ``withdraw`` (BREAK): removes lanes from the membership; removal can
   complete a release for the remaining parked members.
 * thread exit withdraws from every barrier (hardware drains exited lanes).
 
-Releases *clear the released threads' membership*: a thread that expects to
+Releases *clear the released lanes' membership*: a thread that expects to
 wait again must re-join (the paper's ``RejoinBarrier``).
 
-Lane sets are stored as int bitmasks (lanes are 0..31, so membership tests,
-emptiness checks, and counts are single machine ops instead of hashed set
-operations — this state is touched on every issue slot's release drain).
-``members`` / ``parked`` remain available as set views for callers and
-tests that reason about lane sets.
+A barrier's release condition reads only its own two masks and the soft
+thresholds of its own parked lanes, so one barrier's release can never
+make another releasable. ``members`` / ``parked`` are lane-set views for
+observability and tests.
 """
 
 from __future__ import annotations
@@ -31,96 +32,107 @@ from repro.errors import SimulationError
 ALL_MEMBERS = None
 
 
-#: Shared empty result for the no-release case — ``releasable`` runs on
-#: every issue slot's drain, so the common miss must not allocate.
-_EMPTY_LANES = frozenset()
+def _byte_lanes(base):
+    """Per byte value, the ascending lanes ``base + i`` of its set bits
+    ``i``, built by doubling the table once per bit."""
+    table = [()]
+    for lane in range(base, base + 8):
+        table += [lanes + (lane,) for lanes in table]
+    return tuple(table)
 
 
-def _mask_lanes(mask):
-    """The set of lane ids whose bits are set in ``mask``."""
-    lanes = set()
-    while mask:
-        low = mask & -mask
-        lanes.add(low.bit_length() - 1)
-        mask ^= low
+#: _BYTE_LANES[k][byte]: the lanes whose bits are set in ``byte`` when it
+#: is byte ``k`` of a 32-lane mask.
+_BYTE_LANES = tuple(_byte_lanes(8 * k) for k in range(4))
+
+
+def lanes_of(mask):
+    """The lane ids (0..31) whose bits are set in ``mask``, ascending."""
+    lanes = []
+    for table in _BYTE_LANES:
+        if not mask:
+            break
+        lanes += table[mask & 255]
+        mask >>= 8
     return lanes
 
 
 class ConvergenceBarrier:
     """Membership and parked lane bitmasks for one named barrier."""
 
-    __slots__ = ("name", "members_mask", "parked_mask", "thresholds",
-                 "_soft_count")
+    __slots__ = ("name", "members_mask", "parked_mask", "thresholds")
 
     def __init__(self, name):
         self.name = name
         self.members_mask = 0     # lanes that joined and have not cleared
         self.parked_mask = 0      # subset of members currently waiting
-        self.thresholds = {}      # lane -> threshold (None for hard waits)
-        self._soft_count = 0      # parked lanes carrying a soft threshold
+        self.thresholds = {}      # parked soft lane -> its threshold
 
-    # Set views kept for observability and tests; the hot paths use the
-    # masks directly.
     @property
     def members(self):
-        return _mask_lanes(self.members_mask)
+        return set(lanes_of(self.members_mask))
 
     @property
     def parked(self):
-        return _mask_lanes(self.parked_mask)
+        return set(lanes_of(self.parked_mask))
 
-    def join(self, lane):
-        self.members_mask |= 1 << lane
+    def join(self, mask):
+        self.members_mask |= mask
 
-    def withdraw(self, lane):
-        keep = ~(1 << lane)
-        self.members_mask &= keep
-        self.parked_mask &= keep
-        if self.thresholds.pop(lane, ALL_MEMBERS) is not ALL_MEMBERS:
-            self._soft_count -= 1
+    def park(self, mask, threshold=ALL_MEMBERS):
+        """Park the members among ``mask``; returns the parked mask.
+        Waiting on a barrier you are not part of is a no-op in hardware,
+        so the other lanes pass through."""
+        mask &= self.members_mask
+        if mask:
+            self.parked_mask |= mask
+            thresholds = self.thresholds
+            if thresholds:
+                self._drop_soft(mask)
+            if threshold is not ALL_MEMBERS:
+                for lane in lanes_of(mask):
+                    thresholds[lane] = threshold
+        return mask
 
-    def park(self, lane, threshold=ALL_MEMBERS):
-        if not (self.members_mask >> lane) & 1:
-            # Waiting on a barrier you are not part of is a no-op in
-            # hardware; the caller treats this as pass-through.
-            return False
-        self.parked_mask |= 1 << lane
-        if self.thresholds.get(lane, ALL_MEMBERS) is not ALL_MEMBERS:
-            self._soft_count -= 1
-        self.thresholds[lane] = threshold
-        if threshold is not ALL_MEMBERS:
-            self._soft_count += 1
-        return True
+    def withdraw(self, mask):
+        self.members_mask &= ~mask
+        self.parked_mask &= ~mask
+        if self.thresholds:
+            self._drop_soft(mask)
 
     def releasable(self):
-        """The set of lanes to release now, or empty set."""
+        """The mask of lanes to release now, or 0."""
         parked = self.parked_mask
         if not parked:
-            return _EMPTY_LANES
+            return 0
         if parked == self.members_mask:
-            return _mask_lanes(parked)
+            return parked
         # Hard waits only (the overwhelmingly common case): an incomplete
-        # parked set cannot release, so skip the soft-threshold scan.
-        if self._soft_count:
-            soft = [
-                t for t in self.thresholds.values() if t is not ALL_MEMBERS
-            ]
-            if parked.bit_count() >= min(soft):
-                return _mask_lanes(parked)
-        return _EMPTY_LANES
+        # parked set cannot release.
+        thresholds = self.thresholds
+        if thresholds and parked.bit_count() >= min(thresholds.values()):
+            return parked
+        return 0
 
-    def release(self, lanes):
-        """Clear ``lanes`` out of the barrier (they proceed past their wait)."""
-        for lane in lanes:
-            bit = 1 << lane
-            if not self.parked_mask & bit:
-                raise SimulationError(
-                    f"releasing lane {lane} not parked on barrier {self.name}"
-                )
-            self.members_mask &= ~bit
-            self.parked_mask &= ~bit
-            if self.thresholds.pop(lane, ALL_MEMBERS) is not ALL_MEMBERS:
-                self._soft_count -= 1
+    def release(self, mask):
+        """Clear ``mask`` out of the barrier (its lanes proceed past their
+        wait); every lane of it must be parked."""
+        stray = mask & ~self.parked_mask
+        if stray:
+            raise SimulationError(
+                f"releasing lanes {lanes_of(stray)} not parked on barrier "
+                f"{self.name}"
+            )
+        self.members_mask &= ~mask
+        self.parked_mask &= ~mask
+        if self.thresholds:
+            self._drop_soft(mask)
+
+    def _drop_soft(self, mask):
+        thresholds = self.thresholds
+        for lane in list(thresholds):
+            if (mask >> lane) & 1:
+                del thresholds[lane]
 
     @property
     def arrived_count(self):
@@ -147,33 +159,37 @@ class BarrierFile:
             self._barriers[name] = barrier
         return barrier
 
-    def withdraw_from_all(self, lane):
-        """Remove an exiting thread from every barrier; returns barriers
-        whose release condition may have newly become true."""
+    def withdraw_from_all(self, mask):
+        """Remove exiting lanes from every barrier; returns the barriers
+        they were in, in file order (only these can have become
+        releasable)."""
         touched = []
-        bit = 1 << lane
         for barrier in self._barriers.values():
-            if (barrier.members_mask | barrier.parked_mask) & bit:
-                barrier.withdraw(lane)
+            if barrier.members_mask & mask:
+                barrier.withdraw(mask)
                 touched.append(barrier)
         return touched
 
+    def in_file_order(self, barriers):
+        """The records of ``barriers`` (a collection of this file's
+        records) in file order."""
+        return [b for b in self._barriers.values() if b in barriers]
+
     def all_releasable(self):
-        """(barrier, lanes) pairs whose release condition currently holds."""
+        """(barrier, mask) pairs whose release condition currently holds."""
         result = []
         for barrier in self._barriers.values():
-            if barrier.parked_mask:
-                lanes = barrier.releasable()
-                if lanes:
-                    result.append((barrier, lanes))
+            mask = barrier.releasable()
+            if mask:
+                result.append((barrier, mask))
         return result
 
     def parked_anywhere(self):
-        """All lanes parked on any barrier."""
+        """The mask of lanes parked on any barrier."""
         mask = 0
         for barrier in self._barriers.values():
             mask |= barrier.parked_mask
-        return _mask_lanes(mask)
+        return mask
 
     def barriers(self):
         return list(self._barriers.values())

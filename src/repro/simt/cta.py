@@ -95,25 +95,33 @@ class CTAContext:
             1 for warp in self.warps for t in warp.threads if not t.is_exited
         )
 
-    def maybe_release(self):
+    def maybe_release(self, arriving=()):
         """Open the barrier iff every live CTA thread has arrived.
 
         Returns True when threads were released. Threads that exited before
         reaching the barrier shrink the membership (the exit path in
         ``GPUMachine._step`` re-checks this, so a late exit in one warp can
         open the barrier for the others).
+
+        A release crosses warp boundaries, so each released thread joins
+        its own warp's group table (``Warp.rebucket``) — except those of
+        ``arriving``, the group whose ``ctasync`` issue is under way: the
+        machine re-buckets that group after the issue.
         """
         if not self.arrived or len(self.arrived) < self.live_count():
             return False
         threads = sorted(self.arrived.values(), key=_by_tid)
         self.arrived.clear()
+        skip = set(map(id, arriving))
+        by_warp = {}
         for thread in threads:
             thread.unpark()
-        # A release crosses warp boundaries, so any sibling warp's patched
-        # group cache (GPUMachine._step's uniform carry-over) is stale: it
-        # lacks the just-unparked threads.
-        for warp in self.warps:
-            warp.groups_cache = None
+            if id(thread) not in skip:
+                by_warp.setdefault(thread.warp_id, []).append(thread)
+        warps = self.warps
+        for warp_id, released in by_warp.items():
+            # tid order is lane order within a warp
+            warps[warp_id - self.warp_base].rebucket(released)
         return True
 
     def has_ctasync_waiters(self, warp):
@@ -126,21 +134,17 @@ class CTAContext:
 
     def others_can_progress(self, warp):
         """True if another CTA warp can still arrive at (or shrink) the
-        barrier: it has a runnable thread or a releasable SR barrier.
+        barrier: it has a runnable thread. (Between its issues no warp
+        holds a releasable SR barrier: each issue drains the barriers it
+        made releasable, ``GPUMachine._step``.)
 
         Used by the machine's deadlock check so a warp fully parked at
         ``ctasync`` stalls instead of raising while siblings still run.
-        ``all_releasable`` is non-destructive, so peeking here cannot
-        perturb the sibling's own barrier state.
         """
-        for other in self.warps:
-            if other is warp or other.done:
-                continue
-            if other.runnable_threads():
-                return True
-            if other.barriers.all_releasable():
-                return True
-        return False
+        return any(
+            other.table for other in self.warps
+            if other is not warp and not other.done
+        )
 
     def __repr__(self):
         return (

@@ -77,10 +77,10 @@ _UNARY_EVAL = {
 }
 
 #: Opcodes that move every thread of a group to the same next PC with no
-#: park/exit/barrier side effect. After issuing one of these to a fully
-#: converged warp, the warp is guaranteed still converged at a single PC,
-#: so the machine can carry the group over instead of regrouping (CBR can
-#: split, RET/EXIT can retire lanes, and the b* ops mutate barrier state).
+#: park/exit/barrier side effect. After issuing one of these, the machine
+#: moves the group's bucket in the warp's group table as a whole instead
+#: of re-bucketing its threads (CBR can split, RET/EXIT can retire lanes,
+#: and the b* ops mutate barrier state).
 _UNIFORM_OPS = (
     frozenset(_BINARY_EVAL)
     | frozenset(_UNARY_EVAL)
@@ -130,6 +130,10 @@ class Executor:
         self.observing = bool(self.sink.enabled or metrics is not None)
         # True when the last executed opcode was in _UNIFORM_OPS.
         self.issued_uniform = False
+        # The barriers an issue may have made releasable, in barrier-file
+        # order: set by the barrier, exit and ret handlers, drained and
+        # cleared by the machine after the issue (None: nothing to drain).
+        self.touched = None
         # The engine layers for this launch (repro.engine), read once here
         # and never on the issue path.
         self.engine = engine = current_engine()
@@ -161,6 +165,16 @@ class Executor:
         ).__getitem__
 
     # ------------------------------------------------------------------
+    def _touch(self, warp, barriers):
+        """Record the barriers among ``barriers`` that the issue may have
+        made releasable (those with a parked lane), in file order, for
+        the machine's drain."""
+        touched = warp.barriers.in_file_order(
+            {b for b in barriers if b.parked_mask}
+        )
+        if touched:
+            self.touched = touched
+
     def fetch(self, pc):
         function, block, index = pc
         instructions = self.module.function(function).block(block).instructions
@@ -206,7 +220,7 @@ class Executor:
         if decoded is not None:
             entry = decoded.entry(pc)
             cycles = entry.run(self, warp, group)
-            # Lets the machine keep a converged warp's group across issues.
+            # Lets the machine move the issued bucket as a whole.
             self.issued_uniform = entry.uniform
         else:
             entry = self.fetch(pc)
@@ -373,6 +387,7 @@ class Executor:
                 for param, value in zip(callee.params, values):
                     thread.frame.write(param, value)
         elif opcode is Opcode.RET:
+            touched = set()
             for thread in group:
                 value = (
                     self._value(thread, instr.operands[0])
@@ -380,24 +395,36 @@ class Executor:
                     else None
                 )
                 if thread.pop_frame(value):
-                    warp.barriers.withdraw_from_all(thread.lane)
+                    touched.update(
+                        warp.barriers.withdraw_from_all(1 << thread.lane)
+                    )
+            self._touch(warp, touched)
         elif opcode is Opcode.EXIT:
+            touched = set()
             for thread in group:
                 thread.exit()
-                warp.barriers.withdraw_from_all(thread.lane)
+                touched.update(
+                    warp.barriers.withdraw_from_all(1 << thread.lane)
+                )
+            self._touch(warp, touched)
         elif opcode is Opcode.BSSY:
             for thread in group:
                 name = self._barrier_name(thread, instr.operands[0])
-                warp.barriers.get(name).join(thread.lane)
+                warp.barriers.get(name).join(1 << thread.lane)
                 thread.advance()
         elif opcode is Opcode.BSYNC:
+            touched = set()
             for thread in group:
                 name = self._barrier_name(thread, instr.operands[0])
                 thread.advance()  # resume past the wait when released
-                if warp.barriers.get(name).park(thread.lane, ALL_MEMBERS):
+                barrier = warp.barriers.get(name)
+                if barrier.park(1 << thread.lane, ALL_MEMBERS):
                     thread.park(name)
+                    touched.add(barrier)
                 # Not a member: hardware pass-through.
+            self._touch(warp, touched)
         elif opcode is Opcode.BSYNCSOFT:
+            touched = set()
             for thread in group:
                 name = self._barrier_name(thread, instr.operands[0])
                 threshold = int(self._value(thread, instr.operands[1]))
@@ -405,13 +432,20 @@ class Executor:
                 if threshold <= 1:
                     # Trivial threshold: never worth parking.
                     continue
-                if warp.barriers.get(name).park(thread.lane, threshold):
+                barrier = warp.barriers.get(name)
+                if barrier.park(1 << thread.lane, threshold):
                     thread.park(name)
+                    touched.add(barrier)
+            self._touch(warp, touched)
         elif opcode is Opcode.BBREAK:
+            touched = set()
             for thread in group:
                 name = self._barrier_name(thread, instr.operands[0])
-                warp.barriers.get(name).withdraw(thread.lane)
+                barrier = warp.barriers.get(name)
+                barrier.withdraw(1 << thread.lane)
+                touched.add(barrier)
                 thread.advance()
+            self._touch(warp, touched)
         elif opcode is Opcode.BMOV:
             for thread in group:
                 thread.frame.write(
@@ -429,11 +463,12 @@ class Executor:
             barrier = warp.barriers.get(_WARPSYNC_BARRIER)
             # Every live thread participates in a full-warp sync.
             for live in warp.live_threads():
-                barrier.join(live.lane)
+                barrier.join(1 << live.lane)
             for thread in group:
                 thread.advance()
-                if barrier.park(thread.lane, ALL_MEMBERS):
+                if barrier.park(1 << thread.lane, ALL_MEMBERS):
                     thread.park(_WARPSYNC_BARRIER)
+            self._touch(warp, (barrier,))
         elif opcode is Opcode.CTASYNC:
             # CTA-wide barrier: arrivals park across warp boundaries; the
             # last live arrival opens the barrier for the whole CTA (the
@@ -442,7 +477,7 @@ class Executor:
             for thread in group:
                 thread.advance()  # resume past the wait when released
                 ctx.arrive(thread)
-            ctx.maybe_release()
+            ctx.maybe_release(group)
         elif opcode in (Opcode.NOP, Opcode.PREDICT):
             for thread in group:
                 thread.advance()
@@ -517,7 +552,7 @@ class Executor:
                     # CTA-wide arrival count.
                     occupancy = len(self.cta.arrived) if self.cta else 0
                 else:
-                    occupancy = len(warp.barriers.get(name).parked)
+                    occupancy = warp.barriers.get(name).parked_mask.bit_count()
                 if metrics is not None:
                     metrics.on_park(warp.warp_id, name, lanes, ts, occupancy)
                 if sink.enabled:

@@ -212,7 +212,7 @@ def _decode_ctasync(instr, latency):
         for thread in group:
             thread.frames[-1].index += 1  # resume past the wait when released
             ctx.arrive(thread)
-        ctx.maybe_release()
+        ctx.maybe_release(group)
         return latency
 
     return run
@@ -338,10 +338,13 @@ def _decode_ret(instr, latency, slots):
     get_value = _getter(instr.operands[0], slots) if instr.operands else None
 
     def run(executor, warp, group):
+        exited = 0
         for thread in group:
             value = get_value(thread) if get_value is not None else None
             if thread.pop_frame(value):
-                warp.barriers.withdraw_from_all(thread.lane)
+                exited |= 1 << thread.lane
+        if exited:
+            executor.touched = warp.barriers.withdraw_from_all(exited) or None
         return latency
 
     return run
@@ -349,26 +352,32 @@ def _decode_ret(instr, latency, slots):
 
 def _decode_exit(instr, latency):
     def run(executor, warp, group):
+        exited = 0
         for thread in group:
             thread.exit()
-            warp.barriers.withdraw_from_all(thread.lane)
+            exited |= 1 << thread.lane
+        executor.touched = warp.barriers.withdraw_from_all(exited) or None
         return latency
 
     return run
 
 
+# The barrier handlers build the group's lane mask in their per-thread
+# loop and make one barrier call per barrier named. A handler that may
+# have made a barrier releasable hands it to the machine's drain in
+# ``executor.touched``; ``bssy`` only adds members, which cannot.
 def _decode_bssy(instr, latency, slots):
     operand = instr.operands[0]
     if isinstance(operand, Barrier):
-        # Literal barrier (the common compiler output): resolve the
-        # record once per issue instead of once per thread.
+        # Literal barrier (the common compiler output): one join per issue.
         name = operand.name
 
         def run(executor, warp, group):
-            barrier = warp.barriers.get(name)
+            mask = 0
             for thread in group:
-                barrier.join(thread.lane)
+                mask |= 1 << thread.lane
                 thread.frames[-1].index += 1
+            warp.barriers.get(name).join(mask)
             return latency
 
         return run
@@ -377,25 +386,52 @@ def _decode_bssy(instr, latency, slots):
     def run(executor, warp, group):
         barriers = warp.barriers
         for thread in group:
-            barriers.get(get_name(thread)).join(thread.lane)
+            barriers.get(get_name(thread)).join(1 << thread.lane)
             thread.frames[-1].index += 1
         return latency
 
     return run
 
 
-def _decode_bsync(instr, latency, slots):
+def _decode_wait(instr, latency, slots):
+    """``bsync``, and ``bsync.soft`` with its threshold (a threshold of
+    at most 1 is trivial: never worth parking)."""
     operand = instr.operands[0]
-    if isinstance(operand, Barrier):
+    soft = instr.opcode is Opcode.BSYNCSOFT
+    threshold = ALL_MEMBERS
+    get_threshold = None
+    if soft:
+        if isinstance(instr.operands[1], Imm):
+            threshold = int(instr.operands[1].value)
+        else:
+            get_threshold = _getter(instr.operands[1], slots)
+    if isinstance(operand, Barrier) and get_threshold is None:
         name = operand.name
+        if soft and threshold <= 1:
+            def run(executor, warp, group):
+                # No lane parks, but the record is created as before, so
+                # barrier-file order (the drain's order) does not move.
+                warp.barriers.get(name)
+                for thread in group:
+                    thread.frames[-1].index += 1
+                return latency
+
+            return run
 
         def run(executor, warp, group):
             barrier = warp.barriers.get(name)
+            members = barrier.members_mask
+            mask = 0
             for thread in group:
                 thread.frames[-1].index += 1  # resume past the wait
-                if barrier.park(thread.lane, ALL_MEMBERS):
+                bit = 1 << thread.lane
+                if members & bit:
+                    mask |= bit
                     thread.park(name)
                 # Not a member: hardware pass-through.
+            if mask:
+                barrier.park(mask, threshold)
+                executor.touched = (barrier,)
             return latency
 
         return run
@@ -403,49 +439,25 @@ def _decode_bsync(instr, latency, slots):
 
     def run(executor, warp, group):
         barriers = warp.barriers
+        parks = {}  # (barrier, threshold) -> lanes parking there
         for thread in group:
             name = get_name(thread)
-            thread.frames[-1].index += 1  # resume past the wait when released
-            if barriers.get(name).park(thread.lane, ALL_MEMBERS):
-                thread.park(name)
-            # Not a member: hardware pass-through.
-        return latency
-
-    return run
-
-
-def _decode_bsyncsoft(instr, latency, slots):
-    operand = instr.operands[0]
-    get_threshold = _getter(instr.operands[1], slots)
-    if isinstance(operand, Barrier):
-        name = operand.name
-
-        def run(executor, warp, group):
-            barrier = warp.barriers.get(name)
-            for thread in group:
-                threshold = int(get_threshold(thread))
-                thread.frames[-1].index += 1
-                if threshold <= 1:
-                    # Trivial threshold: never worth parking.
-                    continue
-                if barrier.park(thread.lane, threshold):
-                    thread.park(name)
-            return latency
-
-        return run
-    get_name = _barrier_getter(operand, slots)
-
-    def run(executor, warp, group):
-        barriers = warp.barriers
-        for thread in group:
-            name = get_name(thread)
-            threshold = int(get_threshold(thread))
-            thread.frames[-1].index += 1
-            if threshold <= 1:
-                # Trivial threshold: never worth parking.
+            lane_threshold = threshold
+            if get_threshold is not None:
+                lane_threshold = int(get_threshold(thread))
+            thread.frames[-1].index += 1  # resume past the wait
+            if soft and lane_threshold <= 1:
                 continue
-            if barriers.get(name).park(thread.lane, threshold):
+            barrier = barriers.get(name)
+            bit = 1 << thread.lane
+            if barrier.members_mask & bit:
                 thread.park(name)
+                key = (barrier, lane_threshold)
+                parks[key] = parks.get(key, 0) | bit
+        for (barrier, lane_threshold), mask in parks.items():
+            barrier.park(mask, lane_threshold)
+        if parks:
+            executor._touch(warp, {barrier for barrier, _ in parks})
         return latency
 
     return run
@@ -458,9 +470,14 @@ def _decode_bbreak(instr, latency, slots):
 
         def run(executor, warp, group):
             barrier = warp.barriers.get(name)
+            mask = 0
             for thread in group:
-                barrier.withdraw(thread.lane)
+                mask |= 1 << thread.lane
                 thread.frames[-1].index += 1
+            barrier.withdraw(mask)
+            # A fused trace runs this only with no lane parked here.
+            if barrier.parked_mask:
+                executor.touched = (barrier,)
             return latency
 
         return run
@@ -468,9 +485,14 @@ def _decode_bbreak(instr, latency, slots):
 
     def run(executor, warp, group):
         barriers = warp.barriers
+        withdrawn = {}  # barrier -> lanes leaving it
         for thread in group:
-            barriers.get(get_name(thread)).withdraw(thread.lane)
+            barrier = barriers.get(get_name(thread))
+            withdrawn[barrier] = withdrawn.get(barrier, 0) | 1 << thread.lane
             thread.frames[-1].index += 1
+        for barrier, mask in withdrawn.items():
+            barrier.withdraw(mask)
+        executor._touch(warp, withdrawn)
         return latency
 
     return run
@@ -508,13 +530,20 @@ def _decode_barcnt(instr, latency, slots):
 def _decode_warpsync(instr, latency):
     def run(executor, warp, group):
         barrier = warp.barriers.get(_WARPSYNC_BARRIER)
-        # Every live thread participates in a full-warp sync.
-        for live in warp.live_threads():
-            barrier.join(live.lane)
+        # Every live thread participates in a full-warp sync, so every
+        # lane of the (runnable) group parks.
+        live = 0
+        for thread in warp.threads:
+            if not thread.is_exited:
+                live |= 1 << thread.lane
+        barrier.join(live)
+        mask = 0
         for thread in group:
             thread.frames[-1].index += 1
-            if barrier.park(thread.lane, ALL_MEMBERS):
-                thread.park(_WARPSYNC_BARRIER)
+            mask |= 1 << thread.lane
+            thread.park(_WARPSYNC_BARRIER)
+        barrier.park(mask)
+        executor.touched = (barrier,)
         return latency
 
     return run
@@ -583,10 +612,8 @@ def _decode_instruction(instr, cost_model, module, slots, pc):
         run = _decode_exit(instr, latency)
     elif opcode is Opcode.BSSY:
         run = _decode_bssy(instr, latency, slots)
-    elif opcode is Opcode.BSYNC:
-        run = _decode_bsync(instr, latency, slots)
-    elif opcode is Opcode.BSYNCSOFT:
-        run = _decode_bsyncsoft(instr, latency, slots)
+    elif opcode in (Opcode.BSYNC, Opcode.BSYNCSOFT):
+        run = _decode_wait(instr, latency, slots)
     elif opcode is Opcode.BBREAK:
         run = _decode_bbreak(instr, latency, slots)
     elif opcode is Opcode.BMOV:

@@ -19,7 +19,6 @@ recorded result instead (:mod:`repro.simt.memo`).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from repro.analysis.memeffects import classify_launch, cta_coupled
@@ -35,14 +34,12 @@ from repro.simt.executor import Executor
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.scheduler import make_scheduler
-from repro.simt.warp import WARP_SIZE, Thread, Warp
+from repro.simt.warp import WARP_SIZE, Thread, Warp, insert_bucket
 
 #: Issue-slot budget shared by every execution engine (GPU, stack,
 #: single-thread reference) so runaway-loop detection behaves the same
 #: no matter which path runs a kernel.
 DEFAULT_MAX_ISSUES = 20_000_000
-
-_by_lane = operator.attrgetter("lane")
 
 
 @dataclass
@@ -419,20 +416,18 @@ class GPUMachine:
         step = self._step
 
         def issue(warp):
-            groups = warp.groups_cache
-            if groups is None:
-                groups = warp.groups()
+            table = warp.table
             pc = segment = None
-            if len(groups) == 1:
-                pc = next(iter(groups))
+            if len(table) == 1:
+                pc = next(iter(table))
                 segment = segment_at(pc)
-            elif groups and not shares_state:
-                pc = scheduler.pick(groups, program_order)
+            elif table and not shares_state:
+                pc = scheduler.pick(table, program_order)
                 segment = segment_at(pc)
-                if segment is not None and segment.conflicts(groups):
+                if segment is not None and segment.conflicts(table):
                     segment = None
             if segment is not None:
-                group = groups[pc]
+                group = table[pc]
                 cycles, out = segment.execute(executor, warp, group)
                 n = out.n
                 if n:
@@ -443,17 +438,15 @@ class GPUMachine:
                     record_segment(out, len(group), cycles)
                     warp.cycles += cycles
                     # Segment ops cannot park, release, or split, so the
-                    # other groups are untouched: move the issued bucket
-                    # to the exit's PC as _step's carry-over and
-                    # regrouping would have.
-                    _carry_over(warp, groups, pc, group, out.end_pc)
+                    # other groups are untouched: the issued bucket moves
+                    # to the exit's PC.
+                    del table[pc]
+                    insert_bucket(table, out.end_pc, group)
                     return n
-            # Nothing to fuse here: hand the grouping to _step (an empty
-            # dict still routes through its drain/done/deadlock logic)
-            # and issue one instruction the ordinary way. A stateless
-            # policy's pick is passed along; round-robin picks once per
-            # slot, in _step.
-            warp.groups_cache = groups
+            # Nothing to fuse here: issue one instruction the ordinary
+            # way (an empty table still routes through _step's
+            # done/deadlock logic). A stateless policy's pick is passed
+            # along; round-robin picks once per slot, in _step.
             if step(warp, executor, scheduler, None if shares_state else pc):
                 return 1
             return 0
@@ -464,25 +457,21 @@ class GPUMachine:
     def _step(self, warp, executor, scheduler, pc=None):
         """Issue one instruction for ``warp``; returns True if issued.
 
-        ``pc`` is the scheduler's pick over the warp's cached grouping
-        when the caller already made it (a stateless policy only)."""
-        on_release = None
-        if executor.observing:
-            on_release = (
-                lambda barrier, lanes: executor.observe_release(
-                    warp, barrier, lanes
-                )
-            )
-        # After a uniform op only the issued bucket moved, so the previous
-        # grouping was patched in place — reuse it instead of regrouping.
-        groups = warp.groups_cache
-        warp.groups_cache = None
-        if groups is None:
-            groups = warp.groups()
-        if not groups:
-            warp.drain_releasable(on_release)
-            groups = warp.groups()
-        if not groups:
+        ``pc`` is the scheduler's pick over the warp's table when the
+        caller already made it (a stateless policy only).
+
+        After every issue no barrier of the warp is releasable, and
+        ``warp.table`` equals ``warp.groups()``. A uniform op cannot park,
+        exit or touch the barrier file, so only its bucket moves. Any
+        other op re-buckets its group, then drains the barriers it handed
+        over in ``executor.touched``: the only ones whose masks it changed
+        in a way that can complete a release (``bssy`` only adds runnable
+        members, and ``cbr``/``bra`` touch no barrier). A drain releases
+        each ready barrier once, since no release can make another
+        barrier releasable (``Warp.drain``).
+        """
+        table = warp.table
+        if not table:
             if not warp.live_threads():
                 warp.done = True
                 return False
@@ -511,29 +500,33 @@ class GPUMachine:
             # No segment engine this launch (observers attached, or
             # fastpath/segments off): no slot can fuse.
             executor.profiler.nonforced_observed += 1
-        elif len(groups) > 1 and scheduler.shares_state:
+        elif len(table) > 1 and scheduler.shares_state:
             # A policy with shared state fuses lone groups only.
             executor.profiler.nonforced_multi_group += 1
         if pc is None:
-            pc = scheduler.pick(groups, executor.program_order)
-        group = groups[pc]
+            pc = scheduler.pick(table, executor.program_order)
+        # Out of the table while it issues: a ctasync release inserts
+        # the other threads it frees during the issue.
+        group = table.pop(pc)
         executor.execute(warp, pc, group)
-        if not executor.issued_uniform:
-            warp.drain_releasable(on_release)
-        else:
-            # A uniform op moved every thread of ``group`` to one new PC and
-            # could not park, exit, or touch the barrier file. Every op that
-            # can change the barrier file is non-uniform and so ends in the
-            # drain above, and fused segments hold only uniform ops: nothing
-            # can have become releasable since, so there is no drain here.
-            # The other groups are exactly as they were: patch the dict
-            # instead of rescanning the warp. (Schedulers order by injective
-            # PC keys, so dict insertion order cannot influence the pick.)
+        if executor.issued_uniform:
             frame = group[0].frames[-1]
-            _carry_over(
-                warp, groups, pc, group,
-                (frame.fname, frame.block_name, frame.index),
+            insert_bucket(
+                table, (frame.fname, frame.block_name, frame.index), group
             )
+            return True
+        warp.rebucket(group)
+        touched = executor.touched
+        if touched is not None:
+            executor.touched = None
+            on_release = None
+            if executor.observing:
+                on_release = (
+                    lambda barrier, lanes: executor.observe_release(
+                        warp, barrier, lanes
+                    )
+                )
+            warp.drain(touched, on_release)
         return True
 
 
@@ -561,21 +554,6 @@ def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None,
             sink.close()
         except Exception:  # pragma: no cover - must not mask the error
             pass
-
-
-def _carry_over(warp, groups, pc, group, new_pc):
-    """Move ``group``, just issued at ``pc``, to ``new_pc`` in ``groups``
-    and cache the patched grouping on ``warp``. A bucket that lands on an
-    already-populated PC merges into it in lane order, as
-    ``Warp.groups()`` would have produced."""
-    del groups[pc]
-    resident = groups.get(new_pc)
-    if resident is None:
-        groups[new_pc] = group
-    else:
-        resident.extend(group)
-        resident.sort(key=_by_lane)
-    warp.groups_cache = groups
 
 
 def _budget_event(rounds, max_issues):

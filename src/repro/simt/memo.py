@@ -12,9 +12,9 @@ recorded memory writes to the caller's
 
 The key:
 
-* the program: sha256 of the module's printed IR
-  (:func:`repro.ir.printer.format_module`), computed once per module
-  object (again only if its structure changes, see
+* the program: sha256 of a marshalled structural image of the module's
+  IR (:func:`_program_digest`), computed once per module object (again
+  only if its structure changes, see
   :func:`~repro.ir.function.module_cache`), so two modules with
   identical IR share entries;
 * the kernel name, the thread count and the ``repr`` of the arguments;
@@ -44,11 +44,12 @@ with that digest holds, so they are freed with the last such module;
 from __future__ import annotations
 
 import hashlib
+import marshal
 import weakref
 
 from repro.engine import current_engine
 from repro.ir.function import module_cache
-from repro.ir.printer import format_module
+from repro.ir.instructions import Barrier, BlockRef, FuncRef, Imm, Reg
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import CostModel, cost_key
 from repro.simt.memory import GlobalMemory
@@ -109,9 +110,44 @@ class Memo:
         self._before = None
 
 
+#: operand type -> its tag in the program image (an ``Imm`` keeps its
+#: value, which marshal stores with its type: ``1``, ``1.0``, ``True``
+#: and ``-0.0`` stay apart)
+_OPERAND_TAGS = {Imm: "#", Reg: "%", Barrier: "$", BlockRef: "^",
+                 FuncRef: "@"}
+
+
+def _program_digest(module):
+    """sha256 of ``module``'s IR as marshalled tuples: each function's
+    name, kind and parameters, and each block's name and instructions
+    (opcode, destination, tagged operands), in order. That is everything
+    a launch reads, so equal digests mean identical IR (provenance
+    attributes, which no engine reads, are left out). Building the tuples
+    costs about half of printing the module."""
+    tags = _OPERAND_TAGS
+    image = tuple(
+        (fn.name, fn.is_kernel, tuple(param.name for param in fn.params),
+         tuple(
+             (block.name, tuple(
+                 (instr.opcode.value,
+                  None if instr.dst is None else instr.dst.name,
+                  tuple([
+                      (tags[type(op)],
+                       op.value if type(op) is Imm else op.name)
+                      for op in instr.operands
+                  ]))
+                 for instr in block.instructions
+             ))
+             for block in fn.blocks
+         ))
+        for fn in module
+    )
+    return hashlib.sha256(marshal.dumps(image)).digest()
+
+
 def _entries(module):
     """The entry table for ``module``'s program digest."""
-    digest = hashlib.sha256(format_module(module).encode()).digest()
+    digest = _program_digest(module)
     entries = _BY_DIGEST.get(digest)
     if entries is None:
         entries = _BY_DIGEST[digest] = _Entries()

@@ -53,18 +53,19 @@ def run_reference_thread(
             # Alone in the warp, any barrier the thread parks on is
             # immediately releasable (it is the only member).
             released = 0
+            bit = 1 << thread.lane
             for barrier in warp.barriers.barriers():
-                lanes = barrier.releasable()
-                if lanes:
-                    barrier.release(lanes)
+                mask = barrier.releasable()
+                if mask:
+                    barrier.release(mask)
                     thread.unpark()
                     released += 1
             if not released:
                 # Soft barriers with threshold > 1: force the release (no
                 # other participant can ever arrive).
                 for barrier in warp.barriers.barriers():
-                    if thread.lane in barrier.parked:
-                        barrier.withdraw(thread.lane)
+                    if barrier.parked_mask & bit:
+                        barrier.withdraw(bit)
                         thread.unpark()
             if not thread.is_runnable:
                 raise LaunchError("reference thread wedged on a barrier")

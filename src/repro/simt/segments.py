@@ -2,7 +2,7 @@
 
 The fast path (:mod:`repro.simt.fastpath`) removes per-issue *decode* cost,
 but a converged warp still pays the full machine loop — scheduler pick,
-release drain, profiler record, groups-cache patch — for every single
+release drain, profiler record, group-table patch — for every single
 instruction of a straight-line run. Profiling the Table 2 corpus shows that
 per-slot loop overhead, not instruction semantics, dominates runtime.
 
@@ -13,10 +13,10 @@ per-lane observability events, plus the paper's barrier bookkeeping
 that provably cannot either:
 
 * uniform ops (``FUSABLE_OPS``): the group moves as one, forward;
-* ``bssy`` on a literal barrier: a join. Every issue that can change the
-  barrier file ends in a drain to a fixed point, so nothing is releasable
-  when a join issues, and adding a runnable member makes nothing
-  releasable;
+* ``bssy`` on a literal barrier: a join. Every issue that can make a
+  barrier releasable ends in a drain of that barrier, so nothing is
+  releasable when a join issues, and adding a runnable member makes
+  nothing releasable;
 * ``bbreak`` on a literal barrier, guarded at run time: the trace leaves
   just before it unless no lane is parked on its barrier. A withdraw from
   a barrier with no parked lane cannot complete a release;
@@ -161,10 +161,10 @@ class Segment:
         """True if another group sits strictly inside this segment's range.
 
         The slow path would merge that group with the fused one mid-run
-        (uniform carry-over lands on an already-populated PC); fusing past
-        the merge point would charge the merged lanes' issues separately.
-        A group exactly at the end of the range is fine — the machine's
-        carry-over patch merges there, as the slow path would.
+        (a uniform op's bucket lands on an already-populated PC); fusing
+        past the merge point would charge the merged lanes' issues
+        separately. A group exactly at the end of the range is fine — the
+        machine's table patch merges there, as the slow path would.
         """
         fname = self.fname
         bname = self.bname

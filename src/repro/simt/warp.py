@@ -10,12 +10,15 @@ on call history.
 from __future__ import annotations
 
 import enum
+import operator
 
 from repro.errors import SimulationError
-from repro.simt.barrier_state import BarrierFile
+from repro.simt.barrier_state import BarrierFile, lanes_of
 from repro.simt.rng import XorShift32
 
 WARP_SIZE = 32
+
+_by_lane = operator.attrgetter("lane")
 
 
 class ThreadState(enum.Enum):
@@ -172,7 +175,13 @@ class Thread:
 
 
 class Warp:
-    """A co-scheduled group of up to WARP_SIZE threads."""
+    """A co-scheduled group of up to WARP_SIZE threads.
+
+    ``table`` is the warp's group table, ``{pc: [runnable threads in lane
+    order]}``, valid at every issue boundary. The machine patches it
+    after each issue from the issued group only (:meth:`rebucket`), and a
+    barrier release inserts the released lanes at their resume PCs.
+    """
 
     def __init__(self, warp_id, threads):
         if len(threads) > WARP_SIZE:
@@ -182,9 +191,7 @@ class Warp:
         self.barriers = BarrierFile()
         self.cycles = 0
         self.done = False
-        # Machine-managed carry-over of groups() when the warp is known to
-        # still be converged at one PC (see GPUMachine._step).
-        self.groups_cache = None
+        self.table = self.groups()
 
     def lane(self, lane_id):
         return self.threads[lane_id]
@@ -192,14 +199,13 @@ class Warp:
     def live_threads(self):
         return [t for t in self.threads if not t.is_exited]
 
-    def runnable_threads(self):
-        return [t for t in self.threads if t.is_runnable]
-
     def groups(self):
-        """Runnable threads grouped by PC, as {pc: [threads by lane]}."""
-        # Hot path: runs once per issue slot over every thread, so the PC
-        # tuple is built inline rather than through Thread.pc()/Frame.pc(),
-        # with every loop-invariant attribute hoisted into a local.
+        """Runnable threads grouped by PC, as {pc: [threads by lane]},
+        rescanned from every thread: the warp's first table, and the
+        oracle the patched ``table`` must always equal (the tests check
+        it after every issue)."""
+        # Runs once per warp of every launch, so the PC tuple is built
+        # inline rather than through Thread.pc()/Frame.pc().
         groups = {}
         lookup = groups.get
         runnable = ThreadState.RUNNABLE
@@ -214,42 +220,71 @@ class Warp:
                     bucket.append(thread)
         return groups
 
-    def release(self, barrier, lanes):
-        """Release parked lanes from a barrier and make them runnable."""
-        barrier.release(lanes)
-        for lane_id in lanes:
-            thread = self.threads[lane_id]
-            if thread.state is not ThreadState.WAITING:
+    def rebucket(self, threads):
+        """Insert the runnable ones among ``threads`` (in lane order, none
+        of them in the table) at their PCs, merging each into a resident
+        bucket in lane order."""
+        table = self.table
+        moved = {}
+        runnable = ThreadState.RUNNABLE
+        for thread in threads:
+            if thread.state is runnable:
+                frame = thread.frames[-1]
+                pc = (frame.fname, frame.block_name, frame.index)
+                bucket = moved.get(pc)
+                if bucket is None:
+                    moved[pc] = [thread]
+                else:
+                    bucket.append(thread)
+        for pc, bucket in moved.items():
+            insert_bucket(table, pc, bucket)
+
+    def release(self, barrier, mask):
+        """Release the parked lanes of ``mask`` from ``barrier``, make
+        them runnable and insert them into the table."""
+        barrier.release(mask)
+        threads = self.threads
+        waiting = ThreadState.WAITING
+        released = []
+        for lane_id in lanes_of(mask):
+            thread = threads[lane_id]
+            if thread.state is not waiting:
                 raise SimulationError(
                     f"lane {lane_id} released but not waiting "
                     f"(state {thread.state.value})"
                 )
             thread.unpark()
+            released.append(thread)
+        self.rebucket(released)
 
-    def drain_releasable(self, on_release=None):
-        """Release every barrier whose condition holds; returns #released.
+    def drain(self, barriers, on_release=None):
+        """Release each of ``barriers`` (in barrier-file order) whose
+        condition holds.
 
-        ``on_release(barrier, lanes)`` is an optional observability hook
+        One pass suffices: a release changes only its own barrier's
+        masks and makes its lanes runnable, and a barrier's condition
+        reads only its own masks and parked lanes' thresholds, so no
+        release can make another barrier releasable. ``on_release(barrier,
+        lanes)`` is an optional observability hook (lanes as a set),
         invoked after each release (None on the fast path).
         """
-        # Fast-out: no barrier has a parked lane (the common case between
-        # divergent regions), so nothing can be releasable.
-        for barrier in self.barriers.barriers_dict().values():
-            if barrier.parked_mask:
-                break
-        else:
-            return 0
-        released = 0
-        progress = True
-        while progress:
-            progress = False
-            for barrier, lanes in self.barriers.all_releasable():
-                self.release(barrier, lanes)
+        for barrier in barriers:
+            mask = barrier.releasable()
+            if mask:
+                self.release(barrier, mask)
                 if on_release is not None:
-                    on_release(barrier, lanes)
-                released += len(lanes)
-                progress = True
-        return released
+                    on_release(barrier, set(lanes_of(mask)))
 
     def __repr__(self):
         return f"<Warp {self.warp_id} ({len(self.threads)} threads)>"
+
+
+def insert_bucket(table, pc, bucket):
+    """Put ``bucket`` (threads in lane order) at ``pc`` in ``table``,
+    merging it in lane order into a bucket already there."""
+    resident = table.get(pc)
+    if resident is None:
+        table[pc] = bucket
+    else:
+        resident.extend(bucket)
+        resident.sort(key=_by_lane)

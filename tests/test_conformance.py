@@ -849,13 +849,15 @@ entry:
 
 
 class _AlwaysDrainExecutor(Executor):
-    """Drains the warp's barriers after every issue and reports it as
-    non-uniform, so the machine regroups each time: the schedule from
-    before drains were skipped after uniform ops."""
+    """Hands the machine every barrier of the warp to drain after every
+    issue and reports it as non-uniform, so the machine re-buckets the
+    group and drains the whole barrier file each time: the schedule from
+    before drains were skipped after uniform ops and narrowed to the
+    barriers an op touched."""
 
     def execute(self, warp, pc, group):
         cycles = super().execute(warp, pc, group)
-        warp.drain_releasable()
+        self.touched = warp.barriers.barriers()
         self.issued_uniform = False
         return cycles
 
@@ -904,6 +906,86 @@ class TestBarrierDrainConformance:
                     "k", n_threads
                 )
             assert _fingerprint(drained) == _fingerprint(expected), config
+
+
+@contextmanager
+def _table_oracle():
+    """Assert, after every issue of every ``GPUMachine`` launch in the
+    block (fused or not), that each warp's patched group table equals a
+    fresh ``Warp.groups()`` rescan. Yields the list of warps checked, one
+    entry per check."""
+    checked = []
+
+    def check(executor):
+        for warp in executor.cta.warps:
+            assert warp.table == warp.groups(), warp
+            checked.append(warp)
+
+    step = GPUMachine._step
+    issuer = GPUMachine._issuer
+
+    def checked_step(self, warp, executor, scheduler, pc=None):
+        issued = step(self, warp, executor, scheduler, pc)
+        check(executor)
+        return issued
+
+    def checked_issuer(self, executor, scheduler, segment_at):
+        issue = issuer(self, executor, scheduler, segment_at)
+
+        def checked_issue(warp):
+            issued = issue(warp)
+            check(executor)
+            return issued
+
+        return checked_issue
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GPUMachine, "_step", checked_step)
+        patch.setattr(GPUMachine, "_issuer", checked_issuer)
+        # Launches must simulate, not replay a recorded result.
+        clear_module_caches("launch_memo")
+        yield checked
+
+
+#: ``ENGINES`` plus ``"process"``, the process-wide config, so each CI
+#: leg's ``REPRO_*`` environment reaches the oracle.
+ORACLE_ENGINES = {**ENGINES, "process": None}
+
+
+class TestGroupTableOracle:
+    """The group table each warp keeps, patched after every issue from
+    the issued group, released lanes and ``ctasync`` releases, always
+    equals a rescan of the warp: over the barrier routes of
+    ``TestBarrierDrainConformance`` (a ``ctasync`` across warps among
+    them) and random kernels, under every engine and scheduler."""
+
+    @pytest.mark.parametrize("engine", sorted(ORACLE_ENGINES))
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("case", sorted(TestBarrierDrainConformance.CASES))
+    def test_barrier_routes(self, case, scheduler, engine):
+        build, n_threads = TestBarrierDrainConformance.CASES[case]
+        module = build()
+        with _table_oracle() as checked, _using(ORACLE_ENGINES[engine]):
+            GPUMachine(module, scheduler=scheduler).launch("k", n_threads)
+        assert checked
+
+    @pytest.mark.parametrize("engine", sorted(ORACLE_ENGINES))
+    @settings(max_examples=4, deadline=None)
+    @given(
+        program=random_kernel(allow_atomics=True),
+        n_threads=st.integers(1, MULTIWARP),
+    )
+    def test_random_kernels(self, engine, program, n_threads):
+        module = compile_sr(lower_program(program)).module
+        for scheduler in sorted(SCHEDULERS):
+            with _table_oracle() as checked, _using(ORACLE_ENGINES[engine]):
+                try:
+                    GPUMachine(module, scheduler=scheduler).launch(
+                        "k", n_threads
+                    )
+                except DeadlockError:
+                    pass  # ticket-dependent membership can deadlock
+            assert checked
 
 
 class TestDivergentArmsFuse:

@@ -17,6 +17,8 @@ import pytest
 from repro import compile_kernel_source, compile_sr
 from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError
+from repro.ir import Opcode, parse_module
+from repro.ir.instructions import Reg
 from repro.ir.function import clear_module_caches
 from repro.obs import ListSink
 from repro.obs import counters as obs_counters
@@ -238,6 +240,52 @@ class TestKey:
         if change in ("seed", "memory", "args", "threads", "cost-model"):
             # Replaying the base launch here would have been wrong.
             assert _fingerprint(changed) != _fingerprint(base), change
+
+
+class TestProgramDigest:
+    """The program component of the key is exact for the IR a launch
+    reads: identical IR shares it, and any change to an instruction,
+    down to an immediate's type or the sign of a zero, separates it."""
+
+    @staticmethod
+    def _with_immediate(value):
+        return parse_module(
+            f"func @k() kernel {{\nentry:\n  %t = tid\n"
+            f"  st %t, {value}\n  exit\n}}\n"
+        )
+
+    def test_identical_ir_has_one_digest(self):
+        first, second = _module(), _module()
+        assert launch_memo._program_digest(first) == (
+            launch_memo._program_digest(second)
+        )
+
+    def test_immediates_separate_by_value_and_type(self):
+        digests = {
+            text: launch_memo._program_digest(self._with_immediate(text))
+            for text in ("1", "1.0", "2", "0.0", "-0.0")
+        }
+        assert len(set(digests.values())) == len(digests)
+
+    def test_each_instruction_field_separates(self):
+        base = launch_memo._program_digest(_module())
+        changed = []
+        for mutate in (
+            lambda instr: setattr(instr, "opcode", Opcode.NOP),
+            lambda instr: instr.operands.reverse(),
+            lambda instr: setattr(instr, "dst", Reg("other")),
+        ):
+            module = _module()
+            instr = next(
+                instr for fn in module for block in fn.blocks
+                for instr in block.instructions
+                if len(instr.operands) == 2 and instr.dst is not None
+                and instr.operands[0] != instr.operands[1]
+            )
+            mutate(instr)
+            changed.append(launch_memo._program_digest(module))
+        assert base not in changed
+        assert len(set(changed)) == len(changed)
 
 
 class TestAlwaysSimulates:

@@ -131,73 +131,117 @@ class TestCostModel:
         assert model.latency(Opcode.DIV) == 16
 
 
+def _mask(*lanes):
+    """The barrier mask of ``lanes``."""
+    return sum(1 << lane for lane in set(lanes))
+
+
 class TestConvergenceBarrier:
+    """Every barrier op takes a lane mask (bit i is lane i)."""
+
     def test_join_is_idempotent(self):
         barrier = ConvergenceBarrier("b")
-        barrier.join(1)
-        barrier.join(1)
+        barrier.join(_mask(1))
+        barrier.join(_mask(1))
         assert barrier.members == {1}
 
     def test_hard_release_requires_all_members(self):
         barrier = ConvergenceBarrier("b")
-        for lane in (1, 2, 3):
-            barrier.join(lane)
-        barrier.park(1)
-        barrier.park(2)
-        assert barrier.releasable() == set()
-        barrier.park(3)
-        assert barrier.releasable() == {1, 2, 3}
+        barrier.join(_mask(1, 2, 3))
+        barrier.park(_mask(1, 2))
+        assert barrier.releasable() == 0
+        barrier.park(_mask(3))
+        assert barrier.releasable() == _mask(1, 2, 3)
 
     def test_park_nonmember_is_passthrough(self):
         barrier = ConvergenceBarrier("b")
-        assert barrier.park(9) is False
+        assert barrier.park(_mask(9)) == 0
         assert barrier.parked == set()
+
+    def test_park_passes_nonmembers_through_a_mixed_mask(self):
+        barrier = ConvergenceBarrier("b")
+        barrier.join(_mask(1, 2))
+        assert barrier.park(_mask(1, 2, 5)) == _mask(1, 2)
+        assert barrier.parked == {1, 2}
+        assert barrier.members == {1, 2}
 
     def test_withdraw_can_trigger_release(self):
         barrier = ConvergenceBarrier("b")
-        for lane in (1, 2):
-            barrier.join(lane)
-        barrier.park(1)
-        assert barrier.releasable() == set()
-        barrier.withdraw(2)
-        assert barrier.releasable() == {1}
+        barrier.join(_mask(1, 2))
+        barrier.park(_mask(1))
+        assert barrier.releasable() == 0
+        barrier.withdraw(_mask(2))
+        assert barrier.releasable() == _mask(1)
 
     def test_soft_threshold_releases_pool(self):
         barrier = ConvergenceBarrier("b")
-        for lane in range(6):
-            barrier.join(lane)
-        barrier.park(0, threshold=3)
-        barrier.park(1, threshold=3)
-        assert barrier.releasable() == set()
-        barrier.park(2, threshold=3)
-        assert barrier.releasable() == {0, 1, 2}
+        barrier.join(_mask(*range(6)))
+        barrier.park(_mask(0, 1), threshold=3)
+        assert barrier.releasable() == 0
+        barrier.park(_mask(2), threshold=3)
+        assert barrier.releasable() == _mask(0, 1, 2)
 
     def test_soft_all_members_parked_releases_below_threshold(self):
         barrier = ConvergenceBarrier("b")
-        barrier.join(0)
-        barrier.join(1)
-        barrier.park(0, threshold=10)
-        barrier.park(1, threshold=10)
-        assert barrier.releasable() == {0, 1}
+        barrier.join(_mask(0, 1))
+        barrier.park(_mask(0, 1), threshold=10)
+        assert barrier.releasable() == _mask(0, 1)
+
+    def test_soft_thresholds_track_parked_soft_lanes(self):
+        """``thresholds`` holds exactly the parked soft lanes across park,
+        withdraw and release; hard waits add nothing to it."""
+        barrier = ConvergenceBarrier("b")
+        barrier.join(_mask(*range(8)))
+
+        def soft_lanes():
+            return set(barrier.thresholds)
+
+        barrier.park(_mask(0, 1, 2), threshold=6)
+        barrier.park(_mask(3))
+        assert soft_lanes() == {0, 1, 2}
+        barrier.park(_mask(4), threshold=5)
+        assert barrier.thresholds == {0: 6, 1: 6, 2: 6, 4: 5}
+        barrier.withdraw(_mask(1, 3))
+        assert soft_lanes() == {0, 2, 4}
+        assert barrier.releasable() == 0  # 3 parked, lowest threshold 5
+        barrier.park(_mask(5, 6), threshold=5)
+        assert barrier.releasable() == _mask(0, 2, 4, 5, 6)
+        barrier.release(_mask(0, 2, 4, 5, 6))
+        assert soft_lanes() == set()
+        assert barrier.members == {7}
+        # A hard wait on a released lane leaves no stale soft entry.
+        barrier.join(_mask(0))
+        barrier.park(_mask(0), threshold=3)
+        barrier.park(_mask(0))
+        assert soft_lanes() == set()
 
     def test_release_clears_membership(self):
         barrier = ConvergenceBarrier("b")
-        barrier.join(0)
-        barrier.park(0)
-        barrier.release({0})
+        barrier.join(_mask(0))
+        barrier.park(_mask(0))
+        barrier.release(_mask(0))
         assert barrier.members == set()
         assert barrier.arrived_count == 0
 
     def test_release_unparked_lane_rejected(self):
         barrier = ConvergenceBarrier("b")
-        barrier.join(0)
+        barrier.join(_mask(0))
         with pytest.raises(SimulationError):
-            barrier.release({0})
+            barrier.release(_mask(0))
+
+    def test_release_error_names_barrier_and_lanes(self):
+        barrier = ConvergenceBarrier("b7")
+        barrier.join(_mask(0, 1, 2))
+        barrier.park(_mask(0))
+        with pytest.raises(SimulationError, match=r"\[1, 2\].*barrier b7"):
+            barrier.release(_mask(0, 1, 2))
+        # Nothing was released.
+        assert barrier.parked == {0}
+        assert barrier.members == {0, 1, 2}
 
     def test_arrived_count(self):
         barrier = ConvergenceBarrier("b")
-        barrier.join(0)
-        barrier.join(4)
+        barrier.join(_mask(0, 4))
         assert barrier.arrived_count == 2
 
 
@@ -210,26 +254,109 @@ class TestBarrierFile:
 
     def test_withdraw_from_all(self):
         barriers = BarrierFile()
-        barriers.get("a").join(1)
-        barriers.get("b").join(1)
-        touched = barriers.withdraw_from_all(1)
-        assert len(touched) == 2
+        barriers.get("a").join(_mask(1))
+        barriers.get("b").join(_mask(1))
+        barriers.get("c").join(_mask(2))
+        touched = barriers.withdraw_from_all(_mask(1))
+        assert [b.name for b in touched] == ["a", "b"]
         assert barriers.get("a").members == set()
 
     def test_all_releasable(self):
         barriers = BarrierFile()
         barrier = barriers.get("a")
-        barrier.join(0)
-        barrier.park(0)
-        assert [(b.name, lanes) for b, lanes in barriers.all_releasable()] == [
-            ("a", {0})
+        barrier.join(_mask(0))
+        barrier.park(_mask(0))
+        assert [(b.name, mask) for b, mask in barriers.all_releasable()] == [
+            ("a", _mask(0))
         ]
 
     def test_parked_anywhere(self):
         barriers = BarrierFile()
-        barriers.get("a").join(3)
-        barriers.get("a").park(3)
-        assert barriers.parked_anywhere() == {3}
+        barriers.get("a").join(_mask(3))
+        barriers.get("a").park(_mask(3))
+        assert barriers.parked_anywhere() == _mask(3)
+
+
+#: Lanes 0-13 wait on $B0 alone and lanes 14-27 on $B1 alone; lanes
+#: 28-31, members of both, are the smallest group, so the convergence
+#: scheduler issues their ``exit`` last, and that one issue opens both
+#: barriers.
+EXIT_OPENS_TWO_BARRIERS = """
+func @k() kernel {
+entry:
+  %t = tid
+  bssy $B0
+  bssy $B1
+  %a = cmplt %t, 14
+  cbr %a, ^wait0, ^split
+split:
+  %b = cmplt %t, 28
+  cbr %b, ^wait1, ^last
+wait0:
+  bbreak $B1
+  bsync $B0
+  st %t, 1
+  exit
+wait1:
+  bbreak $B0
+  bsync $B1
+  st %t, 2
+  exit
+last:
+  exit
+}
+"""
+
+
+class TestWarpRelease:
+    def test_one_exit_releases_two_barriers_in_file_order(self):
+        """One drain after the ``exit`` releases $B0 then $B1 (barrier-file
+        order), with the same release and reconvergence events on the
+        decoded path as on the interpreted reference."""
+        from repro.engine import engine_config
+        from repro.ir import parse_module
+        from repro.obs.sinks import ListSink
+        from repro.simt import GPUMachine
+
+        def events(fastpath):
+            sink = ListSink()
+            with engine_config(fastpath=fastpath):
+                GPUMachine(
+                    parse_module(EXIT_OPENS_TWO_BARRIERS), sink=sink
+                ).launch("k", 32)
+            return [
+                (e.kind, getattr(e, "barrier", None), e.ts, sorted(e.lanes))
+                for e in sink.events
+                if e.kind in ("barrier_release", "reconverge")
+            ]
+
+        expected = events(fastpath=False)
+        assert [(kind, barrier) for kind, barrier, _, _ in expected] == [
+            ("barrier_release", "B0"), ("reconverge", None),
+            ("barrier_release", "B1"), ("reconverge", None),
+        ]
+        release_ts = {ts for kind, _, ts, _ in expected}
+        assert len(release_ts) == 1  # both in the exit's drain
+        assert expected[0][3] == list(range(14))
+        assert expected[2][3] == list(range(14, 28))
+        assert events(fastpath=True) == expected
+
+    def test_release_of_runnable_lane_rejected(self):
+        """A lane parked on the barrier but not WAITING is an engine bug."""
+        from repro.ir import parse_module
+        from repro.simt.warp import Thread, Warp
+
+        kernel = parse_module(
+            "func @k() kernel {\nentry:\n  exit\n}\n"
+        ).function("k")
+        warp = Warp(0, [Thread(lane, lane, 0, kernel, (), 1)
+                        for lane in range(2)])
+        barrier = warp.barriers.get("b")
+        barrier.join(_mask(0, 1))
+        barrier.park(_mask(0, 1))
+        warp.threads[0].park("b")
+        with pytest.raises(SimulationError, match="lane 1 released but not"):
+            warp.release(barrier, _mask(0, 1))
 
 
 class TestMemoryAliasing:
