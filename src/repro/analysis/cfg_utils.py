@@ -109,12 +109,14 @@ def add_virtual_exit(view, exit_name="__exit__"):
         raise AnalysisError(f"node name {exit_name!r} already used")
     succs = {node: list(targets) for node, targets in view.succs.items()}
     succs[exit_name] = []
-    sinks = [node for node, targets in view.succs.items() if not targets]
-    if not sinks:
-        # Irreducible no-exit function (e.g. infinite loop): every node in a
-        # terminal SCC conceptually flows to the exit; attach all nodes with
-        # no path to a sink. Conservative but sufficient for pdom queries.
-        sinks = [node for node in view.succs if node != exit_name]
-    for sink in sinks:
-        succs[sink].append(exit_name)
+    # A node with no path to a sink (an infinite loop, with or without an
+    # exit elsewhere) conceptually flows to the exit too: attach every such
+    # node, so each node has a post-dominator. Conservative but sufficient
+    # for pdom queries.
+    reaches_sink = can_reach(
+        view, [node for node, targets in view.succs.items() if not targets]
+    )
+    for node, targets in view.succs.items():
+        if not targets or node not in reaches_sink:
+            succs[node].append(exit_name)
     return CFGView(succs, view.entry), exit_name

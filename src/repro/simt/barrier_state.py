@@ -175,22 +175,6 @@ class BarrierFile:
         records) in file order."""
         return [b for b in self._barriers.values() if b in barriers]
 
-    def all_releasable(self):
-        """(barrier, mask) pairs whose release condition currently holds."""
-        result = []
-        for barrier in self._barriers.values():
-            mask = barrier.releasable()
-            if mask:
-                result.append((barrier, mask))
-        return result
-
-    def parked_anywhere(self):
-        """The mask of lanes parked on any barrier."""
-        mask = 0
-        for barrier in self._barriers.values():
-            mask |= barrier.parked_mask
-        return mask
-
     def barriers(self):
         return list(self._barriers.values())
 

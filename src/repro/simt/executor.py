@@ -108,6 +108,18 @@ class _ProgramOrder(dict):
         return order
 
 
+def interpreted(instr):
+    """A decoded ``run`` that issues ``instr`` through the interpreter
+    (:meth:`Executor._execute_slow`, the reference semantics): the entry
+    of every op the fast path does not specialize, and of a pure op whose
+    codegen vetoed."""
+
+    def run(executor, warp, group):
+        return executor._execute_slow(warp, instr, group)
+
+    return run
+
+
 class Executor:
     """Executes instructions for thread groups of one launch."""
 
@@ -253,7 +265,8 @@ class Executor:
         This is the reference semantics: the decoded handlers of
         :mod:`repro.simt.fastpath` and the generated code of
         :mod:`repro.simt.jit` are specializations of these branches and
-        must stay bit-identical (pinned by ``tests/test_conformance.py``).
+        must stay bit-identical (pinned by ``tests/test_conformance.py``);
+        every other decoded entry runs it (:func:`interpreted`).
         """
         opcode = instr.opcode
         cycles = self.cost_model.latency(opcode)

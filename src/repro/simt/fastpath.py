@@ -19,15 +19,29 @@ Pure ops (:data:`repro.simt.jit._PURE_OPS`: arithmetic, compares,
 ``delay``) have one fast semantics, the segment compiler's templates. Their
 ``run`` is lowered to generated Python on the op's first issue
 (:func:`repro.simt.jit.lower_op`), never at decode, so only ops that do
-issue alone pay for codegen; an op codegen vetoes runs the interpreter's
-``Executor._execute_slow`` instead. Every other op — memory, control,
-barrier, grid — gets a closure that interns its operands, pre-resolves
-branch targets and call entry points, and is a line-for-line
-specialization of the corresponding ``Executor._execute_slow`` branch,
-applying per-thread effects in the same lane order and charging the same
-cycle costs. Semantics are therefore **bit-identical** to the slow path
-(``tests/test_conformance.py`` pins this differentially over the Table 2
-corpus).
+issue alone pay for codegen.
+
+A hand-written closure is kept only for the ops the shipped workloads
+issue in bulk: ``ld``, ``st``, ``atomadd``, ``bra``, ``cbr`` and ``exit``;
+``bssy``, ``bsync`` and ``bbreak`` on a literal barrier; and ``bsync.soft``
+on a literal barrier with an immediate threshold. The literal forms are
+what the reconvergence compiler emits (the ``BSSY``/``BSYNC`` pairs Volta
+runs). Each closure interns its operands, pre-resolves branch targets, and
+is a line-for-line specialization of the corresponding
+``Executor._execute_slow`` branch, applying per-thread effects in the same
+lane order and charging the same cycle costs. Semantics are therefore
+**bit-identical** to the slow path (``tests/test_conformance.py`` pins
+this differentially over the Table 2 corpus).
+
+Every other op and operand form — the CTA and shared-memory ops,
+``ctasync``, ``warpsync``, ``call``, ``ret``, ``bmov``, ``barcnt``, barrier
+ops naming a barrier register, ``bsync.soft`` with a register threshold —
+decodes to an entry whose ``run`` is the interpreter itself
+(:func:`repro.simt.executor.interpreted`), as is a pure op whose codegen
+vetoes. Of those, the ``divergent`` and ``grid`` benchmark workloads issue
+none, and ``figures`` issues only ``call`` and ``ret``, 235 times in its
+51,625 unfused slots (``docs/performance.md``): a specialization would be
+code that no measurement pays for.
 
 Decoded programs are cached per ``(module, cost model)`` in the module's
 ``"decode"`` cache (:func:`~repro.ir.function.module_cache`), so
@@ -58,10 +72,10 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
 from repro.simt.barrier_state import ALL_MEMBERS
 from repro.simt.costs import cost_key
-from repro.simt.executor import _UNIFORM_OPS, _WARPSYNC_BARRIER
+from repro.simt.executor import _UNIFORM_OPS, interpreted
 from repro.simt.jit import _PURE_OPS, lower_op
 from repro.simt.segments import SegmentTable
-from repro.simt.warp import UNDEF, Frame
+from repro.simt.warp import UNDEF
 
 __all__ = [
     "DecodedInstruction",
@@ -93,24 +107,6 @@ def _getter(operand, slots):
     raise SimulationError(f"cannot evaluate operand {operand!r}")
 
 
-def _barrier_getter(operand, slots):
-    """A ``thread -> barrier name`` accessor (literal or barrier register)."""
-    if isinstance(operand, Barrier):
-        name = operand.name
-        return lambda thread: name
-    get = _getter(operand, slots)
-
-    def resolve(thread):
-        name = get(thread)
-        if not isinstance(name, str):
-            raise SimulationError(
-                f"barrier register holds non-barrier value {name!r}"
-            )
-        return name
-
-    return resolve
-
-
 class DecodedInstruction:
     """One pre-decoded instruction: the original record plus its handler.
 
@@ -137,87 +133,6 @@ class DecodedInstruction:
 # ---------------------------------------------------------------------------
 # Per-opcode specializations
 # ---------------------------------------------------------------------------
-def _decode_cta_value(instr, latency, slots, attr):
-    # CTA identity is launch-uniform but *not* decode-time constant: the
-    # decoded program is shared across every launch (and every CTA) of the
-    # module, so the value must come from the executor's CTA context at run
-    # time, never be baked into the closure.
-    dst = slots[instr.dst.name]
-    opcode = instr.opcode
-
-    def run(executor, warp, group):
-        value = getattr(executor._cta_ctx(opcode), attr)
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = value
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_shld(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    get_addr = _getter(instr.operands[0], slots)
-    opcode = instr.opcode
-
-    def run(executor, warp, group):
-        load = executor._cta_ctx(opcode).shared().load
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = load(get_addr(thread))
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_shst(instr, latency, slots):
-    get_addr = _getter(instr.operands[0], slots)
-    get_value = _getter(instr.operands[1], slots)
-    opcode = instr.opcode
-
-    def run(executor, warp, group):
-        store = executor._cta_ctx(opcode).shared().store
-        for thread in group:
-            store(get_addr(thread), get_value(thread))
-            thread.frames[-1].index += 1
-        return latency
-
-    return run
-
-
-def _decode_shatom(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    get_addr = _getter(instr.operands[0], slots)
-    get_value = _getter(instr.operands[1], slots)
-    opcode = instr.opcode
-
-    def run(executor, warp, group):
-        atom_add = executor._cta_ctx(opcode).shared().atom_add
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = atom_add(get_addr(thread), get_value(thread))
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_ctasync(instr, latency):
-    opcode = instr.opcode
-
-    def run(executor, warp, group):
-        ctx = executor._cta_ctx(opcode)
-        for thread in group:
-            thread.frames[-1].index += 1  # resume past the wait when released
-            ctx.arrive(thread)
-        ctx.maybe_release(group)
-        return latency
-
-    return run
-
-
 def _decode_ld(instr, cost_model, slots):
     dst = slots[instr.dst.name]
     get_addr = _getter(instr.operands[0], slots)
@@ -281,7 +196,7 @@ def _decode_atomadd(instr, cost_model, slots):
     return run
 
 
-def _decode_bra(instr, latency, slots):
+def _decode_bra(instr, latency):
     target = instr.operands[0].name
 
     def run(executor, warp, group):
@@ -311,46 +226,7 @@ def _decode_cbr(instr, latency, slots):
     return run
 
 
-def _decode_call(instr, latency, slots, module):
-    callee = module.function(instr.operands[0].name)
-    entry_name = callee.entry.name
-    # Callee registers resolve in the *callee's* slot space; the argument
-    # getters resolve in the caller's.
-    param_slots = [callee.reg_slots()[p.name] for p in callee.params]
-    getters = [_getter(arg, slots) for arg in instr.operands[1:]]
-    # ret_dst stays a Reg: Frame linkage writes it back via Frame.write.
-    ret_dst = instr.dst
-
-    def run(executor, warp, group):
-        for thread in group:
-            values = [get(thread) for get in getters]
-            frame = Frame(callee, entry_name, ret_dst=ret_dst)
-            thread.frames.append(frame)
-            regs = frame.regs
-            for slot, value in zip(param_slots, values):
-                regs[slot] = value
-        return latency
-
-    return run
-
-
-def _decode_ret(instr, latency, slots):
-    get_value = _getter(instr.operands[0], slots) if instr.operands else None
-
-    def run(executor, warp, group):
-        exited = 0
-        for thread in group:
-            value = get_value(thread) if get_value is not None else None
-            if thread.pop_frame(value):
-                exited |= 1 << thread.lane
-        if exited:
-            executor.touched = warp.barriers.withdraw_from_all(exited) or None
-        return latency
-
-    return run
-
-
-def _decode_exit(instr, latency):
+def _decode_exit(latency):
     def run(executor, warp, group):
         exited = 0
         for thread in group:
@@ -362,198 +238,68 @@ def _decode_exit(instr, latency):
     return run
 
 
-# The barrier handlers build the group's lane mask in their per-thread
-# loop and make one barrier call per barrier named. A handler that may
-# have made a barrier releasable hands it to the machine's drain in
-# ``executor.touched``; ``bssy`` only adds members, which cannot.
-def _decode_bssy(instr, latency, slots):
-    operand = instr.operands[0]
-    if isinstance(operand, Barrier):
-        # Literal barrier (the common compiler output): one join per issue.
-        name = operand.name
-
-        def run(executor, warp, group):
-            mask = 0
-            for thread in group:
-                mask |= 1 << thread.lane
-                thread.frames[-1].index += 1
-            warp.barriers.get(name).join(mask)
-            return latency
-
-        return run
-    get_name = _barrier_getter(operand, slots)
-
+# The barrier handlers take a literal barrier: they build the group's lane
+# mask in their per-thread loop and make one barrier call per issue. A
+# handler that may have made its barrier releasable hands it to the
+# machine's drain in ``executor.touched``; ``bssy`` only adds members,
+# which cannot.
+def _decode_bssy(name, latency):
     def run(executor, warp, group):
-        barriers = warp.barriers
-        for thread in group:
-            barriers.get(get_name(thread)).join(1 << thread.lane)
-            thread.frames[-1].index += 1
-        return latency
-
-    return run
-
-
-def _decode_wait(instr, latency, slots):
-    """``bsync``, and ``bsync.soft`` with its threshold (a threshold of
-    at most 1 is trivial: never worth parking)."""
-    operand = instr.operands[0]
-    soft = instr.opcode is Opcode.BSYNCSOFT
-    threshold = ALL_MEMBERS
-    get_threshold = None
-    if soft:
-        if isinstance(instr.operands[1], Imm):
-            threshold = int(instr.operands[1].value)
-        else:
-            get_threshold = _getter(instr.operands[1], slots)
-    if isinstance(operand, Barrier) and get_threshold is None:
-        name = operand.name
-        if soft and threshold <= 1:
-            def run(executor, warp, group):
-                # No lane parks, but the record is created as before, so
-                # barrier-file order (the drain's order) does not move.
-                warp.barriers.get(name)
-                for thread in group:
-                    thread.frames[-1].index += 1
-                return latency
-
-            return run
-
-        def run(executor, warp, group):
-            barrier = warp.barriers.get(name)
-            members = barrier.members_mask
-            mask = 0
-            for thread in group:
-                thread.frames[-1].index += 1  # resume past the wait
-                bit = 1 << thread.lane
-                if members & bit:
-                    mask |= bit
-                    thread.park(name)
-                # Not a member: hardware pass-through.
-            if mask:
-                barrier.park(mask, threshold)
-                executor.touched = (barrier,)
-            return latency
-
-        return run
-    get_name = _barrier_getter(operand, slots)
-
-    def run(executor, warp, group):
-        barriers = warp.barriers
-        parks = {}  # (barrier, threshold) -> lanes parking there
-        for thread in group:
-            name = get_name(thread)
-            lane_threshold = threshold
-            if get_threshold is not None:
-                lane_threshold = int(get_threshold(thread))
-            thread.frames[-1].index += 1  # resume past the wait
-            if soft and lane_threshold <= 1:
-                continue
-            barrier = barriers.get(name)
-            bit = 1 << thread.lane
-            if barrier.members_mask & bit:
-                thread.park(name)
-                key = (barrier, lane_threshold)
-                parks[key] = parks.get(key, 0) | bit
-        for (barrier, lane_threshold), mask in parks.items():
-            barrier.park(mask, lane_threshold)
-        if parks:
-            executor._touch(warp, {barrier for barrier, _ in parks})
-        return latency
-
-    return run
-
-
-def _decode_bbreak(instr, latency, slots):
-    operand = instr.operands[0]
-    if isinstance(operand, Barrier):
-        name = operand.name
-
-        def run(executor, warp, group):
-            barrier = warp.barriers.get(name)
-            mask = 0
-            for thread in group:
-                mask |= 1 << thread.lane
-                thread.frames[-1].index += 1
-            barrier.withdraw(mask)
-            # A fused trace runs this only with no lane parked here.
-            if barrier.parked_mask:
-                executor.touched = (barrier,)
-            return latency
-
-        return run
-    get_name = _barrier_getter(operand, slots)
-
-    def run(executor, warp, group):
-        barriers = warp.barriers
-        withdrawn = {}  # barrier -> lanes leaving it
-        for thread in group:
-            barrier = barriers.get(get_name(thread))
-            withdrawn[barrier] = withdrawn.get(barrier, 0) | 1 << thread.lane
-            thread.frames[-1].index += 1
-        for barrier, mask in withdrawn.items():
-            barrier.withdraw(mask)
-        executor._touch(warp, withdrawn)
-        return latency
-
-    return run
-
-
-def _decode_bmov(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    get_name = _barrier_getter(instr.operands[0], slots)
-
-    def run(executor, warp, group):
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = get_name(thread)
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_barcnt(instr, latency, slots):
-    dst = slots[instr.dst.name]
-    get_name = _barrier_getter(instr.operands[0], slots)
-
-    def run(executor, warp, group):
-        barriers = warp.barriers
-        for thread in group:
-            frame = thread.frames[-1]
-            frame.regs[dst] = barriers.get(get_name(thread)).arrived_count
-            frame.index += 1
-        return latency
-
-    return run
-
-
-def _decode_warpsync(instr, latency):
-    def run(executor, warp, group):
-        barrier = warp.barriers.get(_WARPSYNC_BARRIER)
-        # Every live thread participates in a full-warp sync, so every
-        # lane of the (runnable) group parks.
-        live = 0
-        for thread in warp.threads:
-            if not thread.is_exited:
-                live |= 1 << thread.lane
-        barrier.join(live)
         mask = 0
         for thread in group:
-            thread.frames[-1].index += 1
             mask |= 1 << thread.lane
-            thread.park(_WARPSYNC_BARRIER)
-        barrier.park(mask)
-        executor.touched = (barrier,)
+            thread.frames[-1].index += 1
+        warp.barriers.get(name).join(mask)
         return latency
 
     return run
 
 
-def _decode_unhandled(instr):
-    opcode = instr.opcode
+def _decode_wait(name, threshold, latency):
+    """``bsync`` (threshold :data:`ALL_MEMBERS`) or ``bsync.soft`` with its
+    immediate threshold (at most 1 is trivial: never worth parking)."""
+    if threshold is not ALL_MEMBERS and threshold <= 1:
+        def run(executor, warp, group):
+            # No lane parks, but the record is created as before, so
+            # barrier-file order (the drain's order) does not move.
+            warp.barriers.get(name)
+            for thread in group:
+                thread.frames[-1].index += 1
+            return latency
+
+        return run
 
     def run(executor, warp, group):
-        raise SimulationError(f"unhandled opcode {opcode.value}")
+        barrier = warp.barriers.get(name)
+        members = barrier.members_mask
+        mask = 0
+        for thread in group:
+            thread.frames[-1].index += 1  # resume past the wait
+            bit = 1 << thread.lane
+            if members & bit:
+                mask |= bit
+                thread.park(name)
+            # Not a member: hardware pass-through.
+        if mask:
+            barrier.park(mask, threshold)
+            executor.touched = (barrier,)
+        return latency
+
+    return run
+
+
+def _decode_bbreak(name, latency):
+    def run(executor, warp, group):
+        barrier = warp.barriers.get(name)
+        mask = 0
+        for thread in group:
+            mask |= 1 << thread.lane
+            thread.frames[-1].index += 1
+        barrier.withdraw(mask)
+        # A fused trace runs this only with no lane parked here.
+        if barrier.parked_mask:
+            executor.touched = (barrier,)
+        return latency
 
     return run
 
@@ -569,64 +315,49 @@ def _lowered_on_first_issue(entry, slots, pc):
     return run
 
 
-def _decode_instruction(instr, cost_model, module, slots, pc):
-    """Build the specialized handler for the instruction at ``pc``.
+def _decode_run(instr, latency, cost_model, slots):
+    """The specialized ``run`` of a non-pure ``instr``, or the
+    interpreter's when its op or operand form has no closure."""
+    opcode = instr.opcode
+    operands = instr.operands
+    if opcode is Opcode.LD:
+        return _decode_ld(instr, cost_model, slots)
+    if opcode is Opcode.ST:
+        return _decode_st(instr, cost_model, slots)
+    if opcode is Opcode.ATOMADD:
+        return _decode_atomadd(instr, cost_model, slots)
+    if opcode is Opcode.BRA:
+        return _decode_bra(instr, latency)
+    if opcode is Opcode.CBR:
+        return _decode_cbr(instr, latency, slots)
+    if opcode is Opcode.EXIT:
+        return _decode_exit(latency)
+    if operands and isinstance(operands[0], Barrier):
+        name = operands[0].name
+        if opcode is Opcode.BSSY:
+            return _decode_bssy(name, latency)
+        if opcode is Opcode.BBREAK:
+            return _decode_bbreak(name, latency)
+        if opcode is Opcode.BSYNC:
+            return _decode_wait(name, ALL_MEMBERS, latency)
+        if opcode is Opcode.BSYNCSOFT and isinstance(operands[1], Imm):
+            return _decode_wait(name, int(operands[1].value), latency)
+    return interpreted(instr)
+
+
+def _decode_instruction(instr, cost_model, slots, pc):
+    """Build the handler for the instruction at ``pc``.
 
     ``slots`` is the owning function's register allocation; every register
     operand is resolved to its slot index here, at decode time. A pure op
     is lowered from the segment compiler's templates on its first issue.
     """
-    opcode = instr.opcode
-    latency = cost_model.latency(opcode)
-    if opcode in _PURE_OPS:
-        entry = DecodedInstruction(instr, latency, None)
+    entry = DecodedInstruction(instr, cost_model.latency(instr.opcode), None)
+    if instr.opcode in _PURE_OPS:
         entry.run = _lowered_on_first_issue(entry, slots, pc)
-        return entry
-    if opcode is Opcode.CTAID:
-        run = _decode_cta_value(instr, latency, slots, "cta_id")
-    elif opcode is Opcode.CTADIM:
-        run = _decode_cta_value(instr, latency, slots, "cta_dim")
-    elif opcode is Opcode.NCTA:
-        run = _decode_cta_value(instr, latency, slots, "grid_dim")
-    elif opcode is Opcode.SHLD:
-        run = _decode_shld(instr, latency, slots)
-    elif opcode is Opcode.SHST:
-        run = _decode_shst(instr, latency, slots)
-    elif opcode is Opcode.SHATOM:
-        run = _decode_shatom(instr, latency, slots)
-    elif opcode is Opcode.LD:
-        run = _decode_ld(instr, cost_model, slots)
-    elif opcode is Opcode.ST:
-        run = _decode_st(instr, cost_model, slots)
-    elif opcode is Opcode.ATOMADD:
-        run = _decode_atomadd(instr, cost_model, slots)
-    elif opcode is Opcode.BRA:
-        run = _decode_bra(instr, latency, slots)
-    elif opcode is Opcode.CBR:
-        run = _decode_cbr(instr, latency, slots)
-    elif opcode is Opcode.CALL:
-        run = _decode_call(instr, latency, slots, module)
-    elif opcode is Opcode.RET:
-        run = _decode_ret(instr, latency, slots)
-    elif opcode is Opcode.EXIT:
-        run = _decode_exit(instr, latency)
-    elif opcode is Opcode.BSSY:
-        run = _decode_bssy(instr, latency, slots)
-    elif opcode in (Opcode.BSYNC, Opcode.BSYNCSOFT):
-        run = _decode_wait(instr, latency, slots)
-    elif opcode is Opcode.BBREAK:
-        run = _decode_bbreak(instr, latency, slots)
-    elif opcode is Opcode.BMOV:
-        run = _decode_bmov(instr, latency, slots)
-    elif opcode is Opcode.BARCNT:
-        run = _decode_barcnt(instr, latency, slots)
-    elif opcode is Opcode.WARPSYNC:
-        run = _decode_warpsync(instr, latency)
-    elif opcode is Opcode.CTASYNC:
-        run = _decode_ctasync(instr, latency)
     else:
-        run = _decode_unhandled(instr)
-    return DecodedInstruction(instr, latency, run)
+        entry.run = _decode_run(instr, entry.latency, cost_model, slots)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +425,7 @@ class DecodedProgram:
         slots = fn.reg_slots()
         entries = tuple(
             _decode_instruction(
-                instr, self.cost_model, module, slots, (function, block, index)
+                instr, self.cost_model, slots, (function, block, index)
             )
             for index, instr in enumerate(fn.block(block).instructions)
         )

@@ -65,7 +65,12 @@ from repro.errors import SimulationError
 from repro.ir.instructions import Imm, Opcode, Reg
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.spans import SpanRecorder
-from repro.simt.executor import _BINARY_EVAL, _UNARY_EVAL, _UNIFORM_OPS
+from repro.simt.executor import (
+    _BINARY_EVAL,
+    _UNARY_EVAL,
+    _UNIFORM_OPS,
+    interpreted,
+)
 from repro.simt.warp import UNDEF
 
 __all__ = [
@@ -643,12 +648,7 @@ def lower_op(entry, slots, pc):
         _lower_chunk((entry,), None, slots, ns, lines, "        ")
     except CodegenVeto:
         ENGINE_COUNTERS.jit_deopts += 1
-        instr = entry.instr
-
-        def run(executor, warp, group):
-            return executor._execute_slow(warp, instr, group)
-
-        return run
+        return interpreted(entry.instr)
     lines += [
         "    except _SimulationError:",
         "        _read_operands(_op, _t.frames[-1])",

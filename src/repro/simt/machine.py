@@ -103,16 +103,7 @@ class GPUMachine:
         self.metrics = metrics
 
     def launch(self, kernel_name, n_threads, args=(), memory=None, cta=None):
-        kernel = self.module.function(kernel_name)
-        if not kernel.is_kernel:
-            raise LaunchError(f"@{kernel_name} is not a kernel")
-        if n_threads <= 0:
-            raise LaunchError(f"launch needs at least one thread, got {n_threads}")
-        if len(args) != len(kernel.params):
-            raise LaunchError(
-                f"@{kernel_name} takes {len(kernel.params)} arguments, "
-                f"got {len(args)}"
-            )
+        kernel = check_launch(self.module, kernel_name, n_threads, args)
         memory = memory if memory is not None else GlobalMemory()
         # A flat launch this process has already simulated returns the
         # recorded result (repro.simt.memo); grid CTAs always simulate.
@@ -257,12 +248,6 @@ class GPUMachine:
             return "scheduler", executor.segment_at
         return "independent", None
 
-    def _budget_error(self, kernel_name):
-        return LaunchError(
-            f"@{kernel_name} exceeded {self.max_issues} issue slots; "
-            "likely an infinite loop"
-        )
-
     # ------------------------------------------------------------------
     def _run_interleaved(self, warps, executor, scheduler, kernel_name,
                          run_ahead):
@@ -302,7 +287,9 @@ class GPUMachine:
                     if error is not None:
                         return issues, error
                     if issues > max_issues:
-                        return max_issues + 1, self._budget_error(kernel_name)
+                        return max_issues + 1, budget_error(
+                            kernel_name, max_issues
+                        )
                     return issues, None
                 progressed = []
                 for warp in live_warps:
@@ -320,7 +307,9 @@ class GPUMachine:
                     if issued:
                         issues += 1
                         if issues > max_issues:
-                            return issues, self._budget_error(kernel_name)
+                            return issues, budget_error(
+                                kernel_name, max_issues
+                            )
                     if not warp.done:
                         progressed.append(warp)
                 live_warps = progressed
@@ -363,7 +352,7 @@ class GPUMachine:
                 first = (issued, position, error)
         budget = _budget_event(rounds, max_issues)
         if budget is not None and (first is None or budget < first[:2]):
-            return max_issues + 1, self._budget_error(kernel_name)
+            return max_issues + 1, budget_error(kernel_name, max_issues)
         if first is not None:
             return _slots_before(rounds, *first[:2]), first[2]
         return sum(rounds), None
@@ -528,6 +517,31 @@ class GPUMachine:
                 )
             warp.drain(touched, on_release)
         return True
+
+
+def check_launch(module, kernel_name, n_threads, args):
+    """The kernel a launch of ``n_threads`` with ``args`` runs, after the
+    checks every machine makes first; raises :class:`LaunchError`."""
+    kernel = module.function(kernel_name)
+    if not kernel.is_kernel:
+        raise LaunchError(f"@{kernel_name} is not a kernel")
+    if n_threads <= 0:
+        raise LaunchError(f"launch needs at least one thread, got {n_threads}")
+    if len(args) != len(kernel.params):
+        raise LaunchError(
+            f"@{kernel_name} takes {len(kernel.params)} arguments, "
+            f"got {len(args)}"
+        )
+    return kernel
+
+
+def budget_error(kernel_name, max_issues):
+    """The error of a launch that issued more than ``max_issues`` slots,
+    counted across all its warps."""
+    return LaunchError(
+        f"@{kernel_name} exceeded {max_issues} issue slots; "
+        "likely an infinite loop"
+    )
 
 
 def abort_launch(exc, kernel_name, n_threads, profiler, sink, cta_id=None,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.analysis.cfg_utils import CFGView
 from repro.analysis.dominators import compute_post_dominators
-from repro.errors import LaunchError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.instructions import Opcode
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.events import ReconvergeEvent
@@ -29,7 +29,13 @@ from repro.obs.metrics import LaunchMetrics
 from repro.obs.sinks import ambient_sink
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.executor import Executor
-from repro.simt.machine import DEFAULT_MAX_ISSUES, LaunchResult, abort_launch
+from repro.simt.machine import (
+    DEFAULT_MAX_ISSUES,
+    LaunchResult,
+    abort_launch,
+    budget_error,
+    check_launch,
+)
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.warp import WARP_SIZE, Thread, Warp
@@ -83,15 +89,7 @@ class StackGPUMachine:
         self._rpcs = _ReconvergenceTable(module)
 
     def launch(self, kernel_name, n_threads, args=(), memory=None):
-        kernel = self.module.function(kernel_name)
-        if not kernel.is_kernel:
-            raise LaunchError(f"@{kernel_name} is not a kernel")
-        if n_threads <= 0:
-            raise LaunchError("launch needs at least one thread")
-        if len(args) != len(kernel.params):
-            raise LaunchError(
-                f"@{kernel_name} takes {len(kernel.params)} arguments"
-            )
+        kernel = check_launch(self.module, kernel_name, n_threads, args)
         memory = memory if memory is not None else GlobalMemory()
         profiler = Profiler()
         metrics = LaunchMetrics() if self.metrics else None
@@ -115,12 +113,7 @@ class StackGPUMachine:
                 warp = Warp(warp_id, threads)
                 warps.append(warp)
                 all_threads.extend(threads)
-                issues += self._run_warp(warp, executor)
-                if issues > self.max_issues:
-                    raise LaunchError(
-                        f"@{kernel_name} exceeded {self.max_issues} issue "
-                        "slots; likely an infinite loop"
-                    )
+                issues = self._run_warp(warp, executor, kernel_name, issues)
         except SimulationError as exc:
             abort_launch(exc, kernel_name, n_threads, profiler, sink)
             raise
@@ -139,9 +132,11 @@ class StackGPUMachine:
         )
 
     # ------------------------------------------------------------------
-    def _run_warp(self, warp, executor):
+    def _run_warp(self, warp, executor, kernel_name, issues):
+        """Run ``warp`` to completion; ``issues`` is the launch's slot count
+        so far, and the count after the warp is returned. The issue budget
+        covers the whole launch."""
         stack = [_StackEntry(lanes={t.lane for t in warp.threads}, rpc=None)]
-        issues = 0
         while stack:
             entry = stack[-1]
             entry.lanes = {
@@ -183,9 +178,21 @@ class StackGPUMachine:
                 continue
 
             instr = executor.fetch(pc)
+            if instr.is_barrier_op or instr.opcode is Opcode.WARPSYNC:
+                # Pre-Volta: convergence barriers do not exist; skip the
+                # instruction without charging an issue slot beyond NOP.
+                for thread in group:
+                    if instr.dst is not None:
+                        # barcnt/bmov still define a value; give a benign 0
+                        thread.frame.write(instr.dst, 0)
+                    thread.advance()
+                continue
+
+            issues += 1
+            executor.execute(warp, pc, group)
+            if issues > self.max_issues:
+                raise budget_error(kernel_name, self.max_issues)
             if instr.opcode is Opcode.CBR:
-                issues += 1
-                executor.execute(warp, pc, group)
                 taken = {}
                 for thread in group:
                     target = thread.pc()[1]
@@ -210,23 +217,4 @@ class StackGPUMachine:
                             )
                         )
                     entry.lanes = set()
-                continue
-
-            if instr.is_barrier_op or instr.opcode is Opcode.WARPSYNC:
-                # Pre-Volta: convergence barriers do not exist; skip the
-                # instruction without charging an issue slot beyond NOP.
-                for thread in group:
-                    if instr.dst is not None:
-                        # barcnt/bmov still define a value; give a benign 0
-                        thread.frame.write(instr.dst, 0)
-                    thread.advance()
-                continue
-
-            issues += 1
-            executor.execute(warp, pc, group)
-            if issues > self.max_issues:
-                raise LaunchError(
-                    f"warp {warp.warp_id} exceeded {self.max_issues} issue "
-                    "slots; likely an infinite loop"
-                )
         return issues

@@ -163,6 +163,25 @@ kernel lm(n_tasks) {{
 """
 
 
+#: Lanes with tid >= 32 spin in ``loop`` forever: a function that has
+#: an exit, and a block with no path to it.
+STUCK_LOOP_IR = """
+func @k() kernel {
+entry:
+  %t = tid
+  %i = const 0
+  %c = cmpge %t, 32
+  cbr %c, ^loop, ^done
+loop:
+  %i = add %i, 1
+  bra ^loop
+done:
+  st %t, %i
+  exit
+}
+"""
+
+
 def die_in_worker(kind):
     """End the calling process abruptly: ``os._exit(3)`` for ``"exit"``,
     a self-sent ``SIGKILL`` for ``"sigkill"``. A pool task that kills

@@ -141,6 +141,18 @@ class TestPostDominators:
         assert pdom.ipdom("h") == "x"
         assert pdom.branch_reconvergence_point("h", view) == "x"
 
+    def test_block_with_no_path_to_an_exit_flows_to_virtual_exit(self):
+        # ``spin`` never reaches the sink ``x``; it still gets a
+        # post-dominator (the virtual exit), and so does its branch.
+        view = CFGView({"e": ["spin", "x"], "spin": ["spin"], "x": []}, "e")
+        pdom = compute_post_dominators(view)
+        assert pdom.ipdom("spin") is None
+        assert pdom.ipdom("x") is None
+        assert pdom.ipdom("e") is None
+        augmented, exit_name = add_virtual_exit(view)
+        assert augmented.succs["spin"] == ["spin", exit_name]
+        assert augmented.succs["e"] == ["spin", "x"]
+
     def test_listing1_reconvergence_at_epilog(self):
         module = listing1_module()
         fn = module.function("k")

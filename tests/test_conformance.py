@@ -789,6 +789,47 @@ done:
 }
 """
 
+#: The barrier-register forms the decoded path leaves to the interpreter:
+#: ``bssy``, ``bsync`` and ``bbreak`` on barriers held in ``bmov``
+#: registers, a ``bsync.soft`` whose threshold is a register (trivial,
+#: at most 1, on some lanes), and a ``barcnt`` read while lanes arrive.
+BARRIER_REGISTERS = """
+func @k() kernel {
+entry:
+  %t = tid
+  %b = bmov $B0
+  %s = bmov $B1
+  bssy %b
+  bssy %s
+  %p = cmplt %t, 20
+  cbr %p, ^wait, ^work
+wait:
+  %th = and %t, 7
+  bsync.soft %s, %th
+  %n = barcnt %s
+  bsync %b
+  %v = atomadd 500, 1
+  %o = add %v, %n
+  st %t, %o
+  exit
+work:
+  %x = mul %t, 2
+  bbreak %s
+  %c = cmplt %t, 26
+  cbr %c, ^more, ^late
+more:
+  %y = add %x, 1
+  bbreak %b
+  st %t, %y
+  exit
+late:
+  bsync %b
+  %w = atomadd 500, 1
+  st %t, %w
+  exit
+}
+"""
+
 #: Every lane reaches ``use`` through ``skip``, so ``%u`` was never
 #: written: the predicate of the trace's ``cbr`` is UNDEF.
 CBR_READS_UNDEF = """
@@ -868,7 +909,9 @@ class TestBarrierDrainConformance:
     warps, and each way a fused trace leaves early (a ``bbreak`` whose
     barrier has a parked lane, mid-trace or as the trace's first op, and
     a ``cbr`` whose lanes disagree; other ``bbreak`` releases are pinned
-    by the goldens). Each must match the interpreted reference under
+    by the goldens), and barriers named through ``bmov`` registers with a
+    register ``bsync.soft`` threshold, which the decoded path hands to the
+    interpreter. Each must match the interpreted reference under
     every engine and scheduler, and the schedule of an executor that
     drains after every issue."""
 
@@ -879,6 +922,7 @@ class TestBarrierDrainConformance:
         "bbreak-parked": (lambda: parse_module(BBREAK_WHILE_PARKED), 32),
         "guard-at-start": (lambda: parse_module(BBREAK_GUARD_AT_START), 32),
         "cbr-diverges": (lambda: parse_module(CBR_DIVERGES), 32),
+        "barrier-registers": (lambda: parse_module(BARRIER_REGISTERS), 32),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import MODES, ReconvergenceCompiler, compile_baseline, compile_sr
 from repro.errors import TransformError
-from repro.ir import Opcode, format_module, verify_module
+from repro.ir import Opcode, format_module, parse_module, verify_module
 from repro.simt import GPUMachine
-from tests.helpers import listing1_module
+from tests.helpers import STUCK_LOOP_IR, listing1_module
 
 
 class TestModes:
@@ -17,6 +17,12 @@ class TestModes:
     def test_all_modes_compile_and_verify(self):
         for mode in MODES:
             prog = ReconvergenceCompiler().compile(listing1_module(), mode=mode)
+            assert verify_module(prog.module)
+
+    def test_block_with_no_path_to_an_exit_compiles_in_every_mode(self):
+        module = parse_module(STUCK_LOOP_IR)
+        for mode in MODES:
+            prog = ReconvergenceCompiler().compile(module, mode=mode)
             assert verify_module(prog.module)
 
     def test_input_module_never_mutated(self):

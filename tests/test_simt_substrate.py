@@ -261,21 +261,6 @@ class TestBarrierFile:
         assert [b.name for b in touched] == ["a", "b"]
         assert barriers.get("a").members == set()
 
-    def test_all_releasable(self):
-        barriers = BarrierFile()
-        barrier = barriers.get("a")
-        barrier.join(_mask(0))
-        barrier.park(_mask(0))
-        assert [(b.name, mask) for b, mask in barriers.all_releasable()] == [
-            ("a", _mask(0))
-        ]
-
-    def test_parked_anywhere(self):
-        barriers = BarrierFile()
-        barriers.get("a").join(_mask(3))
-        barriers.get("a").park(_mask(3))
-        assert barriers.parked_anywhere() == _mask(3)
-
 
 #: Lanes 0-13 wait on $B0 alone and lanes 14-27 on $B1 alone; lanes
 #: 28-31, members of both, are the smallest group, so the convergence

@@ -5,9 +5,10 @@ import pytest
 from repro.core import compile_baseline, compile_sr
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
+from repro.ir import parse_module
 from repro.simt import GlobalMemory, GPUMachine, StackGPUMachine
 from repro.workloads import get_workload
-from tests.helpers import listing1_module, loop_merge_source
+from tests.helpers import STUCK_LOOP_IR, listing1_module, loop_merge_source
 
 
 class TestCorrectness:
@@ -74,6 +75,30 @@ kernel k() { store(tid(), @f(tid())); }
         module = compile_kernel_source("func f() { return 0; }")
         with pytest.raises(LaunchError):
             StackGPUMachine(module).launch("f", 32)
+
+
+class TestLaunchErrorsMatchGPUMachine:
+    """Both machines share one launch check and one issue budget, counted
+    across the whole launch, so a bad launch fails with the same text."""
+
+    @pytest.mark.parametrize(
+        "n_threads, args, message",
+        [
+            (0, (), "launch needs at least one thread, got 0"),
+            (64, (1,), "@k takes 0 arguments, got 1"),
+            (64, (), "@k exceeded 200 issue slots"),
+        ],
+        ids=["no-threads", "wrong-arg-count", "issue-budget"],
+    )
+    def test_same_launch_error(self, n_threads, args, message):
+        module = parse_module(STUCK_LOOP_IR)
+        texts = []
+        for machine_cls in (GPUMachine, StackGPUMachine):
+            machine = machine_cls(module, max_issues=200)
+            with pytest.raises(LaunchError, match=message) as info:
+                machine.launch("k", n_threads, args)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
 
 
 class TestNoSpeculativeReconvergence:
