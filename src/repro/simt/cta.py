@@ -99,9 +99,9 @@ class CTAContext:
         """Open the barrier iff every live CTA thread has arrived.
 
         Returns True when threads were released. Threads that exited before
-        reaching the barrier shrink the membership (the exit path in
-        ``GPUMachine._step`` re-checks this, so a late exit in one warp can
-        open the barrier for the others).
+        reaching the barrier shrink the membership (the slot of a warp with
+        no runnable group, ``GPUMachine._step``, re-checks this, so a late
+        exit in one warp can open the barrier for the others).
 
         A release crosses warp boundaries, so each released thread joins
         its own warp's group table (``Warp.rebucket``) — except those of
@@ -136,7 +136,7 @@ class CTAContext:
         """True if another CTA warp can still arrive at (or shrink) the
         barrier: it has a runnable thread. (Between its issues no warp
         holds a releasable SR barrier: each issue drains the barriers it
-        made releasable, ``GPUMachine._step``.)
+        made releasable, ``GPUMachine._issuer``.)
 
         Used by the machine's deadlock check so a warp fully parked at
         ``ctasync`` stalls instead of raising while siblings still run.

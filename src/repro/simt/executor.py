@@ -77,10 +77,9 @@ _UNARY_EVAL = {
 }
 
 #: Opcodes that move every thread of a group to the same next PC with no
-#: park/exit/barrier side effect. After issuing one of these, the machine
-#: moves the group's bucket in the warp's group table as a whole instead
-#: of re-bucketing its threads (CBR can split, RET/EXIT can retire lanes,
-#: and the b* ops mutate barrier state).
+#: park/exit/barrier side effect (CBR can split, RET/EXIT can retire
+#: lanes, and the b* ops mutate barrier state): the ops a fused segment
+#: may run (:mod:`repro.simt.segments`).
 _UNIFORM_OPS = (
     frozenset(_BINARY_EVAL)
     | frozenset(_UNARY_EVAL)
@@ -129,7 +128,6 @@ class Executor:
         self.memory = memory
         self.cost_model = cost_model
         self.profiler = profiler
-        self._pc_stats = profiler.pc_stats
         # CTA launch context (repro.simt.cta): grid identity, per-CTA shared
         # memory, and the CTA-wide ctasync barrier. None only for executors
         # built outside a GPUMachine launch; grid opcodes then raise.
@@ -140,12 +138,15 @@ class Executor:
         self.sink = sink if sink is not None else NULL_SINK
         self.metrics = metrics
         self.observing = bool(self.sink.enabled or metrics is not None)
-        # True when the last executed opcode was in _UNIFORM_OPS.
-        self.issued_uniform = False
         # The barriers an issue may have made releasable, in barrier-file
         # order: set by the barrier, exit and ret handlers, drained and
         # cleared by the machine after the issue (None: nothing to drain).
         self.touched = None
+        # Where a decoded ``cbr`` or literal ``bsync``/``bsync.soft`` sent
+        # its group, ``((pc, threads in lane order), ...)``: set by the
+        # handler, moved into the group table and cleared by the machine
+        # (DecodedInstruction.move).
+        self.moved = None
         # The engine layers for this launch (repro.engine), read once here
         # and never on the issue path.
         self.engine = engine = current_engine()
@@ -155,7 +156,7 @@ class Executor:
         # eval tables (through repro.simt.jit).
         from repro.simt.fastpath import decode_program
 
-        self._decoded = (
+        self.decoded = (
             decode_program(module, cost_model) if engine.fastpath else None
         )
         # Segment fusion (repro.simt.segments): only legal on the decoded
@@ -165,10 +166,10 @@ class Executor:
         # ``memory_free_segment_at`` is the same lookup restricted to
         # segments with no global memory op (GPUMachine's run-ahead).
         self.segment_at = self.memory_free_segment_at = None
-        if (engine.segments and self._decoded is not None
+        if (engine.segments and self.decoded is not None
                 and not self.observing):
-            self.segment_at = self._decoded.segment_at
-            self.memory_free_segment_at = self._decoded.memory_free_segment_at
+            self.segment_at = self.decoded.segment_at
+            self.memory_free_segment_at = self.decoded.memory_free_segment_at
         # Program order for scheduler picks and tie-breaking:
         # pc -> (function, block position, index), built once per PC and
         # kept in the module's cache across launches.
@@ -227,35 +228,23 @@ class Executor:
 
     # ------------------------------------------------------------------
     def execute(self, warp, pc, group):
-        """Execute the instruction at ``pc`` for ``group``; returns cycles."""
-        decoded = self._decoded
-        if decoded is not None:
-            entry = decoded.entry(pc)
-            cycles = entry.run(self, warp, group)
-            # Lets the machine move the issued bucket as a whole.
-            self.issued_uniform = entry.uniform
-        else:
-            entry = self.fetch(pc)
-            cycles = self._execute_slow(warp, entry, group)
-            self.issued_uniform = entry.opcode in _UNIFORM_OPS
+        """Interpret the instruction at ``pc`` for ``group`` and account
+        the issue; returns its cycles.
 
+        This is the slot of the interpreted reference (the fast path
+        off), and of the machines that keep no group table, the stack
+        machine and the single-thread reference. ``GPUMachine``'s decoded
+        slot runs the decoded entry itself (``GPUMachine._issuer``).
+        """
+        instr = self.fetch(pc)
+        cycles = self._execute_slow(warp, instr, group)
         for thread in group:
             thread.retired += 1
-
         if self.observing:
-            self._observe_issue(warp, pc, entry.opcode, group, cycles)
-        # Profiler.record inlined for the common case: a PC that has issued
-        # before.
-        stats = self._pc_stats.get(pc)
-        if stats is None:
-            self.profiler.record(
-                pc, entry.opcode, len(group), cycles, entry.is_barrier_op
-            )
-        else:
-            stats[0] += 1
-            stats[1] += len(group)
-            stats[2] += cycles
-            self.profiler.derived = None
+            self.observe_issue(warp, pc, instr.opcode, group, cycles)
+        self.profiler.record(
+            pc, instr.opcode, len(group), cycles, instr.is_barrier_op
+        )
         warp.cycles += cycles
         return cycles
 
@@ -485,7 +474,8 @@ class Executor:
         elif opcode is Opcode.CTASYNC:
             # CTA-wide barrier: arrivals park across warp boundaries; the
             # last live arrival opens the barrier for the whole CTA (the
-            # exit-path re-check lives in GPUMachine._step).
+            # exit-path re-check lives in GPUMachine._step, the slot of
+            # a warp with no runnable group).
             ctx = self._cta_ctx(opcode)
             for thread in group:
                 thread.advance()  # resume past the wait when released
@@ -506,7 +496,7 @@ class Executor:
     # ------------------------------------------------------------------
     # Observability (cold path: only runs with a live sink or metrics)
     # ------------------------------------------------------------------
-    def _observe_issue(self, warp, pc, opcode, group, cycles):
+    def observe_issue(self, warp, pc, opcode, group, cycles):
         """Emit events / update metrics for one just-executed issue.
 
         Runs after the instruction's effects but before ``warp.cycles``

@@ -12,7 +12,16 @@ resolve at decode time to *slot indices* in the owning function's
 register allocation (:meth:`repro.ir.function.Function.reg_slots`), so a
 register access is a single C-speed list index — no name hashing at all.
 The warp issue loop then becomes a table lookup plus one handler call
-per issue.
+per issue (``GPUMachine._issuer``).
+
+Each entry also reports where its group went (``DecodedInstruction.move``),
+so the machine moves the issued bucket in the warp's group table instead
+of re-bucketing its threads one by one: a static PC for every op whose
+whole group lands on one place, built when its block decodes, and the
+buckets ``cbr`` (taken and fallen lanes) and a literal ``bsync``/
+``bsync.soft`` (the lanes that did not park) report per issue in
+``executor.moved``. ``call``, ``ret``, ``exit`` and interpreted entries
+report nothing, and the machine re-buckets their group.
 
 Pure ops (:data:`repro.simt.jit._PURE_OPS`: arithmetic, compares,
 ``const``, ``sel``, ``fma``, the thread intrinsics, ``nop``/``predict``/
@@ -72,10 +81,10 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.ir.instructions import Barrier, Imm, Opcode, Reg
 from repro.simt.barrier_state import ALL_MEMBERS
 from repro.simt.costs import cost_key
-from repro.simt.executor import _UNIFORM_OPS, interpreted
+from repro.simt.executor import interpreted
 from repro.simt.jit import _PURE_OPS, lower_op
 from repro.simt.segments import SegmentTable
-from repro.simt.warp import UNDEF
+from repro.simt.warp import UNDEF, ThreadState
 
 __all__ = [
     "DecodedInstruction",
@@ -108,15 +117,30 @@ def _getter(operand, slots):
 
 
 class DecodedInstruction:
-    """One pre-decoded instruction: the original record plus its handler.
+    """One pre-decoded instruction: the original record, its handler, and
+    where its group goes.
 
     ``run(executor, warp, group)`` applies the instruction to every thread
     of ``group`` (in lane order) and returns the cycle cost of the issue;
     a pure op's ``run`` replaces itself with generated code on its first
     call.
+
+    ``move`` is the move report of an op whose whole group lands on one
+    static PC: ``(f, b, i + 1)`` for the pure ops, ``ld``/``st``/
+    ``atomadd``, and ``bssy``, ``bbreak`` and a trivial ``bsync.soft`` on
+    a literal barrier; ``(f, target, 0)`` for ``bra``. The machine moves
+    the issued bucket there as a whole. It reads ``move`` after ``run``,
+    so a pure op sets it with its lowering on its first lone issue, and
+    the many pure ops that only ever run fused hold none. ``move`` is
+    None for the rest: ``cbr`` and a literal ``bsync``/``bsync.soft``
+    report their buckets per issue in ``executor.moved`` (``((pc,
+    threads in lane order), ...)``: the taken and fallen lanes, or the
+    lanes that did not park), and ``call``, ``ret``, ``exit`` and every
+    interpreted entry report nothing, so the machine re-buckets their
+    group thread by thread (``Warp.rebucket``).
     """
 
-    __slots__ = ("instr", "opcode", "latency", "run", "uniform",
+    __slots__ = ("instr", "opcode", "latency", "run", "move",
                  "is_barrier_op")
 
     def __init__(self, instr, latency, run):
@@ -124,9 +148,8 @@ class DecodedInstruction:
         self.opcode = instr.opcode
         self.latency = latency
         self.run = run
-        # Per-issue flags the executor would otherwise recompute with enum
-        # set lookups / a property call on every slot.
-        self.uniform = instr.opcode in _UNIFORM_OPS
+        self.move = None
+        # Read per issue; a property call on the instruction otherwise.
         self.is_barrier_op = instr.is_barrier_op
 
 
@@ -209,18 +232,27 @@ def _decode_bra(instr, latency):
     return run
 
 
-def _decode_cbr(instr, latency, slots):
+def _decode_cbr(instr, latency, slots, fname):
+    """Reports its taken and fallen lanes at their targets' first PCs."""
     get_pred = _getter(instr.operands[0], slots)
     true_target = instr.operands[1].name
     false_target = instr.operands[2].name
+    true_pc = (fname, true_target, 0)
+    false_pc = (fname, false_target, 0)
 
     def run(executor, warp, group):
+        taken = []
+        fallen = []
         for thread in group:
             frame = thread.frames[-1]
-            frame.block_name = (
-                true_target if get_pred(thread) != 0 else false_target
-            )
+            if get_pred(thread) != 0:
+                frame.block_name = true_target
+                taken.append(thread)
+            else:
+                frame.block_name = false_target
+                fallen.append(thread)
             frame.index = 0
+        executor.moved = ((true_pc, taken), (false_pc, fallen))
         return latency
 
     return run
@@ -255,10 +287,18 @@ def _decode_bssy(name, latency):
     return run
 
 
-def _decode_wait(name, threshold, latency):
+def _trivial_wait(threshold):
+    """True for a ``bsync.soft`` threshold of at most 1: never worth
+    parking, so no lane parks."""
+    return threshold is not ALL_MEMBERS and threshold <= 1
+
+
+def _decode_wait(name, threshold, latency, next_pc):
     """``bsync`` (threshold :data:`ALL_MEMBERS`) or ``bsync.soft`` with its
-    immediate threshold (at most 1 is trivial: never worth parking)."""
-    if threshold is not ALL_MEMBERS and threshold <= 1:
+    immediate threshold. A non-trivial wait reports the lanes that did
+    not park, at ``next_pc``."""
+    waiting = ThreadState.WAITING
+    if _trivial_wait(threshold):
         def run(executor, warp, group):
             # No lane parks, but the record is created as before, so
             # barrier-file order (the drain's order) does not move.
@@ -273,13 +313,18 @@ def _decode_wait(name, threshold, latency):
         barrier = warp.barriers.get(name)
         members = barrier.members_mask
         mask = 0
+        passed = []
         for thread in group:
             thread.frames[-1].index += 1  # resume past the wait
             bit = 1 << thread.lane
             if members & bit:
                 mask |= bit
-                thread.park(name)
-            # Not a member: hardware pass-through.
+                # Thread.park, inlined: every parking lane passes here.
+                thread.state = waiting
+                thread.waiting_on = name
+            else:
+                passed.append(thread)  # not a member: hardware pass-through
+        executor.moved = ((next_pc, passed),)
         if mask:
             barrier.park(mask, threshold)
             executor.touched = (barrier,)
@@ -306,43 +351,52 @@ def _decode_bbreak(name, latency):
 
 def _lowered_on_first_issue(entry, slots, pc):
     """``entry.run`` of a pure op until its first issue, which lowers it
-    (:func:`~repro.simt.jit.lower_op`) and installs the result."""
+    (:func:`~repro.simt.jit.lower_op`) and installs the result and the
+    op's move report."""
 
     def run(executor, warp, group):
         entry.run = lower_op(entry, slots, pc)
+        entry.move = (pc[0], pc[1], pc[2] + 1)
         return entry.run(executor, warp, group)
 
     return run
 
 
-def _decode_run(instr, latency, cost_model, slots):
-    """The specialized ``run`` of a non-pure ``instr``, or the
-    interpreter's when its op or operand form has no closure."""
+def _decode_run(instr, latency, cost_model, slots, pc):
+    """``(run, move)`` of a non-pure ``instr`` at ``pc``: its specialized
+    ``run``, or the interpreter's when its op or operand form has no
+    closure, and its move report (:class:`DecodedInstruction`)."""
     opcode = instr.opcode
     operands = instr.operands
+    fname = pc[0]
+    next_pc = (fname, pc[1], pc[2] + 1)
     if opcode is Opcode.LD:
-        return _decode_ld(instr, cost_model, slots)
+        return _decode_ld(instr, cost_model, slots), next_pc
     if opcode is Opcode.ST:
-        return _decode_st(instr, cost_model, slots)
+        return _decode_st(instr, cost_model, slots), next_pc
     if opcode is Opcode.ATOMADD:
-        return _decode_atomadd(instr, cost_model, slots)
+        return _decode_atomadd(instr, cost_model, slots), next_pc
     if opcode is Opcode.BRA:
-        return _decode_bra(instr, latency)
+        return _decode_bra(instr, latency), (fname, operands[0].name, 0)
     if opcode is Opcode.CBR:
-        return _decode_cbr(instr, latency, slots)
+        return _decode_cbr(instr, latency, slots, fname), None
     if opcode is Opcode.EXIT:
-        return _decode_exit(latency)
+        return _decode_exit(latency), None
     if operands and isinstance(operands[0], Barrier):
         name = operands[0].name
         if opcode is Opcode.BSSY:
-            return _decode_bssy(name, latency)
+            return _decode_bssy(name, latency), next_pc
         if opcode is Opcode.BBREAK:
-            return _decode_bbreak(name, latency)
+            return _decode_bbreak(name, latency), next_pc
         if opcode is Opcode.BSYNC:
-            return _decode_wait(name, ALL_MEMBERS, latency)
+            return _decode_wait(name, ALL_MEMBERS, latency, next_pc), None
         if opcode is Opcode.BSYNCSOFT and isinstance(operands[1], Imm):
-            return _decode_wait(name, int(operands[1].value), latency)
-    return interpreted(instr)
+            threshold = int(operands[1].value)
+            return (
+                _decode_wait(name, threshold, latency, next_pc),
+                next_pc if _trivial_wait(threshold) else None,
+            )
+    return interpreted(instr), None
 
 
 def _decode_instruction(instr, cost_model, slots, pc):
@@ -356,7 +410,9 @@ def _decode_instruction(instr, cost_model, slots, pc):
     if instr.opcode in _PURE_OPS:
         entry.run = _lowered_on_first_issue(entry, slots, pc)
     else:
-        entry.run = _decode_run(instr, entry.latency, cost_model, slots)
+        entry.run, entry.move = _decode_run(
+            instr, entry.latency, cost_model, slots, pc
+        )
     return entry
 
 

@@ -33,6 +33,11 @@ Every way out returns ``(cycles, exit)``, where ``exit`` is a static
 :class:`~repro.simt.segments.SegmentExit` bound into the function's
 namespace, so the machine accounts exactly the slots that ran.
 
+**Failures.** A segment that raises is not run again: its function
+maps each source line to the op it runs (``__jit_ops__``), and
+:func:`fused_failure` works out from the raising line which slot the
+reference fails at and with what error, on the failure path only.
+
 **Shared code.** Most segments generate the same source as some other
 segment: the same shape at another PC, or the same kernel compiled
 again; a lone op's source is the same at every PC. The process-wide
@@ -106,6 +111,7 @@ class SegmentCodeCache:
     def __init__(self):
         self._segments = weakref.WeakSet()
         self._code = {}
+        self._line_ops = {}
 
     def code(self, source, where):
         """The code object for ``source``; compiles it on a miss (the
@@ -122,11 +128,17 @@ class SegmentCodeCache:
     def store(self, segment):
         self._segments.add(segment)
 
+    def line_ops(self, ops):
+        """One shared copy of a segment's line-to-op map (most segments
+        share their shape, and so their map, with another)."""
+        return self._line_ops.setdefault(ops, ops)
+
     def clear(self):
         """Drop every compiled segment and code object (tests and
         long-lived servers)."""
         self._segments.clear()
         self._code.clear()
+        self._line_ops.clear()
 
     def stats(self):
         return {"segments": len(self._segments), "sources": len(self._code)}
@@ -265,6 +277,9 @@ _THREAD_EXPR = {
 #: Returned by :func:`_fold` when an instruction cannot be folded.
 _NO_FOLD = object()
 
+#: Pure ops that write no register: a chunk only advances past them.
+_NO_REGISTER_EFFECT = frozenset((Opcode.NOP, Opcode.PREDICT, Opcode.DELAY))
+
 
 class _Namespace:
     """The generated function's global namespace builder: the math
@@ -351,7 +366,8 @@ def _fold(instr, known, slots):
     return value if type(value) in (int, float) else _NO_FOLD
 
 
-def _lower_chunk(entries, end_index, slots, ns, lines, indent):
+def _lower_chunk(entries, end_index, slots, ns, lines, indent, ops=None,
+                 base=0):
     """Emit one pure chunk as a straight-line per-thread loop body.
 
     Statements write ``_r`` (the thread's regs list) in program order;
@@ -365,10 +381,15 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     untouched. Arithmetic on UNDEF raises by itself; a copy (``mov``, the
     picked ``sel`` operand) of a slot read checks for it, so every op
     raises where the interpreter's read does.
+
+    ``ops``, when given, gets one item per emitted line, in step with
+    ``lines``: ``base`` plus the chunk position of the op the line
+    computes, or None (:func:`fused_failure` reads it).
     """
     # Plan pass: resolve folding and operands. Each runtime op becomes
-    # (instr, dst slot, operand descriptors) with descriptors already
-    # resolved against the fold state: ("lit", value) | ("slot", n).
+    # (position, instr, dst slot, operand descriptors) with descriptors
+    # already resolved against the fold state: ("lit", value) |
+    # ("slot", n).
     known = {}
     plan = []
     regs = {}  # slot -> its Reg operand, for the UNDEF read's diagnostic
@@ -384,27 +405,27 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
             return ("slot", slot)
         raise CodegenVeto(f"unsupported operand {operand!r}")
 
-    for entry in entries:
+    for position, entry in enumerate(entries):
         instr = entry.instr
         opcode = instr.opcode
-        if opcode in (Opcode.NOP, Opcode.PREDICT, Opcode.DELAY):
-            continue  # no register effect; index advance folded below
+        if opcode in _NO_REGISTER_EFFECT:
+            continue  # index advance folded below
         value = _fold(instr, known, slots)
         if value is not _NO_FOLD:
             known[slots[instr.dst.name]] = value
             continue
         operands = tuple(descriptor(op) for op in instr.operands)
         dst = slots[instr.dst.name]
-        plan.append((instr, dst, operands))
+        plan.append((base + position, instr, dst, operands))
         known.pop(dst, None)
 
     # Liveness pass: is the value defined at position i re-read before
     # the next definition of its slot? Only then is the local binding a
     # win (the ``_r`` write happens either way).
     reused = []
-    for i, (_instr, dst, _operands) in enumerate(plan):
+    for i, (_position, _instr, dst, _operands) in enumerate(plan):
         live = False
-        for _later, later_dst, later_operands in plan[i + 1:]:
+        for _at, _later, later_dst, later_operands in plan[i + 1:]:
             if any(kind == "slot" and payload == dst
                    for kind, payload in later_operands):
                 live = True
@@ -415,6 +436,7 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
 
     # Emit pass.
     body = []
+    body_ops = []  # per body statement, the position of its op
     bound = {}  # slot -> local name holding its current value
 
     def operand_expr(operand, copied=False):
@@ -431,7 +453,7 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
             f"else _f.read({ns.literal(regs[payload])}))"
         )
 
-    for (instr, dst, operands), live in zip(plan, reused):
+    for (position, instr, dst, operands), live in zip(plan, reused):
         opcode = instr.opcode
         if opcode in _BINARY_EXPR:
             a, b = operands
@@ -465,16 +487,21 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
             name = f"_s{dst}"
             body.append(f"{name} = {expr}")
             body.append(f"_r[{dst}] = {name}")
+            body_ops += (position, None)
             bound[dst] = name
         else:
             body.append(f"_r[{dst}] = {expr}")
+            body_ops.append(position)
     for slot in sorted(known):
         body.append(f"_r[{slot}] = {ns.literal(known[slot])}")
+        body_ops.append(None)
 
     advance = "+= 1" if end_index is None else f"= {end_index}"
     if not body:
         lines.append(f"{indent}for _t in group:")
         lines.append(f"{indent}    _t.frames[-1].index {advance}")
+        if ops is not None:
+            ops += (None, None)
         return
     lines.append(f"{indent}for _t in group:")
     lines.append(f"{indent}    _f = _t.frames[-1]")
@@ -482,6 +509,8 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent):
     for statement in body:
         lines.append(f"{indent}    {statement}")
     lines.append(f"{indent}    _f.index {advance}")
+    if ops is not None:
+        ops += (None, None, None, *body_ops, None)
 
 
 def _static_cycles(entry):
@@ -508,6 +537,7 @@ def _lower_segment(segment, entries, slots):
     ns = _Namespace()
     fname, bname = segment.fname, segment.bname
     body = []
+    ops = []  # per body line, the segment position of the op it runs
     static_total = 0
     pure = []
     index = segment.start
@@ -527,7 +557,8 @@ def _lower_segment(segment, entries, slots):
             continue
         if pure:
             # Even an all-NOP chunk must advance the frame index.
-            _lower_chunk(pure, index, slots, ns, body, "    ")
+            _lower_chunk(pure, index, slots, ns, body, "    ", ops,
+                         position - len(pure))
             pure = []
         if opcode in (Opcode.BRA, Opcode.CBR) and entry is not entries[-1]:
             raise CodegenVeto(f"{opcode.value} before the end of a trace")
@@ -539,11 +570,12 @@ def _lower_segment(segment, entries, slots):
                 for target in entry.instr.operands[1:]
             ]
             _lower_cbr(entry, slots, ns, body, before, taken)
+            ops += [None] * (len(body) - len(ops))  # it raises nothing
             break
         if opcode is Opcode.BBREAK:
             # Guard: a withdraw must not complete a release, so no lane
             # may be parked on the barrier. The lookup creates no record
-            # (the handler creates it, as _step's issue would).
+            # (the handler creates it, as an unfused issue would).
             barrier = ns.literal(entry.instr.operands[0].name)
             body.append(
                 f"    _b = warp.barriers.barriers_dict().get({barrier})"
@@ -553,18 +585,22 @@ def _lower_segment(segment, entries, slots):
                 "        "
                 + leave(position, (fname, bname, index), static_total)
             )
+            ops += (None, None, None)
         handler = ns.bind("_h", entry.run)
         body.append(f"    _total += {handler}(executor, warp, group)")
+        ops.append(position)
         index += 1
     else:
         if pure:
-            _lower_chunk(pure, index, slots, ns, body, "    ")
+            _lower_chunk(pure, index, slots, ns, body, "    ", ops,
+                         len(entries) - len(pure))
         last = entries[-1]
         if last.opcode is Opcode.BRA:
             end_pc = (fname, last.instr.operands[0].name, 0)
         else:
             end_pc = (fname, bname, index)
         body.append("    " + leave(len(entries), end_pc, static_total))
+        ops.append(None)
     lines = [
         "def _jit_segment(executor, warp, group):",
         "    _total = 0",
@@ -578,6 +614,9 @@ def _lower_segment(segment, entries, slots):
     fn = namespace["_jit_segment"]
     fn.__jit_source__ = f"# jit: segment @{where} n={segment.n}\n{code_source}"
     fn.__jit_segment__ = f"@{where} n={segment.n}"
+    # Source line -> position of the op it runs (None: no op's), for
+    # fused_failure; the first two lines are the def and ``_total = 0``.
+    fn.__jit_ops__ = CODE_CACHE.line_ops((None, None, *ops))
     return fn
 
 
@@ -662,6 +701,73 @@ def lower_op(entry, slots, pc):
     where = "{}/{}:{}".format(*pc)
     exec(CODE_CACHE.code("\n".join(lines) + "\n", where), namespace)  # noqa: S102
     return namespace["_jit_op"]
+
+
+def fused_failure(segment, executor, warp, group, exc):
+    """``(slots, error)`` for a fused run of ``segment`` by ``group`` that
+    raised ``exc``: the slots the reference issues before the failing
+    one, and the error it raises there.
+
+    A handler op (memory, barrier, ``bra``) runs instruction-major, so
+    every lane ran each op before it, and the handler raised the
+    reference's error itself. A pure chunk runs thread-major: the lanes
+    before the failing one ran the whole chunk without error, and the
+    lanes after it none of it. The reference fails at the lowest op
+    index at which any lane reads UNDEF, the lowest lane of that op
+    first. So the chunk's ops before the failing lane's op are replayed
+    through the interpreter, instruction-major, on the lanes after it;
+    then that op on the failing lane alone, once the chunk's folded
+    constants (written only at its end) are in its registers. Either
+    replay raises the reference's error. This runs only on the failure
+    path, and the launch is lost, so the replay may change lane state.
+    """
+    fn = segment.fn
+    tb = exc.__traceback__
+    frame = position = None
+    while tb is not None:
+        if tb.tb_frame.f_code is fn.__code__:
+            frame = tb.tb_frame
+            position = fn.__jit_ops__[tb.tb_lineno - 1]
+        tb = tb.tb_next
+    if position is None:
+        return 0, exc
+    decoded_entry = executor.decoded.entry
+    entries = [
+        decoded_entry((segment.fname, segment.bname, segment.start + i))
+        for i in range(position + 1)
+    ]
+    if entries[position].opcode not in _PURE_OPS:
+        return position, exc
+    lane = frame.f_locals["_t"]
+    start = position
+    while start and entries[start - 1].opcode in _PURE_OPS:
+        start -= 1
+    after = group[[thread is lane for thread in group].index(True) + 1:]
+    # The chunk's fold state before ``position`` (its plan pass).
+    regs_frame = lane.frames[-1]
+    slots = regs_frame.slots
+    known = {}
+    for entry in entries[start:position]:
+        instr = entry.instr
+        if instr.opcode in _NO_REGISTER_EFFECT:
+            continue
+        value = _fold(instr, known, slots)
+        dst = slots[instr.dst.name]
+        if value is _NO_FOLD:
+            known.pop(dst, None)
+        else:
+            known[dst] = value
+    index = start
+    try:
+        while index < position:
+            interpreted(entries[index].instr)(executor, warp, after)
+            index += 1
+        for slot, value in known.items():
+            regs_frame.regs[slot] = value
+        interpreted(entries[position].instr)(executor, warp, [lane])
+    except Exception as error:  # the reference's
+        return index, error
+    return position, exc
 
 
 def lower_segment(segment, entries, slots):

@@ -31,6 +31,7 @@ from repro.simt import memo as launch_memo
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.cta import CTAContext
 from repro.simt.executor import Executor
+from repro.simt.jit import fused_failure
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.scheduler import make_scheduler
@@ -262,57 +263,72 @@ class GPUMachine:
         its slots. In each owed round the warp runs nothing, but it still
         counts one slot and one ``scheduler.consume(1)`` at its own
         position, so every other warp's pick and the issue budget see the
-        reference schedule. The last live warp settles what it owes and
-        runs to completion with segment fusion, since nothing can
+        reference schedule. A segment that fails after running some slots
+        owes those after the first, and the warp's next round then raises
+        the failing slot's error. The last live warp settles what it owes
+        and runs to completion with segment fusion, since nothing can
         interleave with it.
         """
         max_issues = self.max_issues
         profiler = executor.profiler
-        if run_ahead is not None:
-            issue = self._issuer(executor, scheduler, run_ahead)
+        issue = self._issuer(executor, scheduler, run_ahead)
         issues = 0
         owed = {}
+        failing = {}  # warp -> the error its last owed round raises
         live_warps = warps
         try:
             while live_warps:
                 if len(live_warps) == 1 and executor.segment_at is not None:
                     warp = live_warps[0]
                     settled = owed.get(warp, 0)
+                    error = failing.get(warp)
+                    if error is not None:
+                        settled -= 1  # the last owed round fails
                     if settled:
                         scheduler.consume(settled)
                         issues += settled
-                    issues, error = self._run_exclusive(
-                        warp, executor, scheduler, issues, max_issues + 1
-                    )
-                    if error is not None:
-                        return issues, error
+                    if error is None:
+                        issues, error = self._run_exclusive(
+                            warp, executor, scheduler, issues, max_issues + 1
+                        )
                     if issues > max_issues:
                         return max_issues + 1, budget_error(
                             kernel_name, max_issues
                         )
-                    return issues, None
-                progressed = []
+                    return issues, error
+                idle = False
                 for warp in live_warps:
-                    if owed.get(warp):
-                        owed[warp] -= 1
+                    owe = owed.get(warp)
+                    if owe:
+                        if owe == 1 and warp in failing:
+                            return issues, failing[warp]
+                        owed[warp] = owe - 1
                         scheduler.consume(1)
                         issued = True
-                    elif run_ahead is not None:
-                        issued = issue(warp)
+                    else:
+                        try:
+                            issued = issue(warp)
+                        except _FusedFailure as failure:
+                            if not failure.slots:
+                                return issues, failure.error
+                            # This round ran the segment's first slot.
+                            scheduler.consume(1)
+                            issued = 1
+                            owed[warp] = failure.slots
+                            failing[warp] = failure.error
                         if issued > 1:
                             owed[warp] = issued - 1
                             profiler.ahead_instrs += issued - 1
-                    else:
-                        issued = self._step(warp, executor, scheduler)
                     if issued:
                         issues += 1
                         if issues > max_issues:
                             return issues, budget_error(
                                 kernel_name, max_issues
                             )
-                    if not warp.done:
-                        progressed.append(warp)
-                live_warps = progressed
+                    else:
+                        idle = True  # done, or stalled at a ctasync
+                if idle:
+                    live_warps = [warp for warp in live_warps if not warp.done]
         except SimulationError as exc:  # the caller decides when to raise it
             return issues, exc
         return issues, None
@@ -361,10 +377,10 @@ class GPUMachine:
     def _run_exclusive(self, warp, executor, scheduler, issues, limit):
         """Run ``warp`` with segment fusion until it completes or
         ``issues`` reaches ``limit``; returns ``(issues, error)``, where
-        ``error`` is the exception a step or fused segment raised (None
-        if none did) and ``issues`` the count when that step started.
-        Nothing else runs in between, so a fused segment's slots are all
-        accounted at once.
+        ``error`` is the exception a slot raised (None if none did) and
+        ``issues`` the count when that slot started. Nothing else runs in
+        between, so a fused segment's slots are all accounted at once,
+        and so are those a failing segment ran before its failing slot.
         """
         issue = self._issuer(executor, scheduler, executor.segment_at)
         shares_state = scheduler.shares_state
@@ -374,149 +390,237 @@ class GPUMachine:
                 if n > 1 and shares_state:
                     scheduler.consume(n - 1)
                 issues += n
+        except _FusedFailure as failure:
+            # The failing slot is the segment's slot number
+            # ``failure.slots``; the limit may come first.
+            issues += failure.slots
+            return issues, failure.error if issues < limit else None
         except Exception as exc:  # the caller decides when to raise it
             return issues, exc
         return issues, None
 
     def _issuer(self, executor, scheduler, segment_at):
-        """The one fusion rule, shared by :meth:`_run_exclusive` and the
-        interleave's run-ahead: returns ``issue(warp)``, which issues
-        ``warp``'s next slot, fusing the segment ``segment_at`` finds
-        there when it may, and returns the slots run (0 when ``_step``
-        issued nothing).
+        """The one slot function of a launch: returns ``issue(warp)``,
+        which issues ``warp``'s next slot and returns the slots run (0
+        when nothing issued). :meth:`_run_exclusive` and the interleave
+        both issue through it; ``segment_at`` is the segment lookup the
+        caller may fuse through, None for one slot per call.
 
-        A segment that starts at the scheduler's pick runs as one step
-        unless another group sits inside it (``Segment.conflicts``). The
-        pick then stays the same for every slot of the segment
-        (``SchedulerBase.pick``). A policy with shared state
-        (``shares_state``) must pick once per slot, so under it only a
-        lone group fuses. The segment reports the exit it took, and the
-        slots up to that exit are accounted at once, except the
-        scheduler's: ``issue`` consumes the first slot of a policy with
-        shared state, and the caller consumes the rest at their own
-        slots. Everything else — including an exit that ran no slot —
-        falls through to the ordinary per-instruction ``_step``, with
-        the pick already made when the policy is stateless, so the fused
-        schedule is pick-for-pick identical to the slow one.
+        The one fusion rule: a segment that starts at the scheduler's
+        pick runs as one step unless another group sits inside it
+        (``Segment.conflicts``). The pick then stays the same for every
+        slot of the segment (``SchedulerBase.pick``). A policy with
+        shared state (``shares_state``) must pick once per slot, so
+        under it only a lone group fuses. The segment reports the exit
+        it took, and the slots up to that exit are accounted at once,
+        except the scheduler's: ``issue`` consumes the first slot of a
+        policy with shared state, and the caller consumes the rest at
+        their own slots.
+
+        Everything else — including an exit that ran no slot — issues
+        one decoded instruction in the same call, with the pick already
+        made when the policy is stateless, so the fused schedule is
+        pick-for-pick identical to the slow one. The slot attributes
+        itself (``sched.*``), picks, pops the group, runs the decoded
+        entry, retires and records the issue (``Profiler.record``,
+        inlined for a PC already seen), and moves the group by the
+        entry's move report (:class:`~repro.simt.fastpath.
+        DecodedInstruction`): the whole bucket to a static PC, the
+        buckets the handler reported in ``executor.moved``, or, for
+        ``call``, ``ret``, ``exit`` and interpreted entries, thread by
+        thread (``Warp.rebucket``). Each bucket merges into a resident
+        one in lane order. Then it drains the barriers the op handed
+        over in ``executor.touched`` (:func:`_drain`).
+
+        After every issue no barrier of the warp is releasable, and
+        ``warp.table`` equals ``warp.groups()``. A warp with an empty
+        table issues nothing (:meth:`_step`). With the fast path off,
+        ``issue`` is the interpreted reference's slot instead: the same
+        pick, ``Executor.execute``, a re-bucket and the drain.
         """
         program_order = executor.program_order
-        record_segment = executor.profiler.record_segment
+        profiler = executor.profiler
+        pick = scheduler.pick
         shares_state = scheduler.shares_state
-        step = self._step
+        idle = self._step
+        decoded = executor.decoded
+
+        if decoded is None:
+            execute = executor.execute
+
+            def issue(warp):
+                table = warp.table
+                if not table:
+                    idle(warp, executor)
+                    return 0
+                profiler.nonforced_observed += 1
+                pc = pick(table, program_order)
+                group = table.pop(pc)
+                execute(warp, pc, group)
+                warp.rebucket(group)
+                if executor.touched is not None:
+                    _drain(warp, executor)
+                return 1
+
+            return issue
+
+        entry_at = decoded.entry
+        record = profiler.record
+        record_segment = profiler.record_segment
+        pc_stats = profiler.pc_stats
+        # No segment engine this launch (observers attached, or segments
+        # off): no slot can fuse.
+        unfusable = executor.segment_at is None
+        observing = executor.observing
 
         def issue(warp):
             table = warp.table
-            pc = segment = None
-            if len(table) == 1:
-                pc = next(iter(table))
-                segment = segment_at(pc)
-            elif table and not shares_state:
-                pc = scheduler.pick(table, program_order)
-                segment = segment_at(pc)
-                if segment is not None and segment.conflicts(table):
-                    segment = None
-            if segment is not None:
-                group = table[pc]
-                cycles, out = segment.execute(executor, warp, group)
-                n = out.n
-                if n:
-                    if shares_state:
-                        scheduler.consume(1)
-                    for thread in group:
-                        thread.retired += n
-                    record_segment(out, len(group), cycles)
-                    warp.cycles += cycles
-                    # Segment ops cannot park, release, or split, so the
-                    # other groups are untouched: the issued bucket moves
-                    # to the exit's PC.
-                    del table[pc]
-                    insert_bucket(table, out.end_pc, group)
-                    return n
-            # Nothing to fuse here: issue one instruction the ordinary
-            # way (an empty table still routes through _step's
-            # done/deadlock logic). A stateless policy's pick is passed
-            # along; round-robin picks once per slot, in _step.
-            if step(warp, executor, scheduler, None if shares_state else pc):
-                return 1
-            return 0
+            n_groups = len(table)
+            if not n_groups:
+                idle(warp, executor)
+                return 0
+            pc = None
+            if segment_at is not None:
+                segment = None
+                if n_groups == 1:
+                    pc = next(iter(table))
+                    segment = segment_at(pc)
+                elif not shares_state:
+                    pc = pick(table, program_order)
+                    segment = segment_at(pc)
+                    if segment is not None and segment.conflicts(table):
+                        segment = None
+                if segment is not None:
+                    group = table[pc]
+                    try:
+                        cycles, out = segment.execute(executor, warp, group)
+                    except Exception as exc:
+                        raise _FusedFailure(
+                            *fused_failure(segment, executor, warp, group, exc)
+                        ) from None
+                    n = out.n
+                    if n:
+                        if shares_state:
+                            scheduler.consume(1)
+                        for thread in group:
+                            thread.retired += n
+                        record_segment(out, len(group), cycles)
+                        warp.cycles += cycles
+                        # Segment ops cannot park, release, or split, so
+                        # the other groups are untouched: the issued
+                        # bucket moves to the exit's PC.
+                        del table[pc]
+                        insert_bucket(table, out.end_pc, group)
+                        return n
+            # One decoded instruction.
+            if unfusable:
+                profiler.nonforced_observed += 1
+            elif n_groups > 1 and shares_state:
+                # A policy with shared state fuses lone groups only.
+                profiler.nonforced_multi_group += 1
+            if pc is None or shares_state:
+                # Round-robin picks once per slot.
+                pc = pick(table, program_order)
+            # Out of the table while it issues: a ctasync release inserts
+            # the other threads it frees during the issue.
+            group = table.pop(pc)
+            entry = entry_at(pc)
+            cycles = entry.run(executor, warp, group)
+            for thread in group:
+                thread.retired += 1
+            if observing:
+                executor.observe_issue(warp, pc, entry.opcode, group, cycles)
+            stats = pc_stats.get(pc)
+            if stats is None:
+                record(pc, entry.opcode, len(group), cycles,
+                       entry.is_barrier_op)
+            else:
+                stats[0] += 1
+                stats[1] += len(group)
+                stats[2] += cycles
+                profiler.derived = None
+            warp.cycles += cycles
+            move = entry.move
+            if move is not None:
+                if move in table:
+                    insert_bucket(table, move, group)
+                else:
+                    table[move] = group
+            else:
+                moved = executor.moved
+                if moved is None:
+                    warp.rebucket(group)
+                else:
+                    executor.moved = None
+                    for target, bucket in moved:
+                        if bucket:
+                            insert_bucket(table, target, bucket)
+            if executor.touched is not None:
+                _drain(warp, executor)
+            return 1
 
         return issue
 
     # ------------------------------------------------------------------
-    def _step(self, warp, executor, scheduler, pc=None):
-        """Issue one instruction for ``warp``; returns True if issued.
+    def _step(self, warp, executor):
+        """The slot of a warp with no runnable group: nothing issues.
 
-        ``pc`` is the scheduler's pick over the warp's table when the
-        caller already made it (a stateless policy only).
-
-        After every issue no barrier of the warp is releasable, and
-        ``warp.table`` equals ``warp.groups()``. A uniform op cannot park,
-        exit or touch the barrier file, so only its bucket moves. Any
-        other op re-buckets its group, then drains the barriers it handed
-        over in ``executor.touched``: the only ones whose masks it changed
-        in a way that can complete a release (``bssy`` only adds runnable
-        members, and ``cbr``/``bra`` touch no barrier). A drain releases
-        each ready barrier once, since no release can make another
-        barrier releasable (``Warp.drain``).
+        The warp is done when no thread is live. A warp waiting at a
+        ``ctasync`` stalls: the barrier may open here (the exit of a
+        thread in another warp can shrink its membership), and otherwise
+        the warp waits while a sibling warp can still make progress
+        toward it. Any other warp is deadlocked: :class:`DeadlockError`.
         """
-        table = warp.table
-        if not table:
-            if not warp.live_threads():
-                warp.done = True
-                return False
-            cta = executor.cta
-            if cta is not None and cta.has_ctasync_waiters(warp):
-                # CTA-wide barrier: arrival happens in the ctasync handler,
-                # but the *exit* of a thread in another warp can shrink the
-                # membership — re-check release here. When the barrier
-                # cannot open yet, stall (no issue) as long as a sibling
-                # warp can still make progress toward it.
-                if cta.maybe_release():
-                    return False
-                if cta.others_can_progress(warp):
-                    return False
-            waiting = [
-                (t.lane, t.waiting_on) for t in warp.threads if not t.is_exited
-            ]
-            raise DeadlockError(
-                f"warp {warp.warp_id}: no runnable threads and no releasable "
-                f"barrier (conflicting barriers? see Section 4.3). "
-                f"Waiting lanes: {waiting}",
-                warp_id=warp.warp_id,
-                waiting=waiting,
+        if not warp.live_threads():
+            warp.done = True
+            return
+        cta = executor.cta
+        if cta is not None and cta.has_ctasync_waiters(warp):
+            # Arrival happens in the ctasync handler; only the release
+            # is re-checked here.
+            if cta.maybe_release() or cta.others_can_progress(warp):
+                return
+        waiting = [
+            (t.lane, t.waiting_on) for t in warp.threads if not t.is_exited
+        ]
+        raise DeadlockError(
+            f"warp {warp.warp_id}: no runnable threads and no releasable "
+            f"barrier (conflicting barriers? see Section 4.3). "
+            f"Waiting lanes: {waiting}",
+            warp_id=warp.warp_id,
+            waiting=waiting,
+        )
+
+
+class _FusedFailure(Exception):
+    """Raised by an issuer's slot when a fused segment fails: the segment
+    ran ``slots`` slots before its failing one, and the reference raises
+    ``error`` there (:func:`~repro.simt.jit.fused_failure`). The loops
+    account the slots, then raise the error at the failing slot."""
+
+    def __init__(self, slots, error):
+        super().__init__(slots, error)
+        self.slots = slots
+        self.error = error
+
+
+def _drain(warp, executor):
+    """Release what the issue that set ``executor.touched`` (the barriers
+    whose masks it changed in a way that can complete a release) made
+    releasable, and clear it. ``bssy`` only adds runnable members, and
+    ``cbr``/``bra`` touch no barrier, so they never set it. Each ready
+    barrier releases once, since no release can make another barrier
+    releasable (``Warp.drain``)."""
+    touched = executor.touched
+    executor.touched = None
+    on_release = None
+    if executor.observing:
+        on_release = (
+            lambda barrier, lanes: executor.observe_release(
+                warp, barrier, lanes
             )
-        if executor.segment_at is None:
-            # No segment engine this launch (observers attached, or
-            # fastpath/segments off): no slot can fuse.
-            executor.profiler.nonforced_observed += 1
-        elif len(table) > 1 and scheduler.shares_state:
-            # A policy with shared state fuses lone groups only.
-            executor.profiler.nonforced_multi_group += 1
-        if pc is None:
-            pc = scheduler.pick(table, executor.program_order)
-        # Out of the table while it issues: a ctasync release inserts
-        # the other threads it frees during the issue.
-        group = table.pop(pc)
-        executor.execute(warp, pc, group)
-        if executor.issued_uniform:
-            frame = group[0].frames[-1]
-            insert_bucket(
-                table, (frame.fname, frame.block_name, frame.index), group
-            )
-            return True
-        warp.rebucket(group)
-        touched = executor.touched
-        if touched is not None:
-            executor.touched = None
-            on_release = None
-            if executor.observing:
-                on_release = (
-                    lambda barrier, lanes: executor.observe_release(
-                        warp, barrier, lanes
-                    )
-                )
-            warp.drain(touched, on_release)
-        return True
+        )
+    warp.drain(touched, on_release)
 
 
 def check_launch(module, kernel_name, n_threads, args):

@@ -116,8 +116,8 @@ class Profiler:
 
     def __init__(self):
         #: pc -> [issues, active_sum, cycles, opcode, is_barrier_op]; the
-        #: executor bumps the first three in place on every issue after
-        #: the first at that PC (``record`` creates the entry).
+        #: decoded slot bumps the first three in place on every issue
+        #: after the first at that PC (``record`` creates the entry).
         self.pc_stats = {}
         #: segment exit -> [runs, active_sum, cycles]: the fused runs that
         #: left their segment through that exit. ``active_sum`` sums the
@@ -152,8 +152,8 @@ class Profiler:
     def record(self, pc, opcode, active, cycles, is_barrier_op=False):
         """Account one issue of ``opcode`` at ``pc`` with ``active`` lanes.
 
-        ``Executor.execute`` inlines the common case (a PC already seen)
-        as three in-place adds on ``pc_stats``.
+        The decoded slot (``GPUMachine._issuer``) inlines the common case
+        (a PC already seen) as three in-place adds on ``pc_stats``.
         """
         self.derived = None
         stats = self.pc_stats.get(pc)

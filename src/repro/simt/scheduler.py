@@ -108,10 +108,19 @@ class RoundRobinScheduler(SchedulerBase):
         self._counter = 0
 
     def pick(self, groups, program_order):
-        ordered = sorted(groups, key=program_order)
-        choice = ordered[self._counter % len(ordered)]
+        # The rotation is ``sorted(groups, key=program_order)[counter %
+        # len(groups)]``; the first and last positions (every pick of a
+        # table of at most two groups) need no sort.
+        n = len(groups)
+        position = self._counter % n
         self._counter += 1
-        return choice
+        if n == 1:
+            return next(iter(groups))
+        if position == 0:
+            return min(groups, key=program_order)
+        if position == n - 1:
+            return max(groups, key=program_order)
+        return sorted(groups, key=program_order)[position]
 
     def consume(self, n):
         # pick() on a singleton group would have incremented the counter

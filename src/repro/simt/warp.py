@@ -245,6 +245,7 @@ class Warp:
         barrier.release(mask)
         threads = self.threads
         waiting = ThreadState.WAITING
+        runnable = ThreadState.RUNNABLE
         released = []
         for lane_id in lanes_of(mask):
             thread = threads[lane_id]
@@ -253,7 +254,9 @@ class Warp:
                     f"lane {lane_id} released but not waiting "
                     f"(state {thread.state.value})"
                 )
-            thread.unpark()
+            # Thread.unpark, inlined: every released lane passes here.
+            thread.state = runnable
+            thread.waiting_on = None
             released.append(thread)
         self.rebucket(released)
 

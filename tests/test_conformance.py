@@ -57,6 +57,9 @@ from repro.simt import (
 )
 from repro.simt import machine as machine_module
 from repro.simt.executor import Executor
+from repro.simt.profiler import Profiler
+from repro.simt.scheduler import make_scheduler
+from repro.simt.warp import Thread, Warp
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
@@ -464,15 +467,23 @@ class TestGridConformance:
 
 @st.composite
 def ctasync_kernel(draw):
-    """A divergent kernel with a CTA-wide barrier at a drawn position:
-    uniformly before the loop, inside the divergent branch (threads that
-    never take it must shrink the membership by exiting), or after the
-    loop (warps arrive at wildly different times). Optionally the CTA also
+    """A divergent kernel with a CTA-wide barrier at a drawn position
+    (:func:`ctasync_source`)."""
+    return ctasync_source(
+        draw(st.integers(2, 8)),
+        draw(st.floats(0.2, 0.8)),
+        draw(st.sampled_from(["uniform", "divergent", "tail"])),
+        draw(st.booleans()),
+    )
+
+
+def ctasync_source(scale, prob, position, use_shared):
+    """A divergent loop of up to ``scale`` trips with a CTA-wide barrier
+    at ``position``: uniformly before the loop, inside the divergent
+    branch taken with probability ``prob`` (threads that never take it
+    must shrink the membership by exiting), or after the loop (warps
+    arrive at wildly different times). With ``use_shared`` the CTA also
     cooperates through its shared scratchpad across the barrier."""
-    scale = draw(st.integers(2, 8))
-    prob = draw(st.floats(0.2, 0.8))
-    position = draw(st.sampled_from(["uniform", "divergent", "tail"]))
-    use_shared = draw(st.booleans())
     lines = [
         "let t = tid();",
         "let acc = 0.0;",
@@ -627,14 +638,21 @@ class TestGridFuzzConformance:
             GridLaunch(compiled.module, 4, 32, jobs=2).launch("k")
 
 
+#: How the reference words a read of an undefined register.
+UNDEF_READ = "read of undefined register"
+
+
 def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
-                reference=REFERENCE, **machine_kwargs):
+                reference=REFERENCE, undef=False, **machine_kwargs):
     """Launch kernel ``k`` under each of ``engines`` and under
     ``reference``: all must complete bit-identically, or deadlock
     *identically* (same warp, same parked lanes, same post-mortem but for
-    the engine's own ``multiwarp`` and ``jit`` keys). Returns the
-    profilers of ``reference`` and then ``engines``, or None when the
-    kernel deadlocks."""
+    the engine's own ``multiwarp`` and ``jit`` keys). With ``undef``, the
+    kernel may also fail on a read of an undefined register; every engine
+    must then fail identically too (same error type and message, same
+    post-mortem but for those keys). Returns the profilers of
+    ``reference`` and then ``engines``, or None when the kernel deadlocks
+    or fails."""
 
     def post_mortem(exc):
         return {
@@ -656,6 +674,16 @@ def _fuzz_check(module, engines, n_threads=32, machine_cls=GPUMachine,
             assert sorted(exc.value.waiting) == sorted(
                 expected_exc.waiting
             ), engine
+            assert post_mortem(exc.value) == post_mortem(expected_exc), engine
+        return None
+    except SimulationError as expected_exc:
+        if not (undef and str(expected_exc).startswith(UNDEF_READ)):
+            raise
+        for engine in engines:
+            with pytest.raises(SimulationError) as exc:
+                launch(engine)
+            assert type(exc.value) is type(expected_exc), engine
+            assert str(exc.value) == str(expected_exc), engine
             assert post_mortem(exc.value) == post_mortem(expected_exc), engine
         return None
     profilers = [expected.profiler]
@@ -889,17 +917,53 @@ entry:
 """
 
 
+class _AlwaysDrainEntry:
+    """A decoded entry that reports no move and hands the machine every
+    barrier of the warp to drain after it runs."""
+
+    def __init__(self, entry):
+        self.instr = entry.instr
+        self.opcode = entry.opcode
+        self.is_barrier_op = entry.is_barrier_op
+        self.move = None
+        self._entry = entry
+
+    def run(self, executor, warp, group):
+        cycles = self._entry.run(executor, warp, group)
+        executor.moved = None
+        executor.touched = warp.barriers.barriers()
+        return cycles
+
+
+class _AlwaysDrainProgram:
+    """A decoded program whose single-instruction entries are
+    :class:`_AlwaysDrainEntry`; its segments are the wrapped program's."""
+
+    def __init__(self, decoded):
+        self._decoded = decoded
+        self.segment_at = decoded.segment_at
+        self.memory_free_segment_at = decoded.memory_free_segment_at
+
+    def entry(self, pc):
+        return _AlwaysDrainEntry(self._decoded.entry(pc))
+
+
 class _AlwaysDrainExecutor(Executor):
     """Hands the machine every barrier of the warp to drain after every
-    issue and reports it as non-uniform, so the machine re-buckets the
-    group and drains the whole barrier file each time: the schedule from
-    before drains were skipped after uniform ops and narrowed to the
-    barriers an op touched."""
+    unfused issue, decoded or interpreted, with no move report, so the
+    machine re-buckets the group thread by thread and drains the whole
+    barrier file each time: the schedule from before drains were skipped
+    after uniform ops and narrowed to the barriers an op touched, and
+    before handlers reported their moves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.decoded is not None:
+            self.decoded = _AlwaysDrainProgram(self.decoded)
 
     def execute(self, warp, pc, group):
         cycles = super().execute(warp, pc, group)
         self.touched = warp.barriers.barriers()
-        self.issued_uniform = False
         return cycles
 
 
@@ -965,13 +1029,7 @@ def _table_oracle():
             assert warp.table == warp.groups(), warp
             checked.append(warp)
 
-    step = GPUMachine._step
     issuer = GPUMachine._issuer
-
-    def checked_step(self, warp, executor, scheduler, pc=None):
-        issued = step(self, warp, executor, scheduler, pc)
-        check(executor)
-        return issued
 
     def checked_issuer(self, executor, scheduler, segment_at):
         issue = issuer(self, executor, scheduler, segment_at)
@@ -984,7 +1042,8 @@ def _table_oracle():
         return checked_issue
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GPUMachine, "_step", checked_step)
+        # Every slot, fused, decoded or interpreted, issues through an
+        # issuer's closure.
         patch.setattr(GPUMachine, "_issuer", checked_issuer)
         # Launches must simulate, not replay a recorded result.
         clear_module_caches("launch_memo")
@@ -1030,6 +1089,110 @@ class TestGroupTableOracle:
                 except DeadlockError:
                     pass  # ticket-dependent membership can deadlock
             assert checked
+
+
+#: A ``cbr`` on the low bit of ``tid``, and a ``bsync`` in a block that
+#: ``late`` branches back to; :class:`TestMoveReports` places the lanes.
+MOVES = """
+func @k() kernel {
+entry:
+  %t = tid
+  %c = and %t, 1
+  cbr %c, ^odd, ^even
+odd:
+  exit
+even:
+  exit
+sync:
+  bsync $B0
+  exit
+late:
+  bra ^sync
+}
+"""
+
+
+class TestMoveReports:
+    """A decoded handler reports where its group went, and the machine
+    merges each reported bucket into the bucket already at its PC in
+    lane order: one slot, issued by hand, from lanes placed by hand."""
+
+    def _issue_one(self, pcs, before=None):
+        """Place lane ``i`` at ``("k", *pcs[i])``, run ``before(warp)``,
+        issue the oldest group's slot; returns the warp and its
+        ``{block, index: lanes}`` table."""
+        module = parse_module(MOVES)
+        kernel = module.function("k")
+        threads = []
+        for lane, (block, index) in enumerate(pcs):
+            thread = Thread(lane, lane, 0, kernel, (), 2020)
+            frame = thread.frames[-1]
+            frame.block_name, frame.index = block, index
+            frame.regs[frame.slots["c"]] = lane & 1
+            threads.append(thread)
+        warp = Warp(0, threads)
+        cta = CTAContext(cta_dim=len(threads))
+        cta.warps = [warp]
+        executor = Executor(module, GlobalMemory(), DEFAULT_COST_MODEL,
+                            Profiler(), cta=cta)
+        if before is not None:
+            before(warp)
+        with _using(ALL_ON):
+            issue = GPUMachine(module)._issuer(
+                executor, make_scheduler("oldest-first"), None
+            )
+            assert issue(warp) == 1
+        assert warp.table == warp.groups()
+        assert executor.moved is None
+        return warp, {
+            pc[1:]: [thread.lane for thread in group]
+            for pc, group in warp.table.items()
+        }
+
+    def test_cbr_split_merges_into_both_targets(self):
+        pcs = [("entry", 2)] * 4 + [("even", 0), ("odd", 0)] * 2
+        _, table = self._issue_one(pcs)
+        assert table == {("odd", 0): [1, 3, 5, 7], ("even", 0): [0, 2, 4, 6]}
+
+    def test_bsync_passes_non_members_through(self):
+        # Lanes 0 and 2 park; lane 1, the third member, has not arrived,
+        # so the barrier holds. Lanes 5 and 7 are not members.
+        pcs = [("sync", 0), ("late", 0), ("sync", 0), ("sync", 1),
+               ("sync", 1), ("sync", 0), ("sync", 1), ("sync", 0)]
+
+        def join(warp):
+            warp.barriers.get("B0").join(0b111)
+
+        warp, table = self._issue_one(pcs, join)
+        assert table == {("sync", 1): [3, 4, 5, 6, 7], ("late", 0): [1]}
+        assert warp.barriers.get("B0").parked_mask == 0b101
+        assert [t.lane for t in warp.threads if t.waiting_on] == [0, 2]
+
+    def test_every_reporting_entry_reports(self):
+        """``cbr`` and a literal ``bsync`` report per issue; ``exit``
+        reports nothing; every other op here moves by its static PC, a
+        pure op's from its first lone issue on."""
+        module = parse_module(MOVES)
+        decoded = decode_program(module, DEFAULT_COST_MODEL)
+        assert decoded.entry(("k", "entry", 1)).move is None
+        with _using(ENGINES["no-segments"]):
+            GPUMachine(module).launch("k", 32)
+        moves = {
+            (block, index): decoded.entry(("k", block, index)).move
+            for block, index in [("entry", 1), ("entry", 2), ("odd", 0),
+                                 ("sync", 0), ("late", 0)]
+        }
+        assert moves == {
+            ("entry", 1): ("k", "entry", 2),
+            ("entry", 2): None,
+            ("odd", 0): None,
+            ("sync", 0): None,
+            ("late", 0): ("k", "sync", 0),
+        }
+        # A literal bsync has its own closure, not the interpreter's.
+        assert "interpreted" not in (
+            decoded.entry(("k", "sync", 0)).run.__qualname__
+        )
 
 
 class TestDivergentArmsFuse:
@@ -1180,6 +1343,166 @@ class TestTraceExits:
             "read of undefined register %u in @k/entry"
         )
         assert failure(ENGINES["no-segments"]) == expected
+
+
+#: The fused-segment UNDEF kernel: ``%u`` is never written, so the
+#: reference fails at the second ``add``, after two slots.
+FUSED_UNDEF = """
+func @k() kernel {
+entry:
+  %t = tid
+  %x = add %t, 1
+  %y = add %u, 1
+  st %t, %y
+  exit
+}
+"""
+
+#: Lanes 0-3 write only ``%r0`` and read ``%r1`` at the third op of
+#: ``use``; the other lanes write only ``%r1`` and read ``%r0`` at the
+#: second. The fused chunk runs lane 0 first, but the reference fails at
+#: the second op, on lane 4.
+LATER_LANE_FAILS_FIRST = """
+func @k() kernel {
+entry:
+  %t = tid
+  %c = cmplt %t, 4
+  cbr %c, ^a, ^b
+a:
+  %r0 = const 1
+  bra ^use
+b:
+  %r1 = const 2
+  bra ^use
+use:
+  %x = add %t, 1
+  %y = add %x, %r0
+  %z = add %y, %r1
+  st %t, %z
+  exit
+}
+"""
+
+#: The failing op reads a folded constant before the UNDEF register (a
+#: ``sel`` whose folded predicate picks it); the fused chunk writes the
+#: constant only at its end.
+FOLDED_BEFORE_UNDEF = """
+func @k() kernel {
+entry:
+  %t = tid
+  %k = const 0
+  %x = add %t, 1
+  %q = {op}
+  st %t, %q
+  exit
+}
+"""
+
+#: Registers an UNDEF kernel's arms may leave unwritten.
+_UNDEF_POOL = ("r0", "r1", "r2", "r3")
+
+
+@st.composite
+def undef_kernel(draw):
+    """A kernel whose two arms each write a drawn subset of
+    :data:`_UNDEF_POOL` before they merge into one block of pure ops,
+    copies, ``sel``s and stores over that pool, so lanes on either side
+    of the drawn ``tid`` cut may read a register their arm left
+    undefined, each at its own op. An optional shared-cell ``atomadd``
+    keeps a multi-warp launch interleaved."""
+    cut = draw(st.integers(0, MULTIWARP))
+    lines = ["func @k() kernel {", "entry:", "  %t = tid",
+             f"  %c = cmplt %t, {cut}"]
+    if draw(st.booleans()):
+        lines.append("  %w = atomadd 900, 1")
+    lines.append("  cbr %c, ^a, ^b")
+    for arm, value in (("a", "const {}"), ("b", "add %t, {}")):
+        lines.append(f"{arm}:")
+        for reg in draw(st.lists(st.sampled_from(_UNDEF_POOL), unique=True)):
+            op = value.format(draw(st.integers(0, 3)))
+            lines.append(f"  %{reg} = {op}")
+        lines.append("  bra ^use")
+    lines.append("use:")
+    readable = ["t", *_UNDEF_POOL]
+    operand = st.sampled_from(readable)
+    last = "t"
+    for i in range(draw(st.integers(1, 8))):
+        dst = draw(st.sampled_from([f"v{i}", *_UNDEF_POOL]))
+        kind = draw(st.sampled_from(
+            ["add", "mul", "cmplt", "mov", "sel", "fma", "const", "st", "nop"]
+        ))
+        if kind == "st":
+            lines.append(f"  st %t, %{draw(operand)}")
+            continue
+        if kind == "nop":
+            lines.append("  nop")
+            continue
+        if kind == "const":
+            args = str(draw(st.integers(0, 2)))
+        else:
+            arity = {"mov": 1, "sel": 3, "fma": 3}.get(kind, 2)
+            args = ", ".join(f"%{draw(operand)}" for _ in range(arity))
+        lines.append(f"  %{dst} = {kind} {args}")
+        readable.append(dst)
+        last = dst
+    lines += [f"  st %t, %{last}", "  exit", "}"]
+    return "\n".join(lines)
+
+
+class TestFusedUndef:
+    """A fused segment that reads an UNDEF register fails where the
+    reference fails: the lowest op at which any lane reads UNDEF, the
+    lowest lane first, with the same message and post-mortem (``issued``
+    included) on every engine, however the segment's thread-major chunks
+    ran."""
+
+    @pytest.mark.parametrize("n_threads", [32, MULTIWARP])
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_fails_at_the_reference_slot(self, scheduler, n_threads):
+        module = parse_module(FUSED_UNDEF)
+        _fuzz_check(
+            module, [ENGINES[name] for name in sorted(ENGINES)], n_threads,
+            scheduler=scheduler, undef=True,
+        )
+        with _using(ALL_ON), pytest.raises(SimulationError) as excinfo:
+            GPUMachine(module, scheduler=scheduler).launch("k", n_threads)
+        assert excinfo.value.post_mortem["issued"] == 2 * (n_threads // 32)
+        assert str(excinfo.value) == (
+            "read of undefined register %u in @k/entry"
+        )
+
+    @pytest.mark.parametrize("source", [
+        LATER_LANE_FAILS_FIRST,
+        FOLDED_BEFORE_UNDEF.replace("{op}", "add %k, %u"),
+        FOLDED_BEFORE_UNDEF.replace("{op}", "sel %k, %x, %u"),
+    ], ids=["later-lane", "folded-add", "folded-sel"])
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_replay_finds_the_reference_failure(self, source, scheduler):
+        """The failure path replays the chunk: a higher lane that fails
+        at an earlier op wins, and the failing lane reads its folded
+        constants as the reference does."""
+        _fuzz_check(
+            parse_module(source),
+            [ENGINES[name] for name in sorted(set(ENGINES) - {"no-fastpath"})],
+            32, scheduler=scheduler, undef=True,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        source=undef_kernel(),
+        scheduler=st.sampled_from(sorted(SCHEDULERS)),
+        n_threads=st.integers(1, MULTIWARP),
+    )
+    def test_random_undef_reads(self, source, scheduler, n_threads):
+        """Every engine, one to three warps: a kernel completes as the
+        reference does or fails as it does, including under run-ahead
+        (the ``atomadd`` keeps the warps interleaved) and for a lane
+        that fails at an earlier op than a lower lane."""
+        _fuzz_check(
+            parse_module(source),
+            [ENGINES[name] for name in sorted(set(ENGINES) - {"no-fastpath"})],
+            n_threads, scheduler=scheduler, undef=True,
+        )
 
 
 class TestRandomKernelConformance:

@@ -7,6 +7,8 @@ the slot-indexed register files, and the UNDEF sentinel.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import compile_sr
 from repro.engine import current_engine, engine_config
@@ -435,10 +437,54 @@ class TestForcedPick:
         OldestFirstScheduler().consume(100)
 
 
+#: A drawn group table's PCs: two functions, four blocks, six indices.
+_PCS = st.tuples(
+    st.sampled_from(["k", "h"]),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.integers(0, 5),
+)
+
+
+class TestRoundRobinRotation:
+    """Round-robin's pick, which sorts only for an inner position, is the
+    rotation ``sorted(groups, key=program_order)[counter % n]`` over any
+    table and counter, with ``consume`` calls in between."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tables=st.lists(
+            st.lists(_PCS, min_size=1, max_size=7, unique=True),
+            min_size=1, max_size=12,
+        ),
+        block_order=st.permutations(["a", "b", "c", "d"]),
+        start=st.integers(0, 10**6),
+        consumed=st.lists(st.integers(0, 5), min_size=12, max_size=12),
+    )
+    def test_pick_is_the_sorted_rotation(self, tables, block_order, start,
+                                         consumed):
+        position = {block: i for i, block in enumerate(block_order)}
+
+        def program_order(pc):
+            return (pc[0], position[pc[1]], pc[2])
+
+        scheduler = RoundRobinScheduler()
+        scheduler.consume(start)
+        counter = start
+        for pcs, skipped in zip(tables, consumed):
+            groups = {pc: _lanes(1) for pc in pcs}
+            expected = sorted(groups, key=program_order)[
+                counter % len(groups)
+            ]
+            assert scheduler.pick(groups, program_order) == expected
+            scheduler.consume(skipped)
+            counter += 1 + skipped
+
+
 class TestPickOnce:
     """The machine asks the scheduler once per slot: a slot
-    ``_run_exclusive`` picked and could not fuse is issued by ``_step``
-    with that pick, and round-robin's rotation moves once per slot."""
+    ``_run_exclusive`` picked and could not fuse is issued in the same
+    call with that pick, and round-robin's rotation moves once per
+    slot."""
 
     def _launch(self, scheduler, monkeypatch):
         made = []
