@@ -26,8 +26,6 @@ class Function:
         self._reg_counter = 0
         self._block_counter = 0
         self.attrs = {}
-        # (token, {name: slot}) cache for reg_slots(); see below.
-        self._reg_slots = None
 
     # ------------------------------------------------------------------
     # Blocks
@@ -101,19 +99,12 @@ class Function:
         Covers the parameters and every register defined or used anywhere
         in the function, in first-appearance order (params first), so a
         frame's register file can be a fixed-size list indexed by slot
-        instead of a name-keyed dict. Cached against a cheap structural
-        token; rebuilding blocks or minting new registers invalidates it.
-        In-place operand mutation is not tracked — passes run on clones,
-        the same contract the decode cache relies on.
+        instead of a name-keyed dict. Built afresh on each call: the
+        simulator asks once per (module, function) and keeps the map in
+        the module's ``"launch_template"`` cache
+        (:func:`repro.simt.warp.frame_templates`), which a structure
+        change empties with the decode cache.
         """
-        token = (
-            len(self.blocks),
-            sum(len(block.instructions) for block in self.blocks),
-            self._reg_counter,
-        )
-        cached = self._reg_slots
-        if cached is not None and cached[0] == token:
-            return cached[1]
         slots = {}
         for param in self.params:
             if param.name not in slots:
@@ -126,7 +117,6 @@ class Function:
                 for operand in instr.uses():
                     if operand.name not in slots:
                         slots[operand.name] = len(slots)
-        self._reg_slots = (token, slots)
         return slots
 
     # ------------------------------------------------------------------
@@ -270,9 +260,10 @@ def module_cache(module, layer, build=dict):
 
     Every engine layer that memoizes work per module keeps it here:
     compiled programs (``"compile"``), decoded programs (``"decode"``),
-    the launch memo's entry table (``"launch_memo"``), launch
-    classifications (``"launch_class"``), CTA coupling
-    (``"cta_coupled"``) and program order (``"program_order"``).
+    each function's register slots, parameter slots and entry PC
+    (``"launch_template"``), the launch memo's entry table
+    (``"launch_memo"``), launch classifications (``"launch_class"``), CTA
+    coupling (``"cta_coupled"``) and program order (``"program_order"``).
 
     The caches are keyed weakly by module, so they die with it, and all
     its layers are emptied together when its :func:`structure_token`

@@ -25,6 +25,7 @@ from repro.obs.events import (
 from repro.obs.sinks import NULL_SINK
 from repro.simt.barrier_state import ALL_MEMBERS
 from repro.simt.cta import CTASYNC_BARRIER
+from repro.simt.warp import frame_templates
 
 _WARPSYNC_BARRIER = "__warpsync__"
 
@@ -170,6 +171,10 @@ class Executor:
                 and not self.observing):
             self.segment_at = self.decoded.segment_at
             self.memory_free_segment_at = self.decoded.memory_free_segment_at
+        # Each function's frame template (register slots, parameter
+        # slots, entry PC): the launch builds its threads from the
+        # kernel's, and a call frame from the callee's.
+        self.templates = frame_templates(module)
         # Program order for scheduler picks and tie-breaking:
         # pc -> (function, block position, index), built once per PC and
         # kept in the module's cache across launches.
@@ -381,13 +386,11 @@ class Executor:
                 pred = self._value(thread, instr.operands[0])
                 thread.jump(true_target if _truthy(pred) else false_target)
         elif opcode is Opcode.CALL:
-            callee = self.module.function(instr.operands[0].name)
+            callee = self.templates[instr.operands[0].name]
             args = instr.operands[1:]
             for thread in group:
                 values = [self._value(thread, arg) for arg in args]
-                thread.push_frame(callee, instr.dst)
-                for param, value in zip(callee.params, values):
-                    thread.frame.write(param, value)
+                thread.push_frame(callee, values, instr.dst)
         elif opcode is Opcode.RET:
             touched = set()
             for thread in group:

@@ -9,8 +9,9 @@ This module flattens each basic block once into a dense tuple of
 :class:`DecodedInstruction` records, each carrying the static issue
 latency from the cost model and a ``run`` handler. Register operands
 resolve at decode time to *slot indices* in the owning function's
-register allocation (:meth:`repro.ir.function.Function.reg_slots`), so a
-register access is a single C-speed list index — no name hashing at all.
+register allocation, the slot map its frames are laid out by
+(:class:`repro.simt.warp.FrameTemplate`), so a register access is a
+single C-speed list index — no name hashing at all.
 The warp issue loop then becomes a table lookup plus one handler call
 per issue (``GPUMachine._issuer``).
 
@@ -84,7 +85,7 @@ from repro.simt.costs import cost_key
 from repro.simt.executor import interpreted
 from repro.simt.jit import _PURE_OPS, lower_op
 from repro.simt.segments import SegmentTable
-from repro.simt.warp import UNDEF, ThreadState
+from repro.simt.warp import UNDEF, ThreadState, frame_templates
 
 __all__ = [
     "DecodedInstruction",
@@ -259,10 +260,14 @@ def _decode_cbr(instr, latency, slots, fname):
 
 
 def _decode_exit(latency):
+    exited_state = ThreadState.EXITED
+
     def run(executor, warp, group):
         exited = 0
         for thread in group:
-            thread.exit()
+            # Thread.exit, inlined: every thread of a launch passes here.
+            thread.frames.clear()
+            thread.state = exited_state
             exited |= 1 << thread.lane
         executor.touched = warp.barriers.withdraw_from_all(exited) or None
         return latency
@@ -431,6 +436,9 @@ class DecodedProgram:
         # Weak: the program lives in its module's cache, so a strong
         # reference here would keep the module alive forever.
         self._module = weakref.ref(module)
+        # Register operands resolve against the slot maps the frames are
+        # laid out by (the module's "launch_template" cache).
+        self._templates = frame_templates(module)
         self.cost_model = cost_model
         self._blocks = {}    # (function name, block name) -> tuple of decoded
         self._segments = {}  # (function name, block name) -> SegmentTable
@@ -467,18 +475,14 @@ class DecodedProgram:
             if entries is None:
                 entries = self._decode_block(function, block)
             table = SegmentTable(
-                function,
-                block,
-                entries,
-                self._module().function(function).reg_slots(),
+                function, block, entries, self._templates[function].slots
             )
             self._segments[(function, block)] = table
         return table
 
     def _decode_block(self, function, block):
-        module = self._module()
-        fn = module.function(function)
-        slots = fn.reg_slots()
+        fn = self._module().function(function)
+        slots = self._templates[function].slots
         entries = tuple(
             _decode_instruction(
                 instr, self.cost_model, slots, (function, block, index)

@@ -35,7 +35,7 @@ from repro.simt.jit import fused_failure
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.scheduler import make_scheduler
-from repro.simt.warp import WARP_SIZE, Thread, Warp, insert_bucket
+from repro.simt.warp import WARP_SIZE, insert_bucket, launch_warps
 
 #: Issue-slot budget shared by every execution engine (GPU, stack,
 #: single-thread reference) so runaway-loop detection behaves the same
@@ -104,7 +104,7 @@ class GPUMachine:
         self.metrics = metrics
 
     def launch(self, kernel_name, n_threads, args=(), memory=None, cta=None):
-        kernel = check_launch(self.module, kernel_name, n_threads, args)
+        check_launch(self.module, kernel_name, n_threads, args)
         memory = memory if memory is not None else GlobalMemory()
         # A flat launch this process has already simulated returns the
         # recorded result (repro.simt.memo); grid CTAs always simulate.
@@ -140,21 +140,11 @@ class GPUMachine:
         # Grid launches offset tids and warp ids by the CTA's global bases,
         # so RNG streams and warp identity match the equivalent flat launch
         # of the whole grid (both are zero for a flat launch).
-        tid_base = cta.tid_base
-        warp_base = cta.warp_base
-        warps = []
-        all_threads = []
-        for base in range(0, n_threads, WARP_SIZE):
-            warp_id = warp_base + base // WARP_SIZE
-            threads = [
-                Thread(
-                    tid_base + tid, tid - base, warp_id, kernel, args,
-                    self.seed,
-                )
-                for tid in range(base, min(base + WARP_SIZE, n_threads))
-            ]
-            warps.append(Warp(warp_id, threads))
-            all_threads.extend(threads)
+        warps = launch_warps(
+            executor.templates[kernel_name], args, n_threads, self.seed,
+            cta.tid_base, cta.warp_base,
+        )
+        all_threads = [thread for warp in warps for thread in warp.threads]
         cta.warps = warps
 
         run_ahead = None

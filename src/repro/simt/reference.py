@@ -42,10 +42,13 @@ def run_reference_thread(
     profiler = Profiler()
     executor = Executor(module, memory, DEFAULT_COST_MODEL, profiler)
     warp_id = tid // WARP_SIZE
-    thread = Thread(tid, tid % WARP_SIZE, warp_id, kernel, args, seed)
+    template = executor.templates[kernel_name]
+    thread = Thread(
+        tid, tid % WARP_SIZE, warp_id, template, template.fill(args), seed
+    )
     # A warp containing just this thread; barrier releases are handled
     # below (never through Warp.release, which indexes lanes positionally).
-    warp = Warp(warp_id, [thread])
+    warp = Warp(warp_id, [thread], template.pc)
 
     issues = 0
     while not thread.is_exited:

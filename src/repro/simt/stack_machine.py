@@ -38,7 +38,7 @@ from repro.simt.machine import (
 )
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
-from repro.simt.warp import WARP_SIZE, Thread, Warp
+from repro.simt.warp import launch_warps
 
 
 @dataclass
@@ -89,7 +89,7 @@ class StackGPUMachine:
         self._rpcs = _ReconvergenceTable(module)
 
     def launch(self, kernel_name, n_threads, args=(), memory=None):
-        kernel = check_launch(self.module, kernel_name, n_threads, args)
+        check_launch(self.module, kernel_name, n_threads, args)
         memory = memory if memory is not None else GlobalMemory()
         profiler = Profiler()
         metrics = LaunchMetrics() if self.metrics else None
@@ -100,19 +100,13 @@ class StackGPUMachine:
             sink=sink, metrics=metrics,
         )
 
-        all_threads = []
-        warps = []
+        warps = launch_warps(
+            executor.templates[kernel_name], args, n_threads, self.seed
+        )
+        all_threads = [thread for warp in warps for thread in warp.threads]
         issues = 0
         try:
-            for base in range(0, n_threads, WARP_SIZE):
-                warp_id = base // WARP_SIZE
-                threads = [
-                    Thread(tid, tid - base, warp_id, kernel, args, self.seed)
-                    for tid in range(base, min(base + WARP_SIZE, n_threads))
-                ]
-                warp = Warp(warp_id, threads)
-                warps.append(warp)
-                all_threads.extend(threads)
+            for warp in warps:
                 issues = self._run_warp(warp, executor, kernel_name, issues)
         except SimulationError as exc:
             abort_launch(exc, kernel_name, n_threads, profiler, sink)

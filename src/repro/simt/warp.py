@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 import operator
+import weakref
 
 from repro.errors import SimulationError
+from repro.ir.function import module_cache
 from repro.simt.barrier_state import BarrierFile, lanes_of
 from repro.simt.rng import XorShift32
 
@@ -63,26 +65,81 @@ class _Undef:
 #: The shared undefined-register sentinel (one instance, compared by ``is``).
 UNDEF = _Undef()
 
+_RUNNABLE = ThreadState.RUNNABLE
+
+
+class FrameTemplate:
+    """What every frame of one function starts from, worked out once per
+    (module, function) (:func:`frame_templates`): the register slot map,
+    a fresh register file, the parameters' slots and the entry PC.
+
+    The slot map is :meth:`repro.ir.function.Function.reg_slots`, and the
+    decoder resolves register operands against this same map
+    (:class:`repro.simt.fastpath.DecodedProgram`), so a frame's register
+    file and the decoded code always agree.
+    """
+
+    __slots__ = ("fname", "entry", "slots", "regs", "param_slots", "pc")
+
+    def __init__(self, function):
+        self.fname = function.name
+        self.entry = function.entry.name
+        self.slots = slots = function.reg_slots()
+        self.regs = [UNDEF] * len(slots)
+        self.param_slots = tuple(slots[param.name] for param in function.params)
+        self.pc = (self.fname, self.entry, 0)
+
+    def fill(self, values):
+        """A fresh register file with the parameters set to ``values``."""
+        regs = self.regs.copy()
+        for slot, value in zip(self.param_slots, values):
+            regs[slot] = value
+        return regs
+
+
+class _FrameTemplates(dict):
+    """function name -> :class:`FrameTemplate` of one module, each built
+    on its first lookup."""
+
+    def __init__(self, module):
+        super().__init__()
+        # Weak: this lives in its module's cache (the lifetime rule of
+        # repro.ir.function.module_cache).
+        self._module = weakref.ref(module)
+
+    def __missing__(self, name):
+        template = self[name] = FrameTemplate(self._module().function(name))
+        return template
+
+
+def frame_templates(module):
+    """The :class:`FrameTemplate` of each function of ``module``, keyed by
+    name, in the module's ``"launch_template"`` cache: the kernel's for a
+    launch, a callee's for a call frame. A structure change of the module
+    empties it together with the decode cache, whose slots it matches."""
+    return module_cache(
+        module, "launch_template", lambda: _FrameTemplates(module)
+    )
+
 
 class Frame:
     """One activation record: function, PC, registers, return linkage.
 
     The register file is a fixed-size list indexed by the function's
-    decode-time slot allocation (:meth:`repro.ir.function.Function.reg_slots`)
-    — a C-speed list index per access instead of a hashed dict lookup.
+    decode-time slot allocation (``FrameTemplate.slots``) — a C-speed
+    list index per access instead of a hashed dict lookup.
     """
 
-    __slots__ = ("function", "fname", "block_name", "index", "regs", "slots",
-                 "ret_dst")
+    __slots__ = ("fname", "block_name", "index", "regs", "slots", "ret_dst")
 
-    def __init__(self, function, block_name, index=0, ret_dst=None):
-        self.function = function
-        self.fname = function.name  # cached: read once per issue per lane
-        self.block_name = block_name
-        self.index = index
-        slots = function.reg_slots()
-        self.slots = slots
-        self.regs = [UNDEF] * len(slots)
+    def __init__(self, template, regs, ret_dst=None):
+        """A frame at the entry of ``template``'s function, owning
+        ``regs`` (a register file laid out by ``template.slots``)."""
+        self.fname = template.fname  # read once per issue per lane
+        self.block_name = template.entry
+        self.index = 0
+        self.regs = regs
+        self.slots = template.slots
         self.ret_dst = ret_dst
 
     def pc(self):
@@ -104,18 +161,33 @@ class Frame:
 class Thread:
     """One SIMT thread (lane) with its call stack and RNG stream."""
 
-    def __init__(self, tid, lane, warp_id, kernel, args, seed):
+    __slots__ = ("tid", "lane", "warp_id", "state", "frames", "waiting_on",
+                 "store_trace", "retired", "seed", "_rng")
+
+    def __init__(self, tid, lane, warp_id, template, regs, seed):
+        """A runnable thread at the entry of ``template``'s function, its
+        frame holding a copy of ``regs`` (the launch's register file,
+        arguments filled in once by :meth:`FrameTemplate.fill`)."""
         self.tid = tid
         self.lane = lane
         self.warp_id = warp_id
-        self.state = ThreadState.RUNNABLE
-        self.rng = XorShift32(seed, tid)
-        self.frames = [Frame(kernel, kernel.entry.name)]
-        for param, value in zip(kernel.params, args):
-            self.frames[0].write(param, value)
+        self.state = _RUNNABLE
+        self.frames = [Frame(template, regs.copy())]
         self.waiting_on = None       # barrier name while WAITING
         self.store_trace = []        # (addr, value) pairs, for result checks
         self.retired = 0             # per-thread executed instruction count
+        self.seed = seed
+        self._rng = None
+
+    @property
+    def rng(self):
+        """The thread's stream, ``XorShift32(seed, tid)``, seeded on its
+        first use (the thread's first ``rand``): most kernels never draw,
+        and the stream does not depend on when it is seeded."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = XorShift32(self.seed, self.tid)
+        return rng
 
     @property
     def frame(self):
@@ -133,10 +205,11 @@ class Thread:
         self.frame.block_name = block_name
         self.frame.index = 0
 
-    def push_frame(self, function, ret_dst):
-        # The caller's frame stays at the call instruction; the return path
-        # advances it past the call.
-        self.frames.append(Frame(function, function.entry.name, ret_dst=ret_dst))
+    def push_frame(self, template, values, ret_dst):
+        """Call ``template``'s function with arguments ``values``. The
+        caller's frame stays at the call instruction; the return path
+        advances it past the call."""
+        self.frames.append(Frame(template, template.fill(values), ret_dst))
 
     def pop_frame(self, value=None):
         """Return from the current function; returns True if thread exited."""
@@ -174,16 +247,42 @@ class Thread:
         return f"<Thread tid={self.tid} lane={self.lane} {self.state.value}>"
 
 
+def launch_warps(template, args, n_threads, seed, tid_base=0, warp_base=0):
+    """The warps of a launch of ``n_threads`` threads of ``template``'s
+    kernel with ``args``: the one place a launch builds its threads.
+
+    The arguments are filled into one register file, which each thread
+    copies. Tids and warp ids count from ``tid_base`` and ``warp_base``
+    (a CTA's global bases; zero for a flat launch), so RNG streams and
+    warp identity match the flat launch of the whole grid. Every thread
+    starts runnable at the entry PC, so each warp's first table is one
+    bucket there.
+    """
+    regs = template.fill(args)
+    pc = template.pc
+    warps = []
+    for base in range(0, n_threads, WARP_SIZE):
+        warp_id = warp_base + base // WARP_SIZE
+        threads = [
+            Thread(tid_base + tid, tid - base, warp_id, template, regs, seed)
+            for tid in range(base, min(base + WARP_SIZE, n_threads))
+        ]
+        warps.append(Warp(warp_id, threads, pc))
+    return warps
+
+
 class Warp:
     """A co-scheduled group of up to WARP_SIZE threads.
 
     ``table`` is the warp's group table, ``{pc: [runnable threads in lane
-    order]}``, valid at every issue boundary. The machine patches it
-    after each issue from the issued group only (:meth:`rebucket`), and a
-    barrier release inserts the released lanes at their resume PCs.
+    order]}``, valid at every issue boundary. It starts as one bucket of
+    all ``threads`` at ``pc``, where a launch's fresh threads all stand
+    (:func:`launch_warps`). The machine patches it after each issue from
+    the issued group only (:meth:`rebucket`), and a barrier release
+    inserts the released lanes at their resume PCs.
     """
 
-    def __init__(self, warp_id, threads):
+    def __init__(self, warp_id, threads, pc):
         if len(threads) > WARP_SIZE:
             raise SimulationError(f"warp of {len(threads)} threads (max {WARP_SIZE})")
         self.warp_id = warp_id
@@ -191,7 +290,7 @@ class Warp:
         self.barriers = BarrierFile()
         self.cycles = 0
         self.done = False
-        self.table = self.groups()
+        self.table = {pc: list(threads)}
 
     def lane(self, lane_id):
         return self.threads[lane_id]
@@ -201,11 +300,9 @@ class Warp:
 
     def groups(self):
         """Runnable threads grouped by PC, as {pc: [threads by lane]},
-        rescanned from every thread: the warp's first table, and the
-        oracle the patched ``table`` must always equal (the tests check
-        it after every issue)."""
-        # Runs once per warp of every launch, so the PC tuple is built
-        # inline rather than through Thread.pc()/Frame.pc().
+        rescanned from every thread: the oracle the patched ``table``
+        must always equal (the tests check it before the first issue and
+        after every issue)."""
         groups = {}
         lookup = groups.get
         runnable = ThreadState.RUNNABLE

@@ -59,7 +59,7 @@ from repro.simt import machine as machine_module
 from repro.simt.executor import Executor
 from repro.simt.profiler import Profiler
 from repro.simt.scheduler import make_scheduler
-from repro.simt.warp import Thread, Warp
+from repro.simt.warp import frame_templates, launch_warps
 from repro.simt.reference import run_reference_thread
 from repro.workloads import get_workload
 from tests.test_properties import random_kernel
@@ -1018,10 +1018,11 @@ class TestBarrierDrainConformance:
 
 @contextmanager
 def _table_oracle():
-    """Assert, after every issue of every ``GPUMachine`` launch in the
-    block (fused or not), that each warp's patched group table equals a
-    fresh ``Warp.groups()`` rescan. Yields the list of warps checked, one
-    entry per check."""
+    """Assert, before the first issue and after every issue of every
+    ``GPUMachine`` launch in the block (fused or not), that each warp's
+    group table equals a fresh ``Warp.groups()`` rescan: the launch's
+    first table (one bucket at the entry PC), then the patched ones.
+    Yields the list of warps checked, one entry per check."""
     checked = []
 
     def check(executor):
@@ -1032,6 +1033,8 @@ def _table_oracle():
     issuer = GPUMachine._issuer
 
     def checked_issuer(self, executor, scheduler, segment_at):
+        # A launch builds its issuer before its first issue.
+        check(executor)
         issue = issuer(self, executor, scheduler, segment_at)
 
         def checked_issue(warp):
@@ -1075,7 +1078,9 @@ class TestGroupTableOracle:
     @pytest.mark.parametrize("engine", sorted(ORACLE_ENGINES))
     @settings(max_examples=4, deadline=None)
     @given(
-        program=random_kernel(allow_atomics=True),
+        program=st.booleans().flatmap(
+            lambda sync: random_kernel(allow_atomics=True, ticket_sync=sync)
+        ),
         n_threads=st.integers(1, MULTIWARP),
     )
     def test_random_kernels(self, engine, program, n_threads):
@@ -1122,16 +1127,15 @@ class TestMoveReports:
         issue the oldest group's slot; returns the warp and its
         ``{block, index: lanes}`` table."""
         module = parse_module(MOVES)
-        kernel = module.function("k")
-        threads = []
-        for lane, (block, index) in enumerate(pcs):
-            thread = Thread(lane, lane, 0, kernel, (), 2020)
+        (warp,) = launch_warps(
+            frame_templates(module)["k"], (), len(pcs), 2020
+        )
+        for thread, (block, index) in zip(warp.threads, pcs):
             frame = thread.frames[-1]
             frame.block_name, frame.index = block, index
-            frame.regs[frame.slots["c"]] = lane & 1
-            threads.append(thread)
-        warp = Warp(0, threads)
-        cta = CTAContext(cta_dim=len(threads))
+            frame.regs[frame.slots["c"]] = thread.lane & 1
+        warp.table = warp.groups()
+        cta = CTAContext(cta_dim=len(pcs))
         cta.warps = [warp]
         executor = Executor(module, GlobalMemory(), DEFAULT_COST_MODEL,
                             Profiler(), cta=cta)
@@ -1537,6 +1541,35 @@ class TestRandomKernelConformance:
         # Fusion on and off: the fuzzer reaches shapes the corpus lacks
         # (soft thresholds mid-block, calls splitting runs).
         _fuzz_check(compiled.module, [ALL_ON, ENGINES["no-segments"]])
+
+    def test_ticket_deadlocks_match_reference(self):
+        """``random_kernel(ticket_sync=True)`` over a fixed, derandomized
+        example set, at one and three warps under every scheduler: every
+        engine completes bit-identically with the reference or deadlocks
+        identically (same warp, same parked lanes, same post-mortem), with
+        the group table checked after every issue. At least one example
+        deadlocks, so the deadlock identity check runs on fuzzed kernels."""
+        engines = [ENGINES[name] for name in sorted(ENGINES)
+                   if ENGINES[name] is not REFERENCE]
+        deadlocked = []
+
+        @settings(max_examples=6, deadline=None, derandomize=True,
+                  database=None)
+        @given(random_kernel(allow_atomics=True, ticket_sync=True))
+        def check(program):
+            compiled = compile_sr(lower_program(program))
+            for scheduler in sorted(SCHEDULERS):
+                for n_threads in (32, MULTIWARP):
+                    profilers = _fuzz_check(
+                        compiled.module, engines, n_threads,
+                        scheduler=scheduler,
+                    )
+                    deadlocked.append(profilers is None)
+
+        with _table_oracle() as checked:
+            check()
+        assert checked
+        assert any(deadlocked)
 
     @settings(max_examples=10, deadline=None)
     @given(random_kernel(allow_atomics=True))

@@ -22,7 +22,9 @@ from repro.simt import (
     GPUMachine,
     GridLaunch,
     SharedMemory,
+    XorShift32,
 )
+from repro.simt import warp as warp_module
 
 DIVERGENT = """
 kernel k() {
@@ -451,3 +453,74 @@ class TestGridResult:
         flat = GPUMachine(module, seed=1).launch("k", 64)
         assert a.store_traces() == flat.store_traces()
         assert a.store_traces() != b.store_traces()
+
+
+#: Two draws per thread, so the checks see the stream, not only its start.
+RAND_TWICE = """
+kernel k() {
+    let t = tid();
+    store(t, rand());
+    store(t + 1000, rand());
+}
+"""
+
+
+def _draws(seed, n_threads):
+    """Each thread's two stores, drawn from ``XorShift32(seed, tid)``."""
+    draws = {}
+    for tid in range(n_threads):
+        rng = XorShift32(seed, tid)
+        draws[tid] = [(tid, rng.uniform()), (tid + 1000, rng.uniform())]
+    return draws
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """The ``(seed, tid)`` of every thread stream seeded since the test
+    started."""
+    built = []
+
+    class Counting(XorShift32):
+        __slots__ = ()
+
+        def __init__(self, seed, tid=0):
+            built.append((seed, tid))
+            super().__init__(seed, tid)
+
+    monkeypatch.setattr(warp_module, "XorShift32", Counting)
+    return built
+
+
+class TestLazyRng:
+    """A thread seeds its stream, ``XorShift32(seed, global tid)``, on its
+    first ``rand`` and never before: the draws are the ones a stream
+    seeded at thread creation would give, in a flat launch and in a grid
+    launch run serially or sharded, and a launch that never draws seeds
+    nothing. The interpreter and the generated code both read
+    ``Thread.rng``; the process-config cases run under each CI leg's
+    ``REPRO_*`` environment."""
+
+    @pytest.mark.parametrize("engine", [
+        None, {"fastpath": False}, {"segments": False},
+    ], ids=["process", "interpreted", "unfused"])
+    def test_flat_launch_draws(self, seeded, engine):
+        module = compile_kernel_source(RAND_TWICE)
+        with engine_config(**(engine or {})):
+            result = GPUMachine(module, seed=11).launch("k", 96)
+        assert result.store_traces() == _draws(11, 96)
+        assert sorted(seeded) == [(11, tid) for tid in range(96)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_launch_draws(self, jobs):
+        """Serial, and sharded across two workers unless the process
+        config turns sharding off (the ``REPRO_GRID=0`` leg)."""
+        module = compile_kernel_source(RAND_TWICE)
+        result = GridLaunch(module, 4, 32, jobs=jobs, seed=11).launch("k")
+        assert result.sharded == (jobs > 1 and current_engine().grid)
+        assert result.store_traces() == _draws(11, 128)
+
+    def test_launch_without_rand_seeds_nothing(self, seeded):
+        module = _divergent_module()
+        GPUMachine(module).launch("k", 96)
+        GridLaunch(module, 4, 32, jobs=1).launch("k")
+        assert seeded == []

@@ -1,8 +1,8 @@
 """The per-module cache (:func:`repro.ir.function.module_cache`).
 
-Compiled programs, decoded programs, the launch memo's entry table,
-launch classifications, CTA coupling and program order all live in their
-module's cache. These tests pin its one invalidation rule (a structure
+Compiled programs, decoded programs, frame templates, the launch memo's
+entry table, launch classifications, CTA coupling and program order all
+live in their module's cache. These tests pin its one invalidation rule (a structure
 change empties every layer) and its one lifetime rule (the caches die
 with their module).
 """
@@ -17,11 +17,14 @@ from repro.analysis import memeffects
 from repro.core.program_cache import compile_cached
 from repro.engine import engine_config
 from repro.ir import function as ir_function
-from repro.ir.function import clear_module_caches, module_cache
+from repro.ir import format_module, parse_module
+from repro.ir.function import Function, clear_module_caches, module_cache
+from repro.ir.instructions import Imm, Instruction, Opcode, Reg
 from repro.obs import counters as obs_counters
 from repro.simt import DEFAULT_COST_MODEL, GPUMachine
 from repro.simt import memo as launch_memo
 from repro.simt.fastpath import decode_program
+from repro.simt.warp import frame_templates
 
 KERNEL = """
 kernel k() {
@@ -75,6 +78,7 @@ class TestInvalidation:
         assert len(classified) == 1
         table = module_cache(module, "launch_memo")
         order = module_cache(module, "program_order")
+        templates = frame_templates(module)
         _, moved = _launch(module)
         assert moved["launch.memo_hits"] == 1
 
@@ -88,6 +92,7 @@ class TestInvalidation:
         assert len(classified) == 2
         assert module_cache(module, "launch_memo") is not table
         assert module_cache(module, "program_order") is not order
+        assert frame_templates(module) is not templates
         assert again.cycles == first.cycles
         assert again.memory.snapshot() == first.memory.snapshot()
 
@@ -124,6 +129,7 @@ class TestLifetime:
                 compiled,
                 compiled.module,
                 decode_program(compiled.module, DEFAULT_COST_MODEL),
+                frame_templates(compiled.module),
             )
         ]
         assert len(ir_function._MODULE_CACHES) == held + 2
@@ -133,3 +139,125 @@ class TestLifetime:
         assert [ref() for ref in refs] == [None] * len(refs)
         assert len(ir_function._MODULE_CACHES) == held
         assert launch_memo.stats()["programs"] == programs
+
+
+#: A kernel calling a device function; TestLaunchTemplate edits both.
+CALLS = """
+func @f(%x) {
+entry:
+  %y = mul %x, 2
+  ret %y
+}
+
+func @k(%base) kernel {
+entry:
+  %t = tid
+  %a = add %t, %base
+  %r = call @f, %a
+  st %t, %r
+  exit
+}
+"""
+
+
+@pytest.fixture
+def slot_maps(monkeypatch):
+    """The functions whose slot map was built since the test started."""
+    built = []
+    reg_slots = Function.reg_slots
+
+    def counting(function):
+        built.append(function.name)
+        return reg_slots(function)
+
+    monkeypatch.setattr(Function, "reg_slots", counting)
+    return built
+
+
+def _reference(module, kernel, n_threads, args=()):
+    """The interpreted reference's launch of ``module`` parsed afresh."""
+    with engine_config(fastpath=False):
+        return GPUMachine(parse_module(format_module(module))).launch(
+            kernel, n_threads, args
+        )
+
+
+def _observed(result):
+    return result.store_traces(), result.retired_per_thread(), result.cycles
+
+
+class TestLaunchTemplate:
+    """A launch builds its threads, and a call its frames, from the
+    function's template in the ``"launch_template"`` layer: one slot map
+    per function per module structure, whatever the thread count."""
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_one_slot_map_per_function(self, slot_maps, fastpath):
+        module = parse_module(CALLS)
+        with engine_config(fastpath=fastpath):
+            machine = GPUMachine(module)
+            result = machine.launch("k", N_THREADS, (5,))
+            machine.launch("k", 2 * N_THREADS, (7,))
+        assert sorted(slot_maps) == ["f", "k"]
+        assert result.store_traces() == {
+            tid: [(tid, (tid + 5) * 2)] for tid in range(N_THREADS)
+        }
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_structure_change_rebuilds_the_kernel_template(self, fastpath):
+        """An instruction with a fresh register added to the kernel: the
+        relaunch on the same machine lays its frames out by the new slot
+        map (the added store reads the new slot) and matches the
+        reference interpreter."""
+        module = parse_module(CALLS)
+        kernel = module.function("k")
+        with engine_config(fastpath=fastpath):
+            machine = GPUMachine(module)
+            first = machine.launch("k", N_THREADS, (5,))
+            template = frame_templates(module)["k"]
+            fresh = kernel.new_reg("fresh")
+            kernel.entry.insert_before_terminator(
+                Instruction(Opcode.ADD, dst=fresh, operands=[Reg("t"), Imm(1000)])
+            )
+            kernel.entry.insert_before_terminator(
+                Instruction(Opcode.ST, operands=[fresh, Reg("r")])
+            )
+            again = machine.launch("k", N_THREADS, (5,))
+        rebuilt = frame_templates(module)["k"]
+        assert rebuilt is not template
+        assert len(rebuilt.regs) == len(template.regs) + 1
+        assert again.store_traces() == {
+            tid: first.store_traces()[tid] + [(tid + 1000, (tid + 5) * 2)]
+            for tid in range(N_THREADS)
+        }
+        assert _observed(again) == _observed(
+            _reference(module, "k", N_THREADS, (5,))
+        )
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_call_frames_take_the_callee_template(self, fastpath):
+        """A ``call`` pushes a frame laid out by the callee's cached slot
+        map; after an edit adds a register to the callee, the relaunch's
+        call frames use the rebuilt map."""
+        module = parse_module(CALLS)
+        callee = module.function("f")
+        with engine_config(fastpath=fastpath):
+            machine = GPUMachine(module)
+            machine.launch("k", N_THREADS, (5,))
+            template = frame_templates(module)["f"]
+            assert len(template.regs) == 2  # %x, %y
+            entry = callee.entry
+            entry.remove(entry.terminator)
+            fresh = callee.new_reg("w")
+            entry.append(
+                Instruction(Opcode.ADD, dst=fresh, operands=[Reg("y"), Imm(1)])
+            )
+            entry.append(Instruction(Opcode.RET, operands=[fresh]))
+            again = machine.launch("k", N_THREADS, (5,))
+        assert len(frame_templates(module)["f"].regs) == 3
+        assert again.store_traces() == {
+            tid: [(tid, (tid + 5) * 2 + 1)] for tid in range(N_THREADS)
+        }
+        assert _observed(again) == _observed(
+            _reference(module, "k", N_THREADS, (5,))
+        )

@@ -23,7 +23,7 @@ from repro.simt import CTAContext, GPUMachine, GlobalMemory
 
 
 @st.composite
-def random_kernel(draw, allow_atomics=False):
+def random_kernel(draw, allow_atomics=False, ticket_sync=False):
     """A random kernel with loops, divergent branches, and a labeled
     reconvergence point under a Predict directive.
 
@@ -39,6 +39,16 @@ def random_kernel(draw, allow_atomics=False):
     interleaving of warps, which is precisely what the warp-batching
     conformance fuzz needs — and why the schedule-invariance tests in
     this file keep it off.
+
+    With ``ticket_sync=True`` every lane draws a ticket from an atomic
+    counter before the loop, inside the SR barriers' region, and a ticket
+    below a drawn cutoff sends it to a ``warpsync``. The lanes that skip
+    it wait at the branch's reconvergence ``bsync`` for the lanes at the
+    ``warpsync``, which wait for every live lane: a warp whose tickets
+    fall on both sides of the cutoff deadlocks, and one whose tickets all
+    fall on one side completes. That is how the fuzzer's kernels reach
+    ``DeadlockError``, and which warp strands which lanes depends on the
+    order in which the warps drew their tickets.
     """
     statements = [
         A.Let("acc", A.Num(0.0)),
@@ -94,6 +104,13 @@ def random_kernel(draw, allow_atomics=False):
         for _ in range(expensive_len)
     ]
     labeled = A.Label("L1", expensive[0])
+    gate = []
+    if ticket_sync:
+        ticket = A.CallExpr(
+            "atomadd", [A.Num(float(draw(st.integers(904, 907)))), A.Num(1.0)]
+        )
+        cutoff = A.Num(float(draw(st.integers(1, 64))))
+        gate = [A.If(A.Bin("<", ticket, cutoff), A.Block([A.Warpsync()]), None)]
     if use_inner_loop:
         trip_expr = A.Bin(
             "+",
@@ -158,6 +175,7 @@ def random_kernel(draw, allow_atomics=False):
                 )
             ]
         )
+    statements.extend(gate)
     statements.append(A.For("i", A.Num(0), A.Num(outer_trips), body))
     statements.append(
         A.Store(A.Var("t"), A.Var("acc"))

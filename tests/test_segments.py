@@ -535,21 +535,33 @@ class TestRegisterSlots:
         assert sorted(slots.values()) == list(range(len(slots)))
 
     def test_cache_invalidates_on_new_register(self):
+        """The slot map lives in the module's "launch_template" cache: an
+        instruction defining a fresh register changes the structure token,
+        so the next lookup builds a template whose slots include it."""
+        from repro.ir.instructions import Imm, Instruction
+        from repro.simt.warp import frame_templates
+
         module = compile_kernel_source(STRAIGHT)
         kernel = module.function("k")
-        first = kernel.reg_slots()
-        assert kernel.reg_slots() is first  # cached
-        kernel.new_reg("fresh")  # bumps the counter -> token changes
-        assert kernel.reg_slots() is not first
+        first = frame_templates(module)["k"]
+        assert frame_templates(module)["k"] is first  # cached
+        fresh = kernel.new_reg("fresh")
+        kernel.entry.insert_before_terminator(
+            Instruction(Opcode.CONST, dst=fresh, operands=[Imm(1)])
+        )
+        template = frame_templates(module)["k"]
+        assert template is not first
+        assert set(template.slots) == set(first.slots) | {fresh.name}
+        assert len(template.regs) == len(first.regs) + 1
 
     def test_undef_read_raises_through_frame(self):
         from repro.ir.instructions import Reg
-        from repro.simt.warp import Frame
+        from repro.simt.warp import Frame, frame_templates
 
         module = compile_kernel_source(STRAIGHT)
-        kernel = module.function("k")
-        frame = Frame(kernel, kernel.entry.name)
-        some_reg = next(iter(kernel.reg_slots()))
+        template = frame_templates(module)["k"]
+        frame = Frame(template, template.fill(()))
+        some_reg = next(iter(template.slots))
         with pytest.raises(SimulationError, match="undefined register"):
             frame.read(Reg(some_reg))
 

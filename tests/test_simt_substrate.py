@@ -329,13 +329,10 @@ class TestWarpRelease:
     def test_release_of_runnable_lane_rejected(self):
         """A lane parked on the barrier but not WAITING is an engine bug."""
         from repro.ir import parse_module
-        from repro.simt.warp import Thread, Warp
+        from repro.simt.warp import frame_templates, launch_warps
 
-        kernel = parse_module(
-            "func @k() kernel {\nentry:\n  exit\n}\n"
-        ).function("k")
-        warp = Warp(0, [Thread(lane, lane, 0, kernel, (), 1)
-                        for lane in range(2)])
+        module = parse_module("func @k() kernel {\nentry:\n  exit\n}\n")
+        (warp,) = launch_warps(frame_templates(module)["k"], (), 2, 1)
         barrier = warp.barriers.get("b")
         barrier.join(_mask(0, 1))
         barrier.park(_mask(0, 1))
