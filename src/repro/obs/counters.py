@@ -177,7 +177,7 @@ def _numeric(value):
     """Numeric view of a snapshot value; anything else counts as 0.
 
     Snapshots fed to :func:`delta`/:func:`merge` are not always pristine
-    counter dicts — ``tools.stats --diff`` accepts BENCH records and
+    counter dicts — ``tools.stats --diff`` accepts bare snapshots and
     hand-built files whose entries can be strings, bools, or lists. A
     layer absent from one side (a ``jit.*`` row diffed against a pre-JIT
     snapshot) must render as a plain delta, and a metadata string must

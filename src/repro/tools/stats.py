@@ -22,8 +22,8 @@ snapshots, "which layer moved")::
     # per-segment code-cache telemetry
     python -m repro.tools.stats --jit --json jit-counters.json
 
-    # which layer moved between two saved snapshots? (BENCH_*.json grid
-    # records also diff their per-app sm_occupancy)
+    # which layer moved between two saved snapshots? (--grid snapshots
+    # also diff their per-app sm_occupancy)
     python -m repro.tools.stats --diff before.json after.json
 
 Counters describe the engine, not the simulated program: fusion coverage
@@ -129,7 +129,7 @@ def build_parser():
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
-        help="save the counter snapshot as JSON (for --diff / compare.py)",
+        help="save the counter snapshot as JSON (for --diff)",
     )
     parser.add_argument(
         "--diff", nargs=2, default=None, metavar=("A", "B"),
@@ -155,13 +155,14 @@ def _load_snapshot(path):
 
 
 def _snapshot_counters(data):
-    # Accept bare snapshots, tools.stats files, and BENCH_*.json records.
+    # Accept tools.stats files and other records with a counters block,
+    # and bare snapshots.
     if isinstance(data.get("counters"), dict):
         return data["counters"]
-    # No counters block (a pre-telemetry BENCH record, a hand-built
-    # file): keep only entries that look like namespaced counters so
-    # metadata strings ("benchmark", "seed") never reach the delta and a
-    # snapshot with newer layers diffs cleanly against this one.
+    # No counters block (a bare snapshot, a hand-built file): keep only
+    # entries that look like namespaced counters so metadata strings
+    # ("benchmark", "seed") never reach the delta and a snapshot with
+    # newer layers diffs cleanly against this one.
     return {
         name: value
         for name, value in data.items()
@@ -180,8 +181,8 @@ def _run_diff(path_a, path_b):
         title=f"Engine counter deltas ({path_b} - {path_a})",
         skip_zero=True,
     ))
-    # Grid sweep records and --grid snapshots carry per-app peak SM
-    # occupancy; diff it when both sides have one.
+    # --grid snapshots carry per-app peak SM occupancy; diff it when
+    # both sides have one.
     occ_a = data_a.get("sm_occupancy")
     occ_b = data_b.get("sm_occupancy")
     if isinstance(occ_a, dict) and isinstance(occ_b, dict):

@@ -12,10 +12,11 @@ Kernels deliberately avoid ``ctaid()``/shared memory: every app must be
 *launch-shape invariant* — a flat ``GPUMachine.launch`` of all 10^5
 threads produces bit-identical per-thread store traces to any grid
 factorization of the same range. That equality is what
-``benchmarks/bench_simulator.py::test_grid_corpus_sweep_speedup`` pins
-while gating the sharded grid's wall-clock speedup over the flat launch
-(CTA-cooperative kernels are exercised by the conformance and grid test
-suites instead, where serial-vs-sharded parity is the oracle).
+``tests/test_grid.py::TestGridCorpus`` pins at a reduced grid, for the
+flat, serial-grid and pool-sharded launches; perfbench's ``grid``
+workload times the full grid (CTA-cooperative kernels are exercised by
+the conformance and grid test suites instead, where serial-vs-sharded
+parity is the oracle).
 
 These apps live in their own registry, not the Table 2 one: every
 existing sweep iterates ``workload_names()``, and a 10^5-thread app

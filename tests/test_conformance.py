@@ -41,6 +41,7 @@ from repro.engine import EngineConfig, engine_config
 from repro.errors import DeadlockError, LaunchError, SimulationError
 from repro.frontend import compile_kernel_source
 from repro.frontend.lower import lower_program
+from repro.harness.parallel import run_tasks, shutdown_pool, task
 from repro.ir import parse_module
 from repro.ir.function import clear_module_caches
 from repro.obs import counters as obs_counters
@@ -273,6 +274,31 @@ class TestFastpathConformance:
                 workload, compiled, StackGPUMachine, engine
             ).store_traces()
             assert traces == reference, (name, "stack", engine)
+
+
+def _pooled_fingerprint(name, mode):
+    """One all-on corpus point under the convergence scheduler (a pool
+    task, so module-level)."""
+    workload = get_workload(name, **CORPUS[name])
+    return _fingerprint(_launch(
+        workload, _compiled(workload, mode), GPUMachine, ALL_ON, "convergence"
+    ))
+
+
+def test_parallel_runner_matches_reference():
+    """The corpus sweep on the worker pool matches the serial interpreted
+    reference point for point: the runner ships results home unchanged."""
+    points = [(name, mode) for name in sorted(CORPUS) for mode in MODES]
+    try:
+        pooled = run_tasks(
+            [task(_pooled_fingerprint, name, mode) for name, mode in points],
+            jobs=2,
+        )
+    finally:
+        shutdown_pool()
+    for (name, mode), fingerprint in zip(points, pooled):
+        expected, _ = _reference(name, mode, "convergence", None, GPUMachine)
+        assert fingerprint == expected, (name, mode)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

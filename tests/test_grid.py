@@ -25,6 +25,7 @@ from repro.simt import (
     XorShift32,
 )
 from repro.simt import warp as warp_module
+from repro.workloads import GRID_CTA_DIM, grid_corpus
 
 DIVERGENT = """
 kernel k() {
@@ -453,6 +454,40 @@ class TestGridResult:
         flat = GPUMachine(module, seed=1).launch("k", 64)
         assert a.store_traces() == flat.store_traces()
         assert a.store_traces() != b.store_traces()
+
+
+#: CTAs per grid-corpus launch here; the corpus default is GRID_GRID_DIM.
+CORPUS_CTAS = 8
+
+
+class TestGridCorpus:
+    """The grid-corpus apps are launch-shape invariant: at a reduced grid
+    of ``GRID_CTA_DIM``-thread CTAs, the flat launch of the whole range,
+    the serial grid and the pool-sharded grid agree."""
+
+    @pytest.mark.parametrize("app", grid_corpus(), ids=lambda app: app.name)
+    def test_flat_serial_and_sharded_agree(self, app, grid_sharding):
+        n_threads = CORPUS_CTAS * GRID_CTA_DIM
+        memory = GlobalMemory()
+        flat = GPUMachine(app.module(), seed=2020).launch(
+            app.kernel_name, n_threads, app.setup(memory, n_threads),
+            memory=memory,
+        )
+        grids = {}
+        for jobs in (1, 2):
+            memory = GlobalMemory()
+            grids[jobs] = GridLaunch(
+                app.module(), CORPUS_CTAS, GRID_CTA_DIM, jobs=jobs, seed=2020
+            ).launch(app.kernel_name, app.setup(memory, n_threads),
+                     memory=memory)
+        assert not grids[1].sharded
+        assert grids[2].sharded
+        expected = (flat.store_traces(), flat.retired_per_thread(),
+                    flat.profiler.issued)
+        assert len(expected[0]) == n_threads
+        for grid in grids.values():
+            assert (grid.store_traces(), grid.retired_per_thread(),
+                    grid.issued) == expected
 
 
 #: Two draws per thread, so the checks see the stream, not only its start.

@@ -6,7 +6,7 @@ from repro.core import compile_baseline, compile_sr
 from repro.errors import LaunchError
 from repro.frontend import compile_kernel_source
 from repro.ir import parse_module
-from repro.simt import GlobalMemory, GPUMachine, StackGPUMachine
+from repro.simt import GlobalMemory, GPUMachine, StackGPUMachine, run_reference_thread
 from repro.workloads import get_workload
 from tests.helpers import STUCK_LOOP_IR, listing1_module, loop_merge_source
 
@@ -99,6 +99,31 @@ class TestLaunchErrorsMatchGPUMachine:
                 machine.launch("k", n_threads, args)
             texts.append(str(info.value))
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "source, kernel_name, n_threads, args, message",
+        [
+            ("kernel k() { store(tid(), 1.0); }", "k", 0, (),
+             "launch needs at least one thread, got 0"),
+            ("kernel k() { store(tid(), 1.0); }", "k", 64, (1,),
+             "@k takes 0 arguments, got 1"),
+            ("kernel k(a, b) { store(a, b); }", "k", 32, (5,),
+             "@k takes 2 arguments, got 1"),
+            ("func f() { return 0; }", "f", 32, (), "@f is not a kernel"),
+        ],
+        ids=["no-threads", "too-many-args", "too-few-args", "not-a-kernel"],
+    )
+    def test_reference_thread_same_launch_error(
+        self, source, kernel_name, n_threads, args, message
+    ):
+        # The single-thread reference makes the same launch check before
+        # its own tid-range check.
+        module = compile_kernel_source(source)
+        with pytest.raises(LaunchError, match=message) as machine:
+            GPUMachine(module).launch(kernel_name, n_threads, args)
+        with pytest.raises(LaunchError) as reference:
+            run_reference_thread(module, kernel_name, 0, n_threads, args)
+        assert str(reference.value) == str(machine.value)
 
 
 class TestNoSpeculativeReconvergence:
