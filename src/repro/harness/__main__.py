@@ -10,11 +10,13 @@ funnel is opt-in via ``funnel`` or ``--full``). Example::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
 
 from repro.harness.figures import ALL_FIGURES
+from repro.harness.parallel import collector_policy
 
 FAST_FIGURES = [name for name in ALL_FIGURES if name != "funnel"]
 
@@ -42,8 +44,9 @@ def main(argv=None):
     parser.add_argument(
         "--pipeline", default=None, metavar="DESC",
         help="compile every workload with this pass pipeline instead of the "
-             "mode's registered one (sets REPRO_PIPELINE, inherited by "
-             "parallel workers); see --list-passes for pass names",
+             "mode's registered one (sets REPRO_PIPELINE for this run, "
+             "parallel workers included, and restores it on return); see "
+             "--list-passes for pass names",
     )
     parser.add_argument(
         "--list-passes", action="store_true",
@@ -51,6 +54,21 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    # An in-process caller (a notebook, a benchmark) gets its collector
+    # thresholds and REPRO_PIPELINE back, whichever way the run ends.
+    thresholds = collector_policy()
+    pipeline = os.environ.get("REPRO_PIPELINE")
+    try:
+        return _run(args)
+    finally:
+        gc.set_threshold(*thresholds)
+        if pipeline is None:
+            os.environ.pop("REPRO_PIPELINE", None)
+        else:
+            os.environ["REPRO_PIPELINE"] = pipeline
+
+
+def _run(args):
     if args.list_passes:
         from repro.core.passmgr import list_passes
 

@@ -22,7 +22,9 @@ the pool is transparently torn down and restarted. The pool initializer
 installs the parent's engine config in every worker, so an
 ``engine_config(...)`` override reaches the workers under both the
 ``fork`` and the ``spawn`` start method (spawned workers would otherwise
-re-parse the environment).
+re-parse the environment), and raises the worker's young-generation
+collector threshold (:func:`collector_policy`, which the figure CLI
+applies to its own process too).
 :func:`shutdown_pool` retires the pool explicitly (also registered
 ``atexit``). A task exception lets the sweep's other tasks finish, then
 terminates the pool before propagating so no half-poisoned workers
@@ -54,6 +56,7 @@ per worker, so colliding warp tids stay distinguishable) and the
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import os
 import signal
@@ -65,6 +68,8 @@ from repro.obs import counters as _counters
 from repro.obs.counters import ENGINE_COUNTERS
 
 __all__ = [
+    "GC_YOUNG_THRESHOLD",
+    "collector_policy",
     "resolve_jobs",
     "run_tasks",
     "run_tasks_observed",
@@ -87,6 +92,27 @@ def resolve_jobs(jobs=None):
     if jobs < 0:
         return max(1, os.cpu_count() or 1)
     return max(1, jobs)
+
+
+#: The cyclic collector's young-generation threshold in the processes this
+#: package runs: the pool workers and the figure CLI (CPython's default
+#: is 700). A simulation keeps large object graphs alive (modules,
+#: decoded programs, launch memos, thread frames); at the default, every
+#: few hundred allocations start a collection, and each full one rescans
+#: all of them. At 10,000 the collector's time in ``python -m
+#: repro.harness --full`` halves, and in a serial 10^5-thread grid it
+#: falls sevenfold (docs/performance.md, "Collector policy and grid
+#: shards").
+GC_YOUNG_THRESHOLD = 10_000
+
+
+def collector_policy():
+    """Raise this process's young-generation threshold to
+    :data:`GC_YOUNG_THRESHOLD`, keeping the older generations' own;
+    returns the thresholds it replaced, for ``gc.set_threshold``."""
+    previous = gc.get_threshold()
+    gc.set_threshold(GC_YOUNG_THRESHOLD, *previous[1:])
+    return previous
 
 
 def task(fn, *args, **kwargs):
@@ -112,8 +138,10 @@ def _pool_key(jobs):
 
 
 def _init_worker(config):
-    """Pool initializer: give the worker the parent's engine config."""
+    """Pool initializer: give the worker the parent's engine config and
+    the collector policy."""
     _engine._install(config)
+    collector_policy()
 
 
 def _workers(pool):

@@ -17,13 +17,18 @@ serialization is deterministic, and whenever
 whole global thread range, proves the CTAs' global footprints pairwise
 disjoint it is also equal to every other order — which
 licenses sharding CTA ranges across the persistent worker pool
-(:mod:`repro.harness.parallel`). Workers receive the module as IR text
-(re-parsed and cached per process), run their CTA range against a private
-copy of the launch memory, and ship back per-CTA traces plus the cells
-their range changed (:meth:`GlobalMemory.changes_since`); the parent
-applies each worker's write-delta (disjoint by proof) in chunk order and
-folds worker engine counters through the
-:func:`~repro.harness.parallel.run_tasks_observed` aggregation path.
+(:mod:`repro.harness.parallel`). The grid is cut into
+:data:`CHUNKS_PER_WORKER` small contiguous chunks per worker, and an idle
+worker takes the next one, so no worker waits on an oversized last task.
+Each chunk carries the module as IR text (parsed once per process) and
+the launch memory pickled once by the parent (decoded once per worker
+and launch). A worker runs its chunk against a private copy of that
+memory, which notes the addresses it writes, and ships back per-CTA
+traces plus the cells the chunk changed
+(:meth:`GlobalMemory.changes_since` over those addresses); the parent
+applies the write-deltas (disjoint by proof) in chunk order, which keeps
+the serial loop's cell order, and folds worker engine counters through
+the :func:`~repro.harness.parallel.run_tasks_observed` aggregation path.
 ``REPRO_GRID=0`` (or ``engine_config(grid=False)``, :mod:`repro.engine`)
 forces the serial in-process CTA loop, as do ``jobs<=1``, a single CTA,
 and a ``"guarded"`` classification. Every CTA carries the grid's
@@ -44,6 +49,7 @@ per-CTA cycle counts remain exact.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 from repro.engine import current_engine
@@ -66,6 +72,12 @@ DEFAULT_N_SMS = 80
 DEFAULT_MAX_CTAS_PER_SM = 32
 DEFAULT_MAX_WARPS_PER_SM = 64
 DEFAULT_MAX_SHARED_WORDS = 12288
+
+#: Pool tasks per worker in a sharded launch. At 16, each grid-corpus app
+#: (392 CTAs on two workers) is 32 tasks of 12 or 13 CTAs: the workers
+#: finish within one small chunk of each other, and the parent unpickles
+#: each result while the workers run the rest (docs/performance.md).
+CHUNKS_PER_WORKER = 16
 
 
 @dataclass
@@ -179,22 +191,55 @@ def _cta_record(cta_id, result):
     }
 
 
+#: The last launch memory this worker decoded: ``[pickled cells, cells]``.
+#: Every chunk of a launch carries the same bytes, so a worker decodes
+#: them once per launch, not once per chunk.
+_WORKER_SNAPSHOT = [None, None]
+
+
+def _worker_snapshot(blob):
+    if _WORKER_SNAPSHOT[0] != blob:
+        _WORKER_SNAPSHOT[:] = [blob, pickle.loads(blob)]
+    return _WORKER_SNAPSHOT[1]
+
+
+class _ChunkMemory(GlobalMemory):
+    """A chunk's private copy of the launch memory that notes each address
+    a store or an atomic writes (a kernel writes global memory only
+    through those two), so the chunk's write-delta costs its own writes,
+    not a pass over every cell of the launch memory."""
+
+    def __init__(self, cells):
+        super().__init__()
+        self.apply(cells)
+        self.written = {}
+
+    def store(self, addr, value):
+        key = int(addr)
+        self._cells[key] = value
+        self.written[key] = None
+
+    def atom_add(self, addr, value):
+        self.written[int(addr)] = None
+        return super().atom_add(addr, value)
+
+
 def _run_cta_range(
     module_text, module_name, kernel_name, args, cta_ids,
-    grid_dim, cta_dim, shared_words, before, machine_kwargs,
+    grid_dim, cta_dim, shared_words, snapshot, machine_kwargs,
 ):
-    """Run a contiguous CTA range on a private memory holding ``before``,
-    the parent's pre-launch cells (a kernel never allocates, so the cells
-    are all a CTA can see); return ``(records, writes)``, where
-    ``writes`` are the cells the range changed, in the order they
+    """Run a contiguous CTA range on a private memory holding the parent's
+    pre-launch cells, pickled in ``snapshot`` (a kernel never allocates,
+    so the cells are all a CTA can see); return ``(records, writes)``,
+    where ``writes`` are the cells the range changed, in the order they
     appeared.
 
     A disjoint-proven CTA sees exactly what it would have seen in-process
     (it never reads another CTA's writes — that is what ``"disjoint"``
-    means). The parent applies each worker's writes afterwards.
+    means). The parent applies each chunk's writes afterwards.
     """
-    memory = GlobalMemory()
-    memory.apply(before)
+    before = _worker_snapshot(snapshot)
+    memory = _ChunkMemory(before)
     module = _worker_module(module_text, module_name)
     machine = GPUMachine(module, **machine_kwargs)
     records = []
@@ -207,7 +252,7 @@ def _run_cta_range(
             kernel_name, cta_dim, args, memory=memory, cta=cta
         )
         records.append(_cta_record(cta_id, result))
-    return records, memory.changes_since(before)
+    return records, memory.changes_since(before, memory.written)
 
 
 def _chunk(items, parts):
@@ -400,13 +445,13 @@ class GridLaunch:
         return records
 
     def _launch_sharded(self, kernel_name, args, memory, jobs):
-        """Shard disjoint-proven CTA ranges across the worker pool."""
+        """Shard disjoint-proven CTA chunks across the worker pool."""
         from repro.harness.parallel import run_tasks_observed, task
         from repro.ir import format_module
 
         module_text = format_module(self.module)
         module_name = getattr(self.module, "name", "module")
-        before = memory.snapshot()
+        snapshot = pickle.dumps(memory.snapshot(), pickle.HIGHEST_PROTOCOL)
         worker_kwargs = {
             key: value for key, value in self.machine_kwargs.items()
             if key != "sink"  # parent-local object; never crosses the fork
@@ -415,17 +460,19 @@ class GridLaunch:
             task(
                 _run_cta_range, module_text, module_name, kernel_name,
                 tuple(args), chunk, self.grid_dim, self.cta_dim,
-                self.shared_words, before, worker_kwargs,
+                self.shared_words, snapshot, worker_kwargs,
             )
-            for chunk in _chunk(list(range(self.grid_dim)), jobs)
+            for chunk in _chunk(
+                list(range(self.grid_dim)), jobs * CHUNKS_PER_WORKER
+            )
         ]
+        # Results come back in chunk order, whichever worker ran each.
         results, _reports = run_tasks_observed(tasks, jobs=jobs)
         records = []
-        for worker_records, writes in results:
-            records.extend(worker_records)
-            # Disjointness proves no two workers wrote the same cell, and
+        for chunk_records, writes in results:
+            records.extend(chunk_records)
+            # Disjointness proves no two chunks wrote the same cell, and
             # chunk order puts new cells where the serial loop would.
             memory.apply(writes)
-        records.sort(key=lambda r: r["cta_id"])
         ENGINE_COUNTERS.grid_pool_sharded_ctas += self.grid_dim
         return records

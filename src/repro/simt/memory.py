@@ -85,10 +85,22 @@ class GlobalMemory:
         types and order."""
         return hashlib.sha256(repr(self._cells).encode()).digest()
 
-    def changes_since(self, before):
+    def changes_since(self, before, written=None):
         """The cells whose value differs from ``before`` (a
         :meth:`snapshot`), in this memory's order: the writes that took
-        ``before`` to now."""
+        ``before`` to now.
+
+        ``written``, the addresses stored to since ``before`` in the
+        order they were first stored to, limits the search to them; the
+        new cells then come in the same order, at the cost of the writes
+        instead of a pass over every cell."""
+        if written is not None:
+            cells = self._cells
+            return {
+                addr: cells[addr]
+                for addr in written
+                if not _same(before.get(addr, _ABSENT), cells[addr])
+            }
         return {
             addr: value
             for addr, value in self._cells.items()

@@ -319,6 +319,16 @@ def grid_sharding():
         yield
 
 
+#: Each thread adds to its own cell and stores the value it replaced.
+PER_THREAD_ATOMICS = """
+kernel k() {
+    let t = tid();
+    let old = atomadd(t, 2);
+    store(t + 256, old);
+}
+"""
+
+
 class TestSharding:
     def test_sharded_matches_serial(self, grid_sharding):
         # The whole point of the disjointness proof: CTA ranges run on
@@ -354,6 +364,22 @@ class TestSharding:
             assert result.sharded == (jobs == 2)
             final[jobs] = repr(memory.snapshot())
         assert "2.0, 128: -0.0" in final[1]
+        assert final[2] == final[1]
+
+    def test_sharded_keeps_atomic_writes(self, grid_sharding):
+        # A chunk reports the cells its atomics wrote as well as its
+        # stores', in a memory that already holds cells.
+        module = compile_kernel_source(PER_THREAD_ATOMICS)
+        final = {}
+        for jobs in (1, 2):
+            memory = GlobalMemory()
+            memory.alloc_array([5] * 128)
+            result = GridLaunch(module, 4, 32, jobs=jobs).launch(
+                "k", memory=memory
+            )
+            assert result.sharded == (jobs == 2)
+            final[jobs] = repr(memory.snapshot())
+        assert "0: 7, 1: 7" in final[1] and "256: 5" in final[1]
         assert final[2] == final[1]
 
     def test_guarded_classification_stays_serial(self):
@@ -474,20 +500,24 @@ class TestGridCorpus:
             memory=memory,
         )
         grids = {}
-        for jobs in (1, 2):
+        # With more workers than CPUs chunks finish out of order; the
+        # merge must still apply them in chunk order.
+        for jobs in (1, 2, 3):
             memory = GlobalMemory()
             grids[jobs] = GridLaunch(
                 app.module(), CORPUS_CTAS, GRID_CTA_DIM, jobs=jobs, seed=2020
             ).launch(app.kernel_name, app.setup(memory, n_threads),
                      memory=memory)
         assert not grids[1].sharded
-        assert grids[2].sharded
+        assert grids[2].sharded and grids[3].sharded
         expected = (flat.store_traces(), flat.retired_per_thread(),
                     flat.profiler.issued)
         assert len(expected[0]) == n_threads
         for grid in grids.values():
             assert (grid.store_traces(), grid.retired_per_thread(),
                     grid.issued) == expected
+            # The digest covers the cells' order, not only their values.
+            assert grid.memory.digest() == grids[1].memory.digest()
 
 
 #: Two draws per thread, so the checks see the stream, not only its start.

@@ -1,4 +1,8 @@
-"""Harness tests: experiment runners, figure generators, report rendering."""
+"""Harness tests: experiment runners, figure generators, report rendering,
+and the collector policy of the CLI and the pool workers."""
+
+import gc
+import os
 
 import pytest
 
@@ -12,6 +16,14 @@ from repro.harness import (
     markdown_table,
     table2,
     threshold_sweep,
+)
+from repro.harness.__main__ import main as harness_main
+from repro.harness.figures import ALL_FIGURES, FigureResult
+from repro.harness.parallel import (
+    GC_YOUNG_THRESHOLD,
+    run_tasks,
+    shutdown_pool,
+    task,
 )
 from tests.test_workloads import FAST_PARAMS
 
@@ -87,3 +99,58 @@ class TestFigureGenerators:
         data = result.data
         assert data["sr"].simt_efficiency > data["baseline"].simt_efficiency
         assert "speedup" in result.text
+
+
+@pytest.fixture
+def caller_thresholds():
+    """Give this process collector thresholds of its own for the test
+    (none of them the policy's), and put back the ones it had."""
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 9, 8)
+    try:
+        yield (1234, 9, 8)
+    finally:
+        gc.set_threshold(*saved)
+
+
+class TestCollectorPolicy:
+    def test_pool_workers_run_under_the_policy(self, caller_thresholds):
+        # A fresh pool, forked from a process without the policy.
+        shutdown_pool()
+        try:
+            seen = run_tasks([task(gc.get_threshold) for _ in range(2)], jobs=2)
+        finally:
+            shutdown_pool()
+        policy = (GC_YOUNG_THRESHOLD, *caller_thresholds[1:])
+        assert seen == [policy, policy]
+        assert gc.get_threshold() == caller_thresholds
+
+    @pytest.mark.parametrize("caller_pipeline", [None, "verify"])
+    def test_main_restores_thresholds_and_pipeline(
+        self, caller_thresholds, caller_pipeline, monkeypatch
+    ):
+        if caller_pipeline is None:
+            monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PIPELINE", caller_pipeline)
+        seen = []
+
+        def figure(seed):
+            seen.append((gc.get_threshold(), os.environ.get("REPRO_PIPELINE")))
+            return FigureResult(name="funccall", data=None, text="")
+
+        monkeypatch.setitem(ALL_FIGURES, "funccall", figure)
+        assert harness_main(
+            ["--pipeline", "strip-directives,verify", "funccall"]
+        ) == 0
+        policy = (GC_YOUNG_THRESHOLD, *caller_thresholds[1:])
+        assert seen == [(policy, "strip-directives,verify")]
+        assert gc.get_threshold() == caller_thresholds
+        assert os.environ.get("REPRO_PIPELINE") == caller_pipeline
+
+        # The fail-fast error on a bad description restores them too.
+        with pytest.raises(Exception, match="no-such-pass"):
+            harness_main(["--pipeline", "no-such-pass", "funccall"])
+        assert len(seen) == 1
+        assert gc.get_threshold() == caller_thresholds
+        assert os.environ.get("REPRO_PIPELINE") == caller_pipeline

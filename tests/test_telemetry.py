@@ -391,12 +391,13 @@ class TestPostMortems:
             with pytest.raises(LaunchError):
                 GridLaunch(module, 4, 32, jobs=2, max_issues=200).launch("k")
         dumps = sorted(tmp_path.glob("postmortem-k-cta*.json"))
-        # Two chunks of two CTAs: the first CTA of each chunk fails.
-        assert len(dumps) == 2
+        # Two workers make up to 2 * CHUNKS_PER_WORKER chunks, so four
+        # CTAs are four one-CTA chunks, and every CTA fails in its own.
+        assert len(dumps) == 4
         assert sorted(
             json.loads(path.read_text())["cta_id"] for path in dumps
-        ) == [0, 2]
-        # Either worker may take either chunk, but each dump is a worker's.
+        ) == [0, 1, 2, 3]
+        # Either worker may take any chunk, but each dump is a worker's.
         pids = {int(path.name.split("-")[3]) for path in dumps}
         assert os.getpid() not in pids
 
