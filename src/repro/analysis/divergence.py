@@ -63,11 +63,16 @@ class DivergenceAnalysis:
         divergent_regs: set of :class:`Reg` that may be thread-varying.
         divergent_branches: set of block names whose terminator is a
             divergent conditional branch.
+        view, pdom: the function's CFG view and post-dominator tree
+            (both keyed by block name).
+
+    The result keeps no reference to the function it was computed on,
+    only registers and block names, so it describes every clone of that
+    function equally (:class:`~repro.core.passmgr.AnalysisManager` shares
+    it between the compiles of one input module).
     """
 
-    def __init__(self, function, module=None, callee_summaries=None):
-        self.function = function
-        self.module = module
+    def __init__(self, function, callee_summaries=None):
         self.callee_summaries = callee_summaries or {}
         self.view = CFGView.of_function(function)
         self.pdom = compute_post_dominators(self.view)
@@ -78,7 +83,14 @@ class DivergenceAnalysis:
         # divergent values).
         if not function.is_kernel:
             self.divergent_regs.update(function.params)
-        self._solve()
+        self._solve(function)
+        self._returns_divergent = False
+        for block in function.blocks:
+            term = block.terminator
+            if term is not None and term.opcode is Opcode.RET and term.operands:
+                value = term.operands[0]
+                if isinstance(value, Reg) and value in self.divergent_regs:
+                    self._returns_divergent = True
 
     # ------------------------------------------------------------------
     def _result_inputs(self, instr):
@@ -105,7 +117,7 @@ class DivergenceAnalysis:
             operands = operands[1:]
         return tuple(op for op in operands if isinstance(op, Reg))
 
-    def _solve(self):
+    def _solve(self, function):
         # Kernel parameters are uniform (launch arguments); device-function
         # parameters take the assumed divergence passed in via summaries.
         # The CFG does not change while the fixpoint runs, so each
@@ -114,12 +126,12 @@ class DivergenceAnalysis:
         divergent = self.divergent_regs
         defs = [
             (instr.dst, self._result_inputs(instr))
-            for block in self.function.blocks
+            for block in function.blocks
             for instr in block.instructions
             if instr.dst is not None
         ]
         branches = []
-        for block in self.function.blocks:
+        for block in function.blocks:
             term = block.terminator
             if term is not None and term.opcode is Opcode.CBR:
                 branches.append((block.name, term.operands[0]))
@@ -150,8 +162,7 @@ class DivergenceAnalysis:
                     region = influence_region(self.view, self.pdom, branch_block)
                     regions[branch_block] = region
                 for name in region:
-                    block = self.function.block(name)
-                    for instr in block:
+                    for instr in function.block(name):
                         if (
                             instr.dst is not None
                             and instr.dst not in divergent
@@ -168,14 +179,7 @@ class DivergenceAnalysis:
 
     def summary(self):
         """Callee summary used by callers' analyses."""
-        returns_divergent = False
-        for block in self.function.blocks:
-            term = block.terminator
-            if term is not None and term.opcode is Opcode.RET and term.operands:
-                value = term.operands[0]
-                if isinstance(value, Reg) and value in self.divergent_regs:
-                    returns_divergent = True
-        return {"returns_divergent": returns_divergent}
+        return {"returns_divergent": self._returns_divergent}
 
 
 def analyze_module_divergence(module):
@@ -191,9 +195,7 @@ def analyze_module_divergence(module):
     analyses = {}
     for name in reverse_topological(graph):
         function = module.function(name)
-        analysis = DivergenceAnalysis(
-            function, module=module, callee_summaries=summaries
-        )
+        analysis = DivergenceAnalysis(function, callee_summaries=summaries)
         analyses[name] = analysis
         summaries[name] = analysis.summary()
     return analyses

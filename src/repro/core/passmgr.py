@@ -8,7 +8,8 @@ this module turns it into the architecture every open GPU compiler uses:
 * an :class:`AnalysisManager` that caches expensive analyses (divergence,
   CFG views, post-dominators, loops, call graph) keyed by the same
   structure tokens as :mod:`repro.core.program_cache`, invalidated after
-  each pass by the pass's :meth:`Pass.preserves` declaration;
+  each pass by the pass's :meth:`Pass.preserves` declaration, and shares
+  the divergence analysis between the compiles of one input module;
 * a textual pipeline syntax —
   ``optimize,autodetect,pdom-sync,sr-insert,deconflict[dynamic],allocate,verify``
   — so each compile mode is a declarative description, parsed by
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.engine import parse_flag
 from repro.errors import TransformError
-from repro.ir.function import structure_token
+from repro.ir.function import module_cache, structure_token
 from repro.ir.printer import format_module
 from repro.ir.verifier import verify_module
 from repro.obs.counters import ENGINE_COUNTERS
@@ -128,6 +129,11 @@ register_analysis("postdominators", _compute_postdominators)
 register_analysis("loops", _compute_loops)
 register_analysis("callgraph", _compute_callgraph)
 
+#: Analyses whose results hold only registers and block names, never a
+#: function or module object: a compile may take them from its input
+#: module (:class:`AnalysisManager`).
+SHARED_ANALYSES = frozenset({"divergence"})
+
 
 class AnalysisManager:
     """Caches module analyses across passes.
@@ -140,12 +146,24 @@ class AnalysisManager:
     :class:`PassManager` after each pass with the pass's ``preserves()``
     set: preserved entries are re-stamped with the current token, all
     others are dropped.
+
+    ``source``, when given, is the module ``module`` was cloned from (a
+    compile's input). A miss on one of :data:`SHARED_ANALYSES` that every
+    pass so far has preserved, while the clone's structure token still
+    equals the source's, is answered from the source's ``"analyses"``
+    cache (:func:`~repro.ir.function.module_cache`), computed on the
+    source the first time: the baseline and auto compiles of one module
+    run one divergence analysis. Such a miss counts in
+    ``passmgr.analysis_shared`` as well as in ``misses``.
     """
 
-    def __init__(self, module, spans=None):
+    def __init__(self, module, spans=None, source=None):
         self.module = module
+        self.source = source
         self._cache = {}          # name -> (structure token, result)
         self._spans = spans
+        # Analyses whose source results still describe the module.
+        self._shared = SHARED_ANALYSES if source is not None else frozenset()
         self.hits = 0
         self.misses = 0
         self.invalidated = 0
@@ -166,13 +184,23 @@ class AnalysisManager:
             return entry[1]
         self.misses += 1
         ENGINE_COUNTERS.passmgr_analysis_recompute += 1
-        if self._spans is not None:
-            with self._spans.span(f"analysis:{name}"):
-                result = compute(self.module)
+        if name in self._shared and token == structure_token(self.source):
+            shared = module_cache(self.source, "analyses")
+            result = shared.get(name)
+            if result is None:
+                result = shared[name] = self._compute(name, self.source)
+            else:
+                ENGINE_COUNTERS.passmgr_analysis_shared += 1
         else:
-            result = compute(self.module)
+            result = self._compute(name, self.module)
         self._cache[name] = (token, result)
         return result
+
+    def _compute(self, name, module):
+        if self._spans is None:
+            return ANALYSES[name](module)
+        with self._spans.span(f"analysis:{name}"):
+            return ANALYSES[name](module)
 
     def cached(self, name):
         """The cached result for ``name`` (None if absent/stale); no compute."""
@@ -189,6 +217,8 @@ class AnalysisManager:
         re-stamped with the module's current structure token (the pass
         vouches the result is still valid even if the token moved).
         """
+        if preserved != ALL_ANALYSES:
+            self._shared = self._shared.intersection(preserved)
         if not self._cache:
             return
         token = structure_token(self.module)

@@ -195,7 +195,7 @@ class ReconvergenceCompiler:
         ctx = PassContext(
             report=report,
             namer=BarrierNamer(),
-            analyses=AnalysisManager(clone, spans=spans),
+            analyses=AnalysisManager(clone, spans=spans, source=module),
             spans=spans,
             mode=mode,
             threshold=threshold,

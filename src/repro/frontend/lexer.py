@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.errors import ParseError
 
@@ -37,38 +37,38 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<at>@[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\.\.|<=|>=|==|!=|[-+*/%<>=!(){},;:])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str       # number | name | keyword | at | op | eof
-    text: str
-    line: int
+#: One token: ``kind`` is number | name | keyword | at | op | eof.
+Token = namedtuple("Token", "kind text line")
 
 
 def tokenize(source):
-    """Tokenize kernel-language source; raises ParseError on bad input."""
+    """Tokenize kernel-language source; raises ParseError on bad input.
+
+    One ``finditer`` pass; only whitespace spans lines, so the line
+    count advances there alone.
+    """
     tokens = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without its Python-level __new__
     line = 1
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line=line
-            )
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        start_line = line
-        line += text.count("\n")
-        pos = match.end()
-        if kind in ("ws", "comment"):
+        if kind == "ws":
+            line += match.group().count("\n")
             continue
-        if kind == "name" and text in KEYWORDS:
-            kind = "keyword"
-        tokens.append(Token(kind, text, start_line))
-    tokens.append(Token("eof", "", line))
+        if kind == "comment":
+            continue
+        text = match.group()
+        if kind == "name":
+            if text in KEYWORDS:
+                kind = "keyword"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line=line)
+        append(new(Token, (kind, text, line)))
+    append(new(Token, ("eof", "", line)))
     return tokens

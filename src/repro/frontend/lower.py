@@ -11,7 +11,7 @@ heuristics look for.
 
 from __future__ import annotations
 
-from repro.errors import TransformError
+from repro.errors import ParseError, TransformError
 from repro.frontend import ast_nodes as A
 from repro.ir import Function, IRBuilder, Module, Opcode
 
@@ -60,6 +60,33 @@ _NULLARY_INTRINSICS = {
     "ctadim": Opcode.CTADIM,
     "nctas": Opcode.NCTA,
 }
+
+
+#: Every builtin called by name, with its argument count. A call with
+#: another count raises :class:`~repro.errors.ParseError` naming the
+#: builtin; ``@name(...)`` always calls a user function.
+_BUILTIN_ARITY = {
+    **dict.fromkeys(_NULLARY_INTRINSICS, 0),
+    **{name: 1 for name in _UN_OPS if name.isidentifier()},
+    **{name: 2 for name in _BIN_OPS if name.isidentifier()},
+    "ld": 1,
+    "shld": 1,
+    "hash01": 1,
+    "atomadd": 2,
+    "shatom": 2,
+    "shst": 2,
+    "fma": 3,
+}
+
+
+def _check_arity(name, args):
+    arity = _BUILTIN_ARITY.get(name)
+    if arity is not None and len(args) != arity:
+        plural = "" if arity == 1 else "s"
+        raise ParseError(
+            f"builtin {name}() takes {arity} argument{plural}, "
+            f"got {len(args)}"
+        )
 
 
 class _FunctionLowerer:
@@ -135,11 +162,12 @@ class _FunctionLowerer:
 
     def lower_call(self, expr):
         name, args = expr.name, expr.args
+        _check_arity(name, args)
         if name in _NULLARY_INTRINSICS:
             return self.builder._emit_value(_NULLARY_INTRINSICS[name], [], name)
-        if name in _UN_OPS and len(args) == 1:
+        if name in _UN_OPS:
             return self.builder.unop(_UN_OPS[name], self.lower_expr(args[0]))
-        if name in _BIN_OPS and len(args) == 2:
+        if name in _BIN_OPS:
             # Named binary ops usable in call syntax: min(a,b), max(a,b),
             # xor(a,b), shl(a,b), shr(a,b), and(a,b), or(a,b), mod(a,b)...
             return self.builder.binop(
@@ -229,6 +257,7 @@ class _FunctionLowerer:
             # no value, so it cannot appear inside an expression.
             expr = stmt.expr
             if isinstance(expr, A.CallExpr) and expr.name == "shst":
+                _check_arity(expr.name, expr.args)
                 self.builder.shared_store(
                     self.lower_expr(expr.args[0]),
                     self.lower_expr(expr.args[1]),

@@ -43,19 +43,25 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        #: The current token, ``tokens[index]`` (the last is ``eof``,
+        #: which ``next`` never moves past).
+        self.token = tokens[0]
 
     # -- token plumbing -------------------------------------------------
     def peek(self, offset=0):
+        if not offset:
+            return self.token
         return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
 
     def next(self):
-        token = self.peek()
+        token = self.token
         if token.kind != "eof":
             self.index += 1
+            self.token = self.tokens[self.index]
         return token
 
     def accept(self, kind, text=None):
-        token = self.peek()
+        token = self.token
         if token.kind == kind and (text is None or token.text == text):
             return self.next()
         return None
@@ -72,7 +78,7 @@ class _Parser:
     # -- declarations ---------------------------------------------------
     def parse_program(self):
         functions = []
-        while self.peek().kind != "eof":
+        while self.token.kind != "eof":
             functions.append(self.parse_function())
         return A.Program(functions=functions)
 
@@ -103,12 +109,12 @@ class _Parser:
         return A.Block(statements)
 
     def parse_statement(self):
-        token = self.peek()
+        token = self.token
         if token.kind == "keyword":
-            handler = getattr(self, f"_stmt_{token.text}", None)
+            handler = _STATEMENTS.get(token.text)
             if handler is not None:
-                return handler()
-        if token.kind == "name" and self.peek(1).text == "=" and self.peek(1).kind == "op":
+                return handler(self)
+        if token.kind == "name" and self.peek(1)[:2] == ("op", "="):
             name = self.next().text
             self.expect("op", "=")
             value = self.parse_expr()
@@ -241,7 +247,7 @@ class _Parser:
 
     def _parse_cmp(self):
         node = self._parse_add()
-        token = self.peek()
+        token = self.token
         if token.kind == "op" and token.text in _COMPARISONS:
             self.next()
             node = A.Bin(token.text, node, self._parse_add())
@@ -250,7 +256,7 @@ class _Parser:
     def _parse_add(self):
         node = self._parse_mul()
         while True:
-            token = self.peek()
+            token = self.token
             if token.kind == "op" and token.text in ("+", "-"):
                 self.next()
                 node = A.Bin(token.text, node, self._parse_mul())
@@ -260,7 +266,7 @@ class _Parser:
     def _parse_mul(self):
         node = self._parse_unary()
         while True:
-            token = self.peek()
+            token = self.token
             if token.kind == "op" and token.text in ("*", "/", "%"):
                 self.next()
                 node = A.Bin(token.text, node, self._parse_unary())
@@ -268,7 +274,7 @@ class _Parser:
                 return node
 
     def _parse_unary(self):
-        token = self.peek()
+        token = self.token
         if token.kind == "op" and token.text in ("-", "!"):
             self.next()
             return A.Un(token.text, self._parse_unary())
@@ -301,6 +307,14 @@ class _Parser:
             args.append(self.parse_expr())
             self.accept("op", ",")
         return args
+
+
+#: Statement keyword -> its parse method.
+_STATEMENTS = {
+    name[len("_stmt_"):]: method
+    for name, method in vars(_Parser).items()
+    if name.startswith("_stmt_")
+}
 
 
 def parse_kernel_source(source):

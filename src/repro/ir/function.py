@@ -263,7 +263,9 @@ def module_cache(module, layer, build=dict):
     each function's register slots, parameter slots and entry PC
     (``"launch_template"``), the launch memo's entry table
     (``"launch_memo"``), launch classifications (``"launch_class"``), CTA
-    coupling (``"cta_coupled"``) and program order (``"program_order"``).
+    coupling (``"cta_coupled"``), program order (``"program_order"``) and
+    the analyses its compiles share (``"analyses"``,
+    :class:`~repro.core.passmgr.AnalysisManager`).
 
     The caches are keyed weakly by module, so they die with it, and all
     its layers are emptied together when its :func:`structure_token`

@@ -26,6 +26,7 @@ from repro.ir.instructions import (
     Opcode,
     Reg,
 )
+from repro.ir.verifier import verify_module
 
 _OPCODES_BY_NAME = {op.value: op for op in Opcode}
 
@@ -217,11 +218,16 @@ def _parse_function(lexer):
 
 
 def parse_module(text, name="module"):
-    """Parse a full module from IR text."""
+    """Parse a full module from IR text and verify it (everything but
+    definitions before uses, which the simulator checks per read): text
+    that parses but is not well-formed IR, such as a ``cbr`` with one
+    target, raises :class:`~repro.errors.VerifierError` here rather
+    than failing inside a later pass."""
     lexer = _Lexer(text)
     module = Module(name)
     while lexer.peek()[0] != "eof":
         module.add(_parse_function(lexer))
+    verify_module(module, check_defs=False)
     return module
 
 

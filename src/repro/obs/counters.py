@@ -88,6 +88,9 @@ COUNTERS = {
         "not yet in the code memo",
     "jit.tierups":
         "segments lowered to generated code when built",
+    "jit.shape_hits":
+        "segments lowered from a shape seen before: no source generated, "
+        "only their own namespace bound (included in jit.tierups)",
     "jit.deopts":
         "segments and lone pure ops vetoed by codegen (the run issues "
         "unfused; the op runs interpreted)",
@@ -128,7 +131,11 @@ COUNTERS = {
     "passmgr.analysis_hit":
         "AnalysisManager.get() served a cached analysis",
     "passmgr.analysis_recompute":
-        "AnalysisManager.get() recomputed an analysis",
+        "AnalysisManager.get() had no valid cached entry: it computed the "
+        "analysis or took it from the compile's input module",
+    "passmgr.analysis_shared":
+        "AnalysisManager.get() misses answered from the compile's input "
+        "module without computing (included in passmgr.analysis_recompute)",
     # --- pool: persistent worker pool (repro.harness.parallel) --------
     "pool.tasks":
         "tasks submitted to the persistent worker pool",

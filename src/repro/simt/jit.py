@@ -39,13 +39,28 @@ maps each source line to the op it runs (``__jit_ops__``), and
 reference fails at and with what error, on the failure path only.
 
 **Shared code.** Most segments generate the same source as some other
-segment: the same shape at another PC, or the same kernel compiled
-again; a lone op's source is the same at every PC. The process-wide
-:class:`SegmentCodeCache` maps each source (without its ``# jit: segment
-@where`` header line) to one code object, so every distinct source, op
-or segment, goes through :func:`compile` once (``jit.compiled_segments``).
-Each segment or op still runs that code (``exec``) in its own namespace,
-so its decoded handlers and interned constants stay its own. The cache
+segment: the same kernel compiled again, or another module of the same
+shape; a lone op's source is the same at every PC. The process-wide
+:class:`SegmentCodeCache` pays for each only once:
+
+* *Shapes.* A segment is keyed, before any source is generated, on what
+  its source depends on (:func:`_shape_key`: its start index, and per
+  entry the opcode, register slots, immediates, latency, and which
+  operand objects are shared; no function, block or register name). The
+  first segment of a shape generates the source and a binding recipe
+  (:func:`_recipe`); every later one only builds its own namespace from
+  the recipe — its own handlers, its own exits at its own PCs, its own
+  names and registers — and runs the shared code (``jit.shape_hits``). A
+  shape codegen vetoed is vetoed for every segment of that shape.
+* *Sources.* Each source (without its ``# jit: segment @where`` header
+  line) maps to one code object, so every distinct source, op or
+  segment, goes through :func:`compile` once (``jit.compiled_segments``).
+
+``jit.tierups`` counts every segment lowered, from a shape hit or not.
+Each segment or op runs the shared code (``exec``) in its own namespace,
+so its decoded handlers and interned constants stay its own, and its
+``__jit_source__``, ``__jit_segment__`` and ``__jit_ops__`` are what a
+fresh lowering gives. ``clear_code_cache`` empties both memos. The cache
 also holds every live compiled segment (weakly) for telemetry and
 post-mortems.
 
@@ -63,6 +78,7 @@ the corpus, modes, schedulers, and fuzzed kernels.
 
 from __future__ import annotations
 
+import marshal
 import math
 import weakref
 
@@ -100,18 +116,22 @@ _CODEGEN_SPANS = SpanRecorder()
 
 
 class SegmentCodeCache:
-    """Process-wide memo from generated source to code object, plus a
-    registry of the live compiled segments.
+    """Process-wide memos from segment shape to its lowering and from
+    generated source to code object, plus a registry of the live
+    compiled segments.
 
     Segments are held weakly — they live on the (weak) decode cache, so
     dead modules drop out of the registry. The code memo is keyed by
-    source text and holds one code object per distinct source.
+    source text and holds one code object per distinct source; the shape
+    memo holds one :class:`_Shape` (or the veto) per shape key, which
+    references no module.
     """
 
     def __init__(self):
         self._segments = weakref.WeakSet()
         self._code = {}
         self._line_ops = {}
+        self._shapes = {}
 
     def code(self, source, where):
         """The code object for ``source``; compiles it on a miss (the
@@ -125,23 +145,37 @@ class SegmentCodeCache:
             ENGINE_COUNTERS.jit_compiled_segments += 1
         return code
 
+    def shape(self, key):
+        """The :class:`_Shape` (or the veto) lowered for a segment shape
+        key (:func:`_shape_key`), or None; None for no key."""
+        return None if key is None else self._shapes.get(key)
+
+    def add_shape(self, key, shape):
+        if key is not None:
+            self._shapes[key] = shape
+
     def store(self, segment):
         self._segments.add(segment)
 
     def line_ops(self, ops):
-        """One shared copy of a segment's line-to-op map (most segments
-        share their shape, and so their map, with another)."""
+        """One shared copy of a shape's line-to-op map (on ``figures``,
+        394 shapes have 103 distinct maps)."""
         return self._line_ops.setdefault(ops, ops)
 
     def clear(self):
-        """Drop every compiled segment and code object (tests and
-        long-lived servers)."""
+        """Drop every compiled segment, shape and code object (tests
+        and long-lived servers)."""
         self._segments.clear()
         self._code.clear()
         self._line_ops.clear()
+        self._shapes.clear()
 
     def stats(self):
         return {"segments": len(self._segments), "sources": len(self._code)}
+
+    def shape_count(self):
+        """Distinct segment shapes seen (lowered or vetoed)."""
+        return len(self._shapes)
 
     def segments(self):
         """The live compiled segments (telemetry)."""
@@ -277,30 +311,45 @@ _THREAD_EXPR = {
 #: Returned by :func:`_fold` when an instruction cannot be folded.
 _NO_FOLD = object()
 
+#: The shape-cache entry of a shape codegen vetoed.
+_VETOED = object()
+
 #: Pure ops that write no register: a chunk only advances past them.
 _NO_REGISTER_EFFECT = frozenset((Opcode.NOP, Opcode.PREDICT, Opcode.DELAY))
 
 
+#: The math functions every generated function's namespace starts with,
+#: bound directly (no per-call attribute lookup).
+_MATH_BINDINGS = {
+    "_sqrt": math.sqrt,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": math.exp,
+    "_log": math.log,
+    "_floor": math.floor,
+}
+
+
 class _Namespace:
     """The generated function's global namespace builder: the math
-    functions bound directly (no per-call attribute lookup), decoded
-    handlers, and interned constants for values with no exact literal
-    form."""
+    functions, decoded handlers, and interned constants for values with
+    no exact literal form.
+
+    A segment binds its handlers and exits with an ``origin`` (a binding
+    recipe item, :func:`_recipe`) instead of a value: its namespace is
+    built from the recipe, on its first lowering as on every later one.
+    """
 
     def __init__(self):
-        self.bindings = {
-            "_sqrt": math.sqrt,
-            "_sin": math.sin,
-            "_cos": math.cos,
-            "_exp": math.exp,
-            "_log": math.log,
-            "_floor": math.floor,
-        }
+        self.bindings = dict(_MATH_BINDINGS)
+        self.origins = {}
         self._const_ids = {}
 
-    def bind(self, prefix, value):
+    def bind(self, prefix, value, origin=None):
         name = f"{prefix}{len(self.bindings)}"
         self.bindings[name] = value
+        if origin is not None:
+            self.origins[name] = origin
         return name
 
     def literal(self, value):
@@ -520,8 +569,116 @@ def _static_cycles(entry):
     return entry.latency
 
 
-def _lower_segment(segment, entries, slots):
-    """The compiled function of ``segment`` over its decoded ``entries``.
+class _Shape:
+    """What every segment of one shape shares: its generated source (no
+    header line), code object, line-to-op map, and the recipe that binds
+    a segment's own namespace (:func:`_recipe`)."""
+
+    __slots__ = ("source", "code", "ops", "recipe")
+
+    def __init__(self, source, code, ops, recipe):
+        self.source = source
+        self.code = code
+        self.ops = ops
+        self.recipe = recipe
+
+
+def _shape_key(start, entries, slots):
+    """Everything a segment's generated source depends on, and no name,
+    as bytes (``marshal``, which keeps ``1`` and ``1.0``, ``0.0`` and
+    ``-0.0`` apart); None when an immediate cannot be marshalled.
+
+    Per entry: opcode, destination slot, static latency, operand count,
+    and each operand: a register as its slot, an immediate as a 1-tuple
+    of its value. A value with no exact literal form, and every block,
+    barrier or function name, is numbered by object identity within the
+    segment instead (its value kept too), because
+    :meth:`_Namespace.literal` interns by identity: the same pattern of
+    shared objects gives the same bindings. ``start`` is in the key
+    because chunks write absolute frame indices.
+    """
+    objects = {}
+    items = [start]
+    append = items.append
+    for entry in entries:
+        instr = entry.instr
+        dst = instr.dst
+        operands = instr.operands
+        append(entry.opcode.value)
+        append(None if dst is None else slots[dst.name])
+        append(entry.latency)
+        append(len(operands))
+        for operand in operands:
+            kind = type(operand)
+            if kind is Reg:
+                append(slots[operand.name])
+            elif kind is Imm:
+                value = operand.value
+                if type(value) is int or (
+                    type(value) is float and math.isfinite(value)
+                ):
+                    append((value,))
+                else:
+                    append((value, objects.setdefault(id(value), len(objects))))
+            else:
+                append(
+                    f"{kind.__name__}"
+                    f"{objects.setdefault(id(operand.name), len(objects))}"
+                )
+    try:
+        # Version 2: no back-references, whose use depends on object
+        # identity rather than value.
+        return marshal.dumps(items, 2)
+    except ValueError:
+        return None  # lowered afresh every time
+
+
+def _recipe(ns, entries):
+    """The binding recipe of a generated segment: one ``(name, kind, a,
+    b)`` per namespace binding past the math functions, in bind order.
+
+    ``"run"``: ``entries[a].run``. ``"exit"``: a new exit after ``a``
+    entries, at the end position ``b`` (:func:`_end_pc`). ``"operand"``,
+    ``"value"``, ``"name"``: operand ``b`` of ``entries[a]``, its
+    immediate value, or its name (an interned literal found among the
+    segment's operands: a register named in an UNDEF diagnostic, a
+    barrier or block name, an immediate with no literal form).
+    ``"const"``: ``a`` itself (UNDEF, or a folded value no operand
+    holds; equal keys fold equal values).
+    """
+    paths = {}
+    for position, entry in enumerate(entries):
+        for index, operand in enumerate(entry.instr.operands):
+            kind = type(operand)
+            if kind is Reg:
+                held, how = operand, "operand"
+            elif kind is Imm:
+                held, how = operand.value, "value"
+            else:
+                held, how = operand.name, "name"
+            paths.setdefault(id(held), (how, position, index))
+    recipe = []
+    for name, value in list(ns.bindings.items())[len(_MATH_BINDINGS):]:
+        origin = ns.origins.get(name)
+        if origin is None:
+            origin = paths.get(id(value), ("const", value, None))
+        recipe.append((name, *origin))
+    return tuple(recipe)
+
+
+def _end_pc(segment, entries, end):
+    """Where an exit leaves the group: ``end`` is an index in the
+    segment's block, or ``(position, operand)`` naming the block operand
+    of the entry at ``position`` (index 0 of that block)."""
+    if type(end) is int:
+        return (segment.fname, segment.bname, end)
+    position, operand = end
+    return (segment.fname, entries[position].instr.operands[operand].name, 0)
+
+
+def _generate(segment, entries, slots):
+    """``(source, binding recipe, line-to-op map)`` of ``segment`` over
+    its decoded ``entries``; raises :class:`CodegenVeto`.
 
     Runs of pure entries become thread-major chunks (:func:`_lower_chunk`)
     with their static cycles summed at codegen time; memory ops, barrier
@@ -535,17 +692,16 @@ def _lower_segment(segment, entries, slots):
     up to that exit are a literal in the return.
     """
     ns = _Namespace()
-    fname, bname = segment.fname, segment.bname
     body = []
     ops = []  # per body line, the segment position of the op it runs
     static_total = 0
     pure = []
     index = segment.start
 
-    def leave(n, end_pc, cycles):
+    def leave(n, end, cycles):
         """The return statement of the exit after the first ``n``
-        entries, where the group then sits at ``end_pc``."""
-        name = ns.bind("_x", segment.exit(entries[:n], end_pc))
+        entries, where the group then sits at ``end`` (:func:`_end_pc`)."""
+        name = ns.bind("_x", None, ("exit", n, end))
         return f"return _total + {cycles}, {name}"
 
     for position, entry in enumerate(entries):
@@ -563,11 +719,11 @@ def _lower_segment(segment, entries, slots):
         if opcode in (Opcode.BRA, Opcode.CBR) and entry is not entries[-1]:
             raise CodegenVeto(f"{opcode.value} before the end of a trace")
         if opcode is Opcode.CBR:
-            before = leave(position, (fname, bname, index), static_total)
+            before = leave(position, index, static_total)
             taken = [
-                leave(position + 1, (fname, target.name, 0),
+                leave(position + 1, (position, operand),
                       static_total + entry.latency)
-                for target in entry.instr.operands[1:]
+                for operand in (1, 2)
             ]
             _lower_cbr(entry, slots, ns, body, before, taken)
             ops += [None] * (len(body) - len(ops))  # it raises nothing
@@ -581,12 +737,9 @@ def _lower_segment(segment, entries, slots):
                 f"    _b = warp.barriers.barriers_dict().get({barrier})"
             )
             body.append("    if _b is not None and _b.parked_mask:")
-            body.append(
-                "        "
-                + leave(position, (fname, bname, index), static_total)
-            )
+            body.append("        " + leave(position, index, static_total))
             ops += (None, None, None)
-        handler = ns.bind("_h", entry.run)
+        handler = ns.bind("_h", None, ("run", position, None))
         body.append(f"    _total += {handler}(executor, warp, group)")
         ops.append(position)
         index += 1
@@ -595,28 +748,44 @@ def _lower_segment(segment, entries, slots):
             _lower_chunk(pure, index, slots, ns, body, "    ", ops,
                          len(entries) - len(pure))
         last = entries[-1]
-        if last.opcode is Opcode.BRA:
-            end_pc = (fname, last.instr.operands[0].name, 0)
-        else:
-            end_pc = (fname, bname, index)
-        body.append("    " + leave(len(entries), end_pc, static_total))
+        end = (len(entries) - 1, 0) if last.opcode is Opcode.BRA else index
+        body.append("    " + leave(len(entries), end, static_total))
         ops.append(None)
     lines = [
         "def _jit_segment(executor, warp, group):",
         "    _total = 0",
         *body,
     ]
-    code_source = "\n".join(lines) + "\n"
-    where = _where(segment)
-
-    namespace = dict(ns.bindings)
-    exec(CODE_CACHE.code(code_source, where), namespace)  # noqa: S102
-    fn = namespace["_jit_segment"]
-    fn.__jit_source__ = f"# jit: segment @{where} n={segment.n}\n{code_source}"
-    fn.__jit_segment__ = f"@{where} n={segment.n}"
     # Source line -> position of the op it runs (None: no op's), for
     # fused_failure; the first two lines are the def and ``_total = 0``.
-    fn.__jit_ops__ = CODE_CACHE.line_ops((None, None, *ops))
+    return "\n".join(lines) + "\n", _recipe(ns, entries), (None, None, *ops)
+
+
+def _instantiate(shape, segment, entries):
+    """``segment``'s compiled function: ``shape``'s shared code run in a
+    namespace of the segment's own handlers, exits and literals, bound
+    in the recipe's order (so ``segment.exits`` keeps the exit order)."""
+    namespace = dict(_MATH_BINDINGS)
+    for name, kind, a, b in shape.recipe:
+        if kind == "run":
+            value = entries[a].run
+        elif kind == "exit":
+            value = segment.exit(entries[:a], _end_pc(segment, entries, b))
+        elif kind == "const":
+            value = a
+        else:
+            value = entries[a].instr.operands[b]
+            if kind == "value":
+                value = value.value
+            elif kind == "name":
+                value = value.name
+        namespace[name] = value
+    exec(shape.code, namespace)  # noqa: S102
+    fn = namespace["_jit_segment"]
+    where = _where(segment)
+    fn.__jit_source__ = f"# jit: segment @{where} n={segment.n}\n{shape.source}"
+    fn.__jit_segment__ = f"@{where} n={segment.n}"
+    fn.__jit_ops__ = shape.ops
     return fn
 
 
@@ -774,12 +943,31 @@ def lower_segment(segment, entries, slots):
     """Compile ``segment`` (built over the decoded ``entries`` with the
     function's register ``slots``); returns its function, or None when
     codegen vetoed and the run must issue one instruction at a time.
+
+    The first segment of a shape (:func:`_shape_key`) generates the
+    source and its binding recipe; every later one, in any module, only
+    binds its own namespace and runs the shared code
+    (``jit.shape_hits``). A shape codegen vetoed stays vetoed.
     """
-    try:
-        fn = _lower_segment(segment, entries, slots)
-    except CodegenVeto:
+    key = _shape_key(segment.start, entries, slots)
+    shape = CODE_CACHE.shape(key)
+    if shape is None:
+        try:
+            source, recipe, ops = _generate(segment, entries, slots)
+        except CodegenVeto:
+            shape = _VETOED
+        else:
+            shape = _Shape(
+                source, CODE_CACHE.code(source, _where(segment)),
+                CODE_CACHE.line_ops(ops), recipe,
+            )
+        CODE_CACHE.add_shape(key, shape)
+    elif shape is not _VETOED:
+        ENGINE_COUNTERS.jit_shape_hits += 1
+    if shape is _VETOED:
         ENGINE_COUNTERS.jit_deopts += 1
         return None
+    fn = _instantiate(shape, segment, entries)
     ENGINE_COUNTERS.jit_tierups += 1
     CODE_CACHE.store(segment)
     return fn

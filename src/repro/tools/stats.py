@@ -312,23 +312,30 @@ def _run_jit(args):
                 result.cycles,
                 moved.get("jit.executed_segments", 0),
                 moved.get("jit.tierups", 0),
+                moved.get("jit.shape_hits", 0),
                 moved.get("jit.compiled_segments", 0),
                 moved.get("jit.deopts", 0),
             ))
     moved = obs_counters.delta(obs_counters.snapshot(), before)
 
+    # lowered: segments lowered (jit.tierups); shape hits: those of a
+    # shape seen before, which generated no source (jit.shape_hits);
+    # compiled: compile() calls (jit.compiled_segments).
     print(format_table(
-        ["workload", "cycles", "executed", "lowered", "compiled", "deopts"],
+        ["workload", "cycles", "executed", "lowered", "shape hits",
+         "compiled", "deopts"],
         rows, title=f"Compiled-segment corpus sweep ({len(rows)} workloads)",
     ))
     segments = jit_mod.compiled_segments()
-    cache = jit_mod.CODE_CACHE.stats()
+    cache = dict(jit_mod.CODE_CACHE.stats(),
+                 shapes=jit_mod.CODE_CACHE.shape_count())
     if segments:
         print()
         print(format_table(
             ["segment", "slots"],
             [(r["segment"], r["slots"]) for r in segments],
             title=(f"Code cache ({cache['segments']} segments, "
+                   f"{cache['shapes']} shapes, "
                    f"{cache['sources']} distinct sources)"),
         ))
     if args.jit_source and segments:

@@ -14,6 +14,13 @@ Section 5.4 corpus app (``baseline`` and ``auto``) and every Figure 7
 workload (``baseline``, ``sr`` and ``auto``). A compiler change that is
 meant to be a pure speed-up must leave it untouched.
 
+``frontend_digests.json`` freezes the front-end's output the same way:
+the sha256 of every lowered module (its printed IR and each function's
+register and block counters, which name what later passes add) for the
+Section 5.4 corpus, every registered workload at its defaults and at the
+conformance corpus's parameters, the grid corpus and the example
+kernels.
+
 Regenerate deliberately after an intended behaviour change with::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
@@ -29,13 +36,21 @@ import pytest
 
 from tests.test_conformance import CORPUS, MODES, _compiled, _launch
 from repro.core import ReconvergenceCompiler
+from repro.frontend import compile_kernel_source
 from repro.ir.printer import format_module
 from repro.simt import GPUMachine
-from repro.workloads import FIGURE7_WORKLOADS, get_workload
+from repro.workloads import (
+    FIGURE7_WORKLOADS,
+    get_workload,
+    grid_corpus,
+    workload_names,
+)
 from repro.workloads.corpus import generate_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 COMPILE_DIGESTS = GOLDEN_DIR / "compile_digests.json"
+FRONTEND_DIGESTS = GOLDEN_DIR / "frontend_digests.json"
+EXAMPLE_KERNELS = Path(__file__).parent.parent / "examples" / "kernels"
 SEED = 2020
 
 
@@ -97,7 +112,9 @@ def test_goldens_cover_full_corpus():
     """Every corpus workload has a committed golden, and no stale goldens
     linger for workloads that left the corpus."""
     committed = {p.stem for p in GOLDEN_DIR.glob("*.json")}
-    assert committed - {COMPILE_DIGESTS.stem} == set(CORPUS)
+    assert committed - {COMPILE_DIGESTS.stem, FRONTEND_DIGESTS.stem} == set(
+        CORPUS
+    )
 
 
 def _digest(text):
@@ -161,3 +178,64 @@ def test_compile_output_digests(update_goldens):
             f"compile output drifted for {len(drifted)} compiles, "
             f"first {drifted[:5]}; if intended, rerun with --update-goldens"
         )
+
+
+def _module_digest(module):
+    counters = "".join(
+        f"; @{fn.name} regs={fn._reg_counter} blocks={fn._block_counter}\n"
+        for fn in module
+    )
+    return _digest(format_module(module) + "\n" + counters)
+
+
+def _capture_frontend_digests():
+    """Digests of every module the front-end lowers for the corpus apps,
+    the workloads, the grid apps and the example kernels."""
+    workloads = {}
+    for name in workload_names():
+        workloads[name] = _module_digest(get_workload(name).module())
+        if name in CORPUS:
+            workloads[f"{name}[conformance]"] = _module_digest(
+                get_workload(name, **CORPUS[name]).module()
+            )
+    return {
+        "corpus": {
+            app.name: _module_digest(app.module()) for app in generate_corpus()
+        },
+        "workloads": workloads,
+        "grid": {app.name: _module_digest(app.module()) for app in grid_corpus()},
+        "examples": {
+            path.name: _module_digest(
+                compile_kernel_source(path.read_text(), module_name=path.stem)
+            )
+            for path in sorted(EXAMPLE_KERNELS.glob("*.srk"))
+        },
+    }
+
+
+def test_frontend_output_digests(update_goldens):
+    """Every kernel source lowers to the same module as when the golden
+    was recorded: a front-end change meant as a pure speed-up must leave
+    it untouched."""
+    record = _capture_frontend_digests()
+    if update_goldens:
+        FRONTEND_DIGESTS.write_text(
+            json.dumps(record, indent=1, sort_keys=True) + "\n"
+        )
+        return
+    assert FRONTEND_DIGESTS.exists(), (
+        f"missing golden {FRONTEND_DIGESTS.name}; regenerate with "
+        f"--update-goldens"
+    )
+    golden = json.loads(FRONTEND_DIGESTS.read_text())
+    assert record.keys() == golden.keys()
+    drifted = sorted(
+        f"{group}/{name}"
+        for group in golden
+        for name in golden[group].keys() | record[group].keys()
+        if record[group].get(name) != golden[group].get(name)
+    )
+    assert not drifted, (
+        f"front-end output drifted for {len(drifted)} modules, first "
+        f"{drifted[:5]}; if intended, rerun with --update-goldens"
+    )

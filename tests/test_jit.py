@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import compile_sr
 from repro.engine import current_engine, engine_config
-from repro.errors import LaunchError
+from repro.errors import LaunchError, SimulationError
 from repro.frontend import compile_kernel_source
 from repro.ir import parse_module
 from repro.ir.function import clear_module_caches
@@ -231,6 +231,139 @@ class TestCodeCache:
         assert jit_module.CODE_CACHE.stats() == {"segments": 0, "sources": 1}
         jit_module.clear_code_cache()
         assert jit_module.CODE_CACHE.stats() == {"segments": 0, "sources": 0}
+
+
+#: Two kernels of one segment shape under different function, block and
+#: register names: the entry block is one trace ending in an agreeing
+#: ``cbr`` (every lane's ``2 * tid`` is below 100).
+SHAPE_K = """
+func @k() kernel {
+entry:
+  %t = tid
+  %x = mul %t, 2
+  %p = cmplt %x, 100
+  cbr %p, ^low, ^high
+low:
+  st %t, %x
+  exit
+high:
+  st %t, 1
+  exit
+}
+"""
+
+SHAPE_Q = (
+    SHAPE_K.replace("@k", "@q").replace("entry", "start")
+    .replace("low", "small").replace("high", "big")
+    .replace("%t", "%a").replace("%x", "%b").replace("%p", "%c")
+)
+
+#: The same pair failing inside the segment: the copy of the unwritten
+#: register fails at the third slot with an error naming the register,
+#: function and block.
+UNDEF_K = """
+func @k() kernel {
+entry:
+  %t = tid
+  %x = add %t, 1
+  %y = mov %u
+  st %t, %y
+  exit
+}
+"""
+
+UNDEF_Q = (
+    UNDEF_K.replace("@k", "@q").replace("entry", "start")
+    .replace("%t", "%a").replace("%u", "%w")
+)
+
+
+def _launch(text, **engine):
+    module = parse_module(text)
+    (kernel,) = module.functions
+    memory = GlobalMemory()
+    with engine_config(**engine):
+        launch = GPUMachine(module).launch(kernel, 32, memory=memory)
+    return module, launch, memory
+
+
+class TestShapeCache:
+    def test_one_lowering_per_shape(self, segments_on):
+        """The second module of a shape generates no source: one shape
+        miss, one ``compile()``, one hit. Each segment still gets its own
+        header, exits and handlers, and runs as the reference does."""
+        before = obs_counters.snapshot()
+        runs = [_launch(text) for text in (SHAPE_K, SHAPE_Q)]
+        moved = _moved(before)
+        assert moved["jit.tierups"] == 2
+        assert moved["jit.shape_hits"] == 1
+        assert moved["jit.compiled_segments"] == 1
+        assert jit_module.CODE_CACHE.shape_count() == 1
+        sources = []
+        for (module, launch, memory), (kernel, block, small, big) in zip(
+            runs, (("k", "entry", "low", "high"), ("q", "start", "small", "big"))
+        ):
+            segment = decode_program(module, DEFAULT_COST_MODEL).segment_at(
+                (kernel, block, 0)
+            )
+            header, source = segment.fn.__jit_source__.split("\n", 1)
+            assert header == f"# jit: segment @{kernel}/{block}:0 n=4"
+            assert segment.fn.__jit_segment__ == f"@{kernel}/{block}:0 n=4"
+            sources.append(source)
+            assert [
+                (exit.fname, exit.bname, exit.n, exit.end_pc)
+                for exit in segment.exits
+            ] == [
+                (kernel, block, 3, (kernel, block, 3)),
+                (kernel, block, 4, (kernel, small, 0)),
+                (kernel, block, 4, (kernel, big, 0)),
+            ]
+            assert launch.counters["jit.executed_segments"] > 0
+            _, reference, ref_memory = _launch(
+                SHAPE_K if kernel == "k" else SHAPE_Q, fastpath=False
+            )
+            assert memory.snapshot() == ref_memory.snapshot()
+            assert launch.store_traces() == reference.store_traces()
+            assert launch.cycles == reference.cycles
+        assert sources[0] == sources[1]
+        fns = [
+            decode_program(module, DEFAULT_COST_MODEL).segment_at(pc).fn
+            for (module, _, _), pc in zip(
+                runs, (("k", "entry", 0), ("q", "start", 0))
+            )
+        ]
+        assert fns[0].__code__ is fns[1].__code__
+        assert fns[0].__jit_ops__ is fns[1].__jit_ops__
+
+    def test_failure_in_a_hit_segment_is_the_references(self, segments_on):
+        """A segment lowered from a cached shape fails at the reference's
+        slot with the reference's error, naming its own register,
+        function and block."""
+
+        def failure(text, **engine):
+            with pytest.raises(SimulationError) as excinfo:
+                _launch(text, **engine)
+            return str(excinfo.value), excinfo.value.post_mortem["issued"]
+
+        assert failure(UNDEF_K)[1] == 2
+        before = obs_counters.snapshot()
+        fused = failure(UNDEF_Q)
+        assert _moved(before)["jit.shape_hits"] == 1
+        assert fused == failure(UNDEF_Q, fastpath=False)
+        assert fused[0].startswith(
+            "read of undefined register %w in @q/start"
+        )
+
+    def test_clear_code_cache_drops_shapes(self, segments_on):
+        _launch(SHAPE_K)
+        assert jit_module.CODE_CACHE.shape_count() == 1
+        jit_module.clear_code_cache()
+        assert jit_module.CODE_CACHE.shape_count() == 0
+        before = obs_counters.snapshot()
+        _launch(SHAPE_Q)
+        moved = _moved(before)
+        assert moved["jit.shape_hits"] == 0
+        assert moved["jit.compiled_segments"] == 1
 
 
 class TestModuleLifetime:

@@ -188,6 +188,109 @@ class TestAnalysisManager:
         assert stats["invalidated"] >= 1
 
 
+#: An app with a divergent loop-exit branch the autodetect pass accepts.
+DETECTABLE = """
+kernel k() {
+    let x = 0.0;
+    let task = tid();
+    while (task < 128) {
+        let trips = floor(hash01(task * 3.33) * 9.0) + 1;
+        let j = 0;
+        while (j < trips) {
+            x = fma(x, 1.0001, 0.4);
+            j = j + 1;
+        }
+        task = task + 32;
+    }
+    store(tid(), x);
+}
+"""
+
+
+def _reachable_types(root):
+    """The types of every object reachable from ``root``."""
+    import gc
+
+    seen = {id(root)}
+    todo = [root]
+    types = set()
+    while todo:
+        obj = todo.pop()
+        types.add(type(obj))
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen.add(id(ref))
+                todo.append(ref)
+    return types
+
+
+class TestSharedAnalyses:
+    """A compile takes the divergence analysis of its input module: the
+    baseline and auto compiles of one module run it once."""
+
+    @pytest.mark.parametrize(
+        "source,shares,detected",
+        [(PREDICTED, 1, False), (DETECTABLE, 2, True)],
+        ids=["predicted", "detectable"],
+    )
+    def test_later_compiles_share_and_match(self, source, shares, detected):
+        module = compile_kernel_source(source)
+        before = obs_counters.snapshot()
+        shared = [
+            ReconvergenceCompiler().compile(module, mode=mode)
+            for mode in ("baseline", "auto", "sr")
+        ]
+        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        # baseline computes it on the input. auto strips the directives
+        # first: PREDICTED's structure then differs from the input's, so
+        # it computes its own. sr reads it before any structural change.
+        assert moved["passmgr.analysis_shared"] == shares
+        assert moved["passmgr.analysis_recompute"] == 3
+        assert detected == any(
+            c.accepted for c in shared[1].report.auto_candidates
+        )
+        for program, mode in zip(shared, ("baseline", "auto", "sr")):
+            alone = ReconvergenceCompiler().compile(
+                compile_kernel_source(source), mode=mode
+            )
+            assert format_module(program.module) == format_module(alone.module)
+            assert program.report.describe() == alone.report.describe()
+            assert program.report.analysis_stats == alone.report.analysis_stats
+
+    def test_result_holds_no_ir_object(self):
+        from repro.ir import BasicBlock, Function, Instruction, Module
+
+        module = compile_kernel_source(DETECTABLE)
+        ReconvergenceCompiler().compile(module, mode="baseline")
+        result = AnalysisManager(module.clone(), source=module).get(
+            "divergence"
+        )
+        reached = _reachable_types(result)
+        assert not reached & {Module, Function, BasicBlock, Instruction}
+
+    def test_not_shared_after_a_rewriting_pass(self):
+        module = compile_kernel_source(DETECTABLE)
+        ReconvergenceCompiler().compile(module, mode="baseline")
+        before = obs_counters.snapshot()
+        program = ReconvergenceCompiler().compile(
+            module, mode="sr", pipeline="constfold,pdom-sync,verify"
+        )
+        moved = obs_counters.delta(obs_counters.snapshot(), before)
+        assert moved["passmgr.analysis_shared"] == 0
+        assert program.report.analysis_stats["misses"] == 1
+
+    def test_source_module_is_freed(self):
+        import gc
+        import weakref
+
+        module = compile_kernel_source(DETECTABLE)
+        ReconvergenceCompiler().compile(module, mode="baseline")
+        ref = weakref.ref(module)
+        del module
+        gc.collect()
+        assert ref() is None
+
+
 class TestCompilerFacade:
     def test_mode_resolution_matches_legacy(self):
         # The façade's sr output is bit-identical to an explicit run of

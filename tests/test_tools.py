@@ -1,6 +1,7 @@
 """srkc and trace CLI driver tests."""
 
 import json
+import os
 
 import pytest
 
@@ -235,11 +236,32 @@ class TestHarnessCLIFlags:
         assert "pdom-sync" in out and "allocate" in out
 
     def test_pipeline_sets_env(self, monkeypatch):
+        """``--pipeline`` sets ``REPRO_PIPELINE`` for the figures it runs,
+        so their compiles run that pipeline, and restores the caller's
+        value when it returns."""
+        from repro.core import ReconvergenceCompiler
+        from repro.core.passmgr import PipelineError, format_pipeline
         from repro.harness.__main__ import main as harness_main
+        from repro.harness.figures import ALL_FIGURES, FigureResult
 
         monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        # A bad description fails fast before any figure runs.
-        with pytest.raises(Exception):
-            harness_main(["--pipeline", "no-such-pass", "fig1"])
-        assert harness_main(["--pipeline", "strip-directives,verify",
-                             "--list-passes"]) == 0
+        seen = []
+
+        def figure(seed):
+            seen.append((
+                os.environ.get("REPRO_PIPELINE"),
+                format_pipeline(ReconvergenceCompiler().resolve_pipeline("sr")),
+            ))
+            return FigureResult(name="funccall", data=None, text="")
+
+        monkeypatch.setitem(ALL_FIGURES, "funccall", figure)
+        assert harness_main(
+            ["--pipeline", "strip-directives,verify", "funccall"]
+        ) == 0
+        assert seen == [("strip-directives,verify", "strip-directives,verify")]
+        assert "REPRO_PIPELINE" not in os.environ
+        # A bad description fails fast, before any figure runs.
+        with pytest.raises(PipelineError, match="no-such-pass"):
+            harness_main(["--pipeline", "no-such-pass", "funccall"])
+        assert len(seen) == 1
+        assert "REPRO_PIPELINE" not in os.environ
