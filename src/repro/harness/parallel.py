@@ -24,7 +24,8 @@ installs the parent's engine config in every worker, so an
 ``fork`` and the ``spawn`` start method (spawned workers would otherwise
 re-parse the environment), and raises the worker's young-generation
 collector threshold (:func:`collector_policy`, which the figure CLI
-applies to its own process too).
+applies to its own process too, and a sharded grid launch to its parent
+while it merges).
 :func:`shutdown_pool` retires the pool explicitly (also registered
 ``atexit``). A task exception lets the sweep's other tasks finish, then
 terminates the pool before propagating so no half-poisoned workers
@@ -95,8 +96,9 @@ def resolve_jobs(jobs=None):
 
 
 #: The cyclic collector's young-generation threshold in the processes this
-#: package runs: the pool workers and the figure CLI (CPython's default
-#: is 700). A simulation keeps large object graphs alive (modules,
+#: package runs: the pool workers, the figure CLI, and the parent of a
+#: sharded grid launch while it merges (CPython's default is 700). A
+#: simulation keeps large object graphs alive (modules,
 #: decoded programs, launch memos, thread frames); at the default, every
 #: few hundred allocations start a collection, and each full one rescans
 #: all of them. At 10,000 the collector's time in ``python -m

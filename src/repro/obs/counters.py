@@ -67,6 +67,9 @@ COUNTERS = {
         "issue slots retired one instruction at a time",
     "segments.fused_segments":
         "fused segment executions (bursts)",
+    "segments.split_exits":
+        "fused segment executions that ended by splitting the group at a "
+        "cbr whose lanes disagree (included in segments.fused_segments)",
     # Unfused issues by opcode; the seven sum to segments.fallback_instrs.
     "segments.fallback_cbr":
         "issue slots retired one at a time: cbr",

@@ -49,6 +49,7 @@ per-CTA cycle counts remain exact.
 
 from __future__ import annotations
 
+import gc
 import pickle
 from dataclasses import dataclass, field
 
@@ -445,8 +446,19 @@ class GridLaunch:
         return records
 
     def _launch_sharded(self, kernel_name, args, memory, jobs):
-        """Shard disjoint-proven CTA chunks across the worker pool."""
-        from repro.harness.parallel import run_tasks_observed, task
+        """Shard disjoint-proven CTA chunks across the worker pool.
+
+        The parent holds the collector policy
+        (:func:`~repro.harness.parallel.collector_policy`) while it waits
+        and merges: the merge unpickles every worker's records and keeps
+        them, so at the default young-generation threshold the collector
+        runs hundreds of times and finds nothing. The caller's thresholds
+        come back however the launch ends."""
+        from repro.harness.parallel import (
+            collector_policy,
+            run_tasks_observed,
+            task,
+        )
         from repro.ir import format_module
 
         module_text = format_module(self.module)
@@ -466,13 +478,18 @@ class GridLaunch:
                 list(range(self.grid_dim)), jobs * CHUNKS_PER_WORKER
             )
         ]
-        # Results come back in chunk order, whichever worker ran each.
-        results, _reports = run_tasks_observed(tasks, jobs=jobs)
-        records = []
-        for chunk_records, writes in results:
-            records.extend(chunk_records)
-            # Disjointness proves no two chunks wrote the same cell, and
-            # chunk order puts new cells where the serial loop would.
-            memory.apply(writes)
+        thresholds = collector_policy()
+        try:
+            # Results come back in chunk order, whichever worker ran each.
+            results, _reports = run_tasks_observed(tasks, jobs=jobs)
+            records = []
+            for chunk_records, writes in results:
+                records.extend(chunk_records)
+                # Disjointness proves no two chunks wrote the same cell,
+                # and chunk order puts new cells where the serial loop
+                # would.
+                memory.apply(writes)
+        finally:
+            gc.set_threshold(*thresholds)
         ENGINE_COUNTERS.grid_pool_sharded_ctas += self.grid_dim
         return records

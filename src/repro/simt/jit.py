@@ -21,20 +21,33 @@ anything computable from them) are folded at codegen time, vetoing the
 fold on any exception or non-numeric result; folded slots are written
 once at the end of their chunk ("virtual constants": readers inside the
 chunk use the folded literal, so deferring the write is bit-identical).
-Memory ops, ``bssy``, ``bbreak`` and ``bra`` keep their decoded handlers —
-the generated function calls them in program order.
+Memory ops, ``bssy`` and ``bbreak`` keep their decoded handlers — the
+generated function calls them in program order.
+
+**Branches.** A trace that ends at a branch pays one pass over its group
+for it. When the branch directly follows the trace's last pure chunk —
+a ``bra``, or a ``cbr`` whose predicate that chunk computes at run time
+— the chunk *routes* it: each lane's tail in the chunk's lane loop sets
+its block and index 0 at the target, and for ``cbr`` files the lane in
+the taken or fallen list. Any other ending ``bra`` runs its decoded
+handler, and any other ending ``cbr`` files the lanes in one loop over
+the group, then moves them.
 
 **Exits.** A trace may leave early. Before a ``bbreak`` the generated code
 checks that no lane is parked on its barrier, and leaves just before the
-``bbreak`` if one is. An ending ``cbr`` tests every lane's predicate
-first: when all agree the group jumps to that target, and when they
-disagree, or a test raises (UNDEF), the trace leaves before the branch.
-Every way out returns ``(cycles, exit)``, where ``exit`` is a static
+``bbreak`` if one is. A ``cbr`` that is not routed leaves before the
+branch when a predicate test raises (UNDEF), before any lane moved. A
+trace that runs its ``cbr`` leaves at the one target when every lane
+took it, and otherwise through a *split exit*: it reports the taken and
+fallen lanes in ``executor.moved``, the decoded ``cbr``'s move report,
+and the machine inserts both buckets. Every way out returns ``(cycles,
+exit)``, where ``exit`` is a static
 :class:`~repro.simt.segments.SegmentExit` bound into the function's
 namespace, so the machine accounts exactly the slots that ran.
 
 **Failures.** A segment that raises is not run again: its function
-maps each source line to the op it runs (``__jit_ops__``), and
+maps each source line to the op it runs (``__jit_ops__``; a routed
+branch's lines, which cannot raise, map to None), and
 :func:`fused_failure` works out from the raising line which slot the
 reference fails at and with what error, on the failure path only.
 
@@ -252,8 +265,9 @@ class CodegenVeto(Exception):
 #: Fusable ops whose effects are *thread-private*: registers, the RNG
 #: stream, and the frame index only. These reorder freely across threads,
 #: so a run of them executes thread-major. LD/ST/ATOMADD touch shared
-#: memory (lane order and dynamic coalescing cost matter) and BRA rewrites
-#: the PC, so they stay instruction-major via their decoded handlers;
+#: memory (lane order and dynamic coalescing cost matter), so they stay
+#: instruction-major via their decoded handlers; BRA ends a trace, routed
+#: by the chunk before it when there is one (:func:`_lower_chunk`);
 #: CALL never reaches a segment. DELAY is pure here: it only charges
 #: static cycles and advances the PC.
 _PURE_OPS = _UNIFORM_OPS - {
@@ -416,7 +430,7 @@ def _fold(instr, known, slots):
 
 
 def _lower_chunk(entries, end_index, slots, ns, lines, indent, ops=None,
-                 base=0):
+                 base=0, branch=None):
     """Emit one pure chunk as a straight-line per-thread loop body.
 
     Statements write ``_r`` (the thread's regs list) in program order;
@@ -430,6 +444,16 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent, ops=None,
     untouched. Arithmetic on UNDEF raises by itself; a copy (``mov``, the
     picked ``sel`` operand) of a slot read checks for it, so every op
     raises where the interpreter's read does.
+
+    ``branch``, when given, is the decoded ``bra`` or ``cbr`` right after
+    the chunk. The chunk *routes* it when it can: each lane's tail then
+    moves the lane to the branch target instead of advancing its index
+    (a ``cbr`` also files the lane in ``_tk`` or ``_fl``, its taken and
+    fallen lists, in lane order), so the branch costs no pass of its
+    own. A ``cbr`` is routed only when the chunk computes its predicate
+    at run time, so the predicate is never UNDEF; an empty body (all
+    ``nop``/``predict``/``delay``) routes nothing. Returns True when the
+    branch was routed.
 
     ``ops``, when given, gets one item per emitted line, in step with
     ``lines``: ``base`` plus the chunk position of the op the line
@@ -482,6 +506,22 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent, ops=None,
             if later_dst == dst:
                 break
         reused.append(live)
+
+    # Routing: which branch the lane tail takes, and for a ``cbr``, the
+    # slot of its predicate, whose last definition the tail re-reads.
+    route = None
+    if branch is not None and (plan or known):
+        if branch.opcode is Opcode.BRA:
+            route = branch
+        else:
+            pred = branch.instr.operands[0]
+            pred_slot = slots[pred.name] if isinstance(pred, Reg) else None
+            if pred_slot not in known:
+                defs = [i for i, item in enumerate(plan)
+                        if item[2] == pred_slot]
+                if defs:
+                    reused[defs[-1]] = True
+                    route = branch
 
     # Emit pass.
     body = []
@@ -551,15 +591,37 @@ def _lower_chunk(entries, end_index, slots, ns, lines, indent, ops=None,
         lines.append(f"{indent}    _t.frames[-1].index {advance}")
         if ops is not None:
             ops += (None, None)
-        return
+        return False
+    head = []
+    if route is None:
+        tail = [f"_f.index {advance}"]
+    elif route.opcode is Opcode.BRA:
+        target = ns.literal(route.instr.operands[0].name)
+        tail = [f"_f.block_name = {target}", "_f.index = 0"]
+    else:
+        _pred, true_target, false_target = route.instr.operands
+        head = ["_tk = []", "_fl = []"]
+        tail = [
+            f"if {bound[pred_slot]} != 0:",
+            f"    _f.block_name = {ns.literal(true_target.name)}",
+            "    _tk.append(_t)",
+            "else:",
+            f"    _f.block_name = {ns.literal(false_target.name)}",
+            "    _fl.append(_t)",
+            "_f.index = 0",
+        ]
+    lines += [f"{indent}{line}" for line in head]
     lines.append(f"{indent}for _t in group:")
     lines.append(f"{indent}    _f = _t.frames[-1]")
     lines.append(f"{indent}    _r = _f.regs")
     for statement in body:
         lines.append(f"{indent}    {statement}")
-    lines.append(f"{indent}    _f.index {advance}")
+    lines += [f"{indent}    {line}" for line in tail]
     if ops is not None:
-        ops += (None, None, None, *body_ops, None)
+        ops += (None,) * (len(head) + 3)
+        ops += body_ops
+        ops += (None,) * len(tail)
+    return route is not None
 
 
 def _static_cycles(entry):
@@ -638,7 +700,10 @@ def _recipe(ns, entries):
     b)`` per namespace binding past the math functions, in bind order.
 
     ``"run"``: ``entries[a].run``. ``"exit"``: a new exit after ``a``
-    entries, at the end position ``b`` (:func:`_end_pc`). ``"operand"``,
+    entries, at the end position ``b`` (:func:`_end_pc`). ``"split"``:
+    the split exit through the ending ``cbr``, at both its targets.
+    ``"pc"``: the first PC of the ending ``cbr``'s target operand ``a``.
+    ``"operand"``,
     ``"value"``, ``"name"``: operand ``b`` of ``entries[a]``, its
     immediate value, or its name (an interned literal found among the
     segment's operands: a register named in an UNDEF diagnostic, a
@@ -684,12 +749,15 @@ def _generate(segment, entries, slots):
     with their static cycles summed at codegen time; memory ops, barrier
     ops and ``bra`` are one call of their decoded handler each,
     instruction-major, preserving lane-ordered memory semantics and
-    dynamic coalescing costs. A ``bbreak`` is guarded and an ending ``cbr``
-    checked over the group (:func:`_lower_cbr`). Each way out returns
-    ``(cycles, exit)`` with its own
-    :class:`~repro.simt.segments.SegmentExit`: ``_total`` sums the
-    handlers' cycles, and the pure ops' (and the ``cbr``'s) static cycles
-    up to that exit are a literal in the return.
+    dynamic coalescing costs. A ``bbreak`` is guarded. An ending ``bra``
+    or ``cbr`` right after a chunk is routed in the chunk's lane loop
+    when it can be; an ending ``cbr`` that is not is tested over the
+    group (:func:`_lower_cbr`), and either way leaves through
+    :func:`_branch_exits`. Each way out returns ``(cycles, exit)`` with
+    its own :class:`~repro.simt.segments.SegmentExit`: ``_total`` sums
+    the handlers' cycles, and the pure ops' (and the branch's, when it
+    runs no handler) static cycles up to that exit are a literal in the
+    return.
     """
     ns = _Namespace()
     body = []
@@ -697,6 +765,8 @@ def _generate(segment, entries, slots):
     static_total = 0
     pure = []
     index = segment.start
+    last = entries[-1]
+    branch = last if last.opcode in (Opcode.BRA, Opcode.CBR) else None
 
     def leave(n, end, cycles):
         """The return statement of the exit after the first ``n``
@@ -711,22 +781,27 @@ def _generate(segment, entries, slots):
             static_total += _static_cycles(entry)
             index += 1
             continue
+        if opcode in (Opcode.BRA, Opcode.CBR) and entry is not last:
+            raise CodegenVeto(f"{opcode.value} before the end of a trace")
+        routed = False
         if pure:
             # Even an all-NOP chunk must advance the frame index.
-            _lower_chunk(pure, index, slots, ns, body, "    ", ops,
-                         position - len(pure))
+            routed = _lower_chunk(
+                pure, index, slots, ns, body, "    ", ops,
+                position - len(pure), branch if entry is branch else None,
+            )
             pure = []
-        if opcode in (Opcode.BRA, Opcode.CBR) and entry is not entries[-1]:
-            raise CodegenVeto(f"{opcode.value} before the end of a trace")
-        if opcode is Opcode.CBR:
-            before = leave(position, index, static_total)
-            taken = [
-                leave(position + 1, (position, operand),
-                      static_total + entry.latency)
-                for operand in (1, 2)
-            ]
-            _lower_cbr(entry, slots, ns, body, before, taken)
-            ops += [None] * (len(body) - len(ops))  # it raises nothing
+        if entry is branch and opcode is Opcode.CBR:
+            if not routed:
+                _lower_cbr(entry, slots, ns, body,
+                           leave(position, index, static_total))
+            _branch_exits(len(entries), static_total + entry.latency, ns,
+                          body)
+            break
+        if entry is branch and routed:
+            body.append("    " + leave(
+                len(entries), (position, 0), static_total + entry.latency
+            ))
             break
         if opcode is Opcode.BBREAK:
             # Guard: a withdraw must not complete a release, so no lane
@@ -747,10 +822,9 @@ def _generate(segment, entries, slots):
         if pure:
             _lower_chunk(pure, index, slots, ns, body, "    ", ops,
                          len(entries) - len(pure))
-        last = entries[-1]
-        end = (len(entries) - 1, 0) if last.opcode is Opcode.BRA else index
+        end = (len(entries) - 1, 0) if branch is not None else index
         body.append("    " + leave(len(entries), end, static_total))
-        ops.append(None)
+    ops += [None] * (len(body) - len(ops))  # exits raise nothing
     lines = [
         "def _jit_segment(executor, warp, group):",
         "    _total = 0",
@@ -771,6 +845,13 @@ def _instantiate(shape, segment, entries):
             value = entries[a].run
         elif kind == "exit":
             value = segment.exit(entries[:a], _end_pc(segment, entries, b))
+        elif kind == "split":
+            value = segment.exit(entries, None, tuple(
+                _end_pc(segment, entries, (len(entries) - 1, operand))
+                for operand in (1, 2)
+            ))
+        elif kind == "pc":
+            value = _end_pc(segment, entries, (len(entries) - 1, a))
         elif kind == "const":
             value = a
         else:
@@ -789,14 +870,14 @@ def _instantiate(shape, segment, entries):
     return fn
 
 
-def _lower_cbr(entry, slots, ns, body, before, taken):
-    """Emit a trace's ending ``cbr``: ``before`` and ``taken`` (one per
-    target, true first) are the return statements of its exits.
-
-    Every lane's predicate is tested first. When all agree, the group
-    jumps to that target. Otherwise, or when a test raises (an UNDEF
-    predicate), the trace leaves before the branch, so the machine issues
-    it, and raises from it, the ordinary way.
+def _lower_cbr(entry, slots, ns, body, before):
+    """Emit the group test of a trace's ending ``cbr`` whose predicate
+    its last chunk does not compute (a register from before the trace or
+    a handler op, or a literal): file every lane in ``_tk`` or ``_fl`` in
+    lane order, then move them. When a test raises (an UNDEF predicate),
+    no lane has moved, and the trace leaves through ``before``, the
+    return statement of the exit before the branch, so the machine
+    issues it, and raises from it, the ordinary way.
     """
     pred, true_target, false_target = entry.instr.operands
     if isinstance(pred, Reg):
@@ -806,23 +887,47 @@ def _lower_cbr(entry, slots, ns, body, before, taken):
     else:
         raise CodegenVeto(f"unsupported cbr predicate {pred!r}")
     body.extend([
+        "    _tk = []",
+        "    _fl = []",
         "    try:",
-        f"        _q = [{test} for _t in group]",
+        "        for _t in group:",
+        f"            if {test}:",
+        "                _tk.append(_t)",
+        "            else:",
+        "                _fl.append(_t)",
         "    except Exception:",
         f"        {before}",
     ])
-    for target, absent, leave in zip(
-        (true_target, false_target), ("False", "True"), taken
-    ):
+    for lanes, target in (("_tk", true_target), ("_fl", false_target)):
         body.extend([
-            f"    if {absent} not in _q:",
-            "        for _t in group:",
-            "            _f = _t.frames[-1]",
-            f"            _f.block_name = {ns.literal(target.name)}",
-            "            _f.index = 0",
-            f"        {leave}",
+            f"    for _t in {lanes}:",
+            "        _f = _t.frames[-1]",
+            f"        _f.block_name = {ns.literal(target.name)}",
+            "        _f.index = 0",
         ])
-    body.append(f"    {before}")
+
+
+def _branch_exits(n, cycles, ns, body):
+    """Emit the ways out of a trace whose ending ``cbr`` (its ``n``-th
+    slot) has moved its lanes and filed them in ``_tk`` and ``_fl``: to
+    the true target when no lane fell through, to the false target when
+    none was taken, and otherwise a split exit that reports both buckets
+    in ``executor.moved``, the decoded ``cbr``'s move report."""
+    taken, fallen = (
+        ns.bind("_x", None, ("exit", n, (n - 1, operand)))
+        for operand in (1, 2)
+    )
+    true_pc, false_pc = (ns.bind("_p", None, ("pc", operand, None))
+                         for operand in (1, 2))
+    split = ns.bind("_x", None, ("split", None, None))
+    body.extend([
+        "    if not _fl:",
+        f"        return _total + {cycles}, {taken}",
+        "    if not _tk:",
+        f"        return _total + {cycles}, {fallen}",
+        f"    executor.moved = (({true_pc}, _tk), ({false_pc}, _fl))",
+        f"    return _total + {cycles}, {split}",
+    ])
 
 
 def _read_operands(instr, frame):

@@ -35,7 +35,14 @@ from repro.simt.jit import fused_failure
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.scheduler import make_scheduler
-from repro.simt.warp import WARP_SIZE, insert_bucket, launch_warps
+from repro.simt.warp import (
+    WARP_SIZE,
+    ThreadState,
+    insert_bucket,
+    launch_warps,
+)
+
+_EXITED = ThreadState.EXITED
 
 #: Issue-slot budget shared by every execution engine (GPU, stack,
 #: single-thread reference) so runaway-loop detection behaves the same
@@ -405,7 +412,10 @@ class GPUMachine:
         it took, and the slots up to that exit are accounted at once,
         except the scheduler's: ``issue`` consumes the first slot of a
         policy with shared state, and the caller consumes the rest at
-        their own slots.
+        their own slots. The issued bucket moves to the exit's PC; a
+        split exit (a ``cbr`` whose lanes disagree, the segment's last
+        slot) moves its taken and fallen lanes as the ``cbr`` reported
+        them in ``executor.moved``, as an unfused ``cbr`` does.
 
         Everything else — including an exit that ran no slot — issues
         one decoded instruction in the same call, with the pick already
@@ -496,11 +506,20 @@ class GPUMachine:
                             thread.retired += n
                         record_segment(out, len(group), cycles)
                         warp.cycles += cycles
-                        # Segment ops cannot park, release, or split, so
-                        # the other groups are untouched: the issued
-                        # bucket moves to the exit's PC.
+                        # Segment ops cannot park or release, so the
+                        # other groups are untouched: the issued bucket
+                        # moves to the exit's PC, or, at a split exit,
+                        # its taken and fallen lanes to the ending
+                        # ``cbr``'s targets, as that ``cbr`` reported.
                         del table[pc]
-                        insert_bucket(table, out.end_pc, group)
+                        end_pc = out.end_pc
+                        if end_pc is None:
+                            moved = executor.moved
+                            executor.moved = None
+                            for target, bucket in moved:
+                                insert_bucket(table, target, bucket)
+                        else:
+                            insert_bucket(table, end_pc, group)
                         return n
             # One decoded instruction.
             if unfusable:
@@ -561,7 +580,10 @@ class GPUMachine:
         the warp waits while a sibling warp can still make progress
         toward it. Any other warp is deadlocked: :class:`DeadlockError`.
         """
-        if not warp.live_threads():
+        for thread in warp.threads:
+            if thread.state is not _EXITED:
+                break
+        else:
             warp.done = True
             return
         cta = executor.cta

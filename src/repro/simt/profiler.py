@@ -288,6 +288,10 @@ class Profiler:
             "segments.fallback_instrs": fallback,
             **by_opcode,
             "segments.fused_segments": self.fused_segments,
+            "segments.split_exits": sum(
+                stats[0] for out, stats in self.segment_stats.items()
+                if out.end_pc is None
+            ),
             "segments.coverage": fused / total if total else 0.0,
             **{
                 name: int(self.multiwarp == mode)

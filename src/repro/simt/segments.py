@@ -8,9 +8,9 @@ per-slot loop overhead, not instruction semantics, dominates runtime.
 
 This module fuses each maximal **segment** of a basic block into one
 superinstruction: a trace that may leave early. A segment is a run of
-instructions that cannot park, release, split, call, exit, or emit
-per-lane observability events, plus the paper's barrier bookkeeping
-that provably cannot either:
+instructions that cannot park, release, call, exit, or emit per-lane
+observability events, and that splits the group only at its last slot,
+plus the paper's barrier bookkeeping that provably cannot either:
 
 * uniform ops (``FUSABLE_OPS``): the group moves as one, forward;
 * ``bssy`` on a literal barrier: a join. Every issue that can make a
@@ -20,16 +20,19 @@ that provably cannot either:
 * ``bbreak`` on a literal barrier, guarded at run time: the trace leaves
   just before it unless no lane is parked on its barrier. A withdraw from
   a barrier with no parked lane cannot complete a release;
-* a block-ending ``cbr`` checked over the whole group: when every lane
-  agrees the group jumps to one target, and that jump is the trace's last
-  slot. When lanes disagree, or the predicate raises (UNDEF), the trace
-  leaves before the ``cbr`` and the machine issues it the ordinary way.
+* a block-ending ``cbr``, the trace's last slot: when every lane agrees
+  the group jumps to one target; when lanes disagree the group splits
+  into its taken and fallen lanes, as the decoded ``cbr`` splits it (a
+  *split exit*). A ``cbr`` touches no barrier and the group does not
+  change before it, so the pick holds through it. When the predicate
+  raises (UNDEF), the trace leaves before the ``cbr`` and the machine
+  issues it, and raises from it, the ordinary way.
 
 Executing a segment therefore changes no other group and never needs a
 drain, so the machine may charge the slots it ran in one step. Each way
 out is a static :class:`SegmentExit` record (slots run, where the group
-sits, their opcodes); the compiled function (:mod:`repro.simt.jit`)
-returns ``(cycles, exit)``. An exit that ran no slot (a guard that fails
+sits, or both targets of a split, their opcodes); the compiled function
+(:mod:`repro.simt.jit`) returns ``(cycles, exit)``. An exit that ran no slot (a guard that fails
 at the segment's first op) leaves the slot to the machine's ordinary
 issue. Register-pure runs execute thread-major with a single frame index
 write per thread, while memory operations and barrier ops run
@@ -101,17 +104,24 @@ class SegmentExit:
     """One static way out of a segment: its first ``n`` instructions ran
     and the group sits at ``end_pc``. ``opcode_counts`` and
     ``barrier_ops`` describe those ``n`` slots; the profiler accounts a
-    fused run by its exit."""
+    fused run by its exit.
 
-    __slots__ = ("fname", "bname", "start", "n", "end_pc", "opcode_counts",
-                 "barrier_ops")
+    A *split* exit ran the segment's ending ``cbr`` on lanes that
+    disagree: it has no ``end_pc`` (None), and ``targets`` holds the
+    first PCs of the true and false targets. The run reports the taken
+    and fallen lanes in ``executor.moved``, as the decoded ``cbr`` does.
+    """
 
-    def __init__(self, fname, bname, start, entries, end_pc):
+    __slots__ = ("fname", "bname", "start", "n", "end_pc", "targets",
+                 "opcode_counts", "barrier_ops")
+
+    def __init__(self, fname, bname, start, entries, end_pc, targets=None):
         self.fname = fname
         self.bname = bname
         self.start = start
         self.n = len(entries)
         self.end_pc = end_pc
+        self.targets = targets
         counts = {}
         for entry in entries:
             counts[entry.opcode] = counts.get(entry.opcode, 0) + 1
@@ -119,9 +129,10 @@ class SegmentExit:
         self.barrier_ops = sum(1 for entry in entries if entry.is_barrier_op)
 
     def __repr__(self):
+        end = self.end_pc if self.targets is None else f"split {self.targets}"
         return (
             f"<SegmentExit @{self.fname}/{self.bname}:{self.start} "
-            f"n={self.n} -> {self.end_pc}>"
+            f"n={self.n} -> {end}>"
         )
 
 
@@ -143,11 +154,12 @@ class Segment:
         self.exits = ()
         self.fn = None
 
-    def exit(self, entries, end_pc):
+    def exit(self, entries, end_pc, targets=None):
         """A new exit after the segment's first ``len(entries)`` decoded
-        ``entries`` (the group then sits at ``end_pc``)."""
+        ``entries`` (the group then sits at ``end_pc``, or splits between
+        ``targets``)."""
         record = SegmentExit(self.fname, self.bname, self.start, entries,
-                             end_pc)
+                             end_pc, targets)
         self.exits += (record,)
         return record
 

@@ -235,7 +235,8 @@ def run_funnel(
     When detection accepts nothing, the ``auto`` program prints the same
     IR as the baseline, so its launch is a launch-memo hit
     (:mod:`repro.simt.memo`) as long as the baseline program is alive:
-    only detected apps simulate twice.
+    only detected apps simulate twice. Each app's lowered module is
+    dropped once both of its launches returned.
     """
     rows = []
     low = detected = significant = 0
@@ -256,6 +257,9 @@ def run_funnel(
             low += 1
         compiled, auto_launch = app.run(mode="auto", auto_options=auto_options)
         del base_program  # held until the auto launch returned
+        # Nothing reads the app's lowered module again (``module()``
+        # would lower it anew): drop it, and everything cached with it.
+        app._module = None
         accepted = [c for c in compiled.report.auto_candidates if c.accepted]
         if accepted:
             detected += 1

@@ -843,6 +843,58 @@ done:
 }
 """
 
+#: A trace ending in each kind of branch. ``entry`` routes its ``bra``;
+#: ``head`` routes a ``cbr`` whose lanes agree (every lane has the same
+#: ``%i``), ``body`` one whose lanes disagree (a split exit). ``odd``
+#: (after a store) and ``even`` (after a chunk) test ``%h``, a predicate
+#: from before the trace, and ``join`` one its chunk folds to a literal;
+#: ``tail`` has an immediate predicate. ``{memory}`` is empty, or a
+#: shared-cell ``atomadd`` that keeps a multi-warp launch interleaved
+#: for its memory.
+BRANCH_EXITS = """
+func @k() kernel {
+entry:
+  %t = tid
+  {memory}
+  %h = and %t, 1
+  %i = mov 0
+  bra ^head
+head:
+  %q = cmplt %i, 3
+  cbr %q, ^body, ^tail
+body:
+  %i = add %i, 1
+  %x = mul %t, %i
+  %p = and %x, 2
+  cbr %p, ^odd, ^even
+odd:
+  %y = add %x, 1
+  st %t, %y
+  cbr %h, ^head, ^join
+even:
+  %z = add %x, 2
+  cbr %h, ^join, ^head
+join:
+  %c = const 1
+  %d = add %i, %c
+  cbr %c, ^head, ^tail
+tail:
+  %w = add %t, 7
+  cbr 0, ^head, ^done
+done:
+  st %t, %w
+  exit
+}
+"""
+
+#: ``BRANCH_EXITS`` with warps that run independently, and with warps
+#: that stay interleaved for their memory.
+BRANCH_EXIT_KERNELS = {
+    "disjoint": BRANCH_EXITS.replace("  {memory}\n", ""),
+    "shared-cell": BRANCH_EXITS.replace("{memory}", "%a = atomadd 500, 1"),
+}
+
+
 #: The barrier-register forms the decoded path leaves to the interpreter:
 #: ``bssy``, ``bsync`` and ``bbreak`` on barriers held in ``bmov``
 #: registers, a ``bsync.soft`` whose threshold is a register (trivial,
@@ -1102,6 +1154,21 @@ class TestGroupTableOracle:
         assert checked
 
     @pytest.mark.parametrize("engine", sorted(ORACLE_ENGINES))
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("kernel", sorted(BRANCH_EXIT_KERNELS))
+    def test_branch_exits(self, kernel, scheduler, engine):
+        """Split exits included: a fused run that splits its group at
+        a ``cbr`` leaves the table equal to a rescan."""
+        module = parse_module(BRANCH_EXIT_KERNELS[kernel])
+        with _table_oracle() as checked, _using(ORACLE_ENGINES[engine]):
+            launch = GPUMachine(module, scheduler=scheduler).launch(
+                "k", MULTIWARP
+            )
+        assert checked
+        if engine == "all-on":
+            assert launch.counters["segments.split_exits"] > 0
+
+    @pytest.mark.parametrize("engine", sorted(ORACLE_ENGINES))
     @settings(max_examples=4, deadline=None)
     @given(
         program=st.booleans().flatmap(
@@ -1289,11 +1356,15 @@ class TestTraceExits:
         assert segment is not None
         assert segment.exits[0].n == 0
 
-    def test_cbr_exits_before_and_through(self):
+    def test_cbr_splits_and_goes_through(self):
+        """The loop header's chunk computes its ``cbr``'s predicate, so
+        the trace runs the ``cbr`` whether its lanes agree or not: a
+        split exit when they disagree, and no exit before it."""
         exits = _exits_taken(self._fused(CBR_DIVERGES))
         loop = ("k", "loop", 0)
-        assert exits.get((loop, ("k", "loop", 1)), 0) > 0  # lanes disagree
+        assert exits.get((loop, None), 0) > 0  # lanes disagree
         assert exits.get((loop, ("k", "body", 0)), 0) > 0  # all continue
+        assert (loop, ("k", "loop", 1)) not in exits
         assert exits[(("k", "entry", 0), ("k", "loop", 0))] == 1
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -1377,6 +1448,89 @@ class TestTraceExits:
 
 #: The fused-segment UNDEF kernel: ``%u`` is never written, so the
 #: reference fails at the second ``add``, after two slots.
+def _grid_outcome(module, jobs, scheduler):
+    """``(sharded, CTA records, memory cells, counters)`` of a 4-CTA
+    grid of 32-thread CTAs of ``module``'s kernel ``k``."""
+    grid = GridLaunch(module, 4, 32, jobs=jobs, scheduler=scheduler).launch(
+        "k"
+    )
+    return grid.sharded, grid.cta_records, grid.memory.snapshot(), (
+        grid.counters
+    )
+
+
+class TestBranchExits:
+    """Traces that end in a branch (``BRANCH_EXITS``): a routed ``bra``,
+    a routed ``cbr`` whose lanes agree or disagree, and a ``cbr`` on a
+    predicate from before the trace, folded, or immediate. They match the
+    interpreted reference under every scheduler, whether the warps run
+    independently, interleaved for their memory or for round-robin, or
+    as the CTAs of a sharded grid."""
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("kernel", sorted(BRANCH_EXIT_KERNELS))
+    def test_matches_reference(self, kernel, scheduler):
+        module = parse_module(BRANCH_EXIT_KERNELS[kernel])
+        for n_threads in (32, MULTIWARP):
+            profilers = _fuzz_check(
+                module,
+                [ENGINES[name]
+                 for name in sorted(set(ENGINES) - {"no-fastpath"})],
+                n_threads, scheduler=scheduler,
+            )
+            fused = profilers[1].engine_counters()  # all-on
+            assert fused["segments.split_exits"] > 0
+        expected = {
+            "round-robin": "scheduler",
+            "convergence": "independent",
+            "oldest-first": "independent",
+        }[scheduler]
+        if kernel == "shared-cell" and expected == "independent":
+            expected = "memory"
+        assert profilers[1].multiwarp == expected
+        if expected == "independent":
+            # Every branch that ends a trace ran in one. Round-robin
+            # issues a divergent warp's slots one at a time, and the
+            # memory interleave does not run ahead through a store.
+            assert fused["segments.fallback_cbr"] == 0
+            assert fused["segments.fallback_bra"] == 0
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_sharded_grid_matches_reference(self, scheduler):
+        module = parse_module(BRANCH_EXIT_KERNELS["disjoint"])
+        with engine_config(grid=True):
+            sharded = _grid_outcome(module, 2, scheduler)
+        with _using(REFERENCE):
+            reference = _grid_outcome(module, 1, scheduler)
+        assert sharded[0] and not reference[0]
+        assert sharded[1:3] == reference[1:3]
+        assert sharded[3]["segments.split_exits"] > 0
+
+    @pytest.mark.parametrize("scheduler", ["convergence", "oldest-first"])
+    def test_exits_taken(self, scheduler):
+        """Each exit of each shape is taken: the routed ``cbr`` through
+        both targets and split, and the others split, all without an
+        exit before their ``cbr``. (Round-robin fuses lone groups only,
+        so it skips the shapes a diverged warp reaches.)"""
+        with _using(ALL_ON):
+            profiler = GPUMachine(
+                parse_module(BRANCH_EXIT_KERNELS["disjoint"]),
+                scheduler=scheduler,
+            ).launch("k", 32).profiler
+        taken = {}
+        for out, (runs, _active, _cycles) in profiler.segment_stats.items():
+            kind = "split" if out.end_pc is None else out.end_pc[1]
+            taken[out.bname, kind] = taken.get((out.bname, kind), 0) + runs
+        assert taken[("entry", "head")] == 1
+        assert taken[("head", "body")] and taken[("head", "tail")]
+        assert taken[("body", "split")]
+        assert taken[("even", "split")] or taken[("odd", "split")]
+        assert taken[("join", "head")] and taken[("tail", "done")]
+        # No exit before a branch: the trace's blocks all end in one.
+        assert not any(out.end_pc and out.end_pc[1] == out.bname
+                       for out in profiler.segment_stats)
+
+
 FUSED_UNDEF = """
 func @k() kernel {
 entry:
@@ -1412,6 +1566,16 @@ use:
   exit
 }
 """
+
+#: ``LATER_LANE_FAILS_FIRST`` with ``use`` ending in a ``cbr`` on a
+#: compare its chunk computes: the chunk routes the ``cbr``, so the lanes
+#: that ran it whole have already moved to their targets when a later
+#: lane's read raises.
+ROUTED_UNDEF = LATER_LANE_FAILS_FIRST.replace(
+    "  st %t, %z\n  exit\n}",
+    "  %p = cmplt %z, 5\n  cbr %p, ^lo, ^hi\nlo:\n  st %t, %z\n  exit\n"
+    "hi:\n  exit\n}",
+)
 
 #: The failing op reads a folded constant before the UNDEF register (a
 #: ``sel`` whose folded predicate picks it); the fused chunk writes the
@@ -1475,7 +1639,17 @@ def undef_kernel(draw):
         lines.append(f"  %{dst} = {kind} {args}")
         readable.append(dst)
         last = dst
-    lines += [f"  st %t, %{last}", "  exit", "}"]
+    ending = draw(st.sampled_from(["store", "compare-branch", "branch"]))
+    if ending == "store":
+        lines += [f"  st %t, %{last}", "  exit", "}"]
+    else:
+        # A routed ``cbr`` whose chunk computes its predicate, or one on
+        # the last value ``use`` defined.
+        if ending == "compare-branch":
+            lines.append(f"  %e = cmplt %{last}, 1")
+            last = "e"
+        lines += [f"  cbr %{last}, ^yes, ^no", "yes:", "  st %t, 1",
+                  "  exit", "no:", "  exit", "}"]
     return "\n".join(lines)
 
 
@@ -1515,6 +1689,25 @@ class TestFusedUndef:
             parse_module(source),
             [ENGINES[name] for name in sorted(set(ENGINES) - {"no-fastpath"})],
             32, scheduler=scheduler, undef=True,
+        )
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_routed_chunk_fails_at_the_reference_slot(self, scheduler):
+        """A chunk that routes its ``cbr`` and reads UNDEF reports the
+        reference's slot and message."""
+        module = parse_module(ROUTED_UNDEF)
+        _fuzz_check(
+            module, [ENGINES[name] for name in sorted(ENGINES)], 32,
+            scheduler=scheduler, undef=True,
+        )
+        segment = decode_program(module, DEFAULT_COST_MODEL).segment_at(
+            ("k", "use", 0)
+        )
+        assert "_tk.append(_t)" in segment.fn.__jit_source__
+        with _using(ALL_ON), pytest.raises(SimulationError) as excinfo:
+            GPUMachine(module, scheduler=scheduler).launch("k", 32)
+        assert str(excinfo.value) == (
+            "read of undefined register %r0 in @k/use"
         )
 
     @settings(max_examples=25, deadline=None)

@@ -9,11 +9,15 @@ that definition — and that the pool-sharded path (licensed only by a
 ``"disjoint"`` ``classify_launch`` proof) is bit-identical to it.
 """
 
+import gc
+
 import pytest
 
 from repro.engine import current_engine, engine_config
 from repro.errors import LaunchError, SimulationError
 from repro.frontend import compile_kernel_source
+from repro.harness import parallel
+from repro.ir import parse_module
 from repro.obs import counters as obs_counters
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.simt import (
@@ -448,6 +452,69 @@ class TestSharding:
         # A smaller grid must not lower the recorded peak.
         GridLaunch(module, 1, 32, jobs=1).launch("k")
         assert ENGINE_COUNTERS.grid_sm_occupancy == peak
+
+
+#: Every thread reads ``%u``, which nothing writes: each CTA's launch
+#: raises in its worker.
+UNDEF_GRID = """
+func @k() kernel {
+entry:
+  %t = tid
+  %y = add %t, %u
+  st %t, %y
+  exit
+}
+"""
+
+
+@pytest.fixture
+def caller_thresholds():
+    """Give this process collector thresholds of its own for the test
+    (none of them the policy's), and put back the ones it had."""
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 9, 8)
+    try:
+        yield (1234, 9, 8)
+    finally:
+        gc.set_threshold(*saved)
+
+
+class TestShardedCollector:
+    """The parent of a sharded launch waits for its workers and merges
+    their records under the collector policy, and the caller's
+    thresholds come back however the launch ends."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The parent's thresholds while the pool runs each sharded
+        launch's tasks."""
+        seen = []
+        run = parallel.run_tasks_observed
+
+        def observed(*args, **kwargs):
+            seen.append(gc.get_threshold())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_tasks_observed", observed)
+        return seen
+
+    def test_restored_after_a_sharded_launch(
+        self, grid_sharding, caller_thresholds, seen
+    ):
+        module = compile_kernel_source(TID_ONLY)
+        result = GridLaunch(module, 4, 32, jobs=2).launch("k")
+        assert result.sharded
+        assert seen == [(parallel.GC_YOUNG_THRESHOLD, 9, 8)]
+        assert gc.get_threshold() == caller_thresholds
+
+    def test_restored_when_a_worker_raises(
+        self, grid_sharding, caller_thresholds, seen
+    ):
+        module = parse_module(UNDEF_GRID)
+        with pytest.raises(SimulationError, match="undefined register %u"):
+            GridLaunch(module, 4, 32, jobs=2).launch("k")
+        assert seen == [(parallel.GC_YOUNG_THRESHOLD, 9, 8)]
+        assert gc.get_threshold() == caller_thresholds
 
 
 class TestGridResult:

@@ -310,13 +310,16 @@ class TestShapeCache:
             assert header == f"# jit: segment @{kernel}/{block}:0 n=4"
             assert segment.fn.__jit_segment__ == f"@{kernel}/{block}:0 n=4"
             sources.append(source)
+            # The chunk computes the predicate, so it routes the ``cbr``:
+            # no exit before it, and a split exit to both targets.
             assert [
-                (exit.fname, exit.bname, exit.n, exit.end_pc)
+                (exit.fname, exit.bname, exit.n, exit.end_pc, exit.targets)
                 for exit in segment.exits
             ] == [
-                (kernel, block, 3, (kernel, block, 3)),
-                (kernel, block, 4, (kernel, small, 0)),
-                (kernel, block, 4, (kernel, big, 0)),
+                (kernel, block, 4, (kernel, small, 0), None),
+                (kernel, block, 4, (kernel, big, 0), None),
+                (kernel, block, 4, None,
+                 ((kernel, small, 0), (kernel, big, 0))),
             ]
             assert launch.counters["jit.executed_segments"] > 0
             _, reference, ref_memory = _launch(
@@ -632,9 +635,11 @@ class TestGeneratedSource:
 
     def test_trace_source_golden(self, segments_on):
         """A trace through ``bssy``, a guarded ``bbreak`` and an ending
-        ``cbr``: the guard leaves before the ``bbreak``, and the ``cbr``
-        has one exit per target plus one before it, taken when lanes
-        disagree or a predicate test raises."""
+        ``cbr`` on a predicate from before the handlers: the guard leaves
+        before the ``bbreak``; the ``cbr`` files the lanes by predicate,
+        leaves before the branch when a test raises, moves the lanes, and
+        has one exit per target plus a split exit that reports both
+        buckets."""
         module = parse_module(TRACE)
         GPUMachine(module).launch("k", 32)
         records = [
@@ -658,24 +663,80 @@ class TestGeneratedSource:
             "    if _b is not None and _b.parked_mask:\n"
             "        return _total + 2, _x8\n"
             "    _total += _h9(executor, warp, group)\n"
+            "    _tk = []\n"
+            "    _fl = []\n"
             "    try:\n"
-            "        _q = [_t.frames[-1].regs[1] != 0 for _t in group]\n"
+            "        for _t in group:\n"
+            "            if _t.frames[-1].regs[1] != 0:\n"
+            "                _tk.append(_t)\n"
+            "            else:\n"
+            "                _fl.append(_t)\n"
             "    except Exception:\n"
             "        return _total + 2, _x10\n"
-            "    if False not in _q:\n"
-            "        for _t in group:\n"
-            "            _f = _t.frames[-1]\n"
-            "            _f.block_name = _k13\n"
-            "            _f.index = 0\n"
-            "        return _total + 3, _x11\n"
-            "    if True not in _q:\n"
-            "        for _t in group:\n"
-            "            _f = _t.frames[-1]\n"
-            "            _f.block_name = _k14\n"
-            "            _f.index = 0\n"
-            "        return _total + 3, _x12\n"
-            "    return _total + 2, _x10\n"
+            "    for _t in _tk:\n"
+            "        _f = _t.frames[-1]\n"
+            "        _f.block_name = _k11\n"
+            "        _f.index = 0\n"
+            "    for _t in _fl:\n"
+            "        _f = _t.frames[-1]\n"
+            "        _f.block_name = _k12\n"
+            "        _f.index = 0\n"
+            "    if not _fl:\n"
+            "        return _total + 3, _x13\n"
+            "    if not _tk:\n"
+            "        return _total + 3, _x14\n"
+            "    executor.moved = ((_p15, _tk), (_p16, _fl))\n"
+            "    return _total + 3, _x17\n"
         )
+
+    def test_routed_branch_source_golden(self, segments_on):
+        """A chunk that computes its ``cbr``'s predicate routes the
+        branch in its own lane loop: the predicate's last definition is
+        a local the lane tail tests, each lane moves and is filed as it
+        finishes the chunk, and no exit leaves before the branch."""
+        module = parse_module(SHAPE_K)
+        GPUMachine(module).launch("k", 32)
+        (record,) = [
+            r for r in jit_module.compiled_segments()
+            if r["segment"] == "@k/entry:0"
+        ]
+        assert record["source"] == (
+            "# jit: segment @k/entry:0 n=4\n"
+            "def _jit_segment(executor, warp, group):\n"
+            "    _total = 0\n"
+            "    _tk = []\n"
+            "    _fl = []\n"
+            "    for _t in group:\n"
+            "        _f = _t.frames[-1]\n"
+            "        _r = _f.regs\n"
+            "        _s0 = _t.tid\n"
+            "        _r[0] = _s0\n"
+            "        _s1 = (_s0 * 2)\n"
+            "        _r[1] = _s1\n"
+            "        _s2 = (1 if _s1 < 100 else 0)\n"
+            "        _r[2] = _s2\n"
+            "        if _s2 != 0:\n"
+            "            _f.block_name = _k6\n"
+            "            _tk.append(_t)\n"
+            "        else:\n"
+            "            _f.block_name = _k7\n"
+            "            _fl.append(_t)\n"
+            "        _f.index = 0\n"
+            "    if not _fl:\n"
+            "        return _total + 4, _x8\n"
+            "    if not _tk:\n"
+            "        return _total + 4, _x9\n"
+            "    executor.moved = ((_p10, _tk), (_p11, _fl))\n"
+            "    return _total + 4, _x12\n"
+        )
+        # Every line past the chunk's ops maps to no op.
+        fn = decode_program(module, DEFAULT_COST_MODEL).segment_at(
+            ("k", "entry", 0)
+        ).fn
+        lines = fn.__jit_source__.split("\n")[1:]
+        routed = [i for i, line in enumerate(lines)
+                  if "block_name" in line or "append" in line]
+        assert routed and all(fn.__jit_ops__[i] is None for i in routed)
 
     def test_last_executed_source(self, segments_on):
         compiled = _compiled(STRAIGHT)

@@ -203,6 +203,24 @@ class TestLaunchCounters:
             assert by_opcode["segments.fallback_bssy"] == opcodes["bssy"]
             assert by_opcode["segments.fallback_cbr"] == opcodes["cbr"]
 
+    @pytest.mark.parametrize("segments", [True, False])
+    def test_split_exits_count_split_runs(self, segments):
+        """``segments.split_exits`` counts the fused runs whose exit split
+        the group: derived from the per-exit records, a registered
+        counter, at most ``segments.fused_segments``."""
+        with engine_config(segments=segments):
+            result = GPUMachine(_sr_module()).launch("k", 32)
+        counters = result.counters
+        assert "segments.split_exits" in COUNTERS
+        assert counters["segments.split_exits"] == sum(
+            stats[0] for out, stats in result.profiler.segment_stats.items()
+            if out.end_pc is None
+        )
+        assert counters["segments.split_exits"] <= (
+            counters["segments.fused_segments"]
+        )
+        assert (counters["segments.split_exits"] > 0) == segments
+
 
 def _xsbench_launch(n_threads, scheduler="convergence", metrics=False):
     workload = get_workload("xsbench")
@@ -648,6 +666,7 @@ class TestStatsCLI:
         assert "Launch counters" in out
         assert "fused_instrs" in out and "segments" in out
         assert "fallback_cbr" in out and "fallback_other" in out
+        assert "split_exits" in out
         assert "ahead_instrs" in out
         assert "Process counter delta" in out
 
