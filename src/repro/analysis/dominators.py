@@ -119,13 +119,6 @@ class PostDominatorTree:
             return None
         return parent
 
-    def post_dominates(self, a, b):
-        """True if ``a`` post-dominates ``b``."""
-        return self._tree.dominates(a, b)
-
-    def post_dominators_of(self, node):
-        return [n for n in self._tree.dominators_of(node) if n != self.exit_name]
-
     def nearest_common_post_dominator(self, nodes):
         nodes = list(nodes)
         if not nodes:

@@ -66,10 +66,6 @@ class LoopNest:
         self.loops = loops
         self._by_header = {loop.header: loop for loop in loops}
 
-    @property
-    def top_level(self):
-        return [loop for loop in self.loops if loop.parent is None]
-
     def loop_with_header(self, header):
         return self._by_header.get(header)
 

@@ -68,9 +68,6 @@ class ConflictAnalysis:
         self._ranges = self.joined.joined_points_of(self.barriers)
         self.conflicts = self._find_conflicts()
 
-    def live_range(self, barrier):
-        return self._ranges.get(barrier, set())
-
     def _find_conflicts(self):
         conflicts = []
         for i, a in enumerate(self.barriers):

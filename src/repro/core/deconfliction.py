@@ -44,16 +44,6 @@ class DeconflictionReport:
         return "; ".join(lines)
 
 
-def _barrier_origin(function, barrier):
-    """Origin attr of the ops defining ``barrier`` ('sr', 'pdom', ...)."""
-    for _, _, instr in function.instructions():
-        if instr.opcode in BARRIER_OPS and barrier_name_of(instr) == barrier:
-            origin = instr.attrs.get("origin")
-            if origin:
-                return origin
-    return "unknown"
-
-
 def remove_barrier_ops(function, barrier):
     """Delete every op referencing ``barrier`` (static deconfliction)."""
     removed = 0

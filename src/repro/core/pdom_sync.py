@@ -30,9 +30,6 @@ class PdomSyncReport:
     barriers: dict = field(default_factory=dict)
     skipped_branches: list = field(default_factory=list)
 
-    def barrier_for_branch(self, block_name):
-        return self.barriers.get(block_name, (None, None))[0]
-
     def describe(self):
         parts = [
             f"{branch}->{barrier}@{join}"

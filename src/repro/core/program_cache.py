@@ -1,7 +1,7 @@
 """Compile caching: one :class:`CompiledProgram` per (module, options).
 
 Threshold sweeps, scheduler ablations, figure regeneration, and the
-benchmark suite all compile the *same* lowered module under the *same*
+tests all compile the *same* lowered module under the *same*
 options over and over — ``compare_all`` alone compiles every Table 2
 workload twice, and Figures 7 and 8 both call it. :func:`compile_cached`
 memoizes :meth:`ReconvergenceCompiler.compile` in the module's
@@ -25,7 +25,8 @@ Hits and misses count in ``program_cache.hit``/``program_cache.miss``.
 
 ``REPRO_COMPILE_CACHE=0`` (or ``engine_config(compile_cache=False)``,
 :mod:`repro.engine`) turns the cache off: every call compiles afresh and
-counts one miss; benchmarks use that to measure the uncached path.
+counts one miss. CI's ``REPRO_COMPILE_CACHE=0`` leg and the tests use that
+to run compiles uncached.
 """
 
 from __future__ import annotations

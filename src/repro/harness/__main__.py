@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from repro.errors import ReproError
 from repro.harness.figures import ALL_FIGURES
 from repro.harness.parallel import collector_policy
 
@@ -60,6 +61,9 @@ def main(argv=None):
     pipeline = os.environ.get("REPRO_PIPELINE")
     try:
         return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         gc.set_threshold(*thresholds)
         if pipeline is None:

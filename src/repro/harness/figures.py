@@ -1,8 +1,8 @@
 """Regeneration of every table and figure in the evaluation (Section 5).
 
 Each ``figure*`` function runs the experiment and returns a structured
-result plus a rendered text report; the CLI (`python -m repro.harness`) and
-the benchmark suite both call these.
+result plus a rendered text report; the CLI (`python -m repro.harness`),
+perfbench's ``figures`` job and the tier-1 tests call these.
 """
 
 from __future__ import annotations

@@ -86,13 +86,6 @@ class BasicBlock:
     def remove(self, instr):
         self.instructions.remove(instr)
 
-    def first_real_index(self):
-        """Index after any leading barrier-wait bookkeeping; 0 by default.
-
-        Used by passes that must insert *before* existing synchronization.
-        """
-        return 0
-
     def index_of(self, instr):
         for i, existing in enumerate(self.instructions):
             if existing is instr:

@@ -62,9 +62,6 @@ class Function:
         except KeyError:
             raise IRError(f"no block named {name} in function {self.name}") from None
 
-    def has_block(self, name):
-        return name in self._blocks_by_name
-
     def remove_block(self, name):
         block = self.block(name)
         self.blocks.remove(block)

@@ -50,7 +50,7 @@ decodes to an entry whose ``run`` is the interpreter itself
 (:func:`repro.simt.executor.interpreted`), as is a pure op whose codegen
 vetoes. Of those, the ``divergent`` and ``grid`` benchmark workloads issue
 none, and ``figures`` issues only ``call`` and ``ret``, 235 times in its
-51,625 unfused slots (``docs/performance.md``): a specialization would be
+41,721 unfused slots (``docs/performance.md``): a specialization would be
 code that no measurement pays for.
 
 Decoded programs are cached per ``(module, cost model)`` in the module's

@@ -58,7 +58,7 @@ from repro.errors import LaunchError
 from repro.obs import counters as _counters
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.simt.cta import CTAContext
-from repro.simt.machine import GPUMachine
+from repro.simt.machine import GPUMachine, check_int
 from repro.simt.memory import GlobalMemory
 from repro.simt.warp import WARP_SIZE
 
@@ -296,6 +296,8 @@ class GridLaunch:
         jobs=None,
         **machine_kwargs,
     ):
+        check_int(grid_dim, "grid_dim")
+        check_int(cta_dim, "cta_dim")
         if grid_dim < 1:
             raise LaunchError(f"grid needs at least one CTA, got {grid_dim}")
         if cta_dim < 1:

@@ -635,12 +635,20 @@ def _drain(warp, executor):
     warp.drain(touched, on_release)
 
 
+def check_int(value, what):
+    """Raise :class:`LaunchError` unless ``value`` is an int (a bool is
+    not a count or an id)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise LaunchError(f"{what} must be an int, got {value!r}")
+
+
 def check_launch(module, kernel_name, n_threads, args):
     """The kernel a launch of ``n_threads`` with ``args`` runs, after the
     checks every machine makes first; raises :class:`LaunchError`."""
     kernel = module.function(kernel_name)
     if not kernel.is_kernel:
         raise LaunchError(f"@{kernel_name} is not a kernel")
+    check_int(n_threads, "thread count")
     if n_threads <= 0:
         raise LaunchError(f"launch needs at least one thread, got {n_threads}")
     if len(args) != len(kernel.params):
@@ -648,6 +656,12 @@ def check_launch(module, kernel_name, n_threads, args):
             f"@{kernel_name} takes {len(kernel.params)} arguments, "
             f"got {len(args)}"
         )
+    for arg in args:
+        if not isinstance(arg, launch_memo.ARG_TYPES):
+            raise LaunchError(
+                f"@{kernel_name} arguments must be int, float or bool, "
+                f"got {arg!r}"
+            )
     return kernel
 
 

@@ -54,9 +54,10 @@ from repro.obs.sinks import ambient_sink
 from repro.simt.costs import CostModel, cost_key
 from repro.simt.memory import GlobalMemory
 
-__all__ = ["Memo", "MemoEntry", "lookup", "stats"]
+__all__ = ["ARG_TYPES", "Memo", "MemoEntry", "lookup", "stats"]
 
-_ARG_TYPES = (int, float, bool)
+#: The kernel argument types a launch accepts (``check_launch``).
+ARG_TYPES = (int, float, bool)
 
 
 class _Entries(dict):
@@ -163,7 +164,7 @@ def lookup(machine, kernel_name, n_threads, args, memory):
         or ambient_sink() is not None
         or type(memory) is not GlobalMemory
         or type(machine.cost_model) is not CostModel
-        or any(type(arg) not in _ARG_TYPES for arg in args)
+        or any(type(arg) not in ARG_TYPES for arg in args)
     ):
         return None
     engine = current_engine()

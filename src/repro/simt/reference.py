@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.errors import LaunchError
 from repro.simt.costs import DEFAULT_COST_MODEL
 from repro.simt.executor import Executor
-from repro.simt.machine import DEFAULT_MAX_ISSUES, check_launch
+from repro.simt.machine import DEFAULT_MAX_ISSUES, check_int, check_launch
 from repro.simt.memory import GlobalMemory
 from repro.simt.profiler import Profiler
 from repro.simt.warp import WARP_SIZE, Thread, Warp
@@ -34,6 +34,7 @@ def run_reference_thread(
     same way the thread alone would mutate it.
     """
     check_launch(module, kernel_name, n_threads, args)
+    check_int(tid, "tid")
     if not 0 <= tid < n_threads:
         raise LaunchError(f"tid {tid} outside launch of {n_threads}")
     memory = memory if memory is not None else GlobalMemory()

@@ -8,11 +8,14 @@ by program order, so simulations are reproducible.
 
 :class:`RoundRobinScheduler` and :class:`OldestFirstScheduler` are
 alternative policies used by the simulator tests and the scheduling
-ablation bench — the correctness property (per-thread results are
-schedule-invariant) is verified across all of them.
+ablation (``tests/test_paper_claims.py``) — the correctness property
+(per-thread results are schedule-invariant) is verified across all of
+them.
 """
 
 from __future__ import annotations
+
+from repro.errors import ConfigError
 
 
 class SchedulerBase:
@@ -139,6 +142,6 @@ def make_scheduler(name="convergence"):
     try:
         return SCHEDULERS[name]()
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         ) from None

@@ -12,7 +12,7 @@ This machine ignores convergence-barrier instructions (``bssy``/``bsync``/
 decided entirely by the stack. That is exactly why Speculative
 Reconvergence requires Volta's independent thread scheduling — compiling
 with SR annotations changes nothing on this machine, which
-``benchmarks/bench_stack_vs_its.py`` demonstrates.
+``tests/test_stack_machine.py::TestNoSpeculativeReconvergence`` checks.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import argparse
 import sys
 
 from repro.core.pipeline import ReconvergenceCompiler
+from repro.errors import ReproError
 from repro.frontend.parser import compile_kernel_source
 from repro.ir.printer import format_module
 from repro.simt.machine import GPUMachine
@@ -77,6 +78,14 @@ def _launch(program, kernel, threads, args, seed):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _compile_and_run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _compile_and_run(args):
     with open(args.source) as handle:
         source = handle.read()
     module = compile_kernel_source(source, module_name=args.source)

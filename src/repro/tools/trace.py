@@ -22,6 +22,7 @@ import argparse
 import sys
 
 from repro.core.pipeline import MODES, ReconvergenceCompiler
+from repro.errors import ReproError
 from repro.frontend.parser import compile_kernel_source
 from repro.harness.report import (
     counters_table,
@@ -189,7 +190,14 @@ def main(argv=None):
         return 0
     if (args.workload is None) == (args.source is None):
         build_parser().error("give exactly one of WORKLOAD or --source")
+    try:
+        return _trace(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _trace(args):
     sink = ListSink()
     if args.workload is not None:
         launch, report = _run_workload(args, sink)

@@ -74,11 +74,6 @@ class WorkloadResult:
     def speedup_over(self, other):
         return other.cycles / self.cycles if self.cycles else float("inf")
 
-    def efficiency_gain_over(self, other):
-        if other.simt_efficiency == 0:
-            return float("inf")
-        return self.simt_efficiency / other.simt_efficiency
-
 
 class Workload:
     """Base class; subclasses define source, memory, and metadata."""

@@ -148,9 +148,18 @@ class TestCollectorPolicy:
         assert gc.get_threshold() == caller_thresholds
         assert os.environ.get("REPRO_PIPELINE") == caller_pipeline
 
-        # The fail-fast error on a bad description restores them too.
-        with pytest.raises(Exception, match="no-such-pass"):
-            harness_main(["--pipeline", "no-such-pass", "funccall"])
+        # The fail-fast error on a bad description restores them too, and
+        # so does an exception that escapes main.
+        assert harness_main(["--pipeline", "no-such-pass", "funccall"]) == 1
         assert len(seen) == 1
+        assert gc.get_threshold() == caller_thresholds
+        assert os.environ.get("REPRO_PIPELINE") == caller_pipeline
+
+        def broken(seed):
+            raise RuntimeError("figure bug")
+
+        monkeypatch.setitem(ALL_FIGURES, "funccall", broken)
+        with pytest.raises(RuntimeError, match="figure bug"):
+            harness_main(["--pipeline", "strip-directives,verify", "funccall"])
         assert gc.get_threshold() == caller_thresholds
         assert os.environ.get("REPRO_PIPELINE") == caller_pipeline

@@ -14,6 +14,7 @@ from repro.ir import (
 from repro.core.passes import run_opt_fixpoint
 from repro.opt import dce_module, fold_module, simplify_module
 from repro.simt import GPUMachine
+from repro.workloads import get_workload
 from tests.helpers import listing1_module, loop_merge_source
 
 
@@ -143,6 +144,13 @@ class TestPipeline:
         assert report.total_changes > 0
         assert _instr_count(module) < before
         assert "constfold" in report.describe()
+
+    @pytest.mark.parametrize("name", ["rsbench", "mcb", "pathtracer"])
+    def test_pipeline_shrinks_workload_kernels(self, name):
+        module = get_workload(name).module().clone()
+        before = _instr_count(module)
+        run_opt_fixpoint(module)
+        assert _instr_count(module) < before
 
     def test_optimize_then_sr_results_identical(self):
         module = compile_kernel_source(loop_merge_source())

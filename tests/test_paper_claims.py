@@ -10,8 +10,9 @@ import pytest
 
 from repro.engine import current_engine
 from repro.harness import compare_all, threshold_sweep
-from repro.harness.figures import deconfliction_ablation, figure10
+from repro.harness.figures import corpus_funnel, deconfliction_ablation, figure10
 from repro.obs import counters as obs_counters
+from repro.simt import CostModel, GlobalMemory, GPUMachine
 from repro.workloads import FIGURE7_WORKLOADS, get_workload
 from repro.workloads.corpus import generate_corpus, run_funnel
 
@@ -157,9 +158,16 @@ class TestFigure9:
 class TestSection54Funnel:
     """520 apps -> 75 low-efficiency -> 16 detected -> 5 significant.
 
-    Run at reduced corpus scale with the same detectable population; the
-    full-size funnel runs in benchmarks/bench_corpus.py.
+    The full-size corpus, then a reduced one with the same detectable
+    population for the per-stage checks.
     """
+
+    def test_full_corpus_counts(self):
+        funnel = corpus_funnel().data
+        assert (
+            funnel.total, funnel.low_efficiency, funnel.detected,
+            funnel.significant,
+        ) == (520, 75, 16, 5)
 
     @pytest.fixture(scope="class")
     def funnel(self):
@@ -305,3 +313,33 @@ class TestAutomaticMatchesAnnotated:
         annotated_speedup = baseline.cycles / annotated.cycles
         auto_speedup = baseline.cycles / auto.cycles
         assert auto_speedup == pytest.approx(annotated_speedup, rel=0.15)
+
+
+class TestSchedulingAndCostSensitivity:
+    """Section 6: the result does not hinge on the scheduler policy or on
+    the latency table."""
+
+    def test_convergence_scheduler_at_least_round_robin(self):
+        """The convergence optimizer's grouping is no worse than naive
+        rotation on divergent code (PathTracer, PDOM baseline)."""
+        workload = get_workload("pathtracer", samples_per_thread=4)
+        efficiency = {
+            scheduler: workload.run(
+                mode="baseline", scheduler=scheduler
+            ).simt_efficiency
+            for scheduler in ("convergence", "round-robin")
+        }
+        assert efficiency["convergence"] >= efficiency["round-robin"]
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_sr_speedup_survives_latency_scaling(self, factor):
+        workload = get_workload("mcb", steps=16)
+        model = CostModel().scaled(factor)
+        cycles = {}
+        for mode in ("baseline", "sr"):
+            memory = GlobalMemory()
+            args = workload.setup(memory)
+            cycles[mode] = GPUMachine(
+                workload.compile(mode=mode).module, cost_model=model
+            ).launch(workload.kernel_name, 32, args=args, memory=memory).cycles
+        assert cycles["baseline"] / cycles["sr"] > 1.0

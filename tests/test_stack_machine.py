@@ -3,10 +3,17 @@
 import pytest
 
 from repro.core import compile_baseline, compile_sr
-from repro.errors import LaunchError
+from repro.errors import ConfigError, LaunchError
 from repro.frontend import compile_kernel_source
 from repro.ir import parse_module
-from repro.simt import GlobalMemory, GPUMachine, StackGPUMachine, run_reference_thread
+from repro.simt import (
+    GlobalMemory,
+    GPUMachine,
+    GridLaunch,
+    StackGPUMachine,
+    make_scheduler,
+    run_reference_thread,
+)
 from repro.workloads import get_workload
 from tests.helpers import STUCK_LOOP_IR, listing1_module, loop_merge_source
 
@@ -77,6 +84,10 @@ kernel k() { store(tid(), @f(tid())); }
             StackGPUMachine(module).launch("f", 32)
 
 
+#: The kernel the malformed-input tests launch.
+MALFORMED_TARGET = "kernel k(n) { if (tid() < n) { store(tid(), 1.0); } }"
+
+
 class TestLaunchErrorsMatchGPUMachine:
     """Both machines share one launch check and one issue budget, counted
     across the whole launch, so a bad launch fails with the same text."""
@@ -125,6 +136,44 @@ class TestLaunchErrorsMatchGPUMachine:
             run_reference_thread(module, kernel_name, 0, n_threads, args)
         assert str(reference.value) == str(machine.value)
 
+    @pytest.mark.parametrize(
+        "n_threads, args, message",
+        [
+            (32.0, (4,), "thread count must be an int, got 32.0"),
+            ("32", (4,), "thread count must be an int, got '32'"),
+            (True, (4,), "thread count must be an int, got True"),
+            (32, ("x",), "@k arguments must be int, float or bool, got 'x'"),
+        ],
+        ids=["float-threads", "str-threads", "bool-threads", "str-arg"],
+    )
+    @pytest.mark.parametrize("machine_cls", [GPUMachine, StackGPUMachine])
+    def test_malformed_launch_is_a_launch_error(
+        self, machine_cls, n_threads, args, message
+    ):
+        module = compile_kernel_source(MALFORMED_TARGET)
+        with pytest.raises(LaunchError, match=message):
+            machine_cls(module).launch("k", n_threads, args)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda m: GridLaunch(m, 2.0, 32), LaunchError,
+             "grid_dim must be an int, got 2.0"),
+            (lambda m: GridLaunch(m, 2, 32.0), LaunchError,
+             "cta_dim must be an int, got 32.0"),
+            (lambda m: run_reference_thread(m, "k", 1.5, 32, (4,)),
+             LaunchError, "tid must be an int, got 1.5"),
+            (lambda m: make_scheduler("bogus"), ConfigError,
+             "unknown scheduler 'bogus'"),
+        ],
+        ids=["float-grid-dim", "float-cta-dim", "float-tid",
+             "unknown-scheduler"],
+    )
+    def test_malformed_setting_is_a_typed_error(self, call, error, message):
+        module = compile_kernel_source(MALFORMED_TARGET)
+        with pytest.raises(error, match=message):
+            call(module)
+
 
 class TestNoSpeculativeReconvergence:
     """SR annotations are inert on the stack machine — the reason the
@@ -143,6 +192,26 @@ class TestNoSpeculativeReconvergence:
         its_sr = GPUMachine(sr).launch("lm", 32, args=(128,))
         assert its_sr.profiler.barrier_issues > 0
         assert a.memory.snapshot() == its_sr.memory.snapshot()
+
+    @pytest.mark.parametrize("name", ["mcb", "pathtracer"])
+    def test_sr_inert_on_stack_effective_on_its(self, name):
+        """On Table-2 workloads SR leaves the stack machine's efficiency
+        exactly where it was and raises the ITS machine's."""
+        workload = get_workload(name)
+        efficiency = {}
+        for mode in ("baseline", "sr"):
+            module = workload.compile(mode=mode).module
+            for machine_cls in (StackGPUMachine, GPUMachine):
+                memory = GlobalMemory()
+                args = workload.setup(memory)
+                launch = machine_cls(module).launch(
+                    workload.kernel_name, 32, args=args, memory=memory
+                )
+                efficiency[machine_cls, mode] = launch.simt_efficiency
+        assert efficiency[StackGPUMachine, "sr"] == pytest.approx(
+            efficiency[StackGPUMachine, "baseline"], abs=1e-9
+        )
+        assert efficiency[GPUMachine, "sr"] > efficiency[GPUMachine, "baseline"]
 
     def test_stack_baseline_close_to_its_baseline(self):
         module = compile_baseline(compile_kernel_source(loop_merge_source())).module

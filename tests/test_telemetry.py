@@ -721,8 +721,8 @@ class TestStatsCLI:
 
         record = {"benchmark": "x", "speedup": 2.0,
                   "counters": {"launch.count": 5}}
-        path_a = tmp_path / "bench_a.json"
-        path_b = tmp_path / "bench_b.json"
+        path_a = tmp_path / "record_a.json"
+        path_b = tmp_path / "record_b.json"
         path_a.write_text(json.dumps(record))
         record["counters"]["launch.count"] = 9
         path_b.write_text(json.dumps(record))

@@ -96,6 +96,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "3.0" in out
 
+    def test_parse_error_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.srk"
+        path.write_text("kernel k( {")
+        assert main([str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected 'name', got '{' at line 1\n"
+        )
+
     def test_example_kernels_compile_and_run(self, capsys):
         for path, args in (
             ("examples/kernels/iteration_delay.srk", ["--args", "16"]),
@@ -105,6 +113,12 @@ class TestCLI:
 
 
 class TestTraceCLI:
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--timeline" in capsys.readouterr().out
+
     def test_list(self, capsys):
         assert trace_main(["--list"]) == 0
         out = capsys.readouterr().out
@@ -145,9 +159,19 @@ class TestTraceCLI:
         out = capsys.readouterr().out
         assert "T00 |" in out and "cycles" in out
 
-    def test_unknown_workload_errors(self):
-        with pytest.raises(Exception):
-            trace_main(["no-such-workload"])
+    def test_unknown_workload_errors(self, capsys):
+        assert trace_main(["no-such-workload"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown workload 'no-such-workload'"
+        )
+
+    def test_parse_error_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.srk"
+        path.write_text("kernel k( {")
+        assert trace_main(["--source", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected 'name', got '{' at line 1\n"
+        )
 
 
 class TestOptCLI:
@@ -240,7 +264,7 @@ class TestHarnessCLIFlags:
         so their compiles run that pipeline, and restores the caller's
         value when it returns."""
         from repro.core import ReconvergenceCompiler
-        from repro.core.passmgr import PipelineError, format_pipeline
+        from repro.core.passmgr import format_pipeline
         from repro.harness.__main__ import main as harness_main
         from repro.harness.figures import ALL_FIGURES, FigureResult
 
@@ -261,7 +285,15 @@ class TestHarnessCLIFlags:
         assert seen == [("strip-directives,verify", "strip-directives,verify")]
         assert "REPRO_PIPELINE" not in os.environ
         # A bad description fails fast, before any figure runs.
-        with pytest.raises(PipelineError, match="no-such-pass"):
-            harness_main(["--pipeline", "no-such-pass", "funccall"])
+        assert harness_main(["--pipeline", "no-such-pass", "funccall"]) == 1
         assert len(seen) == 1
         assert "REPRO_PIPELINE" not in os.environ
+
+    def test_repro_error_is_one_line(self, capsys):
+        from repro.harness.__main__ import main as harness_main
+
+        assert harness_main(["--pipeline", "bogus", "table2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown pass 'bogus'; ")
+        assert captured.err.count("\n") == 1
