@@ -61,17 +61,19 @@ def reverse_topological(graph):
     """Callees-first order; cycles (recursion) broken arbitrarily."""
     visited = set()
     order = []
-
-    def visit(name, stack):
-        if name in visited or name in stack:
-            return
-        stack.add(name)
-        for callee in sorted(graph.callees.get(name, ())):
-            visit(callee, stack)
-        stack.remove(name)
-        visited.add(name)
-        order.append(name)
-
     for name in sorted(graph.functions()):
-        visit(name, set())
+        _visit(graph, name, set(), visited, order)
     return order
+
+
+def _visit(graph, name, stack, visited, order):
+    # A module-level function: a nested one that calls itself would be a
+    # reference cycle per call, which only the collector frees.
+    if name in visited or name in stack:
+        return
+    stack.add(name)
+    for callee in sorted(graph.callees.get(name, ())):
+        _visit(graph, callee, stack, visited, order)
+    stack.remove(name)
+    visited.add(name)
+    order.append(name)

@@ -23,10 +23,9 @@ carry their own memory/threads, so sharing is safe. Anything that
 intends to mutate a compiled module must compile uncached (or clone).
 Hits and misses count in ``program_cache.hit``/``program_cache.miss``.
 
-``REPRO_COMPILE_CACHE=0`` (or ``engine_config(compile_cache=False)``,
-:mod:`repro.engine`) turns the cache off: every call compiles afresh and
-counts one miss. CI's ``REPRO_COMPILE_CACHE=0`` leg and the tests use that
-to run compiles uncached.
+The memo is always on: a memoized program prints the same module and
+report as a direct :meth:`ReconvergenceCompiler.compile`
+(``tests/test_passmgr.py`` pins this).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import os
 
 from repro.core.passmgr import default_pipeline
 from repro.core.pipeline import ReconvergenceCompiler
-from repro.engine import current_engine
 from repro.ir.function import module_cache
 from repro.obs.counters import ENGINE_COUNTERS
 
@@ -61,21 +59,19 @@ def _freeze(value):
 def compile_cached(module, mode="sr", threshold=None, auto_options=None,
                    pipeline=None, **compiler_options):
     """The compile of ``module`` under exactly these options, shared with
-    every earlier call that asked for it (compiled afresh when the cache
-    is off or an option is unhashable)."""
-    key = None
-    if current_engine().compile_cache:
-        try:
-            key = (
-                mode,
-                _freeze(threshold),
-                _freeze(auto_options),
-                _freeze(pipeline or default_pipeline()),
-                os.environ.get("REPRO_STOP_AFTER") or None,
-                _freeze(compiler_options),
-            )
-        except TypeError:
-            pass
+    every earlier call that asked for it (compiled afresh when an option
+    is unhashable)."""
+    try:
+        key = (
+            mode,
+            _freeze(threshold),
+            _freeze(auto_options),
+            _freeze(pipeline or default_pipeline()),
+            os.environ.get("REPRO_STOP_AFTER") or None,
+            _freeze(compiler_options),
+        )
+    except TypeError:
+        key = None
     if key is not None:
         programs = module_cache(module, "compile")
         program = programs.get(key)

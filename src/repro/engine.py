@@ -2,32 +2,32 @@
 
 The simulator's host engine stacks optional layers on the interpreted
 executor — pre-decoded dispatch, compiled fused segments, independent
-warps run one at a time — plus the compile cache and pool sharding of
-grid launches. None of them changes a simulated result; they only change
-how fast the host gets there. :class:`EngineConfig` holds all five
-settings as one frozen, hashable value:
+warps run one at a time — plus pool sharding of grid launches. None of
+them changes a simulated result; they only change how fast the host gets
+there. :class:`EngineConfig` holds all four settings as one frozen,
+hashable value:
 
-============== ======================== =======
-field          environment variable     default
-============== ======================== =======
-fastpath       ``REPRO_FASTPATH``       on
-segments       ``REPRO_SEGMENTS``       on
-warp_batch     ``REPRO_WARP_BATCH``     on
-compile_cache  ``REPRO_COMPILE_CACHE``  on
-grid           ``REPRO_GRID``           on
-============== ======================== =======
+========== ===================== =======
+field      environment variable  default
+========== ===================== =======
+fastpath   ``REPRO_FASTPATH``    on
+segments   ``REPRO_SEGMENTS``    on
+warp_batch ``REPRO_WARP_BATCH``  on
+grid       ``REPRO_GRID``        on
+========== ===================== =======
 
 Other ``REPRO_*`` names are ignored, among them the retired layers'
 ``REPRO_SOA``, ``REPRO_SPEC``, ``REPRO_JIT`` and ``REPRO_JIT_THRESHOLD``,
-and the retired flight recorder's ``REPRO_FLIGHT_RECORDER``.
+the compile memo's retired off switch and the retired flight recorder's
+``REPRO_FLIGHT_RECORDER``.
 
 The process-wide config is parsed from the environment once, at import,
 and :func:`current_engine` returns it. :func:`engine_config` overrides
 fields for the duration of a ``with`` block. Machines read the config once
-per launch, when they build their :class:`~repro.simt.executor.Executor`;
-the compile cache reads it per compile and :class:`~repro.simt.grid.GridLaunch`
-per grid launch. The persistent worker pool keys itself on the config and
-installs it in every worker (:mod:`repro.harness.parallel`).
+per launch, when they build their :class:`~repro.simt.executor.Executor`,
+and :class:`~repro.simt.grid.GridLaunch` per grid launch. The persistent
+worker pool keys itself on the config and installs it in every worker
+(:mod:`repro.harness.parallel`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def parse_int(name, raw):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The five host-engine settings; every combination gives identical
+    """The four host-engine settings; every combination gives identical
     simulated results."""
 
     #: Pre-decoded table dispatch (:mod:`repro.simt.fastpath`), with pure
@@ -91,8 +91,6 @@ class EngineConfig:
     #: (:mod:`repro.simt.machine`); off keeps every multi-warp launch
     #: interleaved one slot per warp per round.
     warp_batch: bool = True
-    #: Compile memoization (:mod:`repro.core.program_cache`).
-    compile_cache: bool = True
     #: CTA sharding of grid launches over the worker pool
     #: (:mod:`repro.simt.grid`); off keeps every CTA in-process.
     grid: bool = True

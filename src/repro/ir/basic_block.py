@@ -2,6 +2,8 @@
 
 A block's successors are derived from its terminator's symbolic targets;
 predecessor sets are maintained by the owning :class:`repro.ir.Function`.
+A block holds no reference back to its function, so reference counting
+alone frees a dropped function and its blocks.
 
 Blocks carry an ``attrs`` dict. Keys used by the library:
 
@@ -19,9 +21,8 @@ from repro.ir.instructions import Instruction, Opcode
 class BasicBlock:
     """A named basic block inside a function."""
 
-    def __init__(self, name, function=None, attrs=None):
+    def __init__(self, name, attrs=None):
         self.name = name
-        self.function = function
         self.instructions = []
         self.attrs = dict(attrs or {})
 
@@ -40,12 +41,6 @@ class BasicBlock:
         if term is None:
             return []
         return term.block_targets()
-
-    def successors(self):
-        """Successor BasicBlock objects (requires an owning function)."""
-        if self.function is None:
-            raise IRError(f"block {self.name} is not attached to a function")
-        return [self.function.block(name) for name in self.successor_names()]
 
     @property
     def label(self):
@@ -95,9 +90,9 @@ class BasicBlock:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-    def copy_into(self, function):
-        """Deep-copy this block into ``function`` (same name)."""
-        clone = BasicBlock(self.name, function=function, attrs=self.attrs)
+    def copy(self):
+        """Deep copy (same name and attrs)."""
+        clone = BasicBlock(self.name, attrs=self.attrs)
         clone.instructions = [instr.copy() for instr in self.instructions]
         return clone
 

@@ -42,7 +42,7 @@ class Function:
         while name in self._blocks_by_name:
             self._block_counter += 1
             name = f"{hint}.{self._block_counter}"
-        block = BasicBlock(name, function=self, attrs=attrs)
+        block = BasicBlock(name, attrs=attrs)
         self.blocks.append(block)
         self._blocks_by_name[name] = block
         return block
@@ -51,7 +51,6 @@ class Function:
         """Attach an externally constructed block."""
         if block.name in self._blocks_by_name:
             raise IRError(f"duplicate block name {block.name} in {self.name}")
-        block.function = self
         self.blocks.append(block)
         self._blocks_by_name[block.name] = block
         return block
@@ -183,7 +182,7 @@ class Function:
         clone._block_counter = self._block_counter
         clone.attrs = dict(self.attrs)
         for block in self.blocks:
-            clone.add_block(block.copy_into(clone))
+            clone.add_block(block.copy())
         return clone
 
     def instructions(self):

@@ -122,9 +122,12 @@ class DecodedInstruction:
     where its group goes.
 
     ``run(executor, warp, group)`` applies the instruction to every thread
-    of ``group`` (in lane order) and returns the cycle cost of the issue;
-    a pure op's ``run`` replaces itself with generated code on its first
-    call.
+    of ``group`` (in lane order) and returns the cycle cost of the issue.
+    A pure op holds ``lowering``, its register slots and PC, instead of a
+    ``run`` until its first issue, which lowers it
+    (:func:`~repro.simt.jit.lower_op`) and installs the result as a plain
+    ``run``. No entry references itself, so reference counting frees a
+    dropped program's entries.
 
     ``move`` is the move report of an op whose whole group lands on one
     static PC: ``(f, b, i + 1)`` for the pure ops, ``ld``/``st``/
@@ -142,16 +145,29 @@ class DecodedInstruction:
     """
 
     __slots__ = ("instr", "opcode", "latency", "run", "move",
-                 "is_barrier_op")
+                 "is_barrier_op", "lowering", "__weakref__")
 
-    def __init__(self, instr, latency, run):
+    def __init__(self, instr, latency):
         self.instr = instr
         self.opcode = instr.opcode
         self.latency = latency
-        self.run = run
         self.move = None
+        self.lowering = None
         # Read per issue; a property call on the instruction otherwise.
         self.is_barrier_op = instr.is_barrier_op
+
+    def __getattr__(self, name):
+        # Only an unlowered pure op's ``run`` slot is ever unset.
+        if name == "run" and self.lowering is not None:
+            return self._first_issue
+        raise AttributeError(name)
+
+    def _first_issue(self, executor, warp, group):
+        slots, pc = self.lowering
+        self.run = lower_op(self, slots, pc)
+        self.move = (pc[0], pc[1], pc[2] + 1)
+        self.lowering = None
+        return self.run(executor, warp, group)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +370,6 @@ def _decode_bbreak(name, latency):
     return run
 
 
-def _lowered_on_first_issue(entry, slots, pc):
-    """``entry.run`` of a pure op until its first issue, which lowers it
-    (:func:`~repro.simt.jit.lower_op`) and installs the result and the
-    op's move report."""
-
-    def run(executor, warp, group):
-        entry.run = lower_op(entry, slots, pc)
-        entry.move = (pc[0], pc[1], pc[2] + 1)
-        return entry.run(executor, warp, group)
-
-    return run
-
-
 def _decode_run(instr, latency, cost_model, slots, pc):
     """``(run, move)`` of a non-pure ``instr`` at ``pc``: its specialized
     ``run``, or the interpreter's when its op or operand form has no
@@ -411,9 +414,9 @@ def _decode_instruction(instr, cost_model, slots, pc):
     operand is resolved to its slot index here, at decode time. A pure op
     is lowered from the segment compiler's templates on its first issue.
     """
-    entry = DecodedInstruction(instr, cost_model.latency(instr.opcode), None)
+    entry = DecodedInstruction(instr, cost_model.latency(instr.opcode))
     if instr.opcode in _PURE_OPS:
-        entry.run = _lowered_on_first_issue(entry, slots, pc)
+        entry.lowering = (slots, pc)
     else:
         entry.run, entry.move = _decode_run(
             instr, entry.latency, cost_model, slots, pc

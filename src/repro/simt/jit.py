@@ -862,7 +862,8 @@ def _instantiate(shape, segment, entries):
                 value = value.name
         namespace[name] = value
     exec(shape.code, namespace)  # noqa: S102
-    fn = namespace["_jit_segment"]
+    # Out of its own globals, so reference counting frees the function.
+    fn = namespace.pop("_jit_segment")
     where = _where(segment)
     fn.__jit_source__ = f"# jit: segment @{where} n={segment.n}\n{shape.source}"
     fn.__jit_segment__ = f"@{where} n={segment.n}"
@@ -974,7 +975,7 @@ def lower_op(entry, slots, pc):
     )
     where = "{}/{}:{}".format(*pc)
     exec(CODE_CACHE.code("\n".join(lines) + "\n", where), namespace)  # noqa: S102
-    return namespace["_jit_op"]
+    return namespace.pop("_jit_op")
 
 
 def fused_failure(segment, executor, warp, group, exc):

@@ -175,7 +175,7 @@ def main(argv=None):
         program = compiler.compile(
             module, mode=args.mode, threshold=args.threshold
         )
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

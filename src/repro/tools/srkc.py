@@ -23,13 +23,7 @@ from repro.frontend.parser import compile_kernel_source
 from repro.ir.printer import format_module
 from repro.simt.machine import GPUMachine
 from repro.simt.memory import GlobalMemory
-
-
-def _parse_number(text):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+from repro.tools import number
 
 
 def build_parser():
@@ -60,7 +54,8 @@ def build_parser():
     parser.add_argument("--run", action="store_true", help="simulate a launch")
     parser.add_argument("--kernel", default=None, help="kernel to launch (default: first)")
     parser.add_argument("--threads", type=int, default=32)
-    parser.add_argument("--args", nargs="*", default=[], help="kernel arguments")
+    parser.add_argument("--args", nargs="*", default=[], type=number,
+                        help="kernel arguments")
     parser.add_argument("--seed", type=int, default=2020)
     parser.add_argument(
         "--compare-baseline",
@@ -80,7 +75,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _compile_and_run(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -110,7 +105,7 @@ def _compile_and_run(args):
         print("error: no kernel in module", file=sys.stderr)
         return 1
     kernel = args.kernel or kernels[0].name
-    kernel_args = tuple(_parse_number(a) for a in args.args)
+    kernel_args = tuple(args.args)
 
     result = _launch(program, kernel, args.threads, kernel_args, args.seed)
     print(

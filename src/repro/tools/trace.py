@@ -37,14 +37,8 @@ from repro.obs.sinks import ListSink
 from repro.simt.machine import GPUMachine
 from repro.simt.memory import GlobalMemory
 from repro.simt.scheduler import SCHEDULERS
+from repro.tools import number
 from repro.workloads import get_workload, workload_names
-
-
-def _parse_number(text):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def build_parser():
@@ -75,7 +69,7 @@ def build_parser():
     )
     parser.add_argument("--threads", type=int, default=None,
                         help="launch width (default: workload's, or 32)")
-    parser.add_argument("--args", nargs="*", default=[],
+    parser.add_argument("--args", nargs="*", default=[], type=number,
                         help="kernel arguments (with --source)")
     parser.add_argument("--seed", type=int, default=2020)
     parser.add_argument(
@@ -138,7 +132,7 @@ def _run_source(args, sink):
     launch = machine.launch(
         kernels[0].name,
         args.threads or 32,
-        args=tuple(_parse_number(a) for a in args.args),
+        args=tuple(args.args),
         memory=GlobalMemory(),
     )
     return launch, compiled.report
@@ -176,7 +170,7 @@ def _companion_counters(args):
     launch = machine.launch(
         compiled.module.kernels()[0].name,
         args.threads or 32,
-        args=tuple(_parse_number(a) for a in args.args),
+        args=tuple(args.args),
         memory=GlobalMemory(),
     )
     return launch.counters
@@ -192,7 +186,7 @@ def main(argv=None):
         build_parser().error("give exactly one of WORKLOAD or --source")
     try:
         return _trace(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,10 +27,9 @@ class TestFromEnv:
     def test_defaults(self):
         assert EngineConfig.from_env({}) == EngineConfig()
         assert EngineConfig() == EngineConfig(
-            fastpath=True, segments=True, warp_batch=True,
-            compile_cache=True, grid=True,
+            fastpath=True, segments=True, warp_batch=True, grid=True,
         )
-        assert len(FIELDS) == 5
+        assert len(FIELDS) == 4
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_each_field_reads_its_variable(self, field):
@@ -57,7 +56,6 @@ class TestFromEnv:
         ("REPRO_FASTPATH", "no"),
         ("REPRO_SEGMENTS", "yes"),
         ("REPRO_WARP_BATCH", "2"),
-        ("REPRO_COMPILE_CACHE", "disabled"),
         ("REPRO_GRID", "of"),
     ])
     def test_bad_values_name_the_variable(self, name, raw):
@@ -68,9 +66,12 @@ class TestFromEnv:
 
     def test_unknown_repro_names_are_ignored(self):
         # perfbench's leave-one-out table still sets retired layers'
-        # variables.
+        # variables, and an old shell may still set the retired
+        # compile-cache switch, to any value.
         env = {"REPRO_SOA": "0", "REPRO_SPEC": "0", "REPRO_JOBS": "4"}
-        assert EngineConfig.from_env(env) == EngineConfig()
+        for stale in ("0", "disabled"):
+            env["REPRO_COMPILE_CACHE"] = stale
+            assert EngineConfig.from_env(env) == EngineConfig()
 
     @pytest.mark.parametrize("env", [
         {"REPRO_JIT": "0"},

@@ -22,6 +22,7 @@ from repro.ir.function import Function, clear_module_caches, module_cache
 from repro.ir.instructions import Imm, Instruction, Opcode, Reg
 from repro.obs import counters as obs_counters
 from repro.simt import DEFAULT_COST_MODEL, GPUMachine
+from repro.simt import jit as jit_module
 from repro.simt import memo as launch_memo
 from repro.simt.fastpath import decode_program
 from repro.simt.warp import frame_templates
@@ -40,7 +41,7 @@ N_THREADS = 64
 @pytest.fixture
 def engine():
     """Every cached layer on, whatever the environment."""
-    with engine_config(fastpath=True, warp_batch=True, compile_cache=True):
+    with engine_config(fastpath=True, warp_batch=True):
         yield
 
 
@@ -140,8 +141,67 @@ class TestLifetime:
         assert len(ir_function._MODULE_CACHES) == held
         assert launch_memo.stats()["programs"] == programs
 
+    def test_dropped_module_is_freed_without_the_collector(self):
+        """No reference cycle holds a compiled and launched module: its
+        functions, blocks and decode state die by reference counting
+        alone, and so does the code generated for them. ``@f``'s ``mul``
+        issues alone and is lowered; ``@k``'s ``tid``/``add`` run fused,
+        so their entries are never lowered."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with engine_config(fastpath=True, segments=True,
+                               warp_batch=True):
+                lowered = parse_module(CALLS)
+                compiled = compile_cached(lowered)
+                GPUMachine(compiled.module).launch("k", N_THREADS, (5,))
+            # Post-mortems keep the last executed segment's function.
+            jit_module.LAST_EXECUTED = None
+            module = compiled.module
+            decoded = decode_program(module, DEFAULT_COST_MODEL)
+            alone = decoded.entry(("f", "entry", 0))
+            fused = decoded.entry(("k", "entry", 1))
+            assert alone.move == ("f", "entry", 1)
+            assert fused.move is None
+            segment = decoded.segment_at(("k", "entry", 0))
+            assert segment.n >= 2
+            kernel = module.function("k")
+            refs = [
+                weakref.ref(obj)
+                for obj in (lowered, module, kernel, kernel.entry, decoded,
+                            alone, fused, alone.run, segment.fn)
+            ]
+            del lowered, compiled, module, decoded, alone, fused, segment, kernel
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
-#: A kernel calling a device function; TestLaunchTemplate edits both.
+    def test_compile_and_launch_leave_no_cycles(self):
+        """A compile and launch of a fresh module, dropped at once, leave
+        the collector nothing to free (the first run warms one-time
+        caches)."""
+
+        def compile_and_launch():
+            compiled = compile_cached(parse_module(CALLS))
+            GPUMachine(compiled.module).launch("k", N_THREADS, (5,))
+
+        enabled = gc.isenabled()
+        try:
+            with engine_config(fastpath=True, segments=True,
+                               warp_batch=True):
+                compile_and_launch()
+                gc.collect()
+                gc.disable()
+                compile_and_launch()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
+#: A kernel calling a device function; TestLifetime launches it,
+#: TestLaunchTemplate edits both.
 CALLS = """
 func @f(%x) {
 entry:

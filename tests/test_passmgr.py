@@ -33,7 +33,6 @@ from repro.core import (
     pipeline_for_mode,
     record_pipeline_trace,
 )
-from repro.engine import engine_config
 from repro.errors import ConfigError, TransformError
 from repro.obs import counters as obs_counters
 from repro.ir.printer import format_module
@@ -481,16 +480,15 @@ class TestBisector:
 
 @pytest.fixture
 def cache_moves():
-    """The compile cache on, whatever the environment; yields a function
-    returning the ``(hits, misses)`` counted since the test started."""
-    with engine_config(compile_cache=True):
-        before = obs_counters.snapshot()
+    """A function returning the compile memo's ``(hits, misses)`` counted
+    since the test started."""
+    before = obs_counters.snapshot()
 
-        def moved():
-            delta = obs_counters.delta(obs_counters.snapshot(), before)
-            return delta["program_cache.hit"], delta["program_cache.miss"]
+    def moved():
+        delta = obs_counters.delta(obs_counters.snapshot(), before)
+        return delta["program_cache.hit"], delta["program_cache.miss"]
 
-        yield moved
+    return moved
 
 
 class TestProgramCachePipelineKeys:
@@ -542,23 +540,19 @@ class TestProgramCachePipelineKeys:
         assert program.report.pipeline == "strip-directives,verify"
 
 
-class TestCompileCacheOff:
-    def test_each_call_compiles_afresh(self):
-        """With the compile cache off every call compiles, counts one
-        miss, and prints the same IR as the cached compile."""
+class TestCompileCachedMatchesDirectCompile:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_memoized_program_prints_as_a_direct_compile(self, mode,
+                                                          cache_moves):
+        """The shared program a memo hit returns prints the same module
+        and report as a direct compile."""
         module = predicted_module()
-        with engine_config(compile_cache=True):
-            cached = compile_cached(module, mode="sr")
-        with engine_config(compile_cache=False):
-            before = obs_counters.snapshot()
-            first = compile_cached(module, mode="sr")
-            second = compile_cached(module, mode="sr")
-            moved = obs_counters.delta(obs_counters.snapshot(), before)
-        assert moved["program_cache.miss"] == 2
-        assert moved["program_cache.hit"] == 0
-        assert len({id(cached), id(first), id(second)}) == 3
-        assert format_module(first.module) == format_module(cached.module)
-        assert format_module(second.module) == format_module(cached.module)
+        compile_cached(module, mode=mode)
+        memoized = compile_cached(module, mode=mode)
+        direct = ReconvergenceCompiler().compile(module, mode=mode)
+        assert cache_moves() == (1, 1)
+        assert format_module(memoized.module) == format_module(direct.module)
+        assert memoized.report.describe() == direct.report.describe()
 
 
 class TestDebugFlags:

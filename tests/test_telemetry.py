@@ -138,9 +138,8 @@ class TestCounterRegistry:
 
         module = cks(DIVERGENT)
         before = obs_counters.snapshot()
-        with engine_config(compile_cache=True):
-            compiled = compile_cached(module, mode="sr", threshold=8)
-            assert compile_cached(module, mode="sr", threshold=8) is compiled
+        compiled = compile_cached(module, mode="sr", threshold=8)
+        assert compile_cached(module, mode="sr", threshold=8) is compiled
         decode_program(compiled.module, DEFAULT_COST_MODEL)
         decode_program(compiled.module, DEFAULT_COST_MODEL)
         moved = obs_counters.delta(obs_counters.snapshot(), before)

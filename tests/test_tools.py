@@ -8,6 +8,8 @@ import pytest
 from repro.tools.srkc import build_parser, main
 from repro.tools.trace import main as trace_main
 
+ITERATION_DELAY = "examples/kernels/iteration_delay.srk"
+
 KERNEL = """
 kernel axpy(n) {
     let i = tid();
@@ -104,6 +106,19 @@ class TestCLI:
             "error: expected 'name', got '{' at line 1\n"
         )
 
+    def test_missing_source_is_one_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.srk")
+        assert main([missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+
+    def test_malformed_arg_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([ITERATION_DELAY, "--run", "--args", "abc"])
+        assert exit_info.value.code == 2
+        assert "invalid number value: 'abc'" in capsys.readouterr().err
+
     def test_example_kernels_compile_and_run(self, capsys):
         for path, args in (
             ("examples/kernels/iteration_delay.srk", ["--args", "16"]),
@@ -172,6 +187,19 @@ class TestTraceCLI:
         assert capsys.readouterr().err == (
             "error: expected 'name', got '{' at line 1\n"
         )
+
+    def test_missing_source_is_one_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.srk")
+        assert trace_main(["--source", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+
+    def test_malformed_arg_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main(["--source", ITERATION_DELAY, "--args", "abc"])
+        assert exit_info.value.code == 2
+        assert "invalid number value: 'abc'" in capsys.readouterr().err
 
 
 class TestOptCLI:
@@ -249,6 +277,15 @@ class TestOptCLI:
             [divergent_file, "--pipeline", "no-such-pass"]
         ) == 1
         assert "unknown pass" in capsys.readouterr().err
+
+    def test_missing_input_is_one_line(self, tmp_path, capsys):
+        from repro.tools.opt import main as opt_main
+
+        missing = str(tmp_path / "missing.ll")
+        assert opt_main([missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
 
 
 class TestHarnessCLIFlags:
